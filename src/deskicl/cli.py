@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .checkpoint import CheckpointError
+from .data import EpisodeIOError
 from .harness import HarnessConfig, HarnessError, load_config
 
 
@@ -54,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if getattr(args, "rollouts", None):
+        if getattr(args, "rollouts", None) is not None:
             import dataclasses
 
             config = dataclasses.replace(config, eval=dataclasses.replace(config.eval, rollouts_per_config=args.rollouts))
@@ -79,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "report":
             harness.cmd_report(args.out)
         return 0
-    except (HarnessError, OSError, ValueError) as exc:
+    except (HarnessError, EpisodeIOError, CheckpointError, OSError, ValueError) as exc:
         print(f"deskicl {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -250,6 +250,8 @@ def load_episodes(path) -> list[Trajectory]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise TruncatedFileError(f"{path}: unreadable header line") from exc
+    if not isinstance(header, dict):
+        raise VersionMismatchError(f"{path}: not an episode file (header is not an object)")
     if header.get("magic") != FILE_MAGIC:
         raise VersionMismatchError(f"{path}: not an episode file (magic {header.get('magic')!r})")
     if header.get("version") != FILE_VERSION:
@@ -262,7 +264,10 @@ def load_episodes(path) -> list[Trajectory]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TruncatedFileError(f"{path}:{lineno}: undecodable record") from exc
-        arrays = {name: _decode_array(name, entry, path) for name, entry in record["arrays"].items()}
+        try:
+            arrays = {name: _decode_array(name, entry, path) for name, entry in record["arrays"].items()}
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:  # not the layout save_episodes writes
+            raise TruncatedFileError(f"{path}:{lineno}: malformed record ({exc!r})") from exc
         try:
             out.append(Trajectory(task_label=record.get("task_label", ""), **arrays))
         except (TypeError, ValueError) as exc:

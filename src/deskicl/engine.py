@@ -2,9 +2,11 @@
 
 Training is teacher-forced: each step samples one task subset, builds a
 prompt+target sequence, and applies one clipped AdamW update of the
-combined loss. Inference decodes incrementally through a per-layer
-key/value cache; at each environment step the policy encodes the state
-token, optionally decodes a trace and feeds it back (every k-th step),
+combined loss. Inference runs the same trunk, `model.transformer_hidden`,
+incrementally against a per-layer key/value cache; this module holds no
+network math of its own. At each environment step the policy decodes the
+previous step's executed action together with the new state token in one
+call, optionally decodes a trace and feeds it back (every k-th step),
 decodes an action chunk, and executes the temporal ensemble of all chunks
 covering the current step. On steps without a trace decode the zero-vector
 trace token is fed, matching the masking distribution seen in training.
@@ -17,32 +19,25 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from . import tensor as tn
-from .data import TrainingSequence, Trajectory, build_sequence
+from .data import Trajectory, build_sequence
 from .model import (
     ACTION_DIM,
-    ModelConfig,
+    ContextOverflowError,
+    KVCache,
     PolicyModel,
     effective_trace_mask,
     encode_action_batch,
     encode_reasoning_batch,
     encode_state_batch,
     interleave_tokens,
-    rope_tables,
     sequence_loss,
+    transformer_hidden,
 )
 from .optim import AdamW, clip_grad_norm
 from .sim import Action, SimParams, TaskSpec, WorldState
 from .sim import render, step as sim_step, success, third_camera, wrist_camera
-from .tensor import Tape, backward
+from .tensor import Tape, Tensor, backward
 from .traces import TRACE_DIM
-
-RMS_EPS = 1e-5
-
-
-class ContextOverflowError(RuntimeError):
-    """Sequence would exceed the model's maximum context length."""
-
 
 # ---------------------------------------------------------------------------
 # training
@@ -79,7 +74,8 @@ def train(
     """Optimize `model` in place for cfg.steps sequences; returns the loss history.
 
     Fully determined by (model parameters, dataset order, cfg.seed). Aborts
-    with a diagnostic if the loss goes non-finite.
+    with a diagnostic if the loss or the gradient norm goes non-finite,
+    before that step's update touches the parameters.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -113,7 +109,9 @@ def train(
             # reasoning loss is applied) have exactly zero gradient
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
-        clip_grad_norm(model.params, cfg.grad_clip)
+        grad_norm = clip_grad_norm(model.params, cfg.grad_clip)
+        if not np.isfinite(grad_norm):
+            raise RuntimeError(f"non-finite gradient norm {grad_norm} at step {step_idx} (task {label}); aborting before the update")
         opt.step()
         opt.zero_grad()
         history.append(LossRecord(step_idx, float(loss.data), l_action, l_reason))
@@ -135,84 +133,10 @@ def smoothed_endpoints(losses: list[float], window: int = 100) -> tuple[float, f
 # ---------------------------------------------------------------------------
 
 
-class KVCache:
-    """Per-layer rotated key/value buffers up to the current length."""
-
-    def __init__(self, config: ModelConfig):
-        self.config = config
-        shape = (config.n_layers, config.n_heads, config.max_context, config.head_dim)
-        self.k = np.zeros(shape, dtype=np.float32)
-        self.v = np.zeros(shape, dtype=np.float32)
-        self.length = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.config.max_context - self.length
-
-
-def _rms(x: np.ndarray) -> np.ndarray:
-    return x * (1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS))
-
-
-def _silu(x: np.ndarray) -> np.ndarray:
-    return x * (1.0 / (1.0 + np.exp(-x)))
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _rope_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
-
-
 def kv_decode(cache: KVCache, model: PolicyModel, new_tokens: np.ndarray) -> tuple[np.ndarray, KVCache]:
-    """Extend the cache by `new_tokens` (n, d) and return their hidden states.
-
-    Matches a full forward over the concatenated sequence at the new
-    positions (same math as the training trunk, evaluated incrementally).
-    """
-    cfg = model.config
-    p = model.params
-    new_tokens = np.asarray(new_tokens, dtype=np.float32).reshape(-1, cfg.d_model)
-    n = len(new_tokens)
-    start = cache.length
-    if start + n > cfg.max_context:
-        raise ContextOverflowError(f"cache at {start} tokens cannot take {n} more (max {cfg.max_context})")
-    nh, dh = cfg.n_heads, cfg.head_dim
-    cos, sin = rope_tables(dh, start, n, cfg.rope_base, np.float32)
-    # within-block causal mask: new position r may not attend to columns after start+r
-    block_mask = np.zeros((n, start + n), dtype=np.float32)
-    block_mask[:, start:][np.triu_indices(n, k=1)] = -1e9
-
-    x = new_tokens
-    for i in range(cfg.n_layers):
-        h = _rms(x) * p[f"blocks.{i}.attn_norm.g"].data
-
-        def heads_of(w: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray((h @ w).reshape(n, nh, dh).transpose(1, 0, 2))
-
-        q = _rope_np(heads_of(p[f"blocks.{i}.attn.wq.w"].data), cos, sin) * np.float32(float(dh) ** -0.5)
-        k_new = _rope_np(heads_of(p[f"blocks.{i}.attn.wk.w"].data), cos, sin)
-        v_new = heads_of(p[f"blocks.{i}.attn.wv.w"].data)
-        cache.k[i][:, start:start + n] = k_new
-        cache.v[i][:, start:start + n] = v_new
-        keys = cache.k[i][:, :start + n]
-        values = cache.v[i][:, :start + n]
-        scores = q @ keys.transpose(0, 2, 1) + block_mask
-        att = _softmax_rows(scores)
-        ctx = (att @ values).transpose(1, 0, 2).reshape(n, cfg.d_model)
-        x = x + ctx @ p[f"blocks.{i}.attn.wo.w"].data
-
-        h2 = _rms(x) * p[f"blocks.{i}.ffn_norm.g"].data
-        gate = _silu(h2 @ p[f"blocks.{i}.ffn.w_gate.w"].data)
-        x = x + (gate * (h2 @ p[f"blocks.{i}.ffn.w_up.w"].data)) @ p[f"blocks.{i}.ffn.w_down.w"].data
-
-    cache.length = start + n
-    return _rms(x) * p["final_norm.g"].data, cache
+    """Extend the cache by `new_tokens` (n, d) and return their hidden states."""
+    hidden = transformer_hidden(model, Tensor(np.reshape(new_tokens, (-1, model.config.d_model))), cache)
+    return hidden.data, cache
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +182,6 @@ def temporal_ensemble(buffer: EnsembleBuffer, current_step: int) -> np.ndarray:
 class RolloutOptions:
     reasoning_interval: int = 1  # k: decode a trace every k steps; 0 = never
     max_steps: int = 150
-    n_prompt: int = 1
-    seed: int = 0
     ensemble_decay: float = 0.1
 
     def __post_init__(self):
@@ -280,6 +202,8 @@ class RolloutResult:
 
 
 class ChunkPolicy(Protocol):
+    horizon: int  # length of each proposed action chunk
+
     def begin(self, prompt_demos: list[Trajectory]) -> None: ...
 
     def propose(self, t: int, state: WorldState, third: np.ndarray, wrist: np.ndarray, proprio: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]: ...
@@ -288,13 +212,16 @@ class ChunkPolicy(Protocol):
 
 
 class TransformerPolicy:
-    """Closed-loop wrapper around a PolicyModel with a KV cache."""
+    """Closed-loop wrapper around a PolicyModel with a KV cache. `commit`
+    only holds the action token; `propose` decodes it with the next state
+    token, so an environment step takes two trunk calls, not three."""
 
     def __init__(self, model: PolicyModel, reasoning_interval: int):
         self.model = model
         self.k = reasoning_interval
+        self.horizon = model.config.chunk_h
         self.cache = KVCache(model.config)
-        self.t = 0
+        self._pending: list[np.ndarray] = []  # committed action token not yet decoded
         role = model.params["role_embed"].data
         self._role_state, self._role_reason, self._role_action = role[0], role[1], role[2]
         self._zero_trace_token = (
@@ -324,13 +251,15 @@ class TransformerPolicy:
 
     def propose(self, t, state, third, wrist, proprio):
         model = self.model
-        if self.cache.remaining < 3:
+        # room for the pending action plus this step's state, reasoning and action
+        if self.cache.remaining < 3 + len(self._pending):
             raise ContextOverflowError("prompt plus rollout exceeded the model context")
         f_s = encode_state_batch(model, third[None], wrist[None], proprio[None]).data[0] + self._role_state
-        hidden, _ = kv_decode(self.cache, model, f_s[None])
+        hidden, _ = kv_decode(self.cache, model, np.stack(self._pending + [f_s]))
+        self._pending = []
         trace = None
         if self.k > 0 and t % self.k == 0:
-            raw = hidden[0] @ model.params["reasoning_head.w"].data + model.params["reasoning_head.b"].data
+            raw = hidden[-1] @ model.params["reasoning_head.w"].data + model.params["reasoning_head.b"].data
             trace = np.clip(raw, 0.0, 1.0).astype(np.float32)
             token_r = encode_reasoning_batch(model, trace[None], np.array([False])).data[0] + self._role_reason
         else:
@@ -344,7 +273,7 @@ class TransformerPolicy:
             encode_action_batch(self.model, np.asarray(executed_action, np.float32)[None]).data[0]
             + self._role_action
         )
-        kv_decode(self.cache, self.model, token_a[None])
+        self._pending = [token_a]
 
 
 class ExpertReplayPolicy:
@@ -394,7 +323,7 @@ def rollout(
     except ContextOverflowError:
         return RolloutResult(0.0, 0, True, [initial_state], np.zeros((0, ACTION_DIM), np.float32), [])
     cam3, camw = third_camera(env_params), wrist_camera(env_params)
-    buffer = EnsembleBuffer(horizon=_policy_horizon(policy), decay=options.ensemble_decay)
+    buffer = EnsembleBuffer(horizon=policy.horizon, decay=options.ensemble_decay)
     states = [initial_state]
     actions: list[np.ndarray] = []
     traces: list[tuple[int, np.ndarray]] = []
@@ -428,9 +357,3 @@ def rollout(
         executed_actions=np.array(actions, dtype=np.float64).reshape(len(actions), ACTION_DIM),
         predicted_traces=traces,
     )
-
-
-def _policy_horizon(policy) -> int:
-    if isinstance(policy, TransformerPolicy):
-        return policy.model.config.chunk_h
-    return getattr(policy, "horizon")

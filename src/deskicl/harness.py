@@ -125,6 +125,8 @@ class HarnessConfig:
             raise HarnessError("model and environment disagree on camera resolutions")
         if self.data.n_poke_tasks > self.env.n_object_classes or self.data.n_pick_place_tasks > self.env.n_object_classes:
             raise HarnessError("more tasks per kind than object classes")
+        if self.eval.rollouts_per_config < 1:
+            raise HarnessError(f"eval.rollouts_per_config must be at least 1, got {self.eval.rollouts_per_config}")
 
 
 _SECTIONS = {"env": SimParams, "model": ModelConfig, "data": DataSection, "train": TrainSection, "eval": EvalSection}
@@ -458,14 +460,6 @@ def classify_failure(result: RolloutResult, env: SimParams, task: TaskSpec) -> s
     return "placement_failure" if picked else "grasp_failure"
 
 
-class _CheckpointPolicyFactory:
-    def __init__(self, model: PolicyModel):
-        self.model = model
-
-    def make(self, task: TaskSpec, k: int):
-        return self.model, k
-
-
 def _eval_rollouts(
     config: HarnessConfig,
     policy_source,
@@ -503,8 +497,6 @@ def _eval_rollouts(
                     options = RolloutOptions(
                         reasoning_interval=k,
                         max_steps=max_steps,
-                        n_prompt=1,
-                        seed=scene_seed,
                         ensemble_decay=config.eval.ensemble_decay,
                     )
                     policy = policy_source(task, k)

@@ -4,7 +4,10 @@ Each environment step embeds to a token triple [state, reasoning, action].
 State tokens pool patch embeddings of both camera views plus a proprio
 embedding through single-query softmax attention. Reasoning and action
 tokens come from small MLPs. The trunk is a pre-norm decoder stack with
-RMSNorm gains, rotary positions, and SiLU-gated feedforwards. The
+RMSNorm gains, rotary positions, and SiLU-gated feedforwards; its
+attention is the fused `tensor.causal_attention` op. `transformer_hidden`
+is the only trunk: training runs it over whole sequences, and closed-loop
+decoding runs it over a few new tokens at a time against a `KVCache`. The
 reasoning head reads hidden states at state-token positions (the next
 token is the step's trace); the action head reads hidden states at
 reasoning-token positions and emits the next `chunk_h` actions at once.
@@ -322,53 +325,46 @@ def rope_tables(head_dim: int, start: int, length: int, base: float, dtype) -> t
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
-def _rope(x: Tensor, cos: Tensor, sin: Tensor) -> Tensor:
-    """Rotate (H, T, dh) by position-dependent angles; half-split pairing."""
-    dh = x.shape[-1]
-    x1 = tn.narrow(x, 2, 0, dh // 2)
-    x2 = tn.narrow(x, 2, dh // 2, dh // 2)
-    out1 = tn.sub(tn.mul(x1, cos), tn.mul(x2, sin))
-    out2 = tn.add(tn.mul(x2, cos), tn.mul(x1, sin))
-    return tn.concat([out1, out2], axis=2)
+class ContextOverflowError(ShapeError):
+    """Sequence would exceed the model's maximum context length."""
 
 
-def causal_mask(length: int, dtype) -> np.ndarray:
-    mask = np.zeros((length, length), dtype=dtype)
-    mask[np.triu_indices(length, k=1)] = -1e9
-    return mask
+class KVCache:
+    """Per-layer rotated key/value buffers up to the current length."""
+
+    def __init__(self, config: ModelConfig):
+        self.config = config
+        shape = (config.n_layers, config.n_heads, config.max_context, config.head_dim)
+        self.k = np.zeros(shape, dtype=np.float32)
+        self.v = np.zeros(shape, dtype=np.float32)
+        self.length = 0
+
+    @property
+    def remaining(self) -> int:
+        return self.config.max_context - self.length
 
 
-def transformer_hidden(model: PolicyModel, tokens: Tensor) -> Tensor:
-    """Causal trunk over (T, d) tokens starting at position 0; returns the
-    final-norm hidden states (T, d)."""
+def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None = None) -> Tensor:
+    """Causal trunk over (T, d) tokens; returns the final-norm hidden states (T, d).
+
+    Without a cache the tokens sit at positions 0..T-1. With one they follow
+    the cache's `length` positions: their rotated keys and values are
+    appended to it and they attend over everything it holds.
+    """
     cfg = model.config
     p = model.params
-    t, d = tokens.shape
-    if t > cfg.max_context:
-        raise ShapeError(f"sequence of {t} tokens exceeds max context {cfg.max_context}")
-    nh, dh = cfg.n_heads, cfg.head_dim
-    dtype = tokens.dtype
-    cos_np, sin_np = rope_tables(dh, 0, t, cfg.rope_base, dtype)
-    cos, sin = Tensor(cos_np, dtype=dtype), Tensor(sin_np, dtype=dtype)
-    mask_np = causal_mask(t, dtype)
+    t = tokens.shape[0]
+    start = 0 if cache is None else cache.length
+    if start + t > cfg.max_context:
+        raise ContextOverflowError(f"{start} cached plus {t} new tokens exceed max context {cfg.max_context}")
+    cos, sin = rope_tables(cfg.head_dim, start, t, cfg.rope_base, tokens.dtype)
 
     x = tokens
     for i in range(cfg.n_layers):
         h = tn.mul(tn.rms_norm(x), p[f"blocks.{i}.attn_norm.g"])
-
-        def split_heads(mat: Tensor) -> Tensor:
-            return tn.transpose(tn.reshape(mat, (t, nh, dh)), (1, 0, 2))
-
-        q = split_heads(tn.matmul(h, p[f"blocks.{i}.attn.wq.w"]))
-        k = split_heads(tn.matmul(h, p[f"blocks.{i}.attn.wk.w"]))
-        v = split_heads(tn.matmul(h, p[f"blocks.{i}.attn.wv.w"]))
-        # scale q (small) instead of the (H, T, T) score matrix
-        q = tn.scale(_rope(q, cos, sin), float(dh) ** -0.5)
-        k = _rope(k, cos, sin)
-        scores = tn.matmul(q, tn.transpose(k, (0, 2, 1)))
-        att = tn.softmax(scores, additive_mask=mask_np)
-        ctx = tn.matmul(att, v)  # (H, T, dh)
-        ctx = tn.reshape(tn.transpose(ctx, (1, 0, 2)), (t, d))
+        q, k, v = (tn.matmul(h, p[f"blocks.{i}.attn.{w}.w"]) for w in ("wq", "wk", "wv"))
+        kv_cache = None if cache is None else (cache.k[i], cache.v[i])
+        ctx = tn.causal_attention(q, k, v, cfg.n_heads, cos, sin, kv_cache, start)
         x = tn.add(x, tn.matmul(ctx, p[f"blocks.{i}.attn.wo.w"]))
 
         h2 = tn.mul(tn.rms_norm(x), p[f"blocks.{i}.ffn_norm.g"])
@@ -376,6 +372,8 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor) -> Tensor:
         up = tn.matmul(h2, p[f"blocks.{i}.ffn.w_up.w"])
         x = tn.add(x, tn.matmul(tn.mul(gate, up), p[f"blocks.{i}.ffn.w_down.w"]))
 
+    if cache is not None:
+        cache.length = start + t
     return tn.mul(tn.rms_norm(x), p["final_norm.g"])
 
 

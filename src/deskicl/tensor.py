@@ -2,10 +2,11 @@
 
 Small on purpose: float32 numpy arrays plus the dozen-ish primitives a
 compact decoder-style transformer needs (matmul with leading-batch
-broadcast, elementwise arithmetic, softmax, RMS normalization, SiLU,
-reshape/transpose/concat/narrow, row gather for embedding lookup, and
-reductions). Ops record backward rules only while a `Tape` context is
-open, so inference runs tape-free at plain numpy speed.
+broadcast, elementwise arithmetic, softmax, fused causal multi-head
+attention, RMS normalization, SiLU, reshape/transpose/concat/narrow, row
+gather for embedding lookup, and reductions). Ops record backward rules
+only while a `Tape` context is open, so inference runs tape-free at plain
+numpy speed, and `backward` releases the graph it swept.
 
 Broadcasting is restricted to leading batch dimensions: the smaller
 operand's shape must equal the trailing dims of the larger one, e.g.
@@ -140,6 +141,9 @@ def backward(loss: Tensor) -> None:
         g = entry.output.grad
         if g is not None:
             entry.backward(g)
+    # entries and outputs point at each other through `_tape`; dropping the
+    # entries lets reference counting free the graph without the cyclic GC
+    tape.entries.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +313,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return gather_rows(table, ids)
 
 
-def softmax(a: Tensor, additive_mask: np.ndarray | None = None) -> Tensor:
-    """Numerically stable softmax over the last axis.
-
-    `additive_mask` is an optional constant (e.g. -1e9 above the causal
-    diagonal) added to the logits before normalization; it broadcasts like
-    `add` and takes no gradient.
-    """
-    logits = a.data if additive_mask is None else a.data + additive_mask
-    shifted = logits - logits.max(axis=-1, keepdims=True)  # fresh temporary
+def softmax(a: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)  # fresh temporary
     e = np.exp(shifted, out=shifted)
     s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s, dtype=a.dtype)
@@ -328,6 +326,78 @@ def softmax(a: Tensor, additive_mask: np.ndarray | None = None) -> Tensor:
             a.accumulate_grad(ga)
 
     return _finish(out, (a,), bwd, "softmax")
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """RoPE with half-split pairing: rotate (x1, x2) by the per-row angles.
+    Its transpose (for gradients) is the rotation with `-sin`."""
+    half = x.shape[-1] // 2
+    x1, x2 = x[..., :half], x[..., half:]
+    return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
+
+
+def causal_attention(
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: np.ndarray, sin: np.ndarray,
+    kv_cache: tuple[np.ndarray, np.ndarray] | None = None, start: int = 0,
+) -> Tensor:
+    """Multi-head causal self-attention of T new positions as one op.
+
+    `q`, `k`, `v` are (T, d) projections. Each splits into `n_heads` heads
+    of width dh; q and k are rotated by the position tables `cos`/`sin`
+    (T, dh/2), q is scaled by dh**-0.5, and every position attends to
+    itself and all earlier ones. The heads' outputs merge back to (T, d).
+
+    `kv_cache` is a pair of (n_heads, L, dh) buffers whose rows before
+    `start` hold the rotated keys and values of earlier positions. The new
+    keys and values are written at rows start..start+T-1 and the queries
+    attend over all start+T rows. Cached rows are constants: gradients
+    reach only `q`, `k` and `v`.
+    """
+    t, d = q.shape
+    if k.shape != (t, d) or v.shape != (t, d) or d % n_heads:
+        raise ShapeError(f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape} with {n_heads} heads")
+    dh = d // n_heads
+    s = float(dh) ** -0.5
+
+    def heads(x: np.ndarray) -> np.ndarray:
+        return x.reshape(t, n_heads, dh).transpose(1, 0, 2)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return x.transpose(1, 0, 2).reshape(t, d)
+
+    qh = _rotate(heads(q.data), cos, sin) * s
+    kh = _rotate(heads(k.data), cos, sin)
+    vh = heads(v.data)
+    if kv_cache is None:
+        keys, values = kh, vh
+    else:
+        k_buf, v_buf = kv_cache
+        k_buf[:, start:start + t] = kh
+        v_buf[:, start:start + t] = vh
+        keys, values = k_buf[:, :start + t], v_buf[:, :start + t]
+    att = np.matmul(qh, keys.transpose(0, 2, 1))  # (H, T, start+T) scores
+    if t > 1:
+        future = np.arange(start + t)[None, :] > np.arange(start, start + t)[:, None]
+        np.copyto(att, -np.inf, where=future)
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    out = Tensor(merge(np.matmul(att, values)), dtype=q.dtype)
+
+    def bwd(g):
+        gh = heads(g)
+        g_scores = np.matmul(gh, values.transpose(0, 2, 1))
+        g_scores -= (g_scores * att).sum(axis=-1, keepdims=True)
+        g_scores *= att
+        if q.requires_grad:
+            q.accumulate_grad(merge(_rotate(np.matmul(g_scores, keys) * s, cos, -sin)))
+        if k.requires_grad:
+            gk = np.matmul(g_scores[:, :, start:].transpose(0, 2, 1), qh)
+            k.accumulate_grad(merge(_rotate(gk, cos, -sin)))
+        if v.requires_grad:
+            v.accumulate_grad(merge(np.matmul(att[:, :, start:].transpose(0, 2, 1), gh)))
+
+    return _finish(out, (q, k, v), bwd, "causal_attention")
 
 
 def rms_norm(a: Tensor, eps: float = 1e-5) -> Tensor:

@@ -225,9 +225,21 @@ def test_episode_file_shape_inconsistency(tmp_path):
 
 def test_episode_file_garbage_record(tmp_path):
     path = tmp_path / "garbage.jsonl"
-    path.write_text('{"magic": "deskicl-episodes", "version": 1}\n{not json\n')
-    with pytest.raises(TruncatedFileError):
-        load_episodes(path)
+    header = '{"magic": "deskicl-episodes", "version": 1}\n'
+    cases = [
+        (header + "{not json\n", TruncatedFileError),
+        ("[]\n", VersionMismatchError),
+        (header + "[1, 2]\n", TruncatedFileError),
+        (header + '{"task_label": "poke_c0"}\n', TruncatedFileError),
+        (header + '{"task_label": "poke_c0", "arrays": []}\n', TruncatedFileError),
+        (header + '{"task_label": "poke_c0", "arrays": {"proprio": {"shape": [2, 4]}}}\n', TruncatedFileError),
+        (header + '{"task_label": "poke_c0", "arrays": {"proprio": {"data": ""}}}\n', TruncatedFileError),
+        (header + '{"task_label": "poke_c0", "arrays": {"proprio": {"shape": 2, "data": ""}}}\n', TruncatedFileError),
+    ]
+    for text, error in cases:
+        path.write_text(text)
+        with pytest.raises(error):
+            load_episodes(path)
 
 
 def test_trajectory_validation():

@@ -209,6 +209,7 @@ def test_rollout_overflow_flagged():
     demo = _demo(task, 33)  # ~14 steps -> 42 prompt tokens, leaves ~7 rollout tokens
     result = rollout(model, SMALL_SIM, state, task, [demo], RolloutOptions(max_steps=50))
     assert result.overflow
+    assert result.steps_used == 12
     assert result.score < 1.0
 
 
@@ -251,6 +252,24 @@ def test_train_loss_drops_on_toy_set():
     losses = [r.loss for r in history]
     initial, final = smoothed_endpoints(losses, window=50)
     assert final < 0.5 * initial, f"loss did not halve: {initial:.4f} -> {final:.4f}"
+
+
+def test_train_stops_before_update_on_non_finite_grad_norm(monkeypatch):
+    from deskicl import engine
+
+    model = small_model(12)
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    engine_backward = engine.backward
+
+    def nan_backward(loss):
+        engine_backward(loss)
+        model.params["action_head.b"].grad[0] = np.nan
+
+    monkeypatch.setattr(engine, "backward", nan_backward)
+    with pytest.raises(RuntimeError, match=r"gradient norm nan at step 0 \(task poke_c[01]\)"):
+        train(model, _toy_dataset(3), TrainConfig(steps=2, seed=0))
+    for k, p in model.params.items():
+        assert np.array_equal(p.data, before[k])
 
 
 def test_train_empty_dataset_errors():

@@ -88,6 +88,8 @@ def test_parse_rejects_unknown_keys():
 def test_config_cross_validation():
     with pytest.raises(HarnessError, match="resolutions"):
         parse_config("model.third_resolution = 16\n")
+    with pytest.raises(HarnessError, match="rollouts_per_config"):
+        parse_config("eval.rollouts_per_config = 0\n")
 
 
 def test_derive_seed_stable_and_distinct():
@@ -379,9 +381,19 @@ def test_cli_gen_and_report_exit_codes(tmp_path):
     assert cli_main(["eval", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
     # report on empty metrics dir errors cleanly
     assert cli_main(["report", "--out", str(tmp_path / "nope")]) == 1
+    # a corrupt checkpoint or episode file is a clean error, not a traceback
+    ckpt = harness.checkpoint_path(out, "ours", 0)
+    ckpt.parent.mkdir(parents=True)
+    ckpt.write_bytes(b"not a checkpoint")
+    assert cli_main(["eval", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
+    split = json.loads((out / "split.json").read_text())
+    (out / "episodes" / f"{split['train'][0]}.jsonl").write_text('{"magic": "deskicl-episodes", "version": 1}\n{}\n')
+    assert cli_main(["train", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
 
 
-def test_cli_bad_config_exit_code(tmp_path):
+def test_cli_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("data.unknown_key = 3\n")
     assert cli_main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
+    assert cli_main(["eval", "--out", str(tmp_path / "x"), "--variant", "expert", "--rollouts", "0"]) == 1
+    assert "rollouts_per_config" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from deskicl import model as mdl
 from deskicl import tensor as tn
 from deskicl.data import build_sequence
 from deskicl.model import (
+    KVCache,
     ModelConfig,
     PolicyModel,
     attention_pool,
@@ -187,6 +190,18 @@ def test_causality_bit_identical_prefix():
         assert not np.array_equal(out[j:], base[j:])
 
 
+def test_cached_trunk_matches_uncached():
+    model = tiny_model(seed=8)
+    tokens = np.random.default_rng(9).normal(size=(16, 32)).astype(np.float32)
+    full = transformer_hidden(model, Tensor(tokens)).data
+    cache = KVCache(model.config)
+    pieces = []
+    for lo, hi in ((0, 10), (10, 11), (11, 13), (13, 14), (14, 16)):  # prefill, then 1- and 2-token steps
+        pieces.append(transformer_hidden(model, Tensor(tokens[lo:hi]), cache).data)
+        assert cache.length == hi
+    assert np.abs(np.concatenate(pieces) - full).max() <= 1e-5
+
+
 def test_context_overflow_errors():
     model = tiny_model()
     tokens = Tensor(np.zeros((TINY.max_context + 3, 32), dtype=np.float32))
@@ -345,6 +360,21 @@ def test_prompt_isolation_labels_do_not_leak():
     assert mutated_loss == base_loss
     for k in base_grads:
         assert np.array_equal(base_grads[k], mutated_grads[k])
+
+
+def test_backward_frees_the_graph_without_cyclic_gc():
+    model = tiny_model(seed=29)
+    seq = tiny_sequence(lengths=(3, 4), mask_ratio=0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        with Tape():
+            loss, *_ = sequence_loss(model, seq)
+            backward(loss)
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_training_step_determinism():

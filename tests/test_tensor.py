@@ -110,6 +110,64 @@ def test_softmax_rows_sum_to_one():
     assert np.abs(s.sum(axis=-1) - 1.0).max() < 1e-6
 
 
+def _rotate_oracle(x, cos, sin):
+    """RoPE, half-split pairing, one element pair at a time."""
+    half = x.shape[1] // 2
+    out = np.empty_like(x)
+    for r in range(x.shape[0]):
+        for j in range(half):
+            a, b = x[r, j], x[r, j + half]
+            out[r, j] = a * cos[r, j] - b * sin[r, j]
+            out[r, j + half] = b * cos[r, j] + a * sin[r, j]
+    return out
+
+
+def _attention_oracle(q, k, v, n_heads, cos, sin, past_k, past_v):
+    """Per head and query row: rotate, score the row's visible keys, softmax, mix values."""
+    t, d = q.shape
+    dh = d // n_heads
+    start = past_k.shape[1]
+    out = np.zeros((t, d))
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh = _rotate_oracle(q[:, cols].astype(np.float64), cos, sin)
+        keys = np.concatenate([past_k[h], _rotate_oracle(k[:, cols].astype(np.float64), cos, sin)])
+        values = np.concatenate([past_v[h], v[:, cols]])
+        for r in range(t):
+            scores = keys[: start + r + 1] @ qh[r] / np.sqrt(dh)
+            w = np.exp(scores - scores.max())
+            out[r, cols] = (w / w.sum()) @ values[: start + r + 1]
+    return out
+
+
+def _attention_case(t, start, n_heads=2, d=8, seed=0):
+    """(q, k, v, cos, sin, kv_cache or None) with `start` random cached rows."""
+    g = np.random.default_rng(seed)
+    q, k, v = (g.normal(size=(t, d)).astype(np.float32) for _ in range(3))
+    angles = g.uniform(0.0, 2.0 * np.pi, size=(t, d // n_heads // 2))
+    cache = None
+    if start:
+        cache = tuple(np.zeros((n_heads, start + t, d // n_heads)) for _ in range(2))
+        for buf in cache:
+            buf[:, :start] = g.normal(size=(n_heads, start, d // n_heads))
+    return q, k, v, np.cos(angles), np.sin(angles), cache
+
+
+@pytest.mark.parametrize("t, start", [(1, 0), (6, 0), (1, 5), (3, 5)])
+def test_causal_attention_against_loops(t, start):
+    q, k, v, cos, sin, cache = _attention_case(t, start)
+    empty = np.zeros((2, 0, 4))
+    past_k, past_v = (empty, empty) if cache is None else (cache[0][:, :start].copy(), cache[1][:, :start].copy())
+    out = tn.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2, cos, sin, kv_cache=cache, start=start)
+    assert out.shape == (t, 8)
+    assert np.abs(out.data - _attention_oracle(q, k, v, 2, cos, sin, past_k, past_v)).max() < 1e-5
+    if cache is not None:
+        # the new rows now hold the rotated keys and the values
+        rotated = [_rotate_oracle(k[:, 4 * h:4 * h + 4].astype(np.float64), cos, sin) for h in range(2)]
+        assert np.abs(cache[0][:, start:] - np.stack(rotated)).max() < 1e-5
+        assert np.array_equal(cache[1][:, start:], v.reshape(t, 2, 4).transpose(1, 0, 2))
+
+
 def test_rms_norm_unit_rms():
     x = Tensor(rng().normal(size=(8, 16)).astype(np.float32) * 3 + 1)
     y = tn.rms_norm(x).data
@@ -242,6 +300,18 @@ def test_grad_gather_rows_accumulates_duplicates():
 def test_grad_mean_all():
     x = rng().normal(size=(3, 3)).astype(np.float32)
     check_grads(lambda t: tn.mean_all(tn.mul(t[0], t[0])), [x])
+
+
+@pytest.mark.parametrize("t, start", [(1, 0), (1, 5), (6, 0), (3, 5)])
+def test_grad_causal_attention(t, start):
+    q, k, v, cos, sin, cache = _attention_case(t, start, seed=1)
+    w = np.random.default_rng(2).normal(size=(t, 8)).astype(np.float32)
+
+    def build(ts):
+        out = tn.causal_attention(ts[0], ts[1], ts[2], 2, cos, sin, kv_cache=cache, start=start)
+        return tn.sum_all(tn.mul(out, Tensor(w, dtype=ts[0].dtype)))
+
+    check_grads(build, [q, k, v])
 
 
 # ---------------------------------------------------------------------------
