@@ -1,25 +1,30 @@
-"""Binary checkpoint container for named float32 parameter blobs.
+"""Binary container for named float32 arrays plus a text header. Model
+checkpoints and episode files (see `data.py`) both use it.
 
 Layout (all integers little-endian):
 
     magic       8 bytes   b"DESKCKPT"
     version     uint32    currently 1
     header_len  uint32
-    header      UTF-8 text, "key=value" lines (architecture hyperparameters)
-    n_params    uint32
-    per parameter, sorted by name:
+    header      UTF-8 text, "key=value\\n" lines
+    n_arrays    uint32
+    per array, sorted by name:
         name_len  uint16
         name      UTF-8
         ndim      uint8
         dims      ndim x uint32
         data      prod(dims) x float32 little-endian
 
-Sorting by name makes writes byte-stable, so identical parameters always
-produce identical files.
+Sorting makes writes byte-stable, so identical contents always produce
+identical files. Header keys may hold neither '=' nor a newline, values no
+newline. A write goes to a sibling temp file that replaces the target only
+once complete, so a failed write leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -31,59 +36,65 @@ VERSION = 1
 
 
 class CheckpointError(RuntimeError):
-    """Malformed or truncated checkpoint file."""
+    """Malformed or truncated container file."""
 
 
 def save_checkpoint(path: str | Path, params: Mapping[str, np.ndarray], header: Mapping[str, str]) -> None:
-    header_text = "".join(f"{k}={v}\n" for k, v in sorted(header.items()))
-    header_bytes = header_text.encode("utf-8")
-    chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(header_bytes)), header_bytes]
-    names = sorted(params)
-    chunks.append(struct.pack("<I", len(names)))
-    for name in names:
-        arr = np.asarray(params[name]).astype("<f4", copy=False)
-        name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    for key, value in header.items():
+        if "=" in str(key) or "\n" in f"{key}{value}":
+            raise ValueError(f"header entry {key!r}: keys may not hold '=' or newlines, values may not hold newlines")
+    header_bytes = "".join(f"{k}={v}\n" for k, v in sorted(header.items())).encode("utf-8")
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(MAGIC + struct.pack("<II", VERSION, len(header_bytes)) + header_bytes + struct.pack("<I", len(params)))
+            for name in sorted(params):
+                arr = np.asarray(params[name], dtype="<f4", order="C")
+                name_bytes = name.encode("utf-8")
+                fh.write(struct.pack(f"<H{len(name_bytes)}sB{arr.ndim}I", len(name_bytes), name_bytes, arr.ndim, *arr.shape))
+                fh.write(arr)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    blob = Path(path).read_bytes()
-    off = 0
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise CheckpointError(f"{path}: truncated at byte {off} (wanted {n} more)")
-        piece = blob[off:off + n]
-        off += n
-        return piece
+        def take(n: int) -> bytes:
+            if fh.tell() + n > size:
+                raise CheckpointError(f"{path}: truncated at byte {fh.tell()} (wanted {n} more)")
+            return fh.read(n)
 
-    if take(8) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    (version,) = struct.unpack("<I", take(4))
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack("<I", take(4))
-    header: dict[str, str] = {}
-    for line in take(header_len).decode("utf-8").splitlines():
-        if line:
-            key, _, value = line.partition("=")
-            header[key] = value
-    (n_params,) = struct.unpack("<I", take(4))
-    params: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        data = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
-        params[name] = data.astype(np.float32)
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after last parameter")
+        def text(n: int) -> str:
+            try:
+                return take(n).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: text before byte {fh.tell()} is not UTF-8") from exc
+
+        if take(8) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+        (version,) = struct.unpack("<I", take(4))
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        (header_len,) = struct.unpack("<I", take(4))
+        header: dict[str, str] = {}
+        for line in text(header_len).split("\n"):
+            if line:
+                key, _, value = line.partition("=")
+                header[key] = value
+        (n_params,) = struct.unpack("<I", take(4))
+        params: dict[str, np.ndarray] = {}
+        for _ in range(n_params):
+            (name_len,) = struct.unpack("<H", take(2))
+            name = text(name_len)
+            (ndim,) = struct.unpack("<B", take(1))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+            params[name] = data.astype(np.float32)
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes after last parameter")
     return params, header

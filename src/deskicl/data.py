@@ -1,25 +1,25 @@
 """Episode containers, task-disjoint splits, training sequences, and episode files.
 
 Episodes are stored columnar: one array per modality with the step count as
-the leading dimension. The on-disk format is line-delimited: a header line
-with magic and version, then one JSON record per episode carrying the task
-label and, per array, its shape and its little-endian float32 payload
-(base64). Round trips are bit-exact.
+the leading dimension. An episode file is a `checkpoint.py` container: its
+header holds `magic`, `version`, the episode `count` and `<i>.task_label`,
+and episode i's arrays are named `<i>.<field>`, for the fields it has (an
+episode without traces has no `<i>.traces`). Round trips are bit-exact.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import traces as traces_mod
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 FILE_MAGIC = "deskicl-episodes"
-FILE_VERSION = 1
+FILE_VERSION = 2
+_V1_PREFIX = b'{"magic": "deskicl-episodes"'  # how version 1 (JSONL) files begin
 ARRAY_FIELDS = ("third", "wrist", "proprio", "actions", "traces")
 
 
@@ -210,66 +210,45 @@ def build_sequence(
 # ---------------------------------------------------------------------------
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr).astype("<f4", copy=False)
-    return {"shape": list(arr.shape), "data": base64.b64encode(data.tobytes()).decode("ascii")}
-
-
-def _decode_array(name: str, entry: dict, path) -> np.ndarray:
-    shape = tuple(int(d) for d in entry["shape"])
-    try:
-        raw = base64.b64decode(entry["data"], validate=True)
-    except Exception as exc:
-        raise TruncatedFileError(f"{path}: undecodable payload for '{name}'") from exc
-    count = int(np.prod(shape)) if shape else 1
-    if len(raw) != 4 * count:
-        raise TruncatedFileError(f"{path}: payload for '{name}' holds {len(raw)} bytes, shape {shape} needs {4 * count}")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-
-
 def save_episodes(path, trajectories: list[Trajectory]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="ascii") as fh:
-        fh.write(json.dumps({"magic": FILE_MAGIC, "version": FILE_VERSION}) + "\n")
-        for traj in trajectories:
-            record = {"task_label": traj.task_label, "arrays": {}}
-            for name in ARRAY_FIELDS:
-                arr = getattr(traj, name)
-                if arr is not None:
-                    record["arrays"][name] = _encode_array(arr)
-            fh.write(json.dumps(record) + "\n")
+    header = {"magic": FILE_MAGIC, "version": str(FILE_VERSION), "count": str(len(trajectories))}
+    arrays = {}
+    for i, traj in enumerate(trajectories):
+        header[f"{i}.task_label"] = traj.task_label
+        for name in ARRAY_FIELDS:
+            arr = getattr(traj, name)
+            if arr is not None:
+                arrays[f"{i}.{name}"] = arr
+    save_checkpoint(path, arrays, header)
 
 
 def load_episodes(path) -> list[Trajectory]:
     path = Path(path)
-    with path.open("r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TruncatedFileError(f"{path}: empty file, missing header")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TruncatedFileError(f"{path}: unreadable header line") from exc
-    if not isinstance(header, dict):
-        raise VersionMismatchError(f"{path}: not an episode file (header is not an object)")
+        arrays, header = load_checkpoint(path)
+    except CheckpointError as exc:
+        with path.open("rb") as fh:
+            if fh.read(len(_V1_PREFIX)) == _V1_PREFIX:
+                raise VersionMismatchError(f"{path}: version 1 (JSONL) episode file; rerun gen-data") from exc
+        raise TruncatedFileError(str(exc)) from exc
     if header.get("magic") != FILE_MAGIC:
         raise VersionMismatchError(f"{path}: not an episode file (magic {header.get('magic')!r})")
-    if header.get("version") != FILE_VERSION:
+    if header.get("version") != str(FILE_VERSION):
         raise VersionMismatchError(f"{path}: unsupported episode file version {header.get('version')!r}")
+    try:
+        labels = [header[f"{i}.task_label"] for i in range(int(header["count"]))]
+    except (KeyError, ValueError) as exc:
+        raise TruncatedFileError(f"{path}: malformed episode header ({exc!r})") from exc
     out: list[Trajectory] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for i, label in enumerate(labels):
+        fields = {name: arrays.pop(f"{i}.{name}", None) for name in ARRAY_FIELDS}
+        missing = [name for name in ARRAY_FIELDS if fields[name] is None and name != "traces"]
+        if missing:
+            raise TruncatedFileError(f"{path}: episode {i} lacks arrays {missing}")
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TruncatedFileError(f"{path}:{lineno}: undecodable record") from exc
-        try:
-            arrays = {name: _decode_array(name, entry, path) for name, entry in record["arrays"].items()}
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:  # not the layout save_episodes writes
-            raise TruncatedFileError(f"{path}:{lineno}: malformed record ({exc!r})") from exc
-        try:
-            out.append(Trajectory(task_label=record.get("task_label", ""), **arrays))
-        except (TypeError, ValueError) as exc:
-            raise ShapeMismatchError(f"{path}:{lineno}: inconsistent episode arrays: {exc}") from exc
+            out.append(Trajectory(task_label=label, **fields))
+        except ValueError as exc:
+            raise ShapeMismatchError(f"{path}: episode {i}: inconsistent arrays: {exc}") from exc
+    if arrays:
+        raise TruncatedFileError(f"{path}: arrays {sorted(arrays)} belong to no episode")
     return out

@@ -9,7 +9,7 @@ every file byte for byte.
 
 Output layout under --out:
     config.resolved.txt
-    episodes/<task_label>.jsonl     one episode file per task
+    episodes/<task_label>.episodes  one episode file per task (a checkpoint.py container)
     split.json                      train/test task labels
     checkpoints/<variant>_seed<N>.ckpt
     loss_<variant>_seed<N>.csv
@@ -298,6 +298,10 @@ def episodes_dir(out_dir: Path) -> Path:
     return Path(out_dir) / "episodes"
 
 
+def episode_path(out_dir: Path, label: str) -> Path:
+    return episodes_dir(out_dir) / f"{label}.episodes"
+
+
 def checkpoint_path(out_dir: Path, variant: str, seed: int) -> Path:
     return Path(out_dir) / "checkpoints" / f"{variant}_seed{seed}.ckpt"
 
@@ -311,7 +315,7 @@ def cmd_gen_data(config: HarnessConfig, out_dir) -> SplitSpec:
     total = 0
     for task in task_list(config):
         episodes = generate_task_episodes(config, task, config.data.demos_per_task, config.data.gen_seed)
-        save_episodes(epdir / f"{task.label}.jsonl", episodes)
+        save_episodes(episode_path(out_dir, task.label), episodes)
         total += len(episodes)
     (out_dir / "split.json").write_text(
         json.dumps({"train": list(split.train_tasks), "test": list(split.test_tasks), "seed": split.seed}, indent=2)
@@ -333,7 +337,7 @@ def load_train_episodes(out_dir) -> list[Trajectory]:
     split = load_split(out_dir)
     episodes: list[Trajectory] = []
     for label in split.train_tasks:
-        episodes.extend(load_episodes(episodes_dir(out_dir) / f"{label}.jsonl"))
+        episodes.extend(load_episodes(episode_path(out_dir, label)))
     return episodes
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as tn
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import TrainingSequence
 from .tensor import ShapeError, Tensor
 from .traces import TRACE_DIM
@@ -194,7 +194,10 @@ class PolicyModel:
     @classmethod
     def load(cls, path) -> tuple["PolicyModel", dict[str, str]]:
         arrays, header = load_checkpoint(path)
-        config = ModelConfig.from_header(header)
+        try:
+            config = ModelConfig.from_header(header)
+        except (KeyError, ValueError) as exc:
+            raise CheckpointError(f"{path}: not a model checkpoint (bad or missing header entry {exc})") from exc
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         return cls(config, params), header
 
@@ -309,7 +312,7 @@ def interleave_tokens(model: PolicyModel, f_s: Tensor, f_r: Tensor, f_a: Tensor)
     )
     tokens = tn.reshape(stacked, (3 * s, d))
     role_ids = np.tile(np.array([ROLE_STATE, ROLE_REASONING, ROLE_ACTION]), s)
-    return tn.add(tokens, tn.embedding(model.params["role_embed"], role_ids))
+    return tn.add(tokens, tn.gather_rows(model.params["role_embed"], role_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +333,22 @@ class ContextOverflowError(ShapeError):
 
 
 class KVCache:
-    """Per-layer rotated key/value buffers up to the current length."""
+    """Per-layer rotated key/value buffers up to the current length. They are
+    allocated on first use, at the dtype of the tokens decoded into them."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        shape = (config.n_layers, config.n_heads, config.max_context, config.head_dim)
-        self.k = np.zeros(shape, dtype=np.float32)
-        self.v = np.zeros(shape, dtype=np.float32)
+        self.k: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.length = 0
+
+    def layer(self, i: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+        if self.k is None:
+            cfg = self.config
+            shape = (cfg.n_layers, cfg.n_heads, cfg.max_context, cfg.head_dim)
+            self.k = np.zeros(shape, dtype=dtype)
+            self.v = np.zeros(shape, dtype=dtype)
+        return self.k[i], self.v[i]
 
     @property
     def remaining(self) -> int:
@@ -363,7 +374,7 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
     for i in range(cfg.n_layers):
         h = tn.mul(tn.rms_norm(x), p[f"blocks.{i}.attn_norm.g"])
         q, k, v = (tn.matmul(h, p[f"blocks.{i}.attn.{w}.w"]) for w in ("wq", "wk", "wv"))
-        kv_cache = None if cache is None else (cache.k[i], cache.v[i])
+        kv_cache = None if cache is None else cache.layer(i, tokens.dtype)
         ctx = tn.causal_attention(q, k, v, cfg.n_heads, cos, sin, kv_cache, start)
         x = tn.add(x, tn.matmul(ctx, p[f"blocks.{i}.attn.wo.w"]))
 

@@ -21,8 +21,6 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-_nan_checks = False
-
 
 class ShapeError(ValueError):
     """Operand shapes incompatible for the requested op."""
@@ -30,12 +28,6 @@ class ShapeError(ValueError):
 
 class GradError(RuntimeError):
     """Backward pass misuse (non-scalar loss, detached loss, missing grad)."""
-
-
-def set_nan_checks(enabled: bool) -> None:
-    """Toggle per-op finiteness checks (slow; meant for tests/debugging)."""
-    global _nan_checks
-    _nan_checks = enabled
 
 
 class Tensor:
@@ -118,9 +110,7 @@ class Tape:
 _active_tape: Tape | None = None
 
 
-def _finish(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None], op: str) -> Tensor:
-    if _nan_checks and not np.all(np.isfinite(out.data)):
-        raise FloatingPointError(f"{op}: non-finite values in output")
+def _finish(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     tape = _active_tape
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -178,7 +168,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.shape))
 
-    return _finish(out, (a, b), bwd, "add")
+    return _finish(out, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -191,7 +181,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(-_unbroadcast(g, b.shape))
 
-    return _finish(out, (a, b), bwd, "sub")
+    return _finish(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -204,7 +194,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
-    return _finish(out, (a, b), bwd, "mul")
+    return _finish(out, (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -214,7 +204,7 @@ def scale(a: Tensor, s: float) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * s)
 
-    return _finish(out, (a,), bwd, "scale")
+    return _finish(out, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -234,7 +224,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
 
-    return _finish(out, (a, b), bwd, "matmul")
+    return _finish(out, (a, b), bwd)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -244,7 +234,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g.reshape(a.shape))
 
-    return _finish(out, (a,), bwd, "reshape")
+    return _finish(out, (a,), bwd)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -256,7 +246,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g.transpose(inv))
 
-    return _finish(out, (a,), bwd, "transpose")
+    return _finish(out, (a,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -272,7 +262,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             if t.requires_grad:
                 t.accumulate_grad(piece)
 
-    return _finish(out, tuple(tensors), bwd, "concat")
+    return _finish(out, tuple(tensors), bwd)
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -290,7 +280,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
             full[idx] = g
             a.accumulate_grad(full)
 
-    return _finish(out, (a,), bwd, "narrow")
+    return _finish(out, (a,), bwd)
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -306,11 +296,7 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
             np.add.at(full, idx, g)
             a.accumulate_grad(full)
 
-    return _finish(out, (a,), bwd, "gather_rows")
-
-
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    return gather_rows(table, ids)
+    return _finish(out, (a,), bwd)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -325,7 +311,7 @@ def softmax(a: Tensor) -> Tensor:
             ga = s * (g - (g * s).sum(axis=-1, keepdims=True))
             a.accumulate_grad(ga)
 
-    return _finish(out, (a,), bwd, "softmax")
+    return _finish(out, (a,), bwd)
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -397,7 +383,7 @@ def causal_attention(
         if v.requires_grad:
             v.accumulate_grad(merge(np.matmul(att[:, :, start:].transpose(0, 2, 1), gh)))
 
-    return _finish(out, (q, k, v), bwd, "causal_attention")
+    return _finish(out, (q, k, v), bwd)
 
 
 def rms_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
@@ -414,7 +400,7 @@ def rms_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
             ga = inv * (g - (inv * inv / n) * a.data * dot)
             a.accumulate_grad(ga)
 
-    return _finish(out, (a,), bwd, "rms_norm")
+    return _finish(out, (a,), bwd)
 
 
 def silu(a: Tensor) -> Tensor:
@@ -425,7 +411,7 @@ def silu(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * (sig * (1.0 + a.data * (1.0 - sig))))
 
-    return _finish(out, (a,), bwd, "silu")
+    return _finish(out, (a,), bwd)
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -435,7 +421,7 @@ def absolute(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * np.sign(a.data))
 
-    return _finish(out, (a,), bwd, "absolute")
+    return _finish(out, (a,), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -445,7 +431,7 @@ def sum_all(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(np.broadcast_to(g, a.shape))
 
-    return _finish(out, (a,), bwd, "sum_all")
+    return _finish(out, (a,), bwd)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -456,4 +442,4 @@ def mean_all(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(np.broadcast_to(g * inv_n, a.shape))
 
-    return _finish(out, (a,), bwd, "mean_all")
+    return _finish(out, (a,), bwd)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_trajectory
+from deskicl.checkpoint import load_checkpoint, save_checkpoint
 from deskicl.data import (
     ShapeMismatchError,
     SplitSpec,
@@ -164,82 +165,93 @@ def test_build_sequence_deterministic_given_rng_state():
 # ---------------------------------------------------------------------------
 
 
+def _saved_container(path, trajs):
+    """Save `trajs` as an episode file; return its raw arrays and header."""
+    save_episodes(path, trajs)
+    return load_checkpoint(path)
+
+
 def test_episode_round_trip_bit_identical(tmp_path):
-    trajs = augment_dataset([toy_trajectory("poke_c3", 5, seed=1), toy_trajectory("poke_c3", 7, seed=2)])
-    path = tmp_path / "episodes.jsonl"
+    plain = toy_trajectory("poke_c3", 6, seed=3)
+    trajs = augment_dataset([toy_trajectory("poke_c3", 5, seed=1), toy_trajectory("poke_c3", 7, seed=2)]) + [plain]
+    assert plain.traces is None
+    path = tmp_path / "poke_c3.episodes"
     save_episodes(path, trajs)
     loaded = load_episodes(path)
-    assert len(loaded) == 2
+    assert len(loaded) == 3
     for orig, back in zip(trajs, loaded):
         assert back.task_label == orig.task_label
-        for name in ("third", "wrist", "proprio", "actions", "traces"):
+        for name in ("third", "wrist", "proprio", "actions"):
+            assert getattr(back, name).dtype == np.float32
             assert np.array_equal(getattr(back, name), getattr(orig, name))
+        if orig.traces is None:
+            assert back.traces is None
+        else:
+            assert back.traces.dtype == np.float32 and np.array_equal(back.traces, orig.traces)
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_episode_file_empty_dataset(tmp_path):
-    path = tmp_path / "empty.jsonl"
+    path = tmp_path / "empty.episodes"
     save_episodes(path, [])
     assert load_episodes(path) == []
 
 
 def test_episode_file_version_mismatch(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"magic": "deskicl-episodes", "version": 99}\n')
-    with pytest.raises(VersionMismatchError):
+    path = tmp_path / "bad.episodes"
+    arrays, header = _saved_container(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=0)]))
+    for key, value in (("magic", "other"), ("version", "99")):
+        save_checkpoint(path, arrays, {**header, key: value})
+        with pytest.raises(VersionMismatchError, match=value):
+            load_episodes(path)
+    # a version 1 file: a JSON header line, then base64 JSONL records
+    path.write_text('{"magic": "deskicl-episodes", "version": 1}\n{"task_label": "poke_c0", "arrays": {}}\n')
+    with pytest.raises(VersionMismatchError, match="gen-data"):
         load_episodes(path)
-    path.write_text('{"magic": "other", "version": 1}\n')
-    with pytest.raises(VersionMismatchError):
+    # a model checkpoint is a container without the episode magic
+    save_checkpoint(path, {"w": np.ones(3, dtype=np.float32)}, {"d_model": "32"})
+    with pytest.raises(VersionMismatchError, match="not an episode file"):
         load_episodes(path)
 
 
 def test_episode_file_truncated_payload(tmp_path):
-    trajs = augment_dataset([toy_trajectory("poke_c0", 4, seed=0)])
-    path = tmp_path / "trunc.jsonl"
-    save_episodes(path, trajs)
-    lines = path.read_text().splitlines()
-    import json
-
-    record = json.loads(lines[1])
-    record["arrays"]["proprio"]["data"] = record["arrays"]["proprio"]["data"][:8]
-    path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
-    with pytest.raises(TruncatedFileError):
-        load_episodes(path)
+    path = tmp_path / "trunc.episodes"
+    save_episodes(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=0)]))
+    blob = path.read_bytes()
+    for cut in (0, 5, 12, 40, len(blob) // 2, len(blob) - 1):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(TruncatedFileError):
+            load_episodes(path)
 
 
 def test_episode_file_shape_inconsistency(tmp_path):
-    trajs = augment_dataset([toy_trajectory("poke_c0", 4, seed=0)])
-    path = tmp_path / "shape.jsonl"
-    save_episodes(path, trajs)
-    lines = path.read_text().splitlines()
-    import base64
-    import json
-
-    record = json.loads(lines[1])
+    path = tmp_path / "shape.episodes"
+    arrays, header = _saved_container(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=0)]))
     # proprio claims 3 steps while the other arrays have 4
-    arr = np.zeros((3, 4), dtype="<f4")
-    record["arrays"]["proprio"] = {"shape": [3, 4], "data": base64.b64encode(arr.tobytes()).decode()}
-    path.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+    save_checkpoint(path, {**arrays, "0.proprio": np.zeros((3, 4), dtype=np.float32)}, header)
     with pytest.raises(ShapeMismatchError):
         load_episodes(path)
 
 
 def test_episode_file_garbage_record(tmp_path):
-    path = tmp_path / "garbage.jsonl"
-    header = '{"magic": "deskicl-episodes", "version": 1}\n'
+    path = tmp_path / "garbage.episodes"
+    arrays, header = _saved_container(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=0)]))
+    without_proprio = {k: v for k, v in arrays.items() if k != "0.proprio"}
+    without_label = {k: v for k, v in header.items() if k != "0.task_label"}
     cases = [
-        (header + "{not json\n", TruncatedFileError),
-        ("[]\n", VersionMismatchError),
-        (header + "[1, 2]\n", TruncatedFileError),
-        (header + '{"task_label": "poke_c0"}\n', TruncatedFileError),
-        (header + '{"task_label": "poke_c0", "arrays": []}\n', TruncatedFileError),
-        (header + '{"task_label": "poke_c0", "arrays": {"proprio": {"shape": [2, 4]}}}\n', TruncatedFileError),
-        (header + '{"task_label": "poke_c0", "arrays": {"proprio": {"data": ""}}}\n', TruncatedFileError),
-        (header + '{"task_label": "poke_c0", "arrays": {"proprio": {"shape": 2, "data": ""}}}\n', TruncatedFileError),
+        (without_proprio, header),
+        (arrays, {**header, "count": "one"}),
+        (arrays, {k: v for k, v in header.items() if k != "count"}),
+        (arrays, without_label),
+        ({**arrays, "1.proprio": arrays["0.proprio"]}, header),
     ]
-    for text, error in cases:
-        path.write_text(text)
-        with pytest.raises(error):
+    for case_arrays, case_header in cases:
+        save_checkpoint(path, case_arrays, case_header)
+        with pytest.raises(TruncatedFileError):
             load_episodes(path)
+    path.write_bytes(b"not a container at all")
+    with pytest.raises(TruncatedFileError):
+        load_episodes(path)
 
 
 def test_trajectory_validation():

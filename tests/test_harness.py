@@ -141,13 +141,14 @@ def test_stratified_split_covers_both_kinds():
 
 def test_gen_data_outputs(tiny_run):
     config, out = tiny_run
-    files = sorted(harness.episodes_dir(out).glob("*.jsonl"))
+    files = sorted(harness.episodes_dir(out).glob("*"))
+    assert files == sorted(harness.episode_path(out, task.label) for task in task_list(config))
     assert len(files) == 5
     episodes = load_episodes(files[0])
     assert len(episodes) == 3
     assert all(e.traces is not None for e in episodes)
     split = harness.load_split(out)
-    train_labels = {e.task_label for lb in split.train_tasks for e in load_episodes(harness.episodes_dir(out) / f"{lb}.jsonl")}
+    train_labels = {e.task_label for lb in split.train_tasks for e in load_episodes(harness.episode_path(out, lb))}
     assert not train_labels & set(split.test_tasks)
     assert (out / "config.resolved.txt").exists()
 
@@ -156,8 +157,8 @@ def test_gen_data_regeneration_byte_identical(tmp_path):
     config = parse_config("data.n_poke_tasks = 2\ndata.n_pick_place_tasks = 0\ndata.demos_per_task = 2\ndata.test_fraction = 0.5\n")
     cmd_gen_data(config, tmp_path / "a")
     cmd_gen_data(config, tmp_path / "b")
-    for name in ("poke_c0.jsonl", "poke_c1.jsonl"):
-        assert (tmp_path / "a" / "episodes" / name).read_bytes() == (tmp_path / "b" / "episodes" / name).read_bytes()
+    for label in ("poke_c0", "poke_c1"):
+        assert harness.episode_path(tmp_path / "a", label).read_bytes() == harness.episode_path(tmp_path / "b", label).read_bytes()
     assert (tmp_path / "a" / "split.json").read_bytes() == (tmp_path / "b" / "split.json").read_bytes()
 
 
@@ -371,7 +372,7 @@ def test_aggregate_mean_of_means():
 # ---------------------------------------------------------------------------
 
 
-def test_cli_gen_and_report_exit_codes(tmp_path):
+def test_cli_gen_and_report_exit_codes(tmp_path, capsys):
     config_path = tmp_path / "config.txt"
     config_path.write_text("data.n_poke_tasks = 2\ndata.n_pick_place_tasks = 0\ndata.demos_per_task = 2\ndata.test_fraction = 0.5\n")
     out = tmp_path / "run"
@@ -387,8 +388,19 @@ def test_cli_gen_and_report_exit_codes(tmp_path):
     ckpt.write_bytes(b"not a checkpoint")
     assert cli_main(["eval", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
     split = json.loads((out / "split.json").read_text())
-    (out / "episodes" / f"{split['train'][0]}.jsonl").write_text('{"magic": "deskicl-episodes", "version": 1}\n{}\n')
+    episodes = harness.episode_path(out, split["train"][0])
+    blob = episodes.read_bytes()
+    episodes.write_bytes(blob[: len(blob) // 2])
     assert cli_main(["train", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
+    assert "truncated" in capsys.readouterr().err
+    # a version 1 (JSONL) episode file names the fix
+    episodes.write_text('{"magic": "deskicl-episodes", "version": 1}\n{}\n')
+    assert cli_main(["train", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
+    assert "rerun gen-data" in capsys.readouterr().err
+    # an episode file where a model checkpoint belongs
+    harness.checkpoint_path(out, "ours", 0).write_bytes(blob)
+    assert cli_main(["eval", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
+    assert "not a model checkpoint" in capsys.readouterr().err
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -10,7 +10,8 @@ import pytest
 from conftest import toy_trajectory
 from deskicl import model as mdl
 from deskicl import tensor as tn
-from deskicl.data import build_sequence
+from deskicl.checkpoint import CheckpointError
+from deskicl.data import build_sequence, save_episodes
 from deskicl.model import (
     KVCache,
     ModelConfig,
@@ -80,6 +81,13 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.config == model.config
     for k, p in model.params.items():
         assert np.array_equal(loaded.params[k].data, p.data)
+
+
+def test_load_rejects_a_container_without_model_entries(tmp_path):
+    path = tmp_path / "poke_c0.episodes"
+    save_episodes(path, [toy_trajectory("poke_c0", 4)])
+    with pytest.raises(CheckpointError, match="not a model checkpoint"):
+        PolicyModel.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +199,17 @@ def test_causality_bit_identical_prefix():
 
 
 def test_cached_trunk_matches_uncached():
-    model = tiny_model(seed=8)
-    tokens = np.random.default_rng(9).normal(size=(16, 32)).astype(np.float32)
-    full = transformer_hidden(model, Tensor(tokens)).data
-    cache = KVCache(model.config)
-    pieces = []
-    for lo, hi in ((0, 10), (10, 11), (11, 13), (13, 14), (14, 16)):  # prefill, then 1- and 2-token steps
-        pieces.append(transformer_hidden(model, Tensor(tokens[lo:hi]), cache).data)
-        assert cache.length == hi
-    assert np.abs(np.concatenate(pieces) - full).max() <= 1e-5
+    tokens = np.random.default_rng(9).normal(size=(16, 32))
+    for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):  # the cache takes the tokens' dtype
+        model = tiny_model(seed=8).astype(dtype)
+        full = transformer_hidden(model, Tensor(tokens, dtype=dtype)).data
+        cache = KVCache(model.config)
+        pieces = []
+        for lo, hi in ((0, 10), (10, 11), (11, 13), (13, 14), (14, 16)):  # prefill, then 1- and 2-token steps
+            pieces.append(transformer_hidden(model, Tensor(tokens[lo:hi], dtype=dtype), cache).data)
+            assert cache.length == hi
+        assert cache.k.dtype == dtype
+        assert np.abs(np.concatenate(pieces) - full).max() <= tol
 
 
 def test_context_overflow_errors():

@@ -8,6 +8,10 @@ native float32. Errors are normalized per parameter tensor.
 
 from __future__ import annotations
 
+import resource
+import signal
+import struct
+
 import numpy as np
 import pytest
 
@@ -403,3 +407,48 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_checkpoint_header_rejects_ambiguous_entries(tmp_path):
+    path = tmp_path / "x.ckpt"
+    for header in ({"k": "x\ny=z"}, {"k=q": "v"}, {"k\nq": "v"}):
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {}, header)
+    assert not path.exists()
+    # '=' in a value and other line breaks than '\n' are kept as they are
+    header = {"k": "a=b", "r": "x\ry z"}
+    save_checkpoint(path, {}, header)
+    assert load_checkpoint(path)[1] == header
+
+
+def test_checkpoint_undecodable_text_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "x.ckpt"
+    bad_header = b"\xff\xfe=1\n"
+    path.write_bytes(b"DESKCKPT" + struct.pack("<II", 1, len(bad_header)) + bad_header + struct.pack("<I", 0))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+    bad_name = b"\xc3"
+    path.write_bytes(b"DESKCKPT" + struct.pack("<III", 1, 0, 1) + struct.pack("<H", 1) + bad_name + struct.pack("<B", 0) + b"\x00" * 4)
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    params = {"a": np.arange(6, dtype=np.float32).reshape(2, 3)}
+    save_checkpoint(path, params, {"k": "v"})
+    before = path.read_bytes()
+    # no file of this process may grow past 64 bytes, so the next write fails partway, as on a full disk
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (64, limits[1]))
+    try:
+        with pytest.raises(OSError):
+            save_checkpoint(path, {"a": np.zeros(100, dtype=np.float32)}, {"k": "w"})
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+        signal.signal(signal.SIGXFSZ, handler)
+    assert path.read_bytes() == before
+    loaded, header = load_checkpoint(path)
+    assert header == {"k": "v"} and np.array_equal(loaded["a"], params["a"])
+    assert sorted(tmp_path.iterdir()) == [path]
