@@ -4,12 +4,20 @@ Training is teacher-forced: each step samples one task subset, builds a
 prompt+target sequence, and applies one clipped AdamW update of the
 combined loss. Inference runs the same trunk, `model.transformer_hidden`,
 incrementally against a per-layer key/value cache; this module holds no
-network math of its own. At each environment step the policy decodes the
-previous step's executed action together with the new state token in one
-call, optionally decodes a trace and feeds it back (every k-th step),
-decodes an action chunk, and executes the temporal ensemble of all chunks
-covering the current step. On steps without a trace decode the zero-vector
-trace token is fed, matching the masking distribution seen in training.
+network math of its own.
+
+`rollout` is the one closed loop. It steps B rollouts that share a task and
+a prompt in lockstep, one lane each: the prompt is prefilled once and its
+keys and values are copied into every lane of a (B, ...) cache, and each
+token slot is one trunk call over all lanes. At each environment step the
+policy decodes the previous step's executed action together with the new
+state token in one call, optionally decodes a trace and feeds it back
+(every k-th step), decodes an action chunk, and each lane executes the
+temporal ensemble of its own chunks covering the current step. On steps
+without a trace decode the zero-vector trace token is fed, matching the
+masking distribution seen in training. Lanes never mix: every product keeps
+the lane axis as a leading batch axis, so a lane's result is bit-identical
+to running it alone.
 """
 
 from __future__ import annotations
@@ -73,9 +81,11 @@ def train(
 ) -> list[LossRecord]:
     """Optimize `model` in place for cfg.steps sequences; returns the loss history.
 
-    Fully determined by (model parameters, dataset order, cfg.seed). Aborts
-    with a diagnostic if the loss or the gradient norm goes non-finite,
-    before that step's update touches the parameters.
+    Fully determined by (model parameters, dataset order, cfg.seed). Raises
+    ValueError before step 0 if a task's longest possible sequence exceeds
+    the model's max_context. Aborts with a diagnostic if the loss or the
+    gradient norm goes non-finite, before that step's update touches the
+    parameters.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -86,6 +96,17 @@ def train(
     usable = [lb for lb in labels if len(subsets[lb]) >= 2]
     if not usable:
         raise ValueError("no task subset has at least two episodes")
+    most_prompts = max(cfg.n_prompt_choices)
+    for label in usable:
+        # the longest sequence build_sequence can sample: the most prompt
+        # demos plus the target, each step three tokens
+        n_episodes = min(most_prompts, len(subsets[label]) - 1) + 1
+        worst = 3 * sum(sorted((len(t) for t in subsets[label]), reverse=True)[:n_episodes])
+        if worst > model.config.max_context:
+            raise ValueError(
+                f"task {label}: its {n_episodes} longest episodes make a sequence of {worst} tokens, "
+                f"over max_context {model.config.max_context}"
+            )
 
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay, eps=cfg.adam_eps)
@@ -134,8 +155,10 @@ def smoothed_endpoints(losses: list[float], window: int = 100) -> tuple[float, f
 
 
 def kv_decode(cache: KVCache, model: PolicyModel, new_tokens: np.ndarray) -> tuple[np.ndarray, KVCache]:
-    """Extend the cache by `new_tokens` (n, d) and return their hidden states."""
-    hidden = transformer_hidden(model, Tensor(np.reshape(new_tokens, (-1, model.config.d_model))), cache)
+    """Extend the cache by `new_tokens` and return their hidden states, at
+    the model's dtype: (n, d) against a 1-lane cache, (B, n, d) against a
+    B-lane one."""
+    hidden = transformer_hidden(model, Tensor(new_tokens, dtype=model.dtype), cache)
     return hidden.data, cache
 
 
@@ -202,26 +225,51 @@ class RolloutResult:
 
 
 class ChunkPolicy(Protocol):
+    """Plans action chunks for B lanes stepped in lockstep.
+
+    Every per-lane argument and result has the lane axis first, and lane j
+    of a call is lane j of the previous call until `keep_lanes` drops lanes
+    and renumbers the rest. A lane's proposals must not depend on the other
+    lanes.
+    """
+
     horizon: int  # length of each proposed action chunk
 
-    def begin(self, prompt_demos: list[Trajectory]) -> None: ...
+    def begin(self, prompt_demos: list[Trajectory], lanes: int) -> None: ...
 
-    def propose(self, t: int, state: WorldState, third: np.ndarray, wrist: np.ndarray, proprio: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]: ...
+    def propose(
+        self, t: int, states: list[WorldState], third: np.ndarray, wrist: np.ndarray, proprio: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray]:
+        """(traces (B, 10) or None, chunks (B, horizon, 4)) for step t, from
+        images (B, R, R, 3) and proprio (B, 4)."""
+        ...
 
-    def commit(self, executed_action: np.ndarray) -> None: ...
+    def commit(self, executed_actions: np.ndarray) -> None:
+        """The (B, 4) actions the lanes executed at this step."""
+        ...
+
+    def keep_lanes(self, lanes: np.ndarray) -> None:
+        """Continue with the lanes at these indices only, in this order."""
+        ...
 
 
 class TransformerPolicy:
-    """Closed-loop wrapper around a PolicyModel with a KV cache. `commit`
-    only holds the action token; `propose` decodes it with the next state
-    token, so an environment step takes two trunk calls, not three."""
+    """Closed-loop wrapper around a PolicyModel with a lane-batched KV cache.
+
+    `begin` prefills the prompt once and copies its keys and values into
+    every lane (prefix caching). `commit` only holds the action tokens;
+    `propose` decodes them with the next state tokens, so an environment
+    step takes two trunk calls for all lanes together. Every product keeps
+    the lane axis as a leading batch axis, so each lane's numbers equal a
+    1-lane run's bit for bit.
+    """
 
     def __init__(self, model: PolicyModel, reasoning_interval: int):
         self.model = model
         self.k = reasoning_interval
         self.horizon = model.config.chunk_h
-        self.cache = KVCache(model.config)
-        self._pending: list[np.ndarray] = []  # committed action token not yet decoded
+        self.cache: KVCache | None = None  # made by `begin`
+        self._pending: np.ndarray | None = None  # (B, 1, d) committed action tokens not yet decoded
         role = model.params["role_embed"].data
         self._role_state, self._role_reason, self._role_action = role[0], role[1], role[2]
         self._zero_trace_token = (
@@ -229,7 +277,7 @@ class TransformerPolicy:
             + self._role_reason
         )
 
-    def begin(self, prompt_demos: list[Trajectory]) -> None:
+    def begin(self, prompt_demos: list[Trajectory], lanes: int) -> None:
         if not prompt_demos:
             raise ValueError("need at least one prompt demo")
         model = self.model
@@ -247,33 +295,40 @@ class TransformerPolicy:
         f_r = encode_reasoning_batch(model, traces, prompt_mask)
         f_a = encode_action_batch(model, np.concatenate([d.actions for d in prompt_demos]))
         tokens = interleave_tokens(model, f_s, f_r, f_a).data
+        self.cache = KVCache(model.config)
+        self._pending = None
         kv_decode(self.cache, model, tokens)
+        self.cache.select_lanes(np.zeros(lanes, dtype=np.intp))
 
-    def propose(self, t, state, third, wrist, proprio):
+    def propose(self, t, states, third, wrist, proprio):
         model = self.model
+        pending = [] if self._pending is None else [self._pending]
         # room for the pending action plus this step's state, reasoning and action
-        if self.cache.remaining < 3 + len(self._pending):
+        if self.cache.remaining < 3 + len(pending):
             raise ContextOverflowError("prompt plus rollout exceeded the model context")
-        f_s = encode_state_batch(model, third[None], wrist[None], proprio[None]).data[0] + self._role_state
-        hidden, _ = kv_decode(self.cache, model, np.stack(self._pending + [f_s]))
-        self._pending = []
-        trace = None
+        f_s = encode_state_batch(model, third[:, None], wrist[:, None], proprio[:, None]).data + self._role_state
+        hidden, _ = kv_decode(self.cache, model, np.concatenate(pending + [f_s], axis=1))
+        self._pending = None
+        traces = None
         if self.k > 0 and t % self.k == 0:
-            raw = hidden[-1] @ model.params["reasoning_head.w"].data + model.params["reasoning_head.b"].data
-            trace = np.clip(raw, 0.0, 1.0).astype(np.float32)
-            token_r = encode_reasoning_batch(model, trace[None], np.array([False])).data[0] + self._role_reason
+            # (B, 1, d) @ (d, n) is B one-row products, as a 1-lane run computes them
+            raw = hidden[:, -1:] @ model.params["reasoning_head.w"].data + model.params["reasoning_head.b"].data
+            traces = np.clip(raw, 0.0, 1.0).astype(np.float32)
+            token_r = encode_reasoning_batch(model, traces, np.zeros(traces.shape[:-1], dtype=bool)).data + self._role_reason
+            traces = traces[:, 0]
         else:
-            token_r = self._zero_trace_token
-        hidden_r, _ = kv_decode(self.cache, model, token_r[None])
-        chunk = hidden_r[0] @ model.params["action_head.w"].data + model.params["action_head.b"].data
-        return trace, chunk.reshape(model.config.chunk_h, ACTION_DIM)
+            token_r = np.broadcast_to(self._zero_trace_token, (len(states), 1, model.config.d_model))
+        hidden_r, _ = kv_decode(self.cache, model, token_r)
+        chunks = hidden_r @ model.params["action_head.w"].data + model.params["action_head.b"].data
+        return traces, chunks.reshape(len(states), model.config.chunk_h, ACTION_DIM)
 
-    def commit(self, executed_action: np.ndarray) -> None:
-        token_a = (
-            encode_action_batch(self.model, np.asarray(executed_action, np.float32)[None]).data[0]
-            + self._role_action
-        )
-        self._pending = [token_a]
+    def commit(self, executed_actions: np.ndarray) -> None:
+        self._pending = encode_action_batch(self.model, executed_actions[:, None]).data + self._role_action
+
+    def keep_lanes(self, lanes: np.ndarray) -> None:
+        self.cache.select_lanes(lanes)
+        if self._pending is not None:
+            self._pending = self._pending[lanes]
 
 
 class ExpertReplayPolicy:
@@ -284,76 +339,109 @@ class ExpertReplayPolicy:
         self.task = task
         self.horizon = horizon
 
-    def begin(self, prompt_demos) -> None:
+    def begin(self, prompt_demos, lanes: int) -> None:
         pass
 
-    def propose(self, t, state, third, wrist, proprio):
+    def propose(self, t, states, third, wrist, proprio):
         from .sim import expert_policy
 
-        chunk = np.zeros((self.horizon, ACTION_DIM), dtype=np.float32)
-        sim_state = state
-        for j in range(self.horizon):
-            action = expert_policy(self.params, sim_state, self.task)
-            chunk[j] = action.deltas
-            sim_state = sim_step(self.params, sim_state, action)
-        return None, chunk
+        chunks = np.zeros((len(states), self.horizon, ACTION_DIM), dtype=np.float32)
+        for lane, sim_state in enumerate(states):
+            for j in range(self.horizon):
+                action = expert_policy(self.params, sim_state, self.task)
+                chunks[lane, j] = action.deltas
+                sim_state = sim_step(self.params, sim_state, action)
+        return None, chunks
 
-    def commit(self, executed_action) -> None:
+    def commit(self, executed_actions) -> None:
         pass
+
+    def keep_lanes(self, lanes) -> None:
+        pass
+
+
+@dataclass
+class _Lane:
+    """One rollout's own state inside a lockstep `rollout` call."""
+
+    buffer: EnsembleBuffer
+    states: list[WorldState]
+    actions: list[np.ndarray] = field(default_factory=list)
+    traces: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    overflow: bool = False
+
+    def result(self, env_params: SimParams, task: TaskSpec) -> RolloutResult:
+        return RolloutResult(
+            score=success(env_params, self.states[-1], task),
+            steps_used=len(self.actions),
+            overflow=self.overflow,
+            states=self.states,
+            executed_actions=np.array(self.actions, dtype=np.float64).reshape(len(self.actions), ACTION_DIM),
+            predicted_traces=self.traces,
+        )
 
 
 def rollout(
     policy: ChunkPolicy | PolicyModel,
     env_params: SimParams,
-    initial_state: WorldState,
+    initial_states: list[WorldState],
     task: TaskSpec,
     prompt_demos: list[Trajectory],
     options: RolloutOptions,
-) -> RolloutResult:
-    """Run the closed loop until success, max_steps, or context overflow.
+) -> list[RolloutResult]:
+    """Run one closed loop per initial state, all in lockstep, and return
+    their results in the same order.
+
+    The lanes share the task, the prompt and the options, so the policy
+    makes one call per step for all of them. A lane leaves on success;
+    at max_steps or on context overflow, which every lane reaches at the
+    same step because they all hold the same number of tokens, all the
+    remaining lanes stop. Each lane keeps its own ensemble buffer, states
+    and records, and its result equals a run of that lane alone.
 
     A PolicyModel is wrapped in TransformerPolicy with the options'
     reasoning interval; any ChunkPolicy implementation runs through the
     identical ensembling and stepping path.
     """
+    if not initial_states:
+        raise ValueError("rollout needs at least one initial state")
     if isinstance(policy, PolicyModel):
         policy = TransformerPolicy(policy, options.reasoning_interval)
+    lanes = [_Lane(EnsembleBuffer(horizon=policy.horizon, decay=options.ensemble_decay), [s]) for s in initial_states]
     try:
-        policy.begin(prompt_demos)
+        policy.begin(prompt_demos, len(lanes))
     except ContextOverflowError:
-        return RolloutResult(0.0, 0, True, [initial_state], np.zeros((0, ACTION_DIM), np.float32), [])
+        for lane in lanes:
+            lane.overflow = True
+        return [lane.result(env_params, task) for lane in lanes]
     cam3, camw = third_camera(env_params), wrist_camera(env_params)
-    buffer = EnsembleBuffer(horizon=policy.horizon, decay=options.ensemble_decay)
-    states = [initial_state]
-    actions: list[np.ndarray] = []
-    traces: list[tuple[int, np.ndarray]] = []
-    state = initial_state
-    overflow = False
+    active = list(lanes)
     for t in range(options.max_steps):
-        third = render(env_params, state, cam3)
-        wrist = render(env_params, state, camw)
-        proprio = state.gripper.astype(np.float32)
+        states = [lane.states[-1] for lane in active]
+        third = np.stack([render(env_params, s, cam3) for s in states])
+        wrist = np.stack([render(env_params, s, camw) for s in states])
+        proprio = np.stack([s.gripper for s in states]).astype(np.float32)
         try:
-            trace, chunk = policy.propose(t, state, third, wrist, proprio)
+            traces, chunks = policy.propose(t, states, third, wrist, proprio)
         except ContextOverflowError:
-            overflow = True
+            for lane in active:
+                lane.overflow = True
             break
-        if trace is not None:
-            traces.append((t, trace))
-        buffer.push(t, chunk)
-        executed = temporal_ensemble(buffer, t)
-        action = Action(executed, env_params.delta_max)
-        policy.commit(action.deltas.astype(np.float32))
-        state = sim_step(env_params, state, action)
-        states.append(state)
-        actions.append(action.deltas.copy())
-        if success(env_params, state, task) == 1.0:
-            break
-    return RolloutResult(
-        score=success(env_params, state, task),
-        steps_used=len(actions),
-        overflow=overflow,
-        states=states,
-        executed_actions=np.array(actions, dtype=np.float64).reshape(len(actions), ACTION_DIM),
-        predicted_traces=traces,
-    )
+        actions = []
+        for j, lane in enumerate(active):
+            if traces is not None:
+                lane.traces.append((t, traces[j]))
+            lane.buffer.push(t, chunks[j])
+            actions.append(Action(temporal_ensemble(lane.buffer, t), env_params.delta_max))
+        policy.commit(np.stack([a.deltas for a in actions]).astype(np.float32))
+        for lane, action in zip(active, actions):
+            lane.states.append(sim_step(env_params, lane.states[-1], action))
+            lane.actions.append(action.deltas.copy())
+        going = [j for j, lane in enumerate(active) if success(env_params, lane.states[-1], task) != 1.0]
+        if len(going) < len(active):
+            active = [active[j] for j in going]
+            if not active:
+                break
+            policy.keep_lanes(np.array(going, dtype=np.intp))
+    return [lane.result(env_params, task) for lane in lanes]
+

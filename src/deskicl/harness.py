@@ -492,19 +492,19 @@ def _eval_rollouts(
             )
             demo = augment_dataset([demo])[0]
             max_steps = int(math.ceil(len(demo) * config.eval.max_steps_factor))
+            states = []
+            for r in range(config.eval.rollouts_per_config):
+                n_obj, n_rec = difficulty_counts(task, r % config.data.difficulty_levels)
+                scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, r)
+                states.append(reset(env, task, n_obj, n_rec, scene_seed))
             for k in intervals:
-                for r in range(config.eval.rollouts_per_config):
-                    level = r % config.data.difficulty_levels
-                    n_obj, n_rec = difficulty_counts(task, level)
-                    scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, r)
-                    state = reset(env, task, n_obj, n_rec, scene_seed)
-                    options = RolloutOptions(
-                        reasoning_interval=k,
-                        max_steps=max_steps,
-                        ensemble_decay=config.eval.ensemble_decay,
-                    )
-                    policy = policy_source(task, k)
-                    result = rollout(policy, env, state, task, [demo], options)
+                options = RolloutOptions(
+                    reasoning_interval=k,
+                    max_steps=max_steps,
+                    ensemble_decay=config.eval.ensemble_decay,
+                )
+                results = rollout(policy_source(task, k), env, states, task, [demo], options)
+                for r, result in enumerate(results):
                     records.append(
                         EvalRecord(
                             variant=variant,

@@ -19,6 +19,7 @@ segment, so sequence geometry is identical across variants.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -172,6 +173,10 @@ class PolicyModel:
         linear("action_head", d, config.chunk_h * ACTION_DIM)
         return cls(config, params)
 
+    @property
+    def dtype(self):
+        return next(iter(self.params.values())).dtype
+
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {k: p.data for k, p in self.params.items()}
 
@@ -224,18 +229,18 @@ def _mlp(model: PolicyModel, prefix: str, x: Tensor) -> Tensor:
 
 
 def attention_pool(items: Tensor, query: Tensor, key_w: Tensor) -> Tensor:
-    """Single-query softmax pooling over (S, N, d) items -> (S, d).
+    """Single-query softmax pooling over (..., N, d) items -> (..., d).
 
     The pooled vector is a convex combination of the raw items: the learned
     query only shapes the weights, so identical items pool to themselves.
     """
-    s, n, d = items.shape
-    keys = tn.matmul(items, key_w)  # (S, N, d)
-    scores = tn.matmul(keys, tn.reshape(query, (d, 1)))  # (S, N, 1)
+    *lead, n, d = items.shape
+    keys = tn.matmul(items, key_w)  # (..., N, d)
+    scores = tn.matmul(keys, tn.reshape(query, (d, 1)))  # (..., N, 1)
     scores = tn.scale(scores, float(d) ** -0.5)
-    weights = tn.softmax(tn.reshape(scores, (s, n)))
-    pooled = tn.matmul(tn.reshape(weights, (s, 1, n)), items)
-    return tn.reshape(pooled, (s, d))
+    weights = tn.softmax(tn.reshape(scores, (*lead, n)))
+    pooled = tn.matmul(tn.reshape(weights, (*lead, 1, n)), items)
+    return tn.reshape(pooled, (*lead, d))
 
 
 def encode_state_batch(
@@ -245,32 +250,37 @@ def encode_state_batch(
     proprio: np.ndarray,
     use_positions: bool = True,
 ) -> Tensor:
-    """State tokens for S steps: (S, d_model)."""
+    """State tokens for S steps: (S, d_model).
+
+    Images (B, S, R, R, 3) and proprio (B, S, 4) give (B, S, d_model) for B
+    lanes. Each lane's products are computed as for its own (S, ...) batch,
+    so a lane's tokens do not depend on the other lanes.
+    """
     cfg = model.config
     p = model.params
-    dtype = next(iter(p.values())).dtype
-    if third.shape[1:] != (cfg.third_resolution, cfg.third_resolution, 3):
-        raise ShapeError(f"encode_state: third view {third.shape[1:]} vs configured {cfg.third_resolution}")
-    if wrist.shape[1:] != (cfg.wrist_resolution, cfg.wrist_resolution, 3):
-        raise ShapeError(f"encode_state: wrist view {wrist.shape[1:]} vs configured {cfg.wrist_resolution}")
-    s = third.shape[0]
+    dtype = model.dtype
+    if third.shape[-3:] != (cfg.third_resolution, cfg.third_resolution, 3):
+        raise ShapeError(f"encode_state: third view {third.shape[-3:]} vs configured {cfg.third_resolution}")
+    if wrist.shape[-3:] != (cfg.wrist_resolution, cfg.wrist_resolution, 3):
+        raise ShapeError(f"encode_state: wrist view {wrist.shape[-3:]} vs configured {cfg.wrist_resolution}")
+    *lead, s = third.shape[:-3]
 
     def view_items(images: np.ndarray, prefix: str, pos_name: str, n_patches: int) -> Tensor:
-        patches = Tensor(patchify(images.astype(dtype, copy=False), cfg.patch_size), dtype=dtype)
-        flat = tn.reshape(patches, (s * n_patches, cfg.patch_dim))
-        emb = tn.add(tn.matmul(flat, p[f"{prefix}.fc1.w"]), p[f"{prefix}.fc1.b"])
-        emb = tn.reshape(emb, (s, n_patches, cfg.d_model))
+        flat = patchify(images.reshape(-1, *images.shape[-3:]).astype(dtype, copy=False), cfg.patch_size)
+        patches = Tensor(flat.reshape(*lead, s * n_patches, cfg.patch_dim), dtype=dtype)
+        emb = tn.add(tn.matmul(patches, p[f"{prefix}.fc1.w"]), p[f"{prefix}.fc1.b"])
+        emb = tn.reshape(emb, (*lead, s, n_patches, cfg.d_model))
         if use_positions:
             emb = tn.add(emb, p[pos_name])
-        emb = tn.reshape(tn.silu(emb), (s * n_patches, cfg.d_model))
+        emb = tn.reshape(tn.silu(emb), (*lead, s * n_patches, cfg.d_model))
         emb = tn.add(tn.matmul(emb, p[f"{prefix}.fc2.w"]), p[f"{prefix}.fc2.b"])
-        return tn.reshape(emb, (s, n_patches, cfg.d_model))
+        return tn.reshape(emb, (*lead, s, n_patches, cfg.d_model))
 
     third_items = view_items(third, "third_patch", "third_pos", cfg.n_third_patches)
     wrist_items = view_items(wrist, "wrist_patch", "wrist_pos", cfg.n_wrist_patches)
     prop = _mlp(model, "proprio_mlp", Tensor(proprio.astype(dtype, copy=False), dtype=dtype))
-    prop_items = tn.reshape(prop, (s, 1, cfg.d_model))
-    items = tn.concat([third_items, wrist_items, prop_items], axis=1)
+    prop_items = tn.reshape(prop, (*lead, s, 1, cfg.d_model))
+    items = tn.concat([third_items, wrist_items, prop_items], axis=-2)
     return attention_pool(items, tn.reshape(p["pool.query"], (cfg.d_model,)), p["pool.key.w"])
 
 
@@ -281,14 +291,15 @@ def encode_state(model: PolicyModel, third: np.ndarray, wrist: np.ndarray, propr
 
 
 def encode_reasoning_batch(model: PolicyModel, traces: np.ndarray, masked: np.ndarray) -> Tensor:
-    """Reasoning tokens (S, d_model); masked rows encode the zero vector."""
-    dtype = next(iter(model.params.values())).dtype
-    traces = np.asarray(traces, dtype=dtype).reshape(-1, TRACE_DIM)
-    masked = np.asarray(masked, dtype=bool).reshape(-1)
+    """Reasoning tokens (..., S, d_model) of traces (..., S, 10); masked
+    rows encode the zero vector."""
+    dtype = model.dtype
+    traces = np.asarray(traces, dtype=dtype)
+    masked = np.asarray(masked, dtype=bool).reshape(traces.shape[:-1])
     live = ~masked
     if np.any((traces[live] < 0.0) | (traces[live] > 1.0)):
         raise ValueError("encode_reasoning: trace values outside [0, 1]")
-    inputs = np.where(masked[:, None], np.zeros((), dtype=dtype), traces)
+    inputs = np.where(masked[..., None], np.zeros((), dtype=dtype), traces)
     return _mlp(model, "trace_mlp", Tensor(inputs, dtype=dtype))
 
 
@@ -298,8 +309,8 @@ def encode_reasoning(model: PolicyModel, trace: np.ndarray, masked: bool = False
 
 
 def encode_action_batch(model: PolicyModel, actions: np.ndarray) -> Tensor:
-    dtype = next(iter(model.params.values())).dtype
-    return _mlp(model, "action_mlp", Tensor(np.asarray(actions, dtype=dtype).reshape(-1, ACTION_DIM), dtype=dtype))
+    """Action tokens (..., S, d_model) of actions (..., S, 4)."""
+    return _mlp(model, "action_mlp", Tensor(actions, dtype=model.dtype))
 
 
 def interleave_tokens(model: PolicyModel, f_s: Tensor, f_r: Tensor, f_a: Tensor) -> Tensor:
@@ -333,22 +344,50 @@ class ContextOverflowError(ShapeError):
 
 
 class KVCache:
-    """Per-layer rotated key/value buffers up to the current length. They are
-    allocated on first use, at the dtype of the tokens decoded into them."""
+    """Per-layer rotated key/value buffers of `lanes` sequences that share
+    one length.
 
-    def __init__(self, config: ModelConfig):
+    They are allocated on first use, at the dtype of the tokens decoded into
+    them. Storage is position-major, (n_layers, max_context, lanes, n_heads,
+    head_dim), and only rows below `length` are ever written or copied, so
+    the memory in use is a prefix of each layer's buffer. The buffers are
+    anonymous mappings, which the kernel fills with zero pages on first
+    touch at the base page size; `np.zeros` would advise huge pages for
+    arrays this large, and each 2 MB page touched would then be resident
+    in full.
+    """
+
+    def __init__(self, config: ModelConfig, lanes: int = 1):
         self.config = config
+        self.lanes = lanes
         self.k: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self.length = 0
 
+    def _alloc(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        cfg = self.config
+        shape = (cfg.n_layers, cfg.max_context, self.lanes, cfg.n_heads, cfg.head_dim)
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        return tuple(np.frombuffer(mmap.mmap(-1, size), dtype=dtype).reshape(shape) for _ in range(2))
+
     def layer(self, i: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Layer i's key and value buffers, as (lanes, n_heads, max_context,
+        head_dim) views."""
         if self.k is None:
-            cfg = self.config
-            shape = (cfg.n_layers, cfg.n_heads, cfg.max_context, cfg.head_dim)
-            self.k = np.zeros(shape, dtype=dtype)
-            self.v = np.zeros(shape, dtype=dtype)
-        return self.k[i], self.v[i]
+            self.k, self.v = self._alloc(dtype)
+        return self.k[i].transpose(1, 2, 0, 3), self.v[i].transpose(1, 2, 0, 3)
+
+    def select_lanes(self, lanes: np.ndarray) -> None:
+        """Keep the lanes at the indices `lanes`, in that order; an index may
+        repeat, so one lane's prefix can be copied into several."""
+        lanes = np.asarray(lanes, dtype=np.intp)
+        old_k, old_v, n = self.k, self.v, self.length
+        self.lanes = len(lanes)
+        if old_k is None:
+            return
+        self.k, self.v = self._alloc(old_k.dtype)
+        self.k[:, :n] = old_k[:, :n, lanes]
+        self.v[:, :n] = old_v[:, :n, lanes]
 
     @property
     def remaining(self) -> int:
@@ -358,13 +397,22 @@ class KVCache:
 def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None = None) -> Tensor:
     """Causal trunk over (T, d) tokens; returns the final-norm hidden states (T, d).
 
-    Without a cache the tokens sit at positions 0..T-1. With one they follow
-    the cache's `length` positions: their rotated keys and values are
-    appended to it and they attend over everything it holds.
+    (B, T, d) tokens are B independent lanes at the same positions and give
+    (B, T, d); every product keeps the lane axis as a leading batch axis, so
+    a lane's outputs are bit-identical to running it alone. Without a cache
+    the tokens sit at positions 0..T-1. With one they follow the cache's
+    `length` positions: their rotated keys and values are appended to it
+    and they attend over everything it holds. (T, d) tokens need a 1-lane
+    cache and (B, T, d) tokens a B-lane one.
     """
     cfg = model.config
     p = model.params
-    t = tokens.shape[0]
+    if tokens.ndim not in (2, 3) or tokens.shape[-1] != cfg.d_model:
+        raise ShapeError(f"transformer_hidden: tokens {tokens.shape}, expected (T, {cfg.d_model}) or (B, T, {cfg.d_model})")
+    lanes = tokens.shape[0] if tokens.ndim == 3 else 1
+    if cache is not None and cache.lanes != lanes:
+        raise ShapeError(f"transformer_hidden: {lanes} token lanes against a {cache.lanes}-lane cache")
+    t = tokens.shape[-2]
     start = 0 if cache is None else cache.length
     if start + t > cfg.max_context:
         raise ContextOverflowError(f"{start} cached plus {t} new tokens exceed max context {cfg.max_context}")
@@ -374,7 +422,10 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
     for i in range(cfg.n_layers):
         h = tn.mul(tn.rms_norm(x), p[f"blocks.{i}.attn_norm.g"])
         q, k, v = (tn.matmul(h, p[f"blocks.{i}.attn.{w}.w"]) for w in ("wq", "wk", "wv"))
-        kv_cache = None if cache is None else cache.layer(i, tokens.dtype)
+        kv_cache = None
+        if cache is not None:
+            k_buf, v_buf = cache.layer(i, tokens.dtype)
+            kv_cache = (k_buf, v_buf) if tokens.ndim == 3 else (k_buf[0], v_buf[0])
         ctx = tn.causal_attention(q, k, v, cfg.n_heads, cos, sin, kv_cache, start)
         x = tn.add(x, tn.matmul(ctx, p[f"blocks.{i}.attn.wo.w"]))
 

@@ -3,10 +3,11 @@
 Small on purpose: float32 numpy arrays plus the dozen-ish primitives a
 compact decoder-style transformer needs (matmul with leading-batch
 broadcast, elementwise arithmetic, softmax, fused causal multi-head
-attention, RMS normalization, SiLU, reshape/transpose/concat/narrow, row
-gather for embedding lookup, and reductions). Ops record backward rules
-only while a `Tape` context is open, so inference runs tape-free at plain
-numpy speed, and `backward` releases the graph it swept.
+attention with an optional leading lane axis, RMS normalization, SiLU,
+reshape/transpose/concat/narrow, row gather for embedding lookup, and
+reductions). Ops record backward rules only while a `Tape` context is
+open, so inference runs tape-free at plain numpy speed, and `backward`
+releases the graph it swept.
 
 Broadcasting is restricted to leading batch dimensions: the smaller
 operand's shape must equal the trailing dims of the larger one, e.g.
@@ -221,8 +222,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a.accumulate_grad(_unbroadcast(ga, a.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
+            if b.ndim == 2:
+                # one product over every batch row, not a stack of per-batch
+                # products summed afterwards
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            b.accumulate_grad(gb)
 
     return _finish(out, (a, b), bwd)
 
@@ -328,28 +334,29 @@ def causal_attention(
 ) -> Tensor:
     """Multi-head causal self-attention of T new positions as one op.
 
-    `q`, `k`, `v` are (T, d) projections. Each splits into `n_heads` heads
-    of width dh; q and k are rotated by the position tables `cos`/`sin`
-    (T, dh/2), q is scaled by dh**-0.5, and every position attends to
-    itself and all earlier ones. The heads' outputs merge back to (T, d).
+    `q`, `k`, `v` are (T, d) projections, or (B, T, d) for B independent
+    lanes that share positions. Each splits into `n_heads` heads of width
+    dh; q and k are rotated by the position tables `cos`/`sin` (T, dh/2), q
+    is scaled by dh**-0.5, and every position attends to itself and all
+    earlier ones of its lane. The heads' outputs merge back to q's shape.
 
-    `kv_cache` is a pair of (n_heads, L, dh) buffers whose rows before
-    `start` hold the rotated keys and values of earlier positions. The new
-    keys and values are written at rows start..start+T-1 and the queries
-    attend over all start+T rows. Cached rows are constants: gradients
-    reach only `q`, `k` and `v`.
+    `kv_cache` is a pair of (n_heads, L, dh) buffers, or (B, n_heads, L, dh)
+    with lanes, whose rows before `start` hold the rotated keys and values
+    of earlier positions. The new keys and values are written at rows
+    start..start+T-1 and the queries attend over all start+T rows. Cached
+    rows are constants: gradients reach only `q`, `k` and `v`.
     """
-    t, d = q.shape
-    if k.shape != (t, d) or v.shape != (t, d) or d % n_heads:
+    *lead, t, d = q.shape
+    if len(lead) > 1 or k.shape != q.shape or v.shape != q.shape or d % n_heads:
         raise ShapeError(f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape} with {n_heads} heads")
     dh = d // n_heads
     s = float(dh) ** -0.5
 
     def heads(x: np.ndarray) -> np.ndarray:
-        return x.reshape(t, n_heads, dh).transpose(1, 0, 2)
+        return x.reshape(*lead, t, n_heads, dh).swapaxes(-2, -3)
 
     def merge(x: np.ndarray) -> np.ndarray:
-        return x.transpose(1, 0, 2).reshape(t, d)
+        return x.swapaxes(-2, -3).reshape(*lead, t, d)
 
     qh = _rotate(heads(q.data), cos, sin) * s
     kh = _rotate(heads(k.data), cos, sin)
@@ -358,10 +365,10 @@ def causal_attention(
         keys, values = kh, vh
     else:
         k_buf, v_buf = kv_cache
-        k_buf[:, start:start + t] = kh
-        v_buf[:, start:start + t] = vh
-        keys, values = k_buf[:, :start + t], v_buf[:, :start + t]
-    att = np.matmul(qh, keys.transpose(0, 2, 1))  # (H, T, start+T) scores
+        k_buf[..., start:start + t, :] = kh
+        v_buf[..., start:start + t, :] = vh
+        keys, values = k_buf[..., :start + t, :], v_buf[..., :start + t, :]
+    att = np.matmul(qh, keys.swapaxes(-1, -2))  # (..., H, T, start+T) scores
     if t > 1:
         future = np.arange(start + t)[None, :] > np.arange(start, start + t)[:, None]
         np.copyto(att, -np.inf, where=future)
@@ -372,16 +379,16 @@ def causal_attention(
 
     def bwd(g):
         gh = heads(g)
-        g_scores = np.matmul(gh, values.transpose(0, 2, 1))
+        g_scores = np.matmul(gh, values.swapaxes(-1, -2))
         g_scores -= (g_scores * att).sum(axis=-1, keepdims=True)
         g_scores *= att
         if q.requires_grad:
             q.accumulate_grad(merge(_rotate(np.matmul(g_scores, keys) * s, cos, -sin)))
         if k.requires_grad:
-            gk = np.matmul(g_scores[:, :, start:].transpose(0, 2, 1), qh)
+            gk = np.matmul(g_scores[..., start:].swapaxes(-1, -2), qh)
             k.accumulate_grad(merge(_rotate(gk, cos, -sin)))
         if v.requires_grad:
-            v.accumulate_grad(merge(np.matmul(att[:, :, start:].transpose(0, 2, 1), gh)))
+            v.accumulate_grad(merge(np.matmul(att[..., start:].swapaxes(-1, -2), gh)))
 
     return _finish(out, (q, k, v), bwd)
 

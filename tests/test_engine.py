@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,18 @@ def test_kv_decode_overflow():
         kv_decode(cache, model, np.zeros((7, 48), np.float32))
 
 
+def test_kv_decode_keeps_the_model_dtype():
+    model = small_model(4).astype(np.float64)
+    tokens = np.random.default_rng(5).normal(size=(20, 48))
+    full = transformer_hidden(model, Tensor(tokens, dtype=np.float64)).data
+    cache = KVCache(SMALL_CFG)
+    pieces = [kv_decode(cache, model, tokens[:16])[0]]
+    pieces += [kv_decode(cache, model, tokens[t:t + 1])[0] for t in range(16, 20)]
+    out = np.concatenate(pieces)
+    assert out.dtype == np.float64
+    assert np.abs(out - full).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # temporal ensembling
 # ---------------------------------------------------------------------------
@@ -164,7 +180,7 @@ def test_rollout_expert_stub_scores_one():
             task = TaskSpec("pick_place", kind_seed % 3, kind_seed % 2)
         state = sim.reset(SMALL_SIM, task, kind_seed % 3, 1 if task.kind == "pick_place" else 0, seed=50 + kind_seed)
         policy = ExpertReplayPolicy(SMALL_SIM, task, horizon=4)
-        result = rollout(policy, SMALL_SIM, state, task, [_demo(task, 99)], RolloutOptions(max_steps=200))
+        [result] = rollout(policy, SMALL_SIM, [state], task, [_demo(task, 99)], RolloutOptions(max_steps=200))
         assert result.score == 1.0
         assert not result.overflow
         assert result.predicted_traces == []
@@ -178,7 +194,7 @@ def test_rollout_reasoning_interval_counts():
     model = small_model(5)  # untrained: will not succeed, runs to max_steps
     for k, expected in ((1, 12), (4, 3), (5, 3), (0, 0)):
         options = RolloutOptions(reasoning_interval=k, max_steps=12)
-        result = rollout(model, SMALL_SIM, state, task, [demo], options)
+        [result] = rollout(model, SMALL_SIM, [state], task, [demo], options)
         n = result.steps_used
         assert n == 12
         assert len(result.predicted_traces) == (math.ceil(n / k) if k else 0) == expected
@@ -193,8 +209,8 @@ def test_rollout_deterministic():
     demo = _demo(task, 32)
     model = small_model(6)
     options = RolloutOptions(reasoning_interval=1, max_steps=15)
-    a = rollout(model, SMALL_SIM, state, task, [demo], options)
-    b = rollout(model, SMALL_SIM, state, task, [demo], options)
+    [a] = rollout(model, SMALL_SIM, [state], task, [demo], options)
+    [b] = rollout(model, SMALL_SIM, [state], task, [demo], options)
     assert a.score == b.score and a.steps_used == b.steps_used
     assert np.array_equal(a.executed_actions, b.executed_actions)
     for (ta, tra), (tb, trb) in zip(a.predicted_traces, b.predicted_traces):
@@ -207,10 +223,86 @@ def test_rollout_overflow_flagged():
     task = TaskSpec("poke", 0)
     state = sim.reset(SMALL_SIM, task, 0, 0, seed=3)
     demo = _demo(task, 33)  # ~14 steps -> 42 prompt tokens, leaves ~7 rollout tokens
-    result = rollout(model, SMALL_SIM, state, task, [demo], RolloutOptions(max_steps=50))
+    [result] = rollout(model, SMALL_SIM, [state], task, [demo], RolloutOptions(max_steps=50))
     assert result.overflow
     assert result.steps_used == 12
     assert result.score < 1.0
+
+
+class _ExpertInSomeLanes:
+    """The transformer policy in every lane, but the lanes flagged in
+    `expert` execute the scripted expert's chunks, so they succeed and
+    leave the lockstep early while the others go on."""
+
+    def __init__(self, model, k, task, expert):
+        self.inner = TransformerPolicy(model, k)
+        self.expert = ExpertReplayPolicy(SMALL_SIM, task, SMALL_CFG.chunk_h)
+        self.horizon = self.inner.horizon
+        self.flags = np.array(expert, dtype=bool)
+
+    def begin(self, prompt_demos, lanes):
+        self.inner.begin(prompt_demos, lanes)
+
+    def propose(self, t, states, third, wrist, proprio):
+        traces, chunks = self.inner.propose(t, states, third, wrist, proprio)
+        _, planned = self.expert.propose(t, states, third, wrist, proprio)
+        return traces, np.where(self.flags[:, None, None], planned, chunks)
+
+    def commit(self, executed_actions):
+        self.inner.commit(executed_actions)
+
+    def keep_lanes(self, lanes):
+        self.inner.keep_lanes(lanes)
+        self.flags = self.flags[lanes]
+
+
+def _state_key(s):
+    arrays = (s.gripper, s.initial_object_positions, s.poked, s.ever_held, s.released_inside)
+    return tuple(a.tobytes() for a in arrays) + (tuple(s.objects), tuple(s.receptacles), s.held_object, s.step_count)
+
+
+def _assert_same_rollout(a, b):
+    assert (a.score, a.steps_used, a.overflow) == (b.score, b.steps_used, b.overflow)
+    assert a.executed_actions.tobytes() == b.executed_actions.tobytes()
+    assert [t for t, _ in a.predicted_traces] == [t for t, _ in b.predicted_traces]
+    assert all(x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(a.predicted_traces, b.predicted_traces))
+    assert [_state_key(s) for s in a.states] == [_state_key(s) for s in b.states]
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_rollout_lanes_match_single_lane_runs(k):
+    """Four lanes in lockstep give each lane the bits of its own 1-lane
+    rollout; lane 0 succeeds and leaves early, the rest run to max_steps.
+
+    At d_model 64 a (B, d) @ (d, n) head product rounds differently from B
+    one-row products, so a lane-flattening product shows up here; at 48 it
+    may not."""
+    task = TaskSpec("poke", 0)
+    states = [sim.reset(SMALL_SIM, task, i % 3, 0, seed=60 + i) for i in range(4)]
+    demo = _demo(task, 31)
+    model = PolicyModel.init(ModelConfig(**{**SMALL_CFG.__dict__, "d_model": 64}), seed=7)
+    options = RolloutOptions(reasoning_interval=k, max_steps=40)
+    flags = [True, False, False, False]
+    together = rollout(_ExpertInSomeLanes(model, k, task, flags), SMALL_SIM, states, task, [demo], options)
+    assert together[0].score == 1.0 and together[0].steps_used < 40
+    assert [r.steps_used for r in together[1:]] == [40, 40, 40]
+    for state, flag, lockstep in zip(states, flags, together):
+        [alone] = rollout(_ExpertInSomeLanes(model, k, task, [flag]), SMALL_SIM, [state], task, [demo], options)
+        _assert_same_rollout(lockstep, alone)
+
+
+def test_rollout_lanes_overflow_together():
+    cfg = ModelConfig(**{**SMALL_CFG.__dict__, "max_context": 64})
+    model = PolicyModel.init(cfg, seed=0)
+    task = TaskSpec("poke", 0)
+    states = [sim.reset(SMALL_SIM, task, 0, 0, seed=3 + i) for i in range(4)]
+    demo = _demo(task, 33)
+    options = RolloutOptions(max_steps=50)
+    together = rollout(model, SMALL_SIM, states, task, [demo], options)
+    assert all(r.overflow and r.steps_used == 12 for r in together)
+    for state, lockstep in zip(states, together):
+        [alone] = rollout(model, SMALL_SIM, [state], task, [demo], options)
+        _assert_same_rollout(lockstep, alone)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +362,51 @@ def test_train_stops_before_update_on_non_finite_grad_norm(monkeypatch):
         train(model, _toy_dataset(3), TrainConfig(steps=2, seed=0))
     for k, p in model.params.items():
         assert np.array_equal(p.data, before[k])
+
+
+def test_train_checks_the_context_budget_before_step_0():
+    dataset = _toy_dataset(4)
+    lengths = {}
+    for traj in dataset:
+        lengths.setdefault(traj.task_label, []).append(len(traj))
+    # the 3 prompt demos plus the target of poke_c1 at their longest
+    worst = 3 * sum(sorted(lengths["poke_c1"], reverse=True)[:4])
+    assert worst > 3 * sum(sorted(lengths["poke_c0"], reverse=True)[:4])
+    cfg = ModelConfig(**{**SMALL_CFG.__dict__, "max_context": worst - 1})
+    model = PolicyModel.init(cfg, seed=0)
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    with pytest.raises(ValueError, match=rf"task poke_c1: .*{worst} tokens"):
+        train(model, dataset, TrainConfig(steps=2, seed=0))
+    for k, p in model.params.items():
+        assert np.array_equal(p.data, before[k]) and p.grad is None
+    model = PolicyModel.init(ModelConfig(**{**SMALL_CFG.__dict__, "max_context": worst}), seed=0)
+    train(model, dataset, TrainConfig(steps=1, seed=0))
+
+
+_TRAIN_IN_SUBPROCESS = """
+import sys
+import test_engine as te
+model = te.small_model(9)
+te.train(model, te._toy_dataset(4), te.TrainConfig(steps=8, seed=4, lr=1e-3))
+model.save(sys.argv[1])
+"""
+
+
+def test_train_deterministic_per_blas_thread_setting(tmp_path):
+    """Training is bitwise reproducible for a fixed OPENBLAS_NUM_THREADS:
+    two fresh processes under the same setting, 1 or 2 threads, write
+    byte-identical checkpoints. Nothing is claimed across settings, since
+    BLAS may split and sum a product differently with more threads."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here), str(here.parent / "src")])
+    for threads in ("1", "2"):
+        blobs = []
+        for run in range(2):
+            ckpt = tmp_path / f"t{threads}_{run}.ckpt"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run([sys.executable, "-c", _TRAIN_IN_SUBPROCESS, str(ckpt)], env=env, check=True, timeout=300)
+            blobs.append(ckpt.read_bytes())
+        assert blobs[0] == blobs[1], f"OPENBLAS_NUM_THREADS={threads}"
 
 
 def test_train_empty_dataset_errors():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from deskicl import harness
 from deskicl.cli import main as cli_main
 from deskicl.data import load_episodes
-from deskicl.engine import RolloutResult
+from deskicl.engine import ExpertReplayPolicy, RolloutOptions, RolloutResult, rollout
 from deskicl.harness import (
     EvalRecord,
     HarnessConfig,
@@ -33,7 +34,9 @@ from deskicl.harness import (
     task_list,
     write_report,
 )
-from deskicl.sim import SceneEntity, SimParams, TaskSpec, make_state
+from deskicl.model import PolicyModel
+from deskicl.sim import SceneEntity, SimParams, TaskSpec, make_state, reset
+from deskicl.traces import augment_dataset
 
 TINY_CONFIG_TEXT = """
 # tiny end-to-end configuration
@@ -198,6 +201,30 @@ def test_eval_plan_counts_and_expert_stub(tiny_run):
     assert len(records) == expected
     assert all(r.score == 1.0 for r in records)
     assert all(r.failure == "none" for r in records)
+
+
+def test_eval_records_match_single_lane_rollouts(tiny_run):
+    """Each record of a lockstep cell equals a rollout of its own scene alone."""
+    config, out = tiny_run
+    env = config.env
+    model, _ = PolicyModel.load(harness.checkpoint_path(out, "ours", 0))
+    for variant in ("expert", "ours"):
+        for rec in cmd_eval(config, out, [variant]):
+            task = harness.task_by_label(config, rec.task)
+            pconf = next(p for p in prompt_configs(task) if p.config_id == rec.prompt_config)
+            prompt_seed = derive_seed(config.eval.seed, "prompt", task.label, pconf.config_id)
+            demo = augment_dataset([harness.record_episode(
+                env, task, pconf.n_distractor_objects, pconf.n_distractor_receptacles, prompt_seed, noise=config.eval.prompt_noise,
+            )])[0]
+            n_obj, n_rec = difficulty_counts(task, rec.rollout_index % config.data.difficulty_levels)
+            scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, rec.rollout_index)
+            state = reset(env, task, n_obj, n_rec, scene_seed)
+            policy = ExpertReplayPolicy(env, task, config.model.chunk_h) if variant == "expert" else model
+            options = RolloutOptions(rec.reasoning_interval, math.ceil(len(demo) * config.eval.max_steps_factor), config.eval.ensemble_decay)
+            [alone] = rollout(policy, env, [state], task, [demo], options)
+            assert (rec.score, rec.steps_used, rec.n_trace_decodes, rec.failure) == (
+                alone.score, alone.steps_used, len(alone.predicted_traces), classify_failure(alone, env, task)
+            )
 
 
 def test_eval_trained_checkpoints_and_metrics_files(tiny_run):

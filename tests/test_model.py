@@ -212,6 +212,61 @@ def test_cached_trunk_matches_uncached():
         assert np.abs(np.concatenate(pieces) - full).max() <= tol
 
 
+def test_cached_trunk_lanes_match_single_lanes():
+    """A prefix prefilled once and copied into three lanes, then decoded
+    lane-batched, gives each lane the bits of its own 1-lane cache, also
+    after a lane is dropped and the rest reordered."""
+    model = tiny_model(seed=3)
+    rng = np.random.default_rng(4)
+    prefix = rng.normal(size=(9, 32)).astype(np.float32)
+    steps = [rng.normal(size=(3, n, 32)).astype(np.float32) for n in (2, 1, 2)]
+    alone = []
+    for b in range(3):
+        cache = KVCache(TINY)
+        transformer_hidden(model, Tensor(prefix), cache)
+        alone.append((cache, [transformer_hidden(model, Tensor(x[b]), cache).data for x in steps]))
+
+    shared = KVCache(TINY)
+    transformer_hidden(model, Tensor(prefix), shared)
+    shared.select_lanes(np.zeros(3, dtype=np.intp))
+    batched = KVCache(TINY, lanes=3)  # the same prefix decoded in every lane
+    transformer_hidden(model, Tensor(np.stack([prefix] * 3)), batched)
+    for i in range(TINY.n_layers):
+        assert all(np.array_equal(a[:, :, :9], b[:, :, :9]) for a, b in zip(batched.layer(i, np.float32), shared.layer(i, np.float32)))
+    order = [0, 1, 2]
+    for i, x in enumerate(steps):
+        if i == 2:
+            order = [2, 0]
+            shared.select_lanes(np.array([2, 0]))
+        out = transformer_hidden(model, Tensor(x[order]), shared).data
+        for j, b in enumerate(order):
+            assert np.array_equal(out[j], alone[b][1][i])
+    assert shared.lanes == 2 and shared.length == 9 + 5
+    for i in range(TINY.n_layers):
+        (k_shared, _), (k_alone, _) = shared.layer(i, np.float32), alone[order[0]][0].layer(i, np.float32)
+        assert np.array_equal(k_shared[0, :, :shared.length], k_alone[0, :, :shared.length])
+        assert not k_shared[:, :, shared.length:].any()  # rows past the length are never written
+    with pytest.raises(ShapeError, match="lane"):
+        transformer_hidden(model, Tensor(steps[0]), shared)
+
+
+def test_encoders_lanes_match_single_lanes():
+    model = tiny_model(seed=5)
+    rng = np.random.default_rng(6)
+    third = rng.uniform(size=(3, 1, 16, 16, 3)).astype(np.float32)
+    wrist = rng.uniform(size=(3, 1, 8, 8, 3)).astype(np.float32)
+    proprio = rng.uniform(size=(3, 1, 4)).astype(np.float32)
+    traces = rng.uniform(size=(3, 1, 10)).astype(np.float32)
+    state = mdl.encode_state_batch(model, third, wrist, proprio).data
+    reason = mdl.encode_reasoning_batch(model, traces, np.zeros((3, 1), dtype=bool)).data
+    action = mdl.encode_action_batch(model, proprio).data
+    assert state.shape == reason.shape == action.shape == (3, 1, 32)
+    for b in range(3):
+        assert np.array_equal(state[b], mdl.encode_state_batch(model, third[b], wrist[b], proprio[b]).data)
+        assert np.array_equal(reason[b], mdl.encode_reasoning_batch(model, traces[b], np.zeros(1, dtype=bool)).data)
+        assert np.array_equal(action[b], mdl.encode_action_batch(model, proprio[b]).data)
+
+
 def test_context_overflow_errors():
     model = tiny_model()
     tokens = Tensor(np.zeros((TINY.max_context + 3, 32), dtype=np.float32))

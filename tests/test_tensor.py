@@ -172,6 +172,37 @@ def test_causal_attention_against_loops(t, start):
         assert np.array_equal(cache[1][:, start:], v.reshape(t, 2, 4).transpose(1, 0, 2))
 
 
+@pytest.mark.parametrize("t, start", [(1, 0), (6, 0), (1, 5), (3, 5)])
+def test_causal_attention_lanes_match_single_lanes(t, start):
+    """A (B, T, d) call over a (B, H, L, dh) cache is B independent
+    (T, d) calls, bit for bit, outputs and written cache rows alike."""
+    lanes = [_attention_case(t, start, seed=s) for s in range(3)]
+    cos, sin = lanes[0][3], lanes[0][4]
+    stacked = [np.stack([lane[i] for lane in lanes]) for i in range(3)]
+    cache = None if start == 0 else tuple(np.stack([lane[5][i] for lane in lanes]) for i in range(2))
+    out = tn.causal_attention(*(Tensor(x) for x in stacked), 2, cos, sin, kv_cache=cache, start=start)
+    assert out.shape == (3, t, 8)
+    for b, (q, k, v, _, _, own_cache) in enumerate(lanes):
+        alone = tn.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2, cos, sin, kv_cache=own_cache, start=start)
+        assert np.array_equal(out.data[b], alone.data)
+        if cache is not None:
+            assert np.array_equal(cache[0][b], own_cache[0]) and np.array_equal(cache[1][b], own_cache[1])
+
+
+def test_grad_causal_attention_lanes():
+    lanes = [_attention_case(3, 5, seed=s) for s in range(2)]
+    cos, sin = lanes[0][3], lanes[0][4]
+    q, k, v = (np.stack([lane[i] for lane in lanes]) for i in range(3))
+    cache = tuple(np.stack([lane[5][i] for lane in lanes]) for i in range(2))
+    w = np.random.default_rng(2).normal(size=(2, 3, 8)).astype(np.float32)
+
+    def build(ts):
+        out = tn.causal_attention(ts[0], ts[1], ts[2], 2, cos, sin, kv_cache=cache, start=5)
+        return tn.sum_all(tn.mul(out, Tensor(w, dtype=ts[0].dtype)))
+
+    check_grads(build, [q, k, v])
+
+
 def test_rms_norm_unit_rms():
     x = Tensor(rng().normal(size=(8, 16)).astype(np.float32) * 3 + 1)
     y = tn.rms_norm(x).data
@@ -256,9 +287,10 @@ def test_grad_matmul():
 
 
 def test_grad_matmul_batched_broadcast():
-    a = rng().normal(size=(4, 3, 5)).astype(np.float32)
-    b = rng().normal(size=(5, 2)).astype(np.float32)
-    check_grads(lambda t: tn.mean_all(tn.matmul(t[0], t[1])), [a, b])
+    for lead in ((4,), (2, 3)):  # 3-D and 4-D left operands against a 2-D right one
+        a = rng().normal(size=(*lead, 3, 5)).astype(np.float32)
+        b = rng().normal(size=(5, 2)).astype(np.float32)
+        check_grads(lambda t: tn.mean_all(tn.matmul(t[0], t[1])), [a, b])
 
 
 def test_grad_softmax():
