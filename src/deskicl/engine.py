@@ -2,9 +2,10 @@
 
 Training is teacher-forced: each step samples one task subset, builds a
 prompt+target sequence, and applies one clipped AdamW update of the
-combined loss. Inference runs the same trunk, `model.transformer_hidden`,
-incrementally against a per-layer key/value cache; this module holds no
-network math of its own.
+combined loss. Inference runs the same embeddings, trunk and heads from
+`model.py` incrementally against a per-layer key/value cache; this module
+names no parameter and keeps only the decode policy: clipping the predicted
+trace, the every-k trace schedule, and the cache.
 
 `rollout` is the one closed loop. It steps B rollouts that share a task and
 a prompt in lockstep, one lane each: the prompt is prefilled once and its
@@ -30,15 +31,17 @@ import numpy as np
 from .data import Trajectory, build_sequence
 from .model import (
     ACTION_DIM,
+    TOKENS_PER_STEP,
     ContextOverflowError,
     KVCache,
     PolicyModel,
-    effective_trace_mask,
+    chunk_head,
     encode_action_batch,
     encode_reasoning_batch,
     encode_state_batch,
-    interleave_tokens,
     sequence_loss,
+    step_tokens,
+    trace_head,
     transformer_hidden,
 )
 from .optim import AdamW, clip_grad_norm
@@ -57,9 +60,7 @@ class TrainConfig:
     steps: int
     seed: int = 0
     lr: float = 3e-4
-    betas: tuple[float, float] = (0.9, 0.95)
     weight_decay: float = 0.01
-    adam_eps: float = 1e-8
     grad_clip: float = 1.0
     n_prompt_choices: tuple[int, ...] = (1, 2, 3)
     checkpoint_interval: int = 0  # 0 = only the returned final model
@@ -99,9 +100,9 @@ def train(
     most_prompts = max(cfg.n_prompt_choices)
     for label in usable:
         # the longest sequence build_sequence can sample: the most prompt
-        # demos plus the target, each step three tokens
+        # demos plus the target
         n_episodes = min(most_prompts, len(subsets[label]) - 1) + 1
-        worst = 3 * sum(sorted((len(t) for t in subsets[label]), reverse=True)[:n_episodes])
+        worst = TOKENS_PER_STEP * sum(sorted((len(t) for t in subsets[label]), reverse=True)[:n_episodes])
         if worst > model.config.max_context:
             raise ValueError(
                 f"task {label}: its {n_episodes} longest episodes make a sequence of {worst} tokens, "
@@ -109,7 +110,7 @@ def train(
             )
 
     rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(model.params, lr=cfg.lr, betas=cfg.betas, weight_decay=cfg.weight_decay, eps=cfg.adam_eps)
+    opt = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     history: list[LossRecord] = []
     for step_idx in range(cfg.steps):
         label = usable[int(rng.integers(len(usable)))]
@@ -270,60 +271,45 @@ class TransformerPolicy:
         self.horizon = model.config.chunk_h
         self.cache: KVCache | None = None  # made by `begin`
         self._pending: np.ndarray | None = None  # (B, 1, d) committed action tokens not yet decoded
-        role = model.params["role_embed"].data
-        self._role_state, self._role_reason, self._role_action = role[0], role[1], role[2]
-        self._zero_trace_token = (
-            encode_reasoning_batch(model, np.zeros((1, TRACE_DIM), np.float32), np.array([True])).data[0]
-            + self._role_reason
-        )
+        self._zero_trace_token = encode_reasoning_batch(model, np.zeros((1, TRACE_DIM)), np.array([True])).data[0]
 
     def begin(self, prompt_demos: list[Trajectory], lanes: int) -> None:
         if not prompt_demos:
             raise ValueError("need at least one prompt demo")
         model = self.model
-        total = sum(len(d) for d in prompt_demos)
-        f_s = encode_state_batch(
-            model,
-            np.concatenate([d.third for d in prompt_demos]),
-            np.concatenate([d.wrist for d in prompt_demos]),
-            np.concatenate([d.proprio for d in prompt_demos]),
+        third, wrist, proprio, traces, actions = (
+            np.concatenate([getattr(d, name) for d in prompt_demos]) for name in ("third", "wrist", "proprio", "traces", "actions")
         )
-        traces = np.concatenate([d.traces for d in prompt_demos])
-        prompt_mask = effective_trace_mask(
-            model.config, np.zeros(total, dtype=bool), np.zeros(total, dtype=bool)
-        )
-        f_r = encode_reasoning_batch(model, traces, prompt_mask)
-        f_a = encode_action_batch(model, np.concatenate([d.actions for d in prompt_demos]))
-        tokens = interleave_tokens(model, f_s, f_r, f_a).data
+        no_target = np.zeros(len(proprio), dtype=bool)
+        tokens = step_tokens(model, third, wrist, proprio, traces, actions, no_target, no_target)
         self.cache = KVCache(model.config)
         self._pending = None
-        kv_decode(self.cache, model, tokens)
+        kv_decode(self.cache, model, tokens.data)
         self.cache.select_lanes(np.zeros(lanes, dtype=np.intp))
 
     def propose(self, t, states, third, wrist, proprio):
         model = self.model
         pending = [] if self._pending is None else [self._pending]
-        # room for the pending action plus this step's state, reasoning and action
-        if self.cache.remaining < 3 + len(pending):
+        # room for the pending action plus this step's tokens
+        if self.cache.remaining < TOKENS_PER_STEP + len(pending):
             raise ContextOverflowError("prompt plus rollout exceeded the model context")
-        f_s = encode_state_batch(model, third[:, None], wrist[:, None], proprio[:, None]).data + self._role_state
+        f_s = encode_state_batch(model, third[:, None], wrist[:, None], proprio[:, None]).data
         hidden, _ = kv_decode(self.cache, model, np.concatenate(pending + [f_s], axis=1))
         self._pending = None
         traces = None
         if self.k > 0 and t % self.k == 0:
-            # (B, 1, d) @ (d, n) is B one-row products, as a 1-lane run computes them
-            raw = hidden[:, -1:] @ model.params["reasoning_head.w"].data + model.params["reasoning_head.b"].data
+            # (B, 1, d) hidden states: B one-row products, as a 1-lane run computes them
+            raw = trace_head(model, Tensor(hidden[:, -1:], dtype=model.dtype)).data
             traces = np.clip(raw, 0.0, 1.0).astype(np.float32)
-            token_r = encode_reasoning_batch(model, traces, np.zeros(traces.shape[:-1], dtype=bool)).data + self._role_reason
+            token_r = encode_reasoning_batch(model, traces, np.zeros(traces.shape[:-1], dtype=bool)).data
             traces = traces[:, 0]
         else:
             token_r = np.broadcast_to(self._zero_trace_token, (len(states), 1, model.config.d_model))
         hidden_r, _ = kv_decode(self.cache, model, token_r)
-        chunks = hidden_r @ model.params["action_head.w"].data + model.params["action_head.b"].data
-        return traces, chunks.reshape(len(states), model.config.chunk_h, ACTION_DIM)
+        return traces, chunk_head(model, Tensor(hidden_r, dtype=model.dtype)).data[:, 0]
 
     def commit(self, executed_actions: np.ndarray) -> None:
-        self._pending = encode_action_batch(self.model, executed_actions[:, None]).data + self._role_action
+        self._pending = encode_action_batch(self.model, executed_actions[:, None]).data
 
     def keep_lanes(self, lanes: np.ndarray) -> None:
         self.cache.select_lanes(lanes)

@@ -473,9 +473,10 @@ def _eval_rollouts(
     intervals: list[int],
     prompt_filter=None,
 ) -> list[EvalRecord]:
-    """Shared evaluation loop. Scene and prompt seeds depend only on
-    (eval seed, task, prompt config, rollout index), never on the interval
-    or variant, so rows are comparable across k and models."""
+    """Shared evaluation loop over `policy_source(task)`. Scene and prompt
+    seeds depend only on (eval seed, task, prompt config, rollout index),
+    never on the interval or variant, so rows are comparable across k and
+    models."""
     env = config.env
     records: list[EvalRecord] = []
     for task in tasks:
@@ -503,7 +504,7 @@ def _eval_rollouts(
                     max_steps=max_steps,
                     ensemble_decay=config.eval.ensemble_decay,
                 )
-                results = rollout(policy_source(task, k), env, states, task, [demo], options)
+                results = rollout(policy_source(task), env, states, task, [demo], options)
                 for r, result in enumerate(results):
                     records.append(
                         EvalRecord(
@@ -528,6 +529,21 @@ def eval_interval_for(config: HarnessConfig, variant: str) -> int:
     return 0 if variant == "icrt" else config.eval.reasoning_interval
 
 
+def _load_variant(out_dir: Path, variant: str, train_seed: int) -> PolicyModel:
+    ckpt = checkpoint_path(out_dir, variant, train_seed)
+    if not ckpt.exists():
+        raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
+    model, _ = PolicyModel.load(ckpt)
+    return model
+
+
+def _write_records(out_dir: Path, name: str, records: list[EvalRecord]) -> Path:
+    path = out_dir / "metrics" / f"{name}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps([r.to_dict() for r in records], indent=1) + "\n")
+    return path
+
+
 def cmd_eval(config: HarnessConfig, out_dir, variants: list[str], train_seed: int | None = None) -> list[EvalRecord]:
     out_dir = Path(out_dir)
     write_resolved_config(config, out_dir)
@@ -535,24 +551,18 @@ def cmd_eval(config: HarnessConfig, out_dir, variants: list[str], train_seed: in
     tasks = [task_by_label(config, label) for label in split.test_tasks]
     train_seed = config.train.seed if train_seed is None else train_seed
     all_records: list[EvalRecord] = []
-    metrics_dir = out_dir / "metrics"
-    metrics_dir.mkdir(parents=True, exist_ok=True)
     for variant in variants:
         if variant == "expert":
-            policy_source = lambda task, k: ExpertReplayPolicy(config.env, task, config.model.chunk_h)
+            policy_source = lambda task: ExpertReplayPolicy(config.env, task, config.model.chunk_h)
         else:
-            ckpt = checkpoint_path(out_dir, variant, train_seed)
-            if not ckpt.exists():
-                raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
-            model, _ = PolicyModel.load(ckpt)
-            policy_source = lambda task, k, m=model: m
+            model = _load_variant(out_dir, variant, train_seed)
+            policy_source = lambda task, m=model: m
         k = eval_interval_for(config, variant)
         records = _eval_rollouts(config, policy_source, variant, train_seed, tasks, [k])
         expected = sum(len(prompt_configs(t)) for t in tasks) * config.eval.rollouts_per_config
         if len(records) != expected:
             raise HarnessError(f"evaluation plan violated: {len(records)} rollouts, expected {expected}")
-        path = metrics_dir / f"eval_{variant}_seed{train_seed}.json"
-        path.write_text(json.dumps([r.to_dict() for r in records], indent=1) + "\n")
+        path = _write_records(out_dir, f"eval_{variant}_seed{train_seed}", records)
         mean = float(np.mean([r.score for r in records]))
         print(f"eval: {variant} seed {train_seed}: mean score {mean:.3f} over {len(records)} rollouts -> {path}")
         all_records.extend(records)
@@ -575,17 +585,9 @@ def cmd_sweep_interval(
     split = load_split(out_dir)
     tasks = [task_by_label(config, label) for label in split.test_tasks]
     train_seed = config.train.seed if train_seed is None else train_seed
-    ckpt = checkpoint_path(out_dir, variant, train_seed)
-    if not ckpt.exists():
-        raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
-    model, _ = PolicyModel.load(ckpt)
-    records = _eval_rollouts(
-        config, lambda task, k: model, variant, train_seed, tasks, intervals, prompt_filter={"p1"}
-    )
-    metrics_dir = out_dir / "metrics"
-    metrics_dir.mkdir(parents=True, exist_ok=True)
-    path = metrics_dir / f"sweep_{variant}_seed{train_seed}.json"
-    path.write_text(json.dumps([r.to_dict() for r in records], indent=1) + "\n")
+    model = _load_variant(out_dir, variant, train_seed)
+    records = _eval_rollouts(config, lambda task: model, variant, train_seed, tasks, intervals, prompt_filter={"p1"})
+    path = _write_records(out_dir, f"sweep_{variant}_seed{train_seed}", records)
     print(f"sweep-interval: {variant} seed {train_seed}: k in {intervals} -> {path}")
     return records
 

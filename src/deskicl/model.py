@@ -1,16 +1,18 @@
 """Policy network: modality encoders, causal transformer, prediction heads.
 
-Each environment step embeds to a token triple [state, reasoning, action].
-State tokens pool patch embeddings of both camera views plus a proprio
-embedding through single-query softmax attention. Reasoning and action
-tokens come from small MLPs. The trunk is a pre-norm decoder stack with
-RMSNorm gains, rotary positions, and SiLU-gated feedforwards; its
-attention is the fused `tensor.causal_attention` op. `transformer_hidden`
-is the only trunk: training runs it over whole sequences, and closed-loop
-decoding runs it over a few new tokens at a time against a `KVCache`. The
-reasoning head reads hidden states at state-token positions (the next
-token is the step's trace); the action head reads hidden states at
-reasoning-token positions and emits the next `chunk_h` actions at once.
+Each environment step embeds to the role-embedded token triple [state,
+reasoning, action]; `step_tokens` lays recorded steps out as the (3S, d)
+sequence that training and the closed-loop prompt prefill share. State
+tokens pool patch embeddings of both camera views plus a proprio embedding
+through single-query softmax attention; reasoning and action tokens come
+from small MLPs. The trunk is a pre-norm decoder stack with RMSNorm gains,
+rotary positions, and SiLU-gated feedforwards; its attention is the fused
+`tensor.causal_attention` op. `transformer_hidden` is the only trunk:
+training runs it over whole sequences, and closed-loop decoding runs it
+over a few new tokens at a time against a `KVCache`. `trace_head` reads
+hidden states at state positions (the next token is the step's trace);
+`chunk_head` reads them at reasoning positions and emits the next
+`chunk_h` actions at once.
 
 Baseline variants are configuration, not code paths: turning prompt or
 target reasoning off substitutes the zero-vector trace everywhere in that
@@ -30,7 +32,8 @@ from .data import TrainingSequence
 from .tensor import ShapeError, Tensor
 from .traces import TRACE_DIM
 
-ROLE_STATE, ROLE_REASONING, ROLE_ACTION = 0, 1, 2
+TOKENS_PER_STEP = 3  # [state, reasoning, action]
+ROLE_STATE, ROLE_REASONING, ROLE_ACTION = range(TOKENS_PER_STEP)
 PROPRIO_DIM = 4
 ACTION_DIM = 4
 
@@ -243,14 +246,13 @@ def attention_pool(items: Tensor, query: Tensor, key_w: Tensor) -> Tensor:
     return tn.reshape(pooled, (*lead, d))
 
 
-def encode_state_batch(
-    model: PolicyModel,
-    third: np.ndarray,
-    wrist: np.ndarray,
-    proprio: np.ndarray,
-    use_positions: bool = True,
-) -> Tensor:
-    """State tokens for S steps: (S, d_model).
+def _with_role(model: PolicyModel, tokens: Tensor, role: int) -> Tensor:
+    """Add the role embedding of `role` to every (..., d) token."""
+    return tn.add(tokens, tn.gather_rows(model.params["role_embed"], np.full(tokens.shape[:-1], role)))
+
+
+def encode_state_batch(model: PolicyModel, third: np.ndarray, wrist: np.ndarray, proprio: np.ndarray) -> Tensor:
+    """Role-embedded state tokens for S steps: (S, d_model).
 
     Images (B, S, R, R, 3) and proprio (B, S, 4) give (B, S, d_model) for B
     lanes. Each lane's products are computed as for its own (S, ...) batch,
@@ -269,9 +271,7 @@ def encode_state_batch(
         flat = patchify(images.reshape(-1, *images.shape[-3:]).astype(dtype, copy=False), cfg.patch_size)
         patches = Tensor(flat.reshape(*lead, s * n_patches, cfg.patch_dim), dtype=dtype)
         emb = tn.add(tn.matmul(patches, p[f"{prefix}.fc1.w"]), p[f"{prefix}.fc1.b"])
-        emb = tn.reshape(emb, (*lead, s, n_patches, cfg.d_model))
-        if use_positions:
-            emb = tn.add(emb, p[pos_name])
+        emb = tn.add(tn.reshape(emb, (*lead, s, n_patches, cfg.d_model)), p[pos_name])
         emb = tn.reshape(tn.silu(emb), (*lead, s * n_patches, cfg.d_model))
         emb = tn.add(tn.matmul(emb, p[f"{prefix}.fc2.w"]), p[f"{prefix}.fc2.b"])
         return tn.reshape(emb, (*lead, s, n_patches, cfg.d_model))
@@ -281,18 +281,13 @@ def encode_state_batch(
     prop = _mlp(model, "proprio_mlp", Tensor(proprio.astype(dtype, copy=False), dtype=dtype))
     prop_items = tn.reshape(prop, (*lead, s, 1, cfg.d_model))
     items = tn.concat([third_items, wrist_items, prop_items], axis=-2)
-    return attention_pool(items, tn.reshape(p["pool.query"], (cfg.d_model,)), p["pool.key.w"])
-
-
-def encode_state(model: PolicyModel, third: np.ndarray, wrist: np.ndarray, proprio: np.ndarray) -> Tensor:
-    """Single-step state token (d_model,)."""
-    out = encode_state_batch(model, third[None], wrist[None], proprio[None].reshape(1, PROPRIO_DIM))
-    return tn.reshape(out, (model.config.d_model,))
+    pooled = attention_pool(items, tn.reshape(p["pool.query"], (cfg.d_model,)), p["pool.key.w"])
+    return _with_role(model, pooled, ROLE_STATE)
 
 
 def encode_reasoning_batch(model: PolicyModel, traces: np.ndarray, masked: np.ndarray) -> Tensor:
-    """Reasoning tokens (..., S, d_model) of traces (..., S, 10); masked
-    rows encode the zero vector."""
+    """Role-embedded reasoning tokens (..., S, d_model) of traces (..., S,
+    10); masked rows encode the zero vector."""
     dtype = model.dtype
     traces = np.asarray(traces, dtype=dtype)
     masked = np.asarray(masked, dtype=bool).reshape(traces.shape[:-1])
@@ -300,30 +295,19 @@ def encode_reasoning_batch(model: PolicyModel, traces: np.ndarray, masked: np.nd
     if np.any((traces[live] < 0.0) | (traces[live] > 1.0)):
         raise ValueError("encode_reasoning: trace values outside [0, 1]")
     inputs = np.where(masked[..., None], np.zeros((), dtype=dtype), traces)
-    return _mlp(model, "trace_mlp", Tensor(inputs, dtype=dtype))
-
-
-def encode_reasoning(model: PolicyModel, trace: np.ndarray, masked: bool = False) -> Tensor:
-    out = encode_reasoning_batch(model, np.asarray(trace).reshape(1, TRACE_DIM), np.array([masked]))
-    return tn.reshape(out, (model.config.d_model,))
+    return _with_role(model, _mlp(model, "trace_mlp", Tensor(inputs, dtype=dtype)), ROLE_REASONING)
 
 
 def encode_action_batch(model: PolicyModel, actions: np.ndarray) -> Tensor:
-    """Action tokens (..., S, d_model) of actions (..., S, 4)."""
-    return _mlp(model, "action_mlp", Tensor(actions, dtype=model.dtype))
+    """Role-embedded action tokens (..., S, d_model) of actions (..., S, 4)."""
+    return _with_role(model, _mlp(model, "action_mlp", Tensor(actions, dtype=model.dtype)), ROLE_ACTION)
 
 
-def interleave_tokens(model: PolicyModel, f_s: Tensor, f_r: Tensor, f_a: Tensor) -> Tensor:
-    """Stack per-step [state, reasoning, action] tokens into (3S, d) and add
-    role embeddings."""
+def interleave_tokens(f_s: Tensor, f_r: Tensor, f_a: Tensor) -> Tensor:
+    """Stack per-step [state, reasoning, action] tokens into (3S, d)."""
     s, d = f_s.shape
-    stacked = tn.concat(
-        [tn.reshape(f_s, (s, 1, d)), tn.reshape(f_r, (s, 1, d)), tn.reshape(f_a, (s, 1, d))],
-        axis=1,
-    )
-    tokens = tn.reshape(stacked, (3 * s, d))
-    role_ids = np.tile(np.array([ROLE_STATE, ROLE_REASONING, ROLE_ACTION]), s)
-    return tn.add(tokens, tn.gather_rows(model.params["role_embed"], role_ids))
+    stacked = tn.concat([tn.reshape(f, (s, 1, d)) for f in (f_s, f_r, f_a)], axis=1)
+    return tn.reshape(stacked, (TOKENS_PER_STEP * s, d))
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +423,26 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
     return tn.mul(tn.rms_norm(x), p["final_norm.g"])
 
 
-def prediction_heads(model: PolicyModel, hidden: Tensor, n_steps: int) -> tuple[Tensor, Tensor]:
-    """Per step: trace prediction read at the state position, chunk
-    prediction read at the reasoning position."""
-    cfg = model.config
+def trace_head(model: PolicyModel, hidden: Tensor) -> Tensor:
+    """Trace predictions (..., 10) from state-position hidden states (..., d)."""
     p = model.params
-    state_rows = np.arange(n_steps) * 3
-    reason_rows = state_rows + 1
+    return tn.add(tn.matmul(hidden, p["reasoning_head.w"]), p["reasoning_head.b"])
+
+
+def chunk_head(model: PolicyModel, hidden: Tensor) -> Tensor:
+    """Action chunks (..., chunk_h, 4) from reasoning-position hidden states (..., d)."""
+    p = model.params
+    flat = tn.add(tn.matmul(hidden, p["action_head.w"]), p["action_head.b"])
+    return tn.reshape(flat, (*hidden.shape[:-1], model.config.chunk_h, ACTION_DIM))
+
+
+def prediction_heads(model: PolicyModel, hidden: Tensor, n_steps: int) -> tuple[Tensor, Tensor]:
+    """Per step of a (3S, d) hidden sequence: the trace prediction (S, 10)
+    and the chunk prediction (S, chunk_h, 4)."""
+    state_rows = np.arange(n_steps) * TOKENS_PER_STEP + ROLE_STATE
     h_state = tn.gather_rows(hidden, state_rows)
-    h_reason = tn.gather_rows(hidden, reason_rows)
-    trace_pred = tn.add(tn.matmul(h_state, p["reasoning_head.w"]), p["reasoning_head.b"])
-    chunk_flat = tn.add(tn.matmul(h_reason, p["action_head.w"]), p["action_head.b"])
-    return trace_pred, tn.reshape(chunk_flat, (n_steps, cfg.chunk_h, ACTION_DIM))
+    h_reason = tn.gather_rows(hidden, state_rows + ROLE_REASONING)
+    return trace_head(model, h_state), chunk_head(model, h_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +460,24 @@ def effective_trace_mask(config: ModelConfig, step_is_target: np.ndarray, reason
     return masked
 
 
+def step_tokens(model: PolicyModel, third, wrist, proprio, traces, actions, step_is_target, reasoning_input_mask) -> Tensor:
+    """The (3S, d) token sequence of S recorded steps. The steps that feed
+    the zero-vector trace follow `effective_trace_mask`; a closed-loop
+    prompt has no target steps and no input mask."""
+    masked = effective_trace_mask(model.config, step_is_target, reasoning_input_mask)
+    return interleave_tokens(
+        encode_state_batch(model, third, wrist, proprio),
+        encode_reasoning_batch(model, traces, masked),
+        encode_action_batch(model, actions),
+    )
+
+
 def forward_sequence(model: PolicyModel, seq: TrainingSequence) -> tuple[Tensor, Tensor]:
     """Teacher-forced forward: embed ground-truth tokens, run the trunk,
     return (trace predictions (S, 10), chunk predictions (S, H, 4))."""
-    f_s = encode_state_batch(model, seq.third, seq.wrist, seq.proprio)
-    masked = effective_trace_mask(model.config, seq.step_is_target, seq.reasoning_input_mask)
-    f_r = encode_reasoning_batch(model, seq.traces, masked)
-    f_a = encode_action_batch(model, seq.actions)
-    tokens = interleave_tokens(model, f_s, f_r, f_a)
+    tokens = step_tokens(
+        model, seq.third, seq.wrist, seq.proprio, seq.traces, seq.actions, seq.step_is_target, seq.reasoning_input_mask
+    )
     hidden = transformer_hidden(model, tokens)
     return prediction_heads(model, hidden, seq.n_steps)
 

@@ -28,7 +28,7 @@ from deskicl.engine import (
     temporal_ensemble,
     train,
 )
-from deskicl.model import ModelConfig, PolicyModel, transformer_hidden
+from deskicl.model import ModelConfig, PolicyModel, forward_sequence, transformer_hidden
 from deskicl.sim import SimParams, TaskSpec
 from deskicl.tensor import Tensor
 
@@ -110,6 +110,37 @@ def test_kv_decode_keeps_the_model_dtype():
     out = np.concatenate(pieces)
     assert out.dtype == np.float64
     assert np.abs(out - full).max() <= 1e-12
+
+
+def test_decode_matches_teacher_forced_heads():
+    """The closed-loop path (prompt prefill, per-step encoders, cached trunk,
+    heads) reproduces the teacher-forced forward of a [prompt, target]
+    sequence whose target traces are all masked, as a k=0 decode feeds
+    them."""
+    task = TaskSpec("pick_place", 1, 0)
+    episodes = [_demo(task, 40 + i, n_obj=1, n_rec=1) for i in range(2)]
+    seq = build_sequence(episodes, 1, np.random.default_rng(0), chunk_h=SMALL_CFG.chunk_h, mask_ratio=1.0)
+    prompt, target = seq.episodes
+    model = small_model(13)
+    trace_pred, chunk_pred = forward_sequence(model, seq)
+    target_chunks = chunk_pred.data[seq.step_is_target]
+
+    policy = TransformerPolicy(model, 0)
+    policy.begin([prompt], 1)
+    errors = []
+    for t in range(len(target)):
+        traces, chunks = policy.propose(t, [None], target.third[t:t + 1], target.wrist[t:t + 1], target.proprio[t:t + 1])
+        assert traces is None and chunks.shape == (1, SMALL_CFG.chunk_h, 4)
+        errors.append(np.abs(chunks[0] - target_chunks[t]).max())
+        policy.commit(target.actions[t:t + 1])
+    assert len(errors) == len(target) > 30
+    assert max(errors) <= 1e-5
+
+    policy = TransformerPolicy(model, 1)
+    policy.begin([prompt], 1)
+    traces, _ = policy.propose(0, [None], target.third[:1], target.wrist[:1], target.proprio[:1])
+    expected = np.clip(trace_pred.data[seq.step_is_target][0], 0.0, 1.0)
+    assert np.abs(traces[0] - expected).max() <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from deskicl.model import (
     attention_pool,
     combined_loss,
     effective_trace_mask,
-    encode_reasoning,
-    encode_state,
+    encode_reasoning_batch,
+    encode_state_batch,
     forward_sequence,
     patchify,
     sequence_loss,
@@ -109,19 +109,19 @@ def test_patchify_reassembles():
 def test_encode_state_shape_and_resolution_check():
     model = tiny_model()
     rng = np.random.default_rng(1)
-    out = encode_state(
+    out = encode_state_batch(
         model,
-        rng.uniform(size=(16, 16, 3)).astype(np.float32),
-        rng.uniform(size=(8, 8, 3)).astype(np.float32),
-        rng.uniform(size=4).astype(np.float32),
+        rng.uniform(size=(1, 16, 16, 3)).astype(np.float32),
+        rng.uniform(size=(1, 8, 8, 3)).astype(np.float32),
+        rng.uniform(size=(1, 4)).astype(np.float32),
     )
-    assert out.shape == (32,)
+    assert out.shape == (1, 32)
     with pytest.raises(ShapeError, match="third"):
-        encode_state(
+        encode_state_batch(
             model,
-            rng.uniform(size=(32, 32, 3)).astype(np.float32),
-            rng.uniform(size=(8, 8, 3)).astype(np.float32),
-            rng.uniform(size=4).astype(np.float32),
+            rng.uniform(size=(1, 32, 32, 3)).astype(np.float32),
+            rng.uniform(size=(1, 8, 8, 3)).astype(np.float32),
+            rng.uniform(size=(1, 4)).astype(np.float32),
         )
 
 
@@ -145,39 +145,40 @@ def test_encode_state_patch_permutation_with_positions_disabled():
     permuted = third.copy()
     permuted[0, :8, :8] = third[0, 8:, 8:]
     permuted[0, 8:, 8:] = third[0, :8, :8]
-    base = mdl.encode_state_batch(model, third, wrist, proprio, use_positions=False)
-    swapped = mdl.encode_state_batch(model, permuted, wrist, proprio, use_positions=False)
+    no_positions = model.clone()
+    no_positions.params["third_pos"].data[:] = 0.0
+    base = encode_state_batch(no_positions, third, wrist, proprio)
+    swapped = encode_state_batch(no_positions, permuted, wrist, proprio)
     assert np.allclose(base.data, swapped.data, atol=1e-6)
-    with_pos = mdl.encode_state_batch(model, third, wrist, proprio, use_positions=True)
-    swapped_pos = mdl.encode_state_batch(model, permuted, wrist, proprio, use_positions=True)
+    with_pos = encode_state_batch(model, third, wrist, proprio)
+    swapped_pos = encode_state_batch(model, permuted, wrist, proprio)
     assert not np.allclose(with_pos.data, swapped_pos.data, atol=1e-6)
 
 
 def test_encode_reasoning_masked_is_constant_token():
     model = tiny_model()
-    rng = np.random.default_rng(4)
-    a = encode_reasoning(model, rng.uniform(size=10).astype(np.float32), masked=True)
-    b = encode_reasoning(model, rng.uniform(size=10).astype(np.float32), masked=True)
-    zero = encode_reasoning(model, np.zeros(10, dtype=np.float32), masked=False)
-    assert np.array_equal(a.data, b.data)
-    assert np.array_equal(a.data, zero.data)
-    assert a.shape == (32,)
+    traces = np.random.default_rng(4).uniform(size=(3, 10)).astype(np.float32)
+    traces[2] = 0.0
+    out = encode_reasoning_batch(model, traces, np.array([True, True, False])).data
+    assert out.shape == (3, 32)
+    assert np.array_equal(out[0], out[1])  # two masked traces
+    assert np.array_equal(out[0], out[2])  # the zero trace, unmasked
 
 
 def test_encode_reasoning_distinct_traces_differ():
     model = tiny_model()
-    rng = np.random.default_rng(5)
-    a = encode_reasoning(model, rng.uniform(size=10).astype(np.float32))
-    b = encode_reasoning(model, rng.uniform(size=10).astype(np.float32))
-    assert not np.array_equal(a.data, b.data)
+    traces = np.random.default_rng(5).uniform(size=(2, 10)).astype(np.float32)
+    out = encode_reasoning_batch(model, traces, np.zeros(2, dtype=bool)).data
+    assert not np.array_equal(out[0], out[1])
 
 
 def test_encode_reasoning_range_check():
     model = tiny_model()
+    over = np.full((1, 10), 1.5, dtype=np.float32)
     with pytest.raises(ValueError, match="0, 1"):
-        encode_reasoning(model, np.full(10, 1.5, dtype=np.float32))
+        encode_reasoning_batch(model, over, np.array([False]))
     # masked inputs skip the range check (they encode the zero vector anyway)
-    encode_reasoning(model, np.full(10, 1.5, dtype=np.float32), masked=True)
+    encode_reasoning_batch(model, over, np.array([True]))
 
 
 # ---------------------------------------------------------------------------
