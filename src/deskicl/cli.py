@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -57,12 +58,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         if getattr(args, "rollouts", None) is not None:
-            import dataclasses
-
             config = dataclasses.replace(config, eval=dataclasses.replace(config.eval, rollouts_per_config=args.rollouts))
         if getattr(args, "seed", None) is not None:
-            import dataclasses
-
             if args.command == "gen-data":
                 config = dataclasses.replace(config, data=dataclasses.replace(config.data, gen_seed=args.seed))
             else:

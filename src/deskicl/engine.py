@@ -142,14 +142,6 @@ def train(
     return history
 
 
-def smoothed_endpoints(losses: list[float], window: int = 100) -> tuple[float, float]:
-    """(mean of the first `window` losses, mean of the last `window`)."""
-    if not losses:
-        raise ValueError("empty loss history")
-    w = max(1, min(window, len(losses)))
-    return float(np.mean(losses[:w])), float(np.mean(losses[-w:]))
-
-
 # ---------------------------------------------------------------------------
 # KV-cached incremental decoding
 # ---------------------------------------------------------------------------
@@ -378,8 +370,9 @@ def rollout(
     """Run one closed loop per initial state, all in lockstep, and return
     their results in the same order.
 
-    The lanes share the task, the prompt and the options, so the policy
-    makes one call per step for all of them. A lane leaves on success;
+    The lanes share the task, the prompt and the options, so each step
+    renders every active lane in one `render` call per camera and the
+    policy makes one call for all of them. A lane leaves on success;
     at max_steps or on context overflow, which every lane reaches at the
     same step because they all hold the same number of tokens, all the
     remaining lanes stop. Each lane keeps its own ensemble buffer, states
@@ -404,8 +397,8 @@ def rollout(
     active = list(lanes)
     for t in range(options.max_steps):
         states = [lane.states[-1] for lane in active]
-        third = np.stack([render(env_params, s, cam3) for s in states])
-        wrist = np.stack([render(env_params, s, camw) for s in states])
+        third = render(env_params, states, cam3)
+        wrist = render(env_params, states, camw)
         proprio = np.stack([s.gripper for s in states]).astype(np.float32)
         try:
             traces, chunks = policy.propose(t, states, third, wrist, proprio)

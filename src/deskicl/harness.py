@@ -233,17 +233,20 @@ def record_episode(
     seed: int,
     noise: float = 0.0,
 ) -> Trajectory:
-    """One expert episode with both camera renders; raises if the expert fails."""
+    """One expert episode with both camera renders; raises if the expert fails.
+
+    Each camera's frames come from one `render` call over all of the
+    episode's states.
+    """
     state = reset(env, task, n_distractor_objects, n_distractor_receptacles, seed)
     rng = np.random.default_rng(derive_seed(seed, "expert-noise")) if noise > 0 else None
     states, actions, score = expert_rollout(env, state, task, noise=noise, rng=rng)
     if score != 1.0:
         raise HarnessError(f"expert failed on {task.label} (seed {seed})")
-    cam3, camw = third_camera(env), wrist_camera(env)
     return Trajectory(
         task_label=task.label,
-        third=np.stack([render(env, s, cam3) for s in states]),
-        wrist=np.stack([render(env, s, camw) for s in states]),
+        third=render(env, states, third_camera(env)),
+        wrist=render(env, states, wrist_camera(env)),
         proprio=np.stack([s.gripper for s in states]).astype(np.float32),
         actions=np.stack([a.deltas for a in actions]).astype(np.float32),
     )
@@ -631,10 +634,29 @@ def aggregate(records: list[EvalRecord]) -> list[MetricsRow]:
 
 
 def load_metrics(out_dir) -> list[EvalRecord]:
+    """Every record of the run's metrics files; a malformed file raises a
+    HarnessError that names it."""
     metrics_dir = Path(out_dir) / "metrics"
+    keys = {f.name for f in fields(EvalRecord)}
+    json_types = {"str": (str,), "int": (int,), "float": (int, float)}
     records: list[EvalRecord] = []
     for path in sorted(metrics_dir.glob("*.json")):
-        for blob in json.loads(path.read_text()):
+        try:
+            blobs = json.loads(path.read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise HarnessError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(blobs, list):
+            raise HarnessError(f"{path}: expected a list of eval records, got {type(blobs).__name__}")
+        for i, blob in enumerate(blobs):
+            if not isinstance(blob, dict):
+                raise HarnessError(f"{path}: record {i} is {type(blob).__name__}, not an object")
+            if blob.keys() != keys:
+                missing, unknown = sorted(keys - blob.keys()), sorted(blob.keys() - keys)
+                raise HarnessError(f"{path}: record {i} does not match EvalRecord (missing {missing}, unknown {unknown})")
+            for f in fields(EvalRecord):
+                value = blob[f.name]
+                if isinstance(value, bool) or not isinstance(value, json_types[f.type]):
+                    raise HarnessError(f"{path}: record {i} has {f.name} = {value!r}, not {f.type}")
             records.append(EvalRecord.from_dict(blob))
     return records
 
@@ -694,28 +716,6 @@ def write_report(records: list[EvalRecord], out_dir) -> tuple[Path, Path]:
 def _variant_order(name: str) -> tuple:
     order = {"ours": 0, "to": 1, "icrt": 2, "expert": 3}
     return (order.get(name, 9), name)
-
-
-def parse_report(path) -> list[dict]:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise HarnessError(f"{path}: empty report")
-    header = lines[0].split(",")
-    if header != REPORT_HEADER:
-        raise HarnessError(f"{path}: unexpected report schema {header}")
-    out = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        row = dict(zip(header, parts))
-        row["mean_score"] = float(row["mean_score"])
-        row["n"] = int(row["n"])
-        row["k"] = int(row["k"])
-        for cls in FAILURE_CLASSES:
-            row[f"fail_{cls}"] = int(row[f"fail_{cls}"])
-        out.append(row)
-    return out
 
 
 def cmd_report(out_dir) -> tuple[Path, Path]:

@@ -9,7 +9,10 @@ two task kinds (poke, pick-and-place) with a state-derived waypoint script,
 so it needs no memory beyond the world state itself.
 
 Cameras are orthographic. The third view covers the whole workspace; the
-wrist view covers a small window centered on the gripper.
+wrist view covers a small window centered on the gripper. `render` paints
+a sequence of states (an episode, or one lockstep step of many rollouts)
+in one call, as padded per-state disk arrays, so its cost per state falls
+as the batch grows.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ RECEPTACLE_PALETTE = np.array(
 )
 BACKGROUND_COLOR = np.array([0.08, 0.08, 0.10], dtype=np.float32)
 MARKER_COLOR = np.array([1.0, 1.0, 1.0], dtype=np.float32)
+
+# One palette for the renderer: index 0 is the background, then the
+# receptacle, object and marker colours.
+_COLORS = np.concatenate([BACKGROUND_COLOR[None], RECEPTACLE_PALETTE, OBJECT_PALETTE, MARKER_COLOR[None]])
+_RECEPTACLE_BASE = 1
+_OBJECT_BASE = _RECEPTACLE_BASE + len(RECEPTACLE_PALETTE)
+_MARKER_INDEX = _OBJECT_BASE + len(OBJECT_PALETTE)
+_EMPTY_SLOT = (0.0, 0.0, -1.0, 0)  # (x, y, radius², palette index): covers no pixel
 
 
 class SimError(RuntimeError):
@@ -345,34 +356,50 @@ def project_to_pixel(world_xy, camera: CameraModel) -> tuple[float, float]:
     return x * g, (1.0 - y) * g
 
 
-def render(params: SimParams, state: WorldState, camera: CameraModel) -> np.ndarray:
-    """Rasterize the scene: receptacles, then objects, then the gripper marker."""
+def render(params: SimParams, states, camera: CameraModel) -> np.ndarray:
+    """Rasterize a sequence of states to (N, R, R, 3) float32 images.
+
+    Each state is painted in draw order: its receptacles, then its objects,
+    then the gripper marker. A pixel takes the colour of the last disk that
+    covers it, where a disk covers a pixel whose centre lies within its
+    radius (squared distance <= radius², in float64). States may hold
+    different numbers of entities: each state's disks are padded to a common
+    count per kind, and a padded slot has radius² = -1 so it covers nothing.
+    The wrist view is centred on each state's own gripper.
+    """
+    states = list(states)
     res = camera.resolution
+    n_rec = max((len(s.receptacles) for s in states), default=0)
+    n_obj = max((len(s.objects) for s in states), default=0)
+    marker_r2 = params.marker_radius * params.marker_radius
+    rows = []
+    for s in states:
+        recs = [(*e.position, e.radius * e.radius, _RECEPTACLE_BASE + e.class_id) for e in s.receptacles]
+        objs = [(*e.position, e.radius * e.radius, _OBJECT_BASE + e.class_id) for e in s.objects]
+        rows.append(
+            recs + [_EMPTY_SLOT] * (n_rec - len(recs))
+            + objs + [_EMPTY_SLOT] * (n_obj - len(objs))
+            + [(s.gripper[0], s.gripper[1], marker_r2, _MARKER_INDEX)]
+        )
+    disks = np.array(rows, dtype=np.float64).reshape(len(states), n_rec + n_obj + 1, 4)
+    cx, cy, r2 = disks[..., 0], disks[..., 1], disks[..., 2]
+    color = disks[..., 3].astype(np.intp)
+
+    centers = (np.arange(res, dtype=np.float64) + 0.5) / res * camera.window
     if camera.view == "third":
-        x0, y1 = 0.0, 1.0
+        x0, y1 = np.zeros(len(states)), np.ones(len(states))
     else:
-        gx, gy = state.gripper[0], state.gripper[1]
-        x0 = gx - camera.window / 2.0
-        y1 = gy + camera.window / 2.0
-    span = camera.window
-    centers = (np.arange(res, dtype=np.float64) + 0.5) / res * span
-    xs = x0 + centers  # column -> world x
-    ys = y1 - centers  # row -> world y (top row is high y)
-    xgrid, ygrid = np.meshgrid(xs, ys)
-
-    img = np.empty((res, res, 3), dtype=np.float32)
-    img[:] = BACKGROUND_COLOR
-
-    def disk(cx: float, cy: float, radius: float, color: np.ndarray) -> None:
-        mask = (xgrid - cx) ** 2 + (ygrid - cy) ** 2 <= radius * radius
-        img[mask] = color
-
-    for rec in state.receptacles:
-        disk(rec.position[0], rec.position[1], rec.radius, RECEPTACLE_PALETTE[rec.class_id])
-    for obj in state.objects:
-        disk(obj.position[0], obj.position[1], obj.radius, OBJECT_PALETTE[obj.class_id])
-    disk(state.gripper[0], state.gripper[1], params.marker_radius, MARKER_COLOR)
-    return img
+        x0 = cx[:, -1] - camera.window / 2.0
+        y1 = cy[:, -1] + camera.window / 2.0
+    xs = x0[:, None] + centers  # (N, R): column -> world x
+    ys = y1[:, None] - centers  # (N, R): row -> world y (top row is high y)
+    dx2 = (xs[:, None, :] - cx[..., None]) ** 2  # (N, E, R)
+    dy2 = (ys[:, None, :] - cy[..., None]) ** 2
+    top = np.zeros((len(states), res, res), dtype=np.intp)  # palette index of the topmost disk
+    for e in range(disks.shape[1]):
+        covered = dx2[:, e, None, :] + dy2[:, e, :, None] <= r2[:, e, None, None]
+        np.copyto(top, color[:, e, None, None], where=covered)
+    return _COLORS[top]
 
 
 # ---------------------------------------------------------------------------

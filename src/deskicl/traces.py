@@ -65,9 +65,23 @@ def generate_trace(trajectory, t: int) -> ReasoningTrace:
 
 
 def trace_matrix(trajectory) -> np.ndarray:
-    """Traces for every step, stacked to (T, 10) float32."""
+    """Traces for every step, stacked to (T, 10) float32.
+
+    Row t equals `generate_trace(trajectory, t).flat()` bit for bit: the
+    indices and the projection use the same float64 operations, for all
+    steps at once.
+    """
     length = len(trajectory.proprio)
-    return np.stack([generate_trace(trajectory, t).flat() for t in range(length)])
+    if length <= 0:
+        raise ValueError("empty trajectory")
+    resolution = trajectory.third.shape[1]
+    t = np.arange(length)
+    horizon = (length - 1) - t
+    indices = t[:, None] + np.floor(np.arange(TRACE_POINTS) * horizon[:, None] / 4.0 + 0.5).astype(np.int64)
+    xy = trajectory.proprio[indices, :2].astype(np.float64)  # (T, 5, 2)
+    u = xy[..., 0] * resolution
+    v = (1.0 - xy[..., 1]) * resolution
+    return np.stack([u / resolution, v / resolution], axis=-1).astype(np.float32).reshape(length, TRACE_DIM)
 
 
 def augment_dataset(trajectories: list) -> list:

@@ -16,11 +16,10 @@ def record_episode(params, task, n_distractor_objects, n_distractor_receptacles,
     rng = np.random.default_rng(seed + 1) if noise else None
     states, actions, score = sim.expert_rollout(params, state, task, noise=noise, rng=rng)
     assert score == 1.0, f"expert failed {task.label} seed {seed}"
-    cam3, camw = sim.third_camera(params), sim.wrist_camera(params)
     traj = Trajectory(
         task_label=task.label,
-        third=np.stack([sim.render(params, s, cam3) for s in states]),
-        wrist=np.stack([sim.render(params, s, camw) for s in states]),
+        third=sim.render(params, states, sim.third_camera(params)),
+        wrist=sim.render(params, states, sim.wrist_camera(params)),
         proprio=np.stack([s.gripper for s in states]).astype(np.float32),
         actions=np.stack([a.deltas for a in actions]).astype(np.float32),
     )

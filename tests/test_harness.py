@@ -28,7 +28,6 @@ from deskicl.harness import (
     format_config,
     load_metrics,
     parse_config,
-    parse_report,
     prompt_configs,
     stratified_split,
     task_list,
@@ -335,6 +334,26 @@ def test_failure_none_iff_success():
 # ---------------------------------------------------------------------------
 
 
+def _parse_report(path) -> list[dict]:
+    """report.csv rows as dicts with typed numbers; checks the schema."""
+    lines = Path(path).read_text().splitlines()
+    assert lines, f"{path}: empty report"
+    header = lines[0].split(",")
+    assert header == harness.REPORT_HEADER, f"{path}: unexpected report schema {header}"
+    out = []
+    for line in lines[1:]:
+        if not line:
+            continue
+        row = dict(zip(header, line.split(",")))
+        row["mean_score"] = float(row["mean_score"])
+        row["n"] = int(row["n"])
+        row["k"] = int(row["k"])
+        for cls in harness.FAILURE_CLASSES:
+            row[f"fail_{cls}"] = int(row[f"fail_{cls}"])
+        out.append(row)
+    return out
+
+
 def _record(variant="ours", task="poke_c2", pconf="p0", k=1, score=1.0, failure="none", idx=0):
     return EvalRecord(variant, 0, task, pconf, k, idx, score, 20, 20, failure)
 
@@ -347,7 +366,7 @@ def test_report_round_trip(tmp_path):
         _record(variant="icrt", k=0, score=0.0, failure="poke_failure"),
     ]
     csv_path, summary_path = write_report(records, tmp_path)
-    rows = parse_report(csv_path)
+    rows = _parse_report(csv_path)
     assert len(rows) == 3
     by_key = {(r["variant"], r["task"], r["prompt_config"]): r for r in rows}
     ours_poke = by_key[("ours", "poke_c2", "p0")]
@@ -377,7 +396,7 @@ def test_failure_histogram_sums_to_failed_count(tmp_path):
         _record(idx=2),
     ]
     csv_path, _ = write_report(records, tmp_path)
-    row = parse_report(csv_path)[0]
+    row = _parse_report(csv_path)[0]
     failed = row["n"] - row["fail_none"]
     histogram_total = sum(row[f"fail_{c}"] for c in harness.FAILURE_CLASSES if c != "none")
     assert failed == 2 and histogram_total == failed
@@ -428,6 +447,23 @@ def test_cli_gen_and_report_exit_codes(tmp_path, capsys):
     harness.checkpoint_path(out, "ours", 0).write_bytes(blob)
     assert cli_main(["eval", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
     assert "not a model checkpoint" in capsys.readouterr().err
+    # a malformed metrics file names the file
+    bad_metrics = tmp_path / "report_run" / "metrics" / "eval_x.json"
+    bad_metrics.parent.mkdir(parents=True)
+    good = _record().to_dict()
+    for content in (
+        '[{"variant": "ours"}]',
+        '{"a": 1}',
+        "[1]",
+        json.dumps([{**good, "extra": 1}]),
+        json.dumps([{**good, "score": "high"}]),
+        "[{not json",
+    ):
+        bad_metrics.write_text(content)
+        assert cli_main(["report", "--out", str(tmp_path / "report_run")]) == 1
+        assert str(bad_metrics) in capsys.readouterr().err
+    bad_metrics.write_text(json.dumps([good]))
+    assert cli_main(["report", "--out", str(tmp_path / "report_run")]) == 0
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys):

@@ -181,7 +181,7 @@ def test_project_rejects_wrist():
 def test_render_empty_scene_background_only():
     state = make_state(P, [], [])
     state.gripper = np.array([2.0, 2.0, 0.5, 0.9])  # move marker out of frame
-    img = render(P, state, third_camera(P))
+    img = render(P, [state], third_camera(P))[0]
     assert img.shape == (32, 32, 3)
     assert np.all(img == sim.BACKGROUND_COLOR)
 
@@ -189,7 +189,7 @@ def test_render_empty_scene_background_only():
 def test_render_object_disk_centered():
     state = make_state(P, [sim.SceneEntity(0, (0.5, 0.5), P.object_radius)], [])
     state.gripper = np.array([0.05, 0.95, 0.5, 0.9])  # marker in a corner
-    img = render(P, state, third_camera(P))
+    img = render(P, [state], third_camera(P))[0]
     mask = np.all(img == sim.OBJECT_PALETTE[0], axis=-1)
     assert mask.sum() > 0
     rows, cols = np.nonzero(mask)
@@ -202,7 +202,7 @@ def test_render_object_disk_centered():
 def test_render_wrist_object_under_gripper_fills_center():
     state = make_state(P, [sim.SceneEntity(1, (0.4, 0.6), P.object_radius)], [])
     state.gripper = np.array([0.4, 0.6, 0.5, 0.9])
-    img = render(P, state, wrist_camera(P))
+    img = render(P, [state], wrist_camera(P))[0]
     c = P.wrist_resolution // 2
     # center pixel is the marker (drawn last), ring around it is the object
     assert np.array_equal(img[c, c], sim.MARKER_COLOR)
@@ -212,9 +212,94 @@ def test_render_wrist_object_under_gripper_fills_center():
 
 def test_render_deterministic():
     state = reset(P, place_task(), 2, 1, seed=9)
-    a = render(P, state, third_camera(P))
-    b = render(P, state, third_camera(P))
+    a = render(P, [state], third_camera(P))
+    b = render(P, [state], third_camera(P))
     assert np.array_equal(a, b)
+
+
+def _render_oracle(params, state, camera):
+    """Reference painter: one state, one boolean disk mask at a time, in
+    draw order (receptacles, objects, gripper marker)."""
+    res = camera.resolution
+    if camera.view == "third":
+        x0, y1 = 0.0, 1.0
+    else:
+        gx, gy = state.gripper[0], state.gripper[1]
+        x0 = gx - camera.window / 2.0
+        y1 = gy + camera.window / 2.0
+    span = camera.window
+    centers = (np.arange(res, dtype=np.float64) + 0.5) / res * span
+    xgrid, ygrid = np.meshgrid(x0 + centers, y1 - centers)
+
+    img = np.empty((res, res, 3), dtype=np.float32)
+    img[:] = sim.BACKGROUND_COLOR
+
+    def disk(cx, cy, radius, color):
+        mask = (xgrid - cx) ** 2 + (ygrid - cy) ** 2 <= radius * radius
+        img[mask] = color
+
+    for rec in state.receptacles:
+        disk(rec.position[0], rec.position[1], rec.radius, sim.RECEPTACLE_PALETTE[rec.class_id])
+    for obj in state.objects:
+        disk(obj.position[0], obj.position[1], obj.radius, sim.OBJECT_PALETTE[obj.class_id])
+    disk(state.gripper[0], state.gripper[1], params.marker_radius, sim.MARKER_COLOR)
+    return img
+
+
+def _oracle_states():
+    """States with different entity counts, overlaps and gripper poses."""
+
+    def obj(c, x, y):
+        return sim.SceneEntity(c, (x, y), P.object_radius)
+
+    def rec(c, x, y):
+        return sim.SceneEntity(c, (x, y), P.receptacle_radius)
+
+    out_of_frame = make_state(P, [obj(0, 0.3, 0.3)], [])
+    out_of_frame.gripper = np.array([2.0, 2.0, 0.5, 0.9])
+    # one object overlapping a receptacle, fewer objects than the batch's
+    # maximum, so padded object slots follow the receptacle
+    on_receptacle = make_state(P, [obj(1, 0.62, 0.4)], [rec(2, 0.55, 0.45)])
+    on_receptacle.gripper = np.array([0.6, 0.42, 0.3, 0.9])
+    # three distractors, two objects overlapping each other and the
+    # receptacle, marker touching an object
+    crowded = make_state(
+        P, [obj(3, 0.2, 0.8), obj(4, 0.25, 0.78), obj(5, 0.7, 0.2), obj(6, 0.33, 0.7)], [rec(0, 0.3, 0.72)]
+    )
+    crowded.gripper = np.array([0.27, 0.76, 0.4, 0.9])
+    # held object under the marker
+    held = make_state(P, [obj(7, 0.5, 0.5), obj(8, 0.8, 0.8)], [])
+    held.gripper = np.array([0.46, 0.52, 0.3, 0.2])
+    held.objects[0] = sim.SceneEntity(7, (0.46, 0.52), P.object_radius)
+    held.held_object = 0
+    # marker half out of frame at the workspace edge, beside an object
+    at_edge = make_state(P, [obj(9, 0.95, 0.1), obj(10, 0.5, 0.9), obj(11, 0.1, 0.1)], [])
+    at_edge.gripper = np.array([1.0, 0.05, 0.2, 0.9])
+    return [out_of_frame, on_receptacle, crowded, held, at_edge]
+
+
+@pytest.mark.parametrize("camera", [third_camera(P), wrist_camera(P)], ids=["third", "wrist"])
+def test_render_batch_matches_oracle_bitwise(camera):
+    states = _oracle_states()
+    expected = np.stack([_render_oracle(P, s, camera) for s in states])
+    batch = render(P, states, camera)
+    assert batch.dtype == np.float32
+    assert batch.shape == (len(states), camera.resolution, camera.resolution, 3)
+    assert np.array_equal(batch, expected)
+    for i, s in enumerate(states):
+        assert np.array_equal(render(P, [s], camera)[0], expected[i])
+    # the cases the states are built for show in the oracle's images
+    if camera.view == "third":
+
+        def shown(i, color):
+            return np.all(expected[i] == color, axis=-1).any()
+
+        assert not shown(0, sim.MARKER_COLOR)
+        assert shown(1, sim.RECEPTACLE_PALETTE[2]) and shown(1, sim.OBJECT_PALETTE[1])
+        assert shown(3, sim.MARKER_COLOR) and shown(3, sim.OBJECT_PALETTE[7])
+    else:
+        c = camera.resolution // 2
+        assert all(np.array_equal(img[c, c], sim.MARKER_COLOR) for img in expected[1:])
 
 
 def test_brightest_pixel_tracks_gripper():
@@ -225,7 +310,7 @@ def test_brightest_pixel_tracks_gripper():
     rng = np.random.default_rng(1)
     for _ in range(60):
         current = step(P, current, Action(rng.uniform(-0.05, 0.05, 4), P.delta_max))
-        img = render(P, current, cam)
+        img = render(P, [current], cam)[0]
         brightness = img.sum(axis=-1)
         row, col = np.unravel_index(np.argmax(brightness), brightness.shape)
         u, v = project_to_pixel(current.gripper[:2], cam)
@@ -311,7 +396,7 @@ def test_episode_determinism_bitwise():
         rng = np.random.default_rng(77)
         states, actions, score = expert_rollout(P, state, task, noise=0.004, rng=rng)
         last = states[-1]
-        return last.gripper.copy(), np.array([a.deltas for a in actions]), render(P, last, third_camera(P))
+        return last.gripper.copy(), np.array([a.deltas for a in actions]), render(P, [last], third_camera(P))
 
     g1, a1, img1 = run()
     g2, a2, img2 = run()

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from conftest import line_trajectory, toy_trajectory
-from deskicl.sim import CameraModel, project_to_pixel
+from conftest import line_trajectory, record_episode, toy_trajectory
+from deskicl.sim import CameraModel, SimParams, TaskSpec, project_to_pixel
 from deskicl.traces import augment_dataset, generate_trace, sample_mask, trace_indices, trace_matrix
 
 
@@ -83,6 +85,19 @@ def test_augment_counts_and_recomputation():
     # last trace of an episode is degenerate
     last = augmented[0].traces[-1].reshape(5, 2)
     assert np.all(last == last[0])
+
+
+@pytest.mark.parametrize("kind", ["expert", "length_1"])
+def test_trace_matrix_rows_equal_generate_trace_bitwise(kind):
+    if kind == "expert":
+        traj = record_episode(SimParams(), TaskSpec("pick_place", 2, 1), 2, 1, seed=41, noise=0.004)
+    else:  # a Trajectory holds at least 2 steps; the trace tooling reads only these two arrays
+        rng = np.random.default_rng(8)
+        traj = SimpleNamespace(proprio=rng.uniform(0, 1, (1, 4)).astype(np.float32), third=np.zeros((1, 16, 16, 3), np.float32))
+    matrix = trace_matrix(traj)
+    assert matrix.dtype == np.float32 and matrix.shape == (len(traj.proprio), 10)
+    for t, row in enumerate(matrix):
+        assert row.tobytes() == generate_trace(traj, t).flat().tobytes()
 
 
 def test_augment_idempotent():
