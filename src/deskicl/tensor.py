@@ -9,6 +9,13 @@ reductions). Ops record backward rules only while a `Tape` context is
 open, so inference runs tape-free at plain numpy speed, and `backward`
 releases the graph it swept.
 
+Causal attention runs over tiles of `_QUERY_TILE` query rows. A tile
+scores only the keys its rows can see, so the blocks above the diagonal
+are never computed, and the tape keeps the tiles' probabilities: about
+half of the (H, T, T) matrix at long T. A call of at most one tile, as
+every decode step is, is one scores product, one softmax and one context
+product, with no buffer for the tiles' outputs.
+
 Broadcasting is restricted to leading batch dimensions: the smaller
 operand's shape must equal the trailing dims of the larger one, e.g.
 (T, d) + (d,) or (H, T, p) * (T, p). Anything else raises ShapeError.
@@ -328,6 +335,10 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
 
 
+_QUERY_TILE = 64  # query rows per attention tile
+_FUTURE = np.triu(np.ones((_QUERY_TILE, _QUERY_TILE), dtype=bool), k=1)  # a tile's masked diagonal square
+
+
 def causal_attention(
     q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: np.ndarray, sin: np.ndarray,
     kv_cache: tuple[np.ndarray, np.ndarray] | None = None, start: int = 0,
@@ -345,6 +356,14 @@ def causal_attention(
     of earlier positions. The new keys and values are written at rows
     start..start+T-1 and the queries attend over all start+T rows. Cached
     rows are constants: gradients reach only `q`, `k` and `v`.
+
+    The queries are processed in tiles of `_QUERY_TILE` rows. Tile [i0, i1)
+    scores keys 0..start+i1-1 only; of those, only the (i1-i0)-square on the
+    diagonal has masked entries. Each row sees all its keys, so the tile's
+    softmax is exact, with no running max or sum across tiles. The tape
+    keeps every tile's probabilities, and the backward applies the softmax
+    rule tile by tile, summing each tile's key and value gradients over
+    the rows it scored.
     """
     *lead, t, d = q.shape
     if len(lead) > 1 or k.shape != q.shape or v.shape != q.shape or d % n_heads:
@@ -368,27 +387,52 @@ def causal_attention(
         k_buf[..., start:start + t, :] = kh
         v_buf[..., start:start + t, :] = vh
         keys, values = k_buf[..., :start + t, :], v_buf[..., :start + t, :]
-    att = np.matmul(qh, keys.swapaxes(-1, -2))  # (..., H, T, start+T) scores
-    if t > 1:
-        future = np.arange(start + t)[None, :] > np.arange(start, start + t)[:, None]
-        np.copyto(att, -np.inf, where=future)
-    att -= att.max(axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
-    out = Tensor(merge(np.matmul(att, values)), dtype=q.dtype)
+    probs = []  # each tile's (..., H, i1-i0, start+i1) probabilities, kept for the backward
+
+    def tile_probs(att: np.ndarray, i0: int) -> np.ndarray:
+        """Mask the diagonal square of the scores of query rows i0.., then
+        softmax them in place."""
+        n = att.shape[-2]
+        if n > 1:
+            np.copyto(att[..., start + i0:], -np.inf, where=_FUTURE[:n, :n])
+        att -= att.max(axis=-1, keepdims=True)
+        np.exp(att, out=att)
+        att /= att.sum(axis=-1, keepdims=True)
+        probs.append(att)
+        return att
+
+    if t <= _QUERY_TILE:
+        ctx = np.matmul(tile_probs(np.matmul(qh, keys.swapaxes(-1, -2)), 0), values)
+    else:
+        ctx = np.empty((*lead, n_heads, t, dh), dtype=np.result_type(qh, keys, values))
+        for i0 in range(0, t, _QUERY_TILE):
+            i1 = min(i0 + _QUERY_TILE, t)
+            att = np.matmul(qh[..., i0:i1, :], keys[..., :start + i1, :].swapaxes(-1, -2))
+            np.matmul(tile_probs(att, i0), values[..., :start + i1, :], out=ctx[..., i0:i1, :])
+    out = Tensor(merge(ctx), dtype=q.dtype)
 
     def bwd(g):
         gh = heads(g)
-        g_scores = np.matmul(gh, values.swapaxes(-1, -2))
-        g_scores -= (g_scores * att).sum(axis=-1, keepdims=True)
-        g_scores *= att
+        gq = np.empty_like(qh)
+        gk = np.zeros_like(kh)
+        gv = np.zeros_like(vh)
+        for i0, att in zip(range(0, t, _QUERY_TILE), probs):
+            i1 = i0 + att.shape[-2]
+            g_tile = gh[..., i0:i1, :]
+            g_scores = np.matmul(g_tile, values[..., :start + i1, :].swapaxes(-1, -2))
+            # row sums of g_scores * att, as (1, k) @ (k, 1) products
+            g_scores -= np.matmul(g_scores[..., None, :], att[..., :, None])[..., 0]
+            g_scores *= att
+            np.matmul(g_scores, keys[..., :start + i1, :], out=gq[..., i0:i1, :])
+            gk[..., :i1, :] += np.matmul(g_scores[..., start:].swapaxes(-1, -2), qh[..., i0:i1, :])
+            gv[..., :i1, :] += np.matmul(att[..., start:].swapaxes(-1, -2), g_tile)
         if q.requires_grad:
-            q.accumulate_grad(merge(_rotate(np.matmul(g_scores, keys) * s, cos, -sin)))
+            gq *= s
+            q.accumulate_grad(merge(_rotate(gq, cos, -sin)))
         if k.requires_grad:
-            gk = np.matmul(g_scores[..., start:].swapaxes(-1, -2), qh)
             k.accumulate_grad(merge(_rotate(gk, cos, -sin)))
         if v.requires_grad:
-            v.accumulate_grad(merge(np.matmul(att[..., start:].swapaxes(-1, -2), gh)))
+            v.accumulate_grad(merge(gv))
 
     return _finish(out, (q, k, v), bwd)
 

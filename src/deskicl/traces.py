@@ -22,7 +22,6 @@ TRACE_DIM = 2 * TRACE_POINTS
 @dataclass(frozen=True)
 class ReasoningTrace:
     points: np.ndarray  # (5, 2) normalized (u, v) in [0, 1]
-    source_indices: tuple[int, ...]
 
     def flat(self) -> np.ndarray:
         return self.points.reshape(-1)
@@ -30,13 +29,11 @@ class ReasoningTrace:
 
 @dataclass(frozen=True)
 class MaskPlan:
-    ratio: float
     masked_positions: frozenset[int]
 
     def as_bool(self, n_target_steps: int) -> np.ndarray:
         out = np.zeros(n_target_steps, dtype=bool)
-        for i in self.masked_positions:
-            out[i] = True
+        out[list(self.masked_positions)] = True
         return out
 
 
@@ -61,7 +58,7 @@ def generate_trace(trajectory, t: int) -> ReasoningTrace:
         u, v = project_to_pixel(trajectory.proprio[idx, :2], camera)
         pts[row, 0] = u / resolution
         pts[row, 1] = v / resolution
-    return ReasoningTrace(points=pts, source_indices=indices)
+    return ReasoningTrace(points=pts)
 
 
 def trace_matrix(trajectory) -> np.ndarray:
@@ -109,4 +106,4 @@ def sample_mask(n_target_steps: int, rng: np.random.Generator, ratio: float | No
         raise ValueError(f"mask ratio {ratio} outside [0, 1]")
     n_masked = int(np.floor(ratio * n_target_steps))
     positions = rng.choice(n_target_steps, size=n_masked, replace=False) if n_masked else np.empty(0, dtype=int)
-    return MaskPlan(ratio=ratio, masked_positions=frozenset(int(p) for p in positions))
+    return MaskPlan(masked_positions=frozenset(int(p) for p in positions))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import resource
 import signal
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from deskicl.tensor import GradError, ShapeError, Tape, Tensor, backward
 
 FD_STEP = 1e-3
 GRAD_TOL = 1e-3
+TILE = tn._QUERY_TILE
+# (T, start) cases of one tile and of two and three tiles, the last one partial
+ATTENTION_CASES = [(1, 0), (6, 0), (1, 5), (3, 5), (TILE + 3, 0), (TILE + 3, 5), (2 * TILE + 3, 0), (2 * TILE + 3, 5)]
 
 
 def fd_gradients(build, arrays, step=FD_STEP):
@@ -157,7 +161,7 @@ def _attention_case(t, start, n_heads=2, d=8, seed=0):
     return q, k, v, np.cos(angles), np.sin(angles), cache
 
 
-@pytest.mark.parametrize("t, start", [(1, 0), (6, 0), (1, 5), (3, 5)])
+@pytest.mark.parametrize("t, start", ATTENTION_CASES)
 def test_causal_attention_against_loops(t, start):
     q, k, v, cos, sin, cache = _attention_case(t, start)
     empty = np.zeros((2, 0, 4))
@@ -172,7 +176,7 @@ def test_causal_attention_against_loops(t, start):
         assert np.array_equal(cache[1][:, start:], v.reshape(t, 2, 4).transpose(1, 0, 2))
 
 
-@pytest.mark.parametrize("t, start", [(1, 0), (6, 0), (1, 5), (3, 5)])
+@pytest.mark.parametrize("t, start", [(1, 0), (6, 0), (1, 5), (3, 5), (2 * TILE + 3, 5)])
 def test_causal_attention_lanes_match_single_lanes(t, start):
     """A (B, T, d) call over a (B, H, L, dh) cache is B independent
     (T, d) calls, bit for bit, outputs and written cache rows alike."""
@@ -201,6 +205,26 @@ def test_grad_causal_attention_lanes():
         return tn.sum_all(tn.mul(out, Tensor(w, dtype=ts[0].dtype)))
 
     check_grads(build, [q, k, v])
+
+
+def test_causal_attention_tape_keeps_the_tiles_not_the_matrix():
+    """Over 8 tiles the taped forward holds the tiles' probabilities, 9/16 of
+    the (H, T, T) score matrix, plus (T, d) arrays; not the whole matrix."""
+    t, n_heads = 8 * TILE, 4
+    g = np.random.default_rng(0)
+    q, k, v = (Tensor(g.normal(size=(t, 8)).astype(np.float32), requires_grad=True) for _ in range(3))
+    angles = g.uniform(0.0, 2.0 * np.pi, size=(t, 1))
+    cos, sin = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = tn.causal_attention(q, k, v, n_heads, cos, sin)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    assert held < 0.6 * n_heads * t * t * out.data.itemsize
 
 
 def test_rms_norm_unit_rms():
@@ -338,7 +362,7 @@ def test_grad_mean_all():
     check_grads(lambda t: tn.mean_all(tn.mul(t[0], t[0])), [x])
 
 
-@pytest.mark.parametrize("t, start", [(1, 0), (1, 5), (6, 0), (3, 5)])
+@pytest.mark.parametrize("t, start", ATTENTION_CASES)
 def test_grad_causal_attention(t, start):
     q, k, v, cos, sin, cache = _attention_case(t, start, seed=1)
     w = np.random.default_rng(2).normal(size=(t, 8)).astype(np.float32)
