@@ -12,13 +12,14 @@ a prompt in lockstep, one lane each: the prompt is prefilled once and its
 keys and values are copied into every lane of a (B, ...) cache, and each
 token slot is one trunk call over all lanes. At each environment step the
 policy decodes the previous step's executed action together with the new
-state token in one call, optionally decodes a trace and feeds it back
-(every k-th step), decodes an action chunk, and each lane executes the
-temporal ensemble of its own chunks covering the current step. On steps
-without a trace decode the zero-vector trace token is fed, matching the
-masking distribution seen in training. Lanes never mix: every product keeps
-the lane axis as a leading batch axis, so a lane's result is bit-identical
-to running it alone.
+state token in one call; every k-th step it then decodes a trace from the
+state position, feeds it back in a second call and reads the action chunk
+there. On the other steps the zero-vector trace token, matching the masking
+distribution seen in training, is decoded in the first call with the
+action and the state, and the chunk is read at its position. Each lane
+executes the temporal ensemble of its own chunks covering the current
+step. Lanes never mix: every product keeps the lane axis as a leading batch
+axis, so a lane's result is bit-identical to running it alone.
 """
 
 from __future__ import annotations
@@ -251,10 +252,12 @@ class TransformerPolicy:
 
     `begin` prefills the prompt once and copies its keys and values into
     every lane (prefix caching). `commit` only holds the action tokens;
-    `propose` decodes them with the next state tokens, so an environment
-    step takes two trunk calls for all lanes together. Every product keeps
-    the lane axis as a leading batch axis, so each lane's numbers equal a
-    1-lane run's bit for bit.
+    `propose` decodes them with the next state tokens. On a step that
+    decodes a trace (every k-th) the trace token needs the state's hidden
+    state, so the step takes two trunk calls for all lanes together; on any
+    other step the zero-trace token joins the same call, so it takes one.
+    Every product keeps the lane axis as a leading batch axis, so each
+    lane's numbers equal a 1-lane run's bit for bit.
     """
 
     def __init__(self, model: PolicyModel, reasoning_interval: int):
@@ -286,19 +289,24 @@ class TransformerPolicy:
         if self.cache.remaining < TOKENS_PER_STEP + len(pending):
             raise ContextOverflowError("prompt plus rollout exceeded the model context")
         f_s = encode_state_batch(model, third[:, None], wrist[:, None], proprio[:, None]).data
-        hidden, _ = kv_decode(self.cache, model, np.concatenate(pending + [f_s], axis=1))
         self._pending = None
-        traces = None
-        if self.k > 0 and t % self.k == 0:
-            # (B, 1, d) hidden states: B one-row products, as a 1-lane run computes them
-            raw = trace_head(model, Tensor(hidden[:, -1:], dtype=model.dtype)).data
-            traces = np.clip(raw, 0.0, 1.0).astype(np.float32)
-            token_r = encode_reasoning_batch(model, traces, np.zeros(traces.shape[:-1], dtype=bool)).data
-            traces = traces[:, 0]
-        else:
-            token_r = np.broadcast_to(self._zero_trace_token, (len(states), 1, model.config.d_model))
+        if self.k == 0 or t % self.k:
+            # no trace to decode: the zero-trace token joins the same call
+            zero = np.broadcast_to(self._zero_trace_token, (len(states), 1, model.config.d_model))
+            hidden, _ = kv_decode(self.cache, model, np.concatenate(pending + [f_s, zero], axis=1))
+            return None, self._chunks(hidden[:, -1:])
+        hidden, _ = kv_decode(self.cache, model, np.concatenate(pending + [f_s], axis=1))
+        # (B, 1, d) hidden states: B one-row products, as a 1-lane run computes them
+        raw = trace_head(model, Tensor(hidden[:, -1:], dtype=model.dtype)).data
+        traces = np.clip(raw, 0.0, 1.0).astype(np.float32)
+        token_r = encode_reasoning_batch(model, traces, np.zeros(traces.shape[:-1], dtype=bool)).data
         hidden_r, _ = kv_decode(self.cache, model, token_r)
-        return traces, chunk_head(model, Tensor(hidden_r, dtype=model.dtype)).data[:, 0]
+        return traces[:, 0], self._chunks(hidden_r)
+
+    def _chunks(self, hidden: np.ndarray) -> np.ndarray:
+        """(B, horizon, 4) action chunks from (B, 1, d) reasoning-position
+        hidden states."""
+        return chunk_head(self.model, Tensor(hidden, dtype=self.model.dtype)).data[:, 0]
 
     def commit(self, executed_actions: np.ndarray) -> None:
         self._pending = encode_action_batch(self.model, executed_actions[:, None]).data

@@ -6,8 +6,10 @@ sequence that training and the closed-loop prompt prefill share. State
 tokens pool patch embeddings of both camera views plus a proprio embedding
 through single-query softmax attention; reasoning and action tokens come
 from small MLPs. The trunk is a pre-norm decoder stack with RMSNorm gains,
-rotary positions, and SiLU-gated feedforwards; its attention is the fused
-`tensor.causal_attention` op. `transformer_hidden` is the only trunk:
+rotary positions, and SiLU-gated feedforwards, built from fused ops: the
+norm and its gain are one `tensor.rms_norm`, the gated product one
+`tensor.swiglu` and the attention one `tensor.causal_attention`, so a block
+is 13 tensor ops. `transformer_hidden` is the only trunk:
 training runs it over whole sequences, and closed-loop decoding runs it
 over a few new tokens at a time against a `KVCache`. `trace_head` reads
 hidden states at state positions (the next token is the step's trace);
@@ -21,6 +23,7 @@ segment, so sequence geometry is identical across variants.
 
 from __future__ import annotations
 
+import functools
 import mmap
 from dataclasses import dataclass, field, replace
 
@@ -234,12 +237,16 @@ def _mlp(model: PolicyModel, prefix: str, x: Tensor) -> Tensor:
 def attention_pool(items: Tensor, query: Tensor, key_w: Tensor) -> Tensor:
     """Single-query softmax pooling over (..., N, d) items -> (..., d).
 
-    The pooled vector is a convex combination of the raw items: the learned
-    query only shapes the weights, so identical items pool to themselves.
+    An item's score is its key `item @ key_w` dotted with the query, scaled
+    by d**-0.5. The keys are never formed: the items are scored against
+    `key_w @ query`, one (d, d) @ (d, 1) product, which is the same sum
+    reassociated. The pooled vector is a convex combination of the raw
+    items: the learned query only shapes the weights, so identical items
+    pool to themselves.
     """
     *lead, n, d = items.shape
-    keys = tn.matmul(items, key_w)  # (..., N, d)
-    scores = tn.matmul(keys, tn.reshape(query, (d, 1)))  # (..., N, 1)
+    key_query = tn.matmul(key_w, tn.reshape(query, (d, 1)))  # (d, 1)
+    scores = tn.matmul(items, key_query)  # (..., N, 1)
     scores = tn.scale(scores, float(d) ** -0.5)
     weights = tn.softmax(tn.reshape(scores, (*lead, n)))
     pooled = tn.matmul(tn.reshape(weights, (*lead, 1, n)), items)
@@ -247,8 +254,8 @@ def attention_pool(items: Tensor, query: Tensor, key_w: Tensor) -> Tensor:
 
 
 def _with_role(model: PolicyModel, tokens: Tensor, role: int) -> Tensor:
-    """Add the role embedding of `role` to every (..., d) token."""
-    return tn.add(tokens, tn.gather_rows(model.params["role_embed"], np.full(tokens.shape[:-1], role)))
+    """Add the role embedding of `role`, one (d,) row, to every (..., d) token."""
+    return tn.add(tokens, tn.gather_rows(model.params["role_embed"], np.asarray(role)))
 
 
 def encode_state_batch(model: PolicyModel, third: np.ndarray, wrist: np.ndarray, proprio: np.ndarray) -> Tensor:
@@ -315,12 +322,24 @@ def interleave_tokens(f_s: Tensor, f_r: Tensor, f_a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def rope_tables(head_dim: int, start: int, length: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables (length, head_dim/2) for absolute positions start..start+length."""
+@functools.lru_cache(maxsize=8)
+def _rope_table(head_dim: int, max_context: int, base: float, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos/sin tables (max_context, head_dim/2) of every position."""
     half = head_dim // 2
     freqs = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
-    angles = np.arange(start, start + length, dtype=np.float64)[:, None] * freqs[None, :]
-    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    angles = np.arange(max_context, dtype=np.float64)[:, None] * freqs[None, :]
+    tables = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def rope_tables(config: ModelConfig, start: int, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin tables (length, head_dim/2) for absolute positions
+    start..start+length: read-only row slices of one table per (head_dim,
+    max_context, rope_base, dtype), computed on first use."""
+    cos, sin = _rope_table(config.head_dim, config.max_context, config.rope_base, np.dtype(dtype))
+    return cos[start:start + length], sin[start:start + length]
 
 
 class ContextOverflowError(ShapeError):
@@ -388,6 +407,10 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
     `length` positions: their rotated keys and values are appended to it
     and they attend over everything it holds. (T, d) tokens need a 1-lane
     cache and (B, T, d) tokens a B-lane one.
+
+    Each block is `x + attn(rms_norm(x, g_attn))`, then `x + swiglu(h @
+    w_gate, h @ w_up) @ w_down` with `h = rms_norm(x, g_ffn)`, and a final
+    `rms_norm` with its gain closes the stack.
     """
     cfg = model.config
     p = model.params
@@ -400,11 +423,11 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
     start = 0 if cache is None else cache.length
     if start + t > cfg.max_context:
         raise ContextOverflowError(f"{start} cached plus {t} new tokens exceed max context {cfg.max_context}")
-    cos, sin = rope_tables(cfg.head_dim, start, t, cfg.rope_base, tokens.dtype)
+    cos, sin = rope_tables(cfg, start, t, tokens.dtype)
 
     x = tokens
     for i in range(cfg.n_layers):
-        h = tn.mul(tn.rms_norm(x), p[f"blocks.{i}.attn_norm.g"])
+        h = tn.rms_norm(x, p[f"blocks.{i}.attn_norm.g"])
         q, k, v = (tn.matmul(h, p[f"blocks.{i}.attn.{w}.w"]) for w in ("wq", "wk", "wv"))
         kv_cache = None
         if cache is not None:
@@ -413,14 +436,14 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
         ctx = tn.causal_attention(q, k, v, cfg.n_heads, cos, sin, kv_cache, start)
         x = tn.add(x, tn.matmul(ctx, p[f"blocks.{i}.attn.wo.w"]))
 
-        h2 = tn.mul(tn.rms_norm(x), p[f"blocks.{i}.ffn_norm.g"])
-        gate = tn.silu(tn.matmul(h2, p[f"blocks.{i}.ffn.w_gate.w"]))
+        h2 = tn.rms_norm(x, p[f"blocks.{i}.ffn_norm.g"])
+        gate = tn.matmul(h2, p[f"blocks.{i}.ffn.w_gate.w"])
         up = tn.matmul(h2, p[f"blocks.{i}.ffn.w_up.w"])
-        x = tn.add(x, tn.matmul(tn.mul(gate, up), p[f"blocks.{i}.ffn.w_down.w"]))
+        x = tn.add(x, tn.matmul(tn.swiglu(gate, up), p[f"blocks.{i}.ffn.w_down.w"]))
 
     if cache is not None:
         cache.length = start + t
-    return tn.mul(tn.rms_norm(x), p["final_norm.g"])
+    return tn.rms_norm(x, p["final_norm.g"])
 
 
 def trace_head(model: PolicyModel, hidden: Tensor) -> Tensor:

@@ -3,11 +3,15 @@
 Small on purpose: float32 numpy arrays plus the dozen-ish primitives a
 compact decoder-style transformer needs (matmul with leading-batch
 broadcast, elementwise arithmetic, softmax, fused causal multi-head
-attention with an optional leading lane axis, RMS normalization, SiLU,
+attention with an optional leading lane axis, RMS normalization fused
+with its gain, SiLU and the SiLU-gated product `swiglu`,
 reshape/transpose/concat/narrow, row gather for embedding lookup, and
-reductions). Ops record backward rules only while a `Tape` context is
-open, so inference runs tape-free at plain numpy speed, and `backward`
-releases the graph it swept.
+reductions). A fused op computes the products of its unfused composition
+(normalize, then multiply by the gain; SiLU, then multiply) in the same
+order, so it gives the same bits in one op instead of two. Ops record
+backward rules only while a `Tape` context is open, so inference runs
+tape-free at plain numpy speed, and `backward` releases the graph it
+swept.
 
 Causal attention runs over tiles of `_QUERY_TILE` query rows. A tile
 scores only the keys its rows can see, so the blocks above the diagonal
@@ -120,7 +124,9 @@ _active_tape: Tape | None = None
 
 def _finish(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     tape = _active_tape
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if tape is None:
+        return out
+    if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._tape = tape
         tape.entries.append(TapeEntry(out, backward))
@@ -167,7 +173,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_leading_broadcast(a.shape, b.shape, "add")
+    if a.shape != b.shape:
+        _check_leading_broadcast(a.shape, b.shape, "add")
     out = Tensor(a.data + b.data, dtype=a.dtype)
 
     def bwd(g):
@@ -193,7 +200,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_leading_broadcast(a.shape, b.shape, "mul")
+    if a.shape != b.shape:
+        _check_leading_broadcast(a.shape, b.shape, "mul")
     out = Tensor(a.data * b.data, dtype=a.dtype)
 
     def bwd(g):
@@ -220,8 +228,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree for {a.shape} @ {b.shape}")
-    la, lb = a.shape[:-2], b.shape[:-2]
-    _check_leading_broadcast(la, lb, "matmul")
+    if b.ndim > 2:  # a 2-D b broadcasts against any batch dims of a
+        _check_leading_broadcast(a.shape[:-2], b.shape[:-2], "matmul")
     out = Tensor(np.matmul(a.data, b.data), dtype=a.dtype)
 
     def bwd(g):
@@ -437,21 +445,28 @@ def causal_attention(
     return _finish(out, (q, k, v), bwd)
 
 
-def rms_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Scale rows of the last axis to unit root-mean-square (no gain)."""
-    ms = np.mean(a.data * a.data, axis=-1, keepdims=True)
+def rms_norm(a: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
+    """Scale rows of the last axis to unit root-mean-square, then by the
+    per-feature `gain` (d,): `(a * inv) * gain`, with the products of a
+    separate normalization and gain multiply in the same order."""
+    n = a.shape[-1]
+    if gain.shape != (n,):
+        raise ShapeError(f"rms_norm: gain {gain.shape} for rows of width {n}")
+    # add.reduce / n gives np.mean's bits without its Python-level wrapper
+    ms = np.add.reduce(a.data * a.data, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(ms + eps)
     y = a.data * inv
-    out = Tensor(y, dtype=a.dtype)
-    n = a.shape[-1]
+    out = Tensor(y * gain.data, dtype=a.dtype)
 
     def bwd(g):
+        if gain.requires_grad:
+            gain.accumulate_grad(_unbroadcast(g * y, gain.shape))
         if a.requires_grad:
-            dot = (a.data * g).sum(axis=-1, keepdims=True)
-            ga = inv * (g - (inv * inv / n) * a.data * dot)
-            a.accumulate_grad(ga)
+            gy = g * gain.data
+            dot = (a.data * gy).sum(axis=-1, keepdims=True)
+            a.accumulate_grad(inv * (gy - (inv * inv / n) * a.data * dot))
 
-    return _finish(out, (a,), bwd)
+    return _finish(out, (a, gain), bwd)
 
 
 def silu(a: Tensor) -> Tensor:
@@ -463,6 +478,24 @@ def silu(a: Tensor) -> Tensor:
             a.accumulate_grad(g * (sig * (1.0 + a.data * (1.0 - sig))))
 
     return _finish(out, (a,), bwd)
+
+
+def swiglu(a: Tensor, b: Tensor) -> Tensor:
+    """SiLU-gated product `silu(a) * b` of two same-shaped tensors, with the
+    products of a separate `silu` and `mul` in the same order."""
+    if a.shape != b.shape:
+        raise ShapeError(f"swiglu: gate {a.shape} and value {b.shape} differ")
+    sig = 1.0 / (1.0 + np.exp(-a.data))
+    act = a.data * sig
+    out = Tensor(act * b.data, dtype=a.dtype)
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad((g * b.data) * (sig * (1.0 + a.data * (1.0 - sig))))
+        if b.requires_grad:
+            b.accumulate_grad(g * act)
+
+    return _finish(out, (a, b), bwd)
 
 
 def absolute(a: Tensor) -> Tensor:

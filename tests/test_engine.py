@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import record_episode
-from deskicl import sim
+from deskicl import engine, sim
 from deskicl.data import build_sequence
 from deskicl.engine import (
     ContextOverflowError,
@@ -231,6 +231,26 @@ def test_rollout_reasoning_interval_counts():
         for t, trace in result.predicted_traces:
             assert trace.shape == (10,)
             assert np.all(trace >= 0.0) and np.all(trace <= 1.0)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_rollout_trunk_calls_per_step(k, monkeypatch):
+    """One prefill, then one trunk call per environment step, plus a second
+    one on each step that decodes a trace."""
+    calls = []
+
+    def counting_kv_decode(cache, model, new_tokens):
+        calls.append(new_tokens.shape[-2])
+        return kv_decode(cache, model, new_tokens)
+
+    monkeypatch.setattr(engine, "kv_decode", counting_kv_decode)
+    task = TaskSpec("poke", 0)
+    state = sim.reset(SMALL_SIM, task, 1, 0, seed=7)
+    n = 13
+    [result] = rollout(small_model(5), SMALL_SIM, [state], task, [_demo(task, 31)], RolloutOptions(reasoning_interval=k, max_steps=n))
+    assert result.steps_used == n
+    assert len(calls) == 1 + n + (math.ceil(n / k) if k else 0)
+    assert sum(calls[1:]) == 3 * n - 1  # every step's three tokens, the last action never decoded
 
 
 def test_rollout_deterministic():

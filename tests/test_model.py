@@ -135,6 +135,44 @@ def test_attention_pool_identical_items_passthrough():
     assert np.allclose(pooled.data[0], v, atol=1e-6)
 
 
+def test_attention_pool_matches_float64_key_projection():
+    """Scoring items against key_w @ query is the key projection
+    reassociated: it matches projecting every item, then dotting with the
+    query, computed in float64."""
+    rng = np.random.default_rng(4)
+    d = 32
+    items = rng.normal(size=(2, 3, 21, d)).astype(np.float32)
+    query = rng.normal(size=d).astype(np.float32)
+    key_w = (rng.normal(size=(d, d)) / np.sqrt(d)).astype(np.float32)
+    pooled = attention_pool(Tensor(items), Tensor(query), Tensor(key_w)).data
+
+    x = items.astype(np.float64)
+    scores = (x @ key_w.astype(np.float64)) @ query.astype(np.float64) * d ** -0.5
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    expected = np.einsum("...n,...nd->...d", weights, x)
+    assert pooled.shape == (2, 3, d)
+    assert np.abs(pooled - expected).max() < 1e-5
+
+
+@pytest.mark.parametrize("start, length", [(0, 64), (1900, 148)])
+def test_rope_tables_slice_one_read_only_table(start, length):
+    cfg = ModelConfig()
+    half = cfg.head_dim // 2
+    freqs = cfg.rope_base ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
+    angles = np.arange(start, start + length, dtype=np.float64)[:, None] * freqs[None, :]
+    cos, sin = mdl.rope_tables(cfg, start, length, np.float32)
+    assert cos.dtype == sin.dtype == np.float32 and cos.shape == sin.shape == (length, half)
+    assert cos.tobytes() == np.cos(angles).astype(np.float32).tobytes()
+    assert sin.tobytes() == np.sin(angles).astype(np.float32).tobytes()
+    again, _ = mdl.rope_tables(cfg, 0, cfg.max_context, np.float32)
+    assert np.shares_memory(cos, again)
+    for table in (cos, sin, again):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+
 def test_encode_state_patch_permutation_with_positions_disabled():
     model = tiny_model(seed=5)
     rng = np.random.default_rng(3)

@@ -229,9 +229,61 @@ def test_causal_attention_tape_keeps_the_tiles_not_the_matrix():
 
 def test_rms_norm_unit_rms():
     x = Tensor(rng().normal(size=(8, 16)).astype(np.float32) * 3 + 1)
-    y = tn.rms_norm(x).data
+    y = tn.rms_norm(x, Tensor(np.ones(16))).data
     rms = np.sqrt((y.astype(np.float64) ** 2).mean(axis=-1))
     assert np.abs(rms - 1.0).max() < 1e-5
+
+
+def _fused_op_grads(op, inputs, w):
+    """Output and input grads of sum(op(*inputs) * w): the upstream gradient
+    reaching op's output is exactly w."""
+    tensors = [Tensor(a, requires_grad=True) for a in inputs]
+    with Tape():
+        out = op(*tensors)
+        backward(tn.sum_all(tn.mul(out, Tensor(w))))
+    return out.data, [t.grad for t in tensors]
+
+
+def test_rms_norm_matches_numpy_bitwise():
+    """The fused norm·gain op gives the bits of a separate normalization and
+    gain multiply: the same float32 products in the same order."""
+    g = rng()
+    x = (g.normal(size=(2, 7, 48)) * 3 + 1).astype(np.float32)
+    gain = g.normal(size=(48,)).astype(np.float32)
+    w = g.normal(size=x.shape).astype(np.float32)
+    out, (gx, ggain) = _fused_op_grads(tn.rms_norm, (x, gain), w)
+
+    inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-5)
+    y = x * inv
+    assert out.tobytes() == (y * gain).tobytes()
+    gy = w * gain
+    dot = (x * gy).sum(axis=-1, keepdims=True)
+    assert gx.tobytes() == (inv * (gy - (inv * inv / 48) * x * dot)).tobytes()
+    assert ggain.tobytes() == (w * y).sum(axis=(0, 1)).tobytes()
+
+
+def test_swiglu_matches_numpy_bitwise():
+    g = rng()
+    a = g.normal(size=(3, 5, 40)).astype(np.float32)
+    b = g.normal(size=a.shape).astype(np.float32)
+    w = g.normal(size=a.shape).astype(np.float32)
+    out, (ga, gb) = _fused_op_grads(tn.swiglu, (a, b), w)
+
+    sig = 1.0 / (1.0 + np.exp(-a))
+    act = a * sig
+    assert out.tobytes() == (act * b).tobytes()
+    assert ga.tobytes() == ((w * b) * (sig * (1.0 + a * (1.0 - sig)))).tobytes()
+    assert gb.tobytes() == (w * act).tobytes()
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    x = Tensor(np.ones((4, 8)))
+    with pytest.raises(ShapeError, match="rms_norm"):
+        tn.rms_norm(x, Tensor(np.ones(4)))
+    with pytest.raises(ShapeError, match="rms_norm"):
+        tn.rms_norm(x, Tensor(np.ones((4, 8))))
+    with pytest.raises(ShapeError, match="swiglu"):
+        tn.swiglu(x, Tensor(np.ones(8)))
 
 
 def test_determinism_same_seed_bitwise():
@@ -239,10 +291,11 @@ def test_determinism_same_seed_bitwise():
         g = np.random.default_rng(7)
         x = Tensor(g.normal(size=(4, 8)).astype(np.float32), requires_grad=True)
         w = Tensor(g.normal(size=(8, 8)).astype(np.float32), requires_grad=True)
+        gain = Tensor(g.normal(size=(8,)).astype(np.float32), requires_grad=True)
         with Tape():
-            out = tn.sum_all(tn.silu(tn.matmul(tn.rms_norm(x), w)))
+            out = tn.sum_all(tn.silu(tn.matmul(tn.rms_norm(x, gain), w)))
             backward(out)
-        return out.data.copy(), x.grad.copy(), w.grad.copy()
+        return out.data.copy(), x.grad.copy(), w.grad.copy(), gain.grad.copy()
 
     first = run()
     second = run()
@@ -327,8 +380,17 @@ def test_grad_softmax():
 def test_grad_rms_norm():
     g = rng()
     x = g.normal(size=(5, 8)).astype(np.float32)
+    gain = g.normal(size=(8,)).astype(np.float32)
     w = g.normal(size=(5, 8)).astype(np.float32)
-    check_grads(lambda t: tn.sum_all(tn.mul(tn.rms_norm(t[0]), Tensor(w, dtype=t[0].dtype))), [x])
+    check_grads(lambda t: tn.sum_all(tn.mul(tn.rms_norm(t[0], t[1]), Tensor(w, dtype=t[0].dtype))), [x, gain])
+
+
+def test_grad_swiglu():
+    g = rng()
+    a = g.normal(size=(5, 8)).astype(np.float32)
+    b = g.normal(size=(5, 8)).astype(np.float32)
+    w = g.normal(size=(5, 8)).astype(np.float32)
+    check_grads(lambda t: tn.sum_all(tn.mul(tn.swiglu(t[0], t[1]), Tensor(w, dtype=t[0].dtype))), [a, b])
 
 
 def test_grad_silu_abs():
