@@ -112,9 +112,9 @@ class TrainingSequence:
     """Prompt episodes followed by one target episode, with label tensors.
 
     Steps are concatenated in episode order; each step later embeds to the
-    token triple [state, reasoning, action]. `loss_mask` is true exactly on
-    target steps, `reasoning_input_mask` marks target steps whose trace
-    input is replaced by the zero vector (the prediction target remains).
+    token triple [state, reasoning, action]. Only target steps carry loss;
+    `reasoning_input_mask` marks target steps whose trace input is replaced
+    by the zero vector (the prediction target remains).
     """
 
     episodes: list[Trajectory]
@@ -126,8 +126,7 @@ class TrainingSequence:
     proprio: np.ndarray  # (S, 4)
     actions: np.ndarray  # (S, 4)
     traces: np.ndarray  # (S, 10)
-    step_is_target: np.ndarray  # (S,) bool
-    loss_mask: np.ndarray  # (S,) bool, false on prompt steps
+    step_is_target: np.ndarray  # (S,) bool, false on prompt steps
     reasoning_input_mask: np.ndarray  # (S,) bool, subset of target steps
     chunk_actions: np.ndarray  # (S, H, 4)
     chunk_valid: np.ndarray  # (S, H) bool
@@ -175,9 +174,8 @@ def build_sequence(
     step_is_target = np.zeros(total, dtype=bool)
     step_is_target[total - lengths[-1]:] = True
 
-    plan = traces_mod.sample_mask(lengths[-1], rng, ratio=mask_ratio)
     reasoning_input_mask = np.zeros(total, dtype=bool)
-    reasoning_input_mask[total - lengths[-1]:] = plan.as_bool(lengths[-1])
+    reasoning_input_mask[total - lengths[-1]:] = traces_mod.sample_mask(lengths[-1], rng, ratio=mask_ratio)
 
     chunk_actions = np.empty((total, chunk_h, 4), dtype=np.float32)
     chunk_valid = np.empty((total, chunk_h), dtype=bool)
@@ -198,7 +196,6 @@ def build_sequence(
         actions=np.concatenate([e.actions for e in episodes]),
         traces=np.concatenate([e.traces for e in episodes]),
         step_is_target=step_is_target,
-        loss_mask=step_is_target.copy(),
         reasoning_input_mask=reasoning_input_mask,
         chunk_actions=chunk_actions,
         chunk_valid=chunk_valid,

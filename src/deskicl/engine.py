@@ -16,9 +16,15 @@ state token in one call; every k-th step it then decodes a trace from the
 state position, feeds it back in a second call and reads the action chunk
 there. On the other steps the zero-vector trace token, matching the masking
 distribution seen in training, is decoded in the first call with the
-action and the state, and the chunk is read at its position. Each lane
-executes the temporal ensemble of its own chunks covering the current
-step. Lanes never mix: every product keeps the lane axis as a leading batch
+action and the state, and the chunk is read at its position.
+
+Each lane executes the temporal ensemble of its own chunks covering the
+current step. The policy issues one chunk of h actions per lane at every
+step, so only the last h chunks can cover a step: `rollout` keeps them in
+one (B, h, h, 4) float32 ring, writing step t's chunks into slot t % h, and
+`temporal_ensemble` reads every lane's covering chunks from it at once.
+When lanes finish, their rows leave the ring and the cache together.
+Lanes never mix: every product keeps the lane axis as a leading batch
 axis, so a lane's result is bit-identical to running it alone.
 """
 
@@ -161,33 +167,20 @@ def kv_decode(cache: KVCache, model: PolicyModel, new_tokens: np.ndarray) -> tup
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EnsembleBuffer:
-    horizon: int
-    decay: float = 0.1
-    chunks: list[tuple[int, np.ndarray]] = field(default_factory=list)
+def temporal_ensemble(chunks: np.ndarray, t: int, decay: float) -> np.ndarray:
+    """(B, 4) weighted means of every lane's predictions for step t.
 
-    def push(self, issue_step: int, chunk: np.ndarray) -> None:
-        self.chunks.append((issue_step, np.asarray(chunk, dtype=np.float32).reshape(self.horizon, ACTION_DIM)))
-
-    def prune(self, current_step: int) -> None:
-        self.chunks = [(s, c) for s, c in self.chunks if s + self.horizon > current_step]
-
-
-def temporal_ensemble(buffer: EnsembleBuffer, current_step: int) -> np.ndarray:
-    """Weighted mean of every buffered prediction for the current step.
-
-    Weights are exp(-decay * age) with age 0 the oldest covering chunk, so
-    earlier plans dominate and the executed action stays smooth.
+    `chunks` is the (B, h, h, 4) ring that holds the chunk issued at step s
+    in slot s % h. A chunk is issued at every step, so the chunks covering
+    t are those of steps max(0, t-h+1)..t. Weights are exp(-decay * age)
+    with age 0 the oldest of them, so earlier plans dominate and the
+    executed action stays smooth.
     """
-    buffer.prune(current_step)
-    covering = [(s, c) for s, c in buffer.chunks if s <= current_step < s + buffer.horizon]
-    if not covering:
-        raise ValueError(f"no chunk covers step {current_step}")
-    covering.sort(key=lambda item: item[0])
-    weights = np.exp(-buffer.decay * np.arange(len(covering), dtype=np.float64))
-    stacked = np.stack([c[current_step - s].astype(np.float64) for s, c in covering])
-    return (weights[:, None] * stacked).sum(axis=0) / weights.sum()
+    h = chunks.shape[1]
+    issued = np.arange(max(0, t - h + 1), t + 1)
+    weights = np.exp(-decay * np.arange(len(issued), dtype=np.float64))
+    stacked = chunks[:, issued % h, t - issued].astype(np.float64)  # (B, covering, 4)
+    return (weights[:, None] * stacked).sum(axis=1) / weights.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +343,6 @@ class ExpertReplayPolicy:
 class _Lane:
     """One rollout's own state inside a lockstep `rollout` call."""
 
-    buffer: EnsembleBuffer
     states: list[WorldState]
     actions: list[np.ndarray] = field(default_factory=list)
     traces: list[tuple[int, np.ndarray]] = field(default_factory=list)
@@ -383,8 +375,8 @@ def rollout(
     policy makes one call for all of them. A lane leaves on success;
     at max_steps or on context overflow, which every lane reaches at the
     same step because they all hold the same number of tokens, all the
-    remaining lanes stop. Each lane keeps its own ensemble buffer, states
-    and records, and its result equals a run of that lane alone.
+    remaining lanes stop. Each lane keeps its own row of the chunk ring,
+    states and records, and its result equals a run of that lane alone.
 
     A PolicyModel is wrapped in TransformerPolicy with the options'
     reasoning interval; any ChunkPolicy implementation runs through the
@@ -394,7 +386,7 @@ def rollout(
         raise ValueError("rollout needs at least one initial state")
     if isinstance(policy, PolicyModel):
         policy = TransformerPolicy(policy, options.reasoning_interval)
-    lanes = [_Lane(EnsembleBuffer(horizon=policy.horizon, decay=options.ensemble_decay), [s]) for s in initial_states]
+    lanes = [_Lane([s]) for s in initial_states]
     try:
         policy.begin(prompt_demos, len(lanes))
     except ContextOverflowError:
@@ -403,6 +395,8 @@ def rollout(
         return [lane.result(env_params, task) for lane in lanes]
     cam3, camw = third_camera(env_params), wrist_camera(env_params)
     active = list(lanes)
+    h = policy.horizon
+    ring = np.zeros((len(lanes), h, h, ACTION_DIM), dtype=np.float32)  # lane, issue step % h, offset, action
     for t in range(options.max_steps):
         states = [lane.states[-1] for lane in active]
         third = render(env_params, states, cam3)
@@ -414,21 +408,21 @@ def rollout(
             for lane in active:
                 lane.overflow = True
             break
-        actions = []
-        for j, lane in enumerate(active):
-            if traces is not None:
-                lane.traces.append((t, traces[j]))
-            lane.buffer.push(t, chunks[j])
-            actions.append(Action(temporal_ensemble(lane.buffer, t), env_params.delta_max))
+        if traces is not None:
+            for lane, trace in zip(active, traces):
+                lane.traces.append((t, trace))
+        ring[:, t % h] = chunks
+        actions = [Action(a, env_params.delta_max) for a in temporal_ensemble(ring, t, options.ensemble_decay)]
         policy.commit(np.stack([a.deltas for a in actions]).astype(np.float32))
         for lane, action in zip(active, actions):
             lane.states.append(sim_step(env_params, lane.states[-1], action))
             lane.actions.append(action.deltas.copy())
-        going = [j for j, lane in enumerate(active) if success(env_params, lane.states[-1], task) != 1.0]
+        going = np.flatnonzero([success(env_params, lane.states[-1], task) != 1.0 for lane in active])
         if len(going) < len(active):
             active = [active[j] for j in going]
             if not active:
                 break
-            policy.keep_lanes(np.array(going, dtype=np.intp))
+            ring = ring[going]
+            policy.keep_lanes(going)
     return [lane.result(env_params, task) for lane in lanes]
 

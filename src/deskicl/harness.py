@@ -144,8 +144,6 @@ def _parse_value(raw: str, ftype):
         return int(raw)
     if ftype is float:
         return float(raw)
-    if ftype is str:
-        return raw
     raise HarnessError(f"unsupported config field type {ftype}")
 
 
@@ -166,11 +164,9 @@ def parse_config(text: str) -> HarnessConfig:
         if section not in _SECTIONS:
             raise HarnessError(f"config line {lineno}: unknown section '{section}'")
         cls = _SECTIONS[section]
-        matching = [f for f in fields(cls) if f.name == name]
-        if not matching:
+        if name not in {f.name for f in fields(cls)}:
             raise HarnessError(f"config line {lineno}: unknown key '{key}'")
-        ftype = matching[0].type if isinstance(matching[0].type, type) else type(getattr(cls(), name))
-        overrides[section][name] = _parse_value(raw, ftype)
+        overrides[section][name] = _parse_value(raw, type(getattr(cls(), name)))
     kwargs = {}
     for section, cls in _SECTIONS.items():
         kwargs[section] = cls(**overrides[section])

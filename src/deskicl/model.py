@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import mmap
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -86,39 +86,23 @@ class ModelConfig:
         return self.patch_size * self.patch_size * 3
 
     def to_header(self) -> dict[str, str]:
-        return {
-            "d_model": str(self.d_model),
-            "n_layers": str(self.n_layers),
-            "n_heads": str(self.n_heads),
-            "d_ff": str(self.d_ff),
-            "patch_size": str(self.patch_size),
-            "third_resolution": str(self.third_resolution),
-            "wrist_resolution": str(self.wrist_resolution),
-            "max_context": str(self.max_context),
-            "chunk_h": str(self.chunk_h),
-            "lambda_r": repr(self.lambda_r),
-            "prompt_reasoning": str(int(self.prompt_reasoning)),
-            "target_reasoning": str(int(self.target_reasoning)),
-            "rope_base": repr(self.rope_base),
-        }
+        """Every field by name: bools as 0/1, other values with `str`, which
+        writes a Python int or float as its repr and a NumPy scalar as plain
+        digits."""
+        header = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            header[f.name] = str(int(value)) if f.type == "bool" else str(value)
+        return header
 
     @classmethod
     def from_header(cls, header: dict[str, str]) -> "ModelConfig":
-        return cls(
-            d_model=int(header["d_model"]),
-            n_layers=int(header["n_layers"]),
-            n_heads=int(header["n_heads"]),
-            d_ff=int(header["d_ff"]),
-            patch_size=int(header["patch_size"]),
-            third_resolution=int(header["third_resolution"]),
-            wrist_resolution=int(header["wrist_resolution"]),
-            max_context=int(header["max_context"]),
-            chunk_h=int(header["chunk_h"]),
-            lambda_r=float(header["lambda_r"]),
-            prompt_reasoning=bool(int(header["prompt_reasoning"])),
-            target_reasoning=bool(int(header["target_reasoning"])),
-            rope_base=float(header["rope_base"]),
-        )
+        """The config `to_header` wrote; each value is parsed by its field's
+        annotation."""
+        return cls(**{f.name: _HEADER_PARSERS[f.type](header[f.name]) for f in fields(cls)})
+
+
+_HEADER_PARSERS = {"int": int, "float": float, "bool": lambda raw: bool(int(raw))}
 
 
 class PolicyModel:
@@ -513,7 +497,7 @@ def combined_loss(
     chunk_valid: np.ndarray,
     loss_mask: np.ndarray,
     lambda_r: float,
-    reasoning_loss_mask: np.ndarray | None = None,
+    reasoning_loss_mask: np.ndarray,
 ) -> tuple[Tensor, float, float]:
     """Mean L1 over unmasked valid chunk elements plus lambda_r times the
     mean L1 over unmasked trace elements.
@@ -523,9 +507,6 @@ def combined_loss(
     no action positions at all is an error.
     """
     dtype = trace_pred.dtype
-    if reasoning_loss_mask is None:
-        reasoning_loss_mask = loss_mask
-
     action_mask = (loss_mask[:, None, None] & chunk_valid[:, :, None]) & np.ones((1, 1, ACTION_DIM), dtype=bool)
     action_count = int(action_mask.sum())
     if action_count == 0:
@@ -547,14 +528,14 @@ def combined_loss(
 def sequence_loss(model: PolicyModel, seq: TrainingSequence) -> tuple[Tensor, float, float]:
     """Full teacher-forced loss for one training sequence."""
     trace_pred, chunk_pred = forward_sequence(model, seq)
-    reasoning_loss_mask = seq.loss_mask if model.config.target_reasoning else np.zeros_like(seq.loss_mask)
+    reasoning_loss_mask = seq.step_is_target if model.config.target_reasoning else np.zeros_like(seq.step_is_target)
     return combined_loss(
         trace_pred,
         chunk_pred,
         seq.traces,
         seq.chunk_actions,
         seq.chunk_valid,
-        seq.loss_mask,
+        seq.step_is_target,
         model.config.lambda_r,
-        reasoning_loss_mask=reasoning_loss_mask,
+        reasoning_loss_mask,
     )

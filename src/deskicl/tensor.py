@@ -516,14 +516,3 @@ def sum_all(a: Tensor) -> Tensor:
             a.accumulate_grad(np.broadcast_to(g, a.shape))
 
     return _finish(out, (a,), bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.mean(), dtype=a.dtype)
-    inv_n = 1.0 / a.data.size
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g * inv_n, a.shape))
-
-    return _finish(out, (a,), bwd)

@@ -27,16 +27,6 @@ class ReasoningTrace:
         return self.points.reshape(-1)
 
 
-@dataclass(frozen=True)
-class MaskPlan:
-    masked_positions: frozenset[int]
-
-    def as_bool(self, n_target_steps: int) -> np.ndarray:
-        out = np.zeros(n_target_steps, dtype=bool)
-        out[list(self.masked_positions)] = True
-        return out
-
-
 def trace_indices(length: int, t: int) -> tuple[int, ...]:
     """Five step indices from t to the terminal step, evenly spaced."""
     if length <= 0:
@@ -90,8 +80,9 @@ def augment_dataset(trajectories: list) -> list:
     return [replace(traj, traces=trace_matrix(traj)) for traj in trajectories]
 
 
-def sample_mask(n_target_steps: int, rng: np.random.Generator, ratio: float | None = None) -> MaskPlan:
-    """Uniform-ratio random mask over target steps.
+def sample_mask(n_target_steps: int, rng: np.random.Generator, ratio: float | None = None) -> np.ndarray:
+    """Uniform-ratio random mask over target steps, as an (n_target_steps,)
+    bool array that is true at the masked steps.
 
     `ratio` defaults to a Uniform[0, 1] draw; passing it explicitly pins the
     masked fraction (used by tests and by variant configs). The number of
@@ -105,5 +96,7 @@ def sample_mask(n_target_steps: int, rng: np.random.Generator, ratio: float | No
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"mask ratio {ratio} outside [0, 1]")
     n_masked = int(np.floor(ratio * n_target_steps))
-    positions = rng.choice(n_target_steps, size=n_masked, replace=False) if n_masked else np.empty(0, dtype=int)
-    return MaskPlan(masked_positions=frozenset(int(p) for p in positions))
+    mask = np.zeros(n_target_steps, dtype=bool)
+    if n_masked:
+        mask[rng.choice(n_target_steps, size=n_masked, replace=False)] = True
+    return mask

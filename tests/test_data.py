@@ -111,8 +111,8 @@ def test_build_sequence_counts_and_masks():
     target_len = seq.episode_lengths[-1]
     assert {5, 7} == set(seq.episode_lengths)
     # one reasoning plus one action prediction per target step
-    assert int(seq.loss_mask.sum()) * 2 == 2 * target_len
-    assert not seq.loss_mask[: seq.n_steps - target_len].any()
+    assert int(seq.step_is_target.sum()) * 2 == 2 * target_len
+    assert not seq.step_is_target[: seq.n_steps - target_len].any()
     assert not seq.reasoning_input_mask[: seq.n_steps - target_len].any()
 
 

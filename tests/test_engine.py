@@ -16,7 +16,6 @@ from deskicl import engine, sim
 from deskicl.data import build_sequence
 from deskicl.engine import (
     ContextOverflowError,
-    EnsembleBuffer,
     ExpertReplayPolicy,
     KVCache,
     RolloutOptions,
@@ -147,50 +146,61 @@ def test_decode_matches_teacher_forced_heads():
 # ---------------------------------------------------------------------------
 
 
+def _ring(chunks_by_step, h):
+    """The (1, h, h, 4) chunk ring after issuing the given chunks, one per
+    step from step 0."""
+    ring = np.zeros((1, h, h, 4), np.float32)
+    for t, chunk in enumerate(chunks_by_step):
+        ring[0, t % h] = chunk
+    return ring
+
+
 def test_ensemble_single_chunk_passthrough():
-    buf = EnsembleBuffer(horizon=4)
     chunk = np.arange(16, dtype=np.float32).reshape(4, 4)
-    buf.push(0, chunk)
-    for t in range(4):
-        assert np.allclose(temporal_ensemble(buf, t), chunk[t])
+    out = temporal_ensemble(_ring([chunk], 4), 0, 0.1)
+    assert out.shape == (1, 4) and out.dtype == np.float64
+    assert np.array_equal(out[0], chunk[0])
 
 
 def test_ensemble_horizon_one_keeps_latest():
-    buf = EnsembleBuffer(horizon=1)
+    ring = np.zeros((1, 1, 1, 4), np.float32)
     for t in range(5):
-        buf.push(t, np.full((1, 4), float(t), np.float32))
-        assert np.allclose(temporal_ensemble(buf, t), t)
-        assert len(buf.chunks) == 1  # earlier chunks no longer cover
+        ring[0, 0] = float(t)  # slot t % 1
+        assert np.array_equal(temporal_ensemble(ring, t, 0.1), np.full((1, 4), float(t)))
 
 
 def test_ensemble_hand_weighted_mean():
-    buf = EnsembleBuffer(horizon=8, decay=0.1)
-    buf.push(0, np.zeros((8, 4), np.float32))
-    buf.push(1, np.full((8, 4), 0.1, np.float32))
-    out = temporal_ensemble(buf, 1)
+    ring = _ring([np.zeros((8, 4), np.float32), np.full((8, 4), 0.1, np.float32)], 8)
+    out = temporal_ensemble(ring, 1, 0.1)
     expected = (0.0 * 1.0 + 0.1 * math.exp(-0.1)) / (1.0 + math.exp(-0.1))
     assert np.allclose(out, expected, atol=1e-9)
     assert abs(expected - 0.0475) < 5e-4
 
 
 def test_ensemble_large_decay_keeps_oldest():
-    buf = EnsembleBuffer(horizon=8, decay=50.0)
     rng = np.random.default_rng(3)
-    oldest = rng.normal(size=(8, 4)).astype(np.float32)
-    buf.push(0, oldest)
-    for t in range(1, 5):
-        buf.push(t, rng.normal(size=(8, 4)).astype(np.float32))
-    out = temporal_ensemble(buf, 4)
-    assert np.abs(out - oldest[4]).max() < 1e-6
+    chunks = rng.normal(size=(12, 8, 4)).astype(np.float32)
+    assert np.abs(temporal_ensemble(_ring(chunks[:5], 8), 4, 50.0)[0] - chunks[0, 4]).max() < 1e-6
+    # after the ring wraps, the oldest covering chunk is step t-h+1's
+    assert np.abs(temporal_ensemble(_ring(chunks, 8), 11, 50.0)[0] - chunks[4, 7]).max() < 1e-6
 
 
-def test_ensemble_empty_errors():
-    buf = EnsembleBuffer(horizon=4)
-    with pytest.raises(ValueError):
-        temporal_ensemble(buf, 0)
-    buf.push(0, np.zeros((4, 4), np.float32))
-    with pytest.raises(ValueError):
-        temporal_ensemble(buf, 10)  # pruned away
+def test_ensemble_lanes_are_independent():
+    h, lanes, steps = 8, 3, 20
+    rng = np.random.default_rng(5)
+    chunks = rng.normal(size=(steps, lanes, h, 4)).astype(np.float32)
+    ring = np.zeros((lanes, h, h, 4), np.float32)
+    alone = [np.zeros((1, h, h, 4), np.float32) for _ in range(lanes)]
+    for t in range(steps):
+        ring[:, t % h] = chunks[t]
+        together = temporal_ensemble(ring, t, 0.1)
+        for j in range(lanes):
+            alone[j][:, t % h] = chunks[t, j]
+            assert together[j].tobytes() == temporal_ensemble(alone[j], t, 0.1)[0].tobytes()
+            # the per-lane reference: covering chunks oldest first, weighted and summed one by one
+            covering = np.stack([chunks[s, j, t - s].astype(np.float64) for s in range(max(0, t - h + 1), t + 1)])
+            weights = np.exp(-0.1 * np.arange(len(covering), dtype=np.float64))
+            assert together[j].tobytes() == ((weights[:, None] * covering).sum(axis=0) / weights.sum()).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -67,9 +68,42 @@ def test_config_validation():
 
 
 def test_config_header_round_trip():
-    cfg = ModelConfig(d_model=64, n_layers=3, n_heads=4, lambda_r=0.25, prompt_reasoning=False)
-    back = ModelConfig.from_header(cfg.to_header())
-    assert back == cfg
+    default = ModelConfig()
+    assert default.to_header() == {
+        "d_model": "128",
+        "n_layers": "4",
+        "n_heads": "4",
+        "d_ff": "352",
+        "patch_size": "8",
+        "third_resolution": "32",
+        "wrist_resolution": "16",
+        "max_context": "2048",
+        "chunk_h": "8",
+        "lambda_r": "0.3",
+        "prompt_reasoning": "1",
+        "target_reasoning": "1",
+        "rope_base": "10000.0",
+    }
+    cfg = ModelConfig(
+        d_model=64,
+        n_layers=3,
+        n_heads=8,
+        d_ff=96,
+        patch_size=4,
+        third_resolution=24,
+        wrist_resolution=12,
+        max_context=512,
+        chunk_h=5,
+        lambda_r=0.25,
+        prompt_reasoning=False,
+        target_reasoning=False,
+        rope_base=500.0,
+    )
+    at_default = [f.name for f in dataclasses.fields(ModelConfig) if getattr(cfg, f.name) == getattr(default, f.name)]
+    assert at_default == []  # so the round trip covers every field
+    assert ModelConfig.from_header(cfg.to_header()) == cfg
+    numpy_valued = ModelConfig(d_model=np.int64(64), lambda_r=np.float64(0.25), prompt_reasoning=np.bool_(False))
+    assert numpy_valued.to_header() == ModelConfig(d_model=64, lambda_r=0.25, prompt_reasoning=False).to_header()
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -334,7 +368,7 @@ def _unit_loss_fixture(lambda_r):
     chunk_labels = np.ones((s, h, 4), dtype=np.float32)
     chunk_valid = np.ones((s, h), dtype=bool)
     loss_mask = np.ones(s, dtype=bool)
-    return combined_loss(trace_pred, chunk_pred, trace_labels, chunk_labels, chunk_valid, loss_mask, lambda_r)
+    return combined_loss(trace_pred, chunk_pred, trace_labels, chunk_labels, chunk_valid, loss_mask, lambda_r, loss_mask)
 
 
 def test_loss_unit_terms_weighting():
@@ -355,6 +389,7 @@ def test_loss_zero_when_predictions_match():
         np.ones((s, h), dtype=bool),
         np.ones(s, dtype=bool),
         0.3,
+        np.ones(s, dtype=bool),
     )
     assert float(loss.data) == 0.0 and la == 0.0 and lr == 0.0
 
@@ -374,7 +409,9 @@ def test_loss_hand_computed_two_step():
     expect_reason = np.abs(trace_pred - trace_labels)[1].mean()
     expected = expect_action + 0.3 * expect_reason
 
-    loss, la, lr = combined_loss(Tensor(trace_pred), Tensor(chunk_pred), trace_labels, chunk_labels, chunk_valid, loss_mask, 0.3)
+    loss, la, lr = combined_loss(
+        Tensor(trace_pred), Tensor(chunk_pred), trace_labels, chunk_labels, chunk_valid, loss_mask, 0.3, loss_mask
+    )
     assert abs(float(loss.data) - expected) < 1e-6
     assert abs(la - expect_action) < 1e-6 and abs(lr - expect_reason) < 1e-6
 
@@ -389,6 +426,7 @@ def test_loss_requires_action_positions():
             np.ones((2, 2), dtype=bool),
             np.zeros(2, dtype=bool),
             0.3,
+            np.zeros(2, dtype=bool),
         )
 
 

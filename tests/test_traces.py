@@ -109,19 +109,20 @@ def test_augment_idempotent():
 
 def test_mask_forced_ratios():
     rng = np.random.default_rng(0)
-    assert sample_mask(12, rng, ratio=0.0).masked_positions == frozenset()
-    assert sample_mask(12, rng, ratio=1.0).masked_positions == frozenset(range(12))
-    plan = sample_mask(7, rng, ratio=0.5)
-    assert len(plan.masked_positions) == 3
-    assert all(0 <= p < 7 for p in plan.masked_positions)
+    none = sample_mask(12, rng, ratio=0.0)
+    assert none.shape == (12,) and none.dtype == bool and not none.any()
+    assert sample_mask(12, rng, ratio=1.0).all()
+    mask = sample_mask(7, rng, ratio=0.5)
+    assert mask.shape == (7,) and mask.sum() == 3
+    assert all(0 <= p < 7 for p in np.flatnonzero(mask))
 
 
 def test_mask_bool_view():
-    rng = np.random.default_rng(1)
-    plan = sample_mask(10, rng, ratio=0.3)
-    flags = plan.as_bool(10)
+    flags = sample_mask(10, np.random.default_rng(1), ratio=0.3)
+    drawn = np.random.default_rng(1).choice(10, size=3, replace=False)
+    assert flags.shape == (10,) and flags.dtype == bool
     assert flags.sum() == 3
-    assert set(np.nonzero(flags)[0]) == plan.masked_positions
+    assert set(np.nonzero(flags)[0]) == set(drawn)
 
 
 def test_mask_distribution_mean():
@@ -130,14 +131,14 @@ def test_mask_distribution_mean():
     samples = 100_000
     total = 0
     for _ in range(samples):
-        total += len(sample_mask(n, rng).masked_positions)
+        total += int(sample_mask(n, rng).sum())
     mean_fraction = total / (samples * n)
     assert 0.47 <= mean_fraction <= 0.53
 
 
 def test_mask_empty_target_segment():
     rng = np.random.default_rng(2)
-    plan = sample_mask(0, rng)
-    assert plan.masked_positions == frozenset()
+    mask = sample_mask(0, rng)
+    assert mask.shape == (0,) and mask.dtype == bool
     with pytest.raises(ValueError):
         sample_mask(-1, rng)
