@@ -11,6 +11,7 @@ from . import harness
 from .checkpoint import CheckpointError
 from .data import EpisodeIOError
 from .harness import HarnessConfig, HarnessError, load_config
+from .sim import SimError
 
 
 def _config_from_args(args) -> HarnessConfig:
@@ -19,11 +20,12 @@ def _config_from_args(args) -> HarnessConfig:
     return HarnessConfig()
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed_key: str | None = "train.seed") -> None:
     parser.add_argument("--config", type=Path, default=None, help="flat key=value config file (defaults apply if omitted)")
     parser.add_argument("--out", type=Path, required=True, help="output directory for this run")
-    if seed:
-        parser.add_argument("--seed", type=int, default=None, help="seed override for this command")
+    if seed_key:
+        parser.add_argument("--seed", type=int, default=None, help=f"overrides the config's {seed_key}")
+        parser.set_defaults(seed_key=seed_key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate expert episodes and the task split")
-    _add_common(p)
+    _add_common(p, seed_key="data.gen_seed")
 
     p = sub.add_parser("train", help="train one variant on the generated dataset")
     _add_common(p)
@@ -49,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rollouts", type=int, default=None)
 
     p = sub.add_parser("report", help="merge metrics files into report.csv and summary.txt")
-    _add_common(p, seed=False)
+    _add_common(p, seed_key=None)
     return parser
 
 
@@ -60,25 +62,23 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "rollouts", None) is not None:
             config = dataclasses.replace(config, eval=dataclasses.replace(config.eval, rollouts_per_config=args.rollouts))
         if getattr(args, "seed", None) is not None:
-            if args.command == "gen-data":
-                config = dataclasses.replace(config, data=dataclasses.replace(config.data, gen_seed=args.seed))
-            else:
-                config = dataclasses.replace(config, train=dataclasses.replace(config.train, seed=args.seed))
+            section, _, name = args.seed_key.partition(".")
+            config = dataclasses.replace(config, **{section: dataclasses.replace(getattr(config, section), **{name: args.seed})})
 
         if args.command == "gen-data":
             harness.cmd_gen_data(config, args.out)
         elif args.command == "train":
-            harness.cmd_train(config, args.variant, args.out, seed=args.seed)
+            harness.cmd_train(config, args.variant, args.out)
         elif args.command == "eval":
             variants = [v.strip() for v in args.variant.split(",") if v.strip()]
-            harness.cmd_eval(config, args.out, variants, train_seed=args.seed)
+            harness.cmd_eval(config, args.out, variants)
         elif args.command == "sweep-interval":
             intervals = [int(v) for v in args.intervals.split(",") if v.strip()]
-            harness.cmd_sweep_interval(config, args.out, args.variant, intervals, train_seed=args.seed)
+            harness.cmd_sweep_interval(config, args.out, args.variant, intervals)
         elif args.command == "report":
             harness.cmd_report(args.out)
         return 0
-    except (HarnessError, EpisodeIOError, CheckpointError, OSError, ValueError) as exc:
+    except (HarnessError, EpisodeIOError, CheckpointError, SimError, OSError, ValueError) as exc:
         print(f"deskicl {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

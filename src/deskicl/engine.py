@@ -62,9 +62,9 @@ from .traces import TRACE_DIM
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    steps: int
+    steps: int = 5000
     seed: int = 0
     lr: float = 3e-4
     weight_decay: float = 0.01
@@ -79,6 +79,7 @@ class LossRecord:
     loss: float
     l_action: float
     l_reason: float
+    grad_norm: float  # before clipping
 
 
 def train(
@@ -143,7 +144,7 @@ def train(
             raise RuntimeError(f"non-finite gradient norm {grad_norm} at step {step_idx} (task {label}); aborting before the update")
         opt.step()
         opt.zero_grad()
-        history.append(LossRecord(step_idx, float(loss.data), l_action, l_reason))
+        history.append(LossRecord(step_idx, float(loss.data), l_action, l_reason, grad_norm))
         if checkpoint_hook and cfg.checkpoint_interval and (step_idx + 1) % cfg.checkpoint_interval == 0:
             checkpoint_hook(step_idx + 1, model)
     return history

@@ -12,7 +12,7 @@ Output layout under --out:
     episodes/<task_label>.episodes  one episode file per task (a checkpoint.py container)
     split.json                      train/test task labels
     checkpoints/<variant>_seed<N>.ckpt
-    loss_<variant>_seed<N>.csv
+    loss_<variant>_seed<N>.csv      one row per training step
     metrics/eval_<variant>_seed<N>.json
     metrics/sweep_<variant>_seed<N>.json
     report.csv, summary.txt
@@ -51,11 +51,11 @@ from .traces import augment_dataset
 
 FAILURE_CLASSES = ("none", "trace_error", "grasp_failure", "placement_failure", "poke_failure", "overflow")
 
-# variant name -> (prompt_reasoning, target_reasoning)
+# variant name -> the ModelConfig flags it sets
 VARIANTS = {
-    "ours": (True, True),
-    "to": (False, True),
-    "icrt": (False, False),
+    "ours": {"prompt_reasoning": True, "target_reasoning": True},
+    "to": {"prompt_reasoning": False, "target_reasoning": True},
+    "icrt": {"prompt_reasoning": False, "target_reasoning": False},
 }
 
 
@@ -92,17 +92,6 @@ class DataSection:
 
 
 @dataclass(frozen=True)
-class TrainSection:
-    steps: int = 5000
-    seed: int = 0
-    lr: float = 3e-4
-    weight_decay: float = 0.01
-    grad_clip: float = 1.0
-    log_interval: int = 50
-    checkpoint_interval: int = 0
-
-
-@dataclass(frozen=True)
 class EvalSection:
     rollouts_per_config: int = 10
     max_steps_factor: float = 3.0
@@ -117,7 +106,7 @@ class HarnessConfig:
     env: SimParams = field(default_factory=SimParams)
     model: ModelConfig = field(default_factory=ModelConfig)
     data: DataSection = field(default_factory=DataSection)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalSection = field(default_factory=EvalSection)
 
     def __post_init__(self):
@@ -125,11 +114,16 @@ class HarnessConfig:
             raise HarnessError("model and environment disagree on camera resolutions")
         if self.data.n_poke_tasks > self.env.n_object_classes or self.data.n_pick_place_tasks > self.env.n_object_classes:
             raise HarnessError("more tasks per kind than object classes")
+        if not 1 <= self.data.difficulty_levels <= self.env.n_object_classes:  # level L places L distractor objects
+            raise HarnessError(f"data.difficulty_levels must be in 1..env.n_object_classes, got {self.data.difficulty_levels}")
         if self.eval.rollouts_per_config < 1:
             raise HarnessError(f"eval.rollouts_per_config must be at least 1, got {self.eval.rollouts_per_config}")
 
 
-_SECTIONS = {"env": SimParams, "model": ModelConfig, "data": DataSection, "train": TrainSection, "eval": EvalSection}
+_SECTIONS = {"env": SimParams, "model": ModelConfig, "data": DataSection, "train": TrainConfig, "eval": EvalSection}
+
+# model flags that `--variant` sets, so a config file must not
+_VARIANT_KEYS = {f"model.{name}" for flags in VARIANTS.values() for name in flags}
 
 
 def _parse_value(raw: str, ftype):
@@ -166,6 +160,8 @@ def parse_config(text: str) -> HarnessConfig:
         cls = _SECTIONS[section]
         if name not in {f.name for f in fields(cls)}:
             raise HarnessError(f"config line {lineno}: unknown key '{key}'")
+        if key in _VARIANT_KEYS:
+            raise HarnessError(f"config line {lineno}: '{key}' is set by --variant, not by the config file")
         overrides[section][name] = _parse_value(raw, type(getattr(cls(), name)))
     kwargs = {}
     for section, cls in _SECTIONS.items():
@@ -182,10 +178,10 @@ def format_config(config: HarnessConfig) -> str:
     for section in sorted(_SECTIONS):
         value = getattr(config, section)
         for f in sorted(fields(value), key=lambda f: f.name):
-            v = getattr(value, f.name)
-            if isinstance(v, tuple):
-                continue  # home_pose stays at its default; not exposed as a flat key
-            lines.append(f"{section}.{f.name} = {v}")
+            key, v = f"{section}.{f.name}", getattr(value, f.name)
+            if isinstance(v, tuple) or key in _VARIANT_KEYS:
+                continue  # tuples (home_pose, n_prompt_choices) stay at their defaults
+            lines.append(f"{key} = {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -328,8 +324,15 @@ def load_split(out_dir) -> SplitSpec:
     path = Path(out_dir) / "split.json"
     if not path.exists():
         raise HarnessError(f"missing split file {path}; run gen-data first")
-    blob = json.loads(path.read_text())
-    return SplitSpec(tuple(blob["train"]), tuple(blob["test"]), int(blob["seed"]))
+    try:
+        blob = json.loads(path.read_text())
+        train_labels, test_labels, seed = blob["train"], blob["test"], blob["seed"]
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+        raise HarnessError(f"{path}: not a split file ({exc!r})") from exc
+    labels_ok = all(isinstance(v, list) and all(isinstance(lb, str) for lb in v) for v in (train_labels, test_labels))
+    if not labels_ok or type(seed) is not int:
+        raise HarnessError(f"{path}: expected 'train' and 'test' lists of task labels and an integer 'seed'")
+    return SplitSpec(tuple(train_labels), tuple(test_labels), seed)
 
 
 def load_train_episodes(out_dir) -> list[Trajectory]:
@@ -343,14 +346,13 @@ def load_train_episodes(out_dir) -> list[Trajectory]:
 def variant_model_config(config: HarnessConfig, variant: str) -> ModelConfig:
     if variant not in VARIANTS:
         raise HarnessError(f"unknown variant '{variant}' (expected one of {sorted(VARIANTS)})")
-    prompt_flag, target_flag = VARIANTS[variant]
-    return dataclasses.replace(config.model, prompt_reasoning=prompt_flag, target_reasoning=target_flag)
+    return dataclasses.replace(config.model, **VARIANTS[variant])
 
 
-def cmd_train(config: HarnessConfig, variant: str, out_dir, seed: int | None = None) -> Path:
+def cmd_train(config: HarnessConfig, variant: str, out_dir) -> Path:
     out_dir = Path(out_dir)
     write_resolved_config(config, out_dir)
-    seed = config.train.seed if seed is None else seed
+    seed = config.train.seed
     episodes = load_train_episodes(out_dir)
     model = PolicyModel.init(variant_model_config(config, variant), seed=derive_seed(seed, "init", variant))
     ckpt = checkpoint_path(out_dir, variant, seed)
@@ -359,26 +361,13 @@ def cmd_train(config: HarnessConfig, variant: str, out_dir, seed: int | None = N
     def hook(step, m):
         m.save(ckpt, extra_header={"variant": variant, "train_seed": str(seed), "train_step": str(step)})
 
-    cfg = TrainConfig(
-        steps=config.train.steps,
-        seed=derive_seed(seed, "train", variant),
-        lr=config.train.lr,
-        weight_decay=config.train.weight_decay,
-        grad_clip=config.train.grad_clip,
-        checkpoint_interval=config.train.checkpoint_interval,
-    )
+    cfg = dataclasses.replace(config.train, seed=derive_seed(seed, "train", variant))
     history = train(model, episodes, cfg, checkpoint_hook=hook)
     model.save(ckpt, extra_header={"variant": variant, "train_seed": str(seed), "train_step": str(config.train.steps)})
 
     log = Path(out_dir) / f"loss_{variant}_seed{seed}.csv"
-    interval = max(1, config.train.log_interval)
-    rows = ["step,loss,l_action,l_reason"]
-    for start in range(0, len(history), interval):
-        block = history[start:start + interval]
-        rows.append(
-            f"{block[-1].step},{np.mean([r.loss for r in block]):.6f},"
-            f"{np.mean([r.l_action for r in block]):.6f},{np.mean([r.l_reason for r in block]):.6f}"
-        )
+    rows = ["step,loss,l_action,l_reason,grad_norm"]
+    rows += [f"{r.step},{r.loss:.6f},{r.l_action:.6f},{r.l_reason:.6f},{r.grad_norm:.6f}" for r in history]
     log.write_text("\n".join(rows) + "\n")
     print(f"train: {variant} seed {seed}: {len(history)} steps -> {ckpt}")
     return ckpt
@@ -573,7 +562,6 @@ def cmd_sweep_interval(
     out_dir,
     variant: str,
     intervals: list[int],
-    train_seed: int | None = None,
 ) -> list[EvalRecord]:
     """Evaluate one checkpoint at several reasoning intervals.
 
@@ -583,7 +571,7 @@ def cmd_sweep_interval(
     write_resolved_config(config, out_dir)
     split = load_split(out_dir)
     tasks = [task_by_label(config, label) for label in split.test_tasks]
-    train_seed = config.train.seed if train_seed is None else train_seed
+    train_seed = config.train.seed
     model = _load_variant(out_dir, variant, train_seed)
     records = _eval_rollouts(config, lambda task: model, variant, train_seed, tasks, intervals, prompt_filter={"p1"})
     path = _write_records(out_dir, f"sweep_{variant}_seed{train_seed}", records)

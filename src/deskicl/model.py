@@ -60,6 +60,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
+        if self.head_dim % 2:
+            raise ValueError(f"head_dim {self.head_dim} (d_model / n_heads) is odd; RoPE rotates pairs of features")
         if self.third_resolution % self.patch_size or self.wrist_resolution % self.patch_size:
             raise ValueError("camera resolutions must be multiples of the patch size")
         if self.lambda_r < 0:
@@ -332,7 +334,7 @@ class ContextOverflowError(ShapeError):
 
 class KVCache:
     """Per-layer rotated key/value buffers of `lanes` sequences that share
-    one length.
+    one length: one lane until `select_lanes` sets them.
 
     They are allocated on first use, at the dtype of the tokens decoded into
     them. Storage is position-major, (n_layers, max_context, lanes, n_heads,
@@ -344,9 +346,9 @@ class KVCache:
     in full.
     """
 
-    def __init__(self, config: ModelConfig, lanes: int = 1):
+    def __init__(self, config: ModelConfig):
         self.config = config
-        self.lanes = lanes
+        self.lanes = 1
         self.k: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self.length = 0

@@ -9,6 +9,9 @@ import numpy as np
 
 from .tensor import GradError, Tensor
 
+_BETAS = (0.9, 0.95)
+_EPS = 1e-8
+
 
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict.
@@ -23,22 +26,18 @@ class AdamW:
         self,
         params: Mapping[str, Tensor],
         lr: float = 3e-4,
-        betas: tuple[float, float] = (0.9, 0.95),
         weight_decay: float = 0.01,
-        eps: float = 1e-8,
     ):
         self.params = dict(params)
         self.lr = lr
-        self.betas = betas
         self.weight_decay = weight_decay
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self) -> None:
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = _BETAS
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, p in self.params.items():
@@ -53,7 +52,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

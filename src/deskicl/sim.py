@@ -414,6 +414,7 @@ _AP_OPEN = 0.9
 _AP_CLOSED = 0.2
 _POS_TOL = 0.012
 _Z_TOL = 0.02
+_EXPERT_MAX_STEPS = 400
 
 
 def _toward(current: np.ndarray, waypoint, params: SimParams, noise: float, rng) -> Action:
@@ -489,9 +490,8 @@ def expert_rollout(
     task: TaskSpec,
     noise: float = 0.0,
     rng: np.random.Generator | None = None,
-    max_steps: int = 400,
 ) -> tuple[list[WorldState], list[Action], float]:
-    """Run the expert until the task succeeds or `max_steps` elapse.
+    """Run the expert until the task succeeds or _EXPERT_MAX_STEPS elapse.
 
     Returns (states, actions, final score) where states[i] is the state the
     expert saw when choosing actions[i]; the terminal state is not included.
@@ -499,7 +499,7 @@ def expert_rollout(
     states: list[WorldState] = []
     actions: list[Action] = []
     current = state
-    for _ in range(max_steps):
+    for _ in range(_EXPERT_MAX_STEPS):
         action = expert_policy(params, current, task, noise=noise, rng=rng)
         states.append(current)
         actions.append(action)

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+_RMS_NORM_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -445,7 +446,7 @@ def causal_attention(
     return _finish(out, (q, k, v), bwd)
 
 
-def rms_norm(a: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
+def rms_norm(a: Tensor, gain: Tensor) -> Tensor:
     """Scale rows of the last axis to unit root-mean-square, then by the
     per-feature `gain` (d,): `(a * inv) * gain`, with the products of a
     separate normalization and gain multiply in the same order."""
@@ -454,7 +455,7 @@ def rms_norm(a: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
         raise ShapeError(f"rms_norm: gain {gain.shape} for rows of width {n}")
     # add.reduce / n gives np.mean's bits without its Python-level wrapper
     ms = np.add.reduce(a.data * a.data, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(ms + eps)
+    inv = 1.0 / np.sqrt(ms + _RMS_NORM_EPS)
     y = a.data * inv
     out = Tensor(y * gain.data, dtype=a.dtype)
 

@@ -5,25 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deskicl import sim
+from deskicl import harness
 from deskicl.data import Trajectory
-from deskicl.traces import augment_dataset as _augment
+from deskicl.traces import augment_dataset
 
 
 def record_episode(params, task, n_distractor_objects, n_distractor_receptacles, seed, noise=0.0):
-    """Expert episode with renders and traces (asserts the expert succeeded)."""
-    state = sim.reset(params, task, n_distractor_objects, n_distractor_receptacles, seed)
-    rng = np.random.default_rng(seed + 1) if noise else None
-    states, actions, score = sim.expert_rollout(params, state, task, noise=noise, rng=rng)
-    assert score == 1.0, f"expert failed {task.label} seed {seed}"
-    traj = Trajectory(
-        task_label=task.label,
-        third=sim.render(params, states, sim.third_camera(params)),
-        wrist=sim.render(params, states, sim.wrist_camera(params)),
-        proprio=np.stack([s.gripper for s in states]).astype(np.float32),
-        actions=np.stack([a.deltas for a in actions]).astype(np.float32),
-    )
-    return _augment([traj])[0]
+    """Expert episode with renders and traces, as gen-data records it
+    (raises a HarnessError if the expert fails)."""
+    return augment_dataset([harness.record_episode(params, task, n_distractor_objects, n_distractor_receptacles, seed, noise)])[0]
 
 
 def toy_trajectory(label: str = "poke_c0", length: int = 6, g: int = 16, c: int = 8, seed: int = 0) -> Trajectory:

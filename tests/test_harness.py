@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,6 @@ model.n_layers = 2
 model.n_heads = 4
 model.chunk_h = 4
 train.steps = 10
-train.log_interval = 5
 eval.rollouts_per_config = 2
 """
 
@@ -76,6 +76,8 @@ def test_parse_format_round_trip():
     assert config.model.d_model == 48
     reparsed = parse_config(format_config(config))
     assert reparsed == config
+    keys = {line.split(" = ")[0] for line in format_config(HarnessConfig()).splitlines()}
+    assert not keys & {"train.log_interval", "model.prompt_reasoning", "model.target_reasoning", "train.n_prompt_choices"}
 
 
 def test_parse_rejects_unknown_keys():
@@ -85,6 +87,14 @@ def test_parse_rejects_unknown_keys():
         parse_config("nope.steps = 5\n")
     with pytest.raises(HarnessError, match="key = value"):
         parse_config("just words\n")
+    with pytest.raises(HarnessError, match="unknown key"):
+        parse_config("train.log_interval = 5\n")
+    with pytest.raises(HarnessError, match="unsupported"):
+        parse_config("train.n_prompt_choices = 3\n")
+    # the variant is the only source of its flags
+    for key in ("model.prompt_reasoning", "model.target_reasoning"):
+        with pytest.raises(HarnessError, match="--variant"):
+            parse_config(f"{key} = false\n")
 
 
 def test_config_cross_validation():
@@ -92,6 +102,13 @@ def test_config_cross_validation():
         parse_config("model.third_resolution = 16\n")
     with pytest.raises(HarnessError, match="rollouts_per_config"):
         parse_config("eval.rollouts_per_config = 0\n")
+    # level L places L distractor objects, each of a class other than the target's
+    for levels in (0, 13):
+        with pytest.raises(HarnessError, match="difficulty_levels"):
+            parse_config(f"data.difficulty_levels = {levels}\n")
+    parse_config("data.difficulty_levels = 12\n")
+    with pytest.raises(HarnessError, match="difficulty_levels"):
+        parse_config("data.difficulty_levels = 6\nenv.n_object_classes = 5\ndata.n_poke_tasks = 5\ndata.n_pick_place_tasks = 5\n")
 
 
 def test_derive_seed_stable_and_distinct():
@@ -167,10 +184,13 @@ def test_gen_data_regeneration_byte_identical(tmp_path):
 def test_train_outputs_and_icrt_reasoning_loss_zero(tiny_run):
     config, out = tiny_run
     log = (out / "loss_icrt_seed0.csv").read_text().splitlines()
-    assert log[0] == "step,loss,l_action,l_reason"
-    assert len(log) == 1 + 2  # 10 steps at log interval 5
-    for line in log[1:]:
-        assert float(line.split(",")[3]) == 0.0
+    assert log[0] == "step,loss,l_action,l_reason,grad_norm"
+    assert len(log) == 1 + 10  # one row per step
+    for step, line in enumerate(log[1:]):
+        cells = line.split(",")
+        assert int(cells[0]) == step
+        assert float(cells[3]) == 0.0
+        assert math.isfinite(float(cells[4])) and float(cells[4]) > 0.0
     ours_log = (out / "loss_ours_seed0.csv").read_text().splitlines()
     assert all(float(line.split(",")[3]) > 0.0 for line in ours_log[1:])
 
@@ -424,6 +444,19 @@ def test_cli_gen_and_report_exit_codes(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli_main(["gen-data", "--config", str(config_path), "--out", str(out)]) == 0
     assert (out / "split.json").exists()
+    # a malformed split file names the file
+    split_text = (out / "split.json").read_text()
+    for content in (
+        '{"train": []}',
+        "[1, 2]",
+        "{not json",
+        '{"train": [], "test": [], "seed": "0"}',
+        '{"train": [1], "test": [], "seed": 0}',
+    ):
+        (out / "split.json").write_text(content)
+        assert cli_main(["eval", "--config", str(config_path), "--out", str(out), "--variant", "expert"]) == 1
+        assert "split.json" in capsys.readouterr().err
+    (out / "split.json").write_text(split_text)
     # eval without checkpoints fails with a diagnostic exit code
     assert cli_main(["eval", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
     # report on empty metrics dir errors cleanly
@@ -472,3 +505,26 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert cli_main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
     assert cli_main(["eval", "--out", str(tmp_path / "x"), "--variant", "expert", "--rollouts", "0"]) == 1
     assert "rollouts_per_config" in capsys.readouterr().err
+    # a scene too crowded to place is a clean error, not a traceback
+    crowded = tmp_path / "crowded.txt"
+    crowded.write_text("data.n_poke_tasks = 2\ndata.n_pick_place_tasks = 0\ndata.demos_per_task = 2\nenv.object_radius = 0.3\n")
+    assert cli_main(["gen-data", "--config", str(crowded), "--out", str(tmp_path / "y")]) == 1
+    assert "could not place" in capsys.readouterr().err
+
+
+def test_cli_seed_sets_train_seed(tiny_run, tmp_path):
+    """`--seed` reaches train and eval through `train.seed` alone."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(out / "episodes", run / "episodes")
+    shutil.copy(out / "split.json", run)
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    common = ["--config", str(config_path), "--out", str(run), "--seed", "3", "--variant", "icrt"]
+    assert cli_main(["train", *common]) == 0
+    _, header = PolicyModel.load(harness.checkpoint_path(run, "icrt", 3))
+    assert header["train_seed"] == "3"
+    assert (run / "loss_icrt_seed3.csv").exists()
+    assert cli_main(["eval", *common]) == 0
+    records = json.loads((run / "metrics" / "eval_icrt_seed3.json").read_text())
+    assert records and all(r["train_seed"] == 3 for r in records)

@@ -61,6 +61,8 @@ def tiny_sequence(seed=0, lengths=(3, 4), n_prompt=1, label="poke_c0", mask_rati
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(d_model=30, n_heads=4)
+    with pytest.raises(ValueError, match="odd"):
+        ModelConfig(d_model=36, n_heads=4)  # RoPE splits each head in half
     with pytest.raises(ValueError):
         ModelConfig(third_resolution=20, patch_size=8)
     with pytest.raises(ValueError):
@@ -302,7 +304,8 @@ def test_cached_trunk_lanes_match_single_lanes():
     shared = KVCache(TINY)
     transformer_hidden(model, Tensor(prefix), shared)
     shared.select_lanes(np.zeros(3, dtype=np.intp))
-    batched = KVCache(TINY, lanes=3)  # the same prefix decoded in every lane
+    batched = KVCache(TINY)  # the same prefix decoded in every lane
+    batched.select_lanes(np.zeros(3, dtype=np.intp))
     transformer_hidden(model, Tensor(np.stack([prefix] * 3)), batched)
     for i in range(TINY.n_layers):
         assert all(np.array_equal(a[:, :, :9], b[:, :, :9]) for a, b in zip(batched.layer(i, np.float32), shared.layer(i, np.float32)))

@@ -448,9 +448,9 @@ def test_adamw_zero_grad_no_decay_leaves_params():
 def test_adamw_single_step_bias_corrected():
     p = Tensor(np.array(0.0, dtype=np.float32), requires_grad=True)
     p.grad = np.array(1.0, dtype=np.float32)
-    opt = AdamW({"p": p}, lr=0.1, betas=(0.9, 0.999), weight_decay=0.0, eps=1e-8)
+    opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
     opt.step()
-    # m_hat = 1, v_hat = 1 after bias correction, so the step is -lr/(1+eps)
+    # m_hat = 1, v_hat = 1 after bias correction for any betas, so the step is -lr/(1+eps)
     assert abs(float(p.data) + 0.1) < 1e-7
 
 
