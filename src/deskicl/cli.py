@@ -11,6 +11,7 @@ from . import harness
 from .checkpoint import CheckpointError
 from .data import EpisodeIOError
 from .harness import HarnessConfig, HarnessError, load_config
+from .settings import parse
 from .sim import SimError
 
 
@@ -63,7 +64,10 @@ def main(argv: list[str] | None = None) -> int:
             config = dataclasses.replace(config, eval=dataclasses.replace(config.eval, rollouts_per_config=args.rollouts))
         if getattr(args, "seed", None) is not None:
             section, _, name = args.seed_key.partition(".")
-            config = dataclasses.replace(config, **{section: dataclasses.replace(getattr(config, section), **{name: args.seed})})
+            try:
+                config = dataclasses.replace(config, **{section: dataclasses.replace(getattr(config, section), **{name: args.seed})})
+            except ValueError as exc:
+                raise HarnessError(f"--seed: {exc}") from exc
 
         if args.command == "gen-data":
             harness.cmd_gen_data(config, args.out)
@@ -73,7 +77,11 @@ def main(argv: list[str] | None = None) -> int:
             variants = [v.strip() for v in args.variant.split(",") if v.strip()]
             harness.cmd_eval(config, args.out, variants)
         elif args.command == "sweep-interval":
-            intervals = [int(v) for v in args.intervals.split(",") if v.strip()]
+            interval = next(f for f in dataclasses.fields(config.eval) if f.name == "reasoning_interval")
+            try:
+                intervals = [parse(v, interval) for v in args.intervals.split(",") if v.strip()]
+            except ValueError as exc:
+                raise HarnessError(f"--intervals: {exc}") from exc
             harness.cmd_sweep_interval(config, args.out, args.variant, intervals)
         elif args.command == "report":
             harness.cmd_report(args.out)

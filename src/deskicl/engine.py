@@ -52,6 +52,7 @@ from .model import (
     transformer_hidden,
 )
 from .optim import AdamW, clip_grad_norm
+from .settings import bounded, check_fields
 from .sim import Action, SimParams, TaskSpec, WorldState
 from .sim import render, step as sim_step, success, third_camera, wrist_camera
 from .tensor import Tape, Tensor, backward
@@ -64,13 +65,15 @@ from .traces import TRACE_DIM
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 5000
-    seed: int = 0
-    lr: float = 3e-4
-    weight_decay: float = 0.01
-    grad_clip: float = 1.0
+    steps: int = bounded(5000, ge=0)
+    seed: int = bounded(0, ge=0)
+    lr: float = bounded(3e-4, gt=0.0)
+    weight_decay: float = bounded(0.01, ge=0.0)
+    grad_clip: float = bounded(1.0, gt=0.0)
     n_prompt_choices: tuple[int, ...] = (1, 2, 3)
-    checkpoint_interval: int = 0  # 0 = only the returned final model
+    checkpoint_interval: int = bounded(0, ge=0)  # 0 = only the returned final model
+
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -191,15 +194,11 @@ def temporal_ensemble(chunks: np.ndarray, t: int, decay: float) -> np.ndarray:
 
 @dataclass
 class RolloutOptions:
-    reasoning_interval: int = 1  # k: decode a trace every k steps; 0 = never
-    max_steps: int = 150
-    ensemble_decay: float = 0.1
+    reasoning_interval: int = bounded(1, ge=0)  # k: decode a trace every k steps; 0 = never
+    max_steps: int = bounded(150, ge=1)
+    ensemble_decay: float = bounded(0.1, ge=0.0)
 
-    def __post_init__(self):
-        if self.reasoning_interval < 0:
-            raise ValueError("reasoning interval must be >= 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -2,10 +2,11 @@
 variant evaluation, interval sweeps, failure classification, and reports.
 
 Every run is driven by a flat `key = value` config file (dotted section
-prefixes, '#' comments); the resolved config is written next to each
-command's outputs. All randomness is derived from explicit seeds through
-`derive_seed`, so regenerating with the same config and seeds reproduces
-every file byte for byte.
+prefixes, '#' comments). Each value is range-checked as its line is read, so
+an error names the line and the key. The resolved config is written next to
+each command's outputs. All randomness is derived from explicit seeds
+through `derive_seed`, so regenerating with the same config and seeds
+reproduces every file byte for byte.
 
 Output layout under --out:
     config.resolved.txt
@@ -38,6 +39,7 @@ from .engine import (
     train,
 )
 from .model import ModelConfig, PolicyModel
+from .settings import bounded, check_fields, parse
 from .sim import (
     SimParams,
     TaskSpec,
@@ -81,24 +83,28 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class DataSection:
-    n_poke_tasks: int = 8
-    n_pick_place_tasks: int = 8
-    demos_per_task: int = 50
-    expert_noise: float = 0.005
-    test_fraction: float = 0.375
-    split_seed: int = 0
+    n_poke_tasks: int = bounded(8, ge=0)
+    n_pick_place_tasks: int = bounded(8, ge=0)
+    demos_per_task: int = bounded(50, ge=2)
+    expert_noise: float = bounded(0.005, ge=0.0)
+    test_fraction: float = bounded(0.375, gt=0.0, lt=1.0)
+    split_seed: int = bounded(0, ge=0)
     difficulty_levels: int = 5
-    gen_seed: int = 0
+    gen_seed: int = bounded(0, ge=0)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class EvalSection:
-    rollouts_per_config: int = 10
-    max_steps_factor: float = 3.0
-    ensemble_decay: float = 0.1
-    seed: int = 0
-    reasoning_interval: int = 1
-    prompt_noise: float = 0.0
+    rollouts_per_config: int = bounded(10, ge=1)
+    max_steps_factor: float = bounded(3.0, gt=0.0)
+    ensemble_decay: float = bounded(0.1, ge=0.0)
+    seed: int = bounded(0, ge=0)
+    reasoning_interval: int = bounded(1, ge=0)
+    prompt_noise: float = bounded(0.0, ge=0.0)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -116,8 +122,6 @@ class HarnessConfig:
             raise HarnessError("more tasks per kind than object classes")
         if not 1 <= self.data.difficulty_levels <= self.env.n_object_classes:  # level L places L distractor objects
             raise HarnessError(f"data.difficulty_levels must be in 1..env.n_object_classes, got {self.data.difficulty_levels}")
-        if self.eval.rollouts_per_config < 1:
-            raise HarnessError(f"eval.rollouts_per_config must be at least 1, got {self.eval.rollouts_per_config}")
 
 
 _SECTIONS = {"env": SimParams, "model": ModelConfig, "data": DataSection, "train": TrainConfig, "eval": EvalSection}
@@ -126,23 +130,8 @@ _SECTIONS = {"env": SimParams, "model": ModelConfig, "data": DataSection, "train
 _VARIANT_KEYS = {f"model.{name}" for flags in VARIANTS.values() for name in flags}
 
 
-def _parse_value(raw: str, ftype):
-    raw = raw.strip()
-    if ftype is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise HarnessError(f"boolean value expected, got '{raw}'")
-    if ftype is int:
-        return int(raw)
-    if ftype is float:
-        return float(raw)
-    raise HarnessError(f"unsupported config field type {ftype}")
-
-
 def parse_config(text: str) -> HarnessConfig:
-    """Parse `section.key = value` lines; unknown keys are errors."""
+    """Parse `section.key = value` lines; unknown keys and values out of range are errors."""
     overrides: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -157,12 +146,15 @@ def parse_config(text: str) -> HarnessConfig:
         section, _, name = key.partition(".")
         if section not in _SECTIONS:
             raise HarnessError(f"config line {lineno}: unknown section '{section}'")
-        cls = _SECTIONS[section]
-        if name not in {f.name for f in fields(cls)}:
+        setting = next((f for f in fields(_SECTIONS[section]) if f.name == name), None)
+        if setting is None:
             raise HarnessError(f"config line {lineno}: unknown key '{key}'")
         if key in _VARIANT_KEYS:
             raise HarnessError(f"config line {lineno}: '{key}' is set by --variant, not by the config file")
-        overrides[section][name] = _parse_value(raw, type(getattr(cls(), name)))
+        try:
+            overrides[section][name] = parse(raw, setting)
+        except ValueError as exc:
+            raise HarnessError(f"config line {lineno}: {section}.{exc}") from exc
     kwargs = {}
     for section, cls in _SECTIONS.items():
         kwargs[section] = cls(**overrides[section])

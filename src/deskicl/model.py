@@ -32,6 +32,7 @@ import numpy as np
 from . import tensor as tn
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import TrainingSequence
+from .settings import bounded, check_fields, parse
 from .tensor import ShapeError, Tensor
 from .traces import TRACE_DIM
 
@@ -43,31 +44,28 @@ ACTION_DIM = 4
 
 @dataclass(frozen=True)
 class ModelConfig:
-    d_model: int = 128
-    n_layers: int = 4
-    n_heads: int = 4
-    d_ff: int = 0  # 0 = derive: 8/3 * d_model rounded up to a multiple of 16
-    patch_size: int = 8
-    third_resolution: int = 32
-    wrist_resolution: int = 16
-    max_context: int = 2048
-    chunk_h: int = 8
-    lambda_r: float = 0.3
+    d_model: int = bounded(128, ge=1)
+    n_layers: int = bounded(4, ge=1)
+    n_heads: int = bounded(4, ge=1)
+    d_ff: int = bounded(0, ge=0)  # 0 = derive: 8/3 * d_model rounded up to a multiple of 16
+    patch_size: int = bounded(8, ge=1)
+    third_resolution: int = bounded(32, ge=8)
+    wrist_resolution: int = bounded(16, ge=8)
+    max_context: int = bounded(2048, ge=TOKENS_PER_STEP)
+    chunk_h: int = bounded(8, ge=1)
+    lambda_r: float = bounded(0.3, ge=0.0)
     prompt_reasoning: bool = True
     target_reasoning: bool = True
-    rope_base: float = 10000.0
+    rope_base: float = bounded(10000.0, gt=0.0)
 
     def __post_init__(self):
+        check_fields(self)  # before the rules below divide by n_heads and patch_size
         if self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
         if self.head_dim % 2:
             raise ValueError(f"head_dim {self.head_dim} (d_model / n_heads) is odd; RoPE rotates pairs of features")
         if self.third_resolution % self.patch_size or self.wrist_resolution % self.patch_size:
             raise ValueError("camera resolutions must be multiples of the patch size")
-        if self.lambda_r < 0:
-            raise ValueError("reasoning loss weight must be nonnegative")
-        if self.chunk_h < 1:
-            raise ValueError("chunk horizon must be at least 1")
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", ((8 * self.d_model // 3 + 15) // 16) * 16)
 
@@ -100,11 +98,8 @@ class ModelConfig:
     @classmethod
     def from_header(cls, header: dict[str, str]) -> "ModelConfig":
         """The config `to_header` wrote; each value is parsed by its field's
-        annotation."""
-        return cls(**{f.name: _HEADER_PARSERS[f.type](header[f.name]) for f in fields(cls)})
-
-
-_HEADER_PARSERS = {"int": int, "float": float, "bool": lambda raw: bool(int(raw))}
+        annotation and checked against its range."""
+        return cls(**{f.name: parse(header[f.name], f) for f in fields(cls)})
 
 
 class PolicyModel:

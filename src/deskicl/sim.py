@@ -21,6 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .settings import bounded, check_fields
+
 # Object classes are saturated, receptacles dimmer, the gripper marker is
 # pure white: per-pixel brightness then ranks marker > object > receptacle,
 # which the trace tooling relies on to localize the gripper in renders.
@@ -80,38 +82,37 @@ class InfeasibleTaskError(SimError):
 class SimParams:
     """World constants. Defaults size episodes at roughly 25-80 steps."""
 
-    third_resolution: int = 32
-    wrist_resolution: int = 16
-    wrist_window: float = 0.25
-    delta_max: float = 0.05
-    grasp_radius: float = 0.06
-    z_grasp: float = 0.2
-    close_threshold: float = 0.3
-    open_threshold: float = 0.7
-    poke_displacement: float = 0.03
-    z_contact: float = 0.1
-    object_radius: float = 0.05
-    receptacle_radius: float = 0.11
-    placement_margin: float = 0.03
-    n_object_classes: int = 12
-    n_receptacle_classes: int = 6
+    third_resolution: int = bounded(32, ge=8)
+    wrist_resolution: int = bounded(16, ge=8)
+    wrist_window: float = bounded(0.25, gt=0.0, le=1.0)
+    delta_max: float = bounded(0.05, gt=0.0)
+    grasp_radius: float = bounded(0.06, gt=0.0)
+    z_grasp: float = bounded(0.2, ge=0.0, le=1.0)
+    close_threshold: float = bounded(0.3, ge=0.0, le=1.0)
+    open_threshold: float = bounded(0.7, ge=0.0, le=1.0)
+    poke_displacement: float = bounded(0.03, gt=0.0)
+    z_contact: float = bounded(0.1, ge=0.0, le=1.0)
+    object_radius: float = bounded(0.05, gt=0.0)
+    receptacle_radius: float = bounded(0.11, gt=0.0)
+    placement_margin: float = bounded(0.03, ge=0.0)
+    n_object_classes: int = bounded(12, ge=1, le=len(OBJECT_PALETTE))
+    n_receptacle_classes: int = bounded(6, ge=1, le=len(RECEPTACLE_PALETTE))
     home_pose: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.9)
-    marker_radius: float = 0.024
+    marker_radius: float = bounded(0.024, gt=0.0)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class CameraModel:
     view: str  # "third" or "wrist"
-    resolution: int
-    window: float = 1.0  # width of the viewed world square
+    resolution: int = bounded(ge=8)
+    window: float = bounded(1.0, gt=0.0, le=1.0)  # width of the viewed world square
 
     def __post_init__(self):
         if self.view not in ("third", "wrist"):
             raise ValueError(f"unknown camera view '{self.view}'")
-        if self.resolution < 8:
-            raise ValueError(f"camera resolution {self.resolution} < 8")
-        if not 0.0 < self.window <= 1.0:
-            raise ValueError(f"camera window {self.window} outside (0, 1]")
+        check_fields(self)
 
 
 def third_camera(params: SimParams) -> CameraModel:

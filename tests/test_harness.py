@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from deskicl.harness import (
     write_report,
 )
 from deskicl.model import PolicyModel
-from deskicl.sim import SceneEntity, SimParams, TaskSpec, make_state, reset
+from deskicl.sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, SceneEntity, SimParams, TaskSpec, make_state, reset
 from deskicl.traces import augment_dataset
 
 TINY_CONFIG_TEXT = """
@@ -89,7 +90,7 @@ def test_parse_rejects_unknown_keys():
         parse_config("just words\n")
     with pytest.raises(HarnessError, match="unknown key"):
         parse_config("train.log_interval = 5\n")
-    with pytest.raises(HarnessError, match="unsupported"):
+    with pytest.raises(HarnessError, match="not a config-file key"):
         parse_config("train.n_prompt_choices = 3\n")
     # the variant is the only source of its flags
     for key in ("model.prompt_reasoning", "model.target_reasoning"):
@@ -109,6 +110,126 @@ def test_config_cross_validation():
     parse_config("data.difficulty_levels = 12\n")
     with pytest.raises(HarnessError, match="difficulty_levels"):
         parse_config("data.difficulty_levels = 6\nenv.n_object_classes = 5\ndata.n_poke_tasks = 5\ndata.n_pick_place_tasks = 5\n")
+
+
+# lines that must stop a run at parse time, each naming its key
+CONFIG_PROBES = [
+    "train.steps = -3",
+    "train.steps = abc",
+    "train.grad_clip = 0",
+    "train.lr = -1",
+    "train.lr = nan",
+    "train.lr = inf",
+    "train.checkpoint_interval = -1",
+    "train.n_prompt_choices = 3",
+    "eval.max_steps_factor = 0",
+    "model.d_model = 0",
+    "model.n_heads = 0",
+    "model.patch_size = 0",
+    "env.delta_max = -1",
+    "env.wrist_window = 1.5",
+    "env.n_object_classes = 13",
+    "env.n_receptacle_classes = 7",
+    "data.demos_per_task = 1",
+    "data.split_seed = -1",
+    "data.test_fraction = 1",
+]
+
+
+@pytest.mark.parametrize("line", CONFIG_PROBES)
+def test_parse_rejects_values_out_of_range(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(HarnessError, match=rf"^config line 2: {re.escape(key)}\b"):
+        parse_config(f"# probe\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "args, config_line, named",
+    [(["gen-data"], line, line.split(" = ")[0]) for line in CONFIG_PROBES]
+    + [
+        (["sweep-interval", "--intervals", "abc"], "", "--intervals"),
+        (["sweep-interval", "--intervals", "1,-1"], "", "--intervals"),
+        (["gen-data", "--seed", "-1"], "", "--seed"),
+        (["train", "--variant", "ours", "--seed", "-1"], "", "--seed"),
+    ],
+)
+def test_cli_rejects_bad_settings_before_any_output(tmp_path, capsys, args, config_line, named):
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(config_line + "\n")
+    assert cli_main([*args, "--config", str(config_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_class_counts_bounded_by_palettes():
+    config = parse_config("env.n_object_classes = 12\nenv.n_receptacle_classes = 6\n")
+    assert config.env.n_object_classes == len(OBJECT_PALETTE)
+    assert config.env.n_receptacle_classes == len(RECEPTACLE_PALETTE)
+
+
+def test_every_config_key_round_trips():
+    """Every config-file key off its default, so the round trip covers each
+    field type of each section."""
+    text = """
+env.third_resolution = 24
+env.wrist_resolution = 12
+env.wrist_window = 0.3
+env.delta_max = 0.04
+env.grasp_radius = 0.07
+env.z_grasp = 0.25
+env.close_threshold = 0.35
+env.open_threshold = 0.65
+env.poke_displacement = 0.025
+env.z_contact = 0.12
+env.object_radius = 0.045
+env.receptacle_radius = 0.1
+env.placement_margin = 0.02
+env.n_object_classes = 10
+env.n_receptacle_classes = 5
+env.marker_radius = 0.02
+model.d_model = 64
+model.n_layers = 3
+model.n_heads = 8
+model.d_ff = 96
+model.patch_size = 4
+model.third_resolution = 24
+model.wrist_resolution = 12
+model.max_context = 512
+model.chunk_h = 5
+model.lambda_r = 0.25
+model.rope_base = 500.0
+data.n_poke_tasks = 6
+data.n_pick_place_tasks = 7
+data.demos_per_task = 20
+data.expert_noise = 0.01
+data.test_fraction = 0.5
+data.split_seed = 3
+data.difficulty_levels = 4
+data.gen_seed = 5
+train.steps = 100
+train.seed = 6
+train.lr = 0.001
+train.weight_decay = 0.02
+train.grad_clip = 0.5
+train.checkpoint_interval = 10
+eval.rollouts_per_config = 4
+eval.max_steps_factor = 2.5
+eval.ensemble_decay = 0.2
+eval.seed = 7
+eval.reasoning_interval = 8
+eval.prompt_noise = 0.001
+"""
+    config, default = parse_config(text), HarnessConfig()
+
+    def value(c, key):
+        section, _, name = key.partition(".")
+        return getattr(getattr(c, section), name)
+
+    keys = [line.split(" = ")[0] for line in format_config(default).splitlines()]
+    assert len(keys) == 47
+    assert [key for key in keys if value(config, key) == value(default, key)] == []
+    assert parse_config(format_config(config)) == config
 
 
 def test_derive_seed_stable_and_distinct():

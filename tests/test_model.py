@@ -67,6 +67,10 @@ def test_config_validation():
         ModelConfig(third_resolution=20, patch_size=8)
     with pytest.raises(ValueError):
         ModelConfig(lambda_r=-1.0)
+    # ranges are checked before the rules that divide by these fields
+    for name in ("n_heads", "patch_size"):
+        with pytest.raises(ValueError, match=f"{name} = 0"):
+            ModelConfig(**{name: 0})
 
 
 def test_config_header_round_trip():
@@ -124,6 +128,15 @@ def test_load_rejects_a_container_without_model_entries(tmp_path):
     save_episodes(path, [toy_trajectory("poke_c0", 4)])
     with pytest.raises(CheckpointError, match="not a model checkpoint"):
         PolicyModel.load(path)
+
+
+@pytest.mark.parametrize("name", ["n_heads", "patch_size"])
+def test_load_rejects_a_header_out_of_range(tmp_path, name):
+    path = tmp_path / "m.ckpt"
+    tiny_model().save(path, extra_header={name: "0"})
+    with pytest.raises(CheckpointError) as exc:
+        PolicyModel.load(path)
+    assert f"{path}: not a model checkpoint" in str(exc.value) and f"{name} = 0" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

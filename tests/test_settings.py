@@ -1,0 +1,51 @@
+"""Declared setting ranges: every settings dataclass checks its own fields."""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import pytest
+
+from deskicl.engine import RolloutOptions, TrainConfig
+from deskicl.harness import DataSection, EvalSection
+from deskicl.model import ModelConfig
+from deskicl.settings import parse
+from deskicl.sim import CameraModel, SimParams
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SimParams(delta_max=0.0), "delta_max = 0.0 is not in (0, inf)"),
+        (lambda: ModelConfig(max_context=2), "max_context = 2 is not in [3, inf)"),
+        (lambda: DataSection(test_fraction=0.0), "test_fraction = 0.0 is not in (0, 1)"),
+        (lambda: TrainConfig(lr=math.nan), "lr = nan is not in (0, inf)"),
+        (lambda: EvalSection(max_steps_factor=math.inf), "max_steps_factor = inf is not in (0, inf)"),
+        (lambda: RolloutOptions(max_steps=0), "max_steps = 0 is not in [1, inf)"),
+        (lambda: CameraModel("third", 4), "resolution = 4 is not in [8, inf)"),
+        (lambda: CameraModel("wrist", 16, 1.5), "window = 1.5 is not in (0, 1]"),
+    ],
+)
+def test_settings_built_in_code_are_checked(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_every_numeric_setting_declares_a_range():
+    # difficulty_levels is bounded by env.n_object_classes, a cross-field rule
+    unbounded = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (SimParams, ModelConfig, DataSection, TrainConfig, EvalSection, RolloutOptions, CameraModel)
+        for f in dataclasses.fields(cls)
+        if f.type in ("int", "float") and "bound" not in f.metadata
+    ]
+    assert unbounded == ["DataSection.difficulty_levels"]
+
+
+def test_parse_reads_header_bools_and_rejects_other_text():
+    flag = next(f for f in dataclasses.fields(ModelConfig) if f.name == "prompt_reasoning")
+    assert (parse("0", flag), parse("1", flag)) == (False, True)
+    with pytest.raises(ValueError, match="prompt_reasoning = 'yes' is not 0 or 1"):
+        parse("yes", flag)
