@@ -82,6 +82,8 @@ def main(argv: list[str] | None = None) -> int:
                 intervals = [parse(v, interval) for v in args.intervals.split(",") if v.strip()]
             except ValueError as exc:
                 raise HarnessError(f"--intervals: {exc}") from exc
+            if not intervals:
+                raise HarnessError("--intervals: no interval given")
             harness.cmd_sweep_interval(config, args.out, args.variant, intervals)
         elif args.command == "report":
             harness.cmd_report(args.out)

@@ -177,13 +177,13 @@ def build_sequence(
     reasoning_input_mask = np.zeros(total, dtype=bool)
     reasoning_input_mask[total - lengths[-1]:] = traces_mod.sample_mask(lengths[-1], rng, ratio=mask_ratio)
 
-    chunk_actions = np.empty((total, chunk_h, 4), dtype=np.float32)
-    chunk_valid = np.empty((total, chunk_h), dtype=bool)
-    offset = 0
-    for episode in episodes:
-        for t in range(len(episode)):
-            chunk_actions[offset + t], chunk_valid[offset + t] = chunk_labels(episode.actions, t, chunk_h)
-        offset += len(episode)
+    # `chunk_labels` for every step at once: step s reads the actions from s
+    # on, clamped to the last step of its own episode
+    actions = np.concatenate([e.actions for e in episodes])
+    ends = np.repeat(np.cumsum(lengths), lengths)[:, None]
+    steps = np.arange(total)[:, None] + np.arange(chunk_h)
+    chunk_actions = actions[np.minimum(steps, ends - 1)].astype(np.float32, copy=False)
+    chunk_valid = steps < ends
 
     return TrainingSequence(
         episodes=episodes,
@@ -193,7 +193,7 @@ def build_sequence(
         third=np.concatenate([e.third for e in episodes]),
         wrist=np.concatenate([e.wrist for e in episodes]),
         proprio=np.concatenate([e.proprio for e in episodes]),
-        actions=np.concatenate([e.actions for e in episodes]),
+        actions=actions,
         traces=np.concatenate([e.traces for e in episodes]),
         step_is_target=step_is_target,
         reasoning_input_mask=reasoning_input_mask,

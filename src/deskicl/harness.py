@@ -89,7 +89,7 @@ class DataSection:
     expert_noise: float = bounded(0.005, ge=0.0)
     test_fraction: float = bounded(0.375, gt=0.0, lt=1.0)
     split_seed: int = bounded(0, ge=0)
-    difficulty_levels: int = 5
+    difficulty_levels: int = bounded(5, ge=1)
     gen_seed: int = bounded(0, ge=0)
 
     __post_init__ = check_fields
@@ -120,8 +120,18 @@ class HarnessConfig:
             raise HarnessError("model and environment disagree on camera resolutions")
         if self.data.n_poke_tasks > self.env.n_object_classes or self.data.n_pick_place_tasks > self.env.n_object_classes:
             raise HarnessError("more tasks per kind than object classes")
-        if not 1 <= self.data.difficulty_levels <= self.env.n_object_classes:  # level L places L distractor objects
-            raise HarnessError(f"data.difficulty_levels must be in 1..env.n_object_classes, got {self.data.difficulty_levels}")
+        # each distractor of a kind's prompt configs and levels takes a class other than the target's
+        levels = self.data.difficulty_levels
+        for task in {t.kind: t for t in task_list(self)}.values():
+            plans = [(p.n_distractor_objects, p.n_distractor_receptacles) for p in prompt_configs(task)]
+            plans += [difficulty_counts(task, level) for level in range(levels)]
+            for name, needed in zip(("n_object_classes", "n_receptacle_classes"), map(max, zip(*plans))):
+                classes = getattr(self.env, name)
+                if needed > classes - 1:
+                    raise HarnessError(
+                        f"env.{name} = {classes} is too few: {task.kind} tasks place up to {needed} distractors of "
+                        f"other classes than the target's (prompt configs and data.difficulty_levels = {levels})"
+                    )
 
 
 _SECTIONS = {"env": SimParams, "model": ModelConfig, "data": DataSection, "train": TrainConfig, "eval": EvalSection}
@@ -401,10 +411,6 @@ class EvalRecord:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, blob: dict) -> "EvalRecord":
-        return cls(**blob)
-
 
 def classify_failure(result: RolloutResult, env: SimParams, task: TaskSpec) -> str:
     """Deterministic failure taxonomy for a finished rollout.
@@ -444,24 +450,34 @@ def classify_failure(result: RolloutResult, env: SimParams, task: TaskSpec) -> s
     return "placement_failure" if picked else "grasp_failure"
 
 
-def _eval_rollouts(
+def _evaluate(
     config: HarnessConfig,
-    policy_source,
-    variant: str,
+    out_dir: Path,
     train_seed: int,
     tasks: list[TaskSpec],
-    intervals: list[int],
-    prompt_filter=None,
+    runs: list[tuple[str, int]],
+    prompt_ids: set[str] | None = None,
 ) -> list[EvalRecord]:
-    """Shared evaluation loop over `policy_source(task)`. Scene and prompt
-    seeds depend only on (eval seed, task, prompt config, rollout index),
-    never on the interval or variant, so rows are comparable across k and
-    models."""
+    """The one evaluation loop: every `(variant, k)` run on every (task,
+    prompt config) cell of `tasks`, or only the prompt configs in `prompt_ids`.
+
+    Runs are paired: each cell records one prompt demo and resets one set of
+    scenes, seeded only by (eval seed, task, prompt config, rollout index), and
+    every variant and k rolls out on those same scenes. Every checkpoint is
+    loaded once, before the first rollout, so a missing one fails before any
+    work. Records come in cell order, then run order, then rollout order.
+    """
+    policies: dict[str, PolicyModel | None] = {"expert": None}  # None: the replay stub, built per task
+    for variant in dict.fromkeys(v for v, _ in runs if v != "expert"):
+        ckpt = checkpoint_path(out_dir, variant, train_seed)
+        if not ckpt.exists():
+            raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
+        policies[variant] = PolicyModel.load(ckpt)[0]
     env = config.env
     records: list[EvalRecord] = []
     for task in tasks:
         for pconf in prompt_configs(task):
-            if prompt_filter and pconf.config_id not in prompt_filter:
+            if prompt_ids is not None and pconf.config_id not in prompt_ids:
                 continue
             demo = record_episode(
                 env,
@@ -478,13 +494,14 @@ def _eval_rollouts(
                 n_obj, n_rec = difficulty_counts(task, r % config.data.difficulty_levels)
                 scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, r)
                 states.append(reset(env, task, n_obj, n_rec, scene_seed))
-            for k in intervals:
+            for variant, k in runs:
+                policy = policies[variant] or ExpertReplayPolicy(env, task, config.model.chunk_h)
                 options = RolloutOptions(
                     reasoning_interval=k,
                     max_steps=max_steps,
                     ensemble_decay=config.eval.ensemble_decay,
                 )
-                results = rollout(policy_source(task), env, states, task, [demo], options)
+                results = rollout(policy, env, states, task, [demo], options)
                 for r, result in enumerate(results):
                     records.append(
                         EvalRecord(
@@ -503,20 +520,6 @@ def _eval_rollouts(
     return records
 
 
-def eval_interval_for(config: HarnessConfig, variant: str) -> int:
-    # the no-reasoning baseline never trains its trace head, so it is
-    # always evaluated without trace decodes
-    return 0 if variant == "icrt" else config.eval.reasoning_interval
-
-
-def _load_variant(out_dir: Path, variant: str, train_seed: int) -> PolicyModel:
-    ckpt = checkpoint_path(out_dir, variant, train_seed)
-    if not ckpt.exists():
-        raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
-    model, _ = PolicyModel.load(ckpt)
-    return model
-
-
 def _write_records(out_dir: Path, name: str, records: list[EvalRecord]) -> Path:
     path = out_dir / "metrics" / f"{name}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -525,28 +528,25 @@ def _write_records(out_dir: Path, name: str, records: list[EvalRecord]) -> Path:
 
 
 def cmd_eval(config: HarnessConfig, out_dir, variants: list[str], train_seed: int | None = None) -> list[EvalRecord]:
+    """Evaluate each variant once on every cell; one metrics file per variant."""
     out_dir = Path(out_dir)
     write_resolved_config(config, out_dir)
-    split = load_split(out_dir)
-    tasks = [task_by_label(config, label) for label in split.test_tasks]
+    tasks = [task_by_label(config, label) for label in load_split(out_dir).test_tasks]
     train_seed = config.train.seed if train_seed is None else train_seed
-    all_records: list[EvalRecord] = []
-    for variant in variants:
-        if variant == "expert":
-            policy_source = lambda task: ExpertReplayPolicy(config.env, task, config.model.chunk_h)
-        else:
-            model = _load_variant(out_dir, variant, train_seed)
-            policy_source = lambda task, m=model: m
-        k = eval_interval_for(config, variant)
-        records = _eval_rollouts(config, policy_source, variant, train_seed, tasks, [k])
-        expected = sum(len(prompt_configs(t)) for t in tasks) * config.eval.rollouts_per_config
-        if len(records) != expected:
-            raise HarnessError(f"evaluation plan violated: {len(records)} rollouts, expected {expected}")
-        path = _write_records(out_dir, f"eval_{variant}_seed{train_seed}", records)
-        mean = float(np.mean([r.score for r in records]))
-        print(f"eval: {variant} seed {train_seed}: mean score {mean:.3f} over {len(records)} rollouts -> {path}")
-        all_records.extend(records)
-    return all_records
+    variants = list(dict.fromkeys(variants))
+    # the no-reasoning baseline never trains its trace head, so it is
+    # always evaluated without trace decodes
+    runs = [(v, 0 if v == "icrt" else config.eval.reasoning_interval) for v in variants]
+    records = _evaluate(config, out_dir, train_seed, tasks, runs)
+    expected = sum(len(prompt_configs(t)) for t in tasks) * config.eval.rollouts_per_config
+    by_variant = {v: [r for r in records if r.variant == v] for v in variants}
+    for variant, rs in by_variant.items():
+        if len(rs) != expected:
+            raise HarnessError(f"evaluation plan violated: {len(rs)} rollouts, expected {expected}")
+        path = _write_records(out_dir, f"eval_{variant}_seed{train_seed}", rs)
+        mean = float(np.mean([r.score for r in rs]))
+        print(f"eval: {variant} seed {train_seed}: mean score {mean:.3f} over {len(rs)} rollouts -> {path}")
+    return [r for rs in by_variant.values() for r in rs]
 
 
 def cmd_sweep_interval(
@@ -561,11 +561,9 @@ def cmd_sweep_interval(
     seeds match cmd_eval's, so the k=1 rows reproduce a full-variant eval."""
     out_dir = Path(out_dir)
     write_resolved_config(config, out_dir)
-    split = load_split(out_dir)
-    tasks = [task_by_label(config, label) for label in split.test_tasks]
+    tasks = [task_by_label(config, label) for label in load_split(out_dir).test_tasks]
     train_seed = config.train.seed
-    model = _load_variant(out_dir, variant, train_seed)
-    records = _eval_rollouts(config, lambda task: model, variant, train_seed, tasks, intervals, prompt_filter={"p1"})
+    records = _evaluate(config, out_dir, train_seed, tasks, [(variant, k) for k in intervals], prompt_ids={"p1"})
     path = _write_records(out_dir, f"sweep_{variant}_seed{train_seed}", records)
     print(f"sweep-interval: {variant} seed {train_seed}: k in {intervals} -> {path}")
     return records
@@ -633,7 +631,7 @@ def load_metrics(out_dir) -> list[EvalRecord]:
                 value = blob[f.name]
                 if isinstance(value, bool) or not isinstance(value, json_types[f.type]):
                     raise HarnessError(f"{path}: record {i} has {f.name} = {value!r}, not {f.type}")
-            records.append(EvalRecord.from_dict(blob))
+            records.append(EvalRecord(**blob))
     return records
 
 
@@ -690,8 +688,8 @@ def write_report(records: list[EvalRecord], out_dir) -> tuple[Path, Path]:
 
 
 def _variant_order(name: str) -> tuple:
-    order = {"ours": 0, "to": 1, "icrt": 2, "expert": 3}
-    return (order.get(name, 9), name)
+    order = [*VARIANTS, "expert"]
+    return (order.index(name) if name in order else len(order), name)
 
 
 def cmd_report(out_dir) -> tuple[Path, Path]:

@@ -85,9 +85,8 @@ def sample_mask(n_target_steps: int, rng: np.random.Generator, ratio: float | No
     bool array that is true at the masked steps.
 
     `ratio` defaults to a Uniform[0, 1] draw; passing it explicitly pins the
-    masked fraction (used by tests and by variant configs). The number of
-    masked positions is floor(ratio * n_target_steps), drawn uniformly
-    without replacement.
+    masked fraction (used by tests). The number of masked positions is
+    floor(ratio * n_target_steps), drawn uniformly without replacement.
     """
     if n_target_steps < 0:
         raise ValueError("negative target step count")

@@ -141,15 +141,17 @@ def test_build_sequence_mask_ratio_control():
 
 
 def test_build_sequence_chunk_rows_match_episodes():
-    rng = np.random.default_rng(4)
-    seq = build_sequence(_subset([6, 5, 8]), 2, rng, chunk_h=3)
-    offset = 0
-    for episode in seq.episodes:
-        for t in range(len(episode)):
-            labels, valid = chunk_labels(episode.actions, t, 3)
-            assert np.array_equal(seq.chunk_actions[offset + t], labels)
-            assert np.array_equal(seq.chunk_valid[offset + t], valid)
-        offset += len(episode)
+    for chunk_h in (3, 10):  # 10 is longer than every episode
+        rng = np.random.default_rng(4)
+        seq = build_sequence(_subset([6, 5, 8]), 2, rng, chunk_h=chunk_h)
+        assert seq.chunk_actions.dtype == np.float32
+        offset = 0
+        for episode in seq.episodes:
+            for t in range(len(episode)):
+                labels, valid = chunk_labels(episode.actions, t, chunk_h)
+                assert np.array_equal(seq.chunk_actions[offset + t], labels)
+                assert np.array_equal(seq.chunk_valid[offset + t], valid)
+            offset += len(episode)
 
 
 def test_build_sequence_deterministic_given_rng_state():

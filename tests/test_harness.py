@@ -151,6 +151,16 @@ def test_parse_rejects_values_out_of_range(line):
         (["sweep-interval", "--intervals", "1,-1"], "", "--intervals"),
         (["gen-data", "--seed", "-1"], "", "--seed"),
         (["train", "--variant", "ours", "--seed", "-1"], "", "--seed"),
+        # every distractor needs a class other than the target's: pick-place
+        # levels from 2 and its `pr` prompt place a distractor receptacle ...
+        (["gen-data"], "env.n_receptacle_classes = 1", "env.n_receptacle_classes"),
+        # ... and poke's `pr` prompt places two distractor objects
+        (
+            ["gen-data"],
+            "env.n_object_classes = 2\ndata.n_poke_tasks = 2\ndata.n_pick_place_tasks = 0\ndata.difficulty_levels = 2",
+            "env.n_object_classes",
+        ),
+        (["sweep-interval", "--intervals", ","], "", "--intervals"),
     ],
 )
 def test_cli_rejects_bad_settings_before_any_output(tmp_path, capsys, args, config_line, named):
@@ -388,6 +398,41 @@ def test_eval_missing_checkpoint_names_variant(tiny_run):
     config, out = tiny_run
     with pytest.raises(HarnessError, match="to"):
         cmd_eval(config, out, ["to"])
+
+
+def _copy_for_eval(out, run):
+    """The split and checkpoints of `out` under `run`: enough to evaluate, no metrics."""
+    shutil.copytree(out / "checkpoints", run / "checkpoints")
+    shutil.copy(out / "split.json", run)
+
+
+def test_eval_missing_checkpoint_fails_before_any_rollout(tiny_run, tmp_path):
+    config, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    assert not harness.checkpoint_path(run, "to", 0).exists()
+    with pytest.raises(HarnessError, match="variant 'to'"):
+        cmd_eval(config, run, ["ours", "to"])
+    assert not (run / "metrics").exists()
+
+
+def test_eval_variants_share_each_cells_prompt_and_scenes(tiny_run, tmp_path, monkeypatch):
+    """One eval over two variants (one of them repeated) writes what two
+    single-variant evals write, and records each cell's prompt demo once."""
+    config, out = tiny_run
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    _copy_for_eval(out, together)
+    _copy_for_eval(out, alone)
+    singles = cmd_eval(config, alone, ["ours"]) + cmd_eval(config, alone, ["icrt"])
+    demos = []
+    record_episode = harness.record_episode
+    monkeypatch.setattr(harness, "record_episode", lambda *args, **kw: demos.append(args[1]) or record_episode(*args, **kw))
+    assert cmd_eval(config, together, ["ours", "icrt", "ours"]) == singles
+    n_cells = sum(len(prompt_configs(harness.task_by_label(config, lb))) for lb in harness.load_split(out).test_tasks)
+    assert len(demos) == n_cells
+    for name in ("eval_ours_seed0.json", "eval_icrt_seed0.json"):
+        assert (together / "metrics" / name).read_bytes() == (alone / "metrics" / name).read_bytes()
+    assert sorted(p.name for p in (together / "metrics").iterdir()) == ["eval_icrt_seed0.json", "eval_ours_seed0.json"]
 
 
 def test_sweep_interval_rows_and_k1_consistency(tiny_run):

@@ -34,14 +34,13 @@ def test_settings_built_in_code_are_checked(make, message):
 
 
 def test_every_numeric_setting_declares_a_range():
-    # difficulty_levels is bounded by env.n_object_classes, a cross-field rule
     unbounded = [
         f"{cls.__name__}.{f.name}"
         for cls in (SimParams, ModelConfig, DataSection, TrainConfig, EvalSection, RolloutOptions, CameraModel)
         for f in dataclasses.fields(cls)
         if f.type in ("int", "float") and "bound" not in f.metadata
     ]
-    assert unbounded == ["DataSection.difficulty_levels"]
+    assert unbounded == []
 
 
 def test_parse_reads_header_bools_and_rejects_other_text():
