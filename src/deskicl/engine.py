@@ -73,7 +73,10 @@ class TrainConfig:
     n_prompt_choices: tuple[int, ...] = (1, 2, 3)
     checkpoint_interval: int = bounded(0, ge=0)  # 0 = only the returned final model
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        if not self.n_prompt_choices or min(self.n_prompt_choices) < 1:
+            raise ValueError(f"n_prompt_choices = {self.n_prompt_choices} needs at least one count, each at least 1")
 
 
 @dataclass
@@ -313,8 +316,7 @@ class TransformerPolicy:
 class ExpertReplayPolicy:
     """Harness-sanity stub: plans chunks by simulating the scripted expert."""
 
-    def __init__(self, params: SimParams, task: TaskSpec, horizon: int):
-        self.params = params
+    def __init__(self, task: TaskSpec, horizon: int):
         self.task = task
         self.horizon = horizon
 
@@ -327,9 +329,9 @@ class ExpertReplayPolicy:
         chunks = np.zeros((len(states), self.horizon, ACTION_DIM), dtype=np.float32)
         for lane, sim_state in enumerate(states):
             for j in range(self.horizon):
-                action = expert_policy(self.params, sim_state, self.task)
+                action = expert_policy(sim_state, self.task)
                 chunks[lane, j] = action.deltas
-                sim_state = sim_step(self.params, sim_state, action)
+                sim_state = sim_step(sim_state, action)
         return None, chunks
 
     def commit(self, executed_actions) -> None:
@@ -348,9 +350,9 @@ class _Lane:
     traces: list[tuple[int, np.ndarray]] = field(default_factory=list)
     overflow: bool = False
 
-    def result(self, env_params: SimParams, task: TaskSpec) -> RolloutResult:
+    def result(self, task: TaskSpec) -> RolloutResult:
         return RolloutResult(
-            score=success(env_params, self.states[-1], task),
+            score=success(self.states[-1], task),
             steps_used=len(self.actions),
             overflow=self.overflow,
             states=self.states,
@@ -392,15 +394,15 @@ def rollout(
     except ContextOverflowError:
         for lane in lanes:
             lane.overflow = True
-        return [lane.result(env_params, task) for lane in lanes]
+        return [lane.result(task) for lane in lanes]
     cam3, camw = third_camera(env_params), wrist_camera(env_params)
     active = list(lanes)
     h = policy.horizon
     ring = np.zeros((len(lanes), h, h, ACTION_DIM), dtype=np.float32)  # lane, issue step % h, offset, action
     for t in range(options.max_steps):
         states = [lane.states[-1] for lane in active]
-        third = render(env_params, states, cam3)
-        wrist = render(env_params, states, camw)
+        third = render(states, cam3)
+        wrist = render(states, camw)
         proprio = np.stack([s.gripper for s in states]).astype(np.float32)
         try:
             traces, chunks = policy.propose(t, states, third, wrist, proprio)
@@ -412,17 +414,17 @@ def rollout(
             for lane, trace in zip(active, traces):
                 lane.traces.append((t, trace))
         ring[:, t % h] = chunks
-        actions = [Action(a, env_params.delta_max) for a in temporal_ensemble(ring, t, options.ensemble_decay)]
+        actions = [Action(a) for a in temporal_ensemble(ring, t, options.ensemble_decay)]
         policy.commit(np.stack([a.deltas for a in actions]).astype(np.float32))
         for lane, action in zip(active, actions):
-            lane.states.append(sim_step(env_params, lane.states[-1], action))
+            lane.states.append(sim_step(lane.states[-1], action))
             lane.actions.append(action.deltas.copy())
-        going = np.flatnonzero([success(env_params, lane.states[-1], task) != 1.0 for lane in active])
+        going = np.flatnonzero([success(lane.states[-1], task) != 1.0 for lane in active])
         if len(going) < len(active):
             active = [active[j] for j in going]
             if not active:
                 break
             ring = ring[going]
             policy.keep_lanes(going)
-    return [lane.result(env_params, task) for lane in lanes]
+    return [lane.result(task) for lane in lanes]
 

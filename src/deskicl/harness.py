@@ -3,10 +3,17 @@ variant evaluation, interval sweeps, failure classification, and reports.
 
 Every run is driven by a flat `key = value` config file (dotted section
 prefixes, '#' comments). Each value is range-checked as its line is read, so
-an error names the line and the key. The resolved config is written next to
-each command's outputs. All randomness is derived from explicit seeds
-through `derive_seed`, so regenerating with the same config and seeds
-reproduces every file byte for byte.
+an error names the line and the key. Each command writes the resolved config
+once it has read and checked its inputs, just before its first output file,
+so a command that fails early leaves the previous one in place. All
+randomness is derived from explicit seeds through `derive_seed`, so
+regenerating with the same config and seeds reproduces every file byte for
+byte.
+
+The config chooses the world only through `env.*`: the two camera resolutions,
+which the model section takes over, and the object and receptacle class
+counts. The world's physics and geometry are constants in `sim.py`, beside the
+scripted expert that assumes them.
 
 Output layout under --out:
     config.resolved.txt
@@ -116,8 +123,6 @@ class HarnessConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def __post_init__(self):
-        if self.model.third_resolution != self.env.third_resolution or self.model.wrist_resolution != self.env.wrist_resolution:
-            raise HarnessError("model and environment disagree on camera resolutions")
         if self.data.n_poke_tasks > self.env.n_object_classes or self.data.n_pick_place_tasks > self.env.n_object_classes:
             raise HarnessError("more tasks per kind than object classes")
         # each distractor of a kind's prompt configs and levels takes a class other than the target's
@@ -136,12 +141,15 @@ class HarnessConfig:
 
 _SECTIONS = {"env": SimParams, "model": ModelConfig, "data": DataSection, "train": TrainConfig, "eval": EvalSection}
 
-# model flags that `--variant` sets, so a config file must not
-_VARIANT_KEYS = {f"model.{name}" for flags in VARIANTS.values() for name in flags}
+# model fields that another source sets, so a config file must not
+_SET_ELSEWHERE = {f"model.{name}": "--variant" for flags in VARIANTS.values() for name in flags}
+_SET_ELSEWHERE.update({f"model.{name}": f"env.{name}" for name in ("third_resolution", "wrist_resolution")})
 
 
 def parse_config(text: str) -> HarnessConfig:
-    """Parse `section.key = value` lines; unknown keys and values out of range are errors."""
+    """Parse `section.key = value` lines; unknown keys and values out of range are errors.
+
+    The model section takes its camera resolutions from the env section."""
     overrides: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -159,16 +167,15 @@ def parse_config(text: str) -> HarnessConfig:
         setting = next((f for f in fields(_SECTIONS[section]) if f.name == name), None)
         if setting is None:
             raise HarnessError(f"config line {lineno}: unknown key '{key}'")
-        if key in _VARIANT_KEYS:
-            raise HarnessError(f"config line {lineno}: '{key}' is set by --variant, not by the config file")
+        if key in _SET_ELSEWHERE:
+            raise HarnessError(f"config line {lineno}: '{key}' is set by {_SET_ELSEWHERE[key]}, not by the config file")
         try:
             overrides[section][name] = parse(raw, setting)
         except ValueError as exc:
             raise HarnessError(f"config line {lineno}: {section}.{exc}") from exc
-    kwargs = {}
-    for section, cls in _SECTIONS.items():
-        kwargs[section] = cls(**overrides[section])
-    return HarnessConfig(**kwargs)
+    env = SimParams(**overrides.pop("env"))
+    overrides["model"].update(third_resolution=env.third_resolution, wrist_resolution=env.wrist_resolution)
+    return HarnessConfig(env=env, **{section: _SECTIONS[section](**kwargs) for section, kwargs in overrides.items()})
 
 
 def load_config(path) -> HarnessConfig:
@@ -176,13 +183,15 @@ def load_config(path) -> HarnessConfig:
 
 
 def format_config(config: HarnessConfig) -> str:
+    """One sorted `key = value` line per config-file key: what `parse_config`
+    reads back to the same config."""
     lines = []
     for section in sorted(_SECTIONS):
         value = getattr(config, section)
         for f in sorted(fields(value), key=lambda f: f.name):
             key, v = f"{section}.{f.name}", getattr(value, f.name)
-            if isinstance(v, tuple) or key in _VARIANT_KEYS:
-                continue  # tuples (home_pose, n_prompt_choices) stay at their defaults
+            if isinstance(v, tuple) or key in _SET_ELSEWHERE:
+                continue  # a tuple (n_prompt_choices) stays at its default
             lines.append(f"{key} = {v}")
     return "\n".join(lines) + "\n"
 
@@ -234,13 +243,13 @@ def record_episode(
     """
     state = reset(env, task, n_distractor_objects, n_distractor_receptacles, seed)
     rng = np.random.default_rng(derive_seed(seed, "expert-noise")) if noise > 0 else None
-    states, actions, score = expert_rollout(env, state, task, noise=noise, rng=rng)
+    states, actions, score = expert_rollout(state, task, noise=noise, rng=rng)
     if score != 1.0:
         raise HarnessError(f"expert failed on {task.label} (seed {seed})")
     return Trajectory(
         task_label=task.label,
-        third=render(env, states, third_camera(env)),
-        wrist=render(env, states, wrist_camera(env)),
+        third=render(states, third_camera(env)),
+        wrist=render(states, wrist_camera(env)),
         proprio=np.stack([s.gripper for s in states]).astype(np.float32),
         actions=np.stack([a.deltas for a in actions]).astype(np.float32),
     )
@@ -305,8 +314,8 @@ def checkpoint_path(out_dir: Path, variant: str, seed: int) -> Path:
 
 def cmd_gen_data(config: HarnessConfig, out_dir) -> SplitSpec:
     out_dir = Path(out_dir)
-    write_resolved_config(config, out_dir)
     split = stratified_split(config)
+    write_resolved_config(config, out_dir)
     epdir = episodes_dir(out_dir)
     epdir.mkdir(parents=True, exist_ok=True)
     total = 0
@@ -353,19 +362,20 @@ def variant_model_config(config: HarnessConfig, variant: str) -> ModelConfig:
 
 def cmd_train(config: HarnessConfig, variant: str, out_dir) -> Path:
     out_dir = Path(out_dir)
-    write_resolved_config(config, out_dir)
     seed = config.train.seed
     episodes = load_train_episodes(out_dir)
     model = PolicyModel.init(variant_model_config(config, variant), seed=derive_seed(seed, "init", variant))
     ckpt = checkpoint_path(out_dir, variant, seed)
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
 
-    def hook(step, m):
+    def save(step, m):
+        # train() checks its inputs before step 0, so the first save follows every check
+        write_resolved_config(config, out_dir)
+        ckpt.parent.mkdir(parents=True, exist_ok=True)
         m.save(ckpt, extra_header={"variant": variant, "train_seed": str(seed), "train_step": str(step)})
 
     cfg = dataclasses.replace(config.train, seed=derive_seed(seed, "train", variant))
-    history = train(model, episodes, cfg, checkpoint_hook=hook)
-    model.save(ckpt, extra_header={"variant": variant, "train_seed": str(seed), "train_step": str(config.train.steps)})
+    history = train(model, episodes, cfg, checkpoint_hook=save)
+    save(config.train.steps, model)
 
     log = Path(out_dir) / f"loss_{variant}_seed{seed}.csv"
     rows = ["step,loss,l_action,l_reason,grad_norm"]
@@ -412,7 +422,7 @@ class EvalRecord:
         return dataclasses.asdict(self)
 
 
-def classify_failure(result: RolloutResult, env: SimParams, task: TaskSpec) -> str:
+def classify_failure(result: RolloutResult, task: TaskSpec) -> str:
     """Deterministic failure taxonomy for a finished rollout.
 
     Overflowed rollouts are their own class. Otherwise the last predicted
@@ -495,7 +505,7 @@ def _evaluate(
                 scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, r)
                 states.append(reset(env, task, n_obj, n_rec, scene_seed))
             for variant, k in runs:
-                policy = policies[variant] or ExpertReplayPolicy(env, task, config.model.chunk_h)
+                policy = policies[variant] or ExpertReplayPolicy(task, config.model.chunk_h)
                 options = RolloutOptions(
                     reasoning_interval=k,
                     max_steps=max_steps,
@@ -514,7 +524,7 @@ def _evaluate(
                             score=result.score,
                             steps_used=result.steps_used,
                             n_trace_decodes=len(result.predicted_traces),
-                            failure=classify_failure(result, env, task),
+                            failure=classify_failure(result, task),
                         )
                     )
     return records
@@ -530,7 +540,6 @@ def _write_records(out_dir: Path, name: str, records: list[EvalRecord]) -> Path:
 def cmd_eval(config: HarnessConfig, out_dir, variants: list[str], train_seed: int | None = None) -> list[EvalRecord]:
     """Evaluate each variant once on every cell; one metrics file per variant."""
     out_dir = Path(out_dir)
-    write_resolved_config(config, out_dir)
     tasks = [task_by_label(config, label) for label in load_split(out_dir).test_tasks]
     train_seed = config.train.seed if train_seed is None else train_seed
     variants = list(dict.fromkeys(variants))
@@ -540,9 +549,11 @@ def cmd_eval(config: HarnessConfig, out_dir, variants: list[str], train_seed: in
     records = _evaluate(config, out_dir, train_seed, tasks, runs)
     expected = sum(len(prompt_configs(t)) for t in tasks) * config.eval.rollouts_per_config
     by_variant = {v: [r for r in records if r.variant == v] for v in variants}
-    for variant, rs in by_variant.items():
+    for rs in by_variant.values():
         if len(rs) != expected:
             raise HarnessError(f"evaluation plan violated: {len(rs)} rollouts, expected {expected}")
+    write_resolved_config(config, out_dir)
+    for variant, rs in by_variant.items():
         path = _write_records(out_dir, f"eval_{variant}_seed{train_seed}", rs)
         mean = float(np.mean([r.score for r in rs]))
         print(f"eval: {variant} seed {train_seed}: mean score {mean:.3f} over {len(rs)} rollouts -> {path}")
@@ -560,10 +571,10 @@ def cmd_sweep_interval(
     Uses the single-distractor prompt config on every unseen task; scene
     seeds match cmd_eval's, so the k=1 rows reproduce a full-variant eval."""
     out_dir = Path(out_dir)
-    write_resolved_config(config, out_dir)
     tasks = [task_by_label(config, label) for label in load_split(out_dir).test_tasks]
     train_seed = config.train.seed
     records = _evaluate(config, out_dir, train_seed, tasks, [(variant, k) for k in intervals], prompt_ids={"p1"})
+    write_resolved_config(config, out_dir)
     path = _write_records(out_dir, f"sweep_{variant}_seed{train_seed}", records)
     print(f"sweep-interval: {variant} seed {train_seed}: k in {intervals} -> {path}")
     return records
@@ -576,6 +587,7 @@ def cmd_sweep_interval(
 
 @dataclass(frozen=True)
 class MetricsRow:
+    source: str  # "eval" or "sweep": the metrics file the records came from
     variant: str
     task: str
     prompt_config: str
@@ -585,7 +597,7 @@ class MetricsRow:
     failures: tuple[int, ...]  # counts per FAILURE_CLASSES
 
 
-def aggregate(records: list[EvalRecord]) -> list[MetricsRow]:
+def aggregate(records: list[EvalRecord], source: str) -> list[MetricsRow]:
     groups: dict[tuple, list[EvalRecord]] = {}
     for r in records:
         groups.setdefault((r.variant, r.task, r.prompt_config, r.reasoning_interval), []).append(r)
@@ -595,6 +607,7 @@ def aggregate(records: list[EvalRecord]) -> list[MetricsRow]:
         counts = tuple(sum(1 for m in members if m.failure == cls) for cls in FAILURE_CLASSES)
         rows.append(
             MetricsRow(
+                source=source,
                 variant=key[0],
                 task=key[1],
                 prompt_config=key[2],
@@ -607,14 +620,18 @@ def aggregate(records: list[EvalRecord]) -> list[MetricsRow]:
     return rows
 
 
-def load_metrics(out_dir) -> list[EvalRecord]:
-    """Every record of the run's metrics files; a malformed file raises a
-    HarnessError that names it."""
+def load_metrics(out_dir) -> dict[str, list[EvalRecord]]:
+    """Every record of the run's metrics files, by source: `eval` for the
+    `eval_*.json` files, `sweep` for the `sweep_*.json` files. A malformed
+    file, or one named otherwise, raises a HarnessError that names it."""
     metrics_dir = Path(out_dir) / "metrics"
     keys = {f.name for f in fields(EvalRecord)}
     json_types = {"str": (str,), "int": (int,), "float": (int, float)}
-    records: list[EvalRecord] = []
+    records: dict[str, list[EvalRecord]] = {"eval": [], "sweep": []}
     for path in sorted(metrics_dir.glob("*.json")):
+        source = path.name.partition("_")[0]
+        if source not in records:
+            raise HarnessError(f"{path}: not a metrics file name (expected eval_*.json or sweep_*.json)")
         try:
             blobs = json.loads(path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -631,30 +648,33 @@ def load_metrics(out_dir) -> list[EvalRecord]:
                 value = blob[f.name]
                 if isinstance(value, bool) or not isinstance(value, json_types[f.type]):
                     raise HarnessError(f"{path}: record {i} has {f.name} = {value!r}, not {f.type}")
-            records.append(EvalRecord(**blob))
+            records[source].append(EvalRecord(**blob))
     return records
 
 
-REPORT_HEADER = ["variant", "task", "prompt_config", "k", "mean_score", "n"] + [f"fail_{c}" for c in FAILURE_CLASSES]
+REPORT_HEADER = ["source", "variant", "task", "prompt_config", "k", "mean_score", "n"] + [f"fail_{c}" for c in FAILURE_CLASSES]
 
 
-def write_report(records: list[EvalRecord], out_dir) -> tuple[Path, Path]:
-    """Emit report.csv (one row per variant/task/prompt/k cell) and a
-    human-readable summary. Output depends only on the record set."""
+def write_report(records: dict[str, list[EvalRecord]], out_dir) -> tuple[Path, Path]:
+    """Emit report.csv (one row per source/variant/task/prompt/k cell) and a
+    human-readable summary of the `eval` records alone; a sweep re-runs some
+    of the eval's scenes, so pooling the two would count them twice. Output
+    depends only on the record sets."""
     out_dir = Path(out_dir)
-    rows = aggregate(records)
+    rows = [row for source in sorted(records) for row in aggregate(records[source], source)]
     lines = [",".join(REPORT_HEADER)]
     for row in rows:
         lines.append(
-            f"{row.variant},{row.task},{row.prompt_config},{row.reasoning_interval},"
+            f"{row.source},{row.variant},{row.task},{row.prompt_config},{row.reasoning_interval},"
             f"{row.mean_score:.4f},{row.n}," + ",".join(str(c) for c in row.failures)
         )
     csv_path = out_dir / "report.csv"
     csv_path.write_text("\n".join(lines) + "\n")
 
     summary: list[str] = []
-    variants = sorted({r.variant for r in records}, key=_variant_order)
-    by_variant = {v: [r for r in records if r.variant == v] for v in variants}
+    evals = records.get("eval", [])
+    variants = sorted({r.variant for r in evals}, key=_variant_order)
+    by_variant = {v: [r for r in evals if r.variant == v] for v in variants}
     summary.append("mean score per variant (all unseen tasks, all prompt configs)")
     for v in variants:
         rs = by_variant[v]
@@ -662,7 +682,7 @@ def write_report(records: list[EvalRecord], out_dir) -> tuple[Path, Path]:
         summary.append(f"  {v:8s} k={ks} score {np.mean([r.score for r in rs]):.3f} over {len(rs)} rollouts")
     summary.append("")
     summary.append("per-task means")
-    tasks = sorted({r.task for r in records})
+    tasks = sorted({r.task for r in evals})
     header = "  task".ljust(24) + "".join(v.rjust(10) for v in variants)
     summary.append(header)
     for task in tasks:
@@ -675,7 +695,6 @@ def write_report(records: list[EvalRecord], out_dir) -> tuple[Path, Path]:
     summary.append("failure histogram (failed rollouts only)")
     for v in variants:
         failed = [r for r in by_variant[v] if r.failure != "none"]
-        total = max(len(failed), 1)
         parts = []
         for cls in FAILURE_CLASSES[1:]:
             count = sum(1 for r in failed if r.failure == cls)
@@ -695,5 +714,6 @@ def _variant_order(name: str) -> tuple:
 def cmd_report(out_dir) -> tuple[Path, Path]:
     records = load_metrics(out_dir)
     csv_path, summary_path = write_report(records, out_dir)
-    print(f"report: {len(records)} rollout records -> {csv_path}, {summary_path}")
+    counts = ", ".join(f"{len(rs)} {source}" for source, rs in records.items())
+    print(f"report: {counts} rollout records -> {csv_path}, {summary_path}")
     return csv_path, summary_path

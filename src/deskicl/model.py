@@ -164,9 +164,6 @@ class PolicyModel:
     def dtype(self):
         return next(iter(self.params.values())).dtype
 
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        return {k: p.data for k, p in self.params.items()}
-
     def astype(self, dtype) -> "PolicyModel":
         """Same parameter values at another dtype (finite-difference twin)."""
         return PolicyModel(
@@ -174,14 +171,11 @@ class PolicyModel:
             {k: Tensor(p.data.astype(dtype), requires_grad=p.requires_grad, dtype=dtype) for k, p in self.params.items()},
         )
 
-    def clone(self) -> "PolicyModel":
-        return PolicyModel(self.config, {k: Tensor(p.data.copy(), requires_grad=p.requires_grad) for k, p in self.params.items()})
-
     def save(self, path, extra_header: dict[str, str] | None = None) -> None:
         header = self.config.to_header()
         if extra_header:
             header.update(extra_header)
-        save_checkpoint(path, self.param_arrays(), header)
+        save_checkpoint(path, {k: p.data for k, p in self.params.items()}, header)
 
     @classmethod
     def load(cls, path) -> tuple["PolicyModel", dict[str, str]]:

@@ -6,7 +6,9 @@ receptacles are larger dimmer disks, and physics is kinematic: an object
 attaches when the aperture closes near it at low height, tracks the gripper
 while held, and stays wherever it is released. A scripted expert solves the
 two task kinds (poke, pick-and-place) with a state-derived waypoint script,
-so it needs no memory beyond the world state itself.
+so it needs no memory beyond the world state itself. The physics and the
+expert's waypoints are module constants, tuned together; `SimParams` holds
+only what a config chooses: the camera resolutions and the class counts.
 
 Cameras are orthographic. The third view covers the whole workspace; the
 wrist view covers a small window centered on the gripper. `render` paints
@@ -17,7 +19,7 @@ as the batch grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,27 +82,46 @@ class InfeasibleTaskError(SimError):
 
 @dataclass(frozen=True)
 class SimParams:
-    """World constants. Defaults size episodes at roughly 25-80 steps."""
+    """The world settings a config file chooses: camera resolutions and how
+    many object and receptacle classes exist. The physics and geometry are the
+    module constants below, tuned together with the scripted expert."""
 
     third_resolution: int = bounded(32, ge=8)
     wrist_resolution: int = bounded(16, ge=8)
-    wrist_window: float = bounded(0.25, gt=0.0, le=1.0)
-    delta_max: float = bounded(0.05, gt=0.0)
-    grasp_radius: float = bounded(0.06, gt=0.0)
-    z_grasp: float = bounded(0.2, ge=0.0, le=1.0)
-    close_threshold: float = bounded(0.3, ge=0.0, le=1.0)
-    open_threshold: float = bounded(0.7, ge=0.0, le=1.0)
-    poke_displacement: float = bounded(0.03, gt=0.0)
-    z_contact: float = bounded(0.1, ge=0.0, le=1.0)
-    object_radius: float = bounded(0.05, gt=0.0)
-    receptacle_radius: float = bounded(0.11, gt=0.0)
-    placement_margin: float = bounded(0.03, ge=0.0)
     n_object_classes: int = bounded(12, ge=1, le=len(OBJECT_PALETTE))
     n_receptacle_classes: int = bounded(6, ge=1, le=len(RECEPTACLE_PALETTE))
-    home_pose: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.9)
-    marker_radius: float = bounded(0.024, gt=0.0)
 
     __post_init__ = check_fields
+
+
+# The world's physics and geometry. They size episodes at roughly 25-80
+# steps. The scripted expert's waypoints below assume these values: a grasp
+# height under Z_GRASP, an aperture that crosses CLOSE_THRESHOLD and
+# OPEN_THRESHOLD, a poke depth under Z_CONTACT.
+DELTA_MAX = 0.05  # largest pose change per step, per component
+GRASP_RADIUS = 0.06  # an object attaches if its centre is this near the gripper
+Z_GRASP = 0.2  # ... and the gripper is below this height
+CLOSE_THRESHOLD = 0.3  # ... as the aperture falls through this value
+OPEN_THRESHOLD = 0.7  # a held object is released as the aperture rises through this value
+POKE_DISPLACEMENT = 0.03  # an object moved farther than this counts as poked
+Z_CONTACT = 0.1  # below this height the gripper touches the objects under it
+OBJECT_RADIUS = 0.05
+RECEPTACLE_RADIUS = 0.11
+PLACEMENT_MARGIN = 0.03  # least gap between two entities of a scene
+MARKER_RADIUS = 0.024  # the gripper marker painted in both views
+WRIST_WINDOW = 0.25  # width of the world square the wrist camera sees
+HOME_POSE = (0.5, 0.5, 0.5, 0.9)  # x, y, z, aperture at reset
+
+# the scripted expert's waypoints and tolerances
+_Z_TRAVEL = 0.45
+_Z_GRASP_AT = 0.12
+_Z_PLACE = 0.15
+_Z_POKE = 0.06
+_AP_OPEN = 0.9
+_AP_CLOSED = 0.2
+_POS_TOL = 0.012
+_Z_TOL = 0.02
+_EXPERT_MAX_STEPS = 400
 
 
 @dataclass(frozen=True)
@@ -120,7 +141,7 @@ def third_camera(params: SimParams) -> CameraModel:
 
 
 def wrist_camera(params: SimParams) -> CameraModel:
-    return CameraModel("wrist", params.wrist_resolution, params.wrist_window)
+    return CameraModel("wrist", params.wrist_resolution, WRIST_WINDOW)
 
 
 @dataclass(frozen=True)
@@ -154,12 +175,12 @@ class SceneEntity:
 
 
 class Action:
-    """Bounded pose delta (dx, dy, dz, dg), clipped at construction."""
+    """Pose delta (dx, dy, dz, dg), clipped to ±DELTA_MAX at construction."""
 
     __slots__ = ("deltas",)
 
-    def __init__(self, deltas, delta_max: float):
-        self.deltas = np.clip(np.asarray(deltas, dtype=np.float64), -delta_max, delta_max)
+    def __init__(self, deltas):
+        self.deltas = np.clip(np.asarray(deltas, dtype=np.float64), -DELTA_MAX, DELTA_MAX)
 
     def __repr__(self) -> str:
         return f"Action({self.deltas.tolist()})"
@@ -194,9 +215,9 @@ class WorldState:
         )
 
 
-def make_state(params: SimParams, objects: list[SceneEntity], receptacles: list[SceneEntity]) -> WorldState:
+def make_state(objects: list[SceneEntity], receptacles: list[SceneEntity]) -> WorldState:
     return WorldState(
-        gripper=np.array(params.home_pose, dtype=np.float64),
+        gripper=np.array(HOME_POSE, dtype=np.float64),
         objects=objects,
         receptacles=receptacles,
         held_object=None,
@@ -257,24 +278,24 @@ def reset(
 
     placed: list[SceneEntity] = []
     for c in rec_classes:
-        pos = _sample_position(rng, params.receptacle_radius, placed, params.placement_margin)
+        pos = _sample_position(rng, RECEPTACLE_RADIUS, placed, PLACEMENT_MARGIN)
         if pos is None:
             raise PlacementError(f"could not place receptacle class {c} for task {task.label}")
-        entity = SceneEntity(int(c), pos, params.receptacle_radius)
+        entity = SceneEntity(int(c), pos, RECEPTACLE_RADIUS)
         placed.append(entity)
         receptacles.append(entity)
     objects: list[SceneEntity] = []
     for c in obj_classes:
-        pos = _sample_position(rng, params.object_radius, placed, params.placement_margin)
+        pos = _sample_position(rng, OBJECT_RADIUS, placed, PLACEMENT_MARGIN)
         if pos is None:
             raise PlacementError(f"could not place object class {c} for task {task.label}")
-        entity = SceneEntity(int(c), pos, params.object_radius)
+        entity = SceneEntity(int(c), pos, OBJECT_RADIUS)
         placed.append(entity)
         objects.append(entity)
-    return make_state(params, objects, receptacles)
+    return make_state(objects, receptacles)
 
 
-def step(params: SimParams, state: WorldState, action: Action) -> WorldState:
+def step(state: WorldState, action: Action) -> WorldState:
     """Advance one tick. Pure: returns a new state."""
     new = state.copy()
     old_ap = state.gripper[3]
@@ -285,15 +306,15 @@ def step(params: SimParams, state: WorldState, action: Action) -> WorldState:
         idx = new.held_object
         obj = new.objects[idx]
         new.objects[idx] = replace(obj, position=(float(gx), float(gy)))
-        if old_ap <= params.open_threshold < ap:
+        if old_ap <= OPEN_THRESHOLD < ap:
             for r, rec in enumerate(new.receptacles):
                 dx = gx - rec.position[0]
                 dy = gy - rec.position[1]
                 if dx * dx + dy * dy < rec.radius**2:
                     new.released_inside[idx, r] = True
             new.held_object = None
-    elif old_ap >= params.close_threshold > ap and gz < params.z_grasp:
-        best, best_d2 = None, params.grasp_radius**2
+    elif old_ap >= CLOSE_THRESHOLD > ap and gz < Z_GRASP:
+        best, best_d2 = None, GRASP_RADIUS**2
         for i, obj in enumerate(new.objects):
             dx = gx - obj.position[0]
             dy = gy - obj.position[1]
@@ -305,7 +326,7 @@ def step(params: SimParams, state: WorldState, action: Action) -> WorldState:
             new.ever_held[best] = True
             new.objects[best] = replace(new.objects[best], position=(float(gx), float(gy)))
 
-    if gz < params.z_contact:
+    if gz < Z_CONTACT:
         for i, obj in enumerate(new.objects):
             if i == new.held_object:
                 continue
@@ -325,7 +346,7 @@ def _find_by_class(entities: list[SceneEntity], class_id: int) -> int | None:
     return None
 
 
-def success(params: SimParams, state: WorldState, task: TaskSpec) -> float:
+def success(state: WorldState, task: TaskSpec) -> float:
     """Score the state for the task: 0, 0.5 (pick only), or 1."""
     ti = _find_by_class(state.objects, task.target_object_class)
     if ti is None:
@@ -333,7 +354,7 @@ def success(params: SimParams, state: WorldState, task: TaskSpec) -> float:
     if task.kind == "poke":
         moved = np.linalg.norm(
             np.asarray(state.objects[ti].position) - state.initial_object_positions[ti]
-        ) > params.poke_displacement
+        ) > POKE_DISPLACEMENT
         return 1.0 if (moved or state.poked[ti]) else 0.0
     ri = _find_by_class(state.receptacles, task.target_receptacle_class)
     if ri is not None and state.released_inside[ti, ri]:
@@ -357,7 +378,7 @@ def project_to_pixel(world_xy, camera: CameraModel) -> tuple[float, float]:
     return x * g, (1.0 - y) * g
 
 
-def render(params: SimParams, states, camera: CameraModel) -> np.ndarray:
+def render(states, camera: CameraModel) -> np.ndarray:
     """Rasterize a sequence of states to (N, R, R, 3) float32 images.
 
     Each state is painted in draw order: its receptacles, then its objects,
@@ -372,7 +393,7 @@ def render(params: SimParams, states, camera: CameraModel) -> np.ndarray:
     res = camera.resolution
     n_rec = max((len(s.receptacles) for s in states), default=0)
     n_obj = max((len(s.objects) for s in states), default=0)
-    marker_r2 = params.marker_radius * params.marker_radius
+    marker_r2 = MARKER_RADIUS * MARKER_RADIUS
     rows = []
     for s in states:
         recs = [(*e.position, e.radius * e.radius, _RECEPTACLE_BASE + e.class_id) for e in s.receptacles]
@@ -407,28 +428,16 @@ def render(params: SimParams, states, camera: CameraModel) -> np.ndarray:
 # scripted expert
 # ---------------------------------------------------------------------------
 
-_Z_TRAVEL = 0.45
-_Z_GRASP_AT = 0.12
-_Z_PLACE = 0.15
-_Z_POKE = 0.06
-_AP_OPEN = 0.9
-_AP_CLOSED = 0.2
-_POS_TOL = 0.012
-_Z_TOL = 0.02
-_EXPERT_MAX_STEPS = 400
-
-
-def _toward(current: np.ndarray, waypoint, params: SimParams, noise: float, rng) -> Action:
+def _toward(current: np.ndarray, waypoint, noise: float, rng) -> Action:
     delta = np.asarray(waypoint, dtype=np.float64) - current
     if noise > 0.0:
         if rng is None:
             raise ValueError("expert noise requires an rng")
         delta = delta + rng.normal(0.0, noise, size=4)
-    return Action(delta, params.delta_max)
+    return Action(delta)
 
 
 def expert_policy(
-    params: SimParams,
     state: WorldState,
     task: TaskSpec,
     noise: float = 0.0,
@@ -448,13 +457,13 @@ def expert_policy(
     dxy = float(np.hypot(gx - obj.position[0], gy - obj.position[1]))
 
     if task.kind == "poke":
-        if success(params, state, task) == 1.0:
+        if success(state, task) == 1.0:
             waypoint = (gx, gy, _Z_TRAVEL, _AP_OPEN)
-        elif dxy <= _POS_TOL or (gz < params.z_grasp and dxy <= 0.8 * obj.radius):
+        elif dxy <= _POS_TOL or (gz < Z_GRASP and dxy <= 0.8 * obj.radius):
             waypoint = (obj.position[0], obj.position[1], _Z_POKE, _AP_OPEN)
         else:
             waypoint = (obj.position[0], obj.position[1], _Z_TRAVEL, _AP_OPEN)
-        return _toward(state.gripper, waypoint, params, noise, rng)
+        return _toward(state.gripper, waypoint, noise, rng)
 
     ri = _find_by_class(state.receptacles, task.target_receptacle_class)
     if ri is None:
@@ -475,18 +484,17 @@ def expert_policy(
         else:
             waypoint = (rec.position[0], rec.position[1], _Z_PLACE, _AP_OPEN)  # open to release
     else:
-        near_grasp = gz <= _Z_GRASP_AT + _Z_TOL and dxy <= 0.8 * params.grasp_radius
+        near_grasp = gz <= _Z_GRASP_AT + _Z_TOL and dxy <= 0.8 * GRASP_RADIUS
         if near_grasp:
             waypoint = (obj.position[0], obj.position[1], _Z_GRASP_AT, _AP_CLOSED)  # close to attach
         elif dxy <= _POS_TOL:
             waypoint = (obj.position[0], obj.position[1], _Z_GRASP_AT, _AP_OPEN)
         else:
             waypoint = (obj.position[0], obj.position[1], _Z_TRAVEL, _AP_OPEN)
-    return _toward(state.gripper, waypoint, params, noise, rng)
+    return _toward(state.gripper, waypoint, noise, rng)
 
 
 def expert_rollout(
-    params: SimParams,
     state: WorldState,
     task: TaskSpec,
     noise: float = 0.0,
@@ -501,10 +509,10 @@ def expert_rollout(
     actions: list[Action] = []
     current = state
     for _ in range(_EXPERT_MAX_STEPS):
-        action = expert_policy(params, current, task, noise=noise, rng=rng)
+        action = expert_policy(current, task, noise=noise, rng=rng)
         states.append(current)
         actions.append(action)
-        current = step(params, current, action)
-        if success(params, current, task) == 1.0:
+        current = step(current, action)
+        if success(current, task) == 1.0:
             return states, actions, 1.0
-    return states, actions, success(params, current, task)
+    return states, actions, success(current, task)

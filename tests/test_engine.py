@@ -219,7 +219,7 @@ def test_rollout_expert_stub_scores_one():
         else:
             task = TaskSpec("pick_place", kind_seed % 3, kind_seed % 2)
         state = sim.reset(SMALL_SIM, task, kind_seed % 3, 1 if task.kind == "pick_place" else 0, seed=50 + kind_seed)
-        policy = ExpertReplayPolicy(SMALL_SIM, task, horizon=4)
+        policy = ExpertReplayPolicy(task, horizon=4)
         [result] = rollout(policy, SMALL_SIM, [state], task, [_demo(task, 99)], RolloutOptions(max_steps=200))
         assert result.score == 1.0
         assert not result.overflow
@@ -296,7 +296,7 @@ class _ExpertInSomeLanes:
 
     def __init__(self, model, k, task, expert):
         self.inner = TransformerPolicy(model, k)
-        self.expert = ExpertReplayPolicy(SMALL_SIM, task, SMALL_CFG.chunk_h)
+        self.expert = ExpertReplayPolicy(task, SMALL_CFG.chunk_h)
         self.horizon = self.inner.horizon
         self.flags = np.array(expert, dtype=bool)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deskicl import harness
+from deskicl import harness, sim
 from deskicl.cli import main as cli_main
 from deskicl.data import load_episodes
 from deskicl.engine import ExpertReplayPolicy, RolloutOptions, RolloutResult, rollout
@@ -36,7 +36,7 @@ from deskicl.harness import (
     write_report,
 )
 from deskicl.model import PolicyModel
-from deskicl.sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, SceneEntity, SimParams, TaskSpec, make_state, reset
+from deskicl.sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, PlacementError, SceneEntity, TaskSpec, make_state, reset
 from deskicl.traces import augment_dataset
 
 TINY_CONFIG_TEXT = """
@@ -96,11 +96,22 @@ def test_parse_rejects_unknown_keys():
     for key in ("model.prompt_reasoning", "model.target_reasoning"):
         with pytest.raises(HarnessError, match="--variant"):
             parse_config(f"{key} = false\n")
+    # the world's physics are constants in sim.py, not keys
+    for name in ("delta_max", "grasp_radius", "z_grasp", "close_threshold", "open_threshold", "poke_displacement",
+                 "z_contact", "object_radius", "receptacle_radius", "placement_margin", "marker_radius", "wrist_window"):
+        with pytest.raises(HarnessError, match=rf"^config line 2: unknown key 'env\.{name}'$"):
+            parse_config(f"# probe\nenv.{name} = 0.1\n")
 
 
 def test_config_cross_validation():
-    with pytest.raises(HarnessError, match="resolutions"):
-        parse_config("model.third_resolution = 16\n")
+    # each camera resolution has one key, in the env section
+    for name in ("third_resolution", "wrist_resolution"):
+        with pytest.raises(HarnessError, match=rf"'model\.{name}' is set by env\.{name}"):
+            parse_config(f"model.{name} = 16\n")
+    config = parse_config("env.third_resolution = 24\nenv.wrist_resolution = 12\nmodel.patch_size = 6\n")
+    assert (config.model.third_resolution, config.model.wrist_resolution) == (24, 12)
+    with pytest.raises(ValueError, match="multiples of the patch size"):
+        parse_config("env.third_resolution = 20\n")
     with pytest.raises(HarnessError, match="rollouts_per_config"):
         parse_config("eval.rollouts_per_config = 0\n")
     # level L places L distractor objects, each of a class other than the target's
@@ -126,8 +137,8 @@ CONFIG_PROBES = [
     "model.d_model = 0",
     "model.n_heads = 0",
     "model.patch_size = 0",
-    "env.delta_max = -1",
-    "env.wrist_window = 1.5",
+    "env.third_resolution = 4",
+    "env.wrist_resolution = 4",
     "env.n_object_classes = 13",
     "env.n_receptacle_classes = 7",
     "data.demos_per_task = 1",
@@ -184,27 +195,13 @@ def test_every_config_key_round_trips():
     text = """
 env.third_resolution = 24
 env.wrist_resolution = 12
-env.wrist_window = 0.3
-env.delta_max = 0.04
-env.grasp_radius = 0.07
-env.z_grasp = 0.25
-env.close_threshold = 0.35
-env.open_threshold = 0.65
-env.poke_displacement = 0.025
-env.z_contact = 0.12
-env.object_radius = 0.045
-env.receptacle_radius = 0.1
-env.placement_margin = 0.02
 env.n_object_classes = 10
 env.n_receptacle_classes = 5
-env.marker_radius = 0.02
 model.d_model = 64
 model.n_layers = 3
 model.n_heads = 8
 model.d_ff = 96
 model.patch_size = 4
-model.third_resolution = 24
-model.wrist_resolution = 12
 model.max_context = 512
 model.chunk_h = 5
 model.lambda_r = 0.25
@@ -237,7 +234,17 @@ eval.prompt_noise = 0.001
         return getattr(getattr(c, section), name)
 
     keys = [line.split(" = ")[0] for line in format_config(default).splitlines()]
-    assert len(keys) == 47
+    assert keys == [
+        "data.demos_per_task", "data.difficulty_levels", "data.expert_noise", "data.gen_seed", "data.n_pick_place_tasks",
+        "data.n_poke_tasks", "data.split_seed", "data.test_fraction",
+        "env.n_object_classes", "env.n_receptacle_classes", "env.third_resolution", "env.wrist_resolution",
+        "eval.ensemble_decay", "eval.max_steps_factor", "eval.prompt_noise", "eval.reasoning_interval",
+        "eval.rollouts_per_config", "eval.seed",
+        "model.chunk_h", "model.d_ff", "model.d_model", "model.lambda_r", "model.max_context", "model.n_heads",
+        "model.n_layers", "model.patch_size", "model.rope_base",
+        "train.checkpoint_interval", "train.grad_clip", "train.lr", "train.seed", "train.steps", "train.weight_decay",
+    ]
+    assert (config.model.third_resolution, config.model.wrist_resolution) == (24, 12)
     assert [key for key in keys if value(config, key) == value(default, key)] == []
     assert parse_config(format_config(config)) == config
 
@@ -369,11 +376,11 @@ def test_eval_records_match_single_lane_rollouts(tiny_run):
             n_obj, n_rec = difficulty_counts(task, rec.rollout_index % config.data.difficulty_levels)
             scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, rec.rollout_index)
             state = reset(env, task, n_obj, n_rec, scene_seed)
-            policy = ExpertReplayPolicy(env, task, config.model.chunk_h) if variant == "expert" else model
+            policy = ExpertReplayPolicy(task, config.model.chunk_h) if variant == "expert" else model
             options = RolloutOptions(rec.reasoning_interval, math.ceil(len(demo) * config.eval.max_steps_factor), config.eval.ensemble_decay)
             [alone] = rollout(policy, env, [state], task, [demo], options)
             assert (rec.score, rec.steps_used, rec.n_trace_decodes, rec.failure) == (
-                alone.score, alone.steps_used, len(alone.predicted_traces), classify_failure(alone, env, task)
+                alone.score, alone.steps_used, len(alone.predicted_traces), classify_failure(alone, task)
             )
 
 
@@ -439,7 +446,7 @@ def test_sweep_interval_rows_and_k1_consistency(tiny_run):
     config, out = tiny_run
     sweep = cmd_sweep_interval(config, out, "ours", [1, 4, 0])
     split = harness.load_split(out)
-    rows = aggregate(sweep)
+    rows = aggregate(sweep, "sweep")
     assert len(rows) == 3 * len(split.test_tasks)  # one row per (task, k)
     # trace decode counts match ceil(steps / k)
     for r in sweep:
@@ -460,6 +467,41 @@ def test_sweep_interval_rows_and_k1_consistency(tiny_run):
     assert matched == len(split.test_tasks) * config.eval.rollouts_per_config
 
 
+def test_failed_eval_keeps_the_resolved_config(tiny_run, tmp_path):
+    """A command that fails on its inputs leaves the run's resolved config as it was."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    shutil.copy(out / "config.resolved.txt", run)
+    before = (run / "config.resolved.txt").read_bytes()
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    assert not harness.checkpoint_path(run, "to", 0).exists()
+    args = ["eval", "--config", str(config_path), "--out", str(run), "--variant", "ours,to", "--rollouts", "5"]
+    assert cli_main(args) == 1
+    assert (run / "config.resolved.txt").read_bytes() == before
+    assert not (run / "metrics").exists()
+
+
+def test_report_keeps_sweep_records_apart_from_eval(tiny_run, tmp_path):
+    """A sweep re-runs the eval's p1 scenes at k=1: its rows are their own,
+    and the summary counts only the eval's rollouts."""
+    config, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    evals = cmd_eval(config, run, ["ours"])
+    cmd_sweep_interval(config, run, "ours", [1, 3])
+    csv_path, summary_path = harness.cmd_report(run)
+    rows = _parse_report(csv_path)
+    n_tasks = len(harness.load_split(run).test_tasks)
+    p1 = [r for r in rows if r["source"] == "eval" and r["prompt_config"] == "p1"]
+    assert len(p1) == n_tasks and all(r["n"] == config.eval.rollouts_per_config for r in p1)
+    assert sorted((r["k"], r["prompt_config"]) for r in rows if r["source"] == "sweep") == [(1, "p1")] * n_tasks + [(3, "p1")] * n_tasks
+    assert sum(r["n"] for r in rows if r["source"] == "eval") == len(evals)
+    [line] = [line for line in summary_path.read_text().splitlines() if line.startswith("  ours") and "rollouts" in line]
+    assert line.endswith(f"over {len(evals)} rollouts") and "k=[1]" in line
+
+
 # ---------------------------------------------------------------------------
 # failure classification
 # ---------------------------------------------------------------------------
@@ -476,43 +518,41 @@ def _result(score, states, traces, overflow=False):
     )
 
 
-def _scene(env, objects, receptacles):
-    return make_state(env, [SceneEntity(c, p, env.object_radius) for c, p in objects],
-                      [SceneEntity(c, p, env.receptacle_radius) for c, p in receptacles])
+def _scene(objects, receptacles):
+    return make_state([SceneEntity(c, p, sim.OBJECT_RADIUS) for c, p in objects],
+                      [SceneEntity(c, p, sim.RECEPTACLE_RADIUS) for c, p in receptacles])
 
 
 def test_classify_failure_cases():
-    env = SimParams()
     poke = TaskSpec("poke", 0)
     pp = TaskSpec("pick_place", 0, 0)
-    state = _scene(env, [(0, (0.2, 0.2)), (1, (0.8, 0.8))], [(0, (0.5, 0.8)), (1, (0.8, 0.2))])
+    state = _scene([(0, (0.2, 0.2)), (1, (0.8, 0.8))], [(0, (0.5, 0.8)), (1, (0.8, 0.2))])
 
     def trace_to(xy):
         uv = np.array([xy[0], 1.0 - xy[1]], dtype=np.float32)
         return [(0, np.concatenate([np.tile(uv, 4), uv]))]
 
-    assert classify_failure(_result(1.0, [state], []), env, poke) == "none"
-    assert classify_failure(_result(0.0, [state], [], overflow=True), env, poke) == "overflow"
+    assert classify_failure(_result(1.0, [state], []), poke) == "none"
+    assert classify_failure(_result(0.0, [state], [], overflow=True), poke) == "overflow"
     # trace pointing at the distractor object
-    assert classify_failure(_result(0.0, [state], trace_to((0.8, 0.8))), env, poke) == "trace_error"
+    assert classify_failure(_result(0.0, [state], trace_to((0.8, 0.8))), poke) == "trace_error"
     # trace pointing at the target: execution failure classes by kind/phase
-    assert classify_failure(_result(0.0, [state], trace_to((0.2, 0.2))), env, poke) == "poke_failure"
-    assert classify_failure(_result(0.0, [state], trace_to((0.2, 0.2))), env, pp) == "grasp_failure"
+    assert classify_failure(_result(0.0, [state], trace_to((0.2, 0.2))), poke) == "poke_failure"
+    assert classify_failure(_result(0.0, [state], trace_to((0.2, 0.2))), pp) == "grasp_failure"
     # picked already: endpoint near wrong receptacle vs correct one
-    assert classify_failure(_result(0.5, [state], trace_to((0.8, 0.2))), env, pp) == "trace_error"
-    assert classify_failure(_result(0.5, [state], trace_to((0.5, 0.8))), env, pp) == "placement_failure"
+    assert classify_failure(_result(0.5, [state], trace_to((0.8, 0.2))), pp) == "trace_error"
+    assert classify_failure(_result(0.5, [state], trace_to((0.5, 0.8))), pp) == "placement_failure"
     # no traces decoded (dropout rollout): phase classes only
-    assert classify_failure(_result(0.5, [state], []), env, pp) == "placement_failure"
-    assert classify_failure(_result(0.0, [state], []), env, poke) == "poke_failure"
+    assert classify_failure(_result(0.5, [state], []), pp) == "placement_failure"
+    assert classify_failure(_result(0.0, [state], []), poke) == "poke_failure"
 
 
 def test_failure_none_iff_success():
-    env = SimParams()
     task = TaskSpec("poke", 0)
-    state = _scene(env, [(0, (0.3, 0.3))], [])
+    state = _scene([(0, (0.3, 0.3))], [])
     for score in (0.0, 0.5):
-        assert classify_failure(_result(score, [state], []), env, task) != "none"
-    assert classify_failure(_result(1.0, [state], []), env, task) == "none"
+        assert classify_failure(_result(score, [state], []), task) != "none"
+    assert classify_failure(_result(1.0, [state], []), task) == "none"
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +591,7 @@ def test_report_round_trip(tmp_path):
         _record(task="place_c2_r2", score=0.5, failure="placement_failure"),
         _record(variant="icrt", k=0, score=0.0, failure="poke_failure"),
     ]
-    csv_path, summary_path = write_report(records, tmp_path)
+    csv_path, summary_path = write_report({"eval": records}, tmp_path)
     rows = _parse_report(csv_path)
     assert len(rows) == 3
     by_key = {(r["variant"], r["task"], r["prompt_config"]): r for r in rows}
@@ -562,16 +602,16 @@ def test_report_round_trip(tmp_path):
 
 
 def test_report_empty_metrics_header_only(tmp_path):
-    csv_path, _ = write_report([], tmp_path)
+    csv_path, _ = write_report({"eval": []}, tmp_path)
     content = csv_path.read_text().splitlines()
     assert len(content) == 1
-    assert content[0].split(",")[0] == "variant"
+    assert content[0].split(",")[:2] == ["source", "variant"]
 
 
 def test_report_byte_stable(tmp_path):
     records = [_record(idx=i, score=float(i % 2)) for i in range(6)]
-    a, _ = write_report(records, tmp_path / "a" if (tmp_path / "a").mkdir() or True else tmp_path)
-    b, _ = write_report(list(reversed(records)), tmp_path / "b" if (tmp_path / "b").mkdir() or True else tmp_path)
+    a, _ = write_report({"eval": records}, tmp_path / "a" if (tmp_path / "a").mkdir() or True else tmp_path)
+    b, _ = write_report({"eval": list(reversed(records))}, tmp_path / "b" if (tmp_path / "b").mkdir() or True else tmp_path)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -581,7 +621,7 @@ def test_failure_histogram_sums_to_failed_count(tmp_path):
         _record(idx=1, score=0.0, failure="poke_failure"),
         _record(idx=2),
     ]
-    csv_path, _ = write_report(records, tmp_path)
+    csv_path, _ = write_report({"eval": records}, tmp_path)
     row = _parse_report(csv_path)[0]
     failed = row["n"] - row["fail_none"]
     histogram_total = sum(row[f"fail_{c}"] for c in harness.FAILURE_CLASSES if c != "none")
@@ -593,7 +633,7 @@ def test_aggregate_mean_of_means():
     for task in ("poke_c2", "poke_c4"):
         for idx in range(4):
             records.append(_record(task=task, idx=idx, score=1.0 if task == "poke_c2" else 0.0))
-    rows = aggregate(records)
+    rows = aggregate(records, "eval")
     overall = np.mean([r.score for r in records])
     per_task = np.mean([row.mean_score for row in rows])
     assert abs(overall - per_task) < 1e-12
@@ -665,17 +705,24 @@ def test_cli_gen_and_report_exit_codes(tmp_path, capsys):
     assert cli_main(["report", "--out", str(tmp_path / "report_run")]) == 0
 
 
-def test_cli_bad_config_exit_code(tmp_path, capsys):
+def test_cli_bad_config_exit_code(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.txt"
     bad.write_text("data.unknown_key = 3\n")
     assert cli_main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
     assert cli_main(["eval", "--out", str(tmp_path / "x"), "--variant", "expert", "--rollouts", "0"]) == 1
     assert "rollouts_per_config" in capsys.readouterr().err
-    # a scene too crowded to place is a clean error, not a traceback
-    crowded = tmp_path / "crowded.txt"
-    crowded.write_text("data.n_poke_tasks = 2\ndata.n_pick_place_tasks = 0\ndata.demos_per_task = 2\nenv.object_radius = 0.3\n")
-    assert cli_main(["gen-data", "--config", str(crowded), "--out", str(tmp_path / "y")]) == 1
-    assert "could not place" in capsys.readouterr().err
+    # a scene that cannot be placed is a clean error, not a traceback; no
+    # config reaches one, since the distractor rule bounds the crowding
+    small = tmp_path / "small.txt"
+    small.write_text("data.n_poke_tasks = 2\ndata.n_pick_place_tasks = 0\ndata.demos_per_task = 2\n")
+
+    def crowded(*args, **kwargs):
+        raise PlacementError("could not place object class 0 for task poke_c0")
+
+    monkeypatch.setattr(harness, "reset", crowded)
+    assert cli_main(["gen-data", "--config", str(small), "--out", str(tmp_path / "y")]) == 1
+    err = capsys.readouterr().err
+    assert "could not place" in err and "Traceback" not in err
 
 
 def test_cli_seed_sets_train_seed(tiny_run, tmp_path):

@@ -232,7 +232,7 @@ def test_encode_state_patch_permutation_with_positions_disabled():
     permuted = third.copy()
     permuted[0, :8, :8] = third[0, 8:, 8:]
     permuted[0, 8:, 8:] = third[0, :8, :8]
-    no_positions = model.clone()
+    no_positions = model.astype(model.dtype)
     no_positions.params["third_pos"].data[:] = 0.0
     base = encode_state_batch(no_positions, third, wrist, proprio)
     swapped = encode_state_batch(no_positions, permuted, wrist, proprio)
@@ -504,7 +504,7 @@ def test_prompt_isolation_labels_do_not_leak():
     seq = tiny_sequence(lengths=(3, 4), mask_ratio=0.0)
 
     def loss_and_grads(sequence):
-        m = model.clone()
+        m = model.astype(model.dtype)
         with Tape():
             loss, *_ = sequence_loss(m, sequence)
             backward(loss)

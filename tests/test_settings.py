@@ -17,10 +17,13 @@ from deskicl.sim import CameraModel, SimParams
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: SimParams(delta_max=0.0), "delta_max = 0.0 is not in (0, inf)"),
+        (lambda: SimParams(n_object_classes=13), "n_object_classes = 13 is not in [1, 12]"),
         (lambda: ModelConfig(max_context=2), "max_context = 2 is not in [3, inf)"),
         (lambda: DataSection(test_fraction=0.0), "test_fraction = 0.0 is not in (0, 1)"),
         (lambda: TrainConfig(lr=math.nan), "lr = nan is not in (0, inf)"),
+        (lambda: TrainConfig(n_prompt_choices=()), "n_prompt_choices = () needs at least one count, each at least 1"),
+        (lambda: TrainConfig(n_prompt_choices=(0,)), "n_prompt_choices = (0,) needs at least one count, each at least 1"),
+        (lambda: TrainConfig(n_prompt_choices=(1, -1)), "n_prompt_choices = (1, -1) needs at least one count, each at least 1"),
         (lambda: EvalSection(max_steps_factor=math.inf), "max_steps_factor = inf is not in (0, inf)"),
         (lambda: RolloutOptions(max_steps=0), "max_steps = 0 is not in [1, inf)"),
         (lambda: CameraModel("third", 4), "resolution = 4 is not in [8, inf)"),

@@ -37,7 +37,7 @@ def place_task(cls=2, rec=1):
 
 
 def zero_action():
-    return Action(np.zeros(4), P.delta_max)
+    return Action(np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def test_task_spec_validation():
 
 
 def test_action_clips_components():
-    a = Action([1.0, -1.0, 0.01, 0.0], 0.05)
+    a = Action([1.0, -1.0, 0.01, 0.0])
     assert np.allclose(a.deltas, [0.05, -0.05, 0.01, 0.0])
 
 
@@ -93,7 +93,7 @@ def test_reset_separation_margin():
     for i, a in enumerate(entities):
         for b in entities[i + 1:]:
             dist = np.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
-            assert dist > a.radius + b.radius + P.placement_margin - 1e-12
+            assert dist > a.radius + b.radius + sim.PLACEMENT_MARGIN - 1e-12
 
 
 def test_reset_rejects_impossible_class_counts():
@@ -108,7 +108,7 @@ def test_reset_rejects_impossible_class_counts():
 
 def test_step_zero_action_only_counts():
     state = reset(P, poke_task(), 2, 0, seed=3)
-    after = step(P, state, zero_action())
+    after = step(state, zero_action())
     assert after.step_count == state.step_count + 1
     assert np.array_equal(after.gripper, state.gripper)
     assert after.objects == state.objects
@@ -120,7 +120,7 @@ def test_step_clamps_gripper():
     current = state
     rng = np.random.default_rng(0)
     for _ in range(200):
-        current = step(P, current, Action(rng.uniform(-1, 1, 4), P.delta_max))
+        current = step(current, Action(rng.uniform(-1, 1, 4)))
         assert np.all(current.gripper >= 0.0) and np.all(current.gripper <= 1.0)
 
 
@@ -130,12 +130,12 @@ def test_close_far_from_objects_grabs_nothing():
     current = state
     for _ in range(40):
         wp = np.array([0.02, 0.02, 0.05, 0.9])
-        current = step(P, current, Action(wp - current.gripper, P.delta_max))
+        current = step(current, Action(wp - current.gripper))
     obj = current.objects[0]
     if np.hypot(0.02 - obj.position[0], 0.02 - obj.position[1]) < 0.2:
         pytest.skip("object sampled too close to the corner for this seed")
     for _ in range(20):
-        current = step(P, current, Action([0, 0, 0, -P.delta_max], P.delta_max))
+        current = step(current, Action([0, 0, 0, -sim.DELTA_MAX]))
     assert current.held_object is None
 
 
@@ -144,7 +144,7 @@ def test_scripted_grasp_attaches_target():
     state = reset(P, task, 1, 0, seed=11)
     current = state
     for _ in range(200):
-        current = step(P, current, expert_policy(P, current, task))
+        current = step(current, expert_policy(current, task))
         if current.held_object is not None:
             break
     assert current.held_object is not None
@@ -154,7 +154,7 @@ def test_scripted_grasp_attaches_target():
 def test_release_requires_open_crossing():
     task = place_task()
     state = reset(P, task, 0, 0, seed=2)
-    states, actions, score = expert_rollout(P, state, task)
+    states, actions, score = expert_rollout(state, task)
     assert score == 1.0
     # the object was ever held and the hold ended by an opening crossing
     held_at_some_point = any(s.held_object is not None for s in states)
@@ -179,17 +179,17 @@ def test_project_rejects_wrist():
 
 
 def test_render_empty_scene_background_only():
-    state = make_state(P, [], [])
+    state = make_state([], [])
     state.gripper = np.array([2.0, 2.0, 0.5, 0.9])  # move marker out of frame
-    img = render(P, [state], third_camera(P))[0]
+    img = render([state], third_camera(P))[0]
     assert img.shape == (32, 32, 3)
     assert np.all(img == sim.BACKGROUND_COLOR)
 
 
 def test_render_object_disk_centered():
-    state = make_state(P, [sim.SceneEntity(0, (0.5, 0.5), P.object_radius)], [])
+    state = make_state([sim.SceneEntity(0, (0.5, 0.5), sim.OBJECT_RADIUS)], [])
     state.gripper = np.array([0.05, 0.95, 0.5, 0.9])  # marker in a corner
-    img = render(P, [state], third_camera(P))[0]
+    img = render([state], third_camera(P))[0]
     mask = np.all(img == sim.OBJECT_PALETTE[0], axis=-1)
     assert mask.sum() > 0
     rows, cols = np.nonzero(mask)
@@ -200,9 +200,9 @@ def test_render_object_disk_centered():
 
 
 def test_render_wrist_object_under_gripper_fills_center():
-    state = make_state(P, [sim.SceneEntity(1, (0.4, 0.6), P.object_radius)], [])
+    state = make_state([sim.SceneEntity(1, (0.4, 0.6), sim.OBJECT_RADIUS)], [])
     state.gripper = np.array([0.4, 0.6, 0.5, 0.9])
-    img = render(P, [state], wrist_camera(P))[0]
+    img = render([state], wrist_camera(P))[0]
     c = P.wrist_resolution // 2
     # center pixel is the marker (drawn last), ring around it is the object
     assert np.array_equal(img[c, c], sim.MARKER_COLOR)
@@ -212,12 +212,12 @@ def test_render_wrist_object_under_gripper_fills_center():
 
 def test_render_deterministic():
     state = reset(P, place_task(), 2, 1, seed=9)
-    a = render(P, [state], third_camera(P))
-    b = render(P, [state], third_camera(P))
+    a = render([state], third_camera(P))
+    b = render([state], third_camera(P))
     assert np.array_equal(a, b)
 
 
-def _render_oracle(params, state, camera):
+def _render_oracle(state, camera):
     """Reference painter: one state, one boolean disk mask at a time, in
     draw order (receptacles, objects, gripper marker)."""
     res = camera.resolution
@@ -242,7 +242,7 @@ def _render_oracle(params, state, camera):
         disk(rec.position[0], rec.position[1], rec.radius, sim.RECEPTACLE_PALETTE[rec.class_id])
     for obj in state.objects:
         disk(obj.position[0], obj.position[1], obj.radius, sim.OBJECT_PALETTE[obj.class_id])
-    disk(state.gripper[0], state.gripper[1], params.marker_radius, sim.MARKER_COLOR)
+    disk(state.gripper[0], state.gripper[1], sim.MARKER_RADIUS, sim.MARKER_COLOR)
     return img
 
 
@@ -250,30 +250,30 @@ def _oracle_states():
     """States with different entity counts, overlaps and gripper poses."""
 
     def obj(c, x, y):
-        return sim.SceneEntity(c, (x, y), P.object_radius)
+        return sim.SceneEntity(c, (x, y), sim.OBJECT_RADIUS)
 
     def rec(c, x, y):
-        return sim.SceneEntity(c, (x, y), P.receptacle_radius)
+        return sim.SceneEntity(c, (x, y), sim.RECEPTACLE_RADIUS)
 
-    out_of_frame = make_state(P, [obj(0, 0.3, 0.3)], [])
+    out_of_frame = make_state([obj(0, 0.3, 0.3)], [])
     out_of_frame.gripper = np.array([2.0, 2.0, 0.5, 0.9])
     # one object overlapping a receptacle, fewer objects than the batch's
     # maximum, so padded object slots follow the receptacle
-    on_receptacle = make_state(P, [obj(1, 0.62, 0.4)], [rec(2, 0.55, 0.45)])
+    on_receptacle = make_state([obj(1, 0.62, 0.4)], [rec(2, 0.55, 0.45)])
     on_receptacle.gripper = np.array([0.6, 0.42, 0.3, 0.9])
     # three distractors, two objects overlapping each other and the
     # receptacle, marker touching an object
     crowded = make_state(
-        P, [obj(3, 0.2, 0.8), obj(4, 0.25, 0.78), obj(5, 0.7, 0.2), obj(6, 0.33, 0.7)], [rec(0, 0.3, 0.72)]
+        [obj(3, 0.2, 0.8), obj(4, 0.25, 0.78), obj(5, 0.7, 0.2), obj(6, 0.33, 0.7)], [rec(0, 0.3, 0.72)]
     )
     crowded.gripper = np.array([0.27, 0.76, 0.4, 0.9])
     # held object under the marker
-    held = make_state(P, [obj(7, 0.5, 0.5), obj(8, 0.8, 0.8)], [])
+    held = make_state([obj(7, 0.5, 0.5), obj(8, 0.8, 0.8)], [])
     held.gripper = np.array([0.46, 0.52, 0.3, 0.2])
-    held.objects[0] = sim.SceneEntity(7, (0.46, 0.52), P.object_radius)
+    held.objects[0] = sim.SceneEntity(7, (0.46, 0.52), sim.OBJECT_RADIUS)
     held.held_object = 0
     # marker half out of frame at the workspace edge, beside an object
-    at_edge = make_state(P, [obj(9, 0.95, 0.1), obj(10, 0.5, 0.9), obj(11, 0.1, 0.1)], [])
+    at_edge = make_state([obj(9, 0.95, 0.1), obj(10, 0.5, 0.9), obj(11, 0.1, 0.1)], [])
     at_edge.gripper = np.array([1.0, 0.05, 0.2, 0.9])
     return [out_of_frame, on_receptacle, crowded, held, at_edge]
 
@@ -281,13 +281,13 @@ def _oracle_states():
 @pytest.mark.parametrize("camera", [third_camera(P), wrist_camera(P)], ids=["third", "wrist"])
 def test_render_batch_matches_oracle_bitwise(camera):
     states = _oracle_states()
-    expected = np.stack([_render_oracle(P, s, camera) for s in states])
-    batch = render(P, states, camera)
+    expected = np.stack([_render_oracle(s, camera) for s in states])
+    batch = render(states, camera)
     assert batch.dtype == np.float32
     assert batch.shape == (len(states), camera.resolution, camera.resolution, 3)
     assert np.array_equal(batch, expected)
     for i, s in enumerate(states):
-        assert np.array_equal(render(P, [s], camera)[0], expected[i])
+        assert np.array_equal(render([s], camera)[0], expected[i])
     # the cases the states are built for show in the oracle's images
     if camera.view == "third":
 
@@ -309,8 +309,8 @@ def test_brightest_pixel_tracks_gripper():
     current = state
     rng = np.random.default_rng(1)
     for _ in range(60):
-        current = step(P, current, Action(rng.uniform(-0.05, 0.05, 4), P.delta_max))
-        img = render(P, [current], cam)[0]
+        current = step(current, Action(rng.uniform(-0.05, 0.05, 4)))
+        img = render([current], cam)[0]
         brightness = img.sum(axis=-1)
         row, col = np.unravel_index(np.argmax(brightness), brightness.shape)
         u, v = project_to_pixel(current.gripper[:2], cam)
@@ -328,7 +328,7 @@ def test_expert_above_target_descends():
     state = reset(P, task, 0, 0, seed=17)
     obj = state.objects[0]
     state.gripper = np.array([obj.position[0], obj.position[1], 0.45, 0.9])
-    action = expert_policy(P, state, task)
+    action = expert_policy(state, task)
     assert action.deltas[0] == 0.0 and action.deltas[1] == 0.0
     assert action.deltas[2] < 0.0
 
@@ -336,7 +336,7 @@ def test_expert_above_target_descends():
 def test_expert_missing_target_errors():
     state = reset(P, poke_task(1), 0, 0, seed=0)
     with pytest.raises(InfeasibleTaskError):
-        expert_policy(P, state, TaskSpec("poke", 5))
+        expert_policy(state, TaskSpec("poke", 5))
 
 
 def test_expert_succeeds_across_tasks_and_difficulties():
@@ -351,7 +351,7 @@ def test_expert_succeeds_across_tasks_and_difficulties():
             task = TaskSpec("pick_place", seed % P.n_object_classes, seed % P.n_receptacle_classes)
             n_rec = min(distractors, 2)
         state = reset(P, task, distractors, n_rec, seed=1000 + seed)
-        _, _, score = expert_rollout(P, state, task)
+        _, _, score = expert_rollout(state, task)
         assert score == 1.0, f"expert failed task {task.label} seed {seed}"
         count += 1
     assert count == 60
@@ -364,7 +364,7 @@ def test_expert_noise_success_rate():
         task = place_task(seed % P.n_object_classes, seed % P.n_receptacle_classes)
         state = reset(P, task, seed % 5, 1 if seed % 5 >= 2 else 0, seed=seed)
         rng = np.random.default_rng(10_000 + seed)
-        _, _, score = expert_rollout(P, state, task, noise=0.005, rng=rng)
+        _, _, score = expert_rollout(state, task, noise=0.005, rng=rng)
         wins += score == 1.0
     assert wins / n >= 0.98
 
@@ -372,10 +372,10 @@ def test_expert_noise_success_rate():
 def test_success_scores_and_monotonicity():
     task = place_task()
     state = reset(P, task, 1, 1, seed=23)
-    assert success(P, state, task) == 0.0
-    states, actions, score = expert_rollout(P, state, task)
+    assert success(state, task) == 0.0
+    states, actions, score = expert_rollout(state, task)
     assert score == 1.0
-    scores = [success(P, s, task) for s in states]
+    scores = [success(s, task) for s in states]
     assert all(b >= a for a, b in zip(scores, scores[1:]))
     assert 0.5 in scores  # held but not yet placed along the way
 
@@ -383,9 +383,9 @@ def test_success_scores_and_monotonicity():
 def test_poke_score_contact():
     task = poke_task(0)
     state = reset(P, task, 0, 0, seed=29)
-    states, actions, score = expert_rollout(P, state, task)
+    states, actions, score = expert_rollout(state, task)
     assert score == 1.0
-    assert success(P, states[0], task) == 0.0
+    assert success(states[0], task) == 0.0
 
 
 def test_episode_determinism_bitwise():
@@ -394,9 +394,9 @@ def test_episode_determinism_bitwise():
     def run():
         state = reset(P, task, 2, 1, seed=31)
         rng = np.random.default_rng(77)
-        states, actions, score = expert_rollout(P, state, task, noise=0.004, rng=rng)
+        states, actions, score = expert_rollout(state, task, noise=0.004, rng=rng)
         last = states[-1]
-        return last.gripper.copy(), np.array([a.deltas for a in actions]), render(P, [last], third_camera(P))
+        return last.gripper.copy(), np.array([a.deltas for a in actions]), render([last], third_camera(P))
 
     g1, a1, img1 = run()
     g2, a2, img2 = run()
