@@ -118,8 +118,6 @@ class TrainingSequence:
     """
 
     episodes: list[Trajectory]
-    n_prompt: int
-    task_label: str
     episode_lengths: list[int]
     third: np.ndarray  # (S, G, G, 3)
     wrist: np.ndarray  # (S, C, C, 3)
@@ -167,7 +165,6 @@ def build_sequence(
 
     chosen = rng.choice(len(subset_trajectories), size=n_prompt + 1, replace=False)
     episodes = [subset_trajectories[int(i)] for i in chosen]
-    target = episodes[-1]
     lengths = [len(e) for e in episodes]
     total = sum(lengths)
 
@@ -187,8 +184,6 @@ def build_sequence(
 
     return TrainingSequence(
         episodes=episodes,
-        n_prompt=n_prompt,
-        task_label=target.task_label,
         episode_lengths=lengths,
         third=np.concatenate([e.third for e in episodes]),
         wrist=np.concatenate([e.wrist for e in episodes]),

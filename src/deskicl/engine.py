@@ -8,10 +8,13 @@ names no parameter and keeps only the decode policy: clipping the predicted
 trace, the every-k trace schedule, and the cache.
 
 `rollout` is the one closed loop. It steps B rollouts that share a task and
-a prompt in lockstep, one lane each: the prompt is prefilled once and its
-keys and values are copied into every lane of a (B, ...) cache, and each
-token slot is one trunk call over all lanes. At each environment step the
-policy decodes the previous step's executed action together with the new
+a prompt in lockstep, one lane each, and hands the policy only the lanes'
+world states. `TransformerPolicy` renders what it observes, each camera
+view of all lanes in one `render` call at its model's resolution, and owns
+its trace schedule: k is fixed when it is built. It prefills the prompt
+once and copies its keys and values into every lane of a (B, ...) cache,
+and each token slot is one trunk call over all lanes. At each environment
+step it decodes the previous step's executed action together with the new
 state token in one call; every k-th step it then decodes a trace from the
 state position, feeds it back in a second call and reads the action chunk
 there. On the other steps the zero-vector trace token, matching the masking
@@ -53,8 +56,8 @@ from .model import (
 )
 from .optim import AdamW, clip_grad_norm
 from .settings import bounded, check_fields
-from .sim import Action, SimParams, TaskSpec, WorldState
-from .sim import render, step as sim_step, success, third_camera, wrist_camera
+from .sim import Action, TaskSpec, WorldState
+from .sim import expert_policy, render, step as sim_step, success, third_camera, wrist_camera
 from .tensor import Tape, Tensor, backward
 from .traces import TRACE_DIM
 
@@ -196,15 +199,6 @@ def temporal_ensemble(chunks: np.ndarray, t: int, decay: float) -> np.ndarray:
 
 
 @dataclass
-class RolloutOptions:
-    reasoning_interval: int = bounded(1, ge=0)  # k: decode a trace every k steps; 0 = never
-    max_steps: int = bounded(150, ge=1)
-    ensemble_decay: float = bounded(0.1, ge=0.0)
-
-    __post_init__ = check_fields
-
-
-@dataclass
 class RolloutResult:
     score: float
     steps_used: int
@@ -220,18 +214,17 @@ class ChunkPolicy(Protocol):
     Every per-lane argument and result has the lane axis first, and lane j
     of a call is lane j of the previous call until `keep_lanes` drops lanes
     and renumbers the rest. A lane's proposals must not depend on the other
-    lanes.
+    lanes. The policy sees the lanes' world states and observes what it
+    needs of them itself; when it decodes traces is its own setting.
     """
 
     horizon: int  # length of each proposed action chunk
 
     def begin(self, prompt_demos: list[Trajectory], lanes: int) -> None: ...
 
-    def propose(
-        self, t: int, states: list[WorldState], third: np.ndarray, wrist: np.ndarray, proprio: np.ndarray
-    ) -> tuple[np.ndarray | None, np.ndarray]:
+    def propose(self, t: int, states: list[WorldState]) -> tuple[np.ndarray | None, np.ndarray]:
         """(traces (B, 10) or None, chunks (B, horizon, 4)) for step t, from
-        images (B, R, R, 3) and proprio (B, 4)."""
+        the B lanes' world states."""
         ...
 
     def commit(self, executed_actions: np.ndarray) -> None:
@@ -246,9 +239,13 @@ class ChunkPolicy(Protocol):
 class TransformerPolicy:
     """Closed-loop wrapper around a PolicyModel with a lane-batched KV cache.
 
-    `begin` prefills the prompt once and copies its keys and values into
-    every lane (prefix caching). `commit` only holds the action tokens;
-    `propose` decodes them with the next state tokens. On a step that
+    It decodes a trace every `reasoning_interval` (k) steps, never at k = 0;
+    a model that was not trained to predict traces is refused any k > 0.
+    `begin` starts a fresh cache, so one policy serves any number of
+    rollouts: it prefills the prompt once and copies its keys and values
+    into every lane (prefix caching). `propose` renders the lanes' two
+    camera views at the model's resolutions. `commit` only holds the action
+    tokens; `propose` decodes them with the next state tokens. On a step that
     decodes a trace (every k-th) the trace token needs the state's hidden
     state, so the step takes two trunk calls for all lanes together; on any
     other step the zero-trace token joins the same call, so it takes one.
@@ -257,9 +254,15 @@ class TransformerPolicy:
     """
 
     def __init__(self, model: PolicyModel, reasoning_interval: int):
+        if reasoning_interval > 0 and not model.config.target_reasoning:
+            raise ValueError(
+                f"reasoning interval {reasoning_interval} decodes traces, but the model was not trained to predict "
+                "them (target_reasoning is off); use 0"
+            )
         self.model = model
         self.k = reasoning_interval
         self.horizon = model.config.chunk_h
+        self.cameras = (third_camera(model.config.third_resolution), wrist_camera(model.config.wrist_resolution))
         self.cache: KVCache | None = None  # made by `begin`
         self._pending: np.ndarray | None = None  # (B, 1, d) committed action tokens not yet decoded
         self._zero_trace_token = encode_reasoning_batch(model, np.zeros((1, TRACE_DIM)), np.array([True])).data[0]
@@ -278,13 +281,15 @@ class TransformerPolicy:
         kv_decode(self.cache, model, tokens.data)
         self.cache.select_lanes(np.zeros(lanes, dtype=np.intp))
 
-    def propose(self, t, states, third, wrist, proprio):
+    def propose(self, t, states):
         model = self.model
         pending = [] if self._pending is None else [self._pending]
         # room for the pending action plus this step's tokens
         if self.cache.remaining < TOKENS_PER_STEP + len(pending):
             raise ContextOverflowError("prompt plus rollout exceeded the model context")
-        f_s = encode_state_batch(model, third[:, None], wrist[:, None], proprio[:, None]).data
+        third, wrist = (render(states, camera)[:, None] for camera in self.cameras)
+        proprio = np.stack([s.gripper for s in states]).astype(np.float32)
+        f_s = encode_state_batch(model, third, wrist, proprio[:, None]).data
         self._pending = None
         if self.k == 0 or t % self.k:
             # no trace to decode: the zero-trace token joins the same call
@@ -314,7 +319,8 @@ class TransformerPolicy:
 
 
 class ExpertReplayPolicy:
-    """Harness-sanity stub: plans chunks by simulating the scripted expert."""
+    """Harness-sanity stub: plans chunks by simulating the scripted expert
+    on the lanes' world states; it observes no image."""
 
     def __init__(self, task: TaskSpec, horizon: int):
         self.task = task
@@ -323,9 +329,7 @@ class ExpertReplayPolicy:
     def begin(self, prompt_demos, lanes: int) -> None:
         pass
 
-    def propose(self, t, states, third, wrist, proprio):
-        from .sim import expert_policy
-
+    def propose(self, t, states):
         chunks = np.zeros((len(states), self.horizon, ACTION_DIM), dtype=np.float32)
         for lane, sim_state in enumerate(states):
             for j in range(self.horizon):
@@ -362,32 +366,26 @@ class _Lane:
 
 
 def rollout(
-    policy: ChunkPolicy | PolicyModel,
-    env_params: SimParams,
+    policy: ChunkPolicy,
     initial_states: list[WorldState],
     task: TaskSpec,
     prompt_demos: list[Trajectory],
-    options: RolloutOptions,
+    max_steps: int,
+    ensemble_decay: float,
 ) -> list[RolloutResult]:
     """Run one closed loop per initial state, all in lockstep, and return
     their results in the same order.
 
-    The lanes share the task, the prompt and the options, so each step
-    renders every active lane in one `render` call per camera and the
-    policy makes one call for all of them. A lane leaves on success;
-    at max_steps or on context overflow, which every lane reaches at the
-    same step because they all hold the same number of tokens, all the
-    remaining lanes stop. Each lane keeps its own row of the chunk ring,
-    states and records, and its result equals a run of that lane alone.
-
-    A PolicyModel is wrapped in TransformerPolicy with the options'
-    reasoning interval; any ChunkPolicy implementation runs through the
-    identical ensembling and stepping path.
+    The lanes share the task and the prompt, so the policy makes one call
+    for all of them at each step, given their world states; what it renders
+    of them is its own business. A lane leaves on success; at max_steps or
+    on context overflow, which every lane reaches at the same step because
+    they all hold the same number of tokens, all the remaining lanes stop.
+    Each lane keeps its own row of the chunk ring, states and records, and
+    its result equals a run of that lane alone.
     """
     if not initial_states:
         raise ValueError("rollout needs at least one initial state")
-    if isinstance(policy, PolicyModel):
-        policy = TransformerPolicy(policy, options.reasoning_interval)
     lanes = [_Lane([s]) for s in initial_states]
     try:
         policy.begin(prompt_demos, len(lanes))
@@ -395,17 +393,12 @@ def rollout(
         for lane in lanes:
             lane.overflow = True
         return [lane.result(task) for lane in lanes]
-    cam3, camw = third_camera(env_params), wrist_camera(env_params)
     active = list(lanes)
     h = policy.horizon
     ring = np.zeros((len(lanes), h, h, ACTION_DIM), dtype=np.float32)  # lane, issue step % h, offset, action
-    for t in range(options.max_steps):
-        states = [lane.states[-1] for lane in active]
-        third = render(states, cam3)
-        wrist = render(states, camw)
-        proprio = np.stack([s.gripper for s in states]).astype(np.float32)
+    for t in range(max_steps):
         try:
-            traces, chunks = policy.propose(t, states, third, wrist, proprio)
+            traces, chunks = policy.propose(t, [lane.states[-1] for lane in active])
         except ContextOverflowError:
             for lane in active:
                 lane.overflow = True
@@ -414,7 +407,7 @@ def rollout(
             for lane, trace in zip(active, traces):
                 lane.traces.append((t, trace))
         ring[:, t % h] = chunks
-        actions = [Action(a) for a in temporal_ensemble(ring, t, options.ensemble_decay)]
+        actions = [Action(a) for a in temporal_ensemble(ring, t, ensemble_decay)]
         policy.commit(np.stack([a.deltas for a in actions]).astype(np.float32))
         for lane, action in zip(active, actions):
             lane.states.append(sim_step(lane.states[-1], action))
@@ -427,4 +420,3 @@ def rollout(
             ring = ring[going]
             policy.keep_lanes(going)
     return [lane.result(task) for lane in lanes]
-

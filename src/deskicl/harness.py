@@ -38,10 +38,10 @@ import numpy as np
 
 from .data import SplitSpec, Trajectory, load_episodes, save_episodes, split_tasks
 from .engine import (
-    RolloutOptions,
+    ExpertReplayPolicy,
     RolloutResult,
     TrainConfig,
-    ExpertReplayPolicy,
+    TransformerPolicy,
     rollout,
     train,
 )
@@ -54,6 +54,7 @@ from .sim import (
     render,
     reset,
     third_camera,
+    third_view_uv,
     wrist_camera,
 )
 from .traces import augment_dataset
@@ -123,6 +124,9 @@ class HarnessConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def __post_init__(self):
+        # the model sees the world through the env's cameras
+        cameras = _env_cameras(self.env, self.model.patch_size)
+        object.__setattr__(self, "model", dataclasses.replace(self.model, **cameras))
         if self.data.n_poke_tasks > self.env.n_object_classes or self.data.n_pick_place_tasks > self.env.n_object_classes:
             raise HarnessError("more tasks per kind than object classes")
         # each distractor of a kind's prompt configs and levels takes a class other than the target's
@@ -144,6 +148,16 @@ _SECTIONS = {"env": SimParams, "model": ModelConfig, "data": DataSection, "train
 # model fields that another source sets, so a config file must not
 _SET_ELSEWHERE = {f"model.{name}": "--variant" for flags in VARIANTS.values() for name in flags}
 _SET_ELSEWHERE.update({f"model.{name}": f"env.{name}" for name in ("third_resolution", "wrist_resolution")})
+
+
+def _env_cameras(env: SimParams, patch_size: int) -> dict[str, int]:
+    """The env's camera resolutions, as the model's fields: each must be a
+    multiple of the model's patch size."""
+    cameras = {name: getattr(env, name) for name in ("third_resolution", "wrist_resolution")}
+    for name, resolution in cameras.items():
+        if resolution % patch_size:
+            raise HarnessError(f"env.{name} = {resolution} is not a multiple of model.patch_size = {patch_size}")
+    return cameras
 
 
 def parse_config(text: str) -> HarnessConfig:
@@ -174,7 +188,8 @@ def parse_config(text: str) -> HarnessConfig:
         except ValueError as exc:
             raise HarnessError(f"config line {lineno}: {section}.{exc}") from exc
     env = SimParams(**overrides.pop("env"))
-    overrides["model"].update(third_resolution=env.third_resolution, wrist_resolution=env.wrist_resolution)
+    # before the model section checks its resolutions against its patch size
+    overrides["model"].update(_env_cameras(env, overrides["model"].get("patch_size", ModelConfig.patch_size)))
     return HarnessConfig(env=env, **{section: _SECTIONS[section](**kwargs) for section, kwargs in overrides.items()})
 
 
@@ -248,8 +263,8 @@ def record_episode(
         raise HarnessError(f"expert failed on {task.label} (seed {seed})")
     return Trajectory(
         task_label=task.label,
-        third=render(states, third_camera(env)),
-        wrist=render(states, wrist_camera(env)),
+        third=render(states, third_camera(env.third_resolution)),
+        wrist=render(states, wrist_camera(env.wrist_resolution)),
         proprio=np.stack([s.gripper for s in states]).astype(np.float32),
         actions=np.stack([a.deltas for a in actions]).astype(np.float32),
     )
@@ -448,11 +463,8 @@ def classify_failure(result: RolloutResult, task: TaskSpec) -> str:
             wrong = [o.position for o in state.objects if o.class_id != task.target_object_class]
             wrong.extend(r.position for r in state.receptacles)
         if correct and wrong:
-            def norm_uv(pos):
-                return np.array([pos[0], 1.0 - pos[1]])
-
-            d_correct = min(np.linalg.norm(endpoint - norm_uv(p)) for p in correct)
-            d_wrong = min(np.linalg.norm(endpoint - norm_uv(p)) for p in wrong)
+            d_correct = min(np.linalg.norm(endpoint - uv) for uv in third_view_uv(correct))
+            d_wrong = min(np.linalg.norm(endpoint - uv) for uv in third_view_uv(wrong))
             if d_wrong < d_correct:
                 return "trace_error"
     if task.kind == "poke":
@@ -474,15 +486,24 @@ def _evaluate(
     Runs are paired: each cell records one prompt demo and resets one set of
     scenes, seeded only by (eval seed, task, prompt config, rollout index), and
     every variant and k rolls out on those same scenes. Every checkpoint is
-    loaded once, before the first rollout, so a missing one fails before any
-    work. Records come in cell order, then run order, then rollout order.
+    loaded once and every run's policy is built once, before the first
+    rollout, so a missing checkpoint or a k its model cannot serve fails
+    before any work; the expert stub is built per task. Records come in cell
+    order, then run order, then rollout order.
     """
-    policies: dict[str, PolicyModel | None] = {"expert": None}  # None: the replay stub, built per task
+    models = {}
     for variant in dict.fromkeys(v for v, _ in runs if v != "expert"):
         ckpt = checkpoint_path(out_dir, variant, train_seed)
         if not ckpt.exists():
             raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
-        policies[variant] = PolicyModel.load(ckpt)[0]
+        models[variant] = PolicyModel.load(ckpt)[0]
+    policies: dict[tuple[str, int], TransformerPolicy] = {}
+    for variant, k in runs:
+        if variant != "expert":
+            try:
+                policies[variant, k] = TransformerPolicy(models[variant], k)
+            except ValueError as exc:
+                raise HarnessError(f"variant '{variant}' at k = {k}: {exc}") from exc
     env = config.env
     records: list[EvalRecord] = []
     for task in tasks:
@@ -505,13 +526,8 @@ def _evaluate(
                 scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, r)
                 states.append(reset(env, task, n_obj, n_rec, scene_seed))
             for variant, k in runs:
-                policy = policies[variant] or ExpertReplayPolicy(task, config.model.chunk_h)
-                options = RolloutOptions(
-                    reasoning_interval=k,
-                    max_steps=max_steps,
-                    ensemble_decay=config.eval.ensemble_decay,
-                )
-                results = rollout(policy, env, states, task, [demo], options)
+                policy = policies.get((variant, k)) or ExpertReplayPolicy(task, config.model.chunk_h)
+                results = rollout(policy, states, task, [demo], max_steps, config.eval.ensemble_decay)
                 for r, result in enumerate(results):
                     records.append(
                         EvalRecord(
@@ -543,9 +559,9 @@ def cmd_eval(config: HarnessConfig, out_dir, variants: list[str], train_seed: in
     tasks = [task_by_label(config, label) for label in load_split(out_dir).test_tasks]
     train_seed = config.train.seed if train_seed is None else train_seed
     variants = list(dict.fromkeys(variants))
-    # the no-reasoning baseline never trains its trace head, so it is
-    # always evaluated without trace decodes
-    runs = [(v, 0 if v == "icrt" else config.eval.reasoning_interval) for v in variants]
+    # a variant that never learns to predict traces is evaluated without trace decodes
+    k = config.eval.reasoning_interval
+    runs = [(v, 0 if v in VARIANTS and not VARIANTS[v]["target_reasoning"] else k) for v in variants]
     records = _evaluate(config, out_dir, train_seed, tasks, runs)
     expected = sum(len(prompt_configs(t)) for t in tasks) * config.eval.rollouts_per_config
     by_variant = {v: [r for r in records if r.variant == v] for v in variants}

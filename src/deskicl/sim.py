@@ -136,12 +136,12 @@ class CameraModel:
         check_fields(self)
 
 
-def third_camera(params: SimParams) -> CameraModel:
-    return CameraModel("third", params.third_resolution, 1.0)
+def third_camera(resolution: int) -> CameraModel:
+    return CameraModel("third", resolution, 1.0)
 
 
-def wrist_camera(params: SimParams) -> CameraModel:
-    return CameraModel("wrist", params.wrist_resolution, WRIST_WINDOW)
+def wrist_camera(resolution: int) -> CameraModel:
+    return CameraModel("wrist", resolution, WRIST_WINDOW)
 
 
 @dataclass(frozen=True)
@@ -369,13 +369,12 @@ def success(state: WorldState, task: TaskSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-def project_to_pixel(world_xy, camera: CameraModel) -> tuple[float, float]:
-    """Orthographic third-view map: u = x*G, v = (1-y)*G, continuous pixels."""
-    if camera.view != "third":
-        raise ValueError("project_to_pixel is defined for the third-view camera")
-    x, y = float(world_xy[0]), float(world_xy[1])
-    g = camera.resolution
-    return x * g, (1.0 - y) * g
+def third_view_uv(world_xy) -> np.ndarray:
+    """Normalised third-view image coordinates (..., 2) of world points
+    (..., 2), in float64: u = x and v = 1 - y, at any resolution. Times the
+    resolution they are continuous pixel coordinates, v counting rows down."""
+    xy = np.asarray(world_xy, dtype=np.float64)
+    return np.stack([xy[..., 0], 1.0 - xy[..., 1]], axis=-1)
 
 
 def render(states, camera: CameraModel) -> np.ndarray:

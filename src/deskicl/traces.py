@@ -1,30 +1,22 @@
 """Future-path traces and the random masking used to regularize them.
 
-A trace summarizes where the gripper is headed: five third-view pixel
+A trace summarizes where the gripper is headed: five third-view image
 positions sampled evenly between the current step and the end of the
-episode (both endpoints included), normalized to [0, 1] by the image
-resolution and flattened to 10 floats. Ties in the even sampling round
-half up.
+episode (both endpoints included), in normalised image coordinates
+(`sim.third_view_uv`, [0, 1] at any resolution) and flattened to 10 floats
+(u0, v0, ..., u4, v4). Ties in the even sampling round half up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .sim import CameraModel, project_to_pixel
+from .sim import third_view_uv
 
 TRACE_POINTS = 5
 TRACE_DIM = 2 * TRACE_POINTS
-
-
-@dataclass(frozen=True)
-class ReasoningTrace:
-    points: np.ndarray  # (5, 2) normalized (u, v) in [0, 1]
-
-    def flat(self) -> np.ndarray:
-        return self.points.reshape(-1)
 
 
 def trace_indices(length: int, t: int) -> tuple[int, ...]:
@@ -37,38 +29,28 @@ def trace_indices(length: int, t: int) -> tuple[int, ...]:
     return tuple(t + int(np.floor(j * horizon / 4.0 + 0.5)) for j in range(TRACE_POINTS))
 
 
-def generate_trace(trajectory, t: int) -> ReasoningTrace:
-    """Trace for step t of a trajectory (needs .proprio and .third)."""
-    length = len(trajectory.proprio)
-    indices = trace_indices(length, t)
-    resolution = trajectory.third.shape[1]
-    camera = CameraModel("third", resolution, 1.0)
-    pts = np.empty((TRACE_POINTS, 2), dtype=np.float32)
-    for row, idx in enumerate(indices):
-        u, v = project_to_pixel(trajectory.proprio[idx, :2], camera)
-        pts[row, 0] = u / resolution
-        pts[row, 1] = v / resolution
-    return ReasoningTrace(points=pts)
+def generate_trace(trajectory, t: int) -> np.ndarray:
+    """The (10,) float32 trace for step t of a trajectory (needs .proprio),
+    one step at a time: the reference for `trace_matrix`."""
+    indices = trace_indices(len(trajectory.proprio), t)
+    return third_view_uv(trajectory.proprio[list(indices), :2]).astype(np.float32).reshape(TRACE_DIM)
 
 
 def trace_matrix(trajectory) -> np.ndarray:
     """Traces for every step, stacked to (T, 10) float32.
 
-    Row t equals `generate_trace(trajectory, t).flat()` bit for bit: the
-    indices and the projection use the same float64 operations, for all
-    steps at once.
+    Row t equals `generate_trace(trajectory, t)` bit for bit: the indices
+    and the projection use the same float64 operations, for all steps at
+    once.
     """
     length = len(trajectory.proprio)
     if length <= 0:
         raise ValueError("empty trajectory")
-    resolution = trajectory.third.shape[1]
     t = np.arange(length)
     horizon = (length - 1) - t
     indices = t[:, None] + np.floor(np.arange(TRACE_POINTS) * horizon[:, None] / 4.0 + 0.5).astype(np.int64)
-    xy = trajectory.proprio[indices, :2].astype(np.float64)  # (T, 5, 2)
-    u = xy[..., 0] * resolution
-    v = (1.0 - xy[..., 1]) * resolution
-    return np.stack([u / resolution, v / resolution], axis=-1).astype(np.float32).reshape(length, TRACE_DIM)
+    xy = trajectory.proprio[indices, :2]  # (T, 5, 2)
+    return third_view_uv(xy).astype(np.float32).reshape(length, TRACE_DIM)
 
 
 def augment_dataset(trajectories: list) -> list:

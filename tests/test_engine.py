@@ -18,7 +18,6 @@ from deskicl.engine import (
     ContextOverflowError,
     ExpertReplayPolicy,
     KVCache,
-    RolloutOptions,
     TrainConfig,
     TransformerPolicy,
     kv_decode,
@@ -119,6 +118,7 @@ def test_decode_matches_teacher_forced_heads():
     episodes = [_demo(task, 40 + i, n_obj=1, n_rec=1) for i in range(2)]
     seq = build_sequence(episodes, 1, np.random.default_rng(0), chunk_h=SMALL_CFG.chunk_h, mask_ratio=1.0)
     prompt, target = seq.episodes
+    states = _expert_states(task, 40 + next(i for i, e in enumerate(episodes) if e is target), n_obj=1, n_rec=1)
     model = small_model(13)
     trace_pred, chunk_pred = forward_sequence(model, seq)
     target_chunks = chunk_pred.data[seq.step_is_target]
@@ -127,7 +127,7 @@ def test_decode_matches_teacher_forced_heads():
     policy.begin([prompt], 1)
     errors = []
     for t in range(len(target)):
-        traces, chunks = policy.propose(t, [None], target.third[t:t + 1], target.wrist[t:t + 1], target.proprio[t:t + 1])
+        traces, chunks = policy.propose(t, states[t:t + 1])
         assert traces is None and chunks.shape == (1, SMALL_CFG.chunk_h, 4)
         errors.append(np.abs(chunks[0] - target_chunks[t]).max())
         policy.commit(target.actions[t:t + 1])
@@ -136,7 +136,7 @@ def test_decode_matches_teacher_forced_heads():
 
     policy = TransformerPolicy(model, 1)
     policy.begin([prompt], 1)
-    traces, _ = policy.propose(0, [None], target.third[:1], target.wrist[:1], target.proprio[:1])
+    traces, _ = policy.propose(0, states[:1])
     expected = np.clip(trace_pred.data[seq.step_is_target][0], 0.0, 1.0)
     assert np.abs(traces[0] - expected).max() <= 1e-5
 
@@ -212,6 +212,11 @@ def _demo(task, seed, n_obj=0, n_rec=0):
     return record_episode(SMALL_SIM, task, n_obj, n_rec, seed)
 
 
+def _expert_states(task, seed, n_obj=0, n_rec=0):
+    """The world states whose renders make `_demo(task, seed, n_obj, n_rec)`."""
+    return sim.expert_rollout(sim.reset(SMALL_SIM, task, n_obj, n_rec, seed), task)[0]
+
+
 def test_rollout_expert_stub_scores_one():
     for kind_seed in range(4):
         if kind_seed % 2 == 0:
@@ -220,7 +225,7 @@ def test_rollout_expert_stub_scores_one():
             task = TaskSpec("pick_place", kind_seed % 3, kind_seed % 2)
         state = sim.reset(SMALL_SIM, task, kind_seed % 3, 1 if task.kind == "pick_place" else 0, seed=50 + kind_seed)
         policy = ExpertReplayPolicy(task, horizon=4)
-        [result] = rollout(policy, SMALL_SIM, [state], task, [_demo(task, 99)], RolloutOptions(max_steps=200))
+        [result] = rollout(policy, [state], task, [_demo(task, 99)], 200, 0.1)
         assert result.score == 1.0
         assert not result.overflow
         assert result.predicted_traces == []
@@ -233,8 +238,7 @@ def test_rollout_reasoning_interval_counts():
     demo = _demo(task, 31)
     model = small_model(5)  # untrained: will not succeed, runs to max_steps
     for k, expected in ((1, 12), (4, 3), (5, 3), (0, 0)):
-        options = RolloutOptions(reasoning_interval=k, max_steps=12)
-        [result] = rollout(model, SMALL_SIM, [state], task, [demo], options)
+        [result] = rollout(TransformerPolicy(model, k), [state], task, [demo], 12, 0.1)
         n = result.steps_used
         assert n == 12
         assert len(result.predicted_traces) == (math.ceil(n / k) if k else 0) == expected
@@ -257,7 +261,7 @@ def test_rollout_trunk_calls_per_step(k, monkeypatch):
     task = TaskSpec("poke", 0)
     state = sim.reset(SMALL_SIM, task, 1, 0, seed=7)
     n = 13
-    [result] = rollout(small_model(5), SMALL_SIM, [state], task, [_demo(task, 31)], RolloutOptions(reasoning_interval=k, max_steps=n))
+    [result] = rollout(TransformerPolicy(small_model(5), k), [state], task, [_demo(task, 31)], n, 0.1)
     assert result.steps_used == n
     assert len(calls) == 1 + n + (math.ceil(n / k) if k else 0)
     assert sum(calls[1:]) == 3 * n - 1  # every step's three tokens, the last action never decoded
@@ -268,9 +272,8 @@ def test_rollout_deterministic():
     state = sim.reset(SMALL_SIM, task, 1, 0, seed=11)
     demo = _demo(task, 32)
     model = small_model(6)
-    options = RolloutOptions(reasoning_interval=1, max_steps=15)
-    [a] = rollout(model, SMALL_SIM, [state], task, [demo], options)
-    [b] = rollout(model, SMALL_SIM, [state], task, [demo], options)
+    [a] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 15, 0.1)
+    [b] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 15, 0.1)
     assert a.score == b.score and a.steps_used == b.steps_used
     assert np.array_equal(a.executed_actions, b.executed_actions)
     for (ta, tra), (tb, trb) in zip(a.predicted_traces, b.predicted_traces):
@@ -283,7 +286,7 @@ def test_rollout_overflow_flagged():
     task = TaskSpec("poke", 0)
     state = sim.reset(SMALL_SIM, task, 0, 0, seed=3)
     demo = _demo(task, 33)  # ~14 steps -> 42 prompt tokens, leaves ~7 rollout tokens
-    [result] = rollout(model, SMALL_SIM, [state], task, [demo], RolloutOptions(max_steps=50))
+    [result] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 50, 0.1)
     assert result.overflow
     assert result.steps_used == 12
     assert result.score < 1.0
@@ -303,9 +306,9 @@ class _ExpertInSomeLanes:
     def begin(self, prompt_demos, lanes):
         self.inner.begin(prompt_demos, lanes)
 
-    def propose(self, t, states, third, wrist, proprio):
-        traces, chunks = self.inner.propose(t, states, third, wrist, proprio)
-        _, planned = self.expert.propose(t, states, third, wrist, proprio)
+    def propose(self, t, states):
+        traces, chunks = self.inner.propose(t, states)
+        _, planned = self.expert.propose(t, states)
         return traces, np.where(self.flags[:, None, None], planned, chunks)
 
     def commit(self, executed_actions):
@@ -341,13 +344,12 @@ def test_rollout_lanes_match_single_lane_runs(k):
     states = [sim.reset(SMALL_SIM, task, i % 3, 0, seed=60 + i) for i in range(4)]
     demo = _demo(task, 31)
     model = PolicyModel.init(ModelConfig(**{**SMALL_CFG.__dict__, "d_model": 64}), seed=7)
-    options = RolloutOptions(reasoning_interval=k, max_steps=40)
     flags = [True, False, False, False]
-    together = rollout(_ExpertInSomeLanes(model, k, task, flags), SMALL_SIM, states, task, [demo], options)
+    together = rollout(_ExpertInSomeLanes(model, k, task, flags), states, task, [demo], 40, 0.1)
     assert together[0].score == 1.0 and together[0].steps_used < 40
     assert [r.steps_used for r in together[1:]] == [40, 40, 40]
     for state, flag, lockstep in zip(states, flags, together):
-        [alone] = rollout(_ExpertInSomeLanes(model, k, task, [flag]), SMALL_SIM, [state], task, [demo], options)
+        [alone] = rollout(_ExpertInSomeLanes(model, k, task, [flag]), [state], task, [demo], 40, 0.1)
         _assert_same_rollout(lockstep, alone)
 
 
@@ -357,12 +359,32 @@ def test_rollout_lanes_overflow_together():
     task = TaskSpec("poke", 0)
     states = [sim.reset(SMALL_SIM, task, 0, 0, seed=3 + i) for i in range(4)]
     demo = _demo(task, 33)
-    options = RolloutOptions(max_steps=50)
-    together = rollout(model, SMALL_SIM, states, task, [demo], options)
+    together = rollout(TransformerPolicy(model, 1), states, task, [demo], 50, 0.1)
     assert all(r.overflow and r.steps_used == 12 for r in together)
     for state, lockstep in zip(states, together):
-        [alone] = rollout(model, SMALL_SIM, [state], task, [demo], options)
+        [alone] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 50, 0.1)
         _assert_same_rollout(lockstep, alone)
+
+
+def test_rollout_renders_only_what_the_policy_observes(monkeypatch):
+    """The expert stub reads the world states and renders nothing; the
+    transformer policy renders both views of all its lanes at each step."""
+    cameras = []
+
+    def counting_render(states, camera):
+        cameras.append((len(states), camera.view, camera.resolution))
+        return sim.render(states, camera)
+
+    monkeypatch.setattr(engine, "render", counting_render)
+    task = TaskSpec("poke", 0)
+    states = [sim.reset(SMALL_SIM, task, 1, 0, seed=70 + i) for i in range(3)]
+    demo = _demo(task, 31)
+    [result] = rollout(ExpertReplayPolicy(task, SMALL_CFG.chunk_h), states[:1], task, [demo], 200, 0.1)
+    assert result.score == 1.0 and result.steps_used > 0
+    assert cameras == []
+    results = rollout(TransformerPolicy(small_model(5), 1), states, task, [demo], 9, 0.1)
+    assert [r.steps_used for r in results] == [9, 9, 9]
+    assert cameras == [(3, "third", 16), (3, "wrist", 8)] * 9
 
 
 # ---------------------------------------------------------------------------

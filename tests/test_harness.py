@@ -14,7 +14,7 @@ import pytest
 from deskicl import harness, sim
 from deskicl.cli import main as cli_main
 from deskicl.data import load_episodes
-from deskicl.engine import ExpertReplayPolicy, RolloutOptions, RolloutResult, rollout
+from deskicl.engine import ExpertReplayPolicy, RolloutResult, TransformerPolicy, rollout
 from deskicl.harness import (
     EvalRecord,
     HarnessConfig,
@@ -110,7 +110,7 @@ def test_config_cross_validation():
             parse_config(f"model.{name} = 16\n")
     config = parse_config("env.third_resolution = 24\nenv.wrist_resolution = 12\nmodel.patch_size = 6\n")
     assert (config.model.third_resolution, config.model.wrist_resolution) == (24, 12)
-    with pytest.raises(ValueError, match="multiples of the patch size"):
+    with pytest.raises(HarnessError, match=r"^env\.third_resolution = 20 is not a multiple of model\.patch_size = 8$"):
         parse_config("env.third_resolution = 20\n")
     with pytest.raises(HarnessError, match="rollouts_per_config"):
         parse_config("eval.rollouts_per_config = 0\n")
@@ -172,6 +172,8 @@ def test_parse_rejects_values_out_of_range(line):
             "env.n_object_classes",
         ),
         (["sweep-interval", "--intervals", ","], "", "--intervals"),
+        # a cross-field rule names both fields
+        (["gen-data"], "env.third_resolution = 20", "env.third_resolution = 20 is not a multiple of model.patch_size = 8"),
     ],
 )
 def test_cli_rejects_bad_settings_before_any_output(tmp_path, capsys, args, config_line, named):
@@ -181,6 +183,14 @@ def test_cli_rejects_bad_settings_before_any_output(tmp_path, capsys, args, conf
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_config_built_in_code_takes_the_cameras_from_env():
+    config = HarnessConfig(env=sim.SimParams(third_resolution=24, wrist_resolution=8))
+    assert (config.model.third_resolution, config.model.wrist_resolution) == (24, 8)
+    assert parse_config(format_config(config)) == config
+    with pytest.raises(HarnessError, match=r"^env\.third_resolution = 20 is not a multiple of model\.patch_size = 8$"):
+        HarnessConfig(env=sim.SimParams(third_resolution=20))
 
 
 def test_class_counts_bounded_by_palettes():
@@ -376,9 +386,12 @@ def test_eval_records_match_single_lane_rollouts(tiny_run):
             n_obj, n_rec = difficulty_counts(task, rec.rollout_index % config.data.difficulty_levels)
             scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, rec.rollout_index)
             state = reset(env, task, n_obj, n_rec, scene_seed)
-            policy = ExpertReplayPolicy(task, config.model.chunk_h) if variant == "expert" else model
-            options = RolloutOptions(rec.reasoning_interval, math.ceil(len(demo) * config.eval.max_steps_factor), config.eval.ensemble_decay)
-            [alone] = rollout(policy, env, [state], task, [demo], options)
+            if variant == "expert":
+                policy = ExpertReplayPolicy(task, config.model.chunk_h)
+            else:
+                policy = TransformerPolicy(model, rec.reasoning_interval)
+            max_steps = math.ceil(len(demo) * config.eval.max_steps_factor)
+            [alone] = rollout(policy, [state], task, [demo], max_steps, config.eval.ensemble_decay)
             assert (rec.score, rec.steps_used, rec.n_trace_decodes, rec.failure) == (
                 alone.score, alone.steps_used, len(alone.predicted_traces), classify_failure(alone, task)
             )
@@ -481,6 +494,27 @@ def test_failed_eval_keeps_the_resolved_config(tiny_run, tmp_path):
     assert cli_main(args) == 1
     assert (run / "config.resolved.txt").read_bytes() == before
     assert not (run / "metrics").exists()
+
+
+def test_sweep_interval_refuses_trace_decodes_from_icrt(tiny_run, tmp_path, capsys):
+    """icrt never learns to predict traces: a sweep that would decode them
+    fails before any rollout and leaves the run as it was; k = 0 still runs."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    shutil.copy(out / "config.resolved.txt", run)
+    before = (run / "config.resolved.txt").read_bytes()
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    args = ["sweep-interval", "--config", str(config_path), "--out", str(run), "--variant", "icrt"]
+    assert cli_main([*args, "--intervals", "0,1"]) == 1
+    err = capsys.readouterr().err
+    assert "variant 'icrt' at k = 1" in err and "target_reasoning is off" in err and "Traceback" not in err
+    assert (run / "config.resolved.txt").read_bytes() == before
+    assert not (run / "metrics").exists()
+    assert cli_main([*args, "--intervals", "0"]) == 0
+    records = load_metrics(run)["sweep"]
+    assert records and all(r.variant == "icrt" and r.reasoning_interval == 0 and r.n_trace_decodes == 0 for r in records)
 
 
 def test_report_keeps_sweep_records_apart_from_eval(tiny_run, tmp_path):

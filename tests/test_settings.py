@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from deskicl.engine import RolloutOptions, TrainConfig
+from deskicl.engine import TrainConfig
 from deskicl.harness import DataSection, EvalSection
 from deskicl.model import ModelConfig
 from deskicl.settings import parse
@@ -25,7 +25,6 @@ from deskicl.sim import CameraModel, SimParams
         (lambda: TrainConfig(n_prompt_choices=(0,)), "n_prompt_choices = (0,) needs at least one count, each at least 1"),
         (lambda: TrainConfig(n_prompt_choices=(1, -1)), "n_prompt_choices = (1, -1) needs at least one count, each at least 1"),
         (lambda: EvalSection(max_steps_factor=math.inf), "max_steps_factor = inf is not in (0, inf)"),
-        (lambda: RolloutOptions(max_steps=0), "max_steps = 0 is not in [1, inf)"),
         (lambda: CameraModel("third", 4), "resolution = 4 is not in [8, inf)"),
         (lambda: CameraModel("wrist", 16, 1.5), "window = 1.5 is not in (0, 1]"),
     ],
@@ -39,7 +38,7 @@ def test_settings_built_in_code_are_checked(make, message):
 def test_every_numeric_setting_declares_a_range():
     unbounded = [
         f"{cls.__name__}.{f.name}"
-        for cls in (SimParams, ModelConfig, DataSection, TrainConfig, EvalSection, RolloutOptions, CameraModel)
+        for cls in (SimParams, ModelConfig, DataSection, TrainConfig, EvalSection, CameraModel)
         for f in dataclasses.fields(cls)
         if f.type in ("int", "float") and "bound" not in f.metadata
     ]

@@ -8,7 +8,6 @@ import pytest
 from deskicl import sim
 from deskicl.sim import (
     Action,
-    CameraModel,
     InfeasibleTaskError,
     SimParams,
     TaskSpec,
@@ -16,12 +15,12 @@ from deskicl.sim import (
     expert_policy,
     expert_rollout,
     make_state,
-    project_to_pixel,
     render,
     reset,
     step,
     success,
     third_camera,
+    third_view_uv,
     wrist_camera,
 )
 
@@ -167,21 +166,18 @@ def test_release_requires_open_crossing():
 
 
 def test_project_examples():
-    cam = CameraModel("third", 32)
-    assert project_to_pixel((0.5, 0.5), cam) == (16.0, 16.0)
-    assert project_to_pixel((0.0, 0.0), cam) == (0.0, 32.0)
-    assert project_to_pixel((0.25, 0.75), cam) == (8.0, 8.0)
-
-
-def test_project_rejects_wrist():
-    with pytest.raises(ValueError):
-        project_to_pixel((0.5, 0.5), CameraModel("wrist", 16, 0.25))
+    assert third_view_uv((0.5, 0.5)).tolist() == [0.5, 0.5]
+    assert third_view_uv((0.0, 0.0)).tolist() == [0.0, 1.0]
+    assert third_view_uv((0.25, 0.75)).tolist() == [0.25, 0.25]
+    # times the resolution: continuous pixels, rows counted down from high y
+    points = [(0.5, 0.5), (0.0, 0.0), (0.25, 0.75)]
+    assert (third_view_uv(points) * 32).tolist() == [[16.0, 16.0], [0.0, 32.0], [8.0, 8.0]]
 
 
 def test_render_empty_scene_background_only():
     state = make_state([], [])
     state.gripper = np.array([2.0, 2.0, 0.5, 0.9])  # move marker out of frame
-    img = render([state], third_camera(P))[0]
+    img = render([state], third_camera(P.third_resolution))[0]
     assert img.shape == (32, 32, 3)
     assert np.all(img == sim.BACKGROUND_COLOR)
 
@@ -189,7 +185,7 @@ def test_render_empty_scene_background_only():
 def test_render_object_disk_centered():
     state = make_state([sim.SceneEntity(0, (0.5, 0.5), sim.OBJECT_RADIUS)], [])
     state.gripper = np.array([0.05, 0.95, 0.5, 0.9])  # marker in a corner
-    img = render([state], third_camera(P))[0]
+    img = render([state], third_camera(P.third_resolution))[0]
     mask = np.all(img == sim.OBJECT_PALETTE[0], axis=-1)
     assert mask.sum() > 0
     rows, cols = np.nonzero(mask)
@@ -202,7 +198,7 @@ def test_render_object_disk_centered():
 def test_render_wrist_object_under_gripper_fills_center():
     state = make_state([sim.SceneEntity(1, (0.4, 0.6), sim.OBJECT_RADIUS)], [])
     state.gripper = np.array([0.4, 0.6, 0.5, 0.9])
-    img = render([state], wrist_camera(P))[0]
+    img = render([state], wrist_camera(P.wrist_resolution))[0]
     c = P.wrist_resolution // 2
     # center pixel is the marker (drawn last), ring around it is the object
     assert np.array_equal(img[c, c], sim.MARKER_COLOR)
@@ -212,8 +208,8 @@ def test_render_wrist_object_under_gripper_fills_center():
 
 def test_render_deterministic():
     state = reset(P, place_task(), 2, 1, seed=9)
-    a = render([state], third_camera(P))
-    b = render([state], third_camera(P))
+    a = render([state], third_camera(P.third_resolution))
+    b = render([state], third_camera(P.third_resolution))
     assert np.array_equal(a, b)
 
 
@@ -278,7 +274,7 @@ def _oracle_states():
     return [out_of_frame, on_receptacle, crowded, held, at_edge]
 
 
-@pytest.mark.parametrize("camera", [third_camera(P), wrist_camera(P)], ids=["third", "wrist"])
+@pytest.mark.parametrize("camera", [third_camera(P.third_resolution), wrist_camera(P.wrist_resolution)], ids=["third", "wrist"])
 def test_render_batch_matches_oracle_bitwise(camera):
     states = _oracle_states()
     expected = np.stack([_render_oracle(s, camera) for s in states])
@@ -305,7 +301,7 @@ def test_render_batch_matches_oracle_bitwise(camera):
 def test_brightest_pixel_tracks_gripper():
     task = place_task()
     state = reset(P, task, 1, 1, seed=13)
-    cam = third_camera(P)
+    cam = third_camera(P.third_resolution)
     current = state
     rng = np.random.default_rng(1)
     for _ in range(60):
@@ -313,7 +309,7 @@ def test_brightest_pixel_tracks_gripper():
         img = render([current], cam)[0]
         brightness = img.sum(axis=-1)
         row, col = np.unravel_index(np.argmax(brightness), brightness.shape)
-        u, v = project_to_pixel(current.gripper[:2], cam)
+        u, v = third_view_uv(current.gripper[:2]) * cam.resolution
         assert abs((col + 0.5) - u) <= 1.0
         assert abs((row + 0.5) - v) <= 1.0
 
@@ -396,7 +392,7 @@ def test_episode_determinism_bitwise():
         rng = np.random.default_rng(77)
         states, actions, score = expert_rollout(state, task, noise=0.004, rng=rng)
         last = states[-1]
-        return last.gripper.copy(), np.array([a.deltas for a in actions]), render([last], third_camera(P))
+        return last.gripper.copy(), np.array([a.deltas for a in actions]), render([last], third_camera(P.third_resolution))
 
     g1, a1, img1 = run()
     g2, a2, img2 = run()

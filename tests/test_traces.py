@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import line_trajectory, record_episode, toy_trajectory
-from deskicl.sim import CameraModel, SimParams, TaskSpec, project_to_pixel
+from deskicl.sim import SimParams, TaskSpec, third_view_uv
 from deskicl.traces import augment_dataset, generate_trace, sample_mask, trace_indices, trace_matrix
 
 
@@ -44,30 +44,28 @@ def test_indices_monotone_and_anchored():
 
 def test_trace_points_anchor_current_and_terminal():
     traj = toy_trajectory(length=11, seed=3)
-    cam = CameraModel("third", traj.third.shape[1], 1.0)
     for t in (0, 4, 10):
         trace = generate_trace(traj, t)
-        assert trace.points.shape == (5, 2)
-        u0, v0 = project_to_pixel(traj.proprio[t, :2], cam)
-        ul, vl = project_to_pixel(traj.proprio[-1, :2], cam)
-        g = cam.resolution
-        assert abs(trace.points[0, 0] - u0 / g) < 1e-6
-        assert abs(trace.points[0, 1] - v0 / g) < 1e-6
-        assert abs(trace.points[-1, 0] - ul / g) < 1e-6
-        assert abs(trace.points[-1, 1] - vl / g) < 1e-6
-        assert np.all(trace.points >= 0.0) and np.all(trace.points <= 1.0)
+        assert trace.shape == (10,) and trace.dtype == np.float32
+        points = trace.reshape(5, 2)
+        u0, v0 = third_view_uv(traj.proprio[t, :2])
+        ul, vl = third_view_uv(traj.proprio[-1, :2])
+        assert abs(points[0, 0] - u0) < 1e-6
+        assert abs(points[0, 1] - v0) < 1e-6
+        assert abs(points[-1, 0] - ul) < 1e-6
+        assert abs(points[-1, 1] - vl) < 1e-6
+        assert np.all(points >= 0.0) and np.all(points <= 1.0)
 
 
 def test_degenerate_trace_five_identical_points():
     traj = toy_trajectory(length=7, seed=5)
-    trace = generate_trace(traj, 6)
-    assert np.all(trace.points == trace.points[0])
+    points = generate_trace(traj, 6).reshape(5, 2)
+    assert np.all(points == points[0])
 
 
 def test_straight_line_trace_collinear():
     traj = line_trajectory(length=9)
-    trace = generate_trace(traj, 0)
-    p = trace.points.astype(np.float64)
+    p = generate_trace(traj, 0).reshape(5, 2).astype(np.float64)
     d = p[-1] - p[0]
     for point in p[1:-1]:
         cross = (point[0] - p[0, 0]) * d[1] - (point[1] - p[0, 1]) * d[0]
@@ -91,13 +89,13 @@ def test_augment_counts_and_recomputation():
 def test_trace_matrix_rows_equal_generate_trace_bitwise(kind):
     if kind == "expert":
         traj = record_episode(SimParams(), TaskSpec("pick_place", 2, 1), 2, 1, seed=41, noise=0.004)
-    else:  # a Trajectory holds at least 2 steps; the trace tooling reads only these two arrays
+    else:  # a Trajectory holds at least 2 steps; the trace tooling reads only its proprio
         rng = np.random.default_rng(8)
-        traj = SimpleNamespace(proprio=rng.uniform(0, 1, (1, 4)).astype(np.float32), third=np.zeros((1, 16, 16, 3), np.float32))
+        traj = SimpleNamespace(proprio=rng.uniform(0, 1, (1, 4)).astype(np.float32))
     matrix = trace_matrix(traj)
     assert matrix.dtype == np.float32 and matrix.shape == (len(traj.proprio), 10)
     for t, row in enumerate(matrix):
-        assert row.tobytes() == generate_trace(traj, t).flat().tobytes()
+        assert row.tobytes() == generate_trace(traj, t).tobytes()
 
 
 def test_augment_idempotent():
