@@ -133,11 +133,6 @@ class TrainingSequence:
     def n_steps(self) -> int:
         return len(self.proprio)
 
-    @property
-    def mask_ratio(self) -> float:
-        n_target = int(self.step_is_target.sum())
-        return float(self.reasoning_input_mask.sum()) / max(n_target, 1)
-
 
 def build_sequence(
     subset_trajectories: list[Trajectory],

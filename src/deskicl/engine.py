@@ -9,8 +9,8 @@ trace, the every-k trace schedule, and the cache.
 
 `rollout` is the one closed loop. It steps B rollouts that share a task and
 a prompt in lockstep, one lane each, and hands the policy only the lanes'
-world states. `TransformerPolicy` renders what it observes, each camera
-view of all lanes in one `render` call at its model's resolution, and owns
+world states. `TransformerPolicy` observes them (`sim.observe`: each camera
+view of all lanes in one `render` call) at its model's resolutions, and owns
 its trace schedule: k is fixed when it is built. It prefills the prompt
 once and copies its keys and values into every lane of a (B, ...) cache,
 and each token slot is one trunk call over all lanes. At each environment
@@ -57,7 +57,7 @@ from .model import (
 from .optim import AdamW, clip_grad_norm
 from .settings import bounded, check_fields
 from .sim import Action, TaskSpec, WorldState
-from .sim import expert_policy, render, step as sim_step, success, third_camera, wrist_camera
+from .sim import expert_policy, observe, step as sim_step, success
 from .tensor import Tape, Tensor, backward
 from .traces import TRACE_DIM
 
@@ -243,8 +243,8 @@ class TransformerPolicy:
     a model that was not trained to predict traces is refused any k > 0.
     `begin` starts a fresh cache, so one policy serves any number of
     rollouts: it prefills the prompt once and copies its keys and values
-    into every lane (prefix caching). `propose` renders the lanes' two
-    camera views at the model's resolutions. `commit` only holds the action
+    into every lane (prefix caching). `propose` observes the lanes' states
+    at the model's camera resolutions. `commit` only holds the action
     tokens; `propose` decodes them with the next state tokens. On a step that
     decodes a trace (every k-th) the trace token needs the state's hidden
     state, so the step takes two trunk calls for all lanes together; on any
@@ -262,7 +262,6 @@ class TransformerPolicy:
         self.model = model
         self.k = reasoning_interval
         self.horizon = model.config.chunk_h
-        self.cameras = (third_camera(model.config.third_resolution), wrist_camera(model.config.wrist_resolution))
         self.cache: KVCache | None = None  # made by `begin`
         self._pending: np.ndarray | None = None  # (B, 1, d) committed action tokens not yet decoded
         self._zero_trace_token = encode_reasoning_batch(model, np.zeros((1, TRACE_DIM)), np.array([True])).data[0]
@@ -287,9 +286,8 @@ class TransformerPolicy:
         # room for the pending action plus this step's tokens
         if self.cache.remaining < TOKENS_PER_STEP + len(pending):
             raise ContextOverflowError("prompt plus rollout exceeded the model context")
-        third, wrist = (render(states, camera)[:, None] for camera in self.cameras)
-        proprio = np.stack([s.gripper for s in states]).astype(np.float32)
-        f_s = encode_state_batch(model, third, wrist, proprio[:, None]).data
+        third, wrist, proprio = observe(states, model.config.third_resolution, model.config.wrist_resolution)
+        f_s = encode_state_batch(model, third[:, None], wrist[:, None], proprio[:, None]).data
         self._pending = None
         if self.k == 0 or t % self.k:
             # no trace to decode: the zero-trace token joins the same call

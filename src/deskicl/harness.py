@@ -10,10 +10,10 @@ randomness is derived from explicit seeds through `derive_seed`, so
 regenerating with the same config and seeds reproduces every file byte for
 byte.
 
-The config chooses the world only through `env.*`: the two camera resolutions,
-which the model section takes over, and the object and receptacle class
-counts. The world's physics and geometry are constants in `sim.py`, beside the
-scripted expert that assumes them.
+The world has no settings: its physics and geometry are constants in `sim.py`,
+beside the scripted expert that assumes them, and its object and receptacle
+classes are the palettes' colours. The camera resolutions are the model's own
+keys; demos are recorded at them, as the policy observes its scenes.
 
 Output layout under --out:
     config.resolved.txt
@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -47,16 +48,7 @@ from .engine import (
 )
 from .model import ModelConfig, PolicyModel
 from .settings import bounded, check_fields, parse
-from .sim import (
-    SimParams,
-    TaskSpec,
-    expert_rollout,
-    render,
-    reset,
-    third_camera,
-    third_view_uv,
-    wrist_camera,
-)
+from .sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, TaskSpec, expert_rollout, observe, reset, third_view_uv
 from .traces import augment_dataset
 
 FAILURE_CLASSES = ("none", "trace_error", "grasp_failure", "placement_failure", "poke_failure", "overflow")
@@ -91,13 +83,15 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class DataSection:
-    n_poke_tasks: int = bounded(8, ge=0)
-    n_pick_place_tasks: int = bounded(8, ge=0)
+    # the tasks of a kind target one object class each
+    n_poke_tasks: int = bounded(8, ge=0, le=len(OBJECT_PALETTE))
+    n_pick_place_tasks: int = bounded(8, ge=0, le=len(OBJECT_PALETTE))
     demos_per_task: int = bounded(50, ge=2)
     expert_noise: float = bounded(0.005, ge=0.0)
     test_fraction: float = bounded(0.375, gt=0.0, lt=1.0)
     split_seed: int = bounded(0, ge=0)
-    difficulty_levels: int = bounded(5, ge=1)
+    # level L places L distractor objects, each of a class other than the target's
+    difficulty_levels: int = bounded(5, ge=1, le=len(OBJECT_PALETTE))
     gen_seed: int = bounded(0, ge=0)
 
     __post_init__ = check_fields
@@ -117,53 +111,20 @@ class EvalSection:
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    env: SimParams = field(default_factory=SimParams)
     model: ModelConfig = field(default_factory=ModelConfig)
     data: DataSection = field(default_factory=DataSection)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalSection = field(default_factory=EvalSection)
 
-    def __post_init__(self):
-        # the model sees the world through the env's cameras
-        cameras = _env_cameras(self.env, self.model.patch_size)
-        object.__setattr__(self, "model", dataclasses.replace(self.model, **cameras))
-        if self.data.n_poke_tasks > self.env.n_object_classes or self.data.n_pick_place_tasks > self.env.n_object_classes:
-            raise HarnessError("more tasks per kind than object classes")
-        # each distractor of a kind's prompt configs and levels takes a class other than the target's
-        levels = self.data.difficulty_levels
-        for task in {t.kind: t for t in task_list(self)}.values():
-            plans = [(p.n_distractor_objects, p.n_distractor_receptacles) for p in prompt_configs(task)]
-            plans += [difficulty_counts(task, level) for level in range(levels)]
-            for name, needed in zip(("n_object_classes", "n_receptacle_classes"), map(max, zip(*plans))):
-                classes = getattr(self.env, name)
-                if needed > classes - 1:
-                    raise HarnessError(
-                        f"env.{name} = {classes} is too few: {task.kind} tasks place up to {needed} distractors of "
-                        f"other classes than the target's (prompt configs and data.difficulty_levels = {levels})"
-                    )
 
+_SECTIONS = {"model": ModelConfig, "data": DataSection, "train": TrainConfig, "eval": EvalSection}
 
-_SECTIONS = {"env": SimParams, "model": ModelConfig, "data": DataSection, "train": TrainConfig, "eval": EvalSection}
-
-# model fields that another source sets, so a config file must not
+# model fields that the variant sets, so a config file must not
 _SET_ELSEWHERE = {f"model.{name}": "--variant" for flags in VARIANTS.values() for name in flags}
-_SET_ELSEWHERE.update({f"model.{name}": f"env.{name}" for name in ("third_resolution", "wrist_resolution")})
-
-
-def _env_cameras(env: SimParams, patch_size: int) -> dict[str, int]:
-    """The env's camera resolutions, as the model's fields: each must be a
-    multiple of the model's patch size."""
-    cameras = {name: getattr(env, name) for name in ("third_resolution", "wrist_resolution")}
-    for name, resolution in cameras.items():
-        if resolution % patch_size:
-            raise HarnessError(f"env.{name} = {resolution} is not a multiple of model.patch_size = {patch_size}")
-    return cameras
 
 
 def parse_config(text: str) -> HarnessConfig:
-    """Parse `section.key = value` lines; unknown keys and values out of range are errors.
-
-    The model section takes its camera resolutions from the env section."""
+    """Parse `section.key = value` lines; unknown keys and values out of range are errors."""
     overrides: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -187,10 +148,15 @@ def parse_config(text: str) -> HarnessConfig:
             overrides[section][name] = parse(raw, setting)
         except ValueError as exc:
             raise HarnessError(f"config line {lineno}: {section}.{exc}") from exc
-    env = SimParams(**overrides.pop("env"))
-    # before the model section checks its resolutions against its patch size
-    overrides["model"].update(_env_cameras(env, overrides["model"].get("patch_size", ModelConfig.patch_size)))
-    return HarnessConfig(env=env, **{section: _SECTIONS[section](**kwargs) for section, kwargs in overrides.items()})
+    sections = {}
+    for section, kwargs in overrides.items():
+        try:
+            sections[section] = _SECTIONS[section](**kwargs)
+        except ValueError as exc:
+            # a cross-field rule names its fields as `name = value`: give each its section
+            names = "|".join(f.name for f in fields(_SECTIONS[section]))
+            raise HarnessError(re.sub(rf"\b({names}) = ", rf"{section}.\1 = ", str(exc))) from exc
+    return HarnessConfig(**sections)
 
 
 def load_config(path) -> HarnessConfig:
@@ -223,9 +189,8 @@ def write_resolved_config(config: HarnessConfig, out_dir: Path) -> None:
 
 def task_list(config: HarnessConfig) -> list[TaskSpec]:
     tasks = [TaskSpec("poke", c) for c in range(config.data.n_poke_tasks)]
-    n_rec = config.env.n_receptacle_classes
     tasks.extend(
-        TaskSpec("pick_place", c, c % n_rec) for c in range(config.data.n_pick_place_tasks)
+        TaskSpec("pick_place", c, c % len(RECEPTACLE_PALETTE)) for c in range(config.data.n_pick_place_tasks)
     )
     return tasks
 
@@ -244,28 +209,26 @@ def difficulty_counts(task: TaskSpec, level: int) -> tuple[int, int]:
 
 
 def record_episode(
-    env: SimParams,
+    model: ModelConfig,
     task: TaskSpec,
     n_distractor_objects: int,
     n_distractor_receptacles: int,
     seed: int,
     noise: float = 0.0,
 ) -> Trajectory:
-    """One expert episode with both camera renders; raises if the expert fails.
-
-    Each camera's frames come from one `render` call over all of the
-    episode's states.
-    """
-    state = reset(env, task, n_distractor_objects, n_distractor_receptacles, seed)
+    """One expert episode, observed at the model's camera resolutions as the
+    policy observes its scenes; raises if the expert fails."""
+    state = reset(task, n_distractor_objects, n_distractor_receptacles, seed)
     rng = np.random.default_rng(derive_seed(seed, "expert-noise")) if noise > 0 else None
     states, actions, score = expert_rollout(state, task, noise=noise, rng=rng)
     if score != 1.0:
         raise HarnessError(f"expert failed on {task.label} (seed {seed})")
+    third, wrist, proprio = observe(states, model.third_resolution, model.wrist_resolution)
     return Trajectory(
         task_label=task.label,
-        third=render(states, third_camera(env.third_resolution)),
-        wrist=render(states, wrist_camera(env.wrist_resolution)),
-        proprio=np.stack([s.gripper for s in states]).astype(np.float32),
+        third=third,
+        wrist=wrist,
+        proprio=proprio,
         actions=np.stack([a.deltas for a in actions]).astype(np.float32),
     )
 
@@ -284,7 +247,7 @@ def generate_task_episodes(config: HarnessConfig, task: TaskSpec, n_demos: int, 
         for attempt in range(20):
             seed = derive_seed(base_seed, task.label, i, attempt)
             try:
-                episodes.append(record_episode(config.env, task, n_obj, n_rec, seed, noise=config.data.expert_noise))
+                episodes.append(record_episode(config.model, task, n_obj, n_rec, seed, noise=config.data.expert_noise))
                 break
             except HarnessError as exc:
                 last_error = exc
@@ -487,7 +450,8 @@ def _evaluate(
     scenes, seeded only by (eval seed, task, prompt config, rollout index), and
     every variant and k rolls out on those same scenes. Every checkpoint is
     loaded once and every run's policy is built once, before the first
-    rollout, so a missing checkpoint or a k its model cannot serve fails
+    rollout, so a missing checkpoint, one trained at other camera
+    resolutions than the config's, or a k its model cannot serve fails
     before any work; the expert stub is built per task. Records come in cell
     order, then run order, then rollout order.
     """
@@ -497,6 +461,13 @@ def _evaluate(
         if not ckpt.exists():
             raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
         models[variant] = PolicyModel.load(ckpt)[0]
+        seen, configured = models[variant].config, config.model
+        if (seen.third_resolution, seen.wrist_resolution) != (configured.third_resolution, configured.wrist_resolution):
+            raise HarnessError(
+                f"checkpoint {ckpt} sees {seen.third_resolution}/{seen.wrist_resolution}-pixel cameras, but the config "
+                f"has model.third_resolution = {configured.third_resolution}, "
+                f"model.wrist_resolution = {configured.wrist_resolution}"
+            )
     policies: dict[tuple[str, int], TransformerPolicy] = {}
     for variant, k in runs:
         if variant != "expert":
@@ -504,14 +475,13 @@ def _evaluate(
                 policies[variant, k] = TransformerPolicy(models[variant], k)
             except ValueError as exc:
                 raise HarnessError(f"variant '{variant}' at k = {k}: {exc}") from exc
-    env = config.env
     records: list[EvalRecord] = []
     for task in tasks:
         for pconf in prompt_configs(task):
             if prompt_ids is not None and pconf.config_id not in prompt_ids:
                 continue
             demo = record_episode(
-                env,
+                config.model,
                 task,
                 pconf.n_distractor_objects,
                 pconf.n_distractor_receptacles,
@@ -524,7 +494,7 @@ def _evaluate(
             for r in range(config.eval.rollouts_per_config):
                 n_obj, n_rec = difficulty_counts(task, r % config.data.difficulty_levels)
                 scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, r)
-                states.append(reset(env, task, n_obj, n_rec, scene_seed))
+                states.append(reset(task, n_obj, n_rec, scene_seed))
             for variant, k in runs:
                 policy = policies.get((variant, k)) or ExpertReplayPolicy(task, config.model.chunk_h)
                 results = rollout(policy, states, task, [demo], max_steps, config.eval.ensemble_decay)
@@ -585,8 +555,10 @@ def cmd_sweep_interval(
     """Evaluate one checkpoint at several reasoning intervals.
 
     Uses the single-distractor prompt config on every unseen task; scene
-    seeds match cmd_eval's, so the k=1 rows reproduce a full-variant eval."""
+    seeds match cmd_eval's, so the k=1 rows reproduce a full-variant eval.
+    Each interval is evaluated once, however often it is given."""
     out_dir = Path(out_dir)
+    intervals = list(dict.fromkeys(intervals))
     tasks = [task_by_label(config, label) for label in load_split(out_dir).test_tasks]
     train_seed = config.train.seed
     records = _evaluate(config, out_dir, train_seed, tasks, [(variant, k) for k in intervals], prompt_ids={"p1"})

@@ -60,12 +60,16 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self)  # before the rules below divide by n_heads and patch_size
+        # each rule names its fields as `name = value`, for parse_config to qualify with the section
         if self.d_model % self.n_heads:
-            raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
+            raise ValueError(f"d_model = {self.d_model} is not a multiple of n_heads = {self.n_heads}")
         if self.head_dim % 2:
-            raise ValueError(f"head_dim {self.head_dim} (d_model / n_heads) is odd; RoPE rotates pairs of features")
-        if self.third_resolution % self.patch_size or self.wrist_resolution % self.patch_size:
-            raise ValueError("camera resolutions must be multiples of the patch size")
+            raise ValueError(
+                f"d_model = {self.d_model} and n_heads = {self.n_heads} give an odd head_dim; RoPE rotates pairs of features"
+            )
+        for name in ("third_resolution", "wrist_resolution"):
+            if getattr(self, name) % self.patch_size:
+                raise ValueError(f"{name} = {getattr(self, name)} is not a multiple of patch_size = {self.patch_size}")
         if self.d_ff == 0:
             object.__setattr__(self, "d_ff", ((8 * self.d_model // 3 + 15) // 16) * 16)
 

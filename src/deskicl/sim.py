@@ -6,15 +6,16 @@ receptacles are larger dimmer disks, and physics is kinematic: an object
 attaches when the aperture closes near it at low height, tracks the gripper
 while held, and stays wherever it is released. A scripted expert solves the
 two task kinds (poke, pick-and-place) with a state-derived waypoint script,
-so it needs no memory beyond the world state itself. The physics and the
-expert's waypoints are module constants, tuned together; `SimParams` holds
-only what a config chooses: the camera resolutions and the class counts.
+so it needs no memory beyond the world state itself. The world has no
+settings: the physics and the expert's waypoints are module constants, tuned
+together, and the object and receptacle classes are the palettes' colours.
 
 Cameras are orthographic. The third view covers the whole workspace; the
 wrist view covers a small window centered on the gripper. `render` paints
 a sequence of states (an episode, or one lockstep step of many rollouts)
 in one call, as padded per-state disk arrays, so its cost per state falls
-as the batch grows.
+as the batch grows. `observe` is what a robot sees of its states at given
+camera resolutions: both views and the gripper as proprio.
 """
 
 from __future__ import annotations
@@ -78,20 +79,6 @@ class PlacementError(SimError):
 
 class InfeasibleTaskError(SimError):
     """The task's target class is absent from the scene."""
-
-
-@dataclass(frozen=True)
-class SimParams:
-    """The world settings a config file chooses: camera resolutions and how
-    many object and receptacle classes exist. The physics and geometry are the
-    module constants below, tuned together with the scripted expert."""
-
-    third_resolution: int = bounded(32, ge=8)
-    wrist_resolution: int = bounded(16, ge=8)
-    n_object_classes: int = bounded(12, ge=1, le=len(OBJECT_PALETTE))
-    n_receptacle_classes: int = bounded(6, ge=1, le=len(RECEPTACLE_PALETTE))
-
-    __post_init__ = check_fields
 
 
 # The world's physics and geometry. They size episodes at roughly 25-80
@@ -245,7 +232,6 @@ def _sample_position(rng: np.random.Generator, radius: float, placed: list[Scene
 
 
 def reset(
-    params: SimParams,
     task: TaskSpec,
     n_distractor_objects: int,
     n_distractor_receptacles: int,
@@ -253,15 +239,16 @@ def reset(
 ) -> WorldState:
     """Sample a scene containing the task's targets plus distractors.
 
-    Distractor classes are drawn without replacement from the classes that
-    differ from the target, so every class appears at most once. Placement
-    uses rejection sampling with a pairwise separation margin.
+    Distractor classes are drawn without replacement from the palette's
+    classes that differ from the target, so every class appears at most
+    once. Placement uses rejection sampling with a pairwise separation margin.
     """
-    if task.target_object_class >= params.n_object_classes:
+    n_object_classes, n_receptacle_classes = len(OBJECT_PALETTE), len(RECEPTACLE_PALETTE)
+    if task.target_object_class >= n_object_classes:
         raise SimError(f"object class {task.target_object_class} outside palette")
-    if n_distractor_objects > params.n_object_classes - 1:
+    if n_distractor_objects > n_object_classes - 1:
         raise SimError("more distractor objects than spare classes")
-    if n_distractor_receptacles > params.n_receptacle_classes - 1:
+    if n_distractor_receptacles > n_receptacle_classes - 1:
         raise SimError("more distractor receptacles than spare classes")
     rng = np.random.default_rng(seed)
 
@@ -269,11 +256,11 @@ def reset(
     rec_classes = []
     if task.kind == "pick_place":
         rec_classes.append(task.target_receptacle_class)
-    spare_rec = [c for c in range(params.n_receptacle_classes) if c not in rec_classes]
+    spare_rec = [c for c in range(n_receptacle_classes) if c not in rec_classes]
     rec_classes.extend(rng.choice(spare_rec, size=n_distractor_receptacles, replace=False).tolist())
 
     obj_classes = [task.target_object_class]
-    spare_obj = [c for c in range(params.n_object_classes) if c != task.target_object_class]
+    spare_obj = [c for c in range(n_object_classes) if c != task.target_object_class]
     obj_classes.extend(rng.choice(spare_obj, size=n_distractor_objects, replace=False).tolist())
 
     placed: list[SceneEntity] = []
@@ -421,6 +408,16 @@ def render(states, camera: CameraModel) -> np.ndarray:
         covered = dx2[:, e, None, :] + dy2[:, e, :, None] <= r2[:, e, None, None]
         np.copyto(top, color[:, e, None, None], where=covered)
     return _COLORS[top]
+
+
+def observe(states, third_resolution: int, wrist_resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a robot observes of a sequence of states: the (N, R, R, 3) third
+    and wrist views, each from one `render` call, and the (N, 4) float32
+    gripper pose as proprio."""
+    states = list(states)
+    third = render(states, third_camera(third_resolution))
+    wrist = render(states, wrist_camera(wrist_resolution))
+    return third, wrist, np.stack([s.gripper for s in states]).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

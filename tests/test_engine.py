@@ -26,10 +26,9 @@ from deskicl.engine import (
     train,
 )
 from deskicl.model import ModelConfig, PolicyModel, forward_sequence, transformer_hidden
-from deskicl.sim import SimParams, TaskSpec
+from deskicl.sim import TaskSpec
 from deskicl.tensor import Tensor
 
-SMALL_SIM = SimParams(third_resolution=16, wrist_resolution=8)
 SMALL_CFG = ModelConfig(
     d_model=48,
     n_layers=2,
@@ -209,12 +208,12 @@ def test_ensemble_lanes_are_independent():
 
 
 def _demo(task, seed, n_obj=0, n_rec=0):
-    return record_episode(SMALL_SIM, task, n_obj, n_rec, seed)
+    return record_episode(SMALL_CFG, task, n_obj, n_rec, seed)
 
 
 def _expert_states(task, seed, n_obj=0, n_rec=0):
     """The world states whose renders make `_demo(task, seed, n_obj, n_rec)`."""
-    return sim.expert_rollout(sim.reset(SMALL_SIM, task, n_obj, n_rec, seed), task)[0]
+    return sim.expert_rollout(sim.reset(task, n_obj, n_rec, seed), task)[0]
 
 
 def test_rollout_expert_stub_scores_one():
@@ -223,7 +222,7 @@ def test_rollout_expert_stub_scores_one():
             task = TaskSpec("poke", kind_seed % 3)
         else:
             task = TaskSpec("pick_place", kind_seed % 3, kind_seed % 2)
-        state = sim.reset(SMALL_SIM, task, kind_seed % 3, 1 if task.kind == "pick_place" else 0, seed=50 + kind_seed)
+        state = sim.reset(task, kind_seed % 3, 1 if task.kind == "pick_place" else 0, seed=50 + kind_seed)
         policy = ExpertReplayPolicy(task, horizon=4)
         [result] = rollout(policy, [state], task, [_demo(task, 99)], 200, 0.1)
         assert result.score == 1.0
@@ -234,7 +233,7 @@ def test_rollout_expert_stub_scores_one():
 
 def test_rollout_reasoning_interval_counts():
     task = TaskSpec("poke", 0)
-    state = sim.reset(SMALL_SIM, task, 1, 0, seed=7)
+    state = sim.reset(task, 1, 0, seed=7)
     demo = _demo(task, 31)
     model = small_model(5)  # untrained: will not succeed, runs to max_steps
     for k, expected in ((1, 12), (4, 3), (5, 3), (0, 0)):
@@ -259,7 +258,7 @@ def test_rollout_trunk_calls_per_step(k, monkeypatch):
 
     monkeypatch.setattr(engine, "kv_decode", counting_kv_decode)
     task = TaskSpec("poke", 0)
-    state = sim.reset(SMALL_SIM, task, 1, 0, seed=7)
+    state = sim.reset(task, 1, 0, seed=7)
     n = 13
     [result] = rollout(TransformerPolicy(small_model(5), k), [state], task, [_demo(task, 31)], n, 0.1)
     assert result.steps_used == n
@@ -269,7 +268,7 @@ def test_rollout_trunk_calls_per_step(k, monkeypatch):
 
 def test_rollout_deterministic():
     task = TaskSpec("poke", 1)
-    state = sim.reset(SMALL_SIM, task, 1, 0, seed=11)
+    state = sim.reset(task, 1, 0, seed=11)
     demo = _demo(task, 32)
     model = small_model(6)
     [a] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 15, 0.1)
@@ -284,7 +283,7 @@ def test_rollout_overflow_flagged():
     cfg = ModelConfig(**{**SMALL_CFG.__dict__, "max_context": 64})
     model = PolicyModel.init(cfg, seed=0)
     task = TaskSpec("poke", 0)
-    state = sim.reset(SMALL_SIM, task, 0, 0, seed=3)
+    state = sim.reset(task, 0, 0, seed=3)
     demo = _demo(task, 33)  # ~14 steps -> 42 prompt tokens, leaves ~7 rollout tokens
     [result] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 50, 0.1)
     assert result.overflow
@@ -341,7 +340,7 @@ def test_rollout_lanes_match_single_lane_runs(k):
     one-row products, so a lane-flattening product shows up here; at 48 it
     may not."""
     task = TaskSpec("poke", 0)
-    states = [sim.reset(SMALL_SIM, task, i % 3, 0, seed=60 + i) for i in range(4)]
+    states = [sim.reset(task, i % 3, 0, seed=60 + i) for i in range(4)]
     demo = _demo(task, 31)
     model = PolicyModel.init(ModelConfig(**{**SMALL_CFG.__dict__, "d_model": 64}), seed=7)
     flags = [True, False, False, False]
@@ -357,7 +356,7 @@ def test_rollout_lanes_overflow_together():
     cfg = ModelConfig(**{**SMALL_CFG.__dict__, "max_context": 64})
     model = PolicyModel.init(cfg, seed=0)
     task = TaskSpec("poke", 0)
-    states = [sim.reset(SMALL_SIM, task, 0, 0, seed=3 + i) for i in range(4)]
+    states = [sim.reset(task, 0, 0, seed=3 + i) for i in range(4)]
     demo = _demo(task, 33)
     together = rollout(TransformerPolicy(model, 1), states, task, [demo], 50, 0.1)
     assert all(r.overflow and r.steps_used == 12 for r in together)
@@ -369,16 +368,17 @@ def test_rollout_lanes_overflow_together():
 def test_rollout_renders_only_what_the_policy_observes(monkeypatch):
     """The expert stub reads the world states and renders nothing; the
     transformer policy renders both views of all its lanes at each step."""
+    task = TaskSpec("poke", 0)
+    states = [sim.reset(task, 1, 0, seed=70 + i) for i in range(3)]
+    demo = _demo(task, 31)
     cameras = []
+    render = sim.render
 
     def counting_render(states, camera):
         cameras.append((len(states), camera.view, camera.resolution))
-        return sim.render(states, camera)
+        return render(states, camera)
 
-    monkeypatch.setattr(engine, "render", counting_render)
-    task = TaskSpec("poke", 0)
-    states = [sim.reset(SMALL_SIM, task, 1, 0, seed=70 + i) for i in range(3)]
-    demo = _demo(task, 31)
+    monkeypatch.setattr(sim, "render", counting_render)
     [result] = rollout(ExpertReplayPolicy(task, SMALL_CFG.chunk_h), states[:1], task, [demo], 200, 0.1)
     assert result.score == 1.0 and result.steps_used > 0
     assert cameras == []

@@ -16,6 +16,7 @@ from deskicl.cli import main as cli_main
 from deskicl.data import load_episodes
 from deskicl.engine import ExpertReplayPolicy, RolloutResult, TransformerPolicy, rollout
 from deskicl.harness import (
+    DataSection,
     EvalRecord,
     HarnessConfig,
     HarnessError,
@@ -35,7 +36,7 @@ from deskicl.harness import (
     task_list,
     write_report,
 )
-from deskicl.model import PolicyModel
+from deskicl.model import ModelConfig, PolicyModel
 from deskicl.sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, PlacementError, SceneEntity, TaskSpec, make_state, reset
 from deskicl.traces import augment_dataset
 
@@ -96,22 +97,24 @@ def test_parse_rejects_unknown_keys():
     for key in ("model.prompt_reasoning", "model.target_reasoning"):
         with pytest.raises(HarnessError, match="--variant"):
             parse_config(f"{key} = false\n")
-    # the world's physics are constants in sim.py, not keys
-    for name in ("delta_max", "grasp_radius", "z_grasp", "close_threshold", "open_threshold", "poke_displacement",
-                 "z_contact", "object_radius", "receptacle_radius", "placement_margin", "marker_radius", "wrist_window"):
-        with pytest.raises(HarnessError, match=rf"^config line 2: unknown key 'env\.{name}'$"):
-            parse_config(f"# probe\nenv.{name} = 0.1\n")
+    # the world has no settings: its physics are constants in sim.py, its
+    # class counts the palettes' sizes, and the cameras are the model's keys
+    for line in ("env.delta_max = 0.1", "env.wrist_window = 0.1", "env.n_object_classes = 12",
+                 "env.third_resolution = 32"):
+        with pytest.raises(HarnessError, match=r"^config line 2: unknown section 'env'$"):
+            parse_config(f"# probe\n{line}\n")
 
 
 def test_config_cross_validation():
-    # each camera resolution has one key, in the env section
-    for name in ("third_resolution", "wrist_resolution"):
-        with pytest.raises(HarnessError, match=rf"'model\.{name}' is set by env\.{name}"):
-            parse_config(f"model.{name} = 16\n")
-    config = parse_config("env.third_resolution = 24\nenv.wrist_resolution = 12\nmodel.patch_size = 6\n")
+    config = parse_config("model.third_resolution = 24\nmodel.wrist_resolution = 12\nmodel.patch_size = 6\n")
     assert (config.model.third_resolution, config.model.wrist_resolution) == (24, 12)
-    with pytest.raises(HarnessError, match=r"^env\.third_resolution = 20 is not a multiple of model\.patch_size = 8$"):
-        parse_config("env.third_resolution = 20\n")
+    # a cross-field rule names each of its keys
+    with pytest.raises(HarnessError, match=r"^model\.third_resolution = 20 is not a multiple of model\.patch_size = 8$"):
+        parse_config("model.third_resolution = 20\n")
+    with pytest.raises(HarnessError, match=r"^model\.wrist_resolution = 12 is not a multiple of model\.patch_size = 8$"):
+        parse_config("model.wrist_resolution = 12\n")
+    with pytest.raises(HarnessError, match=r"^model\.d_model = 30 is not a multiple of model\.n_heads = 4$"):
+        parse_config("model.d_model = 30\n")
     with pytest.raises(HarnessError, match="rollouts_per_config"):
         parse_config("eval.rollouts_per_config = 0\n")
     # level L places L distractor objects, each of a class other than the target's
@@ -119,61 +122,74 @@ def test_config_cross_validation():
         with pytest.raises(HarnessError, match="difficulty_levels"):
             parse_config(f"data.difficulty_levels = {levels}\n")
     parse_config("data.difficulty_levels = 12\n")
-    with pytest.raises(HarnessError, match="difficulty_levels"):
-        parse_config("data.difficulty_levels = 6\nenv.n_object_classes = 5\ndata.n_poke_tasks = 5\ndata.n_pick_place_tasks = 5\n")
 
 
-# lines that must stop a run at parse time, each naming its key
+# the world has no settings: a line of its deleted section stops a run too
+NO_ENV = "unknown section 'env'"
+
+# lines that must stop a run at parse time, each with what its error names
 CONFIG_PROBES = [
-    "train.steps = -3",
-    "train.steps = abc",
-    "train.grad_clip = 0",
-    "train.lr = -1",
-    "train.lr = nan",
-    "train.lr = inf",
-    "train.checkpoint_interval = -1",
-    "train.n_prompt_choices = 3",
-    "eval.max_steps_factor = 0",
-    "model.d_model = 0",
-    "model.n_heads = 0",
-    "model.patch_size = 0",
-    "env.third_resolution = 4",
-    "env.wrist_resolution = 4",
-    "env.n_object_classes = 13",
-    "env.n_receptacle_classes = 7",
-    "data.demos_per_task = 1",
-    "data.split_seed = -1",
-    "data.test_fraction = 1",
+    ("train.steps = -3", "train.steps"),
+    ("train.steps = abc", "train.steps"),
+    ("train.grad_clip = 0", "train.grad_clip"),
+    ("train.lr = -1", "train.lr"),
+    ("train.lr = nan", "train.lr"),
+    ("train.lr = inf", "train.lr"),
+    ("train.checkpoint_interval = -1", "train.checkpoint_interval"),
+    ("train.n_prompt_choices = 3", "train.n_prompt_choices"),
+    ("eval.max_steps_factor = 0", "eval.max_steps_factor"),
+    ("model.d_model = 0", "model.d_model"),
+    ("model.n_heads = 0", "model.n_heads"),
+    ("model.patch_size = 0", "model.patch_size"),
+    ("env.third_resolution = 4", NO_ENV),
+    ("env.wrist_resolution = 4", NO_ENV),
+    ("env.n_object_classes = 13", NO_ENV),
+    ("env.n_receptacle_classes = 7", NO_ENV),
+    ("data.demos_per_task = 1", "data.demos_per_task"),
+    ("data.split_seed = -1", "data.split_seed"),
+    ("data.test_fraction = 1", "data.test_fraction"),
+]
+# the keys that took over the env section's bounds; listed apart so that
+# each case above keeps its place, and with it its test id
+TAKEN_OVER_PROBES = [
+    ("model.third_resolution = 4", "model.third_resolution"),
+    ("model.wrist_resolution = 4", "model.wrist_resolution"),
+    ("data.n_poke_tasks = 13", "data.n_poke_tasks"),
+    ("data.difficulty_levels = 13", "data.difficulty_levels"),
 ]
 
 
-@pytest.mark.parametrize("line", CONFIG_PROBES)
-def test_parse_rejects_values_out_of_range(line):
-    key = line.split(" = ")[0]
-    with pytest.raises(HarnessError, match=rf"^config line 2: {re.escape(key)}\b"):
+@pytest.mark.parametrize(
+    "line, named", CONFIG_PROBES + TAKEN_OVER_PROBES, ids=[line for line, _ in CONFIG_PROBES + TAKEN_OVER_PROBES]
+)
+def test_parse_rejects_values_out_of_range(line, named):
+    with pytest.raises(HarnessError, match=rf"^config line 2: {re.escape(named)}(?![\w.])"):
         parse_config(f"# probe\n{line}\n")
 
 
 @pytest.mark.parametrize(
     "args, config_line, named",
-    [(["gen-data"], line, line.split(" = ")[0]) for line in CONFIG_PROBES]
+    [(["gen-data"], line, named) for line, named in CONFIG_PROBES]
     + [
         (["sweep-interval", "--intervals", "abc"], "", "--intervals"),
         (["sweep-interval", "--intervals", "1,-1"], "", "--intervals"),
         (["gen-data", "--seed", "-1"], "", "--seed"),
         (["train", "--variant", "ours", "--seed", "-1"], "", "--seed"),
-        # every distractor needs a class other than the target's: pick-place
-        # levels from 2 and its `pr` prompt place a distractor receptacle ...
-        (["gen-data"], "env.n_receptacle_classes = 1", "env.n_receptacle_classes"),
-        # ... and poke's `pr` prompt places two distractor objects
+        (["gen-data"], "env.n_receptacle_classes = 1", NO_ENV),
         (
             ["gen-data"],
             "env.n_object_classes = 2\ndata.n_poke_tasks = 2\ndata.n_pick_place_tasks = 0\ndata.difficulty_levels = 2",
-            "env.n_object_classes",
+            NO_ENV,
         ),
         (["sweep-interval", "--intervals", ","], "", "--intervals"),
+        (["gen-data"], "env.third_resolution = 20", NO_ENV),
+    ]
+    + [(["gen-data"], line, named) for line, named in TAKEN_OVER_PROBES]
+    + [
+        # each task of a kind targets its own object class
+        (["gen-data"], "data.n_pick_place_tasks = 13", "data.n_pick_place_tasks"),
         # a cross-field rule names both fields
-        (["gen-data"], "env.third_resolution = 20", "env.third_resolution = 20 is not a multiple of model.patch_size = 8"),
+        (["gen-data"], "model.third_resolution = 20", "model.third_resolution = 20 is not a multiple of model.patch_size = 8"),
     ],
 )
 def test_cli_rejects_bad_settings_before_any_output(tmp_path, capsys, args, config_line, named):
@@ -185,28 +201,41 @@ def test_cli_rejects_bad_settings_before_any_output(tmp_path, capsys, args, conf
     assert not (tmp_path / "run").exists()
 
 
-def test_config_built_in_code_takes_the_cameras_from_env():
-    config = HarnessConfig(env=sim.SimParams(third_resolution=24, wrist_resolution=8))
-    assert (config.model.third_resolution, config.model.wrist_resolution) == (24, 8)
+def test_gen_data_records_at_the_models_cameras(tmp_path):
+    config = HarnessConfig(
+        model=ModelConfig(third_resolution=24, wrist_resolution=8),
+        data=DataSection(n_poke_tasks=2, n_pick_place_tasks=2, demos_per_task=2, test_fraction=0.5),
+    )
     assert parse_config(format_config(config)) == config
-    with pytest.raises(HarnessError, match=r"^env\.third_resolution = 20 is not a multiple of model\.patch_size = 8$"):
-        HarnessConfig(env=sim.SimParams(third_resolution=20))
+    cmd_gen_data(config, tmp_path)
+    for task in task_list(config):
+        for episode in load_episodes(harness.episode_path(tmp_path, task.label)):
+            assert episode.third.shape[1:] == (24, 24, 3) and episode.wrist.shape[1:] == (8, 8, 3)
 
 
 def test_class_counts_bounded_by_palettes():
-    config = parse_config("env.n_object_classes = 12\nenv.n_receptacle_classes = 6\n")
-    assert config.env.n_object_classes == len(OBJECT_PALETTE)
-    assert config.env.n_receptacle_classes == len(RECEPTACLE_PALETTE)
+    """Each task of a kind targets its own object class, and difficulty level
+    L places L distractor objects of classes other than the target's."""
+    assert len(OBJECT_PALETTE) == 12 and len(RECEPTACLE_PALETTE) == 6
+    for name in ("n_poke_tasks", "n_pick_place_tasks", "difficulty_levels"):
+        with pytest.raises(HarnessError, match=rf"^config line 2: data\.{name} = 13 is not in \[\d, 12\]$"):
+            parse_config(f"# probe\ndata.{name} = 13\n")
+    config = parse_config("data.n_poke_tasks = 12\ndata.n_pick_place_tasks = 12\ndata.difficulty_levels = 12\n")
+    tasks = task_list(config)
+    assert {t.target_receptacle_class for t in tasks if t.kind == "pick_place"} == set(range(len(RECEPTACLE_PALETTE)))
+    for task in tasks:
+        # every plan of distractors that gen-data and eval place can be reset
+        plans = [(p.n_distractor_objects, p.n_distractor_receptacles) for p in prompt_configs(task)]
+        for n_obj, n_rec in plans + [difficulty_counts(task, level) for level in range(config.data.difficulty_levels)]:
+            reset(task, n_obj, n_rec, seed=0)
 
 
 def test_every_config_key_round_trips():
     """Every config-file key off its default, so the round trip covers each
     field type of each section."""
     text = """
-env.third_resolution = 24
-env.wrist_resolution = 12
-env.n_object_classes = 10
-env.n_receptacle_classes = 5
+model.third_resolution = 24
+model.wrist_resolution = 12
 model.d_model = 64
 model.n_layers = 3
 model.n_heads = 8
@@ -247,11 +276,10 @@ eval.prompt_noise = 0.001
     assert keys == [
         "data.demos_per_task", "data.difficulty_levels", "data.expert_noise", "data.gen_seed", "data.n_pick_place_tasks",
         "data.n_poke_tasks", "data.split_seed", "data.test_fraction",
-        "env.n_object_classes", "env.n_receptacle_classes", "env.third_resolution", "env.wrist_resolution",
         "eval.ensemble_decay", "eval.max_steps_factor", "eval.prompt_noise", "eval.reasoning_interval",
         "eval.rollouts_per_config", "eval.seed",
         "model.chunk_h", "model.d_ff", "model.d_model", "model.lambda_r", "model.max_context", "model.n_heads",
-        "model.n_layers", "model.patch_size", "model.rope_base",
+        "model.n_layers", "model.patch_size", "model.rope_base", "model.third_resolution", "model.wrist_resolution",
         "train.checkpoint_interval", "train.grad_clip", "train.lr", "train.seed", "train.steps", "train.weight_decay",
     ]
     assert (config.model.third_resolution, config.model.wrist_resolution) == (24, 12)
@@ -373,7 +401,6 @@ def test_eval_plan_counts_and_expert_stub(tiny_run):
 def test_eval_records_match_single_lane_rollouts(tiny_run):
     """Each record of a lockstep cell equals a rollout of its own scene alone."""
     config, out = tiny_run
-    env = config.env
     model, _ = PolicyModel.load(harness.checkpoint_path(out, "ours", 0))
     for variant in ("expert", "ours"):
         for rec in cmd_eval(config, out, [variant]):
@@ -381,11 +408,11 @@ def test_eval_records_match_single_lane_rollouts(tiny_run):
             pconf = next(p for p in prompt_configs(task) if p.config_id == rec.prompt_config)
             prompt_seed = derive_seed(config.eval.seed, "prompt", task.label, pconf.config_id)
             demo = augment_dataset([harness.record_episode(
-                env, task, pconf.n_distractor_objects, pconf.n_distractor_receptacles, prompt_seed, noise=config.eval.prompt_noise,
+                config.model, task, pconf.n_distractor_objects, pconf.n_distractor_receptacles, prompt_seed, noise=config.eval.prompt_noise,
             )])[0]
             n_obj, n_rec = difficulty_counts(task, rec.rollout_index % config.data.difficulty_levels)
             scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, rec.rollout_index)
-            state = reset(env, task, n_obj, n_rec, scene_seed)
+            state = reset(task, n_obj, n_rec, scene_seed)
             if variant == "expert":
                 policy = ExpertReplayPolicy(task, config.model.chunk_h)
             else:
@@ -515,6 +542,36 @@ def test_sweep_interval_refuses_trace_decodes_from_icrt(tiny_run, tmp_path, caps
     assert cli_main([*args, "--intervals", "0"]) == 0
     records = load_metrics(run)["sweep"]
     assert records and all(r.variant == "icrt" and r.reasoning_interval == 0 and r.n_trace_decodes == 0 for r in records)
+
+
+def test_sweep_interval_runs_each_interval_once(tiny_run, tmp_path):
+    config, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    records = cmd_sweep_interval(config, run, "ours", [0, 4, 0])
+    n_tasks = len(harness.load_split(out).test_tasks)
+    assert len(records) == 2 * n_tasks * config.eval.rollouts_per_config
+    keys = [(r.task, r.reasoning_interval, r.rollout_index) for r in records]
+    assert len(set(keys)) == len(keys) and {r.reasoning_interval for r in records} == {0, 4}
+
+
+def test_eval_refuses_a_checkpoint_of_other_cameras(tiny_run, tmp_path, capsys):
+    """A checkpoint trained at 32 pixels, evaluated under a 24-pixel config,
+    fails before any rollout, naming the checkpoint and both resolutions."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    shutil.copy(out / "config.resolved.txt", run)
+    before = (run / "config.resolved.txt").read_bytes()
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT + "model.third_resolution = 24\n")
+    assert cli_main(["eval", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err
+    ckpt = harness.checkpoint_path(run, "ours", 0)
+    assert f"checkpoint {ckpt} sees 32/16-pixel cameras" in err and "model.third_resolution = 24" in err
+    assert "Traceback" not in err
+    assert (run / "config.resolved.txt").read_bytes() == before
+    assert not (run / "metrics").exists()
 
 
 def test_report_keeps_sweep_records_apart_from_eval(tiny_run, tmp_path):
@@ -746,7 +803,7 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, monkeypatch):
     assert cli_main(["eval", "--out", str(tmp_path / "x"), "--variant", "expert", "--rollouts", "0"]) == 1
     assert "rollouts_per_config" in capsys.readouterr().err
     # a scene that cannot be placed is a clean error, not a traceback; no
-    # config reaches one, since the distractor rule bounds the crowding
+    # config reaches one, since the palette bounds on the data section bound the crowding
     small = tmp_path / "small.txt"
     small.write_text("data.n_poke_tasks = 2\ndata.n_pick_place_tasks = 0\ndata.demos_per_task = 2\n")
 

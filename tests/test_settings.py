@@ -11,13 +11,13 @@ from deskicl.engine import TrainConfig
 from deskicl.harness import DataSection, EvalSection
 from deskicl.model import ModelConfig
 from deskicl.settings import parse
-from deskicl.sim import CameraModel, SimParams
+from deskicl.sim import CameraModel
 
 
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: SimParams(n_object_classes=13), "n_object_classes = 13 is not in [1, 12]"),
+        (lambda: DataSection(difficulty_levels=13), "difficulty_levels = 13 is not in [1, 12]"),
         (lambda: ModelConfig(max_context=2), "max_context = 2 is not in [3, inf)"),
         (lambda: DataSection(test_fraction=0.0), "test_fraction = 0.0 is not in (0, 1)"),
         (lambda: TrainConfig(lr=math.nan), "lr = nan is not in (0, inf)"),
@@ -38,7 +38,7 @@ def test_settings_built_in_code_are_checked(make, message):
 def test_every_numeric_setting_declares_a_range():
     unbounded = [
         f"{cls.__name__}.{f.name}"
-        for cls in (SimParams, ModelConfig, DataSection, TrainConfig, EvalSection, CameraModel)
+        for cls in (ModelConfig, DataSection, TrainConfig, EvalSection, CameraModel)
         for f in dataclasses.fields(cls)
         if f.type in ("int", "float") and "bound" not in f.metadata
     ]

@@ -9,12 +9,12 @@ from deskicl import sim
 from deskicl.sim import (
     Action,
     InfeasibleTaskError,
-    SimParams,
     TaskSpec,
     WorldState,
     expert_policy,
     expert_rollout,
     make_state,
+    observe,
     render,
     reset,
     step,
@@ -24,7 +24,8 @@ from deskicl.sim import (
     wrist_camera,
 )
 
-P = SimParams()
+THIRD_RESOLUTION, WRIST_RESOLUTION = 32, 16
+N_OBJECT_CLASSES, N_RECEPTACLE_CLASSES = len(sim.OBJECT_PALETTE), len(sim.RECEPTACLE_PALETTE)
 
 
 def poke_task(cls=3):
@@ -64,14 +65,14 @@ def test_action_clips_components():
 
 
 def test_reset_poke_counts():
-    state = reset(P, poke_task(3), 0, 0, seed=0)
+    state = reset(poke_task(3), 0, 0, seed=0)
     assert len(state.objects) == 1
     assert len(state.receptacles) == 0
     assert state.objects[0].class_id == 3
 
 
 def test_reset_pick_place_counts():
-    state = reset(P, place_task(), 2, 1, seed=1)
+    state = reset(place_task(), 2, 1, seed=1)
     assert len(state.objects) == 3
     assert len(state.receptacles) == 2
     classes = [o.class_id for o in state.objects]
@@ -79,15 +80,15 @@ def test_reset_pick_place_counts():
 
 
 def test_reset_deterministic():
-    a = reset(P, place_task(), 3, 1, seed=42)
-    b = reset(P, place_task(), 3, 1, seed=42)
+    a = reset(place_task(), 3, 1, seed=42)
+    b = reset(place_task(), 3, 1, seed=42)
     assert a.objects == b.objects
     assert a.receptacles == b.receptacles
     assert np.array_equal(a.gripper, b.gripper)
 
 
 def test_reset_separation_margin():
-    state = reset(P, place_task(), 4, 2, seed=5)
+    state = reset(place_task(), 4, 2, seed=5)
     entities = state.objects + state.receptacles
     for i, a in enumerate(entities):
         for b in entities[i + 1:]:
@@ -96,8 +97,16 @@ def test_reset_separation_margin():
 
 
 def test_reset_rejects_impossible_class_counts():
-    with pytest.raises(sim.SimError):
-        reset(P, poke_task(0), P.n_object_classes, 0, seed=0)
+    """The classes are the palettes' colours, and a distractor never shares
+    the target's class."""
+    with pytest.raises(sim.SimError, match="distractor objects"):
+        reset(poke_task(0), N_OBJECT_CLASSES, 0, seed=0)
+    with pytest.raises(sim.SimError, match="distractor receptacles"):
+        reset(place_task(0, 0), 0, N_RECEPTACLE_CLASSES, seed=0)
+    with pytest.raises(sim.SimError, match="outside palette"):
+        reset(poke_task(N_OBJECT_CLASSES), 0, 0, seed=0)
+    state = reset(place_task(0, 0), N_OBJECT_CLASSES - 1, N_RECEPTACLE_CLASSES - 1, seed=0)
+    assert len(state.objects) == N_OBJECT_CLASSES and len(state.receptacles) == N_RECEPTACLE_CLASSES
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +115,7 @@ def test_reset_rejects_impossible_class_counts():
 
 
 def test_step_zero_action_only_counts():
-    state = reset(P, poke_task(), 2, 0, seed=3)
+    state = reset(poke_task(), 2, 0, seed=3)
     after = step(state, zero_action())
     assert after.step_count == state.step_count + 1
     assert np.array_equal(after.gripper, state.gripper)
@@ -115,7 +124,7 @@ def test_step_zero_action_only_counts():
 
 
 def test_step_clamps_gripper():
-    state = reset(P, poke_task(), 0, 0, seed=0)
+    state = reset(poke_task(), 0, 0, seed=0)
     current = state
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -124,7 +133,7 @@ def test_step_clamps_gripper():
 
 
 def test_close_far_from_objects_grabs_nothing():
-    state = reset(P, place_task(), 0, 0, seed=7)
+    state = reset(place_task(), 0, 0, seed=7)
     # drive gripper to a corner away from everything, low, then close
     current = state
     for _ in range(40):
@@ -140,7 +149,7 @@ def test_close_far_from_objects_grabs_nothing():
 
 def test_scripted_grasp_attaches_target():
     task = place_task()
-    state = reset(P, task, 1, 0, seed=11)
+    state = reset(task, 1, 0, seed=11)
     current = state
     for _ in range(200):
         current = step(current, expert_policy(current, task))
@@ -152,7 +161,7 @@ def test_scripted_grasp_attaches_target():
 
 def test_release_requires_open_crossing():
     task = place_task()
-    state = reset(P, task, 0, 0, seed=2)
+    state = reset(task, 0, 0, seed=2)
     states, actions, score = expert_rollout(state, task)
     assert score == 1.0
     # the object was ever held and the hold ended by an opening crossing
@@ -177,7 +186,7 @@ def test_project_examples():
 def test_render_empty_scene_background_only():
     state = make_state([], [])
     state.gripper = np.array([2.0, 2.0, 0.5, 0.9])  # move marker out of frame
-    img = render([state], third_camera(P.third_resolution))[0]
+    img = render([state], third_camera(THIRD_RESOLUTION))[0]
     assert img.shape == (32, 32, 3)
     assert np.all(img == sim.BACKGROUND_COLOR)
 
@@ -185,7 +194,7 @@ def test_render_empty_scene_background_only():
 def test_render_object_disk_centered():
     state = make_state([sim.SceneEntity(0, (0.5, 0.5), sim.OBJECT_RADIUS)], [])
     state.gripper = np.array([0.05, 0.95, 0.5, 0.9])  # marker in a corner
-    img = render([state], third_camera(P.third_resolution))[0]
+    img = render([state], third_camera(THIRD_RESOLUTION))[0]
     mask = np.all(img == sim.OBJECT_PALETTE[0], axis=-1)
     assert mask.sum() > 0
     rows, cols = np.nonzero(mask)
@@ -198,8 +207,8 @@ def test_render_object_disk_centered():
 def test_render_wrist_object_under_gripper_fills_center():
     state = make_state([sim.SceneEntity(1, (0.4, 0.6), sim.OBJECT_RADIUS)], [])
     state.gripper = np.array([0.4, 0.6, 0.5, 0.9])
-    img = render([state], wrist_camera(P.wrist_resolution))[0]
-    c = P.wrist_resolution // 2
+    img = render([state], wrist_camera(WRIST_RESOLUTION))[0]
+    c = WRIST_RESOLUTION // 2
     # center pixel is the marker (drawn last), ring around it is the object
     assert np.array_equal(img[c, c], sim.MARKER_COLOR)
     assert np.array_equal(img[c - 3, c], sim.OBJECT_PALETTE[1])
@@ -207,10 +216,19 @@ def test_render_wrist_object_under_gripper_fills_center():
 
 
 def test_render_deterministic():
-    state = reset(P, place_task(), 2, 1, seed=9)
-    a = render([state], third_camera(P.third_resolution))
-    b = render([state], third_camera(P.third_resolution))
+    state = reset(place_task(), 2, 1, seed=9)
+    a = render([state], third_camera(THIRD_RESOLUTION))
+    b = render([state], third_camera(THIRD_RESOLUTION))
     assert np.array_equal(a, b)
+
+
+def test_observe_is_both_views_and_the_gripper():
+    states = expert_rollout(reset(place_task(), 2, 1, seed=9), place_task())[0]
+    third, wrist, proprio = observe(iter(states), 24, 8)
+    assert third.tobytes() == render(states, third_camera(24)).tobytes()
+    assert wrist.tobytes() == render(states, wrist_camera(8)).tobytes()
+    assert proprio.dtype == np.float32 and proprio.shape == (len(states), 4)
+    assert np.array_equal(proprio, np.array([s.gripper for s in states], dtype=np.float32))
 
 
 def _render_oracle(state, camera):
@@ -274,7 +292,7 @@ def _oracle_states():
     return [out_of_frame, on_receptacle, crowded, held, at_edge]
 
 
-@pytest.mark.parametrize("camera", [third_camera(P.third_resolution), wrist_camera(P.wrist_resolution)], ids=["third", "wrist"])
+@pytest.mark.parametrize("camera", [third_camera(THIRD_RESOLUTION), wrist_camera(WRIST_RESOLUTION)], ids=["third", "wrist"])
 def test_render_batch_matches_oracle_bitwise(camera):
     states = _oracle_states()
     expected = np.stack([_render_oracle(s, camera) for s in states])
@@ -300,8 +318,8 @@ def test_render_batch_matches_oracle_bitwise(camera):
 
 def test_brightest_pixel_tracks_gripper():
     task = place_task()
-    state = reset(P, task, 1, 1, seed=13)
-    cam = third_camera(P.third_resolution)
+    state = reset(task, 1, 1, seed=13)
+    cam = third_camera(THIRD_RESOLUTION)
     current = state
     rng = np.random.default_rng(1)
     for _ in range(60):
@@ -321,7 +339,7 @@ def test_brightest_pixel_tracks_gripper():
 
 def test_expert_above_target_descends():
     task = poke_task(4)
-    state = reset(P, task, 0, 0, seed=17)
+    state = reset(task, 0, 0, seed=17)
     obj = state.objects[0]
     state.gripper = np.array([obj.position[0], obj.position[1], 0.45, 0.9])
     action = expert_policy(state, task)
@@ -330,7 +348,7 @@ def test_expert_above_target_descends():
 
 
 def test_expert_missing_target_errors():
-    state = reset(P, poke_task(1), 0, 0, seed=0)
+    state = reset(poke_task(1), 0, 0, seed=0)
     with pytest.raises(InfeasibleTaskError):
         expert_policy(state, TaskSpec("poke", 5))
 
@@ -341,12 +359,12 @@ def test_expert_succeeds_across_tasks_and_difficulties():
         kind = seed % 2
         distractors = seed % 5
         if kind == 0:
-            task = poke_task(seed % P.n_object_classes)
+            task = poke_task(seed % N_OBJECT_CLASSES)
             n_rec = 0
         else:
-            task = TaskSpec("pick_place", seed % P.n_object_classes, seed % P.n_receptacle_classes)
+            task = TaskSpec("pick_place", seed % N_OBJECT_CLASSES, seed % N_RECEPTACLE_CLASSES)
             n_rec = min(distractors, 2)
-        state = reset(P, task, distractors, n_rec, seed=1000 + seed)
+        state = reset(task, distractors, n_rec, seed=1000 + seed)
         _, _, score = expert_rollout(state, task)
         assert score == 1.0, f"expert failed task {task.label} seed {seed}"
         count += 1
@@ -357,8 +375,8 @@ def test_expert_noise_success_rate():
     wins = 0
     n = 200
     for seed in range(n):
-        task = place_task(seed % P.n_object_classes, seed % P.n_receptacle_classes)
-        state = reset(P, task, seed % 5, 1 if seed % 5 >= 2 else 0, seed=seed)
+        task = place_task(seed % N_OBJECT_CLASSES, seed % N_RECEPTACLE_CLASSES)
+        state = reset(task, seed % 5, 1 if seed % 5 >= 2 else 0, seed=seed)
         rng = np.random.default_rng(10_000 + seed)
         _, _, score = expert_rollout(state, task, noise=0.005, rng=rng)
         wins += score == 1.0
@@ -367,7 +385,7 @@ def test_expert_noise_success_rate():
 
 def test_success_scores_and_monotonicity():
     task = place_task()
-    state = reset(P, task, 1, 1, seed=23)
+    state = reset(task, 1, 1, seed=23)
     assert success(state, task) == 0.0
     states, actions, score = expert_rollout(state, task)
     assert score == 1.0
@@ -378,7 +396,7 @@ def test_success_scores_and_monotonicity():
 
 def test_poke_score_contact():
     task = poke_task(0)
-    state = reset(P, task, 0, 0, seed=29)
+    state = reset(task, 0, 0, seed=29)
     states, actions, score = expert_rollout(state, task)
     assert score == 1.0
     assert success(states[0], task) == 0.0
@@ -388,11 +406,11 @@ def test_episode_determinism_bitwise():
     task = place_task()
 
     def run():
-        state = reset(P, task, 2, 1, seed=31)
+        state = reset(task, 2, 1, seed=31)
         rng = np.random.default_rng(77)
         states, actions, score = expert_rollout(state, task, noise=0.004, rng=rng)
         last = states[-1]
-        return last.gripper.copy(), np.array([a.deltas for a in actions]), render([last], third_camera(P.third_resolution))
+        return last.gripper.copy(), np.array([a.deltas for a in actions]), render([last], third_camera(THIRD_RESOLUTION))
 
     g1, a1, img1 = run()
     g2, a2, img2 = run()
