@@ -60,14 +60,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if getattr(args, "rollouts", None) is not None:
-            config = dataclasses.replace(config, eval=dataclasses.replace(config.eval, rollouts_per_config=args.rollouts))
-        if getattr(args, "seed", None) is not None:
-            section, _, name = args.seed_key.partition(".")
-            try:
-                config = dataclasses.replace(config, **{section: dataclasses.replace(getattr(config, section), **{name: args.seed})})
-            except ValueError as exc:
-                raise HarnessError(f"--seed: {exc}") from exc
+        overrides = [
+            ("--rollouts", "eval.rollouts_per_config", getattr(args, "rollouts", None)),
+            ("--seed", getattr(args, "seed_key", None), getattr(args, "seed", None)),
+        ]
+        for flag, key, value in overrides:
+            if value is not None:
+                section, _, name = key.partition(".")
+                try:
+                    config = dataclasses.replace(config, **{section: dataclasses.replace(getattr(config, section), **{name: value})})
+                except ValueError as exc:
+                    raise HarnessError(f"{flag}: {exc}") from exc
 
         if args.command == "gen-data":
             harness.cmd_gen_data(config, args.out)
@@ -75,6 +78,8 @@ def main(argv: list[str] | None = None) -> int:
             harness.cmd_train(config, args.variant, args.out)
         elif args.command == "eval":
             variants = [v.strip() for v in args.variant.split(",") if v.strip()]
+            if not variants:
+                raise HarnessError("--variant: no variant given")
             harness.cmd_eval(config, args.out, variants)
         elif args.command == "sweep-interval":
             interval = next(f for f in dataclasses.fields(config.eval) if f.name == "reasoning_interval")

@@ -13,7 +13,8 @@ byte.
 The world has no settings: its physics and geometry are constants in `sim.py`,
 beside the scripted expert that assumes them, and its object and receptacle
 classes are the palettes' colours. The camera resolutions are the model's own
-keys; demos are recorded at them, as the policy observes its scenes.
+keys; demos are recorded at them, as the policy observes its scenes, and
+train and eval refuse episodes and checkpoints made at other resolutions.
 
 Output layout under --out:
     config.resolved.txt
@@ -338,10 +339,22 @@ def variant_model_config(config: HarnessConfig, variant: str) -> ModelConfig:
     return dataclasses.replace(config.model, **VARIANTS[variant])
 
 
+def _check_cameras(source: str, third: int, wrist: int, model: ModelConfig) -> None:
+    """Raise a HarnessError naming `source` and both camera keys if it sees
+    other camera resolutions than `model`'s."""
+    if (third, wrist) != (model.third_resolution, model.wrist_resolution):
+        raise HarnessError(
+            f"{source} sees {third}/{wrist}-pixel cameras, but the config has model.third_resolution = "
+            f"{model.third_resolution}, model.wrist_resolution = {model.wrist_resolution}"
+        )
+
+
 def cmd_train(config: HarnessConfig, variant: str, out_dir) -> Path:
     out_dir = Path(out_dir)
     seed = config.train.seed
     episodes = load_train_episodes(out_dir)
+    for ep in episodes:
+        _check_cameras(f"episode file {episode_path(out_dir, ep.task_label)}", ep.third.shape[1], ep.wrist.shape[1], config.model)
     model = PolicyModel.init(variant_model_config(config, variant), seed=derive_seed(seed, "init", variant))
     ckpt = checkpoint_path(out_dir, variant, seed)
 
@@ -461,13 +474,8 @@ def _evaluate(
         if not ckpt.exists():
             raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
         models[variant] = PolicyModel.load(ckpt)[0]
-        seen, configured = models[variant].config, config.model
-        if (seen.third_resolution, seen.wrist_resolution) != (configured.third_resolution, configured.wrist_resolution):
-            raise HarnessError(
-                f"checkpoint {ckpt} sees {seen.third_resolution}/{seen.wrist_resolution}-pixel cameras, but the config "
-                f"has model.third_resolution = {configured.third_resolution}, "
-                f"model.wrist_resolution = {configured.wrist_resolution}"
-            )
+        seen = models[variant].config
+        _check_cameras(f"checkpoint {ckpt}", seen.third_resolution, seen.wrist_resolution, config.model)
     policies: dict[tuple[str, int], TransformerPolicy] = {}
     for variant, k in runs:
         if variant != "expert":

@@ -6,16 +6,19 @@ receptacles are larger dimmer disks, and physics is kinematic: an object
 attaches when the aperture closes near it at low height, tracks the gripper
 while held, and stays wherever it is released. A scripted expert solves the
 two task kinds (poke, pick-and-place) with a state-derived waypoint script,
-so it needs no memory beyond the world state itself. The world has no
-settings: the physics and the expert's waypoints are module constants, tuned
-together, and the object and receptacle classes are the palettes' colours.
+so it needs no memory beyond the world state itself. The world is fixed:
+the physics, the geometry and the expert's waypoints are module constants,
+tuned together. An entity's radius is its kind's (OBJECT_RADIUS or
+RECEPTACLE_RADIUS), and the object and receptacle classes are the palettes'
+colours.
 
-Cameras are orthographic. The third view covers the whole workspace; the
-wrist view covers a small window centered on the gripper. `render` paints
-a sequence of states (an episode, or one lockstep step of many rollouts)
-in one call, as padded per-state disk arrays, so its cost per state falls
-as the batch grows. `observe` is what a robot sees of its states at given
-camera resolutions: both views and the gripper as proprio.
+Cameras are orthographic. The "third" view covers the whole workspace; the
+"wrist" view covers the WRIST_WINDOW square centred on the gripper. `render`
+paints a sequence of states (an episode, or one lockstep step of many
+rollouts) from one view at one resolution in one call, as padded per-state
+disk arrays, so its cost per state falls as the batch grows. `observe` is
+what a robot sees of its states at given camera resolutions: both views and
+the gripper as proprio.
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .settings import bounded, check_fields
-
 # Object classes are saturated, receptacles dimmer, the gripper marker is
 # pure white: per-pixel brightness then ranks marker > object > receptacle,
-# which the trace tooling relies on to localize the gripper in renders.
+# so the brightest pixel of a third view is the gripper's.
 OBJECT_PALETTE = np.array(
     [
         [0.95, 0.15, 0.15],
@@ -112,26 +113,6 @@ _EXPERT_MAX_STEPS = 400
 
 
 @dataclass(frozen=True)
-class CameraModel:
-    view: str  # "third" or "wrist"
-    resolution: int = bounded(ge=8)
-    window: float = bounded(1.0, gt=0.0, le=1.0)  # width of the viewed world square
-
-    def __post_init__(self):
-        if self.view not in ("third", "wrist"):
-            raise ValueError(f"unknown camera view '{self.view}'")
-        check_fields(self)
-
-
-def third_camera(resolution: int) -> CameraModel:
-    return CameraModel("third", resolution, 1.0)
-
-
-def wrist_camera(resolution: int) -> CameraModel:
-    return CameraModel("wrist", resolution, WRIST_WINDOW)
-
-
-@dataclass(frozen=True)
 class TaskSpec:
     kind: str  # "poke" or "pick_place"
     target_object_class: int
@@ -158,7 +139,6 @@ class TaskSpec:
 class SceneEntity:
     class_id: int
     position: tuple[float, float]
-    radius: float
 
 
 class Action:
@@ -179,7 +159,6 @@ class WorldState:
     objects: list[SceneEntity]
     receptacles: list[SceneEntity]
     held_object: int | None
-    step_count: int
     # Scoring bookkeeping, updated by step(): initial positions for the
     # displacement test, sticky contact/held/released flags so scores are
     # monotone within an episode.
@@ -194,7 +173,6 @@ class WorldState:
             objects=list(self.objects),
             receptacles=list(self.receptacles),
             held_object=self.held_object,
-            step_count=self.step_count,
             initial_object_positions=self.initial_object_positions.copy(),
             poked=self.poked.copy(),
             ever_held=self.ever_held.copy(),
@@ -208,7 +186,6 @@ def make_state(objects: list[SceneEntity], receptacles: list[SceneEntity]) -> Wo
         objects=objects,
         receptacles=receptacles,
         held_object=None,
-        step_count=0,
         initial_object_positions=np.array([e.position for e in objects], dtype=np.float64).reshape(len(objects), 2),
         poked=np.zeros(len(objects), dtype=bool),
         ever_held=np.zeros(len(objects), dtype=bool),
@@ -216,17 +193,15 @@ def make_state(objects: list[SceneEntity], receptacles: list[SceneEntity]) -> Wo
     )
 
 
-def _sample_position(rng: np.random.Generator, radius: float, placed: list[SceneEntity], margin: float) -> tuple[float, float] | None:
+def _sample_position(
+    rng: np.random.Generator, radius: float, placed: list[tuple[tuple[float, float], float]]
+) -> tuple[float, float] | None:
+    """A centre for a disk of `radius` at least PLACEMENT_MARGIN away from each
+    `(position, radius)` already placed, or None after 200 draws."""
     edge = radius + 0.02
     for _ in range(200):
         pos = rng.uniform(edge, 1.0 - edge, size=2)
-        ok = True
-        for other in placed:
-            min_dist = radius + other.radius + margin
-            if (pos[0] - other.position[0]) ** 2 + (pos[1] - other.position[1]) ** 2 < min_dist**2:
-                ok = False
-                break
-        if ok:
+        if all((pos[0] - x) ** 2 + (pos[1] - y) ** 2 >= (radius + other + PLACEMENT_MARGIN) ** 2 for (x, y), other in placed):
             return float(pos[0]), float(pos[1])
     return None
 
@@ -263,22 +238,18 @@ def reset(
     spare_obj = [c for c in range(n_object_classes) if c != task.target_object_class]
     obj_classes.extend(rng.choice(spare_obj, size=n_distractor_objects, replace=False).tolist())
 
-    placed: list[SceneEntity] = []
-    for c in rec_classes:
-        pos = _sample_position(rng, RECEPTACLE_RADIUS, placed, PLACEMENT_MARGIN)
-        if pos is None:
-            raise PlacementError(f"could not place receptacle class {c} for task {task.label}")
-        entity = SceneEntity(int(c), pos, RECEPTACLE_RADIUS)
-        placed.append(entity)
-        receptacles.append(entity)
     objects: list[SceneEntity] = []
-    for c in obj_classes:
-        pos = _sample_position(rng, OBJECT_RADIUS, placed, PLACEMENT_MARGIN)
-        if pos is None:
-            raise PlacementError(f"could not place object class {c} for task {task.label}")
-        entity = SceneEntity(int(c), pos, OBJECT_RADIUS)
-        placed.append(entity)
-        objects.append(entity)
+    placed = []  # (position, radius) of every entity so far
+    for kind, classes, radius, entities in (
+        ("receptacle", rec_classes, RECEPTACLE_RADIUS, receptacles),
+        ("object", obj_classes, OBJECT_RADIUS, objects),
+    ):
+        for c in classes:
+            pos = _sample_position(rng, radius, placed)
+            if pos is None:
+                raise PlacementError(f"could not place {kind} class {c} for task {task.label}")
+            placed.append((pos, radius))
+            entities.append(SceneEntity(int(c), pos))
     return make_state(objects, receptacles)
 
 
@@ -297,7 +268,7 @@ def step(state: WorldState, action: Action) -> WorldState:
             for r, rec in enumerate(new.receptacles):
                 dx = gx - rec.position[0]
                 dy = gy - rec.position[1]
-                if dx * dx + dy * dy < rec.radius**2:
+                if dx * dx + dy * dy < RECEPTACLE_RADIUS**2:
                     new.released_inside[idx, r] = True
             new.held_object = None
     elif old_ap >= CLOSE_THRESHOLD > ap and gz < Z_GRASP:
@@ -319,10 +290,8 @@ def step(state: WorldState, action: Action) -> WorldState:
                 continue
             dx = gx - obj.position[0]
             dy = gy - obj.position[1]
-            if dx * dx + dy * dy < obj.radius**2:
+            if dx * dx + dy * dy < OBJECT_RADIUS**2:
                 new.poked[i] = True
-
-    new.step_count = state.step_count + 1
     return new
 
 
@@ -364,8 +333,9 @@ def third_view_uv(world_xy) -> np.ndarray:
     return np.stack([xy[..., 0], 1.0 - xy[..., 1]], axis=-1)
 
 
-def render(states, camera: CameraModel) -> np.ndarray:
-    """Rasterize a sequence of states to (N, R, R, 3) float32 images.
+def render(states, view: str, resolution: int) -> np.ndarray:
+    """Rasterize a sequence of states to (N, R, R, 3) float32 images seen by
+    the `"third"` or the `"wrist"` camera at R = `resolution` pixels.
 
     Each state is painted in draw order: its receptacles, then its objects,
     then the gripper marker. A pixel takes the colour of the last disk that
@@ -373,17 +343,21 @@ def render(states, camera: CameraModel) -> np.ndarray:
     radius (squared distance <= radius², in float64). States may hold
     different numbers of entities: each state's disks are padded to a common
     count per kind, and a padded slot has radius² = -1 so it covers nothing.
-    The wrist view is centred on each state's own gripper.
+    The third view sees the whole workspace; the wrist view sees the
+    WRIST_WINDOW square centred on each state's own gripper.
     """
+    if view not in ("third", "wrist"):
+        raise ValueError(f"unknown camera view '{view}'")
+    window = 1.0 if view == "third" else WRIST_WINDOW
     states = list(states)
-    res = camera.resolution
     n_rec = max((len(s.receptacles) for s in states), default=0)
     n_obj = max((len(s.objects) for s in states), default=0)
+    rec_r2, obj_r2 = RECEPTACLE_RADIUS * RECEPTACLE_RADIUS, OBJECT_RADIUS * OBJECT_RADIUS
     marker_r2 = MARKER_RADIUS * MARKER_RADIUS
     rows = []
     for s in states:
-        recs = [(*e.position, e.radius * e.radius, _RECEPTACLE_BASE + e.class_id) for e in s.receptacles]
-        objs = [(*e.position, e.radius * e.radius, _OBJECT_BASE + e.class_id) for e in s.objects]
+        recs = [(*e.position, rec_r2, _RECEPTACLE_BASE + e.class_id) for e in s.receptacles]
+        objs = [(*e.position, obj_r2, _OBJECT_BASE + e.class_id) for e in s.objects]
         rows.append(
             recs + [_EMPTY_SLOT] * (n_rec - len(recs))
             + objs + [_EMPTY_SLOT] * (n_obj - len(objs))
@@ -393,17 +367,17 @@ def render(states, camera: CameraModel) -> np.ndarray:
     cx, cy, r2 = disks[..., 0], disks[..., 1], disks[..., 2]
     color = disks[..., 3].astype(np.intp)
 
-    centers = (np.arange(res, dtype=np.float64) + 0.5) / res * camera.window
-    if camera.view == "third":
+    centers = (np.arange(resolution, dtype=np.float64) + 0.5) / resolution * window
+    if view == "third":
         x0, y1 = np.zeros(len(states)), np.ones(len(states))
     else:
-        x0 = cx[:, -1] - camera.window / 2.0
-        y1 = cy[:, -1] + camera.window / 2.0
+        x0 = cx[:, -1] - window / 2.0
+        y1 = cy[:, -1] + window / 2.0
     xs = x0[:, None] + centers  # (N, R): column -> world x
     ys = y1[:, None] - centers  # (N, R): row -> world y (top row is high y)
     dx2 = (xs[:, None, :] - cx[..., None]) ** 2  # (N, E, R)
     dy2 = (ys[:, None, :] - cy[..., None]) ** 2
-    top = np.zeros((len(states), res, res), dtype=np.intp)  # palette index of the topmost disk
+    top = np.zeros((len(states), resolution, resolution), dtype=np.intp)  # palette index of the topmost disk
     for e in range(disks.shape[1]):
         covered = dx2[:, e, None, :] + dy2[:, e, :, None] <= r2[:, e, None, None]
         np.copyto(top, color[:, e, None, None], where=covered)
@@ -415,8 +389,8 @@ def observe(states, third_resolution: int, wrist_resolution: int) -> tuple[np.nd
     and wrist views, each from one `render` call, and the (N, 4) float32
     gripper pose as proprio."""
     states = list(states)
-    third = render(states, third_camera(third_resolution))
-    wrist = render(states, wrist_camera(wrist_resolution))
+    third = render(states, "third", third_resolution)
+    wrist = render(states, "wrist", wrist_resolution)
     return third, wrist, np.stack([s.gripper for s in states]).astype(np.float32)
 
 
@@ -455,7 +429,7 @@ def expert_policy(
     if task.kind == "poke":
         if success(state, task) == 1.0:
             waypoint = (gx, gy, _Z_TRAVEL, _AP_OPEN)
-        elif dxy <= _POS_TOL or (gz < Z_GRASP and dxy <= 0.8 * obj.radius):
+        elif dxy <= _POS_TOL or (gz < Z_GRASP and dxy <= 0.8 * OBJECT_RADIUS):
             waypoint = (obj.position[0], obj.position[1], _Z_POKE, _AP_OPEN)
         else:
             waypoint = (obj.position[0], obj.position[1], _Z_TRAVEL, _AP_OPEN)

@@ -320,7 +320,7 @@ class _ExpertInSomeLanes:
 
 def _state_key(s):
     arrays = (s.gripper, s.initial_object_positions, s.poked, s.ever_held, s.released_inside)
-    return tuple(a.tobytes() for a in arrays) + (tuple(s.objects), tuple(s.receptacles), s.held_object, s.step_count)
+    return tuple(a.tobytes() for a in arrays) + (tuple(s.objects), tuple(s.receptacles), s.held_object)
 
 
 def _assert_same_rollout(a, b):
@@ -374,9 +374,9 @@ def test_rollout_renders_only_what_the_policy_observes(monkeypatch):
     cameras = []
     render = sim.render
 
-    def counting_render(states, camera):
-        cameras.append((len(states), camera.view, camera.resolution))
-        return render(states, camera)
+    def counting_render(states, view, resolution):
+        cameras.append((len(states), view, resolution))
+        return render(states, view, resolution)
 
     monkeypatch.setattr(sim, "render", counting_render)
     [result] = rollout(ExpertReplayPolicy(task, SMALL_CFG.chunk_h), states[:1], task, [demo], 200, 0.1)

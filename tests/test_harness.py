@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deskicl import harness, sim
+from deskicl import harness
 from deskicl.cli import main as cli_main
 from deskicl.data import load_episodes
 from deskicl.engine import ExpertReplayPolicy, RolloutResult, TransformerPolicy, rollout
@@ -574,6 +574,47 @@ def test_eval_refuses_a_checkpoint_of_other_cameras(tiny_run, tmp_path, capsys):
     assert not (run / "metrics").exists()
 
 
+def test_train_refuses_episodes_of_other_cameras(tiny_run, tmp_path, capsys):
+    """Episodes recorded at 32 pixels, trained on under a 24-pixel config,
+    fail before any output, naming the episode file and both resolutions."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(out / "episodes", run / "episodes")
+    shutil.copy(out / "split.json", run)
+    shutil.copy(out / "config.resolved.txt", run)
+    before = (run / "config.resolved.txt").read_bytes()
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT + "model.third_resolution = 24\n")
+    assert cli_main(["train", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err
+    episodes = harness.episode_path(run, harness.load_split(run).train_tasks[0])
+    assert f"episode file {episodes} sees 32/16-pixel cameras" in err
+    assert "model.third_resolution = 24, model.wrist_resolution = 16" in err and "Traceback" not in err
+    assert (run / "config.resolved.txt").read_bytes() == before
+    assert sorted(p.name for p in run.iterdir()) == ["config.resolved.txt", "episodes", "split.json"]
+
+
+def test_eval_without_a_variant_does_no_work(tiny_run, tmp_path, capsys, monkeypatch):
+    """`--variant ,` names no variant: eval fails before it records a prompt
+    demo or resets a scene, and leaves the run as it was."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    shutil.copy(out / "config.resolved.txt", run)
+    before = (run / "config.resolved.txt").read_bytes()
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    work = []
+    for name in ("record_episode", "reset"):
+        monkeypatch.setattr(harness, name, lambda *args, _f=getattr(harness, name), **kw: work.append(args) or _f(*args, **kw))
+    assert cli_main(["eval", "--config", str(config_path), "--out", str(run), "--variant", ",", "--rollouts", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "--variant: no variant given" in err and "Traceback" not in err
+    assert work == []
+    assert (run / "config.resolved.txt").read_bytes() == before
+    assert not (run / "metrics").exists()
+
+
 def test_report_keeps_sweep_records_apart_from_eval(tiny_run, tmp_path):
     """A sweep re-runs the eval's p1 scenes at k=1: its rows are their own,
     and the summary counts only the eval's rollouts."""
@@ -610,8 +651,7 @@ def _result(score, states, traces, overflow=False):
 
 
 def _scene(objects, receptacles):
-    return make_state([SceneEntity(c, p, sim.OBJECT_RADIUS) for c, p in objects],
-                      [SceneEntity(c, p, sim.RECEPTACLE_RADIUS) for c, p in receptacles])
+    return make_state([SceneEntity(c, p) for c, p in objects], [SceneEntity(c, p) for c, p in receptacles])
 
 
 def test_classify_failure_cases():
@@ -800,8 +840,9 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.txt"
     bad.write_text("data.unknown_key = 3\n")
     assert cli_main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
-    assert cli_main(["eval", "--out", str(tmp_path / "x"), "--variant", "expert", "--rollouts", "0"]) == 1
-    assert "rollouts_per_config" in capsys.readouterr().err
+    for command in ("eval", "sweep-interval"):
+        assert cli_main([command, "--out", str(tmp_path / "x"), "--variant", "expert", "--rollouts", "0"]) == 1
+        assert "--rollouts: rollouts_per_config = 0 is not in [1, inf)" in capsys.readouterr().err
     # a scene that cannot be placed is a clean error, not a traceback; no
     # config reaches one, since the palette bounds on the data section bound the crowding
     small = tmp_path / "small.txt"

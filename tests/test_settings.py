@@ -11,7 +11,6 @@ from deskicl.engine import TrainConfig
 from deskicl.harness import DataSection, EvalSection
 from deskicl.model import ModelConfig
 from deskicl.settings import parse
-from deskicl.sim import CameraModel
 
 
 @pytest.mark.parametrize(
@@ -25,8 +24,6 @@ from deskicl.sim import CameraModel
         (lambda: TrainConfig(n_prompt_choices=(0,)), "n_prompt_choices = (0,) needs at least one count, each at least 1"),
         (lambda: TrainConfig(n_prompt_choices=(1, -1)), "n_prompt_choices = (1, -1) needs at least one count, each at least 1"),
         (lambda: EvalSection(max_steps_factor=math.inf), "max_steps_factor = inf is not in (0, inf)"),
-        (lambda: CameraModel("third", 4), "resolution = 4 is not in [8, inf)"),
-        (lambda: CameraModel("wrist", 16, 1.5), "window = 1.5 is not in (0, 1]"),
     ],
 )
 def test_settings_built_in_code_are_checked(make, message):
@@ -38,7 +35,7 @@ def test_settings_built_in_code_are_checked(make, message):
 def test_every_numeric_setting_declares_a_range():
     unbounded = [
         f"{cls.__name__}.{f.name}"
-        for cls in (ModelConfig, DataSection, TrainConfig, EvalSection, CameraModel)
+        for cls in (ModelConfig, DataSection, TrainConfig, EvalSection)
         for f in dataclasses.fields(cls)
         if f.type in ("int", "float") and "bound" not in f.metadata
     ]

@@ -19,9 +19,7 @@ from deskicl.sim import (
     reset,
     step,
     success,
-    third_camera,
     third_view_uv,
-    wrist_camera,
 )
 
 THIRD_RESOLUTION, WRIST_RESOLUTION = 32, 16
@@ -89,11 +87,11 @@ def test_reset_deterministic():
 
 def test_reset_separation_margin():
     state = reset(place_task(), 4, 2, seed=5)
-    entities = state.objects + state.receptacles
-    for i, a in enumerate(entities):
-        for b in entities[i + 1:]:
+    entities = [(e, sim.OBJECT_RADIUS) for e in state.objects] + [(e, sim.RECEPTACLE_RADIUS) for e in state.receptacles]
+    for i, (a, ra) in enumerate(entities):
+        for b, rb in entities[i + 1:]:
             dist = np.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
-            assert dist > a.radius + b.radius + sim.PLACEMENT_MARGIN - 1e-12
+            assert dist > ra + rb + sim.PLACEMENT_MARGIN - 1e-12
 
 
 def test_reset_rejects_impossible_class_counts():
@@ -117,7 +115,6 @@ def test_reset_rejects_impossible_class_counts():
 def test_step_zero_action_only_counts():
     state = reset(poke_task(), 2, 0, seed=3)
     after = step(state, zero_action())
-    assert after.step_count == state.step_count + 1
     assert np.array_equal(after.gripper, state.gripper)
     assert after.objects == state.objects
     assert after.held_object is None
@@ -186,15 +183,15 @@ def test_project_examples():
 def test_render_empty_scene_background_only():
     state = make_state([], [])
     state.gripper = np.array([2.0, 2.0, 0.5, 0.9])  # move marker out of frame
-    img = render([state], third_camera(THIRD_RESOLUTION))[0]
+    img = render([state], "third", THIRD_RESOLUTION)[0]
     assert img.shape == (32, 32, 3)
     assert np.all(img == sim.BACKGROUND_COLOR)
 
 
 def test_render_object_disk_centered():
-    state = make_state([sim.SceneEntity(0, (0.5, 0.5), sim.OBJECT_RADIUS)], [])
+    state = make_state([sim.SceneEntity(0, (0.5, 0.5))], [])
     state.gripper = np.array([0.05, 0.95, 0.5, 0.9])  # marker in a corner
-    img = render([state], third_camera(THIRD_RESOLUTION))[0]
+    img = render([state], "third", THIRD_RESOLUTION)[0]
     mask = np.all(img == sim.OBJECT_PALETTE[0], axis=-1)
     assert mask.sum() > 0
     rows, cols = np.nonzero(mask)
@@ -205,9 +202,9 @@ def test_render_object_disk_centered():
 
 
 def test_render_wrist_object_under_gripper_fills_center():
-    state = make_state([sim.SceneEntity(1, (0.4, 0.6), sim.OBJECT_RADIUS)], [])
+    state = make_state([sim.SceneEntity(1, (0.4, 0.6))], [])
     state.gripper = np.array([0.4, 0.6, 0.5, 0.9])
-    img = render([state], wrist_camera(WRIST_RESOLUTION))[0]
+    img = render([state], "wrist", WRIST_RESOLUTION)[0]
     c = WRIST_RESOLUTION // 2
     # center pixel is the marker (drawn last), ring around it is the object
     assert np.array_equal(img[c, c], sim.MARKER_COLOR)
@@ -217,31 +214,35 @@ def test_render_wrist_object_under_gripper_fills_center():
 
 def test_render_deterministic():
     state = reset(place_task(), 2, 1, seed=9)
-    a = render([state], third_camera(THIRD_RESOLUTION))
-    b = render([state], third_camera(THIRD_RESOLUTION))
+    a = render([state], "third", THIRD_RESOLUTION)
+    b = render([state], "third", THIRD_RESOLUTION)
     assert np.array_equal(a, b)
+
+
+def test_render_rejects_an_unknown_view():
+    with pytest.raises(ValueError, match="unknown camera view 'top'"):
+        render([make_state([], [])], "top", THIRD_RESOLUTION)
 
 
 def test_observe_is_both_views_and_the_gripper():
     states = expert_rollout(reset(place_task(), 2, 1, seed=9), place_task())[0]
     third, wrist, proprio = observe(iter(states), 24, 8)
-    assert third.tobytes() == render(states, third_camera(24)).tobytes()
-    assert wrist.tobytes() == render(states, wrist_camera(8)).tobytes()
+    assert third.tobytes() == render(states, "third", 24).tobytes()
+    assert wrist.tobytes() == render(states, "wrist", 8).tobytes()
     assert proprio.dtype == np.float32 and proprio.shape == (len(states), 4)
     assert np.array_equal(proprio, np.array([s.gripper for s in states], dtype=np.float32))
 
 
-def _render_oracle(state, camera):
+def _render_oracle(state, view, res):
     """Reference painter: one state, one boolean disk mask at a time, in
     draw order (receptacles, objects, gripper marker)."""
-    res = camera.resolution
-    if camera.view == "third":
-        x0, y1 = 0.0, 1.0
+    if view == "third":
+        x0, y1, span = 0.0, 1.0, 1.0
     else:
         gx, gy = state.gripper[0], state.gripper[1]
-        x0 = gx - camera.window / 2.0
-        y1 = gy + camera.window / 2.0
-    span = camera.window
+        span = sim.WRIST_WINDOW
+        x0 = gx - span / 2.0
+        y1 = gy + span / 2.0
     centers = (np.arange(res, dtype=np.float64) + 0.5) / res * span
     xgrid, ygrid = np.meshgrid(x0 + centers, y1 - centers)
 
@@ -253,9 +254,9 @@ def _render_oracle(state, camera):
         img[mask] = color
 
     for rec in state.receptacles:
-        disk(rec.position[0], rec.position[1], rec.radius, sim.RECEPTACLE_PALETTE[rec.class_id])
+        disk(rec.position[0], rec.position[1], sim.RECEPTACLE_RADIUS, sim.RECEPTACLE_PALETTE[rec.class_id])
     for obj in state.objects:
-        disk(obj.position[0], obj.position[1], obj.radius, sim.OBJECT_PALETTE[obj.class_id])
+        disk(obj.position[0], obj.position[1], sim.OBJECT_RADIUS, sim.OBJECT_PALETTE[obj.class_id])
     disk(state.gripper[0], state.gripper[1], sim.MARKER_RADIUS, sim.MARKER_COLOR)
     return img
 
@@ -263,11 +264,10 @@ def _render_oracle(state, camera):
 def _oracle_states():
     """States with different entity counts, overlaps and gripper poses."""
 
-    def obj(c, x, y):
-        return sim.SceneEntity(c, (x, y), sim.OBJECT_RADIUS)
+    def obj(c, x, y):  # the list an entity is in makes it an object or a receptacle
+        return sim.SceneEntity(c, (x, y))
 
-    def rec(c, x, y):
-        return sim.SceneEntity(c, (x, y), sim.RECEPTACLE_RADIUS)
+    rec = obj
 
     out_of_frame = make_state([obj(0, 0.3, 0.3)], [])
     out_of_frame.gripper = np.array([2.0, 2.0, 0.5, 0.9])
@@ -284,7 +284,7 @@ def _oracle_states():
     # held object under the marker
     held = make_state([obj(7, 0.5, 0.5), obj(8, 0.8, 0.8)], [])
     held.gripper = np.array([0.46, 0.52, 0.3, 0.2])
-    held.objects[0] = sim.SceneEntity(7, (0.46, 0.52), sim.OBJECT_RADIUS)
+    held.objects[0] = sim.SceneEntity(7, (0.46, 0.52))
     held.held_object = 0
     # marker half out of frame at the workspace edge, beside an object
     at_edge = make_state([obj(9, 0.95, 0.1), obj(10, 0.5, 0.9), obj(11, 0.1, 0.1)], [])
@@ -292,18 +292,18 @@ def _oracle_states():
     return [out_of_frame, on_receptacle, crowded, held, at_edge]
 
 
-@pytest.mark.parametrize("camera", [third_camera(THIRD_RESOLUTION), wrist_camera(WRIST_RESOLUTION)], ids=["third", "wrist"])
-def test_render_batch_matches_oracle_bitwise(camera):
+@pytest.mark.parametrize("view, resolution", [("third", THIRD_RESOLUTION), ("wrist", WRIST_RESOLUTION)], ids=["third", "wrist"])
+def test_render_batch_matches_oracle_bitwise(view, resolution):
     states = _oracle_states()
-    expected = np.stack([_render_oracle(s, camera) for s in states])
-    batch = render(states, camera)
+    expected = np.stack([_render_oracle(s, view, resolution) for s in states])
+    batch = render(states, view, resolution)
     assert batch.dtype == np.float32
-    assert batch.shape == (len(states), camera.resolution, camera.resolution, 3)
+    assert batch.shape == (len(states), resolution, resolution, 3)
     assert np.array_equal(batch, expected)
     for i, s in enumerate(states):
-        assert np.array_equal(render([s], camera)[0], expected[i])
+        assert np.array_equal(render([s], view, resolution)[0], expected[i])
     # the cases the states are built for show in the oracle's images
-    if camera.view == "third":
+    if view == "third":
 
         def shown(i, color):
             return np.all(expected[i] == color, axis=-1).any()
@@ -312,22 +312,21 @@ def test_render_batch_matches_oracle_bitwise(camera):
         assert shown(1, sim.RECEPTACLE_PALETTE[2]) and shown(1, sim.OBJECT_PALETTE[1])
         assert shown(3, sim.MARKER_COLOR) and shown(3, sim.OBJECT_PALETTE[7])
     else:
-        c = camera.resolution // 2
+        c = resolution // 2
         assert all(np.array_equal(img[c, c], sim.MARKER_COLOR) for img in expected[1:])
 
 
 def test_brightest_pixel_tracks_gripper():
     task = place_task()
     state = reset(task, 1, 1, seed=13)
-    cam = third_camera(THIRD_RESOLUTION)
     current = state
     rng = np.random.default_rng(1)
     for _ in range(60):
         current = step(current, Action(rng.uniform(-0.05, 0.05, 4)))
-        img = render([current], cam)[0]
+        img = render([current], "third", THIRD_RESOLUTION)[0]
         brightness = img.sum(axis=-1)
         row, col = np.unravel_index(np.argmax(brightness), brightness.shape)
-        u, v = third_view_uv(current.gripper[:2]) * cam.resolution
+        u, v = third_view_uv(current.gripper[:2]) * THIRD_RESOLUTION
         assert abs((col + 0.5) - u) <= 1.0
         assert abs((row + 0.5) - v) <= 1.0
 
@@ -410,7 +409,7 @@ def test_episode_determinism_bitwise():
         rng = np.random.default_rng(77)
         states, actions, score = expert_rollout(state, task, noise=0.004, rng=rng)
         last = states[-1]
-        return last.gripper.copy(), np.array([a.deltas for a in actions]), render([last], third_camera(THIRD_RESOLUTION))
+        return last.gripper.copy(), np.array([a.deltas for a in actions]), render([last], "third", THIRD_RESOLUTION)
 
     g1, a1, img1 = run()
     g2, a2, img2 = run()
