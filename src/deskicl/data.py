@@ -118,7 +118,6 @@ class TrainingSequence:
     """
 
     episodes: list[Trajectory]
-    episode_lengths: list[int]
     third: np.ndarray  # (S, G, G, 3)
     wrist: np.ndarray  # (S, C, C, 3)
     proprio: np.ndarray  # (S, 4)
@@ -179,7 +178,6 @@ def build_sequence(
 
     return TrainingSequence(
         episodes=episodes,
-        episode_lengths=lengths,
         third=np.concatenate([e.third for e in episodes]),
         wrist=np.concatenate([e.wrist for e in episodes]),
         proprio=np.concatenate([e.proprio for e in episodes]),

@@ -15,6 +15,7 @@ beside the scripted expert that assumes them, and its object and receptacle
 classes are the palettes' colours. The camera resolutions are the model's own
 keys; demos are recorded at them, as the policy observes its scenes, and
 train and eval refuse episodes and checkpoints made at other resolutions.
+Gen-data's demos are noisy (`sim.EXPERT_NOISE`), eval's prompt demos noiseless.
 
 Output layout under --out:
     config.resolved.txt
@@ -88,7 +89,6 @@ class DataSection:
     n_poke_tasks: int = bounded(8, ge=0, le=len(OBJECT_PALETTE))
     n_pick_place_tasks: int = bounded(8, ge=0, le=len(OBJECT_PALETTE))
     demos_per_task: int = bounded(50, ge=2)
-    expert_noise: float = bounded(0.005, ge=0.0)
     test_fraction: float = bounded(0.375, gt=0.0, lt=1.0)
     split_seed: int = bounded(0, ge=0)
     # level L places L distractor objects, each of a class other than the target's
@@ -105,7 +105,6 @@ class EvalSection:
     ensemble_decay: float = bounded(0.1, ge=0.0)
     seed: int = bounded(0, ge=0)
     reasoning_interval: int = bounded(1, ge=0)
-    prompt_noise: float = bounded(0.0, ge=0.0)
 
     __post_init__ = check_fields
 
@@ -215,13 +214,13 @@ def record_episode(
     n_distractor_objects: int,
     n_distractor_receptacles: int,
     seed: int,
-    noise: float = 0.0,
+    noisy: bool = False,
 ) -> Trajectory:
-    """One expert episode, observed at the model's camera resolutions as the
-    policy observes its scenes; raises if the expert fails."""
+    """One expert episode, noisy or not, observed at the model's camera
+    resolutions as the policy observes its scenes; raises if the expert fails."""
     state = reset(task, n_distractor_objects, n_distractor_receptacles, seed)
-    rng = np.random.default_rng(derive_seed(seed, "expert-noise")) if noise > 0 else None
-    states, actions, score = expert_rollout(state, task, noise=noise, rng=rng)
+    rng = np.random.default_rng(derive_seed(seed, "expert-noise")) if noisy else None
+    states, actions, score = expert_rollout(state, task, rng)
     if score != 1.0:
         raise HarnessError(f"expert failed on {task.label} (seed {seed})")
     third, wrist, proprio = observe(states, model.third_resolution, model.wrist_resolution)
@@ -248,7 +247,7 @@ def generate_task_episodes(config: HarnessConfig, task: TaskSpec, n_demos: int, 
         for attempt in range(20):
             seed = derive_seed(base_seed, task.label, i, attempt)
             try:
-                episodes.append(record_episode(config.model, task, n_obj, n_rec, seed, noise=config.data.expert_noise))
+                episodes.append(record_episode(config.model, task, n_obj, n_rec, seed, noisy=True))
                 break
             except HarnessError as exc:
                 last_error = exc
@@ -494,7 +493,6 @@ def _evaluate(
                 pconf.n_distractor_objects,
                 pconf.n_distractor_receptacles,
                 derive_seed(config.eval.seed, "prompt", task.label, pconf.config_id),
-                noise=config.eval.prompt_noise,
             )
             demo = augment_dataset([demo])[0]
             max_steps = int(math.ceil(len(demo) * config.eval.max_steps_factor))

@@ -9,7 +9,8 @@ from small MLPs. The trunk is a pre-norm decoder stack with RMSNorm gains,
 rotary positions, and SiLU-gated feedforwards, built from fused ops: the
 norm and its gain are one `tensor.rms_norm`, the gated product one
 `tensor.swiglu` and the attention one `tensor.causal_attention`, so a block
-is 13 tensor ops. `transformer_hidden` is the only trunk:
+is 13 tensor ops; its FFN width (SwiGLU's 8/3 rule) and RoPE base are fixed,
+not settings. `transformer_hidden` is the only trunk:
 training runs it over whole sequences, and closed-loop decoding runs it
 over a few new tokens at a time against a `KVCache`. `trace_head` reads
 hidden states at state positions (the next token is the step's trace);
@@ -40,6 +41,7 @@ TOKENS_PER_STEP = 3  # [state, reasoning, action]
 ROLE_STATE, ROLE_REASONING, ROLE_ACTION = range(TOKENS_PER_STEP)
 PROPRIO_DIM = 4
 ACTION_DIM = 4
+ROPE_BASE = 10000.0  # rotary frequency base (Su et al. 2021, arXiv:2104.09864)
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class ModelConfig:
     d_model: int = bounded(128, ge=1)
     n_layers: int = bounded(4, ge=1)
     n_heads: int = bounded(4, ge=1)
-    d_ff: int = bounded(0, ge=0)  # 0 = derive: 8/3 * d_model rounded up to a multiple of 16
     patch_size: int = bounded(8, ge=1)
     third_resolution: int = bounded(32, ge=8)
     wrist_resolution: int = bounded(16, ge=8)
@@ -56,7 +57,6 @@ class ModelConfig:
     lambda_r: float = bounded(0.3, ge=0.0)
     prompt_reasoning: bool = True
     target_reasoning: bool = True
-    rope_base: float = bounded(10000.0, gt=0.0)
 
     def __post_init__(self):
         check_fields(self)  # before the rules below divide by n_heads and patch_size
@@ -70,12 +70,14 @@ class ModelConfig:
         for name in ("third_resolution", "wrist_resolution"):
             if getattr(self, name) % self.patch_size:
                 raise ValueError(f"{name} = {getattr(self, name)} is not a multiple of patch_size = {self.patch_size}")
-        if self.d_ff == 0:
-            object.__setattr__(self, "d_ff", ((8 * self.d_model // 3 + 15) // 16) * 16)
 
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
+
+    @property
+    def d_ff(self) -> int:  # SwiGLU's 8/3 * d_model, rounded up to a multiple of 16
+        return ((8 * self.d_model // 3 + 15) // 16) * 16
 
     @property
     def n_third_patches(self) -> int:
@@ -106,6 +108,57 @@ class ModelConfig:
         return cls(**{f.name: parse(header[f.name], f) for f in fields(cls)})
 
 
+def _declare(config: ModelConfig, weight, constant) -> dict:
+    """Every parameter by name, in the order `init` draws them:
+    `weight(shape, bound)` makes one drawn uniformly in ±bound, and
+    `constant(shape, value)` one filled with `value`."""
+    params = {}
+
+    def linear(name: str, fan_in: int, fan_out: int, bias: bool = True):
+        params[f"{name}.w"] = weight((fan_in, fan_out), 1.0 / np.sqrt(fan_in))
+        if bias:
+            params[f"{name}.b"] = constant((fan_out,), 0.0)
+
+    def table(name: str, rows: int, cols: int):
+        params[name] = weight((rows, cols), 1.0 / np.sqrt(cols))
+
+    def gain(name: str, size: int):
+        params[name] = constant((size,), 1.0)
+
+    d = config.d_model
+    # per-patch MLP: the nonlinearity over (content + position) is what
+    # lets one pooled vector carry which color sits where
+    linear("third_patch.fc1", config.patch_dim, d)
+    linear("third_patch.fc2", d, d)
+    linear("wrist_patch.fc1", config.patch_dim, d)
+    linear("wrist_patch.fc2", d, d)
+    table("third_pos", config.n_third_patches, d)
+    table("wrist_pos", config.n_wrist_patches, d)
+    linear("proprio_mlp.fc1", PROPRIO_DIM, d)
+    linear("proprio_mlp.fc2", d, d)
+    table("pool.query", 1, d)
+    linear("pool.key", d, d, bias=False)
+    linear("trace_mlp.fc1", TRACE_DIM, d)
+    linear("trace_mlp.fc2", d, d)
+    linear("action_mlp.fc1", ACTION_DIM, d)
+    linear("action_mlp.fc2", d, d)
+    table("role_embed", 3, d)
+    for i in range(config.n_layers):
+        gain(f"blocks.{i}.attn_norm.g", d)
+        linear(f"blocks.{i}.attn.wq", d, d, bias=False)
+        linear(f"blocks.{i}.attn.wk", d, d, bias=False)
+        linear(f"blocks.{i}.attn.wv", d, d, bias=False)
+        linear(f"blocks.{i}.attn.wo", d, d, bias=False)
+        gain(f"blocks.{i}.ffn_norm.g", d)
+        linear(f"blocks.{i}.ffn.w_gate", d, config.d_ff, bias=False)
+        linear(f"blocks.{i}.ffn.w_up", d, config.d_ff, bias=False)
+        linear(f"blocks.{i}.ffn.w_down", config.d_ff, d, bias=False)
+    gain("final_norm.g", d)
+    linear("reasoning_head", d, TRACE_DIM)
+    linear("action_head", d, config.chunk_h * ACTION_DIM)
+    return params
+
+
 class PolicyModel:
     """Named parameters plus the configuration that shapes them."""
 
@@ -116,53 +169,12 @@ class PolicyModel:
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "PolicyModel":
         rng = np.random.default_rng(seed)
-        params: dict[str, Tensor] = {}
-
-        def linear(name: str, fan_in: int, fan_out: int, bias: bool = True):
-            bound = 1.0 / np.sqrt(fan_in)
-            params[f"{name}.w"] = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32), requires_grad=True)
-            if bias:
-                params[f"{name}.b"] = Tensor(np.zeros(fan_out, dtype=np.float32), requires_grad=True)
-
-        def table(name: str, rows: int, cols: int):
-            bound = 1.0 / np.sqrt(cols)
-            params[name] = Tensor(rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32), requires_grad=True)
-
-        def gain(name: str, size: int):
-            params[name] = Tensor(np.ones(size, dtype=np.float32), requires_grad=True)
-
-        d = config.d_model
-        # per-patch MLP: the nonlinearity over (content + position) is what
-        # lets one pooled vector carry which color sits where
-        linear("third_patch.fc1", config.patch_dim, d)
-        linear("third_patch.fc2", d, d)
-        linear("wrist_patch.fc1", config.patch_dim, d)
-        linear("wrist_patch.fc2", d, d)
-        table("third_pos", config.n_third_patches, d)
-        table("wrist_pos", config.n_wrist_patches, d)
-        linear("proprio_mlp.fc1", PROPRIO_DIM, d)
-        linear("proprio_mlp.fc2", d, d)
-        table("pool.query", 1, d)
-        linear("pool.key", d, d, bias=False)
-        linear("trace_mlp.fc1", TRACE_DIM, d)
-        linear("trace_mlp.fc2", d, d)
-        linear("action_mlp.fc1", ACTION_DIM, d)
-        linear("action_mlp.fc2", d, d)
-        table("role_embed", 3, d)
-        for i in range(config.n_layers):
-            gain(f"blocks.{i}.attn_norm.g", d)
-            linear(f"blocks.{i}.attn.wq", d, d, bias=False)
-            linear(f"blocks.{i}.attn.wk", d, d, bias=False)
-            linear(f"blocks.{i}.attn.wv", d, d, bias=False)
-            linear(f"blocks.{i}.attn.wo", d, d, bias=False)
-            gain(f"blocks.{i}.ffn_norm.g", d)
-            linear(f"blocks.{i}.ffn.w_gate", d, config.d_ff, bias=False)
-            linear(f"blocks.{i}.ffn.w_up", d, config.d_ff, bias=False)
-            linear(f"blocks.{i}.ffn.w_down", config.d_ff, d, bias=False)
-        gain("final_norm.g", d)
-        linear("reasoning_head", d, TRACE_DIM)
-        linear("action_head", d, config.chunk_h * ACTION_DIM)
-        return cls(config, params)
+        arrays = _declare(
+            config,
+            weight=lambda shape, bound: rng.uniform(-bound, bound, size=shape).astype(np.float32),
+            constant=lambda shape, value: np.full(shape, value, dtype=np.float32),
+        )
+        return cls(config, {k: Tensor(v, requires_grad=True) for k, v in arrays.items()})
 
     @property
     def dtype(self):
@@ -183,11 +195,22 @@ class PolicyModel:
 
     @classmethod
     def load(cls, path) -> tuple["PolicyModel", dict[str, str]]:
+        """The model a checkpoint holds; its arrays must be exactly the
+        parameters, at the shapes, that its header's config declares."""
         arrays, header = load_checkpoint(path)
         try:
             config = ModelConfig.from_header(header)
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"{path}: not a model checkpoint (bad or missing header entry {exc})") from exc
+        shapes = _declare(config, weight=lambda shape, bound: shape, constant=lambda shape, value: shape)
+        for name, shape in shapes.items():
+            if name not in arrays:
+                raise CheckpointError(f"{path}: missing parameter {name} of shape {shape}")
+            if arrays[name].shape != shape:
+                raise CheckpointError(f"{path}: parameter {name} has shape {arrays[name].shape}, its header's config declares {shape}")
+        unexpected = sorted(arrays.keys() - shapes.keys())
+        if unexpected:
+            raise CheckpointError(f"{path}: unexpected parameter {unexpected[0]}, which its header's config does not declare")
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         return cls(config, params), header
 
@@ -302,10 +325,10 @@ def interleave_tokens(f_s: Tensor, f_r: Tensor, f_a: Tensor) -> Tensor:
 
 
 @functools.lru_cache(maxsize=8)
-def _rope_table(head_dim: int, max_context: int, base: float, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+def _rope_table(head_dim: int, max_context: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """Read-only cos/sin tables (max_context, head_dim/2) of every position."""
     half = head_dim // 2
-    freqs = base ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
+    freqs = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
     angles = np.arange(max_context, dtype=np.float64)[:, None] * freqs[None, :]
     tables = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
     for table in tables:
@@ -316,8 +339,8 @@ def _rope_table(head_dim: int, max_context: int, base: float, dtype: np.dtype) -
 def rope_tables(config: ModelConfig, start: int, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin tables (length, head_dim/2) for absolute positions
     start..start+length: read-only row slices of one table per (head_dim,
-    max_context, rope_base, dtype), computed on first use."""
-    cos, sin = _rope_table(config.head_dim, config.max_context, config.rope_base, np.dtype(dtype))
+    max_context, dtype), computed on first use."""
+    cos, sin = _rope_table(config.head_dim, config.max_context, np.dtype(dtype))
     return cos[start:start + length], sin[start:start + length]
 
 

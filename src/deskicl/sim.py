@@ -7,10 +7,10 @@ attaches when the aperture closes near it at low height, tracks the gripper
 while held, and stays wherever it is released. A scripted expert solves the
 two task kinds (poke, pick-and-place) with a state-derived waypoint script,
 so it needs no memory beyond the world state itself. The world is fixed:
-the physics, the geometry and the expert's waypoints are module constants,
-tuned together. An entity's radius is its kind's (OBJECT_RADIUS or
-RECEPTACLE_RADIUS), and the object and receptacle classes are the palettes'
-colours.
+the physics, the geometry, the expert's waypoints and its noise (drawn from a
+generator, if given one) are module constants, tuned together. An entity's
+radius is its kind's (OBJECT_RADIUS or RECEPTACLE_RADIUS), and the object and
+receptacle classes are the palettes' colours.
 
 Cameras are orthographic. The "third" view covers the whole workspace; the
 "wrist" view covers the WRIST_WINDOW square centred on the gripper. `render`
@@ -109,6 +109,9 @@ _AP_OPEN = 0.9
 _AP_CLOSED = 0.2
 _POS_TOL = 0.012
 _Z_TOL = 0.02
+# std of a noisy expert's jitter on each pose-delta component; it must stay well
+# under the tolerances above (at 0.008 the expert fails every pick-and-place)
+EXPERT_NOISE = 0.005
 _EXPERT_MAX_STEPS = 400
 
 
@@ -398,22 +401,16 @@ def observe(states, third_resolution: int, wrist_resolution: int) -> tuple[np.nd
 # scripted expert
 # ---------------------------------------------------------------------------
 
-def _toward(current: np.ndarray, waypoint, noise: float, rng) -> Action:
+def _toward(current: np.ndarray, waypoint, rng: np.random.Generator | None) -> Action:
     delta = np.asarray(waypoint, dtype=np.float64) - current
-    if noise > 0.0:
-        if rng is None:
-            raise ValueError("expert noise requires an rng")
-        delta = delta + rng.normal(0.0, noise, size=4)
+    if rng is not None:
+        delta = delta + rng.normal(0.0, EXPERT_NOISE, size=4)
     return Action(delta)
 
 
-def expert_policy(
-    state: WorldState,
-    task: TaskSpec,
-    noise: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> Action:
-    """One expert action for the current state.
+def expert_policy(state: WorldState, task: TaskSpec, rng: np.random.Generator | None = None) -> Action:
+    """One expert action for the current state, jittered by EXPERT_NOISE
+    drawn from `rng`, or noiseless if `rng` is None.
 
     The script is memoryless: the phase is derived from the gripper pose,
     the held/contact flags, and the target positions, so it self-corrects
@@ -433,7 +430,7 @@ def expert_policy(
             waypoint = (obj.position[0], obj.position[1], _Z_POKE, _AP_OPEN)
         else:
             waypoint = (obj.position[0], obj.position[1], _Z_TRAVEL, _AP_OPEN)
-        return _toward(state.gripper, waypoint, noise, rng)
+        return _toward(state.gripper, waypoint, rng)
 
     ri = _find_by_class(state.receptacles, task.target_receptacle_class)
     if ri is None:
@@ -461,13 +458,12 @@ def expert_policy(
             waypoint = (obj.position[0], obj.position[1], _Z_GRASP_AT, _AP_OPEN)
         else:
             waypoint = (obj.position[0], obj.position[1], _Z_TRAVEL, _AP_OPEN)
-    return _toward(state.gripper, waypoint, noise, rng)
+    return _toward(state.gripper, waypoint, rng)
 
 
 def expert_rollout(
     state: WorldState,
     task: TaskSpec,
-    noise: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[list[WorldState], list[Action], float]:
     """Run the expert until the task succeeds or _EXPERT_MAX_STEPS elapse.
@@ -479,7 +475,7 @@ def expert_rollout(
     actions: list[Action] = []
     current = state
     for _ in range(_EXPERT_MAX_STEPS):
-        action = expert_policy(current, task, noise=noise, rng=rng)
+        action = expert_policy(current, task, rng)
         states.append(current)
         actions.append(action)
         current = step(current, action)

@@ -108,8 +108,8 @@ def _subset(lengths, label="poke_c1"):
 def test_build_sequence_counts_and_masks():
     seq = build_sequence(_subset([5, 7]), 1, np.random.default_rng(0), chunk_h=4)
     assert seq.n_steps == 12
-    target_len = seq.episode_lengths[-1]
-    assert {5, 7} == set(seq.episode_lengths)
+    target_len = len(seq.episodes[-1])
+    assert {5, 7} == {len(e) for e in seq.episodes}
     # one reasoning plus one action prediction per target step
     assert int(seq.step_is_target.sum()) * 2 == 2 * target_len
     assert not seq.step_is_target[: seq.n_steps - target_len].any()
@@ -135,7 +135,7 @@ def test_build_sequence_requires_traces():
 
 def test_build_sequence_mask_ratio_control():
     seq = build_sequence(_subset([4, 10]), 1, np.random.default_rng(3), mask_ratio=0.5)
-    target_len = seq.episode_lengths[-1]
+    target_len = len(seq.episodes[-1])
     assert int(seq.reasoning_input_mask.sum()) == target_len // 2
     assert not seq.reasoning_input_mask[~seq.step_is_target].any()
 
@@ -157,7 +157,7 @@ def test_build_sequence_chunk_rows_match_episodes():
 def test_build_sequence_deterministic_given_rng_state():
     a = build_sequence(_subset([5, 6, 7]), 2, np.random.default_rng(9))
     b = build_sequence(_subset([5, 6, 7]), 2, np.random.default_rng(9))
-    assert a.episode_lengths == b.episode_lengths
+    assert [len(e) for e in a.episodes] == [len(e) for e in b.episodes]
     assert np.array_equal(a.reasoning_input_mask, b.reasoning_input_mask)
     assert np.array_equal(a.traces, b.traces)
 

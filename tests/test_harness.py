@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import shlex
 import shutil
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from deskicl import harness
-from deskicl.cli import main as cli_main
+from deskicl.checkpoint import save_checkpoint
+from deskicl.cli import build_parser, main as cli_main
 from deskicl.data import load_episodes
 from deskicl.engine import ExpertReplayPolicy, RolloutResult, TransformerPolicy, rollout
 from deskicl.harness import (
@@ -46,7 +48,6 @@ data.n_poke_tasks = 3
 data.n_pick_place_tasks = 2
 data.demos_per_task = 3
 data.test_fraction = 0.4
-data.expert_noise = 0.0
 model.d_model = 48
 model.n_layers = 2
 model.n_heads = 4
@@ -157,6 +158,12 @@ TAKEN_OVER_PROBES = [
     ("data.n_poke_tasks = 13", "data.n_poke_tasks"),
     ("data.difficulty_levels = 13", "data.difficulty_levels"),
 ]
+# keys a run does not choose: the expert's noise is sim.EXPERT_NOISE, eval's
+# prompt demos are noiseless, and the trunk fixes its FFN width and RoPE base
+DELETED_KEY_PROBES = [
+    (line, f"unknown key '{line.partition(' = ')[0]}'")
+    for line in ("data.expert_noise = 0.01", "eval.prompt_noise = 0.01", "model.d_ff = 96", "model.rope_base = 500.0")
+]
 
 
 @pytest.mark.parametrize(
@@ -164,6 +171,12 @@ TAKEN_OVER_PROBES = [
 )
 def test_parse_rejects_values_out_of_range(line, named):
     with pytest.raises(HarnessError, match=rf"^config line 2: {re.escape(named)}(?![\w.])"):
+        parse_config(f"# probe\n{line}\n")
+
+
+@pytest.mark.parametrize("line, named", DELETED_KEY_PROBES, ids=[line for line, _ in DELETED_KEY_PROBES])
+def test_parse_rejects_deleted_keys(line, named):
+    with pytest.raises(HarnessError, match=rf"^config line 2: {re.escape(named)}$"):
         parse_config(f"# probe\n{line}\n")
 
 
@@ -190,7 +203,8 @@ def test_parse_rejects_values_out_of_range(line, named):
         (["gen-data"], "data.n_pick_place_tasks = 13", "data.n_pick_place_tasks"),
         # a cross-field rule names both fields
         (["gen-data"], "model.third_resolution = 20", "model.third_resolution = 20 is not a multiple of model.patch_size = 8"),
-    ],
+    ]
+    + [(["gen-data"], line, named) for line, named in DELETED_KEY_PROBES],
 )
 def test_cli_rejects_bad_settings_before_any_output(tmp_path, capsys, args, config_line, named):
     config_path = tmp_path / "config.txt"
@@ -239,16 +253,13 @@ model.wrist_resolution = 12
 model.d_model = 64
 model.n_layers = 3
 model.n_heads = 8
-model.d_ff = 96
 model.patch_size = 4
 model.max_context = 512
 model.chunk_h = 5
 model.lambda_r = 0.25
-model.rope_base = 500.0
 data.n_poke_tasks = 6
 data.n_pick_place_tasks = 7
 data.demos_per_task = 20
-data.expert_noise = 0.01
 data.test_fraction = 0.5
 data.split_seed = 3
 data.difficulty_levels = 4
@@ -264,7 +275,6 @@ eval.max_steps_factor = 2.5
 eval.ensemble_decay = 0.2
 eval.seed = 7
 eval.reasoning_interval = 8
-eval.prompt_noise = 0.001
 """
     config, default = parse_config(text), HarnessConfig()
 
@@ -274,12 +284,11 @@ eval.prompt_noise = 0.001
 
     keys = [line.split(" = ")[0] for line in format_config(default).splitlines()]
     assert keys == [
-        "data.demos_per_task", "data.difficulty_levels", "data.expert_noise", "data.gen_seed", "data.n_pick_place_tasks",
+        "data.demos_per_task", "data.difficulty_levels", "data.gen_seed", "data.n_pick_place_tasks",
         "data.n_poke_tasks", "data.split_seed", "data.test_fraction",
-        "eval.ensemble_decay", "eval.max_steps_factor", "eval.prompt_noise", "eval.reasoning_interval",
-        "eval.rollouts_per_config", "eval.seed",
-        "model.chunk_h", "model.d_ff", "model.d_model", "model.lambda_r", "model.max_context", "model.n_heads",
-        "model.n_layers", "model.patch_size", "model.rope_base", "model.third_resolution", "model.wrist_resolution",
+        "eval.ensemble_decay", "eval.max_steps_factor", "eval.reasoning_interval", "eval.rollouts_per_config", "eval.seed",
+        "model.chunk_h", "model.d_model", "model.lambda_r", "model.max_context", "model.n_heads",
+        "model.n_layers", "model.patch_size", "model.third_resolution", "model.wrist_resolution",
         "train.checkpoint_interval", "train.grad_clip", "train.lr", "train.seed", "train.steps", "train.weight_decay",
     ]
     assert (config.model.third_resolution, config.model.wrist_resolution) == (24, 12)
@@ -408,7 +417,7 @@ def test_eval_records_match_single_lane_rollouts(tiny_run):
             pconf = next(p for p in prompt_configs(task) if p.config_id == rec.prompt_config)
             prompt_seed = derive_seed(config.eval.seed, "prompt", task.label, pconf.config_id)
             demo = augment_dataset([harness.record_episode(
-                config.model, task, pconf.n_distractor_objects, pconf.n_distractor_receptacles, prompt_seed, noise=config.eval.prompt_noise,
+                config.model, task, pconf.n_distractor_objects, pconf.n_distractor_receptacles, prompt_seed,
             )])[0]
             n_obj, n_rec = difficulty_counts(task, rec.rollout_index % config.data.difficulty_levels)
             scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, rec.rollout_index)
@@ -571,6 +580,23 @@ def test_eval_refuses_a_checkpoint_of_other_cameras(tiny_run, tmp_path, capsys):
     assert f"checkpoint {ckpt} sees 32/16-pixel cameras" in err and "model.third_resolution = 24" in err
     assert "Traceback" not in err
     assert (run / "config.resolved.txt").read_bytes() == before
+    assert not (run / "metrics").exists()
+
+
+def test_eval_refuses_a_checkpoint_missing_a_parameter(tiny_run, tmp_path, capsys):
+    """A checkpoint whose arrays do not match its header fails before any
+    rollout, naming the file and the parameter, without a traceback."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    ckpt = harness.checkpoint_path(run, "ours", 0)
+    model, header = PolicyModel.load(ckpt)
+    save_checkpoint(ckpt, {k: p.data for k, p in model.params.items() if k != "trace_mlp.fc1.w"}, header)
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    assert cli_main(["eval", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err
+    assert f"{ckpt}: missing parameter trace_mlp.fc1.w" in err and "Traceback" not in err
     assert not (run / "metrics").exists()
 
 
@@ -834,6 +860,18 @@ def test_cli_gen_and_report_exit_codes(tmp_path, capsys):
         assert str(bad_metrics) in capsys.readouterr().err
     bad_metrics.write_text(json.dumps([good]))
     assert cli_main(["report", "--out", str(tmp_path / "report_run")]) == 0
+
+
+def test_readme_commands_parse():
+    """Each `python -m deskicl.cli` line of README's "Running it" block is
+    a command line the CLI accepts, and the block runs every command."""
+    section = (Path(__file__).resolve().parent.parent / "README.md").read_text().split("\n## Running it\n", 1)[1]
+    block = section.split("```", 2)[1]
+    commands = [shlex.split(line.partition("python -m deskicl.cli")[2]) for line in block.splitlines() if "python -m deskicl.cli" in line]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    assert [argv[0] for argv in commands] == ["gen-data", "train", "eval", "sweep-interval", "report"]
 
 
 def test_cli_bad_config_exit_code(tmp_path, capsys, monkeypatch):

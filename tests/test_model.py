@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from conftest import toy_trajectory
 from deskicl import model as mdl
 from deskicl import tensor as tn
-from deskicl.checkpoint import CheckpointError
+from deskicl.checkpoint import CheckpointError, save_checkpoint
 from deskicl.data import build_sequence, save_episodes
 from deskicl.model import (
     KVCache,
@@ -79,7 +80,6 @@ def test_config_header_round_trip():
         "d_model": "128",
         "n_layers": "4",
         "n_heads": "4",
-        "d_ff": "352",
         "patch_size": "8",
         "third_resolution": "32",
         "wrist_resolution": "16",
@@ -88,13 +88,11 @@ def test_config_header_round_trip():
         "lambda_r": "0.3",
         "prompt_reasoning": "1",
         "target_reasoning": "1",
-        "rope_base": "10000.0",
     }
     cfg = ModelConfig(
         d_model=64,
         n_layers=3,
         n_heads=8,
-        d_ff=96,
         patch_size=4,
         third_resolution=24,
         wrist_resolution=12,
@@ -103,8 +101,8 @@ def test_config_header_round_trip():
         lambda_r=0.25,
         prompt_reasoning=False,
         target_reasoning=False,
-        rope_base=500.0,
     )
+    assert (default.d_ff, cfg.d_ff) == (352, 176)  # 8/3 d_model, rounded up to a multiple of 16
     at_default = [f.name for f in dataclasses.fields(ModelConfig) if getattr(cfg, f.name) == getattr(default, f.name)]
     assert at_default == []  # so the round trip covers every field
     assert ModelConfig.from_header(cfg.to_header()) == cfg
@@ -121,6 +119,29 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.config == model.config
     for k, p in model.params.items():
         assert np.array_equal(loaded.params[k].data, p.data)
+
+
+@pytest.mark.parametrize(
+    "fault, named",
+    [
+        ("missing", "missing parameter trace_mlp.fc1.w of shape (10, 32)"),
+        ("unexpected", "unexpected parameter blocks.2.attn.wq.w"),
+        ("misshaped", "parameter action_head.w has shape (32, 15), its header's config declares (32, 16)"),
+    ],
+)
+def test_load_checks_every_parameter_against_its_header(tmp_path, fault, named):
+    model = tiny_model(seed=3)
+    arrays = {k: p.data for k, p in model.params.items()}
+    if fault == "missing":
+        del arrays["trace_mlp.fc1.w"]
+    elif fault == "unexpected":
+        arrays["blocks.2.attn.wq.w"] = arrays["blocks.0.attn.wq.w"]  # TINY has two layers
+    else:
+        arrays["action_head.w"] = arrays["action_head.w"][:, :-1]
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, arrays, model.config.to_header())
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {named}')}"):
+        PolicyModel.load(path)
 
 
 def test_load_rejects_a_container_without_model_entries(tmp_path):
@@ -208,7 +229,7 @@ def test_attention_pool_matches_float64_key_projection():
 def test_rope_tables_slice_one_read_only_table(start, length):
     cfg = ModelConfig()
     half = cfg.head_dim // 2
-    freqs = cfg.rope_base ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
+    freqs = mdl.ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
     angles = np.arange(start, start + length, dtype=np.float64)[:, None] * freqs[None, :]
     cos, sin = mdl.rope_tables(cfg, start, length, np.float32)
     assert cos.dtype == sin.dtype == np.float32 and cos.shape == sin.shape == (length, half)
@@ -557,7 +578,7 @@ def test_training_step_determinism():
 
 
 def test_sampled_end_to_end_gradcheck():
-    model = tiny_model(seed=23, d_model=16, n_layers=1, n_heads=2, d_ff=32, chunk_h=2)
+    model = tiny_model(seed=23, d_model=16, n_layers=1, n_heads=2, chunk_h=2)
     seq = tiny_sequence(lengths=(2, 3), mask_ratio=0.5, chunk_h=2)
     with Tape():
         loss, *_ = sequence_loss(model, seq)

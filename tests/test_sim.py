@@ -377,9 +377,23 @@ def test_expert_noise_success_rate():
         task = place_task(seed % N_OBJECT_CLASSES, seed % N_RECEPTACLE_CLASSES)
         state = reset(task, seed % 5, 1 if seed % 5 >= 2 else 0, seed=seed)
         rng = np.random.default_rng(10_000 + seed)
-        _, _, score = expert_rollout(state, task, noise=0.005, rng=rng)
+        _, _, score = expert_rollout(state, task, rng)
         wins += score == 1.0
     assert wins / n >= 0.98
+
+
+def test_noisy_expert_action_is_the_waypoint_delta_plus_one_draw():
+    """The first noisy action is the noiseless waypoint delta plus the
+    generator's first EXPERT_NOISE draw, clipped as Action clips it."""
+    task = place_task()
+    state = reset(task, 2, 1, seed=31)
+    target = next(o for o in state.objects if o.class_id == task.target_object_class)
+    delta = np.array([*target.position, sim._Z_TRAVEL, sim._AP_OPEN]) - state.gripper
+    assert np.array_equal(expert_policy(state, task).deltas, np.clip(delta, -sim.DELTA_MAX, sim.DELTA_MAX))
+    draw = np.random.default_rng(3).normal(0.0, sim.EXPERT_NOISE, 4)
+    _, actions, _ = expert_rollout(state, task, np.random.default_rng(3))
+    assert np.array_equal(actions[0].deltas, np.clip(delta + draw, -sim.DELTA_MAX, sim.DELTA_MAX))
+    assert not np.array_equal(actions[0].deltas, expert_policy(state, task).deltas)
 
 
 def test_success_scores_and_monotonicity():
@@ -407,7 +421,7 @@ def test_episode_determinism_bitwise():
     def run():
         state = reset(task, 2, 1, seed=31)
         rng = np.random.default_rng(77)
-        states, actions, score = expert_rollout(state, task, noise=0.004, rng=rng)
+        states, actions, score = expert_rollout(state, task, rng)
         last = states[-1]
         return last.gripper.copy(), np.array([a.deltas for a in actions]), render([last], "third", THIRD_RESOLUTION)
 

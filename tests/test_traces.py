@@ -89,7 +89,7 @@ def test_augment_counts_and_recomputation():
 @pytest.mark.parametrize("kind", ["expert", "length_1"])
 def test_trace_matrix_rows_equal_generate_trace_bitwise(kind):
     if kind == "expert":
-        traj = record_episode(ModelConfig(), TaskSpec("pick_place", 2, 1), 2, 1, seed=41, noise=0.004)
+        traj = record_episode(ModelConfig(), TaskSpec("pick_place", 2, 1), 2, 1, seed=41, noisy=True)
     else:  # a Trajectory holds at least 2 steps; the trace tooling reads only its proprio
         rng = np.random.default_rng(8)
         traj = SimpleNamespace(proprio=rng.uniform(0, 1, (1, 4)).astype(np.float32))
