@@ -23,7 +23,6 @@ once complete, so a failed write leaves the previous file as it was.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from pathlib import Path
@@ -64,9 +63,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, 
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def take(n: int) -> bytes:
+        def need(n: int) -> None:
             if fh.tell() + n > size:
                 raise CheckpointError(f"{path}: truncated at byte {fh.tell()} (wanted {n} more)")
+
+        def take(n: int) -> bytes:
+            need(n)
             return fh.read(n)
 
         def text(n: int) -> str:
@@ -93,8 +95,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, 
             name = text(name_len)
             (ndim,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-            data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
-            params[name] = data.astype(np.float32)
+            data = np.empty(shape, dtype="<f4")  # the file's bytes are read once, into the array returned
+            need(data.nbytes)
+            fh.readinto(data)
+            params[name] = data.astype(np.float32, copy=False)  # no copy on a little-endian machine
         if fh.tell() != size:
             raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes after last parameter")
     return params, header

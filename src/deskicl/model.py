@@ -196,12 +196,20 @@ class PolicyModel:
     @classmethod
     def load(cls, path) -> tuple["PolicyModel", dict[str, str]]:
         """The model a checkpoint holds; its arrays must be exactly the
-        parameters, at the shapes, that its header's config declares."""
+        parameters, at the shapes, that its header's config declares. A
+        `rope_base` or `d_ff` entry, which older checkpoints carry, must
+        state the value this model is built with."""
         arrays, header = load_checkpoint(path)
         try:
             config = ModelConfig.from_header(header)
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"{path}: not a model checkpoint (bad or missing header entry {exc})") from exc
+        # older checkpoints name what is now fixed, as `to_header` wrote it; each must name the value in use
+        for entry, constant, value in (("rope_base", "ROPE_BASE", ROPE_BASE), ("d_ff", "ModelConfig.d_ff", config.d_ff)):
+            if entry in header and header[entry] != str(value):
+                raise CheckpointError(
+                    f"{path}: header entry {entry}={header[entry]} differs from {constant} = {value}, which this model is built with"
+                )
         shapes = _declare(config, weight=lambda shape, bound: shape, constant=lambda shape, value: shape)
         for name, shape in shapes.items():
             if name not in arrays:

@@ -16,14 +16,18 @@ Cameras are orthographic. The "third" view covers the whole workspace; the
 "wrist" view covers the WRIST_WINDOW square centred on the gripper. `render`
 paints a sequence of states (an episode, or one lockstep step of many
 rollouts) from one view at one resolution in one call, as padded per-state
-disk arrays, so its cost per state falls as the batch grows. `observe` is
+disk arrays, so its cost per state falls as the batch grows. It paints a
+uint8 index into one palette and gathers the colours once at the end. Each
+disk slot is painted only inside its window, the rows and columns it reaches
+in some state of the batch; the window is exact, because a float64 dx² + dy²
+is never below dy² or dx², so no pixel outside it is covered. `observe` is
 what a robot sees of its states at given camera resolutions: both views and
 the gripper as proprio.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,13 +148,20 @@ class SceneEntity:
     position: tuple[float, float]
 
 
+def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """`np.clip(x, lo, hi)` bit for bit, without its wrapper's cost on a
+    4-vector. np.maximum returns its second argument on a tie, so an x of
+    -0.0 at lo = 0.0 stays -0.0, as np.clip keeps it."""
+    return np.minimum(np.maximum(lo, x), hi)
+
+
 class Action:
     """Pose delta (dx, dy, dz, dg), clipped to ±DELTA_MAX at construction."""
 
     __slots__ = ("deltas",)
 
     def __init__(self, deltas):
-        self.deltas = np.clip(np.asarray(deltas, dtype=np.float64), -DELTA_MAX, DELTA_MAX)
+        self.deltas = _clamp(np.asarray(deltas, dtype=np.float64), -DELTA_MAX, DELTA_MAX)
 
     def __repr__(self) -> str:
         return f"Action({self.deltas.tolist()})"
@@ -260,13 +271,12 @@ def step(state: WorldState, action: Action) -> WorldState:
     """Advance one tick. Pure: returns a new state."""
     new = state.copy()
     old_ap = state.gripper[3]
-    new.gripper = np.clip(state.gripper + action.deltas, 0.0, 1.0)
+    new.gripper = _clamp(state.gripper + action.deltas, 0.0, 1.0)
     gx, gy, gz, ap = new.gripper
 
     if new.held_object is not None:
         idx = new.held_object
-        obj = new.objects[idx]
-        new.objects[idx] = replace(obj, position=(float(gx), float(gy)))
+        new.objects[idx] = SceneEntity(new.objects[idx].class_id, (float(gx), float(gy)))
         if old_ap <= OPEN_THRESHOLD < ap:
             for r, rec in enumerate(new.receptacles):
                 dx = gx - rec.position[0]
@@ -285,7 +295,7 @@ def step(state: WorldState, action: Action) -> WorldState:
         if best is not None:
             new.held_object = best
             new.ever_held[best] = True
-            new.objects[best] = replace(new.objects[best], position=(float(gx), float(gy)))
+            new.objects[best] = SceneEntity(new.objects[best].class_id, (float(gx), float(gy)))
 
     if gz < Z_CONTACT:
         for i, obj in enumerate(new.objects):
@@ -348,43 +358,62 @@ def render(states, view: str, resolution: int) -> np.ndarray:
     count per kind, and a padded slot has radius² = -1 so it covers nothing.
     The third view sees the whole workspace; the wrist view sees the
     WRIST_WINDOW square centred on each state's own gripper.
+
+    The disks are painted as uint8 indices into one palette, and the colours
+    are gathered once at the end. Each disk slot is painted only inside its
+    window: the span of rows and the span of columns it reaches (dy² or
+    dx² <= radius²) in some state of the batch. The window is exact, not a
+    bound to be trusted: dx² >= 0, so the float64 sum dx² + dy² is never
+    below dy² (nor below dx²), and a row or column outside the window holds
+    no covered pixel. A padded slot reaches nothing and is not painted.
     """
+    return _COLORS.take(_paint(list(states), view, resolution), axis=0)
+
+
+def _paint(states: list, view: str, resolution: int) -> np.ndarray:
+    """The (N, R, R) uint8 palette index of `render`'s images; its float64
+    temporaries are freed before `render` gathers the colours."""
     if view not in ("third", "wrist"):
         raise ValueError(f"unknown camera view '{view}'")
     window = 1.0 if view == "third" else WRIST_WINDOW
-    states = list(states)
     n_rec = max((len(s.receptacles) for s in states), default=0)
     n_obj = max((len(s.objects) for s in states), default=0)
     rec_r2, obj_r2 = RECEPTACLE_RADIUS * RECEPTACLE_RADIUS, OBJECT_RADIUS * OBJECT_RADIUS
-    marker_r2 = MARKER_RADIUS * MARKER_RADIUS
-    rows = []
+    marker = (MARKER_RADIUS * MARKER_RADIUS, _MARKER_INDEX)
+    slots = []  # (x, y, radius², palette index) of every slot of every state, flat
     for s in states:
-        recs = [(*e.position, rec_r2, _RECEPTACLE_BASE + e.class_id) for e in s.receptacles]
-        objs = [(*e.position, obj_r2, _OBJECT_BASE + e.class_id) for e in s.objects]
-        rows.append(
-            recs + [_EMPTY_SLOT] * (n_rec - len(recs))
-            + objs + [_EMPTY_SLOT] * (n_obj - len(objs))
-            + [(s.gripper[0], s.gripper[1], marker_r2, _MARKER_INDEX)]
-        )
-    disks = np.array(rows, dtype=np.float64).reshape(len(states), n_rec + n_obj + 1, 4)
-    cx, cy, r2 = disks[..., 0], disks[..., 1], disks[..., 2]
-    color = disks[..., 3].astype(np.intp)
+        for e in s.receptacles:
+            slots += (*e.position, rec_r2, _RECEPTACLE_BASE + e.class_id)
+        slots += _EMPTY_SLOT * (n_rec - len(s.receptacles))
+        for e in s.objects:
+            slots += (*e.position, obj_r2, _OBJECT_BASE + e.class_id)
+        slots += _EMPTY_SLOT * (n_obj - len(s.objects))
+        slots += (*s.gripper[:2].tolist(), *marker)
+    disks = np.array(slots, dtype=np.float64).reshape(len(states), n_rec + n_obj + 1, 4)
+    yx, r2 = disks[..., 1::-1].transpose(2, 0, 1), disks[..., 2]  # (2, N, E): each slot's y and x; (N, E)
+    color = disks[..., 3].astype(np.uint8)
 
     centers = (np.arange(resolution, dtype=np.float64) + 0.5) / resolution * window
+    # (2, N or 1, 1): the world y of the top edge and the world x of the left edge
     if view == "third":
-        x0, y1 = np.zeros(len(states)), np.ones(len(states))
+        edges = np.array([1.0, 0.0])[:, None, None]
     else:
-        x0 = cx[:, -1] - window / 2.0
-        y1 = cy[:, -1] + window / 2.0
-    xs = x0[:, None] + centers  # (N, R): column -> world x
-    ys = y1[:, None] - centers  # (N, R): row -> world y (top row is high y)
-    dx2 = (xs[:, None, :] - cx[..., None]) ** 2  # (N, E, R)
-    dy2 = (ys[:, None, :] - cy[..., None]) ** 2
-    top = np.zeros((len(states), resolution, resolution), dtype=np.intp)  # palette index of the topmost disk
-    for e in range(disks.shape[1]):
-        covered = dx2[:, e, None, :] + dy2[:, e, :, None] <= r2[:, e, None, None]
-        np.copyto(top, color[:, e, None, None], where=covered)
-    return _COLORS[top]
+        edges = yx[:, :, -1:] + np.array([window / 2.0, -window / 2.0])[:, None, None]  # about the marker slot
+    # (2, N, R): top - centers, the world y of each row (the top row is high y), and left + centers, the
+    # world x of each column; negating by the sign is exact, so these are bit for bit those differences and sums
+    grid = edges + np.array([-1.0, 1.0])[:, None, None] * centers
+    d2 = grid[:, :, None, :] - yx[..., None]
+    d2 *= d2  # (2, N, E, R): dy² of each row, dx² of each column (in place: one temporary fewer)
+    hit = (d2 <= r2[..., None]).any(axis=1)  # (2, E, R): the rows and columns each slot reaches
+    first, end = hit.argmax(axis=2).tolist(), (resolution - hit[..., ::-1].argmax(axis=2)).tolist()
+    r2, color = r2.T[:, :, None, None], color.T[:, :, None, None]  # (E, N, 1, 1): one index per slot in the loop
+    top = np.zeros((len(states), resolution, resolution), dtype=np.uint8)  # palette index of the topmost disk
+    for e, reached in enumerate(hit.any(axis=2).all(axis=0).tolist()):
+        if reached:
+            rows, cols = slice(first[0][e], end[0][e]), slice(first[1][e], end[1][e])
+            covered = d2[1, :, e, None, cols] + d2[0, :, e, rows, None] <= r2[e]
+            np.copyto(top[:, rows, cols], color[e], where=covered)
+    return top
 
 
 def observe(states, third_resolution: int, wrist_resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

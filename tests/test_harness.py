@@ -600,6 +600,24 @@ def test_eval_refuses_a_checkpoint_missing_a_parameter(tiny_run, tmp_path, capsy
     assert not (run / "metrics").exists()
 
 
+def test_eval_refuses_a_checkpoint_of_another_rope_base(tiny_run, tmp_path, capsys):
+    """A checkpoint whose header states a RoPE base other than the trunk's
+    fails before any rollout, naming the file, the entry and the constant,
+    without a traceback."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    ckpt = harness.checkpoint_path(run, "ours", 0)
+    model, header = PolicyModel.load(ckpt)
+    model.save(ckpt, extra_header={**header, "rope_base": "500.0"})
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    assert cli_main(["eval", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err
+    assert f"{ckpt}: header entry rope_base=500.0 differs from ROPE_BASE = 10000.0" in err and "Traceback" not in err
+    assert not (run / "metrics").exists()
+
+
 def test_train_refuses_episodes_of_other_cameras(tiny_run, tmp_path, capsys):
     """Episodes recorded at 32 pixels, trained on under a 24-pixel config,
     fail before any output, naming the episode file and both resolutions."""

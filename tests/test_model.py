@@ -144,6 +144,31 @@ def test_load_checks_every_parameter_against_its_header(tmp_path, fault, named):
         PolicyModel.load(path)
 
 
+RETIRED_ENTRIES = [
+    ("absent", {}, None),
+    ("equal", {"rope_base": "10000.0", "d_ff": "96"}, None),  # TINY's d_model = 32 gives d_ff = 96
+    ("other rope_base", {"rope_base": "500.0", "d_ff": "96"}, "header entry rope_base=500.0 differs from ROPE_BASE = 10000.0"),
+    ("other d_ff", {"d_ff": "128"}, "header entry d_ff=128 differs from ModelConfig.d_ff = 96"),
+]
+
+
+@pytest.mark.parametrize("entries, named", [case[1:] for case in RETIRED_ENTRIES], ids=[case[0] for case in RETIRED_ENTRIES])
+def test_load_checks_retired_header_entries(tmp_path, entries, named):
+    """Older checkpoints carry `rope_base` and `d_ff`, which are now fixed: an
+    entry that states another value than the model is built with is a named
+    error, not a silent change of the trunk."""
+    model = tiny_model(seed=3)
+    path = tmp_path / "m.ckpt"
+    model.save(path, extra_header=entries)
+    if named is None:
+        loaded, header = PolicyModel.load(path)
+        assert loaded.config == model.config and header.items() >= entries.items()
+        assert all(np.array_equal(loaded.params[k].data, p.data) for k, p in model.params.items())
+    else:
+        with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {named}')}"):
+            PolicyModel.load(path)
+
+
 def test_load_rejects_a_container_without_model_entries(tmp_path):
     path = tmp_path / "poke_c0.episodes"
     save_episodes(path, [toy_trajectory("poke_c0", 4)])

@@ -57,6 +57,64 @@ def test_action_clips_components():
     assert np.allclose(a.deltas, [0.05, -0.05, 0.01, 0.0])
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _clamp_probes(rng, lo, hi) -> np.ndarray:
+    """(n, 4) inputs for a clamp to [lo, hi]: exact bounds and their float
+    neighbours, signed zeros, values far outside the range, NaN and infinity,
+    and seeded draws in and around the range."""
+    edges = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf)]
+    special = np.array(edges + [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 7.0, -7.0, 0.5])
+    drawn = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(200, 4))
+    mixed = rng.choice(special, size=(200, 4))
+    return np.concatenate([special[:, None].repeat(4, axis=1), drawn, mixed, np.where(rng.random((200, 4)) < 0.5, drawn, mixed)])
+
+
+def test_action_clamp_equals_np_clip_bitwise():
+    rng = np.random.default_rng(11)
+    for deltas in _clamp_probes(rng, -sim.DELTA_MAX, sim.DELTA_MAX):
+        expected = np.clip(deltas, -sim.DELTA_MAX, sim.DELTA_MAX)
+        assert _same_bits(Action(deltas).deltas, expected), deltas
+        assert _same_bits(Action(deltas.tolist()).deltas, expected), deltas
+    assert np.signbit(Action([-0.0, 0.0, -0.0, 0.0]).deltas).tolist() == [True, False, True, False]
+
+
+def test_step_gripper_clamp_equals_np_clip_bitwise():
+    rng = np.random.default_rng(12)
+    state = make_state([], [])
+    poses = _clamp_probes(rng, 0.0, 1.0)
+    deltas = _clamp_probes(rng, -sim.DELTA_MAX, sim.DELTA_MAX)
+    for pose, delta in zip(poses, deltas[rng.permutation(len(deltas))]):
+        state.gripper = pose
+        action = Action(delta)
+        assert _same_bits(step(state, action).gripper, np.clip(pose + action.deltas, 0.0, 1.0)), (pose, delta)
+    # -0.0 + -0.0 is -0.0, which np.clip leaves as it is
+    state.gripper = np.array([-0.0, 0.0, -0.0, 1.0])
+    assert np.signbit(step(state, Action([-0.0, -0.0, 0.0, 0.0])).gripper).tolist() == [True, False, False, False]
+
+
+def test_held_object_tracks_the_gripper_and_keeps_its_class():
+    rng = np.random.default_rng(13)
+    state = make_state([sim.SceneEntity(4, (0.4, 0.6)), sim.SceneEntity(9, (0.8, 0.2))], [sim.SceneEntity(3, (0.2, 0.2))])
+    state.gripper = np.array([0.4, 0.6, 0.15, 0.2])
+    state.held_object = 0
+    current = state
+    for _ in range(50):
+        current = step(current, Action(rng.uniform(-0.05, 0.05, 4) * [1, 1, 1, 0]))  # the aperture stays closed
+        gx, gy = current.gripper[:2]
+        assert current.held_object == 0
+        assert current.objects == [sim.SceneEntity(4, (float(gx), float(gy))), sim.SceneEntity(9, (0.8, 0.2))]
+        assert all(type(v) is float for v in current.objects[0].position)
+    # a fresh grasp keeps the grasped object's class too
+    loose = make_state([sim.SceneEntity(7, (0.31, 0.52))], [])
+    loose.gripper = np.array([0.3, 0.5, 0.1, 0.31])
+    grasped = step(loose, Action([0.0, 0.0, 0.0, -0.02]))
+    assert grasped.held_object == 0 and grasped.objects == [sim.SceneEntity(7, (0.3, 0.5))]
+
+
 # ---------------------------------------------------------------------------
 # reset
 # ---------------------------------------------------------------------------
@@ -314,6 +372,49 @@ def test_render_batch_matches_oracle_bitwise(view, resolution):
     else:
         c = resolution // 2
         assert all(np.array_equal(img[c, c], sim.MARKER_COLOR) for img in expected[1:])
+
+
+_CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+
+
+def _random_state(rng, i: int) -> WorldState:
+    """A seeded state for the painter: 0-2 receptacles and 0-4 objects (so
+    batches pad their slots), centres up to a radius past the frame's edges,
+    a first receptacle whose columns lie outside every view (its rows may
+    not), the gripper at a workspace corner in four states of six, and every
+    third state holding its first object under the marker."""
+    def entities(n, palette):
+        classes = rng.choice(len(palette), size=n, replace=False)
+        return [sim.SceneEntity(int(c), tuple(rng.uniform(-0.12, 1.12, 2).tolist())) for c in classes]
+
+    receptacles = [sim.SceneEntity(5, (-0.4, float(rng.uniform(0.0, 1.0))))] + entities(int(rng.integers(0, 3)), sim.RECEPTACLE_PALETTE[:5])
+    state = make_state(entities(int(rng.integers(0, 5)), sim.OBJECT_PALETTE), receptacles)
+    if i % 6 < 4:
+        gx, gy = _CORNERS[i % 6]
+    else:
+        gx, gy = rng.uniform(0.0, 1.0, 2).tolist()
+    state.gripper = np.array([gx, gy, 0.3, 0.9])
+    if i % 3 == 0 and state.objects:
+        state.objects[0] = sim.SceneEntity(state.objects[0].class_id, (gx, gy))
+        state.held_object = 0
+    return state
+
+
+@pytest.mark.parametrize("n", [1, 4, 45])
+@pytest.mark.parametrize("view, resolution", [("third", THIRD_RESOLUTION), ("wrist", WRIST_RESOLUTION)], ids=["third", "wrist"])
+def test_render_random_batches_match_oracle_bitwise(view, resolution, n):
+    rng = np.random.default_rng(1000 + n)
+    batches = [[_random_state(rng, i)] for i in range(8)] if n == 1 else [[_random_state(rng, i) for i in range(n)]]
+    for states in batches:
+        images = render(states, view, resolution)
+        assert images.dtype == np.float32 and images.shape == (len(states), resolution, resolution, 3)
+        assert np.array_equal(images, np.stack([_render_oracle(s, view, resolution) for s in states]))
+    # the cases the states are drawn for are there
+    states = [s for batch in batches for s in batch]
+    if n > 1:
+        assert len({len(s.objects) for s in states}) > 1  # padded object slots
+    assert {tuple(s.gripper[:2].tolist()) for s in states} >= set(_CORNERS)
+    assert any(s.held_object is not None for s in states)
 
 
 def test_brightest_pixel_tracks_gripper():

@@ -8,6 +8,7 @@ native float32. Errors are normalized per parameter tensor.
 
 from __future__ import annotations
 
+import re
 import resource
 import signal
 import struct
@@ -519,6 +520,26 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_cut_inside_an_array(tmp_path):
+    """Loaded arrays are writable float32 arrays of their own; a file cut
+    inside an array's data names the file, the byte and the bytes wanted."""
+    params = {"a": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.full(5, -1.25, np.float32), "e": np.zeros((0, 3), np.float32)}
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, params, {"k": "v"})
+    loaded, _ = load_checkpoint(path)
+    for name, arr in loaded.items():
+        assert arr.dtype == np.float32 and arr.flags.writeable and arr.flags.owndata
+        assert arr.shape == params[name].shape and np.array_equal(arr, params[name])
+    loaded["a"][0, 0] = 7.0
+    assert np.array_equal(load_checkpoint(path)[0]["a"], params["a"])
+    # arrays are stored by name: "b"'s 20 bytes end where the 12-byte record of the empty "e" begins
+    blob = path.read_bytes()
+    b_end = len(blob) - (2 + 1 + 1 + 2 * 4)
+    path.write_bytes(blob[: b_end - 6])
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: truncated at byte {b_end - 20} \\(wanted 20 more\\)$"):
         load_checkpoint(path)
 
 
