@@ -1,10 +1,19 @@
 """Episode containers, task-disjoint splits, training sequences, and episode files.
 
 Episodes are stored columnar: one array per modality with the step count as
-the leading dimension. An episode file is a `checkpoint.py` container: its
-header holds `magic`, `version`, the episode `count` and `<i>.task_label`,
-and episode i's arrays are named `<i>.<field>`, for the fields it has (an
-episode without traces has no `<i>.traces`). Round trips are bit-exact.
+the leading dimension. A camera view is kept as the renderer paints it, a
+uint8 index per pixel into the episode's own (P, 3) float32 palette, 12 times
+smaller than its float32 colours; `gather_views` looks the colours up where
+the model reads them.
+
+An episode file (version 3) is a `checkpoint.py` container: its header holds
+`magic`, `version`, the episode `count` and `<i>.task_label`, and episode i's
+arrays are named `<i>.<field>`, for the fields it has (an episode without
+traces has no `<i>.traces`): `third` and `wrist` uint8, `palette`,
+`proprio`, `actions` and `traces` float32. The palette is stored with each
+episode, so a file does not depend on the renderer's colours. Round trips
+are bit-exact. Files of earlier versions (float32 colours) do not load: they
+raise a VersionMismatchError that says to rerun gen-data.
 """
 
 from __future__ import annotations
@@ -15,12 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import traces as traces_mod
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, CheckpointVersionError, load_checkpoint, save_checkpoint
 
 FILE_MAGIC = "deskicl-episodes"
-FILE_VERSION = 2
+FILE_VERSION = 3
 _V1_PREFIX = b'{"magic": "deskicl-episodes"'  # how version 1 (JSONL) files begin
-ARRAY_FIELDS = ("third", "wrist", "proprio", "actions", "traces")
+ARRAY_FIELDS = ("third", "wrist", "palette", "proprio", "actions", "traces")
 
 
 class EpisodeIOError(RuntimeError):
@@ -36,16 +45,19 @@ class TruncatedFileError(EpisodeIOError):
 
 
 class ShapeMismatchError(EpisodeIOError):
-    pass
+    """An episode's arrays do not make a Trajectory: lengths, image dtypes,
+    the palette's shape or dtype, or an index past the palette."""
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One episode: per-step renders, proprioception, actions, optional traces."""
+    """One episode: per-step renders as indices into a palette,
+    proprioception, actions, optional traces."""
 
     task_label: str
-    third: np.ndarray  # (T, G, G, 3) float32
-    wrist: np.ndarray  # (T, C, C, 3) float32
+    third: np.ndarray  # (T, G, G) uint8, indices into palette
+    wrist: np.ndarray  # (T, C, C) uint8, indices into palette
+    palette: np.ndarray  # (P, 3) float32, 1 <= P <= 256
     proprio: np.ndarray  # (T, 4) float32
     actions: np.ndarray  # (T, 4) float32
     traces: np.ndarray | None = None  # (T, 10) float32
@@ -61,6 +73,16 @@ class Trajectory:
             lengths.add(len(self.traces))
         if lengths != {t}:
             raise ValueError(f"per-step arrays disagree on length: {sorted(lengths)}")
+        palette = self.palette
+        if palette.dtype != np.float32 or palette.ndim != 2 or palette.shape[1] != 3 or not 1 <= len(palette) <= 256:
+            raise ValueError(f"palette is {palette.dtype} {palette.shape}, not (P, 3) float32 with 1 <= P <= 256")
+        for name in ("third", "wrist"):
+            images = getattr(self, name)
+            if images.dtype != np.uint8 or images.ndim != 3:
+                raise ValueError(f"{name} view is {images.dtype} {images.shape}, not (T, R, R) uint8 palette indices")
+            top = int(images.max(initial=0))
+            if top >= len(palette):
+                raise ValueError(f"{name} view holds index {top}, past the palette's {len(palette)} colours")
 
     def __len__(self) -> int:
         return len(self.proprio)
@@ -107,6 +129,13 @@ def chunk_labels(actions: np.ndarray, t: int, horizon: int) -> tuple[np.ndarray,
     return labels, valid
 
 
+def gather_views(episodes: list[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 colours of the episodes' third and wrist views over their
+    S steps in order, (S, G, G, 3) and (S, C, C, 3): each episode's indices
+    looked up in its own palette."""
+    return tuple(np.concatenate([e.palette.take(getattr(e, view), axis=0) for e in episodes]) for view in ("third", "wrist"))
+
+
 @dataclass
 class TrainingSequence:
     """Prompt episodes followed by one target episode, with label tensors.
@@ -118,8 +147,8 @@ class TrainingSequence:
     """
 
     episodes: list[Trajectory]
-    third: np.ndarray  # (S, G, G, 3)
-    wrist: np.ndarray  # (S, C, C, 3)
+    third: np.ndarray  # (S, G, G, 3) float32 colours
+    wrist: np.ndarray  # (S, C, C, 3) float32 colours
     proprio: np.ndarray  # (S, 4)
     actions: np.ndarray  # (S, 4)
     traces: np.ndarray  # (S, 10)
@@ -176,10 +205,11 @@ def build_sequence(
     chunk_actions = actions[np.minimum(steps, ends - 1)].astype(np.float32, copy=False)
     chunk_valid = steps < ends
 
+    third, wrist = gather_views(episodes)
     return TrainingSequence(
         episodes=episodes,
-        third=np.concatenate([e.third for e in episodes]),
-        wrist=np.concatenate([e.wrist for e in episodes]),
+        third=third,
+        wrist=wrist,
         proprio=np.concatenate([e.proprio for e in episodes]),
         actions=actions,
         traces=np.concatenate([e.traces for e in episodes]),
@@ -211,6 +241,8 @@ def load_episodes(path) -> list[Trajectory]:
     path = Path(path)
     try:
         arrays, header = load_checkpoint(path)
+    except CheckpointVersionError as exc:
+        raise VersionMismatchError(f"{exc}, not an episode file of version {FILE_VERSION}; rerun gen-data") from exc
     except CheckpointError as exc:
         with path.open("rb") as fh:
             if fh.read(len(_V1_PREFIX)) == _V1_PREFIX:
@@ -219,7 +251,9 @@ def load_episodes(path) -> list[Trajectory]:
     if header.get("magic") != FILE_MAGIC:
         raise VersionMismatchError(f"{path}: not an episode file (magic {header.get('magic')!r})")
     if header.get("version") != str(FILE_VERSION):
-        raise VersionMismatchError(f"{path}: unsupported episode file version {header.get('version')!r}")
+        raise VersionMismatchError(
+            f"{path}: episode file version {header.get('version')!r}, not {FILE_VERSION}; rerun gen-data"
+        )
     try:
         labels = [header[f"{i}.task_label"] for i in range(int(header["count"]))]
     except (KeyError, ValueError) as exc:

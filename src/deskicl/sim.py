@@ -16,13 +16,14 @@ Cameras are orthographic. The "third" view covers the whole workspace; the
 "wrist" view covers the WRIST_WINDOW square centred on the gripper. `render`
 paints a sequence of states (an episode, or one lockstep step of many
 rollouts) from one view at one resolution in one call, as padded per-state
-disk arrays, so its cost per state falls as the batch grows. It paints a
-uint8 index into one palette and gathers the colours once at the end. Each
-disk slot is painted only inside its window, the rows and columns it reaches
-in some state of the batch; the window is exact, because a float64 dx² + dy²
-is never below dy² or dx², so no pixel outside it is covered. `observe` is
-what a robot sees of its states at given camera resolutions: both views and
-the gripper as proprio.
+disk arrays, so its cost per state falls as the batch grows. An image is a
+uint8 index per pixel into PALETTE, the renderer's read-only (20, 3) float32
+colours; recorded episodes keep the indices and the palette. Each disk slot
+is painted only inside its window, the rows and columns it reaches in some
+state of the batch; the window is exact, because a float64 dx² + dy² is never
+below dy² or dx², so no pixel outside it is covered. `observe` is what a
+robot sees of its states at given camera resolutions: both views in float32
+colours and the gripper as proprio.
 """
 
 from __future__ import annotations
@@ -65,9 +66,11 @@ RECEPTACLE_PALETTE = np.array(
 BACKGROUND_COLOR = np.array([0.08, 0.08, 0.10], dtype=np.float32)
 MARKER_COLOR = np.array([1.0, 1.0, 1.0], dtype=np.float32)
 
-# One palette for the renderer: index 0 is the background, then the
-# receptacle, object and marker colours.
-_COLORS = np.concatenate([BACKGROUND_COLOR[None], RECEPTACLE_PALETTE, OBJECT_PALETTE, MARKER_COLOR[None]])
+# The renderer's one palette, which its images index: 0 is the background,
+# then the receptacle, object and marker colours. Read-only, because every
+# recorded episode holds it.
+PALETTE = np.concatenate([BACKGROUND_COLOR[None], RECEPTACLE_PALETTE, OBJECT_PALETTE, MARKER_COLOR[None]])
+PALETTE.flags.writeable = False
 _RECEPTACLE_BASE = 1
 _OBJECT_BASE = _RECEPTACLE_BASE + len(RECEPTACLE_PALETTE)
 _MARKER_INDEX = _OBJECT_BASE + len(OBJECT_PALETTE)
@@ -347,32 +350,27 @@ def third_view_uv(world_xy) -> np.ndarray:
 
 
 def render(states, view: str, resolution: int) -> np.ndarray:
-    """Rasterize a sequence of states to (N, R, R, 3) float32 images seen by
-    the `"third"` or the `"wrist"` camera at R = `resolution` pixels.
+    """Rasterize a sequence of states to (N, R, R) uint8 images, indices into
+    PALETTE, seen by the `"third"` or the `"wrist"` camera at R =
+    `resolution` pixels.
 
     Each state is painted in draw order: its receptacles, then its objects,
-    then the gripper marker. A pixel takes the colour of the last disk that
-    covers it, where a disk covers a pixel whose centre lies within its
-    radius (squared distance <= radius², in float64). States may hold
+    then the gripper marker. A pixel takes the palette index of the last
+    disk that covers it, where a disk covers a pixel whose centre lies within
+    its radius (squared distance <= radius², in float64). States may hold
     different numbers of entities: each state's disks are padded to a common
     count per kind, and a padded slot has radius² = -1 so it covers nothing.
     The third view sees the whole workspace; the wrist view sees the
     WRIST_WINDOW square centred on each state's own gripper.
 
-    The disks are painted as uint8 indices into one palette, and the colours
-    are gathered once at the end. Each disk slot is painted only inside its
-    window: the span of rows and the span of columns it reaches (dy² or
-    dx² <= radius²) in some state of the batch. The window is exact, not a
-    bound to be trusted: dx² >= 0, so the float64 sum dx² + dy² is never
-    below dy² (nor below dx²), and a row or column outside the window holds
-    no covered pixel. A padded slot reaches nothing and is not painted.
+    Each disk slot is painted only inside its window: the span of rows and
+    the span of columns it reaches (dy² or dx² <= radius²) in some state of
+    the batch. The window is exact, not a bound to be trusted: dx² >= 0, so
+    the float64 sum dx² + dy² is never below dy² (nor below dx²), and a row
+    or column outside the window holds no covered pixel. A padded slot
+    reaches nothing and is not painted.
     """
-    return _COLORS.take(_paint(list(states), view, resolution), axis=0)
-
-
-def _paint(states: list, view: str, resolution: int) -> np.ndarray:
-    """The (N, R, R) uint8 palette index of `render`'s images; its float64
-    temporaries are freed before `render` gathers the colours."""
+    states = list(states)
     if view not in ("third", "wrist"):
         raise ValueError(f"unknown camera view '{view}'")
     window = 1.0 if view == "third" else WRIST_WINDOW
@@ -417,12 +415,12 @@ def _paint(states: list, view: str, resolution: int) -> np.ndarray:
 
 
 def observe(states, third_resolution: int, wrist_resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What a robot observes of a sequence of states: the (N, R, R, 3) third
-    and wrist views, each from one `render` call, and the (N, 4) float32
-    gripper pose as proprio."""
+    """What a robot observes of a sequence of states: the (N, R, R, 3)
+    float32 colours of the third and wrist views, each from one `render`
+    call, and the (N, 4) float32 gripper pose as proprio."""
     states = list(states)
-    third = render(states, "third", third_resolution)
-    wrist = render(states, "wrist", wrist_resolution)
+    third = PALETTE.take(render(states, "third", third_resolution), axis=0)
+    wrist = PALETTE.take(render(states, "wrist", wrist_resolution), axis=0)
     return third, wrist, np.stack([s.gripper for s in states]).astype(np.float32)
 
 

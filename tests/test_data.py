@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from conftest import toy_trajectory
+from conftest import record_episode, toy_trajectory, write_version_2_episode_file
+from deskicl import sim
 from deskicl.checkpoint import load_checkpoint, save_checkpoint
 from deskicl.data import (
+    EpisodeIOError,
     ShapeMismatchError,
     SplitSpec,
     Trajectory,
@@ -15,10 +19,12 @@ from deskicl.data import (
     VersionMismatchError,
     build_sequence,
     chunk_labels,
+    gather_views,
     load_episodes,
     save_episodes,
     split_tasks,
 )
+from deskicl.model import ModelConfig, PolicyModel, sequence_loss
 from deskicl.traces import augment_dataset
 
 
@@ -183,8 +189,8 @@ def test_episode_round_trip_bit_identical(tmp_path):
     assert len(loaded) == 3
     for orig, back in zip(trajs, loaded):
         assert back.task_label == orig.task_label
-        for name in ("third", "wrist", "proprio", "actions"):
-            assert getattr(back, name).dtype == np.float32
+        for name, dtype in (("third", np.uint8), ("wrist", np.uint8), ("palette", np.float32), ("proprio", np.float32), ("actions", np.float32)):
+            assert getattr(back, name).dtype == dtype
             assert np.array_equal(getattr(back, name), getattr(orig, name))
         if orig.traces is None:
             assert back.traces is None
@@ -267,6 +273,96 @@ def test_trajectory_validation():
             task_label="x",
             third=good.third,
             wrist=good.wrist,
+            palette=good.palette,
             proprio=good.proprio[:3],
             actions=good.actions,
         )
+
+
+def test_episode_file_of_an_earlier_version_says_to_rerun_gen_data(tmp_path):
+    path = tmp_path / "poke_c0.episodes"
+    episodes = augment_dataset([toy_trajectory("poke_c0", 4, seed=0)])
+    write_version_2_episode_file(path, episodes)
+    with pytest.raises(VersionMismatchError, match=f"^{re.escape(str(path))}: .*version 1.*; rerun gen-data$"):
+        load_episodes(path)
+    # a current container whose header claims episode file version 2
+    arrays, header = _saved_container(path, episodes)
+    save_checkpoint(path, arrays, {**header, "version": "2"})
+    with pytest.raises(VersionMismatchError, match=f"^{re.escape(str(path))}: episode file version '2', not 3; rerun gen-data$"):
+        load_episodes(path)
+
+
+def _bad_views_and_palettes(arrays):
+    """(what is wrong, the arrays of episode 1 that show it): views that are
+    not uint8 indices, palettes that are not (P, 3) float32 with
+    1 <= P <= 256, and indices past the palette."""
+    third, wrist, palette = arrays["1.third"], arrays["1.wrist"], arrays["1.palette"]
+    return [
+        ("third view is float32", {"1.third": palette[third]}),
+        ("wrist view is float32", {"1.wrist": wrist.astype(np.float32)}),
+        ("wrist view is uint8 (4, 8, 8, 1)", {"1.wrist": wrist[..., None]}),
+        ("palette is uint8", {"1.palette": np.zeros(palette.shape, np.uint8)}),
+        ("palette is float32 (5, 4)", {"1.palette": np.zeros((5, 4), np.float32)}),
+        ("palette is float32 (15,)", {"1.palette": palette.ravel()}),
+        ("palette is float32 (0, 3)", {"1.palette": palette[:0]}),
+        ("palette is float32 (257, 3)", {"1.palette": np.zeros((257, 3), np.float32), "1.third": third + 200}),
+        ("third view holds index 4, past the palette's 4 colours", {"1.palette": palette[:4]}),
+        ("wrist view holds index 7, past the palette's 5 colours", {"1.wrist": np.where(wrist == 0, 7, wrist).astype(np.uint8)}),
+    ]
+
+
+def test_episode_file_rejects_bad_views_and_palettes(tmp_path):
+    """Each fault is a named error that gives the file and the episode, not
+    an IndexError at the first training step."""
+    path = tmp_path / "poke_c0.episodes"
+    arrays, header = _saved_container(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=s) for s in (0, 1)]))
+    assert arrays["1.third"].max() == 4 and arrays["1.palette"].shape == (5, 3)
+    assert issubclass(ShapeMismatchError, EpisodeIOError)
+    for fault, changed in _bad_views_and_palettes(arrays):
+        save_checkpoint(path, {**arrays, **changed}, header)
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(str(path))}: episode 1: .*{re.escape(fault)}"):
+            load_episodes(path)
+    save_checkpoint(path, arrays, header)
+    assert len(load_episodes(path)) == 2
+
+
+def test_gathered_views_of_recorded_episodes_are_what_the_policy_observes():
+    """The colours of recorded episodes equal `sim.observe` of the same
+    states, bit for bit, on both views, in episode order."""
+    model = ModelConfig(third_resolution=24, wrist_resolution=8)
+    scenes = [(sim.TaskSpec("pick_place", 2, 1), 2, 1, 5), (sim.TaskSpec("poke", 3), 3, 0, 6)]
+    episodes, observed = [], []
+    for task, n_obj, n_rec, seed in scenes:
+        episodes.append(record_episode(model, task, n_obj, n_rec, seed))
+        observed.append(sim.observe(sim.expert_rollout(sim.reset(task, n_obj, n_rec, seed), task)[0], 24, 8))
+    assert all(ep.third.dtype == ep.wrist.dtype == np.uint8 and ep.palette is sim.PALETTE for ep in episodes)
+    third, wrist = gather_views(episodes)
+    assert third.dtype == wrist.dtype == np.float32
+    assert third.tobytes() == np.concatenate([o[0] for o in observed]).tobytes()
+    assert wrist.tobytes() == np.concatenate([o[1] for o in observed]).tobytes()
+    assert all(ep.proprio.tobytes() == o[2].tobytes() for ep, o in zip(episodes, observed))
+    # episodes of different palettes: each is looked up in its own
+    toys = [toy_trajectory(length=3 + s, seed=s, colors=2 + 3 * s) for s in range(3)]
+    third, wrist = gather_views(toys)
+    assert third.tobytes() == np.concatenate([t.palette[t.third] for t in toys]).tobytes()
+    assert wrist.tobytes() == np.concatenate([t.palette[t.wrist] for t in toys]).tobytes()
+
+
+def test_sequences_from_loaded_episodes_equal_in_memory_ones(tmp_path):
+    """A training sequence built from episodes loaded back from their file is
+    the one built from the episodes in memory, and so is its loss."""
+    config = ModelConfig(d_model=32, n_layers=2, n_heads=2, third_resolution=16, wrist_resolution=8, max_context=512, chunk_h=4)
+    task = sim.TaskSpec("poke", 1)
+    episodes = [record_episode(config, task, seed % 3, 0, seed, noisy=True) for seed in range(4)]
+    path = tmp_path / "poke_c1.episodes"
+    save_episodes(path, episodes)
+    loaded = load_episodes(path)
+    assert all(ep.palette is not sim.PALETTE and np.array_equal(ep.palette, sim.PALETTE) for ep in loaded)
+    model = PolicyModel.init(config, seed=3)
+    a, b = (build_sequence(eps, 2, np.random.default_rng(11), chunk_h=4) for eps in (episodes, loaded))
+    for name in ("third", "wrist", "proprio", "actions", "traces", "step_is_target", "reasoning_input_mask", "chunk_actions", "chunk_valid"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.third.dtype == np.float32 and a.third.shape == (a.n_steps, 16, 16, 3)
+    (loss_a, *parts_a), (loss_b, *parts_b) = sequence_loss(model, a), sequence_loss(model, b)
+    assert loss_a.data.tobytes() == loss_b.data.tobytes() and parts_a == parts_b

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_version_2_episode_file
 from deskicl import harness
 from deskicl.checkpoint import save_checkpoint
 from deskicl.cli import build_parser, main as cli_main
@@ -224,7 +225,7 @@ def test_gen_data_records_at_the_models_cameras(tmp_path):
     cmd_gen_data(config, tmp_path)
     for task in task_list(config):
         for episode in load_episodes(harness.episode_path(tmp_path, task.label)):
-            assert episode.third.shape[1:] == (24, 24, 3) and episode.wrist.shape[1:] == (8, 8, 3)
+            assert episode.third.shape[1:] == (24, 24) and episode.wrist.shape[1:] == (8, 8)
 
 
 def test_class_counts_bounded_by_palettes():
@@ -636,6 +637,25 @@ def test_train_refuses_episodes_of_other_cameras(tiny_run, tmp_path, capsys):
     assert "model.third_resolution = 24, model.wrist_resolution = 16" in err and "Traceback" not in err
     assert (run / "config.resolved.txt").read_bytes() == before
     assert sorted(p.name for p in run.iterdir()) == ["config.resolved.txt", "episodes", "split.json"]
+
+
+def test_train_refuses_episode_files_of_version_2(tiny_run, tmp_path, capsys):
+    """A dataset written before episode files held palette indices fails
+    before any output, naming the file and saying to rerun gen-data."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(out / "episodes", run / "episodes")
+    shutil.copy(out / "split.json", run)
+    for path in sorted((run / "episodes").iterdir()):
+        write_version_2_episode_file(path, load_episodes(path))
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    assert cli_main(["train", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err
+    episodes = harness.episode_path(run, harness.load_split(run).train_tasks[0])
+    assert err.startswith(f"deskicl train: error: {episodes}: ") and err.rstrip().endswith("; rerun gen-data")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in run.iterdir()) == ["episodes", "split.json"]
 
 
 def test_eval_without_a_variant_does_no_work(tiny_run, tmp_path, capsys, monkeypatch):

@@ -242,14 +242,14 @@ def test_render_empty_scene_background_only():
     state = make_state([], [])
     state.gripper = np.array([2.0, 2.0, 0.5, 0.9])  # move marker out of frame
     img = render([state], "third", THIRD_RESOLUTION)[0]
-    assert img.shape == (32, 32, 3)
-    assert np.all(img == sim.BACKGROUND_COLOR)
+    assert img.shape == (32, 32) and img.dtype == np.uint8
+    assert np.all(sim.PALETTE[img] == sim.BACKGROUND_COLOR)
 
 
 def test_render_object_disk_centered():
     state = make_state([sim.SceneEntity(0, (0.5, 0.5))], [])
     state.gripper = np.array([0.05, 0.95, 0.5, 0.9])  # marker in a corner
-    img = render([state], "third", THIRD_RESOLUTION)[0]
+    img = sim.PALETTE[render([state], "third", THIRD_RESOLUTION)[0]]
     mask = np.all(img == sim.OBJECT_PALETTE[0], axis=-1)
     assert mask.sum() > 0
     rows, cols = np.nonzero(mask)
@@ -262,7 +262,7 @@ def test_render_object_disk_centered():
 def test_render_wrist_object_under_gripper_fills_center():
     state = make_state([sim.SceneEntity(1, (0.4, 0.6))], [])
     state.gripper = np.array([0.4, 0.6, 0.5, 0.9])
-    img = render([state], "wrist", WRIST_RESOLUTION)[0]
+    img = sim.PALETTE[render([state], "wrist", WRIST_RESOLUTION)[0]]
     c = WRIST_RESOLUTION // 2
     # center pixel is the marker (drawn last), ring around it is the object
     assert np.array_equal(img[c, c], sim.MARKER_COLOR)
@@ -285,15 +285,16 @@ def test_render_rejects_an_unknown_view():
 def test_observe_is_both_views_and_the_gripper():
     states = expert_rollout(reset(place_task(), 2, 1, seed=9), place_task())[0]
     third, wrist, proprio = observe(iter(states), 24, 8)
-    assert third.tobytes() == render(states, "third", 24).tobytes()
-    assert wrist.tobytes() == render(states, "wrist", 8).tobytes()
+    assert third.dtype == wrist.dtype == np.float32
+    assert third.tobytes() == sim.PALETTE[render(states, "third", 24)].tobytes()
+    assert wrist.tobytes() == sim.PALETTE[render(states, "wrist", 8)].tobytes()
     assert proprio.dtype == np.float32 and proprio.shape == (len(states), 4)
     assert np.array_equal(proprio, np.array([s.gripper for s in states], dtype=np.float32))
 
 
 def _render_oracle(state, view, res):
     """Reference painter: one state, one boolean disk mask at a time, in
-    draw order (receptacles, objects, gripper marker)."""
+    draw order (receptacles, objects, gripper marker), in colours."""
     if view == "third":
         x0, y1, span = 0.0, 1.0, 1.0
     else:
@@ -355,11 +356,13 @@ def test_render_batch_matches_oracle_bitwise(view, resolution):
     states = _oracle_states()
     expected = np.stack([_render_oracle(s, view, resolution) for s in states])
     batch = render(states, view, resolution)
-    assert batch.dtype == np.float32
-    assert batch.shape == (len(states), resolution, resolution, 3)
-    assert np.array_equal(batch, expected)
+    # the palette's colours are distinct, so equal colours are equal indices
+    assert len(np.unique(sim.PALETTE, axis=0)) == len(sim.PALETTE)
+    assert batch.dtype == np.uint8
+    assert batch.shape == (len(states), resolution, resolution)
+    assert np.array_equal(sim.PALETTE[batch], expected)
     for i, s in enumerate(states):
-        assert np.array_equal(render([s], view, resolution)[0], expected[i])
+        assert np.array_equal(sim.PALETTE[render([s], view, resolution)[0]], expected[i])
     # the cases the states are built for show in the oracle's images
     if view == "third":
 
@@ -407,8 +410,8 @@ def test_render_random_batches_match_oracle_bitwise(view, resolution, n):
     batches = [[_random_state(rng, i)] for i in range(8)] if n == 1 else [[_random_state(rng, i) for i in range(n)]]
     for states in batches:
         images = render(states, view, resolution)
-        assert images.dtype == np.float32 and images.shape == (len(states), resolution, resolution, 3)
-        assert np.array_equal(images, np.stack([_render_oracle(s, view, resolution) for s in states]))
+        assert images.dtype == np.uint8 and images.shape == (len(states), resolution, resolution)
+        assert np.array_equal(sim.PALETTE[images], np.stack([_render_oracle(s, view, resolution) for s in states]))
     # the cases the states are drawn for are there
     states = [s for batch in batches for s in batch]
     if n > 1:
@@ -424,7 +427,7 @@ def test_brightest_pixel_tracks_gripper():
     rng = np.random.default_rng(1)
     for _ in range(60):
         current = step(current, Action(rng.uniform(-0.05, 0.05, 4)))
-        img = render([current], "third", THIRD_RESOLUTION)[0]
+        img = sim.PALETTE[render([current], "third", THIRD_RESOLUTION)[0]]
         brightness = img.sum(axis=-1)
         row, col = np.unravel_index(np.argmax(brightness), brightness.shape)
         u, v = third_view_uv(current.gripper[:2]) * THIRD_RESOLUTION

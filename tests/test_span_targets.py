@@ -9,7 +9,9 @@ span in a traced benchmark run. This checks every target here instead.
 returns, and the tracer times `sim.render`, both by patching the functions
 under every name the package holds them by. A speed-up that stepped the
 world or painted an image without calling them would silently thin the
-calibration and drop spans, so the call counts are checked here.
+calibration and drop spans, so the call counts are checked here. Recording
+an episode paints both views inside the `sim.render` span too: the episode
+keeps `render`'s palette indices and looks no colour up.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from deskicl import engine, sim
+from deskicl import engine, harness, sim
+from deskicl.model import ModelConfig
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -115,3 +119,18 @@ def test_observe_renders_each_view_once():
     assert calls == {"sim.render": 2}
     assert third.shape == (4, 16, 16, 3) and wrist.shape == (4, 8, 8, 3) and proprio.shape == (4, 4)
     assert sim.render is render  # the patch is undone
+
+
+def test_record_episode_renders_each_view_once_and_keeps_the_read_only_palette():
+    task = sim.TaskSpec("pick_place", 1, 0)
+    render = sim.render
+    with _counting("sim.render") as calls:
+        episode = harness.record_episode(ModelConfig(third_resolution=16, wrist_resolution=8), task, 1, 1, seed=3)
+    assert calls == {"sim.render": 2}
+    assert sim.render is render and harness.render is render  # the patch is undone under both names
+    assert episode.third.shape == (len(episode), 16, 16) and episode.wrist.shape == (len(episode), 8, 8)
+    assert episode.third.dtype == episode.wrist.dtype == np.uint8 and episode.palette is sim.PALETTE
+    with pytest.raises(ValueError, match="read-only"):
+        sim.PALETTE[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        episode.palette += 0.0

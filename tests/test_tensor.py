@@ -535,9 +535,9 @@ def test_checkpoint_cut_inside_an_array(tmp_path):
         assert arr.shape == params[name].shape and np.array_equal(arr, params[name])
     loaded["a"][0, 0] = 7.0
     assert np.array_equal(load_checkpoint(path)[0]["a"], params["a"])
-    # arrays are stored by name: "b"'s 20 bytes end where the 12-byte record of the empty "e" begins
+    # arrays are stored by name: "b"'s 20 bytes end where the 13-byte record of the empty "e" begins
     blob = path.read_bytes()
-    b_end = len(blob) - (2 + 1 + 1 + 2 * 4)
+    b_end = len(blob) - (2 + 1 + 1 + 1 + 2 * 4)
     path.write_bytes(blob[: b_end - 6])
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: truncated at byte {b_end - 20} \\(wanted 20 more\\)$"):
         load_checkpoint(path)
@@ -558,13 +558,45 @@ def test_checkpoint_header_rejects_ambiguous_entries(tmp_path):
 def test_checkpoint_undecodable_text_is_a_checkpoint_error(tmp_path):
     path = tmp_path / "x.ckpt"
     bad_header = b"\xff\xfe=1\n"
-    path.write_bytes(b"DESKCKPT" + struct.pack("<II", 1, len(bad_header)) + bad_header + struct.pack("<I", 0))
+    path.write_bytes(b"DESKCKPT" + struct.pack("<II", 2, len(bad_header)) + bad_header + struct.pack("<I", 0))
     with pytest.raises(CheckpointError, match="UTF-8"):
         load_checkpoint(path)
     bad_name = b"\xc3"
-    path.write_bytes(b"DESKCKPT" + struct.pack("<III", 1, 0, 1) + struct.pack("<H", 1) + bad_name + struct.pack("<B", 0) + b"\x00" * 4)
+    path.write_bytes(b"DESKCKPT" + struct.pack("<III", 2, 0, 1) + struct.pack("<H", 1) + bad_name + b"f" + struct.pack("<B", 0))
     with pytest.raises(CheckpointError, match="UTF-8"):
         load_checkpoint(path)
+
+
+def test_checkpoint_keeps_uint8_and_refuses_other_dtypes(tmp_path):
+    """float32 and uint8 arrays load back with their dtype; any other dtype
+    is refused, naming the array, and the previous file is kept."""
+    params = {"f": np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3), "u": np.arange(250, 256, dtype=np.uint8)}
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, params, {"k": "v"})
+    before = path.read_bytes()
+    loaded, _ = load_checkpoint(path)
+    for name, arr in params.items():
+        assert loaded[name].dtype == arr.dtype and np.array_equal(loaded[name], arr)
+    for dtype in (np.float64, np.float16, np.int32, np.int8, np.bool_):
+        with pytest.raises(ValueError, match=f"^array 'wide' is {np.dtype(dtype)};"):
+            save_checkpoint(path, {**params, "wide": np.zeros(3, dtype=dtype)}, {"k": "w"})
+    assert path.read_bytes() == before and sorted(tmp_path.iterdir()) == [path]
+
+
+def test_checkpoint_refuses_version_1_and_unknown_dtype_codes(tmp_path):
+    path = tmp_path / "x.ckpt"
+    # version 1 wrote float32 data straight after each array's dims
+    path.write_bytes(b"DESKCKPT" + struct.pack("<III", 1, 0, 1) + struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 2) + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: unsupported checkpoint version 1"):
+        load_checkpoint(path)
+    save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)}, {})
+    blob = path.read_bytes()
+    code_at = blob.index(b"\x01\x00w") + 3
+    assert blob[code_at:code_at + 1] == b"f"
+    for code in (b"d", b"\x00"):
+        path.write_bytes(blob[:code_at] + code + blob[code_at + 1:])
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: array 'w' has unknown dtype code {re.escape(repr(code))}$"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
