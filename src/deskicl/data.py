@@ -115,25 +115,20 @@ def split_tasks(task_labels, test_fraction: float, seed: int) -> SplitSpec:
     return SplitSpec(train_tasks=tuple(shuffled[n_test:]), test_tasks=tuple(shuffled[:n_test]), seed=seed)
 
 
-def chunk_labels(actions: np.ndarray, t: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Next `horizon` actions from step t; past-end slots repeat the final
-    action and are flagged invalid so the loss skips them."""
-    length = len(actions)
-    if not 0 <= t < length:
-        raise ValueError(f"step {t} outside episode of length {length}")
-    if horizon < 1:
-        raise ValueError("chunk horizon must be at least 1")
-    idx = np.minimum(np.arange(t, t + horizon), length - 1)
-    labels = actions[idx]
-    valid = np.arange(t, t + horizon) < length
-    return labels, valid
-
-
 def gather_views(episodes: list[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
     """The float32 colours of the episodes' third and wrist views over their
     S steps in order, (S, G, G, 3) and (S, C, C, 3): each episode's indices
-    looked up in its own palette."""
-    return tuple(np.concatenate([e.palette.take(getattr(e, view), axis=0) for e in episodes]) for view in ("third", "wrist"))
+    looked up in its own palette, straight into its rows of the result."""
+    ends = np.cumsum([len(e) for e in episodes])
+    views = []
+    for view in ("third", "wrist"):
+        colours = np.empty((ends[-1], *getattr(episodes[0], view).shape[1:], 3), dtype=np.float32)
+        for e, end in zip(episodes, ends):
+            # "clip" lets `take` write into `out` unbuffered; it never clips,
+            # since a Trajectory holds no index past its palette
+            e.palette.take(getattr(e, view), axis=0, out=colours[end - len(e):end], mode="clip")
+        views.append(colours)
+    return tuple(views)
 
 
 @dataclass
@@ -197,8 +192,9 @@ def build_sequence(
     reasoning_input_mask = np.zeros(total, dtype=bool)
     reasoning_input_mask[total - lengths[-1]:] = traces_mod.sample_mask(lengths[-1], rng, ratio=mask_ratio)
 
-    # `chunk_labels` for every step at once: step s reads the actions from s
-    # on, clamped to the last step of its own episode
+    # the next `chunk_h` actions of every step at once: step s reads the
+    # actions from s on, clamped to the last step of its own episode, and
+    # the slots clamped are invalid, so the loss skips them
     actions = np.concatenate([e.actions for e in episodes])
     ends = np.repeat(np.cumsum(lengths), lengths)[:, None]
     steps = np.arange(total)[:, None] + np.arange(chunk_h)

@@ -10,8 +10,10 @@ reductions). A fused op computes the products of its unfused composition
 (normalize, then multiply by the gain; SiLU, then multiply) in the same
 order, so it gives the same bits in one op instead of two. Ops record
 backward rules only while a `Tape` context is open, so inference runs
-tape-free at plain numpy speed, and `backward` releases the graph it
-swept.
+tape-free at plain numpy speed. `backward` frees each node of the graph
+as soon as its rule has run, so a training step peaks at about the memory
+its forward holds; only leaves (parameters, and tensors made with
+`requires_grad=True`) keep a `.grad`.
 
 Causal attention runs over tiles of `_QUERY_TILE` query rows. A tile
 scores only the keys its rows can see, so the blocks above the diagonal
@@ -135,20 +137,29 @@ def _finish(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarra
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every tensor the scalar `loss` depends on."""
+    """Accumulate into `.grad` of every leaf the scalar `loss` depends on.
+
+    Leaves are the tensors no recorded op produced: parameters, and any
+    tensor made with `requires_grad=True`. The sweep pops the tape's
+    entries last to first and drops each output's gradient once its rule
+    has run, so a node's gradient, its rule and the arrays only that rule
+    holds are freed as soon as no earlier node needs them. The tape is
+    empty afterwards, and no op output keeps a `.grad`.
+    """
     if loss.data.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = loss._tape
     if tape is None:
         raise GradError("loss is not attached to a tape; run the forward inside `with Tape():`")
     loss.grad = np.ones_like(loss.data)
-    for entry in reversed(tape.entries):
-        g = entry.output.grad
+    entries = tape.entries
+    while entries:
+        # popping also frees the graph without the cyclic GC: entries and
+        # outputs point at each other through `_tape`
+        entry = entries.pop()
+        g, entry.output.grad = entry.output.grad, None
         if g is not None:
             entry.backward(g)
-    # entries and outputs point at each other through `_tape`; dropping the
-    # entries lets reference counting free the graph without the cyclic GC
-    tape.entries.clear()
 
 
 # ---------------------------------------------------------------------------

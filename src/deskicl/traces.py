@@ -19,29 +19,12 @@ TRACE_POINTS = 5
 TRACE_DIM = 2 * TRACE_POINTS
 
 
-def trace_indices(length: int, t: int) -> tuple[int, ...]:
-    """Five step indices from t to the terminal step, evenly spaced."""
-    if length <= 0:
-        raise ValueError("empty trajectory")
-    if not 0 <= t <= length - 1:
-        raise ValueError(f"step {t} outside episode of length {length}")
-    horizon = (length - 1) - t
-    return tuple(t + int(np.floor(j * horizon / 4.0 + 0.5)) for j in range(TRACE_POINTS))
-
-
-def generate_trace(trajectory, t: int) -> np.ndarray:
-    """The (10,) float32 trace for step t of a trajectory (needs .proprio),
-    one step at a time: the reference for `trace_matrix`."""
-    indices = trace_indices(len(trajectory.proprio), t)
-    return third_view_uv(trajectory.proprio[list(indices), :2]).astype(np.float32).reshape(TRACE_DIM)
-
-
 def trace_matrix(trajectory) -> np.ndarray:
     """Traces for every step, stacked to (T, 10) float32.
 
-    Row t equals `generate_trace(trajectory, t)` bit for bit: the indices
-    and the projection use the same float64 operations, for all steps at
-    once.
+    Row t samples steps t + floor(j * (T-1-t) / 4 + 0.5), j = 0..4, and
+    projects their gripper positions with float64 operations; the tests
+    check every row against a one-step-at-a-time reference, bit for bit.
     """
     length = len(trajectory.proprio)
     if length <= 0:

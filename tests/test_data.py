@@ -18,7 +18,6 @@ from deskicl.data import (
     TruncatedFileError,
     VersionMismatchError,
     build_sequence,
-    chunk_labels,
     gather_views,
     load_episodes,
     save_episodes,
@@ -68,6 +67,21 @@ def test_split_spec_rejects_overlap():
 # ---------------------------------------------------------------------------
 # chunk labels
 # ---------------------------------------------------------------------------
+
+
+def chunk_labels(actions: np.ndarray, t: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Next `horizon` actions from step t; past-end slots repeat the final
+    action and are flagged invalid so the loss skips them. The one-step
+    reference for `build_sequence`'s chunk rows."""
+    length = len(actions)
+    if not 0 <= t < length:
+        raise ValueError(f"step {t} outside episode of length {length}")
+    if horizon < 1:
+        raise ValueError("chunk horizon must be at least 1")
+    idx = np.minimum(np.arange(t, t + horizon), length - 1)
+    labels = actions[idx]
+    valid = np.arange(t, t + horizon) < length
+    return labels, valid
 
 
 def test_chunk_labels_padding_rule():
@@ -341,11 +355,19 @@ def test_gathered_views_of_recorded_episodes_are_what_the_policy_observes():
     assert third.tobytes() == np.concatenate([o[0] for o in observed]).tobytes()
     assert wrist.tobytes() == np.concatenate([o[1] for o in observed]).tobytes()
     assert all(ep.proprio.tobytes() == o[2].tobytes() for ep, o in zip(episodes, observed))
-    # episodes of different palettes: each is looked up in its own
-    toys = [toy_trajectory(length=3 + s, seed=s, colors=2 + 3 * s) for s in range(3)]
+
+
+@pytest.mark.parametrize("colors", [(2, 5, 8), (7, 3)])
+def test_gathered_views_look_each_episode_up_in_its_own_palette(colors):
+    """Each episode's rows of the result are its own lookup, equal bit for
+    bit to concatenating the episodes' separate lookups, up to the last
+    colour of every palette."""
+    toys = [toy_trajectory(length=3 + s, seed=s, colors=n) for s, n in enumerate(colors)]
+    assert [int(t.third.max()) for t in toys] == [n - 1 for n in colors]
     third, wrist = gather_views(toys)
-    assert third.tobytes() == np.concatenate([t.palette[t.third] for t in toys]).tobytes()
-    assert wrist.tobytes() == np.concatenate([t.palette[t.wrist] for t in toys]).tobytes()
+    assert third.shape == (sum(len(t) for t in toys), 16, 16, 3) and wrist.shape == (third.shape[0], 8, 8, 3)
+    assert third.tobytes() == np.concatenate([t.palette.take(t.third, axis=0) for t in toys]).tobytes()
+    assert wrist.tobytes() == np.concatenate([t.palette.take(t.wrist, axis=0) for t in toys]).tobytes()
 
 
 def test_sequences_from_loaded_episodes_equal_in_memory_ones(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -579,6 +580,66 @@ def test_backward_frees_the_graph_without_cyclic_gc():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _sweep_keeping_the_graph(loss):
+    """The reference sweep: every node's gradient and rule live until the
+    whole tape has been swept."""
+    entries = loss._tape.entries
+    loss.grad = np.ones_like(loss.data)
+    for entry in reversed(entries):
+        if entry.output.grad is not None:
+            entry.backward(entry.output.grad)
+    entries.clear()
+
+
+def test_backward_gives_the_grads_of_a_sweep_that_keeps_the_graph():
+    model = tiny_model(seed=31)
+    seq = tiny_sequence(lengths=(5, 6), mask_ratio=0.5)
+    grads = []
+    for sweep in (_sweep_keeping_the_graph, backward):
+        m = model.astype(model.dtype)
+        with Tape():
+            loss, *_ = sequence_loss(m, seq)
+            sweep(loss)
+        grads.append({k: p.grad for k, p in m.params.items()})
+    reference, freed = grads
+    assert all(g is not None for g in reference.values())
+    for k in reference:
+        assert np.array_equal(reference[k], freed[k]), k
+
+
+def test_backward_empties_the_tape_and_keeps_grads_on_leaves_only():
+    model = tiny_model(seed=37)
+    seq = tiny_sequence(lengths=(3, 4), mask_ratio=0.5)
+    with Tape() as tape:
+        loss, *_ = sequence_loss(model, seq)
+        outputs = [entry.output for entry in tape.entries]
+        backward(loss)
+    assert len(tape) == 0
+    assert outputs and all(o.grad is None for o in outputs)
+    assert all(p.grad is not None for p in model.params.values())
+
+
+@pytest.mark.parametrize("lengths", [(3, 4), (20, 20)])
+def test_backward_peaks_near_the_memory_the_forward_holds(lengths):
+    """Each node is freed once its rule has run, so the sweep adds little
+    to what the forward holds (about 1.07x here). A sweep that keeps every
+    node's gradient to the end peaks at 1.78x at (20, 20), 2.24x at (3, 4)."""
+    model = tiny_model(seed=31)
+    seq = tiny_sequence(lengths=lengths, mask_ratio=0.5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            loss, *_ = sequence_loss(model, seq)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * held
 
 
 def test_training_step_determinism():

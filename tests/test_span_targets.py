@@ -12,6 +12,10 @@ world or painted an image without calling them would silently thin the
 calibration and drop spans, so the call counts are checked here. Recording
 an episode paints both views inside the `sim.render` span too: the episode
 keeps `render`'s palette indices and looks no colour up.
+
+The tracer times each backward rule by wrapping the tape's entries when
+`tensor.backward` is called, before the sweep pops them; a sweep that
+read its rules from anywhere else would leave them untimed.
 """
 
 from __future__ import annotations
@@ -26,8 +30,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import toy_trajectory
 from deskicl import engine, harness, sim
-from deskicl.model import ModelConfig
+from deskicl import tensor as tn
+from deskicl.data import build_sequence
+from deskicl.model import ModelConfig, PolicyModel, sequence_loss
+from deskicl.traces import augment_dataset
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -134,3 +142,23 @@ def test_record_episode_renders_each_view_once_and_keeps_the_read_only_palette()
         sim.PALETTE[0, 0] = 0.5
     with pytest.raises(ValueError, match="read-only"):
         episode.palette += 0.0
+
+
+def test_the_tracer_times_every_backward_rule_the_sweep_pops():
+    config = ModelConfig(d_model=32, n_layers=2, n_heads=2, third_resolution=16, wrist_resolution=8, max_context=256, chunk_h=4)
+    model = PolicyModel.init(config, seed=0)
+    trajectories = augment_dataset([toy_trajectory(length=n, seed=n) for n in (3, 4)])
+    seq = build_sequence(trajectories, 1, np.random.default_rng(0), chunk_h=4, mask_ratio=0.5)
+    traced = _tracer()
+    tracer, patches = traced.Tracer(), traced.Patches()
+    try:
+        tracer.install(patches)
+        with tn.Tape() as tape:
+            loss, *_ = sequence_loss(model, seq)
+            ops = [entry.backward.__qualname__.split(".", 1)[0] for entry in tape.entries]
+            tn.backward(loss)
+    finally:
+        patches.restore()
+    assert len(tape) == 0 and tracer.counters["tensor.tape.entries"] == len(ops) > 0
+    rules = sorted(span.name for span in tracer.spans if span.name.endswith(".bwd"))
+    assert rules == sorted(f"tensor.{op}.bwd" for op in ops)

@@ -1,4 +1,8 @@
-"""Trace index formula, projection anchoring, and mask sampling."""
+"""Trace index formula, projection anchoring, and mask sampling.
+
+`trace_indices` and `generate_trace` here are the one-step-at-a-time
+reference that `traces.trace_matrix` must equal bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,24 @@ import pytest
 from conftest import line_trajectory, record_episode, toy_trajectory
 from deskicl.model import ModelConfig
 from deskicl.sim import TaskSpec, third_view_uv
-from deskicl.traces import augment_dataset, generate_trace, sample_mask, trace_indices, trace_matrix
+from deskicl.traces import TRACE_DIM, TRACE_POINTS, augment_dataset, sample_mask, trace_matrix
+
+
+def trace_indices(length: int, t: int) -> tuple[int, ...]:
+    """Five step indices from t to the terminal step, evenly spaced."""
+    if length <= 0:
+        raise ValueError("empty trajectory")
+    if not 0 <= t <= length - 1:
+        raise ValueError(f"step {t} outside episode of length {length}")
+    horizon = (length - 1) - t
+    return tuple(t + int(np.floor(j * horizon / 4.0 + 0.5)) for j in range(TRACE_POINTS))
+
+
+def generate_trace(trajectory, t: int) -> np.ndarray:
+    """The (10,) float32 trace for step t of a trajectory (needs .proprio),
+    one step at a time: the reference for `trace_matrix`."""
+    indices = trace_indices(len(trajectory.proprio), t)
+    return third_view_uv(trajectory.proprio[list(indices), :2]).astype(np.float32).reshape(TRACE_DIM)
 
 
 def test_indices_quarters():
