@@ -1,18 +1,16 @@
 """Episode containers, task-disjoint splits, training sequences, and episode files.
 
 Episodes are stored columnar: one array per modality with the step count as
-the leading dimension. A camera view is kept as the renderer paints it, a
-uint8 index per pixel into the episode's own (P, 3) float32 palette, 12 times
-smaller than its float32 colours; `gather_views` looks the colours up where
-the model reads them.
+the leading dimension. A camera view is kept as `sim.observe` gives it, a
+uint8 index per pixel into `sim.PALETTE`, 12 times smaller than its float32
+colours; the model's state encoder looks the colours up where it reads them.
 
-An episode file (version 3) is a `checkpoint.py` container: its header holds
+An episode file (version 4) is a `checkpoint.py` container: its header holds
 `magic`, `version`, the episode `count` and `<i>.task_label`, and episode i's
 arrays are named `<i>.<field>`, for the fields it has (an episode without
-traces has no `<i>.traces`): `third` and `wrist` uint8, `palette`,
-`proprio`, `actions` and `traces` float32. The palette is stored with each
-episode, so a file does not depend on the renderer's colours. Round trips
-are bit-exact. Files of earlier versions (float32 colours) do not load: they
+traces has no `<i>.traces`): `third` and `wrist` uint8, `proprio`, `actions`
+and `traces` float32. Round trips are bit-exact. Files of earlier versions
+(float32 colours, or a palette stored with each episode) do not load: they
 raise a VersionMismatchError that says to rerun gen-data.
 """
 
@@ -25,11 +23,14 @@ import numpy as np
 
 from . import traces as traces_mod
 from .checkpoint import CheckpointError, CheckpointVersionError, load_checkpoint, save_checkpoint
+from .sim import PALETTE
 
 FILE_MAGIC = "deskicl-episodes"
-FILE_VERSION = 3
+# A stored view is indices into sim.PALETTE and the file does not hold the
+# colours, so a change to sim.PALETTE needs a new version.
+FILE_VERSION = 4
 _V1_PREFIX = b'{"magic": "deskicl-episodes"'  # how version 1 (JSONL) files begin
-ARRAY_FIELDS = ("third", "wrist", "palette", "proprio", "actions", "traces")
+ARRAY_FIELDS = ("third", "wrist", "proprio", "actions", "traces")
 
 
 class EpisodeIOError(RuntimeError):
@@ -45,19 +46,18 @@ class TruncatedFileError(EpisodeIOError):
 
 
 class ShapeMismatchError(EpisodeIOError):
-    """An episode's arrays do not make a Trajectory: lengths, image dtypes,
-    the palette's shape or dtype, or an index past the palette."""
+    """An episode's arrays do not make a Trajectory: lengths, shapes,
+    dtypes, or an index past sim.PALETTE."""
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One episode: per-step renders as indices into a palette,
+    """One episode: per-step renders as indices into sim.PALETTE,
     proprioception, actions, optional traces."""
 
     task_label: str
-    third: np.ndarray  # (T, G, G) uint8, indices into palette
-    wrist: np.ndarray  # (T, C, C) uint8, indices into palette
-    palette: np.ndarray  # (P, 3) float32, 1 <= P <= 256
+    third: np.ndarray  # (T, G, G) uint8, indices into sim.PALETTE
+    wrist: np.ndarray  # (T, C, C) uint8, indices into sim.PALETTE
     proprio: np.ndarray  # (T, 4) float32
     actions: np.ndarray  # (T, 4) float32
     traces: np.ndarray | None = None  # (T, 10) float32
@@ -65,6 +65,17 @@ class Trajectory:
     def __post_init__(self):
         if not self.task_label:
             raise ValueError("trajectory needs a nonempty task label")
+        for name, width in (("proprio", 4), ("actions", 4), ("traces", traces_mod.TRACE_DIM)):
+            arr = getattr(self, name)
+            if arr is not None and (arr.dtype != np.float32 or arr.ndim != 2 or arr.shape[1] != width):
+                raise ValueError(f"{name} is {arr.dtype} {arr.shape}, not (T, {width}) float32")
+        for name in ("third", "wrist"):
+            images = getattr(self, name)
+            if images.dtype != np.uint8 or images.ndim != 3 or images.shape[1] != images.shape[2]:
+                raise ValueError(f"{name} view is {images.dtype} {images.shape}, not (T, R, R) uint8 palette indices")
+            top = int(images.max(initial=0))
+            if top >= len(PALETTE):
+                raise ValueError(f"{name} view holds index {top}, past sim.PALETTE's {len(PALETTE)} colours")
         t = len(self.proprio)
         if t < 2:
             raise ValueError(f"trajectory too short ({t} steps)")
@@ -73,16 +84,6 @@ class Trajectory:
             lengths.add(len(self.traces))
         if lengths != {t}:
             raise ValueError(f"per-step arrays disagree on length: {sorted(lengths)}")
-        palette = self.palette
-        if palette.dtype != np.float32 or palette.ndim != 2 or palette.shape[1] != 3 or not 1 <= len(palette) <= 256:
-            raise ValueError(f"palette is {palette.dtype} {palette.shape}, not (P, 3) float32 with 1 <= P <= 256")
-        for name in ("third", "wrist"):
-            images = getattr(self, name)
-            if images.dtype != np.uint8 or images.ndim != 3:
-                raise ValueError(f"{name} view is {images.dtype} {images.shape}, not (T, R, R) uint8 palette indices")
-            top = int(images.max(initial=0))
-            if top >= len(palette):
-                raise ValueError(f"{name} view holds index {top}, past the palette's {len(palette)} colours")
 
     def __len__(self) -> int:
         return len(self.proprio)
@@ -115,22 +116,6 @@ def split_tasks(task_labels, test_fraction: float, seed: int) -> SplitSpec:
     return SplitSpec(train_tasks=tuple(shuffled[n_test:]), test_tasks=tuple(shuffled[:n_test]), seed=seed)
 
 
-def gather_views(episodes: list[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
-    """The float32 colours of the episodes' third and wrist views over their
-    S steps in order, (S, G, G, 3) and (S, C, C, 3): each episode's indices
-    looked up in its own palette, straight into its rows of the result."""
-    ends = np.cumsum([len(e) for e in episodes])
-    views = []
-    for view in ("third", "wrist"):
-        colours = np.empty((ends[-1], *getattr(episodes[0], view).shape[1:], 3), dtype=np.float32)
-        for e, end in zip(episodes, ends):
-            # "clip" lets `take` write into `out` unbuffered; it never clips,
-            # since a Trajectory holds no index past its palette
-            e.palette.take(getattr(e, view), axis=0, out=colours[end - len(e):end], mode="clip")
-        views.append(colours)
-    return tuple(views)
-
-
 @dataclass
 class TrainingSequence:
     """Prompt episodes followed by one target episode, with label tensors.
@@ -142,8 +127,8 @@ class TrainingSequence:
     """
 
     episodes: list[Trajectory]
-    third: np.ndarray  # (S, G, G, 3) float32 colours
-    wrist: np.ndarray  # (S, C, C, 3) float32 colours
+    third: np.ndarray  # (S, G, G) uint8, indices into sim.PALETTE
+    wrist: np.ndarray  # (S, C, C) uint8, indices into sim.PALETTE
     proprio: np.ndarray  # (S, 4)
     actions: np.ndarray  # (S, 4)
     traces: np.ndarray  # (S, 10)
@@ -201,11 +186,10 @@ def build_sequence(
     chunk_actions = actions[np.minimum(steps, ends - 1)].astype(np.float32, copy=False)
     chunk_valid = steps < ends
 
-    third, wrist = gather_views(episodes)
     return TrainingSequence(
         episodes=episodes,
-        third=third,
-        wrist=wrist,
+        third=np.concatenate([e.third for e in episodes]),
+        wrist=np.concatenate([e.wrist for e in episodes]),
         proprio=np.concatenate([e.proprio for e in episodes]),
         actions=actions,
         traces=np.concatenate([e.traces for e in episodes]),

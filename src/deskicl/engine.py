@@ -38,7 +38,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .data import Trajectory, build_sequence, gather_views
+from .data import Trajectory, build_sequence
 from .model import (
     ACTION_DIM,
     TOKENS_PER_STEP,
@@ -270,8 +270,9 @@ class TransformerPolicy:
         if not prompt_demos:
             raise ValueError("need at least one prompt demo")
         model = self.model
-        third, wrist = gather_views(prompt_demos)
-        proprio, traces, actions = (np.concatenate([getattr(d, name) for d in prompt_demos]) for name in ("proprio", "traces", "actions"))
+        third, wrist, proprio, traces, actions = (
+            np.concatenate([getattr(d, name) for d in prompt_demos]) for name in ("third", "wrist", "proprio", "traces", "actions")
+        )
         no_target = np.zeros(len(proprio), dtype=bool)
         tokens = step_tokens(model, third, wrist, proprio, traces, actions, no_target, no_target)
         self.cache = KVCache(model.config)

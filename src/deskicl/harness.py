@@ -50,7 +50,7 @@ from .engine import (
 )
 from .model import ModelConfig, PolicyModel
 from .settings import bounded, check_fields, parse
-from .sim import OBJECT_PALETTE, PALETTE, RECEPTACLE_PALETTE, TaskSpec, expert_rollout, render, reset, third_view_uv
+from .sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, TaskSpec, expert_rollout, observe, reset, third_view_uv
 from .traces import augment_dataset
 
 FAILURE_CLASSES = ("none", "trace_error", "grasp_failure", "placement_failure", "poke_failure", "overflow")
@@ -216,22 +216,16 @@ def record_episode(
     seed: int,
     noisy: bool = False,
 ) -> Trajectory:
-    """One expert episode, noisy or not, rendered at the model's camera
-    resolutions as the policy observes its scenes and kept as the renderer's
-    palette indices; raises if the expert fails."""
+    """One expert episode, noisy or not: `sim.observe` of the expert's
+    states at the model's camera resolutions, which is what the policy sees
+    of its scenes, and the expert's actions; raises if the expert fails."""
     state = reset(task, n_distractor_objects, n_distractor_receptacles, seed)
     rng = np.random.default_rng(derive_seed(seed, "expert-noise")) if noisy else None
     states, actions, score = expert_rollout(state, task, rng)
     if score != 1.0:
         raise HarnessError(f"expert failed on {task.label} (seed {seed})")
-    return Trajectory(
-        task_label=task.label,
-        third=render(states, "third", model.third_resolution),
-        wrist=render(states, "wrist", model.wrist_resolution),
-        palette=PALETTE,
-        proprio=np.stack([s.gripper for s in states]).astype(np.float32),
-        actions=np.stack([a.deltas for a in actions]).astype(np.float32),
-    )
+    third, wrist, proprio = observe(states, model.third_resolution, model.wrist_resolution)
+    return Trajectory(task.label, third, wrist, proprio, np.stack([a.deltas for a in actions]).astype(np.float32))
 
 
 def generate_task_episodes(config: HarnessConfig, task: TaskSpec, n_demos: int, base_seed: int) -> list[Trajectory]:

@@ -5,7 +5,10 @@ reasoning, action]; `step_tokens` lays recorded steps out as the (3S, d)
 sequence that training and the closed-loop prompt prefill share. State
 tokens pool patch embeddings of both camera views plus a proprio embedding
 through single-query softmax attention; reasoning and action tokens come
-from small MLPs. The trunk is a pre-norm decoder stack with RMSNorm gains,
+from small MLPs. Views arrive as `sim.observe` gives them and episodes keep
+them, uint8 indices into `sim.PALETTE`; `patchify` is the one place that
+looks them up, gathering each patch's colours straight from the index grid.
+The trunk is a pre-norm decoder stack with RMSNorm gains,
 rotary positions, and SiLU-gated feedforwards, built from fused ops: the
 norm and its gain are one `tensor.rms_norm`, the gated product one
 `tensor.swiglu` and the attention one `tensor.causal_attention`, so a block
@@ -34,6 +37,7 @@ from . import tensor as tn
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import TrainingSequence
 from .settings import bounded, check_fields, parse
+from .sim import PALETTE
 from .tensor import ShapeError, Tensor
 from .traces import TRACE_DIM
 
@@ -196,20 +200,12 @@ class PolicyModel:
     @classmethod
     def load(cls, path) -> tuple["PolicyModel", dict[str, str]]:
         """The model a checkpoint holds; its arrays must be exactly the
-        parameters, at the shapes, that its header's config declares. A
-        `rope_base` or `d_ff` entry, which older checkpoints carry, must
-        state the value this model is built with."""
+        parameters, at the shapes, that its header's config declares."""
         arrays, header = load_checkpoint(path)
         try:
             config = ModelConfig.from_header(header)
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"{path}: not a model checkpoint (bad or missing header entry {exc})") from exc
-        # older checkpoints name what is now fixed, as `to_header` wrote it; each must name the value in use
-        for entry, constant, value in (("rope_base", "ROPE_BASE", ROPE_BASE), ("d_ff", "ModelConfig.d_ff", config.d_ff)):
-            if entry in header and header[entry] != str(value):
-                raise CheckpointError(
-                    f"{path}: header entry {entry}={header[entry]} differs from {constant} = {value}, which this model is built with"
-                )
         shapes = _declare(config, weight=lambda shape, bound: shape, constant=lambda shape, value: shape)
         for name, shape in shapes.items():
             if name not in arrays:
@@ -229,13 +225,15 @@ class PolicyModel:
 
 
 def patchify(images: np.ndarray, patch: int) -> np.ndarray:
-    """(S, R, R, 3) -> (S, (R/p)^2, p*p*3), row-major over the patch grid."""
-    s, r, r2, ch = images.shape
-    if r != r2 or ch != 3 or r % patch:
-        raise ShapeError(f"patchify: bad image batch shape {images.shape} for patch {patch}")
+    """(S, R, R) uint8 PALETTE indices -> (S, (R/p)^2, p*p*3) float32
+    colours, row-major over the patch grid. The index grid is put in patch
+    order first, so the one colour lookup writes the patches in place."""
+    if images.ndim != 3 or images.dtype != np.uint8 or images.shape[1] != images.shape[2] or images.shape[1] % patch:
+        raise ShapeError(f"patchify: image batch {images.dtype} {images.shape} is not (S, R, R) uint8 for patch {patch}")
+    s, r, _ = images.shape
     n = r // patch
-    x = images.reshape(s, n, patch, n, patch, 3)
-    return np.ascontiguousarray(x.transpose(0, 1, 3, 2, 4, 5)).reshape(s, n * n, patch * patch * 3)
+    grid = images.reshape(s, n, patch, n, patch).transpose(0, 1, 3, 2, 4)
+    return PALETTE.take(grid, axis=0).reshape(s, n * n, patch * patch * 3)
 
 
 def _mlp(model: PolicyModel, prefix: str, x: Tensor) -> Tensor:
@@ -271,21 +269,22 @@ def _with_role(model: PolicyModel, tokens: Tensor, role: int) -> Tensor:
 def encode_state_batch(model: PolicyModel, third: np.ndarray, wrist: np.ndarray, proprio: np.ndarray) -> Tensor:
     """Role-embedded state tokens for S steps: (S, d_model).
 
-    Images (B, S, R, R, 3) and proprio (B, S, 4) give (B, S, d_model) for B
-    lanes. Each lane's products are computed as for its own (S, ...) batch,
-    so a lane's tokens do not depend on the other lanes.
+    Views are (S, R, R) uint8 `sim.PALETTE` indices. Views (B, S, R, R) and
+    proprio (B, S, 4) give (B, S, d_model) for B lanes. Each lane's products
+    are computed as for its own (S, ...) batch, so a lane's tokens do not
+    depend on the other lanes.
     """
     cfg = model.config
     p = model.params
     dtype = model.dtype
-    if third.shape[-3:] != (cfg.third_resolution, cfg.third_resolution, 3):
-        raise ShapeError(f"encode_state: third view {third.shape[-3:]} vs configured {cfg.third_resolution}")
-    if wrist.shape[-3:] != (cfg.wrist_resolution, cfg.wrist_resolution, 3):
-        raise ShapeError(f"encode_state: wrist view {wrist.shape[-3:]} vs configured {cfg.wrist_resolution}")
-    *lead, s = third.shape[:-3]
+    if third.shape[-2:] != (cfg.third_resolution, cfg.third_resolution):
+        raise ShapeError(f"encode_state: third view {third.shape[-2:]} vs configured {cfg.third_resolution}")
+    if wrist.shape[-2:] != (cfg.wrist_resolution, cfg.wrist_resolution):
+        raise ShapeError(f"encode_state: wrist view {wrist.shape[-2:]} vs configured {cfg.wrist_resolution}")
+    *lead, s = third.shape[:-2]
 
     def view_items(images: np.ndarray, prefix: str, pos_name: str, n_patches: int) -> Tensor:
-        flat = patchify(images.reshape(-1, *images.shape[-3:]).astype(dtype, copy=False), cfg.patch_size)
+        flat = patchify(images.reshape(-1, *images.shape[-2:]), cfg.patch_size).astype(dtype, copy=False)
         patches = Tensor(flat.reshape(*lead, s * n_patches, cfg.patch_dim), dtype=dtype)
         emb = tn.add(tn.matmul(patches, p[f"{prefix}.fc1.w"]), p[f"{prefix}.fc1.b"])
         emb = tn.add(tn.reshape(emb, (*lead, s, n_patches, cfg.d_model)), p[pos_name])

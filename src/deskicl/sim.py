@@ -18,12 +18,14 @@ paints a sequence of states (an episode, or one lockstep step of many
 rollouts) from one view at one resolution in one call, as padded per-state
 disk arrays, so its cost per state falls as the batch grows. An image is a
 uint8 index per pixel into PALETTE, the renderer's read-only (20, 3) float32
-colours; recorded episodes keep the indices and the palette. Each disk slot
-is painted only inside its window, the rows and columns it reaches in some
-state of the batch; the window is exact, because a float64 dx² + dy² is never
-below dy² or dx², so no pixel outside it is covered. `observe` is what a
-robot sees of its states at given camera resolutions: both views in float32
-colours and the gripper as proprio.
+colours. Each disk slot is painted only inside its window, the rows and
+columns it reaches in some state of the batch; the window is exact, because a
+float64 dx² + dy² is never below dy² or dx², so no pixel outside it is
+covered. `observe` is what a robot sees of its states at given camera
+resolutions: both views as PALETTE indices and the gripper as proprio. A
+recorded episode is `observe`'s output over the expert's states, so a demo
+is what the policy sees; the model's state encoder is the one place that
+looks the indices up in PALETTE.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ MARKER_COLOR = np.array([1.0, 1.0, 1.0], dtype=np.float32)
 
 # The renderer's one palette, which its images index: 0 is the background,
 # then the receptacle, object and marker colours. Read-only, because every
-# recorded episode holds it.
+# recorded episode's indices mean its colours (see data.FILE_VERSION).
 PALETTE = np.concatenate([BACKGROUND_COLOR[None], RECEPTACLE_PALETTE, OBJECT_PALETTE, MARKER_COLOR[None]])
 PALETTE.flags.writeable = False
 _RECEPTACLE_BASE = 1
@@ -415,12 +417,12 @@ def render(states, view: str, resolution: int) -> np.ndarray:
 
 
 def observe(states, third_resolution: int, wrist_resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What a robot observes of a sequence of states: the (N, R, R, 3)
-    float32 colours of the third and wrist views, each from one `render`
+    """What a robot observes of a sequence of states: the (N, R, R) uint8
+    PALETTE indices of the third and wrist views, each from one `render`
     call, and the (N, 4) float32 gripper pose as proprio."""
     states = list(states)
-    third = PALETTE.take(render(states, "third", third_resolution), axis=0)
-    wrist = PALETTE.take(render(states, "wrist", wrist_resolution), axis=0)
+    third = render(states, "third", third_resolution)
+    wrist = render(states, "wrist", wrist_resolution)
     return third, wrist, np.stack([s.gripper for s in states]).astype(np.float32)
 
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import record_episode, toy_trajectory, write_version_2_episode_file
+from conftest import record_episode, toy_trajectory, write_version_2_episode_file, write_version_3_episode_file
 from deskicl import sim
 from deskicl.checkpoint import load_checkpoint, save_checkpoint
 from deskicl.data import (
@@ -18,7 +18,6 @@ from deskicl.data import (
     TruncatedFileError,
     VersionMismatchError,
     build_sequence,
-    gather_views,
     load_episodes,
     save_episodes,
     split_tasks,
@@ -203,7 +202,7 @@ def test_episode_round_trip_bit_identical(tmp_path):
     assert len(loaded) == 3
     for orig, back in zip(trajs, loaded):
         assert back.task_label == orig.task_label
-        for name, dtype in (("third", np.uint8), ("wrist", np.uint8), ("palette", np.float32), ("proprio", np.float32), ("actions", np.float32)):
+        for name, dtype in (("third", np.uint8), ("wrist", np.uint8), ("proprio", np.float32), ("actions", np.float32)):
             assert getattr(back, name).dtype == dtype
             assert np.array_equal(getattr(back, name), getattr(orig, name))
         if orig.traces is None:
@@ -287,7 +286,6 @@ def test_trajectory_validation():
             task_label="x",
             third=good.third,
             wrist=good.wrist,
-            palette=good.palette,
             proprio=good.proprio[:3],
             actions=good.actions,
         )
@@ -299,40 +297,43 @@ def test_episode_file_of_an_earlier_version_says_to_rerun_gen_data(tmp_path):
     write_version_2_episode_file(path, episodes)
     with pytest.raises(VersionMismatchError, match=f"^{re.escape(str(path))}: .*version 1.*; rerun gen-data$"):
         load_episodes(path)
-    # a current container whose header claims episode file version 2
-    arrays, header = _saved_container(path, episodes)
-    save_checkpoint(path, arrays, {**header, "version": "2"})
-    with pytest.raises(VersionMismatchError, match=f"^{re.escape(str(path))}: episode file version '2', not 3; rerun gen-data$"):
+    # version 3 stored a palette beside each episode
+    write_version_3_episode_file(path, episodes)
+    assert "0.palette" in load_checkpoint(path)[0]
+    with pytest.raises(VersionMismatchError, match=f"^{re.escape(str(path))}: episode file version '3', not 4; rerun gen-data$"):
         load_episodes(path)
 
 
-def _bad_views_and_palettes(arrays):
+def _bad_arrays(arrays):
     """(what is wrong, the arrays of episode 1 that show it): views that are
-    not uint8 indices, palettes that are not (P, 3) float32 with
-    1 <= P <= 256, and indices past the palette."""
-    third, wrist, palette = arrays["1.third"], arrays["1.wrist"], arrays["1.palette"]
+    not square uint8 indices, indices past sim.PALETTE, and proprio, actions
+    or traces of another shape or dtype."""
+    third, wrist = arrays["1.third"], arrays["1.wrist"]
+    proprio, actions, traces = arrays["1.proprio"], arrays["1.actions"], arrays["1.traces"]
+    top = len(sim.PALETTE)
     return [
-        ("third view is float32", {"1.third": palette[third]}),
+        ("third view is float32", {"1.third": sim.PALETTE[third]}),
         ("wrist view is float32", {"1.wrist": wrist.astype(np.float32)}),
         ("wrist view is uint8 (4, 8, 8, 1)", {"1.wrist": wrist[..., None]}),
-        ("palette is uint8", {"1.palette": np.zeros(palette.shape, np.uint8)}),
-        ("palette is float32 (5, 4)", {"1.palette": np.zeros((5, 4), np.float32)}),
-        ("palette is float32 (15,)", {"1.palette": palette.ravel()}),
-        ("palette is float32 (0, 3)", {"1.palette": palette[:0]}),
-        ("palette is float32 (257, 3)", {"1.palette": np.zeros((257, 3), np.float32), "1.third": third + 200}),
-        ("third view holds index 4, past the palette's 4 colours", {"1.palette": palette[:4]}),
-        ("wrist view holds index 7, past the palette's 5 colours", {"1.wrist": np.where(wrist == 0, 7, wrist).astype(np.uint8)}),
+        ("third view is uint8 (4, 16, 8)", {"1.third": third[:, :, :8]}),
+        (f"third view holds index {top}, past sim.PALETTE's {top} colours", {"1.third": np.where(third == 0, top, third).astype(np.uint8)}),
+        (f"wrist view holds index 255, past sim.PALETTE's {top} colours", {"1.wrist": np.where(wrist == 0, 255, wrist).astype(np.uint8)}),
+        ("proprio is float32 (4, 3)", {"1.proprio": proprio[:, :3]}),
+        ("proprio is uint8 (4, 4)", {"1.proprio": proprio.astype(np.uint8)}),
+        ("actions is float32 (16,)", {"1.actions": actions.ravel()}),
+        ("actions is float32 (4, 4, 1)", {"1.actions": actions[..., None]}),
+        ("traces is float32 (4, 7)", {"1.traces": traces[:, :7]}),
+        ("traces is uint8 (4, 10)", {"1.traces": traces.astype(np.uint8)}),
     ]
 
 
 def test_episode_file_rejects_bad_views_and_palettes(tmp_path):
     """Each fault is a named error that gives the file and the episode, not
-    an IndexError at the first training step."""
+    an IndexError or a ShapeError at the first training step."""
     path = tmp_path / "poke_c0.episodes"
     arrays, header = _saved_container(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=s) for s in (0, 1)]))
-    assert arrays["1.third"].max() == 4 and arrays["1.palette"].shape == (5, 3)
     assert issubclass(ShapeMismatchError, EpisodeIOError)
-    for fault, changed in _bad_views_and_palettes(arrays):
+    for fault, changed in _bad_arrays(arrays):
         save_checkpoint(path, {**arrays, **changed}, header)
         with pytest.raises(ShapeMismatchError, match=f"^{re.escape(str(path))}: episode 1: .*{re.escape(fault)}"):
             load_episodes(path)
@@ -341,33 +342,21 @@ def test_episode_file_rejects_bad_views_and_palettes(tmp_path):
 
 
 def test_gathered_views_of_recorded_episodes_are_what_the_policy_observes():
-    """The colours of recorded episodes equal `sim.observe` of the same
-    states, bit for bit, on both views, in episode order."""
+    """The views of recorded episodes, as a training sequence gathers them,
+    equal `sim.observe` of the same states, bit for bit, on both views, in
+    episode order."""
     model = ModelConfig(third_resolution=24, wrist_resolution=8)
-    scenes = [(sim.TaskSpec("pick_place", 2, 1), 2, 1, 5), (sim.TaskSpec("poke", 3), 3, 0, 6)]
+    task = sim.TaskSpec("pick_place", 2, 1)
     episodes, observed = [], []
-    for task, n_obj, n_rec, seed in scenes:
+    for n_obj, n_rec, seed in [(2, 1, 5), (3, 0, 6)]:
         episodes.append(record_episode(model, task, n_obj, n_rec, seed))
         observed.append(sim.observe(sim.expert_rollout(sim.reset(task, n_obj, n_rec, seed), task)[0], 24, 8))
-    assert all(ep.third.dtype == ep.wrist.dtype == np.uint8 and ep.palette is sim.PALETTE for ep in episodes)
-    third, wrist = gather_views(episodes)
-    assert third.dtype == wrist.dtype == np.float32
-    assert third.tobytes() == np.concatenate([o[0] for o in observed]).tobytes()
-    assert wrist.tobytes() == np.concatenate([o[1] for o in observed]).tobytes()
+    seq = build_sequence(episodes, 1, np.random.default_rng(0), chunk_h=4)
+    order = [[id(e) for e in episodes].index(id(ep)) for ep in seq.episodes]
+    assert seq.third.dtype == seq.wrist.dtype == np.uint8
+    assert seq.third.tobytes() == np.concatenate([observed[i][0] for i in order]).tobytes()
+    assert seq.wrist.tobytes() == np.concatenate([observed[i][1] for i in order]).tobytes()
     assert all(ep.proprio.tobytes() == o[2].tobytes() for ep, o in zip(episodes, observed))
-
-
-@pytest.mark.parametrize("colors", [(2, 5, 8), (7, 3)])
-def test_gathered_views_look_each_episode_up_in_its_own_palette(colors):
-    """Each episode's rows of the result are its own lookup, equal bit for
-    bit to concatenating the episodes' separate lookups, up to the last
-    colour of every palette."""
-    toys = [toy_trajectory(length=3 + s, seed=s, colors=n) for s, n in enumerate(colors)]
-    assert [int(t.third.max()) for t in toys] == [n - 1 for n in colors]
-    third, wrist = gather_views(toys)
-    assert third.shape == (sum(len(t) for t in toys), 16, 16, 3) and wrist.shape == (third.shape[0], 8, 8, 3)
-    assert third.tobytes() == np.concatenate([t.palette.take(t.third, axis=0) for t in toys]).tobytes()
-    assert wrist.tobytes() == np.concatenate([t.palette.take(t.wrist, axis=0) for t in toys]).tobytes()
 
 
 def test_sequences_from_loaded_episodes_equal_in_memory_ones(tmp_path):
@@ -379,12 +368,11 @@ def test_sequences_from_loaded_episodes_equal_in_memory_ones(tmp_path):
     path = tmp_path / "poke_c1.episodes"
     save_episodes(path, episodes)
     loaded = load_episodes(path)
-    assert all(ep.palette is not sim.PALETTE and np.array_equal(ep.palette, sim.PALETTE) for ep in loaded)
     model = PolicyModel.init(config, seed=3)
     a, b = (build_sequence(eps, 2, np.random.default_rng(11), chunk_h=4) for eps in (episodes, loaded))
     for name in ("third", "wrist", "proprio", "actions", "traces", "step_is_target", "reasoning_input_mask", "chunk_actions", "chunk_valid"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
-    assert a.third.dtype == np.float32 and a.third.shape == (a.n_steps, 16, 16, 3)
+    assert a.third.dtype == np.uint8 and a.third.shape == (a.n_steps, 16, 16)
     (loss_a, *parts_a), (loss_b, *parts_b) = sequence_loss(model, a), sequence_loss(model, b)
     assert loss_a.data.tobytes() == loss_b.data.tobytes() and parts_a == parts_b

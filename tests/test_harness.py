@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_version_2_episode_file
+from conftest import write_version_1_container, write_version_2_episode_file, write_version_3_episode_file
 from deskicl import harness
 from deskicl.checkpoint import save_checkpoint
 from deskicl.cli import build_parser, main as cli_main
@@ -601,21 +601,22 @@ def test_eval_refuses_a_checkpoint_missing_a_parameter(tiny_run, tmp_path, capsy
     assert not (run / "metrics").exists()
 
 
-def test_eval_refuses_a_checkpoint_of_another_rope_base(tiny_run, tmp_path, capsys):
+def test_eval_refuses_a_version_1_checkpoint_of_another_rope_base(tiny_run, tmp_path, capsys):
     """A checkpoint whose header states a RoPE base other than the trunk's
-    fails before any rollout, naming the file, the entry and the constant,
-    without a traceback."""
+    is a version 1 container, the only one that carried the entry: it fails
+    before any rollout, naming the file and its version, without a
+    traceback."""
     _, out = tiny_run
     run = tmp_path / "run"
     _copy_for_eval(out, run)
     ckpt = harness.checkpoint_path(run, "ours", 0)
     model, header = PolicyModel.load(ckpt)
-    model.save(ckpt, extra_header={**header, "rope_base": "500.0"})
+    write_version_1_container(ckpt, {k: p.data for k, p in model.params.items()}, {**header, "rope_base": "500.0"})
     config_path = tmp_path / "config.txt"
     config_path.write_text(TINY_CONFIG_TEXT)
     assert cli_main(["eval", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
     err = capsys.readouterr().err
-    assert f"{ckpt}: header entry rope_base=500.0 differs from ROPE_BASE = 10000.0" in err and "Traceback" not in err
+    assert f"{ckpt}: unsupported checkpoint version 1" in err and "Traceback" not in err
     assert not (run / "metrics").exists()
 
 
@@ -639,23 +640,37 @@ def test_train_refuses_episodes_of_other_cameras(tiny_run, tmp_path, capsys):
     assert sorted(p.name for p in run.iterdir()) == ["config.resolved.txt", "episodes", "split.json"]
 
 
-def test_train_refuses_episode_files_of_version_2(tiny_run, tmp_path, capsys):
-    """A dataset written before episode files held palette indices fails
-    before any output, naming the file and saying to rerun gen-data."""
+def _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write) -> tuple[Path, str]:
+    """`deskicl train` on tiny_run's episode files, each rewritten by
+    `write`: the first train task's file and the error it prints. The train
+    fails before any output."""
     _, out = tiny_run
     run = tmp_path / "run"
     shutil.copytree(out / "episodes", run / "episodes")
     shutil.copy(out / "split.json", run)
     for path in sorted((run / "episodes").iterdir()):
-        write_version_2_episode_file(path, load_episodes(path))
+        write(path, load_episodes(path))
     config_path = tmp_path / "config.txt"
     config_path.write_text(TINY_CONFIG_TEXT)
     assert cli_main(["train", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
     err = capsys.readouterr().err
-    episodes = harness.episode_path(run, harness.load_split(run).train_tasks[0])
-    assert err.startswith(f"deskicl train: error: {episodes}: ") and err.rstrip().endswith("; rerun gen-data")
     assert "Traceback" not in err
     assert sorted(p.name for p in run.iterdir()) == ["episodes", "split.json"]
+    return harness.episode_path(run, harness.load_split(run).train_tasks[0]), err
+
+
+def test_train_refuses_episode_files_of_version_2(tiny_run, tmp_path, capsys):
+    """A dataset written before episode files held palette indices fails
+    before any output, naming the file and saying to rerun gen-data."""
+    episodes, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write_version_2_episode_file)
+    assert err.startswith(f"deskicl train: error: {episodes}: ") and err.rstrip().endswith("; rerun gen-data")
+
+
+def test_train_refuses_episode_files_of_version_3(tiny_run, tmp_path, capsys):
+    """A dataset written while each episode stored its own palette fails
+    before any output, naming the file and its version."""
+    episodes, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write_version_3_episode_file)
+    assert err == f"deskicl train: error: {episodes}: episode file version '3', not 4; rerun gen-data\n"
 
 
 def test_eval_without_a_variant_does_no_work(tiny_run, tmp_path, capsys, monkeypatch):

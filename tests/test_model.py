@@ -10,10 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import toy_trajectory
+from conftest import toy_trajectory, write_version_1_container
 from deskicl import model as mdl
+from deskicl import sim
 from deskicl import tensor as tn
-from deskicl.checkpoint import CheckpointError, save_checkpoint
+from deskicl.checkpoint import CheckpointError, CheckpointVersionError, save_checkpoint
 from deskicl.data import build_sequence, save_episodes
 from deskicl.model import (
     KVCache,
@@ -145,29 +146,16 @@ def test_load_checks_every_parameter_against_its_header(tmp_path, fault, named):
         PolicyModel.load(path)
 
 
-RETIRED_ENTRIES = [
-    ("absent", {}, None),
-    ("equal", {"rope_base": "10000.0", "d_ff": "96"}, None),  # TINY's d_model = 32 gives d_ff = 96
-    ("other rope_base", {"rope_base": "500.0", "d_ff": "96"}, "header entry rope_base=500.0 differs from ROPE_BASE = 10000.0"),
-    ("other d_ff", {"d_ff": "128"}, "header entry d_ff=128 differs from ModelConfig.d_ff = 96"),
-]
-
-
-@pytest.mark.parametrize("entries, named", [case[1:] for case in RETIRED_ENTRIES], ids=[case[0] for case in RETIRED_ENTRIES])
-def test_load_checks_retired_header_entries(tmp_path, entries, named):
-    """Older checkpoints carry `rope_base` and `d_ff`, which are now fixed: an
-    entry that states another value than the model is built with is a named
-    error, not a silent change of the trunk."""
+def test_load_refuses_a_version_1_checkpoint_of_another_rope_base(tmp_path):
+    """Only version 1 containers carry the `rope_base` and `d_ff` entries of
+    the settings now fixed; the container's version refuses them, naming the
+    file, before any entry is read."""
     model = tiny_model(seed=3)
     path = tmp_path / "m.ckpt"
-    model.save(path, extra_header=entries)
-    if named is None:
-        loaded, header = PolicyModel.load(path)
-        assert loaded.config == model.config and header.items() >= entries.items()
-        assert all(np.array_equal(loaded.params[k].data, p.data) for k, p in model.params.items())
-    else:
-        with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {named}')}"):
-            PolicyModel.load(path)
+    header = {**model.config.to_header(), "rope_base": "500.0", "d_ff": "96"}
+    write_version_1_container(path, {k: p.data for k, p in model.params.items()}, header)
+    with pytest.raises(CheckpointVersionError, match=f"^{re.escape(str(path))}: unsupported checkpoint version 1"):
+        PolicyModel.load(path)
 
 
 def test_load_rejects_a_container_without_model_entries(tmp_path):
@@ -191,34 +179,48 @@ def test_load_rejects_a_header_out_of_range(tmp_path, name):
 # ---------------------------------------------------------------------------
 
 
+def _views(rng, *shape):
+    """Random (..., R, R) uint8 views, indices into sim.PALETTE."""
+    return rng.integers(0, len(sim.PALETTE), size=shape, dtype=np.uint8)
+
+
 def test_patchify_reassembles():
-    rng = np.random.default_rng(0)
-    img = rng.uniform(size=(2, 16, 16, 3)).astype(np.float32)
+    img = _views(np.random.default_rng(0), 2, 16, 16)
+    colours = sim.PALETTE[img]
     patches = patchify(img, 8)
-    assert patches.shape == (2, 4, 192)
+    assert patches.shape == (2, 4, 192) and patches.dtype == np.float32
     # first patch is the top-left 8x8 block, row-major
-    assert np.array_equal(patches[0, 0], img[0, :8, :8, :].reshape(-1))
-    assert np.array_equal(patches[0, 1], img[0, :8, 8:, :].reshape(-1))
-    assert np.array_equal(patches[0, 2], img[0, 8:, :8, :].reshape(-1))
+    assert np.array_equal(patches[0, 0], colours[0, :8, :8, :].reshape(-1))
+    assert np.array_equal(patches[0, 1], colours[0, :8, 8:, :].reshape(-1))
+    assert np.array_equal(patches[0, 2], colours[0, 8:, :8, :].reshape(-1))
+    for bad in (img.astype(np.int64), img[..., None], img[:, :, :8], img[:, :12, :12]):
+        with pytest.raises(ShapeError, match="patchify"):
+            patchify(bad, 8)
+
+
+@pytest.mark.parametrize("resolution", [32, 16])
+@pytest.mark.parametrize("patch", [4, 8])
+def test_patchify_equals_the_lookup_then_the_patch_gather(resolution, patch):
+    """Looking the patch-ordered indices up is looking the image up, then
+    gathering its colours into patches, byte for byte."""
+    img = _views(np.random.default_rng(resolution + patch), 5, resolution, resolution)
+    img[0] = len(sim.PALETTE) - 1  # the last colour, beside random ones
+    n = resolution // patch
+    colours = sim.PALETTE.take(img, axis=0).reshape(5, n, patch, n, patch, 3)
+    expected = np.ascontiguousarray(colours.transpose(0, 1, 3, 2, 4, 5)).reshape(5, n * n, patch * patch * 3)
+    assert patchify(img, patch).tobytes() == expected.tobytes()
 
 
 def test_encode_state_shape_and_resolution_check():
     model = tiny_model()
     rng = np.random.default_rng(1)
-    out = encode_state_batch(
-        model,
-        rng.uniform(size=(1, 16, 16, 3)).astype(np.float32),
-        rng.uniform(size=(1, 8, 8, 3)).astype(np.float32),
-        rng.uniform(size=(1, 4)).astype(np.float32),
-    )
+    proprio = rng.uniform(size=(1, 4)).astype(np.float32)
+    out = encode_state_batch(model, _views(rng, 1, 16, 16), _views(rng, 1, 8, 8), proprio)
     assert out.shape == (1, 32)
     with pytest.raises(ShapeError, match="third"):
-        encode_state_batch(
-            model,
-            rng.uniform(size=(1, 32, 32, 3)).astype(np.float32),
-            rng.uniform(size=(1, 8, 8, 3)).astype(np.float32),
-            rng.uniform(size=(1, 4)).astype(np.float32),
-        )
+        encode_state_batch(model, _views(rng, 1, 32, 32), _views(rng, 1, 8, 8), proprio)
+    with pytest.raises(ShapeError, match="wrist"):
+        encode_state_batch(model, _views(rng, 1, 16, 16), sim.PALETTE[_views(rng, 1, 8, 8)], proprio)
 
 
 def test_attention_pool_identical_items_passthrough():
@@ -272,8 +274,7 @@ def test_rope_tables_slice_one_read_only_table(start, length):
 def test_encode_state_patch_permutation_with_positions_disabled():
     model = tiny_model(seed=5)
     rng = np.random.default_rng(3)
-    third = rng.uniform(size=(1, 16, 16, 3)).astype(np.float32)
-    wrist = rng.uniform(size=(1, 8, 8, 3)).astype(np.float32)
+    third, wrist = _views(rng, 1, 16, 16), _views(rng, 1, 8, 8)
     proprio = rng.uniform(size=(1, 4)).astype(np.float32)
     # permute the four 8x8 blocks of the third view
     permuted = third.copy()
@@ -389,8 +390,7 @@ def test_cached_trunk_lanes_match_single_lanes():
 def test_encoders_lanes_match_single_lanes():
     model = tiny_model(seed=5)
     rng = np.random.default_rng(6)
-    third = rng.uniform(size=(3, 1, 16, 16, 3)).astype(np.float32)
-    wrist = rng.uniform(size=(3, 1, 8, 8, 3)).astype(np.float32)
+    third, wrist = _views(rng, 3, 1, 16, 16), _views(rng, 3, 1, 8, 8)
     proprio = rng.uniform(size=(3, 1, 4)).astype(np.float32)
     traces = rng.uniform(size=(3, 1, 10)).astype(np.float32)
     state = mdl.encode_state_batch(model, third, wrist, proprio).data

@@ -285,9 +285,9 @@ def test_render_rejects_an_unknown_view():
 def test_observe_is_both_views_and_the_gripper():
     states = expert_rollout(reset(place_task(), 2, 1, seed=9), place_task())[0]
     third, wrist, proprio = observe(iter(states), 24, 8)
-    assert third.dtype == wrist.dtype == np.float32
-    assert third.tobytes() == sim.PALETTE[render(states, "third", 24)].tobytes()
-    assert wrist.tobytes() == sim.PALETTE[render(states, "wrist", 8)].tobytes()
+    assert third.dtype == wrist.dtype == np.uint8
+    assert third.tobytes() == render(states, "third", 24).tobytes()
+    assert wrist.tobytes() == render(states, "wrist", 8).tobytes()
     assert proprio.dtype == np.float32 and proprio.shape == (len(states), 4)
     assert np.array_equal(proprio, np.array([s.gripper for s in states], dtype=np.float32))
 
