@@ -147,7 +147,6 @@ def build_sequence(
     n_prompt: int,
     rng: np.random.Generator,
     chunk_h: int = 8,
-    mask_ratio: float | None = None,
 ) -> TrainingSequence:
     """Assemble one training sequence from a single-task episode subset.
 
@@ -175,7 +174,7 @@ def build_sequence(
     step_is_target[total - lengths[-1]:] = True
 
     reasoning_input_mask = np.zeros(total, dtype=bool)
-    reasoning_input_mask[total - lengths[-1]:] = traces_mod.sample_mask(lengths[-1], rng, ratio=mask_ratio)
+    reasoning_input_mask[total - lengths[-1]:] = traces_mod.sample_mask(lengths[-1], rng)
 
     # the next `chunk_h` actions of every step at once: step s reads the
     # actions from s on, clamped to the last step of its own episode, and

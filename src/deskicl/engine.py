@@ -9,8 +9,8 @@ trace, the every-k trace schedule, and the cache.
 
 `rollout` is the one closed loop. It steps B rollouts that share a task and
 a prompt in lockstep, one lane each, and hands the policy only the lanes'
-world states. `TransformerPolicy` observes them (`sim.observe`: each camera
-view of all lanes in one `render` call) at its model's resolutions, and owns
+world states. `TransformerPolicy` observes them (`sim.observe`: both camera
+views of all lanes in one `render` call) at its model's resolutions, and owns
 its trace schedule: k is fixed when it is built. It prefills the prompt
 once and copies its keys and values into every lane of a (B, ...) cache,
 and each token slot is one trunk call over all lanes. At each environment
@@ -378,43 +378,38 @@ def rollout(
     for all of them at each step, given their world states; what it renders
     of them is its own business. A lane leaves on success; at max_steps or
     on context overflow, which every lane reaches at the same step because
-    they all hold the same number of tokens, all the remaining lanes stop.
-    Each lane keeps its own row of the chunk ring, states and records, and
-    its result equals a run of that lane alone.
+    they all hold the same number of tokens, all the remaining lanes stop (a
+    prompt that overflows the context alone stops them before their first
+    step). Each lane keeps its own row of the chunk ring, states and
+    records, and its result equals a run of that lane alone.
     """
     if not initial_states:
         raise ValueError("rollout needs at least one initial state")
     lanes = [_Lane([s]) for s in initial_states]
+    active = list(lanes)
     try:
         policy.begin(prompt_demos, len(lanes))
-    except ContextOverflowError:
-        for lane in lanes:
-            lane.overflow = True
-        return [lane.result(task) for lane in lanes]
-    active = list(lanes)
-    h = policy.horizon
-    ring = np.zeros((len(lanes), h, h, ACTION_DIM), dtype=np.float32)  # lane, issue step % h, offset, action
-    for t in range(max_steps):
-        try:
+        h = policy.horizon
+        ring = np.zeros((len(lanes), h, h, ACTION_DIM), dtype=np.float32)  # lane, issue step % h, offset, action
+        for t in range(max_steps):
             traces, chunks = policy.propose(t, [lane.states[-1] for lane in active])
-        except ContextOverflowError:
-            for lane in active:
-                lane.overflow = True
-            break
-        if traces is not None:
-            for lane, trace in zip(active, traces):
-                lane.traces.append((t, trace))
-        ring[:, t % h] = chunks
-        actions = [Action(a) for a in temporal_ensemble(ring, t, ensemble_decay)]
-        policy.commit(np.stack([a.deltas for a in actions]).astype(np.float32))
-        for lane, action in zip(active, actions):
-            lane.states.append(sim_step(lane.states[-1], action))
-            lane.actions.append(action.deltas.copy())
-        going = np.flatnonzero([success(lane.states[-1], task) != 1.0 for lane in active])
-        if len(going) < len(active):
-            active = [active[j] for j in going]
-            if not active:
-                break
-            ring = ring[going]
-            policy.keep_lanes(going)
+            if traces is not None:
+                for lane, trace in zip(active, traces):
+                    lane.traces.append((t, trace))
+            ring[:, t % h] = chunks
+            actions = [Action(a) for a in temporal_ensemble(ring, t, ensemble_decay)]
+            policy.commit(np.stack([a.deltas for a in actions]).astype(np.float32))
+            for lane, action in zip(active, actions):
+                lane.states.append(sim_step(lane.states[-1], action))
+                lane.actions.append(action.deltas.copy())
+            going = np.flatnonzero([success(lane.states[-1], task) != 1.0 for lane in active])
+            if len(going) < len(active):
+                active = [active[j] for j in going]
+                if not active:
+                    break
+                ring = ring[going]
+                policy.keep_lanes(going)
+    except ContextOverflowError:
+        for lane in active:
+            lane.overflow = True
     return [lane.result(task) for lane in lanes]

@@ -15,17 +15,18 @@ receptacle classes are the palettes' colours.
 Cameras are orthographic. The "third" view covers the whole workspace; the
 "wrist" view covers the WRIST_WINDOW square centred on the gripper. `render`
 paints a sequence of states (an episode, or one lockstep step of many
-rollouts) from one view at one resolution in one call, as padded per-state
-disk arrays, so its cost per state falls as the batch grows. An image is a
+rollouts) from both cameras in one call: it builds one table of padded
+per-state disks for the batch and paints each camera at its own resolution
+from it, so its cost per state falls as the batch grows. An image is a
 uint8 index per pixel into PALETTE, the renderer's read-only (20, 3) float32
 colours. Each disk slot is painted only inside its window, the rows and
 columns it reaches in some state of the batch; the window is exact, because a
 float64 dx² + dy² is never below dy² or dx², so no pixel outside it is
 covered. `observe` is what a robot sees of its states at given camera
-resolutions: both views as PALETTE indices and the gripper as proprio. A
-recorded episode is `observe`'s output over the expert's states, so a demo
-is what the policy sees; the model's state encoder is the one place that
-looks the indices up in PALETTE.
+resolutions: both views as PALETTE indices, from one `render` call, and the
+gripper as proprio. A recorded episode is `observe`'s output over the
+expert's states, so a demo is what the policy sees; the model's state
+encoder is the one place that looks the indices up in PALETTE.
 """
 
 from __future__ import annotations
@@ -351,10 +352,10 @@ def third_view_uv(world_xy) -> np.ndarray:
     return np.stack([xy[..., 0], 1.0 - xy[..., 1]], axis=-1)
 
 
-def render(states, view: str, resolution: int) -> np.ndarray:
-    """Rasterize a sequence of states to (N, R, R) uint8 images, indices into
-    PALETTE, seen by the `"third"` or the `"wrist"` camera at R =
-    `resolution` pixels.
+def render(states, third_resolution: int, wrist_resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rasterize a sequence of states to the (N, G, G) and (N, C, C) uint8
+    images, indices into PALETTE, of the third camera at G =
+    `third_resolution` pixels and the wrist camera at C = `wrist_resolution`.
 
     Each state is painted in draw order: its receptacles, then its objects,
     then the gripper marker. A pixel takes the palette index of the last
@@ -362,20 +363,11 @@ def render(states, view: str, resolution: int) -> np.ndarray:
     its radius (squared distance <= radius², in float64). States may hold
     different numbers of entities: each state's disks are padded to a common
     count per kind, and a padded slot has radius² = -1 so it covers nothing.
-    The third view sees the whole workspace; the wrist view sees the
+    The disk table is built once and both cameras are painted from it. The
+    third view sees the whole workspace; the wrist view sees the
     WRIST_WINDOW square centred on each state's own gripper.
-
-    Each disk slot is painted only inside its window: the span of rows and
-    the span of columns it reaches (dy² or dx² <= radius²) in some state of
-    the batch. The window is exact, not a bound to be trusted: dx² >= 0, so
-    the float64 sum dx² + dy² is never below dy² (nor below dx²), and a row
-    or column outside the window holds no covered pixel. A padded slot
-    reaches nothing and is not painted.
     """
     states = list(states)
-    if view not in ("third", "wrist"):
-        raise ValueError(f"unknown camera view '{view}'")
-    window = 1.0 if view == "third" else WRIST_WINDOW
     n_rec = max((len(s.receptacles) for s in states), default=0)
     n_obj = max((len(s.objects) for s in states), default=0)
     rec_r2, obj_r2 = RECEPTACLE_RADIUS * RECEPTACLE_RADIUS, OBJECT_RADIUS * OBJECT_RADIUS
@@ -392,13 +384,29 @@ def render(states, view: str, resolution: int) -> np.ndarray:
     disks = np.array(slots, dtype=np.float64).reshape(len(states), n_rec + n_obj + 1, 4)
     yx, r2 = disks[..., 1::-1].transpose(2, 0, 1), disks[..., 2]  # (2, N, E): each slot's y and x; (N, E)
     color = disks[..., 3].astype(np.uint8)
-
-    centers = (np.arange(resolution, dtype=np.float64) + 0.5) / resolution * window
     # (2, N or 1, 1): the world y of the top edge and the world x of the left edge
-    if view == "third":
-        edges = np.array([1.0, 0.0])[:, None, None]
-    else:
-        edges = yx[:, :, -1:] + np.array([window / 2.0, -window / 2.0])[:, None, None]  # about the marker slot
+    third_edges = np.array([1.0, 0.0])[:, None, None]
+    wrist_edges = yx[:, :, -1:] + np.array([WRIST_WINDOW / 2.0, -WRIST_WINDOW / 2.0])[:, None, None]  # about the marker
+    return (
+        _paint(yx, r2, color, third_edges, 1.0, third_resolution),
+        _paint(yx, r2, color, wrist_edges, WRIST_WINDOW, wrist_resolution),
+    )
+
+
+def _paint(yx: np.ndarray, r2: np.ndarray, color: np.ndarray, edges: np.ndarray, window: float, resolution: int) -> np.ndarray:
+    """Paint one camera's (N, R, R) images from `render`'s disk table: each
+    slot's centre `yx` (2, N, E), radius² `r2` (N, E) and palette index
+    `color` (N, E), seen through a `window`-wide square whose top and left
+    world edges are `edges`.
+
+    Each disk slot is painted only inside its window: the span of rows and
+    the span of columns it reaches (dy² or dx² <= radius²) in some state of
+    the batch. The window is exact, not a bound to be trusted: dx² >= 0, so
+    the float64 sum dx² + dy² is never below dy² (nor below dx²), and a row
+    or column outside the window holds no covered pixel. A padded slot
+    reaches nothing and is not painted.
+    """
+    centers = (np.arange(resolution, dtype=np.float64) + 0.5) / resolution * window
     # (2, N, R): top - centers, the world y of each row (the top row is high y), and left + centers, the
     # world x of each column; negating by the sign is exact, so these are bit for bit those differences and sums
     grid = edges + np.array([-1.0, 1.0])[:, None, None] * centers
@@ -407,7 +415,7 @@ def render(states, view: str, resolution: int) -> np.ndarray:
     hit = (d2 <= r2[..., None]).any(axis=1)  # (2, E, R): the rows and columns each slot reaches
     first, end = hit.argmax(axis=2).tolist(), (resolution - hit[..., ::-1].argmax(axis=2)).tolist()
     r2, color = r2.T[:, :, None, None], color.T[:, :, None, None]  # (E, N, 1, 1): one index per slot in the loop
-    top = np.zeros((len(states), resolution, resolution), dtype=np.uint8)  # palette index of the topmost disk
+    top = np.zeros((yx.shape[1], resolution, resolution), dtype=np.uint8)  # palette index of the topmost disk
     for e, reached in enumerate(hit.any(axis=2).all(axis=0).tolist()):
         if reached:
             rows, cols = slice(first[0][e], end[0][e]), slice(first[1][e], end[1][e])
@@ -418,11 +426,10 @@ def render(states, view: str, resolution: int) -> np.ndarray:
 
 def observe(states, third_resolution: int, wrist_resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What a robot observes of a sequence of states: the (N, R, R) uint8
-    PALETTE indices of the third and wrist views, each from one `render`
-    call, and the (N, 4) float32 gripper pose as proprio."""
+    PALETTE indices of the third and wrist views, from one `render` call,
+    and the (N, 4) float32 gripper pose as proprio."""
     states = list(states)
-    third = render(states, "third", third_resolution)
-    wrist = render(states, "wrist", wrist_resolution)
+    third, wrist = render(states, third_resolution, wrist_resolution)
     return third, wrist, np.stack([s.gripper for s in states]).astype(np.float32)
 
 

@@ -18,9 +18,7 @@ its forward holds; only leaves (parameters, and tensors made with
 Causal attention runs over tiles of `_QUERY_TILE` query rows. A tile
 scores only the keys its rows can see, so the blocks above the diagonal
 are never computed, and the tape keeps the tiles' probabilities: about
-half of the (H, T, T) matrix at long T. A call of at most one tile, as
-every decode step is, is one scores product, one softmax and one context
-product, with no buffer for the tiles' outputs.
+half of the (H, T, T) matrix at long T.
 
 Broadcasting is restricted to leading batch dimensions: the smaller
 operand's shape must equal the trailing dims of the larger one, e.g.
@@ -408,27 +406,18 @@ def causal_attention(
         v_buf[..., start:start + t, :] = vh
         keys, values = k_buf[..., :start + t, :], v_buf[..., :start + t, :]
     probs = []  # each tile's (..., H, i1-i0, start+i1) probabilities, kept for the backward
-
-    def tile_probs(att: np.ndarray, i0: int) -> np.ndarray:
-        """Mask the diagonal square of the scores of query rows i0.., then
-        softmax them in place."""
-        n = att.shape[-2]
-        if n > 1:
+    ctx = np.empty((*lead, n_heads, t, dh), dtype=np.result_type(qh, keys, values))
+    for i0 in range(0, t, _QUERY_TILE):
+        i1 = min(i0 + _QUERY_TILE, t)
+        n = i1 - i0
+        att = np.matmul(qh[..., i0:i1, :], keys[..., :start + i1, :].swapaxes(-1, -2))
+        if n > 1:  # hide the diagonal square's future keys (a single row has none), then softmax in place
             np.copyto(att[..., start + i0:], -np.inf, where=_FUTURE[:n, :n])
         att -= att.max(axis=-1, keepdims=True)
         np.exp(att, out=att)
         att /= att.sum(axis=-1, keepdims=True)
         probs.append(att)
-        return att
-
-    if t <= _QUERY_TILE:
-        ctx = np.matmul(tile_probs(np.matmul(qh, keys.swapaxes(-1, -2)), 0), values)
-    else:
-        ctx = np.empty((*lead, n_heads, t, dh), dtype=np.result_type(qh, keys, values))
-        for i0 in range(0, t, _QUERY_TILE):
-            i1 = min(i0 + _QUERY_TILE, t)
-            att = np.matmul(qh[..., i0:i1, :], keys[..., :start + i1, :].swapaxes(-1, -2))
-            np.matmul(tile_probs(att, i0), values[..., :start + i1, :], out=ctx[..., i0:i1, :])
+        np.matmul(att, values[..., :start + i1, :], out=ctx[..., i0:i1, :])
     out = Tensor(merge(ctx), dtype=q.dtype)
 
     def bwd(g):

@@ -45,21 +45,17 @@ def augment_dataset(trajectories: list) -> list:
     return [replace(traj, traces=trace_matrix(traj)) for traj in trajectories]
 
 
-def sample_mask(n_target_steps: int, rng: np.random.Generator, ratio: float | None = None) -> np.ndarray:
+def sample_mask(n_target_steps: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform-ratio random mask over target steps, as an (n_target_steps,)
     bool array that is true at the masked steps.
 
-    `ratio` defaults to a Uniform[0, 1] draw; passing it explicitly pins the
-    masked fraction (used by tests). The number of masked positions is
-    floor(ratio * n_target_steps), drawn uniformly without replacement.
+    It draws a ratio u from Uniform[0, 1) and then masks floor(u *
+    n_target_steps) positions, drawn uniformly without replacement, both
+    from `rng`.
     """
     if n_target_steps < 0:
         raise ValueError("negative target step count")
-    if ratio is None:
-        ratio = float(rng.uniform())
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"mask ratio {ratio} outside [0, 1]")
-    n_masked = int(np.floor(ratio * n_target_steps))
+    n_masked = int(np.floor(float(rng.uniform()) * n_target_steps))
     mask = np.zeros(n_target_steps, dtype=bool)
     if n_masked:
         mask[rng.choice(n_target_steps, size=n_masked, replace=False)] = True

@@ -152,11 +152,20 @@ def test_build_sequence_requires_traces():
         build_sequence(bare, 1, np.random.default_rng(0))
 
 
-def test_build_sequence_mask_ratio_control():
-    seq = build_sequence(_subset([4, 10]), 1, np.random.default_rng(3), mask_ratio=0.5)
-    target_len = len(seq.episodes[-1])
-    assert int(seq.reasoning_input_mask.sum()) == target_len // 2
-    assert not seq.reasoning_input_mask[~seq.step_is_target].any()
+def test_build_sequence_masks_a_drawn_share_of_the_target():
+    """After picking its episodes, the sequence draws a ratio u and masks
+    floor(u * n) of the n target steps, checked against a replica of its
+    generator."""
+    counts = []
+    for seed in range(8):
+        seq = build_sequence(_subset([4, 10]), 1, np.random.default_rng(seed))
+        replica = np.random.default_rng(seed)
+        replica.choice(2, size=2, replace=False)  # the prompt and the target
+        target_len = len(seq.episodes[-1])
+        counts.append(int(seq.reasoning_input_mask.sum()))
+        assert counts[-1] == np.floor(replica.uniform() * target_len)
+        assert not seq.reasoning_input_mask[~seq.step_is_target].any()
+    assert 0 < max(counts)
 
 
 def test_build_sequence_chunk_rows_match_episodes():

@@ -115,7 +115,8 @@ def test_decode_matches_teacher_forced_heads():
     them."""
     task = TaskSpec("pick_place", 1, 0)
     episodes = [_demo(task, 40 + i, n_obj=1, n_rec=1) for i in range(2)]
-    seq = build_sequence(episodes, 1, np.random.default_rng(0), chunk_h=SMALL_CFG.chunk_h, mask_ratio=1.0)
+    seq = build_sequence(episodes, 1, np.random.default_rng(0), chunk_h=SMALL_CFG.chunk_h)
+    seq.reasoning_input_mask[:] = seq.step_is_target
     prompt, target = seq.episodes
     states = _expert_states(task, 40 + next(i for i, e in enumerate(episodes) if e is target), n_obj=1, n_rec=1)
     model = small_model(13)
@@ -284,11 +285,24 @@ def test_rollout_overflow_flagged():
     model = PolicyModel.init(cfg, seed=0)
     task = TaskSpec("poke", 0)
     state = sim.reset(task, 0, 0, seed=3)
-    demo = _demo(task, 33)  # ~14 steps -> 42 prompt tokens, leaves ~7 rollout tokens
+    demo = _demo(task, 33)  # 9 steps -> 27 prompt tokens, leaving room for 12 rollout steps
     [result] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 50, 0.1)
     assert result.overflow
     assert result.steps_used == 12
     assert result.score < 1.0
+
+
+def test_rollout_prompt_over_the_context_stops_every_lane_before_its_first_step():
+    cfg = ModelConfig(**{**SMALL_CFG.__dict__, "max_context": 24})
+    model = PolicyModel.init(cfg, seed=0)
+    task = TaskSpec("poke", 0)
+    states = [sim.reset(task, 0, 0, seed=3 + i) for i in range(3)]
+    demo = _demo(task, 33)  # 9 steps -> 27 prompt tokens, more than the 24 the context holds
+    results = rollout(TransformerPolicy(model, 1), states, task, [demo], 50, 0.1)
+    for state, result in zip(states, results, strict=True):
+        assert result.overflow and result.steps_used == 0 and result.executed_actions.shape == (0, 4)
+        assert len(result.states) == 1 and result.states[0] is state
+        assert result.predicted_traces == []
 
 
 class _ExpertInSomeLanes:
@@ -367,16 +381,17 @@ def test_rollout_lanes_overflow_together():
 
 def test_rollout_renders_only_what_the_policy_observes(monkeypatch):
     """The expert stub reads the world states and renders nothing; the
-    transformer policy renders both views of all its lanes at each step."""
+    transformer policy renders both views of all its lanes in one call at
+    each step."""
     task = TaskSpec("poke", 0)
     states = [sim.reset(task, 1, 0, seed=70 + i) for i in range(3)]
     demo = _demo(task, 31)
     cameras = []
     render = sim.render
 
-    def counting_render(states, view, resolution):
-        cameras.append((len(states), view, resolution))
-        return render(states, view, resolution)
+    def counting_render(states, third_resolution, wrist_resolution):
+        cameras.append((len(states), third_resolution, wrist_resolution))
+        return render(states, third_resolution, wrist_resolution)
 
     monkeypatch.setattr(sim, "render", counting_render)
     [result] = rollout(ExpertReplayPolicy(task, SMALL_CFG.chunk_h), states[:1], task, [demo], 200, 0.1)
@@ -384,7 +399,7 @@ def test_rollout_renders_only_what_the_policy_observes(monkeypatch):
     assert cameras == []
     results = rollout(TransformerPolicy(small_model(5), 1), states, task, [demo], 9, 0.1)
     assert [r.steps_used for r in results] == [9, 9, 9]
-    assert cameras == [(3, "third", 16), (3, "wrist", 8)] * 9
+    assert cameras == [(3, 16, 8)] * 9
 
 
 # ---------------------------------------------------------------------------

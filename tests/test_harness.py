@@ -694,6 +694,31 @@ def test_eval_without_a_variant_does_no_work(tiny_run, tmp_path, capsys, monkeyp
     assert not (run / "metrics").exists()
 
 
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("train", lambda split: {**split, "test": split["test"] + split["train"][:1]}, "split sides overlap: ['{}']"),
+        ("eval", lambda split: {**split, "test": split["test"] + ["nope"]}, "unknown task label 'nope'"),
+    ],
+    ids=["overlapping-sides", "unknown-test-label"],
+)
+def test_a_bad_split_file_is_named_in_the_error(tiny_run, tmp_path, capsys, command, edit, message):
+    """A split whose sides overlap, or whose test side names a task the
+    config does not have, fails with the split file's path and no traceback."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    shutil.copytree(out / "episodes", run / "episodes")
+    split = json.loads((run / "split.json").read_text())
+    (run / "split.json").write_text(json.dumps(edit(split)))
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    assert cli_main([command, "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"deskicl {command}: error: {run / 'split.json'}: {message.format(split['train'][0])}\n"
+    assert sorted(p.name for p in run.iterdir()) == ["checkpoints", "episodes", "split.json"]
+
+
 def test_report_keeps_sweep_records_apart_from_eval(tiny_run, tmp_path):
     """A sweep re-runs the eval's p1 scenes at k=1: its rows are their own,
     and the summary counts only the eval's rollouts."""

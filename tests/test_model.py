@@ -52,8 +52,14 @@ def tiny_model(seed=0, **overrides):
 
 
 def tiny_sequence(seed=0, lengths=(3, 4), n_prompt=1, label="poke_c0", mask_ratio=0.0, chunk_h=TINY.chunk_h):
+    """A built sequence whose first floor(mask_ratio * n) of n target steps,
+    and no others, have their trace inputs masked."""
     trajs = augment_dataset([toy_trajectory(label, length=n, g=16, c=8, seed=seed + i) for i, n in enumerate(lengths)])
-    return build_sequence(trajs, n_prompt, np.random.default_rng(seed), chunk_h=chunk_h, mask_ratio=mask_ratio)
+    seq = build_sequence(trajs, n_prompt, np.random.default_rng(seed), chunk_h=chunk_h)
+    target = np.flatnonzero(seq.step_is_target)
+    seq.reasoning_input_mask[:] = False
+    seq.reasoning_input_mask[target[: int(mask_ratio * len(target))]] = True
+    return seq
 
 
 # ---------------------------------------------------------------------------

@@ -241,15 +241,17 @@ def test_project_examples():
 def test_render_empty_scene_background_only():
     state = make_state([], [])
     state.gripper = np.array([2.0, 2.0, 0.5, 0.9])  # move marker out of frame
-    img = render([state], "third", THIRD_RESOLUTION)[0]
-    assert img.shape == (32, 32) and img.dtype == np.uint8
-    assert np.all(sim.PALETTE[img] == sim.BACKGROUND_COLOR)
+    third, wrist = render([state], THIRD_RESOLUTION, WRIST_RESOLUTION)
+    assert third.shape == (1, 32, 32) and wrist.shape == (1, 16, 16)
+    assert third.dtype == wrist.dtype == np.uint8
+    assert np.all(sim.PALETTE[third] == sim.BACKGROUND_COLOR)
+    assert set(np.unique(wrist).tolist()) == {0, len(sim.PALETTE) - 1}  # the wrist camera follows the marker
 
 
 def test_render_object_disk_centered():
     state = make_state([sim.SceneEntity(0, (0.5, 0.5))], [])
     state.gripper = np.array([0.05, 0.95, 0.5, 0.9])  # marker in a corner
-    img = sim.PALETTE[render([state], "third", THIRD_RESOLUTION)[0]]
+    img = sim.PALETTE[render([state], THIRD_RESOLUTION, WRIST_RESOLUTION)[0][0]]
     mask = np.all(img == sim.OBJECT_PALETTE[0], axis=-1)
     assert mask.sum() > 0
     rows, cols = np.nonzero(mask)
@@ -262,7 +264,7 @@ def test_render_object_disk_centered():
 def test_render_wrist_object_under_gripper_fills_center():
     state = make_state([sim.SceneEntity(1, (0.4, 0.6))], [])
     state.gripper = np.array([0.4, 0.6, 0.5, 0.9])
-    img = sim.PALETTE[render([state], "wrist", WRIST_RESOLUTION)[0]]
+    img = sim.PALETTE[render([state], THIRD_RESOLUTION, WRIST_RESOLUTION)[1][0]]
     c = WRIST_RESOLUTION // 2
     # center pixel is the marker (drawn last), ring around it is the object
     assert np.array_equal(img[c, c], sim.MARKER_COLOR)
@@ -272,22 +274,17 @@ def test_render_wrist_object_under_gripper_fills_center():
 
 def test_render_deterministic():
     state = reset(place_task(), 2, 1, seed=9)
-    a = render([state], "third", THIRD_RESOLUTION)
-    b = render([state], "third", THIRD_RESOLUTION)
-    assert np.array_equal(a, b)
-
-
-def test_render_rejects_an_unknown_view():
-    with pytest.raises(ValueError, match="unknown camera view 'top'"):
-        render([make_state([], [])], "top", THIRD_RESOLUTION)
+    a = render([state], THIRD_RESOLUTION, WRIST_RESOLUTION)
+    b = render([state], THIRD_RESOLUTION, WRIST_RESOLUTION)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_observe_is_both_views_and_the_gripper():
     states = expert_rollout(reset(place_task(), 2, 1, seed=9), place_task())[0]
     third, wrist, proprio = observe(iter(states), 24, 8)
     assert third.dtype == wrist.dtype == np.uint8
-    assert third.tobytes() == render(states, "third", 24).tobytes()
-    assert wrist.tobytes() == render(states, "wrist", 8).tobytes()
+    expected = render(states, 24, 8)
+    assert third.tobytes() == expected[0].tobytes() and wrist.tobytes() == expected[1].tobytes()
     assert proprio.dtype == np.float32 and proprio.shape == (len(states), 4)
     assert np.array_equal(proprio, np.array([s.gripper for s in states], dtype=np.float32))
 
@@ -351,18 +348,21 @@ def _oracle_states():
     return [out_of_frame, on_receptacle, crowded, held, at_edge]
 
 
-@pytest.mark.parametrize("view, resolution", [("third", THIRD_RESOLUTION), ("wrist", WRIST_RESOLUTION)], ids=["third", "wrist"])
-def test_render_batch_matches_oracle_bitwise(view, resolution):
+_CAMERAS = [(0, "third", THIRD_RESOLUTION), (1, "wrist", WRIST_RESOLUTION)]  # (index in render's pair, view, resolution)
+
+
+@pytest.mark.parametrize("camera, view, resolution", _CAMERAS, ids=["third", "wrist"])
+def test_render_batch_matches_oracle_bitwise(camera, view, resolution):
     states = _oracle_states()
     expected = np.stack([_render_oracle(s, view, resolution) for s in states])
-    batch = render(states, view, resolution)
+    batch = render(states, THIRD_RESOLUTION, WRIST_RESOLUTION)[camera]
     # the palette's colours are distinct, so equal colours are equal indices
     assert len(np.unique(sim.PALETTE, axis=0)) == len(sim.PALETTE)
     assert batch.dtype == np.uint8
     assert batch.shape == (len(states), resolution, resolution)
     assert np.array_equal(sim.PALETTE[batch], expected)
     for i, s in enumerate(states):
-        assert np.array_equal(sim.PALETTE[render([s], view, resolution)[0]], expected[i])
+        assert np.array_equal(sim.PALETTE[render([s], THIRD_RESOLUTION, WRIST_RESOLUTION)[camera][0]], expected[i])
     # the cases the states are built for show in the oracle's images
     if view == "third":
 
@@ -404,12 +404,12 @@ def _random_state(rng, i: int) -> WorldState:
 
 
 @pytest.mark.parametrize("n", [1, 4, 45])
-@pytest.mark.parametrize("view, resolution", [("third", THIRD_RESOLUTION), ("wrist", WRIST_RESOLUTION)], ids=["third", "wrist"])
-def test_render_random_batches_match_oracle_bitwise(view, resolution, n):
+@pytest.mark.parametrize("camera, view, resolution", _CAMERAS, ids=["third", "wrist"])
+def test_render_random_batches_match_oracle_bitwise(camera, view, resolution, n):
     rng = np.random.default_rng(1000 + n)
     batches = [[_random_state(rng, i)] for i in range(8)] if n == 1 else [[_random_state(rng, i) for i in range(n)]]
     for states in batches:
-        images = render(states, view, resolution)
+        images = render(states, THIRD_RESOLUTION, WRIST_RESOLUTION)[camera]
         assert images.dtype == np.uint8 and images.shape == (len(states), resolution, resolution)
         assert np.array_equal(sim.PALETTE[images], np.stack([_render_oracle(s, view, resolution) for s in states]))
     # the cases the states are drawn for are there
@@ -427,7 +427,7 @@ def test_brightest_pixel_tracks_gripper():
     rng = np.random.default_rng(1)
     for _ in range(60):
         current = step(current, Action(rng.uniform(-0.05, 0.05, 4)))
-        img = sim.PALETTE[render([current], "third", THIRD_RESOLUTION)[0]]
+        img = sim.PALETTE[render([current], THIRD_RESOLUTION, WRIST_RESOLUTION)[0][0]]
         brightness = img.sum(axis=-1)
         row, col = np.unravel_index(np.argmax(brightness), brightness.shape)
         u, v = third_view_uv(current.gripper[:2]) * THIRD_RESOLUTION
@@ -527,7 +527,7 @@ def test_episode_determinism_bitwise():
         rng = np.random.default_rng(77)
         states, actions, score = expert_rollout(state, task, rng)
         last = states[-1]
-        return last.gripper.copy(), np.array([a.deltas for a in actions]), render([last], "third", THIRD_RESOLUTION)
+        return last.gripper.copy(), np.array([a.deltas for a in actions]), render([last], THIRD_RESOLUTION, WRIST_RESOLUTION)[0]
 
     g1, a1, img1 = run()
     g2, a2, img2 = run()

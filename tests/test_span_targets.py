@@ -9,9 +9,10 @@ span in a traced benchmark run. This checks every target here instead.
 returns, and the tracer times `sim.render`, both by patching the functions
 under every name the package holds them by. A speed-up that stepped the
 world or painted an image without calling them would silently thin the
-calibration and drop spans, so the call counts are checked here. Recording
-an episode paints both views inside the `sim.render` span too: the episode
-is `sim.observe`'s palette indices and looks no colour up.
+calibration and drop spans, so the call counts are checked here. Observing
+states paints both cameras in one `sim.render` call, and recording an
+episode is that one call too: the episode is `sim.observe`'s palette indices
+and looks no colour up.
 
 The tracer times each backward rule by wrapping the tape's entries when
 `tensor.backward` is called, before the sweep pops them; a sweep that
@@ -118,23 +119,23 @@ def test_the_expert_and_the_closed_loop_step_the_world_through_sim_step():
     assert calls["sim.step"] == 21
 
 
-def test_observe_renders_each_view_once():
+def test_observe_renders_both_views_in_one_call():
     task = sim.TaskSpec("poke", 0)
     states = [sim.reset(task, 2, 1, seed=s) for s in range(4)]
     render = sim.render
     with _counting("sim.render") as calls:
         third, wrist, proprio = sim.observe(states, 16, 8)
-    assert calls == {"sim.render": 2}
+    assert calls == {"sim.render": 1}
     assert third.shape == (4, 16, 16) and wrist.shape == (4, 8, 8) and proprio.shape == (4, 4)
     assert sim.render is render  # the patch is undone
 
 
-def test_record_episode_renders_each_view_once_and_keeps_the_read_only_palette():
+def test_record_episode_renders_both_views_in_one_call_and_keeps_the_read_only_palette():
     task = sim.TaskSpec("pick_place", 1, 0)
     render = sim.render
     with _counting("sim.render") as calls:
         episode = harness.record_episode(ModelConfig(third_resolution=16, wrist_resolution=8), task, 1, 1, seed=3)
-    assert calls == {"sim.render": 2}
+    assert calls == {"sim.render": 1}
     assert sim.render is render  # the patch is undone
     assert episode.third.shape == (len(episode), 16, 16) and episode.wrist.shape == (len(episode), 8, 8)
     assert episode.third.dtype == episode.wrist.dtype == np.uint8
@@ -147,7 +148,7 @@ def test_the_tracer_times_every_backward_rule_the_sweep_pops():
     config = ModelConfig(d_model=32, n_layers=2, n_heads=2, third_resolution=16, wrist_resolution=8, max_context=256, chunk_h=4)
     model = PolicyModel.init(config, seed=0)
     trajectories = augment_dataset([toy_trajectory(length=n, seed=n) for n in (3, 4)])
-    seq = build_sequence(trajectories, 1, np.random.default_rng(0), chunk_h=4, mask_ratio=0.5)
+    seq = build_sequence(trajectories, 1, np.random.default_rng(0), chunk_h=4)
     traced = _tracer()
     tracer, patches = traced.Tracer(), traced.Patches()
     try:

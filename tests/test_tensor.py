@@ -25,8 +25,10 @@ from deskicl.tensor import GradError, ShapeError, Tape, Tensor, backward
 FD_STEP = 1e-3
 GRAD_TOL = 1e-3
 TILE = tn._QUERY_TILE
-# (T, start) cases of one tile and of two and three tiles, the last one partial
-ATTENTION_CASES = [(1, 0), (6, 0), (1, 5), (3, 5), (TILE + 3, 0), (TILE + 3, 5), (2 * TILE + 3, 0), (2 * TILE + 3, 5)]
+# (T, start) cases of part of a tile, exactly one full tile, and two and three tiles, the last one partial
+ATTENTION_CASES = [
+    (1, 0), (6, 0), (1, 5), (3, 5), (TILE, 0), (TILE, 5), (TILE + 3, 0), (TILE + 3, 5), (2 * TILE + 3, 0), (2 * TILE + 3, 5)
+]
 
 
 def fd_gradients(build, arrays, step=FD_STEP):
@@ -177,7 +179,7 @@ def test_causal_attention_against_loops(t, start):
         assert np.array_equal(cache[1][:, start:], v.reshape(t, 2, 4).transpose(1, 0, 2))
 
 
-@pytest.mark.parametrize("t, start", [(1, 0), (6, 0), (1, 5), (3, 5), (2 * TILE + 3, 5)])
+@pytest.mark.parametrize("t, start", [(1, 0), (6, 0), (1, 5), (3, 5), (TILE, 0), (TILE, 5), (2 * TILE + 3, 5)])
 def test_causal_attention_lanes_match_single_lanes(t, start):
     """A (B, T, d) call over a (B, H, L, dh) cache is B independent
     (T, d) calls, bit for bit, outputs and written cache rows alike."""

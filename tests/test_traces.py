@@ -127,22 +127,34 @@ def test_augment_idempotent():
     assert np.array_equal(once[0].traces, twice[0].traces)
 
 
-def test_mask_forced_ratios():
-    rng = np.random.default_rng(0)
-    none = sample_mask(12, rng, ratio=0.0)
-    assert none.shape == (12,) and none.dtype == bool and not none.any()
-    assert sample_mask(12, rng, ratio=1.0).all()
-    mask = sample_mask(7, rng, ratio=0.5)
-    assert mask.shape == (7,) and mask.sum() == 3
-    assert all(0 <= p < 7 for p in np.flatnonzero(mask))
+def _replica_mask(n: int, seed: int) -> np.ndarray:
+    """The mask `sample_mask(n, default_rng(seed))` must draw: a ratio u,
+    then floor(u * n) positions, from a replica of its generator."""
+    replica = np.random.default_rng(seed)
+    n_masked = int(np.floor(replica.uniform() * n))
+    mask = np.zeros(n, dtype=bool)
+    if n_masked:
+        mask[replica.choice(n, size=n_masked, replace=False)] = True
+    return mask
+
+
+def test_mask_count_is_the_floor_of_the_drawn_ratio():
+    counts = set()
+    for seed in range(40):
+        for n in (1, 7, 12):
+            mask = sample_mask(n, np.random.default_rng(seed))
+            assert mask.shape == (n,) and mask.dtype == bool
+            assert mask.sum() == np.floor(np.random.default_rng(seed).uniform() * n)
+            counts.add((n, int(mask.sum())))
+    # the seeds reach every count floor(u * 12) can take: 0 to 11, as u < 1
+    assert {c for n, c in counts if n == 12} == set(range(12))
 
 
 def test_mask_bool_view():
-    flags = sample_mask(10, np.random.default_rng(1), ratio=0.3)
-    drawn = np.random.default_rng(1).choice(10, size=3, replace=False)
-    assert flags.shape == (10,) and flags.dtype == bool
-    assert flags.sum() == 3
-    assert set(np.nonzero(flags)[0]) == set(drawn)
+    for seed in range(10):
+        flags = sample_mask(10, np.random.default_rng(seed))
+        assert flags.shape == (10,) and flags.dtype == bool
+        assert np.array_equal(flags, _replica_mask(10, seed))
 
 
 def test_mask_distribution_mean():
