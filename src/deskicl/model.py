@@ -333,20 +333,22 @@ def interleave_tokens(f_s: Tensor, f_r: Tensor, f_a: Tensor) -> Tensor:
 
 @functools.lru_cache(maxsize=8)
 def _rope_table(head_dim: int, max_context: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only cos/sin tables (max_context, head_dim/2) of every position."""
+    """Read-only rotation tables (max_context, head_dim) of every position:
+    [cos, cos] and [-sin, sin] of the (max_context, head_dim/2) angles."""
     half = head_dim // 2
     freqs = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / head_dim)
     angles = np.arange(max_context, dtype=np.float64)[:, None] * freqs[None, :]
-    tables = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    cos, sin = np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
+    tables = np.concatenate([cos, cos], axis=1), np.concatenate([-sin, sin], axis=1)
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
 def rope_tables(config: ModelConfig, start: int, length: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables (length, head_dim/2) for absolute positions
-    start..start+length: read-only row slices of one table per (head_dim,
-    max_context, dtype), computed on first use."""
+    """Rotation tables (length, head_dim), [cos, cos] and [-sin, sin], for
+    absolute positions start..start+length: read-only row slices of one
+    table per (head_dim, max_context, dtype), computed on first use."""
     cos, sin = _rope_table(config.head_dim, config.max_context, np.dtype(dtype))
     return cos[start:start + length], sin[start:start + length]
 
@@ -391,8 +393,11 @@ class KVCache:
 
     def select_lanes(self, lanes: np.ndarray) -> None:
         """Keep the lanes at the indices `lanes`, in that order; an index may
-        repeat, so one lane's prefix can be copied into several."""
+        repeat, so one lane's prefix can be copied into several. The identity
+        selection (every lane, in order) keeps the buffers as they are."""
         lanes = np.asarray(lanes, dtype=np.intp)
+        if np.array_equal(lanes, np.arange(self.lanes)):
+            return
         old_k, old_v, n = self.k, self.v, self.length
         self.lanes = len(lanes)
         if old_k is None:

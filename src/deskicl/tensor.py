@@ -18,7 +18,14 @@ its forward holds; only leaves (parameters, and tensors made with
 Causal attention runs over tiles of `_QUERY_TILE` query rows. A tile
 scores only the keys its rows can see, so the blocks above the diagonal
 are never computed, and the tape keeps the tiles' probabilities: about
-half of the (H, T, T) matrix at long T.
+half of the (H, T, T) matrix at long T. While a `Tape` records, the full
+probability tiles are recycled across taped calls: each is a view of a
+buffer taken from a module-wide pool of spares, and the backward rule gives
+the buffer back after the tile's last use, so the next step's forward
+finds the memory already mapped instead of faulting it in afresh. The pool
+never holds more bytes than the most tile memory one `Tape` has taken, that
+is one training step's tiles at the longest sequence seen. Untaped calls
+(inference) allocate their tiles as plain temporaries.
 
 Broadcasting is restricted to leading batch dimensions: the smaller
 operand's shape must equal the trailing dims of the larger one, e.g.
@@ -104,6 +111,7 @@ class Tape:
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
+        self.tile_bytes = 0  # attention tile memory this tape's ops took from `_tiles`
 
     def __enter__(self) -> "Tape":
         global _active_tape
@@ -345,16 +353,66 @@ def softmax(a: Tensor) -> Tensor:
     return _finish(out, (a,), bwd)
 
 
-def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """RoPE with half-split pairing: rotate (x1, x2) by the per-row angles.
-    Its transpose (for gradients) is the rotation with `-sin`."""
+def _swap_halves(x: np.ndarray) -> np.ndarray:
     half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
+    return np.concatenate([x[..., half:], x[..., :half]], axis=-1)
+
+
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """RoPE with half-split pairing: rotate (x1, x2) by the per-row angles,
+    given full-width tables `cos` = [cos, cos] and `sin` = [-sin, sin]."""
+    return x * cos + _swap_halves(x) * sin
+
+
+def _rotate_back(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """The transpose of `_rotate` (for gradients): the rotation by minus the angles."""
+    return x * cos - _swap_halves(x) * sin
 
 
 _QUERY_TILE = 64  # query rows per attention tile
 _FUTURE = np.triu(np.ones((_QUERY_TILE, _QUERY_TILE), dtype=bool), k=1)  # a tile's masked diagonal square
+
+
+class _TilePool:
+    """Spare buffers for the full probability tiles of taped attention
+    calls, recycled across steps instead of returned to the allocator.
+
+    A buffer is (*lead, H, _QUERY_TILE, W), where W is the tile's key count
+    K rounded up to a multiple of `_QUERY_TILE`, so steps of different
+    lengths share buffers, and the tile is its `[..., :K]` view. Spares are
+    kept per (lead + heads, W, dtype), so float32 and float64 tiles never
+    share one. `take` hands out a spare or a new buffer and charges it to
+    the recording tape; `give` keeps a returned buffer only while the
+    spares stay within `cap`, the most bytes one tape has taken, and drops
+    it otherwise. So the pool holds at most one step's tiles at the longest
+    sequence seen.
+    """
+
+    def __init__(self):
+        self.spares: dict[tuple, list[np.ndarray]] = {}
+        self.held = 0  # bytes in `spares`
+        self.cap = 0
+
+    def take(self, tape: Tape, lead: tuple[int, ...], cols: int, dtype: np.dtype) -> np.ndarray:
+        """A (*lead, _QUERY_TILE, cols) tile whose `base` is its pool buffer."""
+        width = -(-cols // _QUERY_TILE) * _QUERY_TILE
+        spares = self.spares.get((lead, width, dtype))
+        if spares:
+            buf = spares.pop()
+            self.held -= buf.nbytes
+        else:
+            buf = np.empty((*lead, _QUERY_TILE, width), dtype=dtype)
+        tape.tile_bytes += buf.nbytes
+        self.cap = max(self.cap, tape.tile_bytes)
+        return buf[..., :cols]
+
+    def give(self, buf: np.ndarray) -> None:
+        if self.held + buf.nbytes <= self.cap:
+            self.spares.setdefault((buf.shape[:-2], buf.shape[-1], buf.dtype), []).append(buf)
+            self.held += buf.nbytes
+
+
+_tiles = _TilePool()
 
 
 def causal_attention(
@@ -365,8 +423,9 @@ def causal_attention(
 
     `q`, `k`, `v` are (T, d) projections, or (B, T, d) for B independent
     lanes that share positions. Each splits into `n_heads` heads of width
-    dh; q and k are rotated by the position tables `cos`/`sin` (T, dh/2), q
-    is scaled by dh**-0.5, and every position attends to itself and all
+    dh; q and k are rotated by the position tables `cos`/`sin` (T, dh),
+    which hold [cos, cos] and [-sin, sin] of the angles (T, dh/2), q is
+    scaled by dh**-0.5, and every position attends to itself and all
     earlier ones of its lane. The heads' outputs merge back to q's shape.
 
     `kv_cache` is a pair of (n_heads, L, dh) buffers, or (B, n_heads, L, dh)
@@ -382,6 +441,14 @@ def causal_attention(
     keeps every tile's probabilities, and the backward applies the softmax
     rule tile by tile, summing each tile's key and value gradients over
     the rows it scored.
+
+    While a `Tape` records the call, each full tile's probabilities are
+    written into a view of a buffer from the module's tile pool
+    (`_TilePool`), and the backward gives the buffer back right after the
+    tile's last use, so consecutive training steps reuse the same memory.
+    The pool holds at most the most tile bytes any one tape has taken: one
+    step's tiles at the longest sequence seen. A short last tile, and every
+    tile of an untaped call, is allocated afresh.
     """
     *lead, t, d = q.shape
     if len(lead) > 1 or k.shape != q.shape or v.shape != q.shape or d % n_heads:
@@ -405,12 +472,20 @@ def causal_attention(
         k_buf[..., start:start + t, :] = kh
         v_buf[..., start:start + t, :] = vh
         keys, values = k_buf[..., :start + t, :], v_buf[..., :start + t, :]
+    tape = _active_tape if q.requires_grad or k.requires_grad or v.requires_grad else None
     probs = []  # each tile's (..., H, i1-i0, start+i1) probabilities, kept for the backward
     ctx = np.empty((*lead, n_heads, t, dh), dtype=np.result_type(qh, keys, values))
     for i0 in range(0, t, _QUERY_TILE):
         i1 = min(i0 + _QUERY_TILE, t)
         n = i1 - i0
-        att = np.matmul(qh[..., i0:i1, :], keys[..., :start + i1, :].swapaxes(-1, -2))
+        keys_t = keys[..., :start + i1, :].swapaxes(-1, -2)
+        if tape is None or n < _QUERY_TILE:
+            # a short last tile is not recycled: padded to full rows, its
+            # buffer would keep up to _QUERY_TILE - 1 unused rows resident
+            att = np.matmul(qh[..., i0:i1, :], keys_t)
+        else:
+            tile = _tiles.take(tape, (*lead, n_heads), start + i1, np.result_type(qh, keys))
+            att = np.matmul(qh[..., i0:i1, :], keys_t, out=tile)
         if n > 1:  # hide the diagonal square's future keys (a single row has none), then softmax in place
             np.copyto(att[..., start + i0:], -np.inf, where=_FUTURE[:n, :n])
         att -= att.max(axis=-1, keepdims=True)
@@ -435,11 +510,13 @@ def causal_attention(
             np.matmul(g_scores, keys[..., :start + i1, :], out=gq[..., i0:i1, :])
             gk[..., :i1, :] += np.matmul(g_scores[..., start:].swapaxes(-1, -2), qh[..., i0:i1, :])
             gv[..., :i1, :] += np.matmul(att[..., start:].swapaxes(-1, -2), g_tile)
+            if att.base is not None:  # a recycled tile
+                _tiles.give(att.base)
         if q.requires_grad:
             gq *= s
-            q.accumulate_grad(merge(_rotate(gq, cos, -sin)))
+            q.accumulate_grad(merge(_rotate_back(gq, cos, sin)))
         if k.requires_grad:
-            k.accumulate_grad(merge(_rotate(gk, cos, -sin)))
+            k.accumulate_grad(merge(_rotate_back(gk, cos, sin)))
         if v.requires_grad:
             v.accumulate_grad(merge(gv))
 

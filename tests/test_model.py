@@ -266,9 +266,10 @@ def test_rope_tables_slice_one_read_only_table(start, length):
     freqs = mdl.ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
     angles = np.arange(start, start + length, dtype=np.float64)[:, None] * freqs[None, :]
     cos, sin = mdl.rope_tables(cfg, start, length, np.float32)
-    assert cos.dtype == sin.dtype == np.float32 and cos.shape == sin.shape == (length, half)
-    assert cos.tobytes() == np.cos(angles).astype(np.float32).tobytes()
-    assert sin.tobytes() == np.sin(angles).astype(np.float32).tobytes()
+    assert cos.dtype == sin.dtype == np.float32 and cos.shape == sin.shape == (length, cfg.head_dim)
+    half_cos, half_sin = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+    assert cos.tobytes() == np.concatenate([half_cos, half_cos], axis=1).tobytes()
+    assert sin.tobytes() == np.concatenate([-half_sin, half_sin], axis=1).tobytes()
     again, _ = mdl.rope_tables(cfg, 0, cfg.max_context, np.float32)
     assert np.shares_memory(cos, again)
     for table in (cos, sin, again):
@@ -391,6 +392,29 @@ def test_cached_trunk_lanes_match_single_lanes():
         assert not k_shared[:, :, shared.length:].any()  # rows past the length are never written
     with pytest.raises(ShapeError, match="lane"):
         transformer_hidden(model, Tensor(steps[0]), shared)
+
+
+def test_identity_lane_selection_keeps_the_cache():
+    """Selecting every lane in order, as `begin` does for one lane, keeps the
+    cache's arrays, and the next decode gives the bits of a cache never
+    selected; any other selection copies."""
+    model = tiny_model(seed=3)
+    rng = np.random.default_rng(7)
+    prefix = rng.normal(size=(9, 32)).astype(np.float32)
+    step = rng.normal(size=(2, 32)).astype(np.float32)
+    plain, selected = KVCache(TINY), KVCache(TINY)
+    for cache in (plain, selected):
+        transformer_hidden(model, Tensor(prefix), cache)
+    k, v = selected.k, selected.v
+    selected.select_lanes(np.zeros(1, dtype=np.intp))
+    assert selected.k is k and selected.v is v and selected.lanes == 1 and selected.length == 9
+    assert np.array_equal(transformer_hidden(model, Tensor(step), selected).data, transformer_hidden(model, Tensor(step), plain).data)
+    selected.select_lanes(np.zeros(3, dtype=np.intp))
+    k = selected.k
+    selected.select_lanes(np.arange(3))
+    assert selected.k is k
+    selected.select_lanes(np.array([2, 1, 0]))
+    assert selected.k is not k and selected.lanes == 3
 
 
 def test_encoders_lanes_match_single_lanes():

@@ -151,8 +151,14 @@ def _attention_oracle(q, k, v, n_heads, cos, sin, past_k, past_v):
     return out
 
 
+def _full_width(cos, sin):
+    """The op's rotation tables [cos, cos] and [-sin, sin] from half-width ones."""
+    return np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
+
+
 def _attention_case(t, start, n_heads=2, d=8, seed=0):
-    """(q, k, v, cos, sin, kv_cache or None) with `start` random cached rows."""
+    """(q, k, v, cos, sin, kv_cache or None) with `start` random cached rows;
+    `cos`/`sin` are the half-width tables the oracle reads."""
     g = np.random.default_rng(seed)
     q, k, v = (g.normal(size=(t, d)).astype(np.float32) for _ in range(3))
     angles = g.uniform(0.0, 2.0 * np.pi, size=(t, d // n_heads // 2))
@@ -169,7 +175,7 @@ def test_causal_attention_against_loops(t, start):
     q, k, v, cos, sin, cache = _attention_case(t, start)
     empty = np.zeros((2, 0, 4))
     past_k, past_v = (empty, empty) if cache is None else (cache[0][:, :start].copy(), cache[1][:, :start].copy())
-    out = tn.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2, cos, sin, kv_cache=cache, start=start)
+    out = tn.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2, *_full_width(cos, sin), kv_cache=cache, start=start)
     assert out.shape == (t, 8)
     assert np.abs(out.data - _attention_oracle(q, k, v, 2, cos, sin, past_k, past_v)).max() < 1e-5
     if cache is not None:
@@ -184,7 +190,7 @@ def test_causal_attention_lanes_match_single_lanes(t, start):
     """A (B, T, d) call over a (B, H, L, dh) cache is B independent
     (T, d) calls, bit for bit, outputs and written cache rows alike."""
     lanes = [_attention_case(t, start, seed=s) for s in range(3)]
-    cos, sin = lanes[0][3], lanes[0][4]
+    cos, sin = _full_width(lanes[0][3], lanes[0][4])
     stacked = [np.stack([lane[i] for lane in lanes]) for i in range(3)]
     cache = None if start == 0 else tuple(np.stack([lane[5][i] for lane in lanes]) for i in range(2))
     out = tn.causal_attention(*(Tensor(x) for x in stacked), 2, cos, sin, kv_cache=cache, start=start)
@@ -198,7 +204,7 @@ def test_causal_attention_lanes_match_single_lanes(t, start):
 
 def test_grad_causal_attention_lanes():
     lanes = [_attention_case(3, 5, seed=s) for s in range(2)]
-    cos, sin = lanes[0][3], lanes[0][4]
+    cos, sin = _full_width(lanes[0][3], lanes[0][4])
     q, k, v = (np.stack([lane[i] for lane in lanes]) for i in range(3))
     cache = tuple(np.stack([lane[5][i] for lane in lanes]) for i in range(2))
     w = np.random.default_rng(2).normal(size=(2, 3, 8)).astype(np.float32)
@@ -210,14 +216,23 @@ def test_grad_causal_attention_lanes():
     check_grads(build, [q, k, v])
 
 
-def test_causal_attention_tape_keeps_the_tiles_not_the_matrix():
+@pytest.fixture
+def empty_tile_pool(monkeypatch):
+    """A fresh tile pool in place of the module's for the test's duration."""
+    pool = tn._TilePool()
+    monkeypatch.setattr(tn, "_tiles", pool)
+    return pool
+
+
+def test_causal_attention_tape_keeps_the_tiles_not_the_matrix(empty_tile_pool):
     """Over 8 tiles the taped forward holds the tiles' probabilities, 9/16 of
-    the (H, T, T) score matrix, plus (T, d) arrays; not the whole matrix."""
+    the (H, T, T) score matrix, plus (T, d) arrays; not the whole matrix.
+    The pool starts empty: spares made before tracing would hide the tiles."""
     t, n_heads = 8 * TILE, 4
     g = np.random.default_rng(0)
     q, k, v = (Tensor(g.normal(size=(t, 8)).astype(np.float32), requires_grad=True) for _ in range(3))
     angles = g.uniform(0.0, 2.0 * np.pi, size=(t, 1))
-    cos, sin = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+    cos, sin = _full_width(np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -228,6 +243,83 @@ def test_causal_attention_tape_keeps_the_tiles_not_the_matrix():
         tracemalloc.stop()
     assert len(tape) == 1
     assert held < 0.6 * n_heads * t * t * out.data.itemsize
+
+
+def _taped_attention_step(t, start, dtype=np.float32, backward_too=True):
+    """One taped step of two attention calls, as of two layers, over a fresh
+    case; returns the bytes of q's, k's and v's gradients."""
+    q, k, v, cos, sin, cache = _attention_case(t, start, seed=t + start)
+    cos, sin = (table.astype(dtype) for table in _full_width(cos, sin))
+    ts = [Tensor(x, requires_grad=True, dtype=dtype) for x in (q, k, v)]
+    w = Tensor(np.random.default_rng(t).normal(size=(t, 8)), dtype=dtype)
+    with Tape():
+        outs = []
+        for _ in range(2):
+            layer_cache = None if cache is None else tuple(buf.astype(dtype) for buf in cache)
+            outs.append(tn.sum_all(tn.mul(tn.causal_attention(*ts, 2, cos, sin, kv_cache=layer_cache, start=start), w)))
+        loss = tn.add(*outs)
+        if backward_too:
+            backward(loss)
+    return [x.grad.tobytes() for x in ts] if backward_too else None
+
+
+def _step_tile_bytes(t, start):
+    """What one float32 `_taped_attention_step` takes from the pool: per
+    call, every full tile of its 2 heads with its keys padded to a multiple
+    of TILE."""
+    widths = [-(-(start + i0 + TILE) // TILE) * TILE for i0 in range(0, t - TILE + 1, TILE)]
+    return 2 * 2 * TILE * sum(widths) * 4
+
+
+POOL_STEPS = [(70, 0), (200, 0), (131, 0), (131, 5)]
+
+
+def test_recycled_tiles_give_the_gradients_of_fresh_ones(empty_tile_pool, monkeypatch):
+    """Steps of different lengths, one with a cache, run back to back on
+    recycled tiles give the same gradient bits as each run on an empty pool."""
+    fresh = []
+    for t, start in POOL_STEPS:
+        monkeypatch.setattr(tn, "_tiles", tn._TilePool())
+        fresh.append(_taped_attention_step(t, start))
+    monkeypatch.setattr(tn, "_tiles", empty_tile_pool)
+    for _ in range(2):
+        recycled = [_taped_attention_step(t, start) for t, start in POOL_STEPS]
+        assert recycled == fresh
+    assert empty_tile_pool.held > 0
+
+
+def test_tile_pool_holds_at_most_one_step_of_the_longest_length(empty_tile_pool):
+    """Alternating long steps with short ones whose cache shifts their tiles
+    to another width: the spares never exceed one long step's tiles."""
+    longest = _step_tile_bytes(260, 0)
+    assert _step_tile_bytes(70, 300) < longest  # but its width, 384, is not one of 64..256
+    for t, start in [(260, 0), (70, 300)] * 3:
+        _taped_attention_step(t, start)
+        assert empty_tile_pool.held <= longest
+    assert empty_tile_pool.held == longest
+
+
+def test_untaped_and_unfinished_steps_do_not_grow_the_tile_pool(empty_tile_pool):
+    _taped_attention_step(131, 0)
+    held = empty_tile_pool.held
+    q, k, v, cos, sin, _ = _attention_case(200, 0)
+    tn.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2, *_full_width(cos, sin))
+    assert empty_tile_pool.held == held
+    _taped_attention_step(200, 0, backward_too=False)
+    assert empty_tile_pool.held <= held
+    _taped_attention_step(131, 0)
+    assert empty_tile_pool.held <= held
+
+
+def test_float32_and_float64_tiles_never_share_a_buffer(empty_tile_pool):
+    _taped_attention_step(131, 0, np.float32)
+    single = [id(buf) for spares in empty_tile_pool.spares.values() for buf in spares]
+    _taped_attention_step(131, 0, np.float64, backward_too=False)
+    assert sorted(id(buf) for spares in empty_tile_pool.spares.values() for buf in spares) == sorted(single)
+    _taped_attention_step(131, 0, np.float64)
+    for (*_, dtype), spares in empty_tile_pool.spares.items():
+        assert all(buf.dtype == dtype for buf in spares)
+    assert {key[-1] for key in empty_tile_pool.spares} == {np.dtype(np.float32), np.dtype(np.float64)}
 
 
 def test_rms_norm_unit_rms():
@@ -425,6 +517,7 @@ def test_grad_gather_rows_accumulates_duplicates():
 @pytest.mark.parametrize("t, start", ATTENTION_CASES)
 def test_grad_causal_attention(t, start):
     q, k, v, cos, sin, cache = _attention_case(t, start, seed=1)
+    cos, sin = _full_width(cos, sin)
     w = np.random.default_rng(2).normal(size=(t, 8)).astype(np.float32)
 
     def build(ts):
