@@ -40,11 +40,7 @@ _CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
 
 class CheckpointError(RuntimeError):
-    """Malformed or truncated container file."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """A container of another version than this module reads."""
+    """Malformed or truncated container file, or one of another version."""
 
 
 def save_checkpoint(path: str | Path, params: Mapping[str, np.ndarray], header: Mapping[str, str]) -> None:
@@ -94,7 +90,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, 
             raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
         (version,) = struct.unpack("<I", take(4))
         if version != VERSION:
-            raise CheckpointVersionError(f"{path}: unsupported checkpoint version {version} (this deskicl reads version {VERSION})")
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version} (this deskicl reads version {VERSION})")
         (header_len,) = struct.unpack("<I", take(4))
         header: dict[str, str] = {}
         for line in text(header_len).split("\n"):

@@ -11,7 +11,8 @@ arrays are named `<i>.<field>`, for the fields it has (an episode without
 traces has no `<i>.traces`): `third` and `wrist` uint8, `proprio`, `actions`
 and `traces` float32. Round trips are bit-exact. Files of earlier versions
 (float32 colours, or a palette stored with each episode) do not load: they
-raise a VersionMismatchError that says to rerun gen-data.
+raise an EpisodeIOError that says to rerun gen-data, as does a file that is
+not a container at all, such as a version 1 (JSONL) file.
 """
 
 from __future__ import annotations
@@ -22,32 +23,20 @@ from pathlib import Path
 import numpy as np
 
 from . import traces as traces_mod
-from .checkpoint import CheckpointError, CheckpointVersionError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .sim import PALETTE
 
 FILE_MAGIC = "deskicl-episodes"
 # A stored view is indices into sim.PALETTE and the file does not hold the
 # colours, so a change to sim.PALETTE needs a new version.
 FILE_VERSION = 4
-_V1_PREFIX = b'{"magic": "deskicl-episodes"'  # how version 1 (JSONL) files begin
 ARRAY_FIELDS = ("third", "wrist", "proprio", "actions", "traces")
 
 
 class EpisodeIOError(RuntimeError):
-    pass
-
-
-class VersionMismatchError(EpisodeIOError):
-    pass
-
-
-class TruncatedFileError(EpisodeIOError):
-    pass
-
-
-class ShapeMismatchError(EpisodeIOError):
-    """An episode's arrays do not make a Trajectory: lengths, shapes,
-    dtypes, or an index past sim.PALETTE."""
+    """An episode file that does not load: not a container of this version,
+    another magic or version, a malformed header, or arrays that do not make
+    its Trajectories."""
 
 
 @dataclass(frozen=True)
@@ -220,33 +209,28 @@ def load_episodes(path) -> list[Trajectory]:
     path = Path(path)
     try:
         arrays, header = load_checkpoint(path)
-    except CheckpointVersionError as exc:
-        raise VersionMismatchError(f"{exc}, not an episode file of version {FILE_VERSION}; rerun gen-data") from exc
     except CheckpointError as exc:
-        with path.open("rb") as fh:
-            if fh.read(len(_V1_PREFIX)) == _V1_PREFIX:
-                raise VersionMismatchError(f"{path}: version 1 (JSONL) episode file; rerun gen-data") from exc
-        raise TruncatedFileError(str(exc)) from exc
+        raise EpisodeIOError(f"{exc}; rerun gen-data") from exc
     if header.get("magic") != FILE_MAGIC:
-        raise VersionMismatchError(f"{path}: not an episode file (magic {header.get('magic')!r})")
+        raise EpisodeIOError(f"{path}: not an episode file (magic {header.get('magic')!r})")
     if header.get("version") != str(FILE_VERSION):
-        raise VersionMismatchError(
+        raise EpisodeIOError(
             f"{path}: episode file version {header.get('version')!r}, not {FILE_VERSION}; rerun gen-data"
         )
     try:
         labels = [header[f"{i}.task_label"] for i in range(int(header["count"]))]
     except (KeyError, ValueError) as exc:
-        raise TruncatedFileError(f"{path}: malformed episode header ({exc!r})") from exc
+        raise EpisodeIOError(f"{path}: malformed episode header ({exc!r})") from exc
     out: list[Trajectory] = []
     for i, label in enumerate(labels):
         fields = {name: arrays.pop(f"{i}.{name}", None) for name in ARRAY_FIELDS}
         missing = [name for name in ARRAY_FIELDS if fields[name] is None and name != "traces"]
         if missing:
-            raise TruncatedFileError(f"{path}: episode {i} lacks arrays {missing}")
+            raise EpisodeIOError(f"{path}: episode {i} lacks arrays {missing}")
         try:
             out.append(Trajectory(task_label=label, **fields))
         except ValueError as exc:
-            raise ShapeMismatchError(f"{path}: episode {i}: inconsistent arrays: {exc}") from exc
+            raise EpisodeIOError(f"{path}: episode {i}: inconsistent arrays: {exc}") from exc
     if arrays:
-        raise TruncatedFileError(f"{path}: arrays {sorted(arrays)} belong to no episode")
+        raise EpisodeIOError(f"{path}: arrays {sorted(arrays)} belong to no episode")
     return out

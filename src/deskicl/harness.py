@@ -124,8 +124,10 @@ _SET_ELSEWHERE = {f"model.{name}": "--variant" for flags in VARIANTS.values() fo
 
 
 def parse_config(text: str) -> HarnessConfig:
-    """Parse `section.key = value` lines; unknown keys and values out of range are errors."""
+    """Parse `section.key = value` lines; unknown keys, keys given twice and
+    values out of range are errors."""
     overrides: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -144,6 +146,9 @@ def parse_config(text: str) -> HarnessConfig:
             raise HarnessError(f"config line {lineno}: unknown key '{key}'")
         if key in _SET_ELSEWHERE:
             raise HarnessError(f"config line {lineno}: '{key}' is set by {_SET_ELSEWHERE[key]}, not by the config file")
+        if key in set_on:
+            raise HarnessError(f"config line {lineno}: '{key}' is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             overrides[section][name] = parse(raw, setting)
         except ValueError as exc:
@@ -583,45 +588,11 @@ def cmd_sweep_interval(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    source: str  # "eval" or "sweep": the metrics file the records came from
-    variant: str
-    task: str
-    prompt_config: str
-    reasoning_interval: int
-    mean_score: float
-    n: int
-    failures: tuple[int, ...]  # counts per FAILURE_CLASSES
-
-
-def aggregate(records: list[EvalRecord], source: str) -> list[MetricsRow]:
-    groups: dict[tuple, list[EvalRecord]] = {}
-    for r in records:
-        groups.setdefault((r.variant, r.task, r.prompt_config, r.reasoning_interval), []).append(r)
-    rows = []
-    for key in sorted(groups):
-        members = groups[key]
-        counts = tuple(sum(1 for m in members if m.failure == cls) for cls in FAILURE_CLASSES)
-        rows.append(
-            MetricsRow(
-                source=source,
-                variant=key[0],
-                task=key[1],
-                prompt_config=key[2],
-                reasoning_interval=key[3],
-                mean_score=float(np.mean([m.score for m in members])),
-                n=len(members),
-                failures=counts,
-            )
-        )
-    return rows
-
-
 def load_metrics(out_dir) -> dict[str, list[EvalRecord]]:
     """Every record of the run's metrics files, by source: `eval` for the
     `eval_*.json` files, `sweep` for the `sweep_*.json` files. A malformed
-    file, or one named otherwise, raises a HarnessError that names it."""
+    file, one named otherwise, or a record with a failure class or a score
+    the report cannot count, raises a HarnessError that names it."""
     metrics_dir = Path(out_dir) / "metrics"
     keys = {f.name for f in fields(EvalRecord)}
     json_types = {"str": (str,), "int": (int,), "float": (int, float)}
@@ -646,6 +617,10 @@ def load_metrics(out_dir) -> dict[str, list[EvalRecord]]:
                 value = blob[f.name]
                 if isinstance(value, bool) or not isinstance(value, json_types[f.type]):
                     raise HarnessError(f"{path}: record {i} has {f.name} = {value!r}, not {f.type}")
+            if blob["failure"] not in FAILURE_CLASSES:
+                raise HarnessError(f"{path}: record {i} has failure = {blob['failure']!r}, not one of {list(FAILURE_CLASSES)}")
+            if not 0.0 <= blob["score"] <= 1.0:
+                raise HarnessError(f"{path}: record {i} has score = {blob['score']!r}, not in [0, 1]")
             records[source].append(EvalRecord(**blob))
     return records
 
@@ -653,51 +628,51 @@ def load_metrics(out_dir) -> dict[str, list[EvalRecord]]:
 REPORT_HEADER = ["source", "variant", "task", "prompt_config", "k", "mean_score", "n"] + [f"fail_{c}" for c in FAILURE_CLASSES]
 
 
+def _group(records: list[EvalRecord], *names: str) -> dict[tuple, list[EvalRecord]]:
+    """Records by the values of the named fields: keys sorted, each group in
+    record order."""
+    groups: dict[tuple, list[EvalRecord]] = {}
+    for r in records:
+        groups.setdefault(tuple(getattr(r, name) for name in names), []).append(r)
+    return {key: groups[key] for key in sorted(groups)}
+
+
+def _mean_score(records: list[EvalRecord]) -> float:
+    return float(np.mean([r.score for r in records]))
+
+
 def write_report(records: dict[str, list[EvalRecord]], out_dir) -> tuple[Path, Path]:
     """Emit report.csv (one row per source/variant/task/prompt/k cell) and a
     human-readable summary of the `eval` records alone; a sweep re-runs some
-    of the eval's scenes, so pooling the two would count them twice. Output
-    depends only on the record sets."""
+    of the eval's scenes, so pooling the two would count them twice. Every
+    table is a grouping of the records, so output depends only on the record
+    sets."""
     out_dir = Path(out_dir)
-    rows = [row for source in sorted(records) for row in aggregate(records[source], source)]
     lines = [",".join(REPORT_HEADER)]
-    for row in rows:
-        lines.append(
-            f"{row.source},{row.variant},{row.task},{row.prompt_config},{row.reasoning_interval},"
-            f"{row.mean_score:.4f},{row.n}," + ",".join(str(c) for c in row.failures)
-        )
+    for source in sorted(records):
+        cells = _group(records[source], "variant", "task", "prompt_config", "reasoning_interval")
+        for (variant, task, prompt_config, k), rs in cells.items():
+            counts = ",".join(str(sum(r.failure == cls for r in rs)) for cls in FAILURE_CLASSES)
+            lines.append(f"{source},{variant},{task},{prompt_config},{k},{_mean_score(rs):.4f},{len(rs)},{counts}")
     csv_path = out_dir / "report.csv"
     csv_path.write_text("\n".join(lines) + "\n")
 
-    summary: list[str] = []
     evals = records.get("eval", [])
-    variants = sorted({r.variant for r in evals}, key=_variant_order)
-    by_variant = {v: [r for r in evals if r.variant == v] for v in variants}
-    summary.append("mean score per variant (all unseen tasks, all prompt configs)")
-    for v in variants:
-        rs = by_variant[v]
+    by_variant = sorted(_group(evals, "variant").items(), key=lambda item: _variant_order(item[0][0]))
+    by_cell = _group(evals, "task", "variant")
+    variants = [v for (v,), _ in by_variant]
+    summary = ["mean score per variant (all unseen tasks, all prompt configs)"]
+    for (v,), rs in by_variant:
         ks = sorted({r.reasoning_interval for r in rs})
-        summary.append(f"  {v:8s} k={ks} score {np.mean([r.score for r in rs]):.3f} over {len(rs)} rollouts")
-    summary.append("")
-    summary.append("per-task means")
-    tasks = sorted({r.task for r in evals})
-    header = "  task".ljust(24) + "".join(v.rjust(10) for v in variants)
-    summary.append(header)
-    for task in tasks:
-        line = f"  {task}".ljust(24)
-        for v in variants:
-            sel = [r.score for r in by_variant[v] if r.task == task]
-            line += (f"{np.mean(sel):.3f}" if sel else "-").rjust(10)
-        summary.append(line)
-    summary.append("")
-    summary.append("failure histogram (failed rollouts only)")
-    for v in variants:
-        failed = [r for r in by_variant[v] if r.failure != "none"]
-        parts = []
-        for cls in FAILURE_CLASSES[1:]:
-            count = sum(1 for r in failed if r.failure == cls)
-            if count:
-                parts.append(f"{cls} {count}/{len(failed)}")
+        summary.append(f"  {v:8s} k={ks} score {_mean_score(rs):.3f} over {len(rs)} rollouts")
+    summary += ["", "per-task means", "  task".ljust(24) + "".join(v.rjust(10) for v in variants)]
+    for task in dict.fromkeys(task for task, _ in by_cell):
+        cells = [by_cell.get((task, v)) for v in variants]
+        summary.append(f"  {task}".ljust(24) + "".join((f"{_mean_score(rs):.3f}" if rs else "-").rjust(10) for rs in cells))
+    summary += ["", "failure histogram (failed rollouts only)"]
+    for (v,), rs in by_variant:
+        failed = [r.failure for r in rs if r.failure != "none"]
+        parts = [f"{cls} {failed.count(cls)}/{len(failed)}" for cls in FAILURE_CLASSES[1:] if cls in failed]
         summary.append(f"  {v:8s} " + (", ".join(parts) if failed else "no failures"))
     summary_path = out_dir / "summary.txt"
     summary_path.write_text("\n".join(summary) + "\n")
@@ -711,6 +686,8 @@ def _variant_order(name: str) -> tuple:
 
 def cmd_report(out_dir) -> tuple[Path, Path]:
     records = load_metrics(out_dir)
+    if not any(records.values()):
+        raise HarnessError(f"no eval or sweep records in {Path(out_dir) / 'metrics'}; run eval first")
     csv_path, summary_path = write_report(records, out_dir)
     counts = ", ".join(f"{len(rs)} {source}" for source, rs in records.items())
     print(f"report: {counts} rollout records -> {csv_path}, {summary_path}")

@@ -81,15 +81,8 @@ _EMPTY_SLOT = (0.0, 0.0, -1.0, 0)  # (x, y, radius², palette index): covers no 
 
 
 class SimError(RuntimeError):
-    pass
-
-
-class PlacementError(SimError):
-    """Rejection sampling could not place all entities without overlap."""
-
-
-class InfeasibleTaskError(SimError):
-    """The task's target class is absent from the scene."""
+    """A scene that rejection sampling could not place without overlap, or
+    a task whose target class is absent from the scene."""
 
 
 # The world's physics and geometry. They size episodes at roughly 25-80
@@ -267,7 +260,7 @@ def reset(
         for c in classes:
             pos = _sample_position(rng, radius, placed)
             if pos is None:
-                raise PlacementError(f"could not place {kind} class {c} for task {task.label}")
+                raise SimError(f"could not place {kind} class {c} for task {task.label}")
             placed.append((pos, radius))
             entities.append(SceneEntity(int(c), pos))
     return make_state(objects, receptacles)
@@ -454,7 +447,7 @@ def expert_policy(state: WorldState, task: TaskSpec, rng: np.random.Generator | 
     """
     ti = _find_by_class(state.objects, task.target_object_class)
     if ti is None:
-        raise InfeasibleTaskError(f"no object of class {task.target_object_class} in scene")
+        raise SimError(f"no object of class {task.target_object_class} in scene")
     gx, gy, gz, ap = state.gripper
     obj = state.objects[ti]
     dxy = float(np.hypot(gx - obj.position[0], gy - obj.position[1]))
@@ -470,7 +463,7 @@ def expert_policy(state: WorldState, task: TaskSpec, rng: np.random.Generator | 
 
     ri = _find_by_class(state.receptacles, task.target_receptacle_class)
     if ri is None:
-        raise InfeasibleTaskError(f"no receptacle of class {task.target_receptacle_class} in scene")
+        raise SimError(f"no receptacle of class {task.target_receptacle_class} in scene")
     rec = state.receptacles[ri]
     rxy = float(np.hypot(gx - rec.position[0], gy - rec.position[1]))
 

@@ -23,7 +23,6 @@ from deskicl.harness import (
     EvalRecord,
     HarnessConfig,
     HarnessError,
-    aggregate,
     classify_failure,
     cmd_eval,
     cmd_gen_data,
@@ -40,7 +39,7 @@ from deskicl.harness import (
     write_report,
 )
 from deskicl.model import ModelConfig, PolicyModel
-from deskicl.sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, PlacementError, SceneEntity, TaskSpec, make_state, reset
+from deskicl.sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, SceneEntity, SimError, TaskSpec, make_state, reset
 from deskicl.traces import augment_dataset
 
 TINY_CONFIG_TEXT = """
@@ -105,6 +104,18 @@ def test_parse_rejects_unknown_keys():
                  "env.third_resolution = 32"):
         with pytest.raises(HarnessError, match=r"^config line 2: unknown section 'env'$"):
             parse_config(f"# probe\n{line}\n")
+
+
+def test_a_key_given_twice_is_an_error(tmp_path, capsys):
+    """A second line for a key names both lines, even with the same value,
+    and the CLI stops before it writes anything."""
+    with pytest.raises(HarnessError, match=r"^config line 2: 'train\.steps' is already set on line 1$"):
+        parse_config("train.steps = 5\ntrain.steps = 7\n")
+    config_path = tmp_path / "config.txt"
+    config_path.write_text("train.steps = 5\n# again\ntrain.steps = 5\n")
+    assert cli_main(["gen-data", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "deskicl gen-data: error: config line 3: 'train.steps' is already set on line 1\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_cross_validation():
@@ -492,11 +503,12 @@ def test_eval_variants_share_each_cells_prompt_and_scenes(tiny_run, tmp_path, mo
     assert sorted(p.name for p in (together / "metrics").iterdir()) == ["eval_icrt_seed0.json", "eval_ours_seed0.json"]
 
 
-def test_sweep_interval_rows_and_k1_consistency(tiny_run):
+def test_sweep_interval_rows_and_k1_consistency(tiny_run, tmp_path):
     config, out = tiny_run
     sweep = cmd_sweep_interval(config, out, "ours", [1, 4, 0])
     split = harness.load_split(out)
-    rows = aggregate(sweep, "sweep")
+    csv_path, _ = write_report({"sweep": sweep}, tmp_path)
+    rows = _parse_report(csv_path)
     assert len(rows) == 3 * len(split.test_tasks)  # one row per (task, k)
     # trace decode counts match ceil(steps / k)
     for r in sweep:
@@ -836,6 +848,90 @@ def test_report_round_trip(tmp_path):
     assert summary_path.read_text().strip()
 
 
+PINNED_REPORT_CSV = """\
+source,variant,task,prompt_config,k,mean_score,n,fail_none,fail_trace_error,fail_grasp_failure,fail_placement_failure,fail_poke_failure,fail_overflow
+eval,expert,place_c1_r1,p1,1,1.0000,1,1,0,0,0,0,0
+eval,expert,poke_c2,p0,1,1.0000,1,1,0,0,0,0,0
+eval,icrt,poke_c2,p0,0,0.0000,2,0,0,0,0,1,1
+eval,icrt,poke_c2,p1,0,1.0000,1,1,0,0,0,0,0
+eval,ours,place_c1_r1,p1,1,0.7500,2,1,0,0,1,0,0
+eval,ours,place_c1_r1,pr,1,0.0000,1,0,0,1,0,0,0
+eval,ours,poke_c2,p0,1,0.6667,3,2,1,0,0,0,0
+eval,to,place_c1_r1,p0,8,0.5000,1,0,0,0,1,0,0
+eval,to,poke_c2,p0,1,0.0000,1,0,1,0,0,0,0
+sweep,ours,place_c1_r1,p1,1,0.5000,1,0,0,0,1,0,0
+sweep,ours,poke_c2,p1,1,1.0000,1,1,0,0,0,0,0
+sweep,ours,poke_c2,p1,4,0.5000,2,1,0,0,0,1,0
+"""
+
+PINNED_SUMMARY = """\
+mean score per variant (all unseen tasks, all prompt configs)
+  ours     k=[1] score 0.583 over 6 rollouts
+  to       k=[1, 8] score 0.250 over 2 rollouts
+  icrt     k=[0] score 0.333 over 3 rollouts
+  expert   k=[1] score 1.000 over 2 rollouts
+
+per-task means
+  task                        ours        to      icrt    expert
+  place_c1_r1                0.500     0.500         -     1.000
+  poke_c2                    0.667     0.000     0.333     1.000
+
+failure histogram (failed rollouts only)
+  ours     trace_error 1/3, grasp_failure 1/3, placement_failure 1/3
+  to       trace_error 1/2, placement_failure 1/2
+  icrt     poke_failure 1/2, overflow 1/2
+  expert   no failures
+"""
+
+
+def test_report_text_is_pinned(tmp_path):
+    """report.csv and summary.txt of a fixed record set, to the byte: eval
+    and sweep sources, an expert run, several k, a task that `icrt` lacks
+    (its `-` cell) and a variant without failures."""
+    evals = [
+        _record(variant="icrt", k=0, score=0.0, failure="poke_failure"),
+        _record(),
+        _record(idx=1, score=0.0, failure="trace_error"),
+        _record(idx=2),
+        _record(task="place_c1_r1", pconf="p1", score=0.5, failure="placement_failure"),
+        _record(task="place_c1_r1", pconf="p1", idx=1),
+        _record(task="place_c1_r1", pconf="pr", score=0.0, failure="grasp_failure"),
+        _record(variant="expert"),
+        _record(variant="expert", task="place_c1_r1", pconf="p1"),
+        _record(variant="icrt", k=0, idx=1, score=0.0, failure="overflow"),
+        _record(variant="icrt", pconf="p1", k=0),
+        _record(variant="to", score=0.0, failure="trace_error"),
+        _record(variant="to", task="place_c1_r1", k=8, score=0.5, failure="placement_failure"),
+    ]
+    sweeps = [
+        _record(pconf="p1"),
+        _record(pconf="p1", k=4, score=0.0, failure="poke_failure"),
+        _record(pconf="p1", k=4, idx=1),
+        _record(task="place_c1_r1", pconf="p1", score=0.5, failure="placement_failure"),
+    ]
+    csv_path, summary_path = write_report({"eval": evals, "sweep": sweeps}, tmp_path)
+    assert csv_path.read_text() == PINNED_REPORT_CSV
+    assert summary_path.read_text() == PINNED_SUMMARY
+
+
+@pytest.mark.parametrize(
+    "name, value, named",
+    [
+        ("failure", "bogus", "failure = 'bogus', not one of ['none', 'trace_error'"),
+        ("score", float("nan"), "score = nan, not in [0, 1]"),
+        ("score", -0.5, "score = -0.5, not in [0, 1]"),
+    ],
+)
+def test_load_metrics_refuses_records_the_report_cannot_count(tmp_path, name, value, named):
+    """A failure class outside FAILURE_CLASSES or a score outside [0, 1]
+    names the file, the record and the field."""
+    path = tmp_path / "metrics" / "eval_ours_seed0.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps([_record().to_dict(), {**_record().to_dict(), name: value}]))
+    with pytest.raises(HarnessError, match=f"^{re.escape(f'{path}: record 1 has {named}')}"):
+        load_metrics(tmp_path)
+
+
 def test_report_empty_metrics_header_only(tmp_path):
     csv_path, _ = write_report({"eval": []}, tmp_path)
     content = csv_path.read_text().splitlines()
@@ -863,14 +959,17 @@ def test_failure_histogram_sums_to_failed_count(tmp_path):
     assert failed == 2 and histogram_total == failed
 
 
-def test_aggregate_mean_of_means():
+def test_aggregate_mean_of_means(tmp_path):
+    """With equal cells, the mean of report.csv's cell means is the mean
+    over all records."""
     records = []
     for task in ("poke_c2", "poke_c4"):
         for idx in range(4):
             records.append(_record(task=task, idx=idx, score=1.0 if task == "poke_c2" else 0.0))
-    rows = aggregate(records, "eval")
+    csv_path, _ = write_report({"eval": records}, tmp_path)
+    rows = _parse_report(csv_path)
     overall = np.mean([r.score for r in records])
-    per_task = np.mean([row.mean_score for row in rows])
+    per_task = np.mean([row["mean_score"] for row in rows])
     assert abs(overall - per_task) < 1e-12
 
 
@@ -900,8 +999,13 @@ def test_cli_gen_and_report_exit_codes(tmp_path, capsys):
     (out / "split.json").write_text(split_text)
     # eval without checkpoints fails with a diagnostic exit code
     assert cli_main(["eval", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
-    # report on empty metrics dir errors cleanly
+    assert "missing checkpoint" in capsys.readouterr().err
+    # report on a run without metrics errors cleanly, before writing anything
     assert cli_main(["report", "--out", str(tmp_path / "nope")]) == 1
+    assert capsys.readouterr().err == f"deskicl report: error: no eval or sweep records in {tmp_path / 'nope' / 'metrics'}; run eval first\n"
+    assert cli_main(["report", "--out", str(out)]) == 1
+    assert f"{out / 'metrics'}; run eval first" in capsys.readouterr().err
+    assert not (out / "report.csv").exists() and not (out / "summary.txt").exists()
     # a corrupt checkpoint or episode file is a clean error, not a traceback
     ckpt = harness.checkpoint_path(out, "ours", 0)
     ckpt.parent.mkdir(parents=True)
@@ -932,6 +1036,8 @@ def test_cli_gen_and_report_exit_codes(tmp_path, capsys):
         json.dumps([{**good, "extra": 1}]),
         json.dumps([{**good, "score": "high"}]),
         "[{not json",
+        json.dumps([good, {**good, "failure": "bogus"}]),
+        json.dumps([good, {**good, "score": float("nan")}]),
     ):
         bad_metrics.write_text(content)
         assert cli_main(["report", "--out", str(tmp_path / "report_run")]) == 1
@@ -965,7 +1071,7 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, monkeypatch):
     small.write_text("data.n_poke_tasks = 2\ndata.n_pick_place_tasks = 0\ndata.demos_per_task = 2\n")
 
     def crowded(*args, **kwargs):
-        raise PlacementError("could not place object class 0 for task poke_c0")
+        raise SimError("could not place object class 0 for task poke_c0")
 
     monkeypatch.setattr(harness, "reset", crowded)
     assert cli_main(["gen-data", "--config", str(small), "--out", str(tmp_path / "y")]) == 1

@@ -14,7 +14,7 @@ from conftest import toy_trajectory, write_version_1_container
 from deskicl import model as mdl
 from deskicl import sim
 from deskicl import tensor as tn
-from deskicl.checkpoint import CheckpointError, CheckpointVersionError, save_checkpoint
+from deskicl.checkpoint import CheckpointError, save_checkpoint
 from deskicl.data import build_sequence, save_episodes
 from deskicl.model import (
     KVCache,
@@ -160,7 +160,7 @@ def test_load_refuses_a_version_1_checkpoint_of_another_rope_base(tmp_path):
     path = tmp_path / "m.ckpt"
     header = {**model.config.to_header(), "rope_base": "500.0", "d_ff": "96"}
     write_version_1_container(path, {k: p.data for k, p in model.params.items()}, header)
-    with pytest.raises(CheckpointVersionError, match=f"^{re.escape(str(path))}: unsupported checkpoint version 1"):
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: unsupported checkpoint version 1"):
         PolicyModel.load(path)
 
 

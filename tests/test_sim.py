@@ -8,7 +8,6 @@ import pytest
 from deskicl import sim
 from deskicl.sim import (
     Action,
-    InfeasibleTaskError,
     TaskSpec,
     WorldState,
     expert_policy,
@@ -452,7 +451,7 @@ def test_expert_above_target_descends():
 
 def test_expert_missing_target_errors():
     state = reset(poke_task(1), 0, 0, seed=0)
-    with pytest.raises(InfeasibleTaskError):
+    with pytest.raises(sim.SimError, match="no object of class 5 in scene"):
         expert_policy(state, TaskSpec("poke", 5))
 
 
