@@ -1,4 +1,4 @@
-"""Episode containers, task-disjoint splits, training sequences, and episode files.
+"""Episode containers, task splits, training sequences, and episode files.
 
 Episodes are stored columnar: one array per modality with the step count as
 the leading dimension. A camera view is kept as `sim.observe` gives it, a
@@ -42,7 +42,8 @@ class EpisodeIOError(RuntimeError):
 @dataclass(frozen=True)
 class Trajectory:
     """One episode: per-step renders as indices into sim.PALETTE,
-    proprioception, actions, optional traces."""
+    proprioception, actions, optional traces; the float arrays hold finite
+    values only."""
 
     task_label: str
     third: np.ndarray  # (T, G, G) uint8, indices into sim.PALETTE
@@ -56,8 +57,13 @@ class Trajectory:
             raise ValueError("trajectory needs a nonempty task label")
         for name, width in (("proprio", 4), ("actions", 4), ("traces", traces_mod.TRACE_DIM)):
             arr = getattr(self, name)
-            if arr is not None and (arr.dtype != np.float32 or arr.ndim != 2 or arr.shape[1] != width):
+            if arr is None:
+                continue
+            if arr.dtype != np.float32 or arr.ndim != 2 or arr.shape[1] != width:
                 raise ValueError(f"{name} is {arr.dtype} {arr.shape}, not (T, {width}) float32")
+            if not np.isfinite(arr).all():
+                step = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
+                raise ValueError(f"{name} of step {step} are not finite: {arr[step].tolist()}")
         for name in ("third", "wrist"):
             images = getattr(self, name)
             if images.dtype != np.uint8 or images.ndim != 3 or images.shape[1] != images.shape[2]:
@@ -85,24 +91,13 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
+        for side, labels in (("train", self.train_tasks), ("test", self.test_tasks)):
+            repeated = sorted({label for label in labels if labels.count(label) > 1})
+            if repeated:
+                raise ValueError(f"the {side} side repeats {repeated}")
         overlap = set(self.train_tasks) & set(self.test_tasks)
         if overlap:
             raise ValueError(f"split sides overlap: {sorted(overlap)}")
-
-
-def split_tasks(task_labels, test_fraction: float, seed: int) -> SplitSpec:
-    """Seeded shuffle then split; both sides must end up nonempty."""
-    labels = sorted(set(task_labels))
-    if len(labels) < 2:
-        raise ValueError("need at least two task labels to split")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test fraction {test_fraction} outside (0, 1)")
-    n_test = int(np.floor(test_fraction * len(labels) + 0.5))
-    if n_test == 0 or n_test == len(labels):
-        raise ValueError(f"test fraction {test_fraction} would empty one side for {len(labels)} tasks")
-    order = np.random.default_rng(seed).permutation(len(labels))
-    shuffled = [labels[i] for i in order]
-    return SplitSpec(train_tasks=tuple(shuffled[n_test:]), test_tasks=tuple(shuffled[:n_test]), seed=seed)
 
 
 @dataclass
@@ -135,7 +130,7 @@ def build_sequence(
     subset_trajectories: list[Trajectory],
     n_prompt: int,
     rng: np.random.Generator,
-    chunk_h: int = 8,
+    chunk_h: int,
 ) -> TrainingSequence:
     """Assemble one training sequence from a single-task episode subset.
 

@@ -23,8 +23,10 @@ Output layout under --out:
     split.json                      train/test task labels
     checkpoints/<variant>_seed<N>.ckpt
     loss_<variant>_seed<N>.csv      one row per training step
-    metrics/eval_<variant>_seed<N>.json
-    metrics/sweep_<variant>_seed<N>.json
+    metrics/<source>_<variant>_seed<N>.json
+                                    one variant's records from a source in
+                                    SOURCES: eval (cmd_eval) or sweep
+                                    (cmd_sweep_interval)
     report.csv, summary.txt
 """
 
@@ -39,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SplitSpec, Trajectory, load_episodes, save_episodes, split_tasks
+from .data import SplitSpec, Trajectory, load_episodes, save_episodes
 from .engine import (
     ExpertReplayPolicy,
     RolloutResult,
@@ -49,9 +51,12 @@ from .engine import (
     train,
 )
 from .model import ModelConfig, PolicyModel
-from .settings import bounded, check_fields, parse
+from .settings import bounded, check_fields, parse, write
 from .sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, TaskSpec, expert_rollout, observe, reset, third_view_uv
 from .traces import augment_dataset
+
+# the metrics-file prefixes, one per command that writes eval records
+SOURCES = ("eval", "sweep")
 
 FAILURE_CLASSES = ("none", "trace_error", "grasp_failure", "placement_failure", "poke_failure", "overflow")
 
@@ -173,12 +178,9 @@ def format_config(config: HarnessConfig) -> str:
     reads back to the same config."""
     lines = []
     for section in sorted(_SECTIONS):
-        value = getattr(config, section)
-        for f in sorted(fields(value), key=lambda f: f.name):
-            key, v = f"{section}.{f.name}", getattr(value, f.name)
-            if isinstance(v, tuple) or key in _SET_ELSEWHERE:
-                continue  # a tuple (n_prompt_choices) stays at its default
-            lines.append(f"{key} = {v}")
+        for name, raw in sorted(write(getattr(config, section)).items()):
+            if f"{section}.{name}" not in _SET_ELSEWHERE:
+                lines.append(f"{section}.{name} = {raw}")
     return "\n".join(lines) + "\n"
 
 
@@ -221,20 +223,22 @@ def record_episode(
     seed: int,
     noisy: bool = False,
 ) -> Trajectory:
-    """One expert episode, noisy or not: `sim.observe` of the expert's
-    states at the model's camera resolutions, which is what the policy sees
-    of its scenes, and the expert's actions; raises if the expert fails."""
+    """One expert episode, noisy or not, with its traces: `sim.observe` of
+    the expert's states at the model's camera resolutions, which is what the
+    policy sees of its scenes, and the expert's actions; raises if the expert
+    fails."""
     state = reset(task, n_distractor_objects, n_distractor_receptacles, seed)
     rng = np.random.default_rng(derive_seed(seed, "expert-noise")) if noisy else None
     states, actions, score = expert_rollout(state, task, rng)
     if score != 1.0:
         raise HarnessError(f"expert failed on {task.label} (seed {seed})")
     third, wrist, proprio = observe(states, model.third_resolution, model.wrist_resolution)
-    return Trajectory(task.label, third, wrist, proprio, np.stack([a.deltas for a in actions]).astype(np.float32))
+    demo = Trajectory(task.label, third, wrist, proprio, np.stack([a.deltas for a in actions]).astype(np.float32))
+    return augment_dataset([demo])[0]
 
 
 def generate_task_episodes(config: HarnessConfig, task: TaskSpec, n_demos: int, base_seed: int) -> list[Trajectory]:
-    """Expert demos cycling through the difficulty levels, trace-augmented.
+    """Expert demos cycling through the difficulty levels.
 
     A failed noisy episode retries with a fresh derived seed; persistent
     failure is an error naming the task.
@@ -253,24 +257,31 @@ def generate_task_episodes(config: HarnessConfig, task: TaskSpec, n_demos: int, 
                 last_error = exc
         else:
             raise HarnessError(f"task {task.label}: demo {i} failed 20 attempts: {last_error}")
-    return augment_dataset(episodes)
+    return episodes
 
 
 def stratified_split(config: HarnessConfig) -> SplitSpec:
-    """Task-disjoint split per task kind, so both kinds appear on both sides."""
-    tasks = task_list(config)
+    """Task-disjoint split per task kind, so both kinds appear on both sides.
+
+    Each kind's labels are sorted and shuffled by a generator seeded with
+    `data.split_seed`; the first round(test_fraction * n) of its n labels,
+    halves rounded up, go to the test side. A kind whose cut would leave a
+    side without its tasks is an error naming the kind and its task count.
+    """
+    fraction, seed = config.data.test_fraction, config.data.split_seed
     train_labels: list[str] = []
     test_labels: list[str] = []
     for kind in ("poke", "pick_place"):
-        labels = [t.label for t in tasks if t.kind == kind]
+        labels = sorted(t.label for t in task_list(config) if t.kind == kind)
         if not labels:
             continue
-        if len(labels) < 2:
-            raise HarnessError(f"need at least two {kind} tasks to split; got {len(labels)}")
-        spec = split_tasks(labels, config.data.test_fraction, config.data.split_seed)
-        train_labels.extend(spec.train_tasks)
-        test_labels.extend(spec.test_tasks)
-    return SplitSpec(tuple(sorted(train_labels)), tuple(sorted(test_labels)), config.data.split_seed)
+        n_test = math.floor(fraction * len(labels) + 0.5)
+        if not 0 < n_test < len(labels):
+            raise HarnessError(f"data.test_fraction = {fraction} leaves a side without {kind} tasks: {n_test} of {len(labels)} to test")
+        shuffled = [labels[i] for i in np.random.default_rng(seed).permutation(len(labels))]
+        test_labels += shuffled[:n_test]
+        train_labels += shuffled[n_test:]
+    return SplitSpec(tuple(sorted(train_labels)), tuple(sorted(test_labels)), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +518,6 @@ def _evaluate(
                 pconf.n_distractor_receptacles,
                 derive_seed(config.eval.seed, "prompt", task.label, pconf.config_id),
             )
-            demo = augment_dataset([demo])[0]
             max_steps = int(math.ceil(len(demo) * config.eval.max_steps_factor))
             states = []
             for r in range(config.eval.rollouts_per_config):
@@ -535,52 +545,45 @@ def _evaluate(
     return records
 
 
-def _write_records(out_dir: Path, name: str, records: list[EvalRecord]) -> Path:
-    path = out_dir / "metrics" / f"{name}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps([r.to_dict() for r in records], indent=1) + "\n")
-    return path
-
-
-def cmd_eval(config: HarnessConfig, out_dir, variants: list[str], train_seed: int | None = None) -> list[EvalRecord]:
-    """Evaluate each variant once on every cell; one metrics file per variant."""
+def _evaluate_and_write(
+    config: HarnessConfig, out_dir, source: str, train_seed: int, runs: list[tuple[str, int]], prompt_ids: set[str] | None = None
+) -> list[EvalRecord]:
+    """`_evaluate` the `(variant, k)` runs on the split's unseen tasks, or on
+    their prompt configs in `prompt_ids`, each run once however often it is
+    given. Writes each variant's records to
+    metrics/<source>_<variant>_seed<N>.json, prints one line per file, and
+    returns the records grouped by variant, in run order."""
     out_dir = Path(out_dir)
     tasks = _test_tasks(config, out_dir)
-    train_seed = config.train.seed if train_seed is None else train_seed
-    variants = list(dict.fromkeys(variants))
-    # a variant that never learns to predict traces is evaluated without trace decodes
-    k = config.eval.reasoning_interval
-    runs = [(v, 0 if v in VARIANTS and not VARIANTS[v]["target_reasoning"] else k) for v in variants]
-    records = _evaluate(config, out_dir, train_seed, tasks, runs)
-    by_variant = {v: [r for r in records if r.variant == v] for v in variants}
+    runs = list(dict.fromkeys(runs))
+    records = _evaluate(config, out_dir, train_seed, tasks, runs, prompt_ids)
     write_resolved_config(config, out_dir)
+    (out_dir / "metrics").mkdir(parents=True, exist_ok=True)
+    by_variant = {v: [r for r in records if r.variant == v] for v, _ in runs}
     for variant, rs in by_variant.items():
-        path = _write_records(out_dir, f"eval_{variant}_seed{train_seed}", rs)
-        mean = float(np.mean([r.score for r in rs]))
-        print(f"eval: {variant} seed {train_seed}: mean score {mean:.3f} over {len(rs)} rollouts -> {path}")
+        path = out_dir / "metrics" / f"{source}_{variant}_seed{train_seed}.json"
+        path.write_text(json.dumps([r.to_dict() for r in rs], indent=1) + "\n")
+        ks = [k for v, k in runs if v == variant]
+        print(f"{source}: {variant} seed {train_seed}: k={ks} mean score {_mean_score(rs):.3f} over {len(rs)} rollouts -> {path}")
     return [r for rs in by_variant.values() for r in rs]
 
 
-def cmd_sweep_interval(
-    config: HarnessConfig,
-    out_dir,
-    variant: str,
-    intervals: list[int],
-) -> list[EvalRecord]:
+def cmd_eval(config: HarnessConfig, out_dir, variants: list[str], train_seed: int | None = None) -> list[EvalRecord]:
+    """Evaluate each variant once on every cell; one metrics file per variant.
+    A variant that never learns to predict traces runs without trace decodes."""
+    k = config.eval.reasoning_interval
+    runs = [(v, 0 if v in VARIANTS and not VARIANTS[v]["target_reasoning"] else k) for v in variants]
+    train_seed = config.train.seed if train_seed is None else train_seed
+    return _evaluate_and_write(config, out_dir, "eval", train_seed, runs)
+
+
+def cmd_sweep_interval(config: HarnessConfig, out_dir, variant: str, intervals: list[int]) -> list[EvalRecord]:
     """Evaluate one checkpoint at several reasoning intervals.
 
     Uses the single-distractor prompt config on every unseen task; scene
     seeds match cmd_eval's, so the k=1 rows reproduce a full-variant eval.
     Each interval is evaluated once, however often it is given."""
-    out_dir = Path(out_dir)
-    intervals = list(dict.fromkeys(intervals))
-    tasks = _test_tasks(config, out_dir)
-    train_seed = config.train.seed
-    records = _evaluate(config, out_dir, train_seed, tasks, [(variant, k) for k in intervals], prompt_ids={"p1"})
-    write_resolved_config(config, out_dir)
-    path = _write_records(out_dir, f"sweep_{variant}_seed{train_seed}", records)
-    print(f"sweep-interval: {variant} seed {train_seed}: k in {intervals} -> {path}")
-    return records
+    return _evaluate_and_write(config, out_dir, "sweep", config.train.seed, [(variant, k) for k in intervals], prompt_ids={"p1"})
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +592,18 @@ def cmd_sweep_interval(
 
 
 def load_metrics(out_dir) -> dict[str, list[EvalRecord]]:
-    """Every record of the run's metrics files, by source: `eval` for the
-    `eval_*.json` files, `sweep` for the `sweep_*.json` files. A malformed
+    """Every record of the run's metrics files, by source: the records of
+    the `<source>_*.json` files for each source in SOURCES. A malformed
     file, one named otherwise, or a record with a failure class or a score
     the report cannot count, raises a HarnessError that names it."""
     metrics_dir = Path(out_dir) / "metrics"
     keys = {f.name for f in fields(EvalRecord)}
     json_types = {"str": (str,), "int": (int,), "float": (int, float)}
-    records: dict[str, list[EvalRecord]] = {"eval": [], "sweep": []}
+    records: dict[str, list[EvalRecord]] = {source: [] for source in SOURCES}
     for path in sorted(metrics_dir.glob("*.json")):
         source = path.name.partition("_")[0]
         if source not in records:
-            raise HarnessError(f"{path}: not a metrics file name (expected eval_*.json or sweep_*.json)")
+            raise HarnessError(f"{path}: not a metrics file name (expected {' or '.join(f'{s}_*.json' for s in SOURCES)})")
         try:
             blobs = json.loads(path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -687,7 +690,7 @@ def _variant_order(name: str) -> tuple:
 def cmd_report(out_dir) -> tuple[Path, Path]:
     records = load_metrics(out_dir)
     if not any(records.values()):
-        raise HarnessError(f"no eval or sweep records in {Path(out_dir) / 'metrics'}; run eval first")
+        raise HarnessError(f"no {' or '.join(SOURCES)} records in {Path(out_dir) / 'metrics'}; run eval first")
     csv_path, summary_path = write_report(records, out_dir)
     counts = ", ".join(f"{len(rs)} {source}" for source, rs in records.items())
     print(f"report: {counts} rollout records -> {csv_path}, {summary_path}")

@@ -36,7 +36,7 @@ import numpy as np
 from . import tensor as tn
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import TrainingSequence
-from .settings import bounded, check_fields, parse
+from .settings import bounded, check_fields, parse, write
 from .sim import PALETTE
 from .tensor import ShapeError, Tensor
 from .traces import TRACE_DIM
@@ -96,14 +96,8 @@ class ModelConfig:
         return self.patch_size * self.patch_size * 3
 
     def to_header(self) -> dict[str, str]:
-        """Every field by name: bools as 0/1, other values with `str`, which
-        writes a Python int or float as its repr and a NumPy scalar as plain
-        digits."""
-        header = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            header[f.name] = str(int(value)) if f.type == "bool" else str(value)
-        return header
+        """Every field by name, as `settings.write` writes it."""
+        return write(self)
 
     @classmethod
     def from_header(cls, header: dict[str, str]) -> "ModelConfig":

@@ -25,8 +25,8 @@ class AdamW:
     def __init__(
         self,
         params: Mapping[str, Tensor],
-        lr: float = 3e-4,
-        weight_decay: float = 0.01,
+        lr: float,
+        weight_decay: float,
     ):
         self.params = dict(params)
         self.lr = lr

@@ -1,4 +1,5 @@
-"""Settings fields that declare their range, one checker and one value parser.
+"""Settings fields that declare their range, one checker, one value parser,
+and one writer whose text the parser reads back.
 
 No range holds NaN or infinity. Errors are ValueErrors that start `<field> = <value>`.
 """
@@ -43,3 +44,11 @@ def parse(raw: str, f: dataclasses.Field):
         raise ValueError(f"{f.name} = {raw.strip()!r} is not {kind}") from None
     _check(f, value)
     return value
+
+
+def write(obj) -> dict[str, str]:
+    """Every field of a settings dataclass that `parse` reads, by name, as
+    `parse` reads it: bools as 0/1, other values with `str`, which writes a
+    Python int or float as its repr and a NumPy scalar as plain digits."""
+    values = {f: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.type in _PARSERS}
+    return {f.name: str(int(v)) if f.type == "bool" else str(v) for f, v in values.items()}

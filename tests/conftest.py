@@ -7,16 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from deskicl import harness, sim
+from deskicl import sim
 from deskicl.checkpoint import save_checkpoint
 from deskicl.data import Trajectory
-from deskicl.traces import augment_dataset
-
-
-def record_episode(model, task, n_distractor_objects, n_distractor_receptacles, seed, noisy=False):
-    """Expert episode with renders at the model config's cameras and traces,
-    as gen-data records it (raises a HarnessError if the expert fails)."""
-    return augment_dataset([harness.record_episode(model, task, n_distractor_objects, n_distractor_receptacles, seed, noisy)])[0]
 
 
 def toy_trajectory(label: str = "poke_c0", length: int = 6, g: int = 16, c: int = 8, seed: int = 0) -> Trajectory:

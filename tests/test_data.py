@@ -1,4 +1,4 @@
-"""Splits, sequence assembly, chunk labels, and episode file round trips."""
+"""Split specs, sequence assembly, chunk labels, and episode file round trips."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import record_episode, toy_trajectory, write_version_2_episode_file, write_version_3_episode_file
+from conftest import toy_trajectory, write_version_2_episode_file, write_version_3_episode_file
 from deskicl import sim
 from deskicl.checkpoint import load_checkpoint, save_checkpoint
 from deskicl.data import (
@@ -17,8 +17,8 @@ from deskicl.data import (
     build_sequence,
     load_episodes,
     save_episodes,
-    split_tasks,
 )
+from deskicl.harness import record_episode
 from deskicl.model import ModelConfig, PolicyModel, sequence_loss
 from deskicl.traces import augment_dataset
 
@@ -26,33 +26,6 @@ from deskicl.traces import augment_dataset
 # ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------
-
-
-def test_split_seven_three():
-    labels = [f"task{i}" for i in range(10)]
-    spec = split_tasks(labels, 0.3, seed=0)
-    assert len(spec.train_tasks) == 7 and len(spec.test_tasks) == 3
-    assert set(spec.train_tasks) | set(spec.test_tasks) == set(labels)
-
-
-def test_split_two_labels_half():
-    spec = split_tasks(["a", "b"], 0.5, seed=1)
-    assert len(spec.train_tasks) == 1 and len(spec.test_tasks) == 1
-
-
-def test_split_deterministic():
-    labels = [f"t{i}" for i in range(9)]
-    assert split_tasks(labels, 0.33, seed=5) == split_tasks(labels, 0.33, seed=5)
-    assert split_tasks(labels, 0.33, seed=5) != split_tasks(labels, 0.33, seed=6)
-
-
-def test_split_rejects_empty_side():
-    with pytest.raises(ValueError):
-        split_tasks([f"t{i}" for i in range(4)], 0.05, seed=0)
-    with pytest.raises(ValueError):
-        split_tasks(["a"], 0.5, seed=0)
-    with pytest.raises(ValueError):
-        split_tasks(["a", "b"], 1.5, seed=0)
 
 
 def test_split_spec_rejects_overlap():
@@ -134,19 +107,19 @@ def test_build_sequence_counts_and_masks():
 
 def test_build_sequence_needs_target():
     with pytest.raises(ValueError):
-        build_sequence(_subset([5, 7]), 2, np.random.default_rng(0))
+        build_sequence(_subset([5, 7]), 2, np.random.default_rng(0), chunk_h=8)
 
 
 def test_build_sequence_rejects_mixed_labels():
     trajs = _subset([5, 6]) + _subset([6], label="poke_c2")
     with pytest.raises(ValueError, match="mixed"):
-        build_sequence(trajs, 1, np.random.default_rng(0))
+        build_sequence(trajs, 1, np.random.default_rng(0), chunk_h=8)
 
 
 def test_build_sequence_requires_traces():
     bare = [toy_trajectory(length=5, seed=1), toy_trajectory(length=5, seed=2)]
     with pytest.raises(ValueError, match="trace"):
-        build_sequence(bare, 1, np.random.default_rng(0))
+        build_sequence(bare, 1, np.random.default_rng(0), chunk_h=8)
 
 
 def test_build_sequence_masks_a_drawn_share_of_the_target():
@@ -155,7 +128,7 @@ def test_build_sequence_masks_a_drawn_share_of_the_target():
     generator."""
     counts = []
     for seed in range(8):
-        seq = build_sequence(_subset([4, 10]), 1, np.random.default_rng(seed))
+        seq = build_sequence(_subset([4, 10]), 1, np.random.default_rng(seed), chunk_h=8)
         replica = np.random.default_rng(seed)
         replica.choice(2, size=2, replace=False)  # the prompt and the target
         target_len = len(seq.episodes[-1])
@@ -180,8 +153,8 @@ def test_build_sequence_chunk_rows_match_episodes():
 
 
 def test_build_sequence_deterministic_given_rng_state():
-    a = build_sequence(_subset([5, 6, 7]), 2, np.random.default_rng(9))
-    b = build_sequence(_subset([5, 6, 7]), 2, np.random.default_rng(9))
+    a = build_sequence(_subset([5, 6, 7]), 2, np.random.default_rng(9), chunk_h=8)
+    b = build_sequence(_subset([5, 6, 7]), 2, np.random.default_rng(9), chunk_h=8)
     assert [len(e) for e in a.episodes] == [len(e) for e in b.episodes]
     assert np.array_equal(a.reasoning_input_mask, b.reasoning_input_mask)
     assert np.array_equal(a.traces, b.traces)

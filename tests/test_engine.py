@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import record_episode
 from deskicl import engine, sim
 from deskicl.data import build_sequence
 from deskicl.engine import (
@@ -25,6 +24,7 @@ from deskicl.engine import (
     temporal_ensemble,
     train,
 )
+from deskicl.harness import record_episode
 from deskicl.model import ModelConfig, PolicyModel, forward_sequence, transformer_hidden
 from deskicl.sim import TaskSpec
 from deskicl.tensor import Tensor

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import write_version_1_container, write_version_2_episode_file, write_version_3_episode_file
 from deskicl import harness
-from deskicl.checkpoint import save_checkpoint
+from deskicl.checkpoint import load_checkpoint, save_checkpoint
 from deskicl.cli import build_parser, main as cli_main
 from deskicl.data import load_episodes
 from deskicl.engine import ExpertReplayPolicy, RolloutResult, TransformerPolicy, rollout
@@ -40,7 +40,6 @@ from deskicl.harness import (
 )
 from deskicl.model import ModelConfig, PolicyModel
 from deskicl.sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, SceneEntity, SimError, TaskSpec, make_state, reset
-from deskicl.traces import augment_dataset
 
 TINY_CONFIG_TEXT = """
 # tiny end-to-end configuration
@@ -350,6 +349,38 @@ def test_stratified_split_covers_both_kinds():
     assert any(label.startswith("place") for label in split.test_tasks)
 
 
+def _poke_split(n_tasks: int, test_fraction: float, split_seed: int):
+    """The split of `n_tasks` poke tasks and no pick-and-place tasks."""
+    data = DataSection(n_poke_tasks=n_tasks, n_pick_place_tasks=0, test_fraction=test_fraction, split_seed=split_seed)
+    return stratified_split(HarnessConfig(data=data))
+
+
+def test_split_seven_three():
+    spec = _poke_split(10, 0.3, split_seed=0)
+    assert len(spec.train_tasks) == 7 and len(spec.test_tasks) == 3
+    assert set(spec.train_tasks) | set(spec.test_tasks) == {f"poke_c{i}" for i in range(10)}
+
+
+def test_split_two_labels_half():
+    spec = _poke_split(2, 0.5, split_seed=1)
+    assert len(spec.train_tasks) == 1 and len(spec.test_tasks) == 1
+
+
+def test_split_deterministic():
+    assert _poke_split(9, 0.33, split_seed=5) == _poke_split(9, 0.33, split_seed=5)
+    assert _poke_split(9, 0.33, split_seed=5) != _poke_split(9, 0.33, split_seed=6)
+
+
+def test_split_rejects_empty_side():
+    """A cut that leaves a side without a kind's tasks names the kind, its
+    task count and the key; a fraction outside (0, 1) is refused where the
+    config is read (test_settings.py, and CONFIG_PROBES here)."""
+    with pytest.raises(HarnessError, match=r"^data\.test_fraction = 0\.05 leaves a side without poke tasks: 0 of 4 to test$"):
+        _poke_split(4, 0.05, split_seed=0)
+    with pytest.raises(HarnessError, match=r"^data\.test_fraction = 0\.5 leaves a side without poke tasks: 1 of 1 to test$"):
+        _poke_split(1, 0.5, split_seed=0)
+
+
 # ---------------------------------------------------------------------------
 # gen-data and train
 # ---------------------------------------------------------------------------
@@ -428,9 +459,9 @@ def test_eval_records_match_single_lane_rollouts(tiny_run):
             task = harness.task_by_label(config, rec.task)
             pconf = next(p for p in prompt_configs(task) if p.config_id == rec.prompt_config)
             prompt_seed = derive_seed(config.eval.seed, "prompt", task.label, pconf.config_id)
-            demo = augment_dataset([harness.record_episode(
+            demo = harness.record_episode(
                 config.model, task, pconf.n_distractor_objects, pconf.n_distractor_receptacles, prompt_seed,
-            )])[0]
+            )
             n_obj, n_rec = difficulty_counts(task, rec.rollout_index % config.data.difficulty_levels)
             scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, rec.rollout_index)
             state = reset(task, n_obj, n_rec, scene_seed)
@@ -685,6 +716,23 @@ def test_train_refuses_episode_files_of_version_3(tiny_run, tmp_path, capsys):
     assert err == f"deskicl train: error: {episodes}: episode file version '3', not 4; rerun gen-data\n"
 
 
+@pytest.mark.parametrize("name, value", [("proprio", np.inf), ("actions", np.nan), ("traces", -np.inf)])
+def test_train_refuses_an_episode_with_a_non_finite_value(tiny_run, tmp_path, capsys, name, value):
+    """An episode holding NaN or infinity fails train before any output,
+    naming the file, the episode, the field and the step, where it would
+    otherwise crash whichever step first sampled it."""
+
+    def write(path, _):
+        arrays, header = load_checkpoint(path)  # a Trajectory would refuse the value
+        arrays[f"1.{name}"] = arrays[f"1.{name}"].copy()
+        arrays[f"1.{name}"][2, 1] = value
+        save_checkpoint(path, arrays, header)
+
+    episodes, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write)
+    assert err.startswith(f"deskicl train: error: {episodes}: episode 1: inconsistent arrays: {name} of step 2 are not finite: [")
+    assert f", {value}, " in err
+
+
 def test_eval_without_a_variant_does_no_work(tiny_run, tmp_path, capsys, monkeypatch):
     """`--variant ,` names no variant: eval fails before it records a prompt
     demo or resets a scene, and leaves the run as it was."""
@@ -709,14 +757,17 @@ def test_eval_without_a_variant_does_no_work(tiny_run, tmp_path, capsys, monkeyp
 @pytest.mark.parametrize(
     "command, edit, message",
     [
-        ("train", lambda split: {**split, "test": split["test"] + split["train"][:1]}, "split sides overlap: ['{}']"),
+        ("train", lambda split: {**split, "test": split["test"] + split["train"][:1]}, "split sides overlap: ['{train}']"),
         ("eval", lambda split: {**split, "test": split["test"] + ["nope"]}, "unknown task label 'nope'"),
+        ("train", lambda split: {**split, "train": split["train"] + split["train"][:1]}, "the train side repeats ['{train}']"),
+        ("eval", lambda split: {**split, "test": split["test"] + split["test"][:1]}, "the test side repeats ['{test}']"),
     ],
-    ids=["overlapping-sides", "unknown-test-label"],
+    ids=["overlapping-sides", "unknown-test-label", "repeated-label-train", "repeated-label-eval"],
 )
 def test_a_bad_split_file_is_named_in_the_error(tiny_run, tmp_path, capsys, command, edit, message):
-    """A split whose sides overlap, or whose test side names a task the
-    config does not have, fails with the split file's path and no traceback."""
+    """A split whose sides overlap, whose test side names a task the config
+    does not have, or a side that repeats a label, fails with the split
+    file's path and no traceback."""
     _, out = tiny_run
     run = tmp_path / "run"
     _copy_for_eval(out, run)
@@ -727,7 +778,7 @@ def test_a_bad_split_file_is_named_in_the_error(tiny_run, tmp_path, capsys, comm
     config_path.write_text(TINY_CONFIG_TEXT)
     assert cli_main([command, "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
     err = capsys.readouterr().err
-    assert err == f"deskicl {command}: error: {run / 'split.json'}: {message.format(split['train'][0])}\n"
+    assert err == f"deskicl {command}: error: {run / 'split.json'}: {message.format(train=split['train'][0], test=split['test'][0])}\n"
     assert sorted(p.name for p in run.iterdir()) == ["checkpoints", "episodes", "split.json"]
 
 

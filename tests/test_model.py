@@ -394,6 +394,77 @@ def test_cached_trunk_lanes_match_single_lanes():
         transformer_hidden(model, Tensor(steps[0]), shared)
 
 
+def _reference_trunk(params: dict[str, np.ndarray], n_heads: int, tokens: np.ndarray, score_scale: float = 1.0) -> np.ndarray:
+    """The trunk over (T, d) tokens at positions 0..T-1 in plain float64
+    numpy, from the parameter arrays alone: per block, an RMS norm (eps
+    1e-5) and its gain, then per head RoPE on each (j, j + dh/2) pair of q
+    and k by angle pos * 10000**(-2j/dh), each query row's softmax over its
+    own and earlier positions, the output projection, and the SwiGLU
+    feedforward; a final RMS norm closes the stack. `score_scale`
+    multiplies every attention score."""
+    p = {name: np.asarray(a, dtype=np.float64) for name, a in params.items()}
+    x = np.asarray(tokens, dtype=np.float64)
+    t, d = x.shape
+    dh = d // n_heads
+    half = dh // 2
+
+    def norm(a, gain):
+        return a / np.sqrt((a * a).mean(axis=-1, keepdims=True) + 1e-5) * gain
+
+    def rope(a):
+        out = np.empty_like(a)
+        for pos in range(t):
+            for j in range(half):
+                angle = pos * 10000.0 ** (-2.0 * j / dh)
+                first, second = a[pos, j], a[pos, j + half]
+                out[pos, j] = first * np.cos(angle) - second * np.sin(angle)
+                out[pos, j + half] = second * np.cos(angle) + first * np.sin(angle)
+        return out
+
+    n_layers = sum(name.endswith(".attn_norm.g") for name in p)
+    for i in range(n_layers):
+        h = norm(x, p[f"blocks.{i}.attn_norm.g"])
+        q, k, v = (h @ p[f"blocks.{i}.attn.{w}.w"] for w in ("wq", "wk", "wv"))
+        ctx = np.zeros((t, d))
+        for head in range(n_heads):
+            cols = slice(head * dh, (head + 1) * dh)
+            qh, kh = rope(q[:, cols]), rope(k[:, cols])
+            for r in range(t):
+                scores = score_scale * (kh[: r + 1] @ qh[r]) / np.sqrt(dh)
+                w = np.exp(scores - scores.max())
+                ctx[r, cols] = (w / w.sum()) @ v[: r + 1, cols]
+        x = x + ctx @ p[f"blocks.{i}.attn.wo.w"]
+        h = norm(x, p[f"blocks.{i}.ffn_norm.g"])
+        gate, up = h @ p[f"blocks.{i}.ffn.w_gate.w"], h @ p[f"blocks.{i}.ffn.w_up.w"]
+        x = x + (gate / (1.0 + np.exp(-gate)) * up) @ p[f"blocks.{i}.ffn.w_down.w"]
+    return norm(x, p["final_norm.g"])
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_trunk_matches_a_float64_reference(lanes):
+    """The float64 twin's trunk equals `_reference_trunk` lane by lane,
+    uncached and prefilled then decoded token by token; the same reference
+    with its attention scores scaled by 1.02 is far outside the tolerance."""
+    tol = 1e-10
+    model = tiny_model(seed=11).astype(np.float64)
+    params = {name: t.data for name, t in model.params.items()}
+    tokens = np.random.default_rng(12).normal(size=(lanes, 20, TINY.d_model))
+    refs = [_reference_trunk(params, TINY.n_heads, lane) for lane in tokens]
+    lane_tokens = tokens if lanes > 1 else tokens[0]  # one lane runs as (T, d)
+    uncached = transformer_hidden(model, Tensor(lane_tokens, dtype=np.float64)).data.reshape(tokens.shape)
+    cache = KVCache(TINY)
+    cache.select_lanes(np.zeros(lanes, dtype=np.intp))
+    pieces = [transformer_hidden(model, Tensor(lane_tokens[..., :12, :], dtype=np.float64), cache).data]
+    for i in range(12, 20):
+        pieces.append(transformer_hidden(model, Tensor(lane_tokens[..., i:i + 1, :], dtype=np.float64), cache).data)
+    decoded = np.concatenate(pieces, axis=-2).reshape(tokens.shape)
+    for b, ref in enumerate(refs):
+        assert np.abs(uncached[b] - ref).max() < tol
+        assert np.abs(decoded[b] - ref).max() < tol
+        scaled = _reference_trunk(params, TINY.n_heads, tokens[b], score_scale=1.02)
+        assert np.abs(uncached[b] - scaled).max() > 1000 * tol
+
+
 def test_identity_lane_selection_keeps_the_cache():
     """Selecting every lane in order, as `begin` does for one lane, keeps the
     cache's arrays, and the next decode gives the bits of a cache never
@@ -676,7 +747,7 @@ def test_training_step_determinism():
     def run():
         model = tiny_model(seed=19)
         seq = tiny_sequence(lengths=(4, 4), seed=2, mask_ratio=0.5)
-        opt = AdamW(model.params, lr=1e-3)
+        opt = AdamW(model.params, lr=1e-3, weight_decay=0.01)
         with Tape():
             loss, *_ = sequence_loss(model, seq)
             backward(loss)

@@ -560,7 +560,7 @@ def test_adamw_decoupled_decay_shrinks():
 
 def test_adamw_missing_grad_errors():
     p = Tensor(np.zeros(2), requires_grad=True)
-    opt = AdamW({"p": p})
+    opt = AdamW({"p": p}, lr=3e-4, weight_decay=0.01)
     with pytest.raises(GradError, match="p"):
         opt.step()
 

@@ -11,7 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import line_trajectory, record_episode, toy_trajectory
+from conftest import line_trajectory, toy_trajectory
+from deskicl.harness import record_episode
 from deskicl.model import ModelConfig
 from deskicl.sim import TaskSpec, third_view_uv
 from deskicl.traces import TRACE_DIM, TRACE_POINTS, augment_dataset, sample_mask, trace_matrix
