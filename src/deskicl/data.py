@@ -7,12 +7,13 @@ colours; the model's state encoder looks the colours up where it reads them.
 
 An episode file (version 4) is a `checkpoint.py` container: its header holds
 `magic`, `version`, the episode `count` and `<i>.task_label`, and episode i's
-arrays are named `<i>.<field>`, for the fields it has (an episode without
-traces has no `<i>.traces`): `third` and `wrist` uint8, `proprio`, `actions`
-and `traces` float32. Round trips are bit-exact. Files of earlier versions
-(float32 colours, or a palette stored with each episode) do not load: they
-raise an EpisodeIOError that says to rerun gen-data, as does a file that is
-not a container at all, such as a version 1 (JSONL) file.
+arrays are named `<i>.<field>`, one for every field: `third` and `wrist`
+uint8, `proprio`, `actions` and `traces` float32. Only trace-augmented
+episodes are saved, and a file missing any array does not load. Round trips
+are bit-exact. Files of earlier versions (float32 colours, or a palette
+stored with each episode) do not load: they raise an EpisodeIOError that
+says to rerun gen-data, as does a file that is not a container at all, such
+as a version 1 (JSONL) file.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class EpisodeIOError(RuntimeError):
 class Trajectory:
     """One episode: per-step renders as indices into sim.PALETTE,
     proprioception, actions, optional traces; the float arrays hold finite
-    values only."""
+    values only, and the traces values in [0, 1]."""
 
     task_label: str
     third: np.ndarray  # (T, G, G) uint8, indices into sim.PALETTE
@@ -64,6 +65,11 @@ class Trajectory:
             if not np.isfinite(arr).all():
                 step = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
                 raise ValueError(f"{name} of step {step} are not finite: {arr[step].tolist()}")
+        if self.traces is not None:
+            outside = ((self.traces < 0.0) | (self.traces > 1.0)).any(axis=1)
+            if outside.any():
+                step = np.flatnonzero(outside)[0]
+                raise ValueError(f"traces of step {step} are outside [0, 1]: {self.traces[step].tolist()}")
         for name in ("third", "wrist"):
             images = getattr(self, name)
             if images.dtype != np.uint8 or images.ndim != 3 or images.shape[1] != images.shape[2]:
@@ -104,10 +110,10 @@ class SplitSpec:
 class TrainingSequence:
     """Prompt episodes followed by one target episode, with label tensors.
 
-    Steps are concatenated in episode order; each step later embeds to the
-    token triple [state, reasoning, action]. Only target steps carry loss;
-    `reasoning_input_mask` marks target steps whose trace input is replaced
-    by the zero vector (the prediction target remains).
+    Steps are laid out by `stack_steps`, in episode order; each step later
+    embeds to the token triple [state, reasoning, action]. Only target steps
+    carry loss; `reasoning_input_mask` marks target steps whose trace input
+    is replaced by the zero vector (the prediction target remains).
     """
 
     episodes: list[Trajectory]
@@ -124,6 +130,13 @@ class TrainingSequence:
     @property
     def n_steps(self) -> int:
         return len(self.proprio)
+
+
+def stack_steps(episodes: list[Trajectory]) -> dict[str, np.ndarray]:
+    """Every ARRAY_FIELDS array of `episodes`, their steps concatenated in
+    episode order: the step layout of a training sequence and of a
+    closed-loop prompt alike."""
+    return {name: np.concatenate([getattr(e, name) for e in episodes]) for name in ARRAY_FIELDS}
 
 
 def build_sequence(
@@ -151,6 +164,7 @@ def build_sequence(
 
     chosen = rng.choice(len(subset_trajectories), size=n_prompt + 1, replace=False)
     episodes = [subset_trajectories[int(i)] for i in chosen]
+    steps = stack_steps(episodes)
     lengths = [len(e) for e in episodes]
     total = sum(lengths)
 
@@ -163,19 +177,14 @@ def build_sequence(
     # the next `chunk_h` actions of every step at once: step s reads the
     # actions from s on, clamped to the last step of its own episode, and
     # the slots clamped are invalid, so the loss skips them
-    actions = np.concatenate([e.actions for e in episodes])
     ends = np.repeat(np.cumsum(lengths), lengths)[:, None]
-    steps = np.arange(total)[:, None] + np.arange(chunk_h)
-    chunk_actions = actions[np.minimum(steps, ends - 1)].astype(np.float32, copy=False)
-    chunk_valid = steps < ends
+    ahead = np.arange(total)[:, None] + np.arange(chunk_h)
+    chunk_actions = steps["actions"][np.minimum(ahead, ends - 1)].astype(np.float32, copy=False)
+    chunk_valid = ahead < ends
 
     return TrainingSequence(
         episodes=episodes,
-        third=np.concatenate([e.third for e in episodes]),
-        wrist=np.concatenate([e.wrist for e in episodes]),
-        proprio=np.concatenate([e.proprio for e in episodes]),
-        actions=actions,
-        traces=np.concatenate([e.traces for e in episodes]),
+        **steps,
         step_is_target=step_is_target,
         reasoning_input_mask=reasoning_input_mask,
         chunk_actions=chunk_actions,
@@ -193,10 +202,7 @@ def save_episodes(path, trajectories: list[Trajectory]) -> None:
     arrays = {}
     for i, traj in enumerate(trajectories):
         header[f"{i}.task_label"] = traj.task_label
-        for name in ARRAY_FIELDS:
-            arr = getattr(traj, name)
-            if arr is not None:
-                arrays[f"{i}.{name}"] = arr
+        arrays.update({f"{i}.{name}": getattr(traj, name) for name in ARRAY_FIELDS})
     save_checkpoint(path, arrays, header)
 
 
@@ -219,7 +225,7 @@ def load_episodes(path) -> list[Trajectory]:
     out: list[Trajectory] = []
     for i, label in enumerate(labels):
         fields = {name: arrays.pop(f"{i}.{name}", None) for name in ARRAY_FIELDS}
-        missing = [name for name in ARRAY_FIELDS if fields[name] is None and name != "traces"]
+        missing = [name for name in ARRAY_FIELDS if fields[name] is None]
         if missing:
             raise EpisodeIOError(f"{path}: episode {i} lacks arrays {missing}")
         try:

@@ -38,7 +38,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .data import Trajectory, build_sequence
+from .data import Trajectory, build_sequence, stack_steps
 from .model import (
     ACTION_DIM,
     TOKENS_PER_STEP,
@@ -100,10 +100,12 @@ def train(
     """Optimize `model` in place for cfg.steps sequences; returns the loss history.
 
     Fully determined by (model parameters, dataset order, cfg.seed). Raises
-    ValueError before step 0 if a task's longest possible sequence exceeds
-    the model's max_context. Aborts with a diagnostic if the loss or the
-    gradient norm goes non-finite, before that step's update touches the
-    parameters.
+    ValueError before step 0, touching no parameter or gradient, if a task
+    has a single episode or its longest possible sequence exceeds the
+    model's max_context. A head outside the variant's loss (the trace head
+    of `icrt`) keeps the zero gradient `AdamW` gives it. Aborts with a
+    diagnostic if the loss or the gradient norm goes non-finite, before that
+    step's update touches the parameters.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -111,11 +113,10 @@ def train(
     for traj in dataset:
         subsets.setdefault(traj.task_label, []).append(traj)
     labels = sorted(subsets)
-    usable = [lb for lb in labels if len(subsets[lb]) >= 2]
-    if not usable:
-        raise ValueError("no task subset has at least two episodes")
     most_prompts = max(cfg.n_prompt_choices)
-    for label in usable:
+    for label in labels:
+        if len(subsets[label]) < 2:
+            raise ValueError(f"task {label}: it has one episode, but a sequence needs a prompt demo and a target")
         # the longest sequence build_sequence can sample: the most prompt
         # demos plus the target
         n_episodes = min(most_prompts, len(subsets[label]) - 1) + 1
@@ -130,7 +131,7 @@ def train(
     opt = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     history: list[LossRecord] = []
     for step_idx in range(cfg.steps):
-        label = usable[int(rng.integers(len(usable)))]
+        label = labels[int(rng.integers(len(labels)))]
         subset = subsets[label]
         n_prompt = int(cfg.n_prompt_choices[int(rng.integers(len(cfg.n_prompt_choices)))])
         n_prompt = min(n_prompt, len(subset) - 1)
@@ -143,11 +144,6 @@ def train(
                     f"action {l_action}, reasoning {l_reason}); aborting"
                 )
             backward(loss)
-        for p in model.params.values():
-            # heads outside the variant's loss (e.g. the trace head when no
-            # reasoning loss is applied) have exactly zero gradient
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
         grad_norm = clip_grad_norm(model.params, cfg.grad_clip)
         if not np.isfinite(grad_norm):
             raise RuntimeError(f"non-finite gradient norm {grad_norm} at step {step_idx} (task {label}); aborting before the update")
@@ -270,11 +266,9 @@ class TransformerPolicy:
         if not prompt_demos:
             raise ValueError("need at least one prompt demo")
         model = self.model
-        third, wrist, proprio, traces, actions = (
-            np.concatenate([getattr(d, name) for d in prompt_demos]) for name in ("third", "wrist", "proprio", "traces", "actions")
-        )
-        no_target = np.zeros(len(proprio), dtype=bool)
-        tokens = step_tokens(model, third, wrist, proprio, traces, actions, no_target, no_target)
+        steps = stack_steps(prompt_demos)
+        no_target = np.zeros(len(steps["proprio"]), dtype=bool)
+        tokens = step_tokens(model, **steps, step_is_target=no_target, reasoning_input_mask=no_target)
         self.cache = KVCache(model.config)
         self._pending = None
         kv_decode(self.cache, model, tokens.data)

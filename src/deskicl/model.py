@@ -513,6 +513,17 @@ def forward_sequence(model: PolicyModel, seq: TrainingSequence) -> tuple[Tensor,
     return prediction_heads(model, hidden, seq.n_steps)
 
 
+def _masked_l1(pred: Tensor, labels: np.ndarray, mask: np.ndarray) -> tuple[Tensor, int]:
+    """Mean |pred - labels| over the elements that `mask`, broadcast to
+    pred's shape, selects, and their count; the mean is 0 when it selects
+    none."""
+    weights = np.broadcast_to(mask, pred.shape).astype(pred.dtype)
+    count = int(np.count_nonzero(weights))
+    diff = tn.absolute(tn.sub(pred, Tensor(labels, dtype=pred.dtype)))
+    total = tn.sum_all(tn.mul(diff, Tensor(weights, dtype=pred.dtype)))
+    return tn.scale(total, 1.0 / max(count, 1)), count
+
+
 def combined_loss(
     trace_pred: Tensor,
     chunk_pred: Tensor,
@@ -530,23 +541,14 @@ def combined_loss(
     when no trace positions carry loss (the no-reasoning baseline); having
     no action positions at all is an error.
     """
-    dtype = trace_pred.dtype
-    action_mask = (loss_mask[:, None, None] & chunk_valid[:, :, None]) & np.ones((1, 1, ACTION_DIM), dtype=bool)
-    action_count = int(action_mask.sum())
+    l_action, action_count = _masked_l1(chunk_pred, chunk_labels, (loss_mask[:, None] & chunk_valid)[:, :, None])
     if action_count == 0:
         raise ValueError("loss: no unmasked action elements")
-    diff = tn.absolute(tn.sub(chunk_pred, Tensor(chunk_labels, dtype=dtype)))
-    diff = tn.mul(diff, Tensor(action_mask.astype(dtype), dtype=dtype))
-    l_action = tn.scale(tn.sum_all(diff), 1.0 / action_count)
-
-    trace_count = int(reasoning_loss_mask.sum()) * trace_labels.shape[1]
-    if trace_count:
-        tdiff = tn.absolute(tn.sub(trace_pred, Tensor(trace_labels, dtype=dtype)))
-        tdiff = tn.mul(tdiff, Tensor(np.broadcast_to(reasoning_loss_mask[:, None], trace_labels.shape).astype(dtype), dtype=dtype))
-        l_reason = tn.scale(tn.sum_all(tdiff), 1.0 / trace_count)
-        loss = tn.add(l_action, tn.scale(l_reason, lambda_r))
-        return loss, float(l_action.data), float(l_reason.data)
-    return l_action, float(l_action.data), 0.0
+    if not reasoning_loss_mask.any():
+        return l_action, float(l_action.data), 0.0
+    l_reason, _ = _masked_l1(trace_pred, trace_labels, reasoning_loss_mask[:, None])
+    loss = tn.add(l_action, tn.scale(l_reason, lambda_r))
+    return loss, float(l_action.data), float(l_reason.data)
 
 
 def sequence_loss(model: PolicyModel, seq: TrainingSequence) -> tuple[Tensor, float, float]:

@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .tensor import GradError, Tensor
+from .tensor import Tensor
 
 _BETAS = (0.9, 0.95)
 _EPS = 1e-8
@@ -17,9 +17,11 @@ class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict.
 
     The decay is applied directly to the parameters (independent of the
-    adaptive step), then the bias-corrected Adam update follows. Moment
-    buffers shape-match their parameters; `step_count` increases by one
-    per `step()` call.
+    adaptive step), then the bias-corrected Adam update follows. The
+    optimizer owns every parameter's gradient: it gives each one a zero
+    `.grad` beside its moment buffers, `backward` adds into it in place, and
+    `zero_grad` zeroes it in place, so a parameter no loss reaches steps on
+    a zero gradient. `step_count` increases by one per `step()` call.
     """
 
     def __init__(
@@ -34,6 +36,8 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        for p in self.params.values():
+            p.grad = np.zeros_like(p.data)
 
     def step(self) -> None:
         self.step_count += 1
@@ -41,8 +45,6 @@ class AdamW:
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, p in self.params.items():
-            if p.grad is None:
-                raise GradError(f"adamw: parameter '{name}' has no grad")
             g = p.grad
             if self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
@@ -56,19 +58,17 @@ class AdamW:
 
     def zero_grad(self) -> None:
         for p in self.params.values():
-            p.grad = None
+            p.grad.fill(0.0)
 
 
 def clip_grad_norm(params: Mapping[str, Tensor], max_norm: float) -> float:
     """Scale all grads so their global L2 norm is at most `max_norm`.
 
-    Returns the pre-clip norm. Parameters without grads are an error,
-    matching the optimizer contract.
+    Returns the pre-clip norm. Every parameter holds a grad: `AdamW` gives
+    each one its buffer.
     """
     total = 0.0
-    for name, p in params.items():
-        if p.grad is None:
-            raise GradError(f"clip_grad_norm: parameter '{name}' has no grad")
+    for p in params.values():
         total += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,23 +173,37 @@ def _saved_container(path, trajs):
 
 
 def test_episode_round_trip_bit_identical(tmp_path):
-    plain = toy_trajectory("poke_c3", 6, seed=3)
-    trajs = augment_dataset([toy_trajectory("poke_c3", 5, seed=1), toy_trajectory("poke_c3", 7, seed=2)]) + [plain]
-    assert plain.traces is None
+    trajs = augment_dataset([toy_trajectory("poke_c3", 5, seed=1), toy_trajectory("poke_c3", 7, seed=2)])
     path = tmp_path / "poke_c3.episodes"
     save_episodes(path, trajs)
     loaded = load_episodes(path)
-    assert len(loaded) == 3
+    assert len(loaded) == 2
     for orig, back in zip(trajs, loaded):
         assert back.task_label == orig.task_label
         for name, dtype in (("third", np.uint8), ("wrist", np.uint8), ("proprio", np.float32), ("actions", np.float32)):
             assert getattr(back, name).dtype == dtype
             assert np.array_equal(getattr(back, name), getattr(orig, name))
-        if orig.traces is None:
-            assert back.traces is None
-        else:
-            assert back.traces.dtype == np.float32 and np.array_equal(back.traces, orig.traces)
+        assert back.traces.dtype == np.float32 and np.array_equal(back.traces, orig.traces)
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_save_episodes_refuses_a_traceless_trajectory(tmp_path):
+    """Only trace-augmented episodes are saved: the container names the
+    missing array and no file is left behind."""
+    trajs = augment_dataset([toy_trajectory("poke_c3", 5, seed=1)]) + [toy_trajectory("poke_c3", 6, seed=3)]
+    with pytest.raises(ValueError, match="array '1.traces' is object"):
+        save_episodes(tmp_path / "poke_c3.episodes", trajs)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trajectory_refuses_traces_outside_the_unit_range():
+    (good,) = augment_dataset([toy_trajectory("poke_c0", 5, seed=4)])
+    for value in (1.5, -0.25):
+        traces = good.traces.copy()
+        traces[3, 6] = value
+        with pytest.raises(ValueError, match=rf"^traces of step 3 are outside \[0, 1\]: \[.*, {value}, "):
+            replace(good, traces=traces)
+    replace(good, traces=np.clip(good.traces, 0.0, 1.0).round())  # the bounds themselves are in range
 
 
 def test_episode_file_empty_dataset(tmp_path):

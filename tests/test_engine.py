@@ -461,6 +461,27 @@ def test_train_stops_before_update_on_non_finite_grad_norm(monkeypatch):
         assert np.array_equal(p.data, before[k])
 
 
+def test_train_steps_a_head_outside_the_loss_on_its_zero_gradient():
+    """An `icrt` model's trace head carries no loss: every step leaves each
+    parameter's one gradient buffer zeroed in place, and weight decay alone
+    moves the trace head's weights."""
+    model = PolicyModel.init(ModelConfig(**{**SMALL_CFG.__dict__, "target_reasoning": False}), seed=13)
+    head, action_head = model.params["reasoning_head.w"], model.params["action_head.w"]
+    expected, decayed_action = head.data.copy(), action_head.data.copy()
+    grads = []
+    cfg = TrainConfig(steps=2, seed=0, lr=1e-3, weight_decay=0.5, checkpoint_interval=1)
+    train(model, _toy_dataset(3), cfg, checkpoint_hook=lambda step, m: grads.append({k: p.grad for k, p in m.params.items()}))
+    assert len(grads) == 2
+    for k, p in model.params.items():
+        assert grads[0][k] is grads[1][k] is p.grad and not p.grad.any()
+    for _ in range(2):
+        expected *= 1.0 - cfg.lr * cfg.weight_decay
+        decayed_action *= 1.0 - cfg.lr * cfg.weight_decay
+    assert np.array_equal(head.data, expected)
+    # the action head carries loss, so its gradient moves it further
+    assert not np.array_equal(action_head.data, decayed_action)
+
+
 def test_train_checks_the_context_budget_before_step_0():
     dataset = _toy_dataset(4)
     lengths = {}

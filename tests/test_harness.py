@@ -16,7 +16,7 @@ from conftest import write_version_1_container, write_version_2_episode_file, wr
 from deskicl import harness
 from deskicl.checkpoint import load_checkpoint, save_checkpoint
 from deskicl.cli import build_parser, main as cli_main
-from deskicl.data import load_episodes
+from deskicl.data import load_episodes, save_episodes
 from deskicl.engine import ExpertReplayPolicy, RolloutResult, TransformerPolicy, rollout
 from deskicl.harness import (
     DataSection,
@@ -731,6 +731,50 @@ def test_train_refuses_an_episode_with_a_non_finite_value(tiny_run, tmp_path, ca
     episodes, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write)
     assert err.startswith(f"deskicl train: error: {episodes}: episode 1: inconsistent arrays: {name} of step 2 are not finite: [")
     assert f", {value}, " in err
+
+
+def test_train_refuses_an_episode_with_traces_outside_the_unit_range(tiny_run, tmp_path, capsys):
+    """A stored trace value outside [0, 1] fails train before any output,
+    naming the file, the episode and the step, where the first step that
+    sampled it failed in the reasoning encoder without naming either."""
+
+    def write(path, _):
+        arrays, header = load_checkpoint(path)
+        arrays["1.traces"] = arrays["1.traces"].copy()
+        arrays["1.traces"][2, 1] = 1.5
+        save_checkpoint(path, arrays, header)
+
+    episodes, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write)
+    assert err.startswith(f"deskicl train: error: {episodes}: episode 1: inconsistent arrays: traces of step 2 are outside [0, 1]: [")
+    assert ", 1.5, " in err
+
+
+def test_train_refuses_an_episode_without_traces(tiny_run, tmp_path, capsys):
+    """An episode file missing an episode's traces fails train before any
+    output, naming the file, the episode and the array."""
+
+    def write(path, _):
+        arrays, header = load_checkpoint(path)
+        del arrays["1.traces"]
+        save_checkpoint(path, arrays, header)
+
+    episodes, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write)
+    assert err == f"deskicl train: error: {episodes}: episode 1 lacks arrays ['traces']\n"
+
+
+def test_train_refuses_a_task_with_a_single_episode(tiny_run, tmp_path, capsys):
+    """The only pick-place train task cut to one episode cannot make a
+    sequence: train fails before any output naming the task, where it used
+    to leave the task out and train on the poke tasks alone."""
+    config, out = tiny_run
+    (label,) = [lb for lb in harness.load_split(out).train_tasks if harness.task_by_label(config, lb).kind == "pick_place"]
+
+    def write(path, episodes):
+        if path.name == harness.episode_path(out, label).name:
+            save_episodes(path, episodes[:1])
+
+    _, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write)
+    assert err == f"deskicl train: error: task {label}: it has one episode, but a sequence needs a prompt demo and a target\n"
 
 
 def test_eval_without_a_variant_does_no_work(tiny_run, tmp_path, capsys, monkeypatch):

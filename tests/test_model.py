@@ -166,7 +166,7 @@ def test_load_refuses_a_version_1_checkpoint_of_another_rope_base(tmp_path):
 
 def test_load_rejects_a_container_without_model_entries(tmp_path):
     path = tmp_path / "poke_c0.episodes"
-    save_episodes(path, [toy_trajectory("poke_c0", 4)])
+    save_episodes(path, augment_dataset([toy_trajectory("poke_c0", 4)]))
     with pytest.raises(CheckpointError, match="not a model checkpoint"):
         PolicyModel.load(path)
 

@@ -543,8 +543,8 @@ def test_adamw_zero_grad_no_decay_leaves_params():
 
 def test_adamw_single_step_bias_corrected():
     p = Tensor(np.array(0.0, dtype=np.float32), requires_grad=True)
-    p.grad = np.array(1.0, dtype=np.float32)
     opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+    p.grad.fill(1.0)
     opt.step()
     # m_hat = 1, v_hat = 1 after bias correction for any betas, so the step is -lr/(1+eps)
     assert abs(float(p.data) + 0.1) < 1e-7
@@ -558,11 +558,21 @@ def test_adamw_decoupled_decay_shrinks():
     assert np.allclose(p.data, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5), atol=1e-7)
 
 
-def test_adamw_missing_grad_errors():
+def test_adamw_owns_one_gradient_buffer_per_parameter():
+    """AdamW gives every parameter a zero gradient of its shape and dtype;
+    backward adds into that buffer and zero_grad zeroes it, in place."""
     p = Tensor(np.zeros(2), requires_grad=True)
-    opt = AdamW({"p": p}, lr=3e-4, weight_decay=0.01)
-    with pytest.raises(GradError, match="p"):
-        opt.step()
+    q = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True, dtype=np.float64)
+    opt = AdamW({"p": p, "q": q}, lr=3e-4, weight_decay=0.01)
+    for t in (p, q):
+        assert t.grad.shape == t.shape and t.grad.dtype == t.data.dtype and not t.grad.any()
+    buffer = q.grad
+    for _ in range(2):
+        with Tape():
+            backward(tn.sum_all(tn.mul(q, q)))
+    assert q.grad is buffer and np.array_equal(buffer, 4.0 * q.data)
+    opt.zero_grad()
+    assert q.grad is buffer and not buffer.any() and not p.grad.any()
 
 
 def test_clip_grad_norm():
