@@ -26,6 +26,7 @@ a failed write leaves the previous file as it was.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -107,8 +108,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, 
             if dtype is None:
                 raise CheckpointError(f"{path}: array {name!r} has unknown dtype code {code!r}")
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            need(math.prod(shape) * dtype.itemsize)  # before allocating, so corrupt dims cannot ask for more than the file holds
             data = np.empty(shape, dtype=dtype.newbyteorder("<"))  # the file's bytes are read once, into the array returned
-            need(data.nbytes)
             fh.readinto(data)
             params[name] = data.astype(dtype, copy=False)  # no copy on a little-endian machine
         if fh.tell() != size:

@@ -259,7 +259,7 @@ class TransformerPolicy:
         self.k = reasoning_interval
         self.horizon = model.config.chunk_h
         self.cache: KVCache | None = None  # made by `begin`
-        self._pending: np.ndarray | None = None  # (B, 1, d) committed action tokens not yet decoded
+        self._pending: np.ndarray | None = None  # (B, 0 or 1, d) committed action tokens not yet decoded
         self._zero_trace_token = encode_reasoning_batch(model, np.zeros((1, TRACE_DIM)), np.array([True])).data[0]
 
     def begin(self, prompt_demos: list[Trajectory], lanes: int) -> None:
@@ -270,25 +270,25 @@ class TransformerPolicy:
         no_target = np.zeros(len(steps["proprio"]), dtype=bool)
         tokens = step_tokens(model, **steps, step_is_target=no_target, reasoning_input_mask=no_target)
         self.cache = KVCache(model.config)
-        self._pending = None
         kv_decode(self.cache, model, tokens.data)
         self.cache.select_lanes(np.zeros(lanes, dtype=np.intp))
+        self._pending = np.zeros((lanes, 0, model.config.d_model), dtype=model.dtype)
 
     def propose(self, t, states):
         model = self.model
-        pending = [] if self._pending is None else [self._pending]
+        pending = self._pending
         # room for the pending action plus this step's tokens
-        if self.cache.remaining < TOKENS_PER_STEP + len(pending):
+        if self.cache.remaining < TOKENS_PER_STEP + pending.shape[1]:
             raise ContextOverflowError("prompt plus rollout exceeded the model context")
         third, wrist, proprio = observe(states, model.config.third_resolution, model.config.wrist_resolution)
         f_s = encode_state_batch(model, third[:, None], wrist[:, None], proprio[:, None]).data
-        self._pending = None
+        self._pending = pending[:, :0]
         if self.k == 0 or t % self.k:
             # no trace to decode: the zero-trace token joins the same call
             zero = np.broadcast_to(self._zero_trace_token, (len(states), 1, model.config.d_model))
-            hidden, _ = kv_decode(self.cache, model, np.concatenate(pending + [f_s, zero], axis=1))
+            hidden, _ = kv_decode(self.cache, model, np.concatenate([pending, f_s, zero], axis=1))
             return None, self._chunks(hidden[:, -1:])
-        hidden, _ = kv_decode(self.cache, model, np.concatenate(pending + [f_s], axis=1))
+        hidden, _ = kv_decode(self.cache, model, np.concatenate([pending, f_s], axis=1))
         # (B, 1, d) hidden states: B one-row products, as a 1-lane run computes them
         raw = trace_head(model, Tensor(hidden[:, -1:], dtype=model.dtype)).data
         traces = np.clip(raw, 0.0, 1.0).astype(np.float32)
@@ -306,8 +306,7 @@ class TransformerPolicy:
 
     def keep_lanes(self, lanes: np.ndarray) -> None:
         self.cache.select_lanes(lanes)
-        if self._pending is not None:
-            self._pending = self._pending[lanes]
+        self._pending = self._pending[lanes]
 
 
 class ExpertReplayPolicy:

@@ -352,7 +352,11 @@ def load_train_episodes(out_dir) -> list[Trajectory]:
     split = load_split(out_dir)
     episodes: list[Trajectory] = []
     for label in split.train_tasks:
-        episodes.extend(load_episodes(episode_path(out_dir, label)))
+        path = episode_path(out_dir, label)
+        for i, ep in enumerate(load_episodes(path)):
+            if ep.task_label != label:
+                raise HarnessError(f"{path}: episode {i} is a demo of {ep.task_label}, not of {label}")
+            episodes.append(ep)
     return episodes
 
 
@@ -487,9 +491,9 @@ def _evaluate(
     every variant and k rolls out on those same scenes. Every checkpoint is
     loaded once and every run's policy is built once, before the first
     rollout, so a missing checkpoint, one trained at other camera
-    resolutions than the config's, or a k its model cannot serve fails
-    before any work; the expert stub is built per task. Records come in cell
-    order, then run order, then rollout order.
+    resolutions than the config's or as another variant, or a k its model
+    cannot serve fails before any work; the expert stub is built per task.
+    Records come in cell order, then run order, then rollout order.
     """
     models = {}
     for variant in dict.fromkeys(v for v, _ in runs if v != "expert"):
@@ -499,6 +503,10 @@ def _evaluate(
         models[variant] = PolicyModel.load(ckpt)[0]
         seen = models[variant].config
         _check_cameras(f"checkpoint {ckpt}", seen.third_resolution, seen.wrist_resolution, config.model)
+        flags = {name: getattr(seen, name) for name in ("prompt_reasoning", "target_reasoning")}
+        if flags != VARIANTS.get(variant):
+            held = ", ".join(f"{name} = {value}" for name, value in flags.items())
+            raise HarnessError(f"checkpoint {ckpt} holds a model with {held}, not one of variant '{variant}'")
     policies: dict[tuple[str, int], TransformerPolicy] = {}
     for variant, k in runs:
         if variant != "expert":

@@ -23,9 +23,10 @@ probability tiles are recycled across taped calls: each is a view of a
 buffer taken from a module-wide pool of spares, and the backward rule gives
 the buffer back after the tile's last use, so the next step's forward
 finds the memory already mapped instead of faulting it in afresh. The pool
-never holds more bytes than the most tile memory one `Tape` has taken, that
-is one training step's tiles at the longest sequence seen. Untaped calls
-(inference) allocate their tiles as plain temporaries.
+keeps every buffer given back; since a training step gives back all it took
+before the next one starts, its spares are one step's tiles at the longest
+sequence seen. Untaped calls (inference) allocate their tiles as plain
+temporaries.
 
 Broadcasting is restricted to leading batch dimensions: the smaller
 operand's shape must equal the trailing dims of the larger one, e.g.
@@ -47,7 +48,7 @@ class ShapeError(ValueError):
 
 
 class GradError(RuntimeError):
-    """Backward pass misuse (non-scalar loss, detached loss, missing grad)."""
+    """Backward pass misuse (non-scalar loss, detached loss)."""
 
 
 class Tensor:
@@ -111,7 +112,6 @@ class Tape:
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
-        self.tile_bytes = 0  # attention tile memory this tape's ops took from `_tiles`
 
     def __enter__(self) -> "Tape":
         global _active_tape
@@ -381,35 +381,28 @@ class _TilePool:
     K rounded up to a multiple of `_QUERY_TILE`, so steps of different
     lengths share buffers, and the tile is its `[..., :K]` view. Spares are
     kept per (lead + heads, W, dtype), so float32 and float64 tiles never
-    share one. `take` hands out a spare or a new buffer and charges it to
-    the recording tape; `give` keeps a returned buffer only while the
-    spares stay within `cap`, the most bytes one tape has taken, and drops
-    it otherwise. So the pool holds at most one step's tiles at the longest
-    sequence seen.
+    share one. `take` hands out a spare or a new buffer, and `give` keeps
+    every buffer given back.
+
+    The bound is how a training step uses the pool: each layer's call takes
+    one full tile of each width 64, 128, ... up to the step's length, and
+    the backward gives all of them back before the next step's forward. So
+    the spares hold `n_layers` buffers of each width up to the longest step
+    seen: one step's tiles at the longest sequence.
     """
 
     def __init__(self):
         self.spares: dict[tuple, list[np.ndarray]] = {}
-        self.held = 0  # bytes in `spares`
-        self.cap = 0
 
-    def take(self, tape: Tape, lead: tuple[int, ...], cols: int, dtype: np.dtype) -> np.ndarray:
+    def take(self, lead: tuple[int, ...], cols: int, dtype: np.dtype) -> np.ndarray:
         """A (*lead, _QUERY_TILE, cols) tile whose `base` is its pool buffer."""
         width = -(-cols // _QUERY_TILE) * _QUERY_TILE
         spares = self.spares.get((lead, width, dtype))
-        if spares:
-            buf = spares.pop()
-            self.held -= buf.nbytes
-        else:
-            buf = np.empty((*lead, _QUERY_TILE, width), dtype=dtype)
-        tape.tile_bytes += buf.nbytes
-        self.cap = max(self.cap, tape.tile_bytes)
+        buf = spares.pop() if spares else np.empty((*lead, _QUERY_TILE, width), dtype=dtype)
         return buf[..., :cols]
 
     def give(self, buf: np.ndarray) -> None:
-        if self.held + buf.nbytes <= self.cap:
-            self.spares.setdefault((buf.shape[:-2], buf.shape[-1], buf.dtype), []).append(buf)
-            self.held += buf.nbytes
+        self.spares.setdefault((buf.shape[:-2], buf.shape[-1], buf.dtype), []).append(buf)
 
 
 _tiles = _TilePool()
@@ -446,9 +439,9 @@ def causal_attention(
     written into a view of a buffer from the module's tile pool
     (`_TilePool`), and the backward gives the buffer back right after the
     tile's last use, so consecutive training steps reuse the same memory.
-    The pool holds at most the most tile bytes any one tape has taken: one
-    step's tiles at the longest sequence seen. A short last tile, and every
-    tile of an untaped call, is allocated afresh.
+    A training step gives back every tile before the next forward, so the
+    pool holds one step's tiles at the longest sequence seen. A short last
+    tile, and every tile of an untaped call, is allocated afresh.
     """
     *lead, t, d = q.shape
     if len(lead) > 1 or k.shape != q.shape or v.shape != q.shape or d % n_heads:
@@ -472,19 +465,19 @@ def causal_attention(
         k_buf[..., start:start + t, :] = kh
         v_buf[..., start:start + t, :] = vh
         keys, values = k_buf[..., :start + t, :], v_buf[..., :start + t, :]
-    tape = _active_tape if q.requires_grad or k.requires_grad or v.requires_grad else None
+    taped = _active_tape is not None and (q.requires_grad or k.requires_grad or v.requires_grad)
     probs = []  # each tile's (..., H, i1-i0, start+i1) probabilities, kept for the backward
     ctx = np.empty((*lead, n_heads, t, dh), dtype=np.result_type(qh, keys, values))
     for i0 in range(0, t, _QUERY_TILE):
         i1 = min(i0 + _QUERY_TILE, t)
         n = i1 - i0
         keys_t = keys[..., :start + i1, :].swapaxes(-1, -2)
-        if tape is None or n < _QUERY_TILE:
+        if not taped or n < _QUERY_TILE:
             # a short last tile is not recycled: padded to full rows, its
             # buffer would keep up to _QUERY_TILE - 1 unused rows resident
             att = np.matmul(qh[..., i0:i1, :], keys_t)
         else:
-            tile = _tiles.take(tape, (*lead, n_heads), start + i1, np.result_type(qh, keys))
+            tile = _tiles.take((*lead, n_heads), start + i1, np.result_type(qh, keys))
             att = np.matmul(qh[..., i0:i1, :], keys_t, out=tile)
         if n > 1:  # hide the diagonal square's future keys (a single row has none), then softmax in place
             np.copyto(att[..., start + i0:], -np.inf, where=_FUTURE[:n, :n])

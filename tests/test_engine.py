@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deskicl import engine, sim
+from deskicl import engine, sim, tensor
 from deskicl.data import build_sequence
 from deskicl.engine import (
     ContextOverflowError,
@@ -25,7 +25,7 @@ from deskicl.engine import (
     train,
 )
 from deskicl.harness import record_episode
-from deskicl.model import ModelConfig, PolicyModel, forward_sequence, transformer_hidden
+from deskicl.model import TOKENS_PER_STEP, ModelConfig, PolicyModel, forward_sequence, transformer_hidden
 from deskicl.sim import TaskSpec
 from deskicl.tensor import Tensor
 
@@ -499,6 +499,29 @@ def test_train_checks_the_context_budget_before_step_0():
         assert np.array_equal(p.data, before[k]) and p.grad is None
     model = PolicyModel.init(ModelConfig(**{**SMALL_CFG.__dict__, "max_context": worst}), seed=0)
     train(model, dataset, TrainConfig(steps=1, seed=0))
+
+
+def test_train_leaves_one_step_of_attention_tiles_at_the_longest_length(monkeypatch):
+    """Each training step gives back every attention tile it took, so after
+    steps of different lengths the pool's spares are n_layers buffers of
+    each full-tile width up to the longest sequence."""
+    pool = tensor._TilePool()
+    monkeypatch.setattr(tensor, "_tiles", pool)
+    lengths = []
+
+    def recording_build_sequence(*args, **kwargs):
+        seq = build_sequence(*args, **kwargs)
+        lengths.append(TOKENS_PER_STEP * seq.n_steps)
+        return seq
+
+    monkeypatch.setattr(engine, "build_sequence", recording_build_sequence)
+    train(small_model(14), _toy_dataset(4), TrainConfig(steps=6, seed=0))
+    tile = tensor._QUERY_TILE
+    assert min(lengths) // tile < max(lengths) // tile
+    widths = range(tile, max(lengths) + 1, tile)
+    assert {key: len(bufs) for key, bufs in pool.spares.items()} == {
+        ((SMALL_CFG.n_heads,), w, np.dtype(np.float32)): SMALL_CFG.n_layers for w in widths
+    }
 
 
 _TRAIN_IN_SUBPROCESS = """

@@ -7,6 +7,7 @@ import math
 import re
 import shlex
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -608,6 +609,25 @@ def test_sweep_interval_runs_each_interval_once(tiny_run, tmp_path):
     assert len(set(keys)) == len(keys) and {r.reasoning_interval for r in records} == {0, 4}
 
 
+def test_eval_refuses_a_checkpoint_of_another_variant(tiny_run, tmp_path, capsys):
+    """An `ours` checkpoint under the name of `icrt`, or of a variant that
+    does not exist, fails before any rollout, naming the checkpoint, the
+    flags it holds and the variant asked."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    for variant in ("icrt", "bogus"):
+        ckpt = harness.checkpoint_path(run, variant, 0)
+        shutil.copy(harness.checkpoint_path(out, "ours", 0), ckpt)
+        assert cli_main(["eval", "--config", str(config_path), "--out", str(run), "--variant", variant]) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt} holds a model with prompt_reasoning = True, target_reasoning = True, not one of variant '{variant}'" in err
+        assert "Traceback" not in err
+    assert not (run / "metrics").exists()
+
+
 def test_eval_refuses_a_checkpoint_of_other_cameras(tiny_run, tmp_path, capsys):
     """A checkpoint trained at 32 pixels, evaluated under a 24-pixel config,
     fails before any rollout, naming the checkpoint and both resolutions."""
@@ -1109,9 +1129,15 @@ def test_cli_gen_and_report_exit_codes(tmp_path, capsys):
     split = json.loads((out / "split.json").read_text())
     episodes = harness.episode_path(out, split["train"][0])
     blob = episodes.read_bytes()
-    episodes.write_bytes(blob[: len(blob) // 2])
-    assert cli_main(["train", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
-    assert "truncated" in capsys.readouterr().err
+    # cut in half, or with dims of 200000 x 200000 for episode 0's actions: the bytes left are
+    # checked before any array is allocated
+    dims_at = blob.index(struct.pack("<H", 9) + b"0.actions") + 2 + 9 + 2
+    assert struct.unpack("<II", blob[dims_at:dims_at + 8]) == (len(load_episodes(episodes)[0]), 4)
+    for corrupt in (blob[: len(blob) // 2], blob[:dims_at] + struct.pack("<II", 200000, 200000) + blob[dims_at + 8:]):
+        episodes.write_bytes(corrupt)
+        assert cli_main(["train", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
+        err = capsys.readouterr().err
+        assert "truncated" in err and "Traceback" not in err
     # a version 1 (JSONL) episode file names the fix
     episodes.write_text('{"magic": "deskicl-episodes", "version": 1}\n{}\n')
     assert cli_main(["train", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
@@ -1172,6 +1198,25 @@ def test_cli_bad_config_exit_code(tmp_path, capsys, monkeypatch):
     assert cli_main(["gen-data", "--config", str(small), "--out", str(tmp_path / "y")]) == 1
     err = capsys.readouterr().err
     assert "could not place" in err and "Traceback" not in err
+
+
+def test_cli_train_refuses_an_episode_file_of_another_task(tiny_run, tmp_path, capsys):
+    """A held-out task's demos under a training task's name stop training
+    before step 0, naming the file, the episode and both labels."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(out / "episodes", run / "episodes")
+    shutil.copy(out / "split.json", run)
+    split = harness.load_split(run)
+    train_label, test_label = split.train_tasks[0], split.test_tasks[0]
+    shutil.copy(harness.episode_path(run, test_label), harness.episode_path(run, train_label))
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    assert cli_main(["train", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err
+    path = harness.episode_path(run, train_label)
+    assert f"{path}: episode 0 is a demo of {test_label}, not of {train_label}" in err and "Traceback" not in err
+    assert not (run / "checkpoints").exists()
 
 
 def test_cli_seed_sets_train_seed(tiny_run, tmp_path):

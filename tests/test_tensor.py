@@ -263,12 +263,14 @@ def _taped_attention_step(t, start, dtype=np.float32, backward_too=True):
     return [x.grad.tobytes() for x in ts] if backward_too else None
 
 
-def _step_tile_bytes(t, start):
-    """What one float32 `_taped_attention_step` takes from the pool: per
-    call, every full tile of its 2 heads with its keys padded to a multiple
-    of TILE."""
-    widths = [-(-(start + i0 + TILE) // TILE) * TILE for i0 in range(0, t - TILE + 1, TILE)]
-    return 2 * 2 * TILE * sum(widths) * 4
+def _step_tile_bytes(t):
+    """What one uncached float32 `_taped_attention_step` takes from the
+    pool: per call, every full tile of its 2 heads, with i1 keys."""
+    return 2 * 2 * TILE * sum(range(TILE, t + 1, TILE)) * 4
+
+
+def _spare_bytes(pool):
+    return sum(buf.nbytes for spares in pool.spares.values() for buf in spares)
 
 
 POOL_STEPS = [(70, 0), (200, 0), (131, 0), (131, 5)]
@@ -285,30 +287,29 @@ def test_recycled_tiles_give_the_gradients_of_fresh_ones(empty_tile_pool, monkey
     for _ in range(2):
         recycled = [_taped_attention_step(t, start) for t, start in POOL_STEPS]
         assert recycled == fresh
-    assert empty_tile_pool.held > 0
+    assert _spare_bytes(empty_tile_pool) > 0
 
 
 def test_tile_pool_holds_at_most_one_step_of_the_longest_length(empty_tile_pool):
-    """Alternating long steps with short ones whose cache shifts their tiles
-    to another width: the spares never exceed one long step's tiles."""
-    longest = _step_tile_bytes(260, 0)
-    assert _step_tile_bytes(70, 300) < longest  # but its width, 384, is not one of 64..256
-    for t, start in [(260, 0), (70, 300)] * 3:
-        _taped_attention_step(t, start)
-        assert empty_tile_pool.held <= longest
-    assert empty_tile_pool.held == longest
+    """Steps of alternating lengths each give back every tile they took, so
+    the spares are always one step's tiles at the longest length so far."""
+    longest = 0
+    for t in [70, 260, 131, 260, 70, 200]:
+        _taped_attention_step(t, 0)
+        longest = max(longest, t)
+        assert _spare_bytes(empty_tile_pool) == _step_tile_bytes(longest)
 
 
 def test_untaped_and_unfinished_steps_do_not_grow_the_tile_pool(empty_tile_pool):
     _taped_attention_step(131, 0)
-    held = empty_tile_pool.held
+    held = _spare_bytes(empty_tile_pool)
     q, k, v, cos, sin, _ = _attention_case(200, 0)
     tn.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2, *_full_width(cos, sin))
-    assert empty_tile_pool.held == held
+    assert _spare_bytes(empty_tile_pool) == held
     _taped_attention_step(200, 0, backward_too=False)
-    assert empty_tile_pool.held <= held
+    assert _spare_bytes(empty_tile_pool) <= held
     _taped_attention_step(131, 0)
-    assert empty_tile_pool.held <= held
+    assert _spare_bytes(empty_tile_pool) <= held
 
 
 def test_float32_and_float64_tiles_never_share_a_buffer(empty_tile_pool):
@@ -645,6 +646,20 @@ def test_checkpoint_cut_inside_an_array(tmp_path):
     b_end = len(blob) - (2 + 1 + 1 + 1 + 2 * 4)
     path.write_bytes(blob[: b_end - 6])
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: truncated at byte {b_end - 20} \\(wanted 20 more\\)$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dim", [200000, 2**32 - 1])
+def test_checkpoint_checks_corrupt_dims_against_the_bytes_left(tmp_path, dim):
+    """Dims that ask for more bytes than the file holds are a truncation,
+    found before any array is allocated."""
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, {"w": np.ones((3, 2), dtype=np.float32)}, {})
+    blob = path.read_bytes()
+    dims_at = len(blob) - 24 - 8
+    assert blob[dims_at:dims_at + 8] == struct.pack("<II", 3, 2)
+    path.write_bytes(blob[:dims_at] + struct.pack("<II", dim, dim) + blob[dims_at + 8:])
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: truncated at byte {len(blob) - 24} \\(wanted {dim * dim * 4} more\\)$"):
         load_checkpoint(path)
 
 

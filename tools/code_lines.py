@@ -8,12 +8,15 @@ expression, counts on every line it covers.
 
     python3 tools/code_lines.py              # src/deskicl of this checkout
     python3 tools/code_lines.py path/to/pkg  # another package directory
+    python3 tools/code_lines.py --rev HEAD~1 # beside each count, the count at a git revision and the difference
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -35,14 +38,38 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def sources_at(package: Path, rev: str) -> dict[str, str]:
+    """The package's modules at git revision `rev`, by file name."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(package), *args], check=True, capture_output=True, text=True).stdout
+
+    names = git("ls-tree", "--name-only", rev, "--", ".").split()
+    return {name: git("show", f"{rev}:./{name}") for name in names if name.endswith(".py")}
+
+
 def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "deskicl"
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{path.name:16} {count:5d}")
-    print(f"{'total':16} {total:5d}")
+    parser = argparse.ArgumentParser(description="Print the code lines of each module of a package and their total.")
+    parser.add_argument("package", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent / "src" / "deskicl")
+    parser.add_argument("--rev", help="also print each module's count at this git revision, and the difference")
+    args = parser.parse_args(argv)
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(args.package.glob("*.py"))}
+    if args.rev is None:
+        for name, count in counts.items():
+            print(f"{name:16} {count:5d}")
+        print(f"{'total':16} {sum(counts.values()):5d}")
+        return 0
+    try:
+        before = {name: code_lines(source) for name, source in sources_at(args.package, args.rev).items()}
+    except subprocess.CalledProcessError as exc:
+        print(f"code_lines: git failed: {exc.stderr.strip()}", file=sys.stderr)
+        return 1
+    rev = args.rev[:10]
+    print(f"{'':16} {rev:>10} {'now':>6} {'change':>6}")
+    rows = [(name, before.get(name, 0), counts.get(name, 0)) for name in sorted(counts.keys() | before.keys())]
+    rows.append(("total", sum(before.values()), sum(counts.values())))
+    for name, old, new in rows:
+        print(f"{name:16} {old:10d} {new:6d} {new - old:+6d}")
     return 0
 
 
