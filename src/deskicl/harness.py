@@ -5,7 +5,9 @@ Every run is driven by a flat `key = value` config file (dotted section
 prefixes, '#' comments). Each value is range-checked as its line is read, so
 an error names the line and the key. Each command writes the resolved config
 once it has read and checked its inputs, just before its first output file,
-so a command that fails early leaves the previous one in place. All
+so a command that fails early leaves the previous one in place. Gen-data
+then deletes the old split file, which it writes again last, so a gen-data
+that fails part-way leaves a run that train and eval refuse. All
 randomness is derived from explicit seeds through `derive_seed`, so
 regenerating with the same config and seeds reproduces every file byte for
 byte.
@@ -305,6 +307,7 @@ def cmd_gen_data(config: HarnessConfig, out_dir) -> SplitSpec:
     out_dir = Path(out_dir)
     split = stratified_split(config)
     write_resolved_config(config, out_dir)
+    (out_dir / "split.json").unlink(missing_ok=True)  # train and eval refuse the run until every episode file is new
     epdir = episodes_dir(out_dir)
     epdir.mkdir(parents=True, exist_ok=True)
     total = 0
@@ -353,7 +356,10 @@ def load_train_episodes(out_dir) -> list[Trajectory]:
     episodes: list[Trajectory] = []
     for label in split.train_tasks:
         path = episode_path(out_dir, label)
-        for i, ep in enumerate(load_episodes(path)):
+        task_episodes = load_episodes(path)
+        if not task_episodes:
+            raise HarnessError(f"{path}: holds no episodes of training task {label}; rerun gen-data")
+        for i, ep in enumerate(task_episodes):
             if ep.task_label != label:
                 raise HarnessError(f"{path}: episode {i} is a demo of {ep.task_label}, not of {label}")
             episodes.append(ep)
@@ -489,10 +495,10 @@ def _evaluate(
     Runs are paired: each cell records one prompt demo and resets one set of
     scenes, seeded only by (eval seed, task, prompt config, rollout index), and
     every variant and k rolls out on those same scenes. Every checkpoint is
-    loaded once and every run's policy is built once, before the first
-    rollout, so a missing checkpoint, one trained at other camera
-    resolutions than the config's or as another variant, or a k its model
-    cannot serve fails before any work; the expert stub is built per task.
+    loaded once, against the config's model with its variant's flags, and
+    every run's policy is built once, before the first rollout, so a missing
+    checkpoint, one of another model, or a k its model cannot serve fails
+    before any work; the expert stub is built per task.
     Records come in cell order, then run order, then rollout order.
     """
     models = {}
@@ -500,13 +506,7 @@ def _evaluate(
         ckpt = checkpoint_path(out_dir, variant, train_seed)
         if not ckpt.exists():
             raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
-        models[variant] = PolicyModel.load(ckpt)[0]
-        seen = models[variant].config
-        _check_cameras(f"checkpoint {ckpt}", seen.third_resolution, seen.wrist_resolution, config.model)
-        flags = {name: getattr(seen, name) for name in ("prompt_reasoning", "target_reasoning")}
-        if flags != VARIANTS.get(variant):
-            held = ", ".join(f"{name} = {value}" for name, value in flags.items())
-            raise HarnessError(f"checkpoint {ckpt} holds a model with {held}, not one of variant '{variant}'")
+        models[variant] = PolicyModel.load(ckpt, variant_model_config(config, variant))[0]
     policies: dict[tuple[str, int], TransformerPolicy] = {}
     for variant, k in runs:
         if variant != "expert":

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import functools
 import mmap
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tn
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import TrainingSequence
-from .settings import bounded, check_fields, parse, write
+from .settings import bounded, check_fields, write
 from .sim import PALETTE
 from .tensor import ShapeError, Tensor
 from .traces import TRACE_DIM
@@ -94,16 +94,6 @@ class ModelConfig:
     @property
     def patch_dim(self) -> int:
         return self.patch_size * self.patch_size * 3
-
-    def to_header(self) -> dict[str, str]:
-        """Every field by name, as `settings.write` writes it."""
-        return write(self)
-
-    @classmethod
-    def from_header(cls, header: dict[str, str]) -> "ModelConfig":
-        """The config `to_header` wrote; each value is parsed by its field's
-        annotation and checked against its range."""
-        return cls(**{f.name: parse(header[f.name], f) for f in fields(cls)})
 
 
 def _declare(config: ModelConfig, weight, constant) -> dict:
@@ -186,26 +176,31 @@ class PolicyModel:
         )
 
     def save(self, path, extra_header: dict[str, str] | None = None) -> None:
-        header = self.config.to_header()
+        header = write(self.config)
         if extra_header:
             header.update(extra_header)
         save_checkpoint(path, {k: p.data for k, p in self.params.items()}, header)
 
     @classmethod
-    def load(cls, path) -> tuple["PolicyModel", dict[str, str]]:
-        """The model a checkpoint holds; its arrays must be exactly the
-        parameters, at the shapes, that its header's config declares."""
+    def load(cls, path, config: ModelConfig) -> tuple["PolicyModel", dict[str, str]]:
+        """The model of `config` that a checkpoint holds, and the checkpoint's
+        header. The header must hold every field of `settings.write(config)`
+        at the config's value; the error names each field it differs in, with
+        both values ('none' where the header lacks it). The arrays must then be
+        exactly the parameters, at the shapes, that the config declares, with
+        finite values."""
         arrays, header = load_checkpoint(path)
-        try:
-            config = ModelConfig.from_header(header)
-        except (KeyError, ValueError) as exc:
-            raise CheckpointError(f"{path}: not a model checkpoint (bad or missing header entry {exc})") from exc
+        differ = [f"{k} = {header.get(k, 'none')} (config: {v})" for k, v in write(config).items() if header.get(k) != v]
+        if differ:
+            raise CheckpointError(f"{path}: not a checkpoint of the config's model: {', '.join(differ)}")
         shapes = _declare(config, weight=lambda shape, bound: shape, constant=lambda shape, value: shape)
         for name, shape in shapes.items():
             if name not in arrays:
                 raise CheckpointError(f"{path}: missing parameter {name} of shape {shape}")
             if arrays[name].shape != shape:
                 raise CheckpointError(f"{path}: parameter {name} has shape {arrays[name].shape}, its header's config declares {shape}")
+            if not np.isfinite(arrays[name]).all():
+                raise CheckpointError(f"{path}: parameter {name} holds a value that is not finite")
         unexpected = sorted(arrays.keys() - shapes.keys())
         if unexpected:
             raise CheckpointError(f"{path}: unexpected parameter {unexpected[0]}, which its header's config does not declare")

@@ -33,7 +33,7 @@ _PARSERS = {"int": (int, "an int"), "float": (float, "a float"), "bool": ({"0": 
 
 
 def parse(raw: str, f: dataclasses.Field):
-    """Field `f`'s value written as `raw` in a config file or checkpoint header,
+    """Field `f`'s value written as `raw` in a config file or on the command line,
     parsed by its annotation and checked."""
     if f.type not in _PARSERS:
         raise ValueError(f"{f.name} is not a config-file key: {f.type} values keep their defaults")

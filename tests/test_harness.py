@@ -428,8 +428,8 @@ def test_variant_checkpoints_share_init_shapes(tiny_run):
     config, out = tiny_run
     from deskicl.model import PolicyModel
 
-    ours, header_a = PolicyModel.load(harness.checkpoint_path(out, "ours", 0))
-    icrt, header_b = PolicyModel.load(harness.checkpoint_path(out, "icrt", 0))
+    ours, header_a = PolicyModel.load(harness.checkpoint_path(out, "ours", 0), harness.variant_model_config(config, "ours"))
+    icrt, header_b = PolicyModel.load(harness.checkpoint_path(out, "icrt", 0), harness.variant_model_config(config, "icrt"))
     assert header_a["variant"] == "ours" and header_b["variant"] == "icrt"
     assert ours.config.prompt_reasoning and ours.config.target_reasoning
     assert not icrt.config.prompt_reasoning and not icrt.config.target_reasoning
@@ -454,7 +454,7 @@ def test_eval_plan_counts_and_expert_stub(tiny_run):
 def test_eval_records_match_single_lane_rollouts(tiny_run):
     """Each record of a lockstep cell equals a rollout of its own scene alone."""
     config, out = tiny_run
-    model, _ = PolicyModel.load(harness.checkpoint_path(out, "ours", 0))
+    model, _ = PolicyModel.load(harness.checkpoint_path(out, "ours", 0), harness.variant_model_config(config, "ours"))
     for variant in ("expert", "ours"):
         for rec in cmd_eval(config, out, [variant]):
             task = harness.task_by_label(config, rec.task)
@@ -610,51 +610,64 @@ def test_sweep_interval_runs_each_interval_once(tiny_run, tmp_path):
 
 
 def test_eval_refuses_a_checkpoint_of_another_variant(tiny_run, tmp_path, capsys):
-    """An `ours` checkpoint under the name of `icrt`, or of a variant that
-    does not exist, fails before any rollout, naming the checkpoint, the
-    flags it holds and the variant asked."""
+    """An `ours` checkpoint under the name of `icrt` fails before any
+    rollout, naming the checkpoint and the flags it holds against those of
+    the variant asked; under the name of a variant that does not exist, it
+    fails naming the variant."""
     _, out = tiny_run
     run = tmp_path / "run"
     _copy_for_eval(out, run)
     config_path = tmp_path / "config.txt"
     config_path.write_text(TINY_CONFIG_TEXT)
-    for variant in ("icrt", "bogus"):
+    expected = {
+        "icrt": "{ckpt}: not a checkpoint of the config's model: prompt_reasoning = 1 (config: 0), target_reasoning = 1 (config: 0)",
+        "bogus": "unknown variant 'bogus'",
+    }
+    for variant, message in expected.items():
         ckpt = harness.checkpoint_path(run, variant, 0)
         shutil.copy(harness.checkpoint_path(out, "ours", 0), ckpt)
         assert cli_main(["eval", "--config", str(config_path), "--out", str(run), "--variant", variant]) == 1
         err = capsys.readouterr().err
-        assert f"checkpoint {ckpt} holds a model with prompt_reasoning = True, target_reasoning = True, not one of variant '{variant}'" in err
+        assert message.format(ckpt=ckpt) in err
         assert "Traceback" not in err
     assert not (run / "metrics").exists()
 
 
 def test_eval_refuses_a_checkpoint_of_other_cameras(tiny_run, tmp_path, capsys):
     """A checkpoint trained at 32 pixels, evaluated under a 24-pixel config,
-    fails before any rollout, naming the checkpoint and both resolutions."""
+    fails before any rollout, naming the checkpoint and both resolutions; so
+    does one evaluated under another model width or chunk length. The run's
+    resolved config stays as it was."""
     _, out = tiny_run
     run = tmp_path / "run"
     _copy_for_eval(out, run)
     shutil.copy(out / "config.resolved.txt", run)
     before = (run / "config.resolved.txt").read_bytes()
-    config_path = tmp_path / "config.txt"
-    config_path.write_text(TINY_CONFIG_TEXT + "model.third_resolution = 24\n")
-    assert cli_main(["eval", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
-    err = capsys.readouterr().err
     ckpt = harness.checkpoint_path(run, "ours", 0)
-    assert f"checkpoint {ckpt} sees 32/16-pixel cameras" in err and "model.third_resolution = 24" in err
-    assert "Traceback" not in err
-    assert (run / "config.resolved.txt").read_bytes() == before
-    assert not (run / "metrics").exists()
+    config_path = tmp_path / "config.txt"
+    for line, named in [
+        ("model.third_resolution = 24", "third_resolution = 32 (config: 24)"),
+        ("model.d_model = 64", "d_model = 48 (config: 64)"),
+        ("model.chunk_h = 8", "chunk_h = 4 (config: 8)"),
+    ]:
+        key = line.partition(" = ")[0]
+        kept = [tiny for tiny in TINY_CONFIG_TEXT.splitlines() if not tiny.startswith(f"{key} = ")]
+        config_path.write_text("\n".join([*kept, line]) + "\n")
+        assert cli_main(["eval", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"deskicl eval: error: {ckpt}: not a checkpoint of the config's model: {named}\n"
+        assert (run / "config.resolved.txt").read_bytes() == before
+        assert not (run / "metrics").exists()
 
 
 def test_eval_refuses_a_checkpoint_missing_a_parameter(tiny_run, tmp_path, capsys):
     """A checkpoint whose arrays do not match its header fails before any
     rollout, naming the file and the parameter, without a traceback."""
-    _, out = tiny_run
+    config, out = tiny_run
     run = tmp_path / "run"
     _copy_for_eval(out, run)
     ckpt = harness.checkpoint_path(run, "ours", 0)
-    model, header = PolicyModel.load(ckpt)
+    model, header = PolicyModel.load(ckpt, harness.variant_model_config(config, "ours"))
     save_checkpoint(ckpt, {k: p.data for k, p in model.params.items() if k != "trace_mlp.fc1.w"}, header)
     config_path = tmp_path / "config.txt"
     config_path.write_text(TINY_CONFIG_TEXT)
@@ -664,16 +677,35 @@ def test_eval_refuses_a_checkpoint_missing_a_parameter(tiny_run, tmp_path, capsy
     assert not (run / "metrics").exists()
 
 
+def test_eval_refuses_a_checkpoint_holding_nan(tiny_run, tmp_path, capsys):
+    """A checkpoint with a NaN parameter fails before any rollout, naming the
+    file and the parameter, where every rollout used to fail and eval to
+    exit 0."""
+    config, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    ckpt = harness.checkpoint_path(run, "ours", 0)
+    arrays, header = load_checkpoint(ckpt)
+    arrays["final_norm.g"] = np.full_like(arrays["final_norm.g"], np.nan)
+    save_checkpoint(ckpt, arrays, header)
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    assert cli_main(["eval", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"deskicl eval: error: {ckpt}: parameter final_norm.g holds a value that is not finite\n"
+    assert not (run / "metrics").exists()
+
+
 def test_eval_refuses_a_version_1_checkpoint_of_another_rope_base(tiny_run, tmp_path, capsys):
     """A checkpoint whose header states a RoPE base other than the trunk's
     is a version 1 container, the only one that carried the entry: it fails
     before any rollout, naming the file and its version, without a
     traceback."""
-    _, out = tiny_run
+    config, out = tiny_run
     run = tmp_path / "run"
     _copy_for_eval(out, run)
     ckpt = harness.checkpoint_path(run, "ours", 0)
-    model, header = PolicyModel.load(ckpt)
+    model, header = PolicyModel.load(ckpt, harness.variant_model_config(config, "ours"))
     write_version_1_container(ckpt, {k: p.data for k, p in model.params.items()}, {**header, "rope_base": "500.0"})
     config_path = tmp_path / "config.txt"
     config_path.write_text(TINY_CONFIG_TEXT)
@@ -795,6 +827,48 @@ def test_train_refuses_a_task_with_a_single_episode(tiny_run, tmp_path, capsys):
 
     _, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write)
     assert err == f"deskicl train: error: task {label}: it has one episode, but a sequence needs a prompt demo and a target\n"
+
+
+def test_train_refuses_an_empty_episode_file_of_a_training_task(tiny_run, tmp_path, capsys):
+    """A training task's file holding no episodes fails train before any
+    output, naming the file and the task, where train used to run on the
+    other tasks alone."""
+    label = harness.load_split(tiny_run[1]).train_tasks[0]
+
+    def write(path, _):
+        if path.name == f"{label}.episodes":
+            save_episodes(path, [])
+
+    episodes, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write)
+    assert err == f"deskicl train: error: {episodes}: holds no episodes of training task {label}; rerun gen-data\n"
+
+
+def test_gen_data_that_fails_part_way_leaves_no_split(tiny_run, tmp_path, capsys, monkeypatch):
+    """A gen-data that fails after it has rewritten some episode files
+    deletes the old split, so train refuses the run instead of training on
+    new and old files together."""
+    config, out = tiny_run
+    run = tmp_path / "run"
+    for name in ("episodes", "split.json", "config.resolved.txt"):
+        (shutil.copytree if (out / name).is_dir() else shutil.copy)(out / name, run / name)
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT.replace("data.demos_per_task = 3", "data.demos_per_task = 4"))
+    generate = harness.generate_task_episodes
+
+    def fail_on_the_last_task(gen_config, task, *args):
+        if task == task_list(gen_config)[-1]:
+            raise HarnessError(f"task {task.label}: failed")
+        return generate(gen_config, task, *args)
+
+    monkeypatch.setattr(harness, "generate_task_episodes", fail_on_the_last_task)
+    assert cli_main(["gen-data", "--config", str(config_path), "--out", str(run)]) == 1
+    assert capsys.readouterr().err == f"deskicl gen-data: error: task {task_list(config)[-1].label}: failed\n"
+    assert len(load_episodes(harness.episode_path(run, task_list(config)[0].label))) == 4
+    assert not (run / "split.json").exists()
+    assert cli_main(["train", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"deskicl train: error: missing split file {run / 'split.json'}; run gen-data first\n"
+    assert not (run / "checkpoints").exists()
 
 
 def test_eval_without_a_variant_does_no_work(tiny_run, tmp_path, capsys, monkeypatch):
@@ -1145,7 +1219,7 @@ def test_cli_gen_and_report_exit_codes(tmp_path, capsys):
     # an episode file where a model checkpoint belongs
     harness.checkpoint_path(out, "ours", 0).write_bytes(blob)
     assert cli_main(["eval", "--config", str(config_path), "--out", str(out), "--variant", "ours"]) == 1
-    assert "not a model checkpoint" in capsys.readouterr().err
+    assert f"{harness.checkpoint_path(out, 'ours', 0)}: not a checkpoint of the config's model: d_model = none (config: 128)" in capsys.readouterr().err
     # a malformed metrics file names the file
     bad_metrics = tmp_path / "report_run" / "metrics" / "eval_x.json"
     bad_metrics.parent.mkdir(parents=True)
@@ -1221,7 +1295,7 @@ def test_cli_train_refuses_an_episode_file_of_another_task(tiny_run, tmp_path, c
 
 def test_cli_seed_sets_train_seed(tiny_run, tmp_path):
     """`--seed` reaches train and eval through `train.seed` alone."""
-    _, out = tiny_run
+    config, out = tiny_run
     run = tmp_path / "run"
     shutil.copytree(out / "episodes", run / "episodes")
     shutil.copy(out / "split.json", run)
@@ -1229,7 +1303,7 @@ def test_cli_seed_sets_train_seed(tiny_run, tmp_path):
     config_path.write_text(TINY_CONFIG_TEXT)
     common = ["--config", str(config_path), "--out", str(run), "--seed", "3", "--variant", "icrt"]
     assert cli_main(["train", *common]) == 0
-    _, header = PolicyModel.load(harness.checkpoint_path(run, "icrt", 3))
+    _, header = PolicyModel.load(harness.checkpoint_path(run, "icrt", 3), harness.variant_model_config(config, "icrt"))
     assert header["train_seed"] == "3"
     assert (run / "loss_icrt_seed3.csv").exists()
     assert cli_main(["eval", *common]) == 0

@@ -31,6 +31,7 @@ from deskicl.model import (
     transformer_hidden,
 )
 from deskicl.optim import AdamW
+from deskicl.settings import write
 from deskicl.tensor import ShapeError, Tape, Tensor, backward
 from deskicl.traces import augment_dataset
 
@@ -82,9 +83,11 @@ def test_config_validation():
             ModelConfig(**{name: 0})
 
 
-def test_config_header_round_trip():
+def test_config_header_round_trip(tmp_path):
+    """A model saved at a config that sets every field off its default loads
+    under that config, and `ModelConfig()` refuses it naming every field."""
     default = ModelConfig()
-    assert default.to_header() == {
+    assert write(default) == {
         "d_model": "128",
         "n_layers": "4",
         "n_heads": "4",
@@ -112,17 +115,24 @@ def test_config_header_round_trip():
     )
     assert (default.d_ff, cfg.d_ff) == (352, 176)  # 8/3 d_model, rounded up to a multiple of 16
     at_default = [f.name for f in dataclasses.fields(ModelConfig) if getattr(cfg, f.name) == getattr(default, f.name)]
-    assert at_default == []  # so the round trip covers every field
-    assert ModelConfig.from_header(cfg.to_header()) == cfg
+    assert at_default == []  # so the refusal below covers every field
+    path = tmp_path / "m.ckpt"
+    PolicyModel.init(cfg, seed=0).save(path)
+    assert PolicyModel.load(path, cfg)[0].config == cfg
+    with pytest.raises(CheckpointError) as exc:
+        PolicyModel.load(path, default)
+    assert str(exc.value) == f"{path}: not a checkpoint of the config's model: " + ", ".join(
+        f"{name} = {value} (config: {write(default)[name]})" for name, value in write(cfg).items()
+    )
     numpy_valued = ModelConfig(d_model=np.int64(64), lambda_r=np.float64(0.25), prompt_reasoning=np.bool_(False))
-    assert numpy_valued.to_header() == ModelConfig(d_model=64, lambda_r=0.25, prompt_reasoning=False).to_header()
+    assert write(numpy_valued) == write(ModelConfig(d_model=64, lambda_r=0.25, prompt_reasoning=False))
 
 
 def test_checkpoint_round_trip(tmp_path):
     model = tiny_model(seed=3)
     path = tmp_path / "m.ckpt"
     model.save(path, extra_header={"variant": "ours"})
-    loaded, header = PolicyModel.load(path)
+    loaded, header = PolicyModel.load(path, TINY)
     assert header["variant"] == "ours"
     assert loaded.config == model.config
     for k, p in model.params.items():
@@ -147,9 +157,20 @@ def test_load_checks_every_parameter_against_its_header(tmp_path, fault, named):
     else:
         arrays["action_head.w"] = arrays["action_head.w"][:, :-1]
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, arrays, model.config.to_header())
+    save_checkpoint(path, arrays, write(model.config))
     with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {named}')}"):
-        PolicyModel.load(path)
+        PolicyModel.load(path, TINY)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_load_refuses_a_parameter_that_is_not_finite(tmp_path, value):
+    model = tiny_model(seed=3)
+    arrays = {k: p.data.copy() for k, p in model.params.items()}
+    arrays["final_norm.g"][5] = value
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, arrays, write(model.config))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: parameter final_norm.g holds a value that is not finite')}$"):
+        PolicyModel.load(path, TINY)
 
 
 def test_load_refuses_a_version_1_checkpoint_of_another_rope_base(tmp_path):
@@ -158,17 +179,17 @@ def test_load_refuses_a_version_1_checkpoint_of_another_rope_base(tmp_path):
     file, before any entry is read."""
     model = tiny_model(seed=3)
     path = tmp_path / "m.ckpt"
-    header = {**model.config.to_header(), "rope_base": "500.0", "d_ff": "96"}
+    header = {**write(model.config), "rope_base": "500.0", "d_ff": "96"}
     write_version_1_container(path, {k: p.data for k, p in model.params.items()}, header)
     with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: unsupported checkpoint version 1"):
-        PolicyModel.load(path)
+        PolicyModel.load(path, TINY)
 
 
 def test_load_rejects_a_container_without_model_entries(tmp_path):
     path = tmp_path / "poke_c0.episodes"
     save_episodes(path, augment_dataset([toy_trajectory("poke_c0", 4)]))
-    with pytest.raises(CheckpointError, match="not a model checkpoint"):
-        PolicyModel.load(path)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: not a checkpoint of the config')}.*d_model = none \\(config: 32\\)"):
+        PolicyModel.load(path, TINY)
 
 
 @pytest.mark.parametrize("name", ["n_heads", "patch_size"])
@@ -176,8 +197,8 @@ def test_load_rejects_a_header_out_of_range(tmp_path, name):
     path = tmp_path / "m.ckpt"
     tiny_model().save(path, extra_header={name: "0"})
     with pytest.raises(CheckpointError) as exc:
-        PolicyModel.load(path)
-    assert f"{path}: not a model checkpoint" in str(exc.value) and f"{name} = 0" in str(exc.value)
+        PolicyModel.load(path, TINY)
+    assert str(exc.value) == f"{path}: not a checkpoint of the config's model: {name} = 0 (config: {getattr(TINY, name)})"
 
 
 # ---------------------------------------------------------------------------
