@@ -5,20 +5,22 @@ the leading dimension. A camera view is kept as `sim.observe` gives it, a
 uint8 index per pixel into `sim.PALETTE`, 12 times smaller than its float32
 colours; the model's state encoder looks the colours up where it reads them.
 
-An episode file (version 4) is a `checkpoint.py` container: its header holds
+An episode file (version 5) is a `checkpoint.py` container: its header holds
 `magic`, `version`, the episode `count` and `<i>.task_label`, and episode i's
 arrays are named `<i>.<field>`, one for every field: `third` and `wrist`
-uint8, `proprio`, `actions` and `traces` float32. Only trace-augmented
-episodes are saved, and a file missing any array does not load. Round trips
-are bit-exact. Files of earlier versions (float32 colours, or a palette
-stored with each episode) do not load: they raise an EpisodeIOError that
-says to rerun gen-data, as does a file that is not a container at all, such
-as a version 1 (JSONL) file.
+uint8, `proprio` and `actions` float32. It stores what was recorded and
+nothing derived from it: an episode's traces are computed from its proprio
+(`Trajectory.traces`). A file missing any array does not load, and round
+trips are bit-exact. Files of earlier versions (float32 colours, a palette
+stored with each episode, or stored traces) do not load: they raise an
+EpisodeIOError that says to rerun gen-data, as does a file that is not a
+container at all, such as a version 1 (JSONL) file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,8 @@ from .sim import PALETTE
 FILE_MAGIC = "deskicl-episodes"
 # A stored view is indices into sim.PALETTE and the file does not hold the
 # colours, so a change to sim.PALETTE needs a new version.
-FILE_VERSION = 4
-ARRAY_FIELDS = ("third", "wrist", "proprio", "actions", "traces")
+FILE_VERSION = 5
+ARRAY_FIELDS = ("third", "wrist", "proprio", "actions")
 
 
 class EpisodeIOError(RuntimeError):
@@ -42,34 +44,31 @@ class EpisodeIOError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One episode: per-step renders as indices into sim.PALETTE,
-    proprioception, actions, optional traces; the float arrays hold finite
-    values only, and the traces values in [0, 1]."""
+    """One episode as recorded: per-step renders as indices into
+    sim.PALETTE, proprioception and actions; the float arrays hold finite
+    values only, and the proprio values in [0, 1], as the simulator clamps
+    the gripper, which keeps every trace computed from them in [0, 1]."""
 
     task_label: str
     third: np.ndarray  # (T, G, G) uint8, indices into sim.PALETTE
     wrist: np.ndarray  # (T, C, C) uint8, indices into sim.PALETTE
     proprio: np.ndarray  # (T, 4) float32
     actions: np.ndarray  # (T, 4) float32
-    traces: np.ndarray | None = None  # (T, 10) float32
 
     def __post_init__(self):
         if not self.task_label:
             raise ValueError("trajectory needs a nonempty task label")
-        for name, width in (("proprio", 4), ("actions", 4), ("traces", traces_mod.TRACE_DIM)):
+        for name in ("proprio", "actions"):
             arr = getattr(self, name)
-            if arr is None:
-                continue
-            if arr.dtype != np.float32 or arr.ndim != 2 or arr.shape[1] != width:
-                raise ValueError(f"{name} is {arr.dtype} {arr.shape}, not (T, {width}) float32")
+            if arr.dtype != np.float32 or arr.ndim != 2 or arr.shape[1] != 4:
+                raise ValueError(f"{name} is {arr.dtype} {arr.shape}, not (T, 4) float32")
             if not np.isfinite(arr).all():
                 step = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
                 raise ValueError(f"{name} of step {step} are not finite: {arr[step].tolist()}")
-        if self.traces is not None:
-            outside = ((self.traces < 0.0) | (self.traces > 1.0)).any(axis=1)
-            if outside.any():
-                step = np.flatnonzero(outside)[0]
-                raise ValueError(f"traces of step {step} are outside [0, 1]: {self.traces[step].tolist()}")
+        outside = ((self.proprio < 0.0) | (self.proprio > 1.0)).any(axis=1)
+        if outside.any():
+            step = np.flatnonzero(outside)[0]
+            raise ValueError(f"proprio of step {step} is outside [0, 1]: {self.proprio[step].tolist()}")
         for name in ("third", "wrist"):
             images = getattr(self, name)
             if images.dtype != np.uint8 or images.ndim != 3 or images.shape[1] != images.shape[2]:
@@ -81,10 +80,13 @@ class Trajectory:
         if t < 2:
             raise ValueError(f"trajectory too short ({t} steps)")
         lengths = {len(self.third), len(self.wrist), len(self.proprio), len(self.actions)}
-        if self.traces is not None:
-            lengths.add(len(self.traces))
         if lengths != {t}:
             raise ValueError(f"per-step arrays disagree on length: {sorted(lengths)}")
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """(T, 10) float32 `traces.trace_matrix` of the proprio, computed once."""
+        return traces_mod.trace_matrix(self)
 
     def __len__(self) -> int:
         return len(self.proprio)
@@ -98,6 +100,8 @@ class SplitSpec:
 
     def __post_init__(self):
         for side, labels in (("train", self.train_tasks), ("test", self.test_tasks)):
+            if not labels:
+                raise ValueError(f"the {side} side names no task")
             repeated = sorted({label for label in labels if labels.count(label) > 1})
             if repeated:
                 raise ValueError(f"the {side} side repeats {repeated}")
@@ -133,10 +137,10 @@ class TrainingSequence:
 
 
 def stack_steps(episodes: list[Trajectory]) -> dict[str, np.ndarray]:
-    """Every ARRAY_FIELDS array of `episodes`, their steps concatenated in
-    episode order: the step layout of a training sequence and of a
-    closed-loop prompt alike."""
-    return {name: np.concatenate([getattr(e, name) for e in episodes]) for name in ARRAY_FIELDS}
+    """Every ARRAY_FIELDS array of `episodes` and their traces, their steps
+    concatenated in episode order: the step layout of a training sequence
+    and of a closed-loop prompt alike."""
+    return {name: np.concatenate([getattr(e, name) for e in episodes]) for name in (*ARRAY_FIELDS, "traces")}
 
 
 def build_sequence(
@@ -158,9 +162,6 @@ def build_sequence(
     labels = {traj.task_label for traj in subset_trajectories}
     if len(labels) != 1:
         raise ValueError(f"mixed task labels in subset: {sorted(labels)}")
-    for traj in subset_trajectories:
-        if traj.traces is None:
-            raise ValueError("episodes must be trace-augmented before sequence building")
 
     chosen = rng.choice(len(subset_trajectories), size=n_prompt + 1, replace=False)
     episodes = [subset_trajectories[int(i)] for i in chosen]

@@ -55,7 +55,6 @@ from .engine import (
 from .model import ModelConfig, PolicyModel
 from .settings import bounded, check_fields, parse, write
 from .sim import OBJECT_PALETTE, RECEPTACLE_PALETTE, TaskSpec, expert_rollout, observe, reset, third_view_uv
-from .traces import augment_dataset
 
 # the metrics-file prefixes, one per command that writes eval records
 SOURCES = ("eval", "sweep")
@@ -102,7 +101,11 @@ class DataSection:
     difficulty_levels: int = bounded(5, ge=1, le=len(OBJECT_PALETTE))
     gen_seed: int = bounded(0, ge=0)
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        # named as `name = value`, for parse_config to qualify with the section
+        if self.n_poke_tasks == self.n_pick_place_tasks == 0:
+            raise ValueError("n_poke_tasks = 0 and n_pick_place_tasks = 0 leave no task to generate")
 
 
 @dataclass(frozen=True)
@@ -225,18 +228,17 @@ def record_episode(
     seed: int,
     noisy: bool = False,
 ) -> Trajectory:
-    """One expert episode, noisy or not, with its traces: `sim.observe` of
-    the expert's states at the model's camera resolutions, which is what the
-    policy sees of its scenes, and the expert's actions; raises if the expert
-    fails."""
+    """One expert episode, noisy or not: `sim.observe` of the expert's states
+    at the model's camera resolutions, which is what the policy sees of its
+    scenes, and the expert's actions; its traces are computed from its
+    proprio. Raises if the expert fails."""
     state = reset(task, n_distractor_objects, n_distractor_receptacles, seed)
     rng = np.random.default_rng(derive_seed(seed, "expert-noise")) if noisy else None
     states, actions, score = expert_rollout(state, task, rng)
     if score != 1.0:
         raise HarnessError(f"expert failed on {task.label} (seed {seed})")
     third, wrist, proprio = observe(states, model.third_resolution, model.wrist_resolution)
-    demo = Trajectory(task.label, third, wrist, proprio, np.stack([a.deltas for a in actions]).astype(np.float32))
-    return augment_dataset([demo])[0]
+    return Trajectory(task.label, third, wrist, proprio, np.stack([a.deltas for a in actions]).astype(np.float32))
 
 
 def generate_task_episodes(config: HarnessConfig, task: TaskSpec, n_demos: int, base_seed: int) -> list[Trajectory]:
@@ -495,10 +497,11 @@ def _evaluate(
     Runs are paired: each cell records one prompt demo and resets one set of
     scenes, seeded only by (eval seed, task, prompt config, rollout index), and
     every variant and k rolls out on those same scenes. Every checkpoint is
-    loaded once, against the config's model with its variant's flags, and
-    every run's policy is built once, before the first rollout, so a missing
-    checkpoint, one of another model, or a k its model cannot serve fails
-    before any work; the expert stub is built per task.
+    loaded once, against the config's model with its variant's flags and
+    against `train_seed`, and every run's policy is built once, before the
+    first rollout, so a missing checkpoint, one of another model or train
+    seed, or a k its model cannot serve fails before any work; the expert
+    stub is built per task.
     Records come in cell order, then run order, then rollout order.
     """
     models = {}
@@ -506,7 +509,10 @@ def _evaluate(
         ckpt = checkpoint_path(out_dir, variant, train_seed)
         if not ckpt.exists():
             raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
-        models[variant] = PolicyModel.load(ckpt, variant_model_config(config, variant))[0]
+        models[variant], header = PolicyModel.load(ckpt, variant_model_config(config, variant))
+        header_seed = header.get("train_seed", "none")
+        if header_seed != str(train_seed):
+            raise HarnessError(f"{ckpt}: not a checkpoint of train seed {train_seed}: its header has train_seed = {header_seed}")
     policies: dict[tuple[str, int], TransformerPolicy] = {}
     for variant, k in runs:
         if variant != "expert":

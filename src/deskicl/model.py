@@ -292,13 +292,11 @@ def encode_state_batch(model: PolicyModel, third: np.ndarray, wrist: np.ndarray,
 
 def encode_reasoning_batch(model: PolicyModel, traces: np.ndarray, masked: np.ndarray) -> Tensor:
     """Role-embedded reasoning tokens (..., S, d_model) of traces (..., S,
-    10); masked rows encode the zero vector."""
+    10) in [0, 1], computed from range-checked proprio or clipped to it;
+    masked rows encode the zero vector."""
     dtype = model.dtype
     traces = np.asarray(traces, dtype=dtype)
     masked = np.asarray(masked, dtype=bool).reshape(traces.shape[:-1])
-    live = ~masked
-    if np.any((traces[live] < 0.0) | (traces[live] > 1.0)):
-        raise ValueError("encode_reasoning: trace values outside [0, 1]")
     inputs = np.where(masked[..., None], np.zeros((), dtype=dtype), traces)
     return _with_role(model, _mlp(model, "trace_mlp", Tensor(inputs, dtype=dtype)), ROLE_REASONING)
 

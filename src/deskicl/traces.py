@@ -5,11 +5,12 @@ positions sampled evenly between the current step and the end of the
 episode (both endpoints included), in normalised image coordinates
 (`sim.third_view_uv`, [0, 1] at any resolution) and flattened to 10 floats
 (u0, v0, ..., u4, v4). Ties in the even sampling round half up.
+
+A trace is a function of the episode's proprio alone, so it is never
+stored: `data.Trajectory.traces` computes an episode's traces here, once.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,12 +38,10 @@ def trace_matrix(trajectory) -> np.ndarray:
 
 
 def augment_dataset(trajectories: list) -> list:
-    """Attach a per-step trace matrix to every trajectory.
-
-    Existing traces are recomputed, so augmenting twice equals augmenting
-    once. Returns new Trajectory values; inputs are untouched.
-    """
-    return [replace(traj, traces=trace_matrix(traj)) for traj in trajectories]
+    """The trajectories as given: a Trajectory computes its own traces. Kept
+    only because the benchmark's tracer names it as a span target, and
+    nothing in the package calls it."""
+    return list(trajectories)
 
 
 def sample_mask(n_target_steps: int, rng: np.random.Generator) -> np.ndarray:

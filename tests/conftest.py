@@ -58,7 +58,7 @@ def _episode_arrays(episodes: list[Trajectory], version: int) -> tuple[dict[str,
     arrays = {}
     for i, ep in enumerate(episodes):
         header[f"{i}.task_label"] = ep.task_label
-        arrays.update({f"{i}.{name}": getattr(ep, name) for name in ("third", "wrist", "proprio", "actions", "traces") if getattr(ep, name) is not None})
+        arrays.update({f"{i}.{name}": getattr(ep, name) for name in ("third", "wrist", "proprio", "actions", "traces")})
     return arrays, header
 
 
@@ -77,3 +77,9 @@ def write_version_3_episode_file(path, episodes: list[Trajectory]) -> None:
     arrays, header = _episode_arrays(episodes, 3)
     arrays.update({f"{i}.palette": sim.PALETTE for i in range(len(episodes))})
     save_checkpoint(path, arrays, header)
+
+
+def write_version_4_episode_file(path, episodes: list[Trajectory]) -> None:
+    """Write `episodes` as version 4 stored them: palette indices, with each
+    episode's traces stored as `<i>.traces`."""
+    save_checkpoint(path, *_episode_arrays(episodes, 4))

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import toy_trajectory, write_version_2_episode_file, write_version_3_episode_file
+from conftest import toy_trajectory, write_version_2_episode_file, write_version_3_episode_file, write_version_4_episode_file
 from deskicl import sim
 from deskicl.checkpoint import load_checkpoint, save_checkpoint
 from deskicl.data import (
@@ -21,7 +21,6 @@ from deskicl.data import (
 )
 from deskicl.harness import record_episode
 from deskicl.model import ModelConfig, PolicyModel, sequence_loss
-from deskicl.traces import augment_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +90,7 @@ def test_chunk_labels_consistency_property():
 
 
 def _subset(lengths, label="poke_c1"):
-    trajs = [toy_trajectory(label, length=n, seed=10 + i) for i, n in enumerate(lengths)]
-    return augment_dataset(trajs)
+    return [toy_trajectory(label, length=n, seed=10 + i) for i, n in enumerate(lengths)]
 
 
 def test_build_sequence_counts_and_masks():
@@ -115,12 +113,6 @@ def test_build_sequence_rejects_mixed_labels():
     trajs = _subset([5, 6]) + _subset([6], label="poke_c2")
     with pytest.raises(ValueError, match="mixed"):
         build_sequence(trajs, 1, np.random.default_rng(0), chunk_h=8)
-
-
-def test_build_sequence_requires_traces():
-    bare = [toy_trajectory(length=5, seed=1), toy_trajectory(length=5, seed=2)]
-    with pytest.raises(ValueError, match="trace"):
-        build_sequence(bare, 1, np.random.default_rng(0), chunk_h=8)
 
 
 def test_build_sequence_masks_a_drawn_share_of_the_target():
@@ -173,7 +165,7 @@ def _saved_container(path, trajs):
 
 
 def test_episode_round_trip_bit_identical(tmp_path):
-    trajs = augment_dataset([toy_trajectory("poke_c3", 5, seed=1), toy_trajectory("poke_c3", 7, seed=2)])
+    trajs = [toy_trajectory("poke_c3", 5, seed=1), toy_trajectory("poke_c3", 7, seed=2)]
     path = tmp_path / "poke_c3.episodes"
     save_episodes(path, trajs)
     loaded = load_episodes(path)
@@ -185,25 +177,23 @@ def test_episode_round_trip_bit_identical(tmp_path):
             assert np.array_equal(getattr(back, name), getattr(orig, name))
         assert back.traces.dtype == np.float32 and np.array_equal(back.traces, orig.traces)
     assert sorted(tmp_path.iterdir()) == [path]
-
-
-def test_save_episodes_refuses_a_traceless_trajectory(tmp_path):
-    """Only trace-augmented episodes are saved: the container names the
-    missing array and no file is left behind."""
-    trajs = augment_dataset([toy_trajectory("poke_c3", 5, seed=1)]) + [toy_trajectory("poke_c3", 6, seed=3)]
-    with pytest.raises(ValueError, match="array '1.traces' is object"):
-        save_episodes(tmp_path / "poke_c3.episodes", trajs)
-    assert list(tmp_path.iterdir()) == []
+    # the file stores what was recorded: the traces are computed on loading
+    assert sorted(load_checkpoint(path)[0]) == sorted(f"{i}.{name}" for i in (0, 1) for name in ("third", "wrist", "proprio", "actions"))
 
 
 def test_trajectory_refuses_traces_outside_the_unit_range():
-    (good,) = augment_dataset([toy_trajectory("poke_c0", 5, seed=4)])
+    """A trace outside [0, 1] comes only from proprio outside it, which the
+    simulator's clamp never gives: the Trajectory refuses that proprio,
+    naming the step."""
+    good = toy_trajectory("poke_c0", 5, seed=4)
     for value in (1.5, -0.25):
-        traces = good.traces.copy()
-        traces[3, 6] = value
-        with pytest.raises(ValueError, match=rf"^traces of step 3 are outside \[0, 1\]: \[.*, {value}, "):
-            replace(good, traces=traces)
-    replace(good, traces=np.clip(good.traces, 0.0, 1.0).round())  # the bounds themselves are in range
+        proprio = good.proprio.copy()
+        proprio[3, 1] = value
+        with pytest.raises(ValueError, match=rf"^proprio of step 3 is outside \[0, 1\]: \[.*, {value}, "):
+            replace(good, proprio=proprio)
+    bounds = replace(good, proprio=good.proprio.round())  # the bounds themselves are in range
+    assert set(bounds.proprio.ravel().tolist()) == {0.0, 1.0}
+    assert bounds.traces.min() == 0.0 and bounds.traces.max() == 1.0
 
 
 def test_episode_file_empty_dataset(tmp_path):
@@ -214,7 +204,7 @@ def test_episode_file_empty_dataset(tmp_path):
 
 def test_episode_file_version_mismatch(tmp_path):
     path = tmp_path / "bad.episodes"
-    arrays, header = _saved_container(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=0)]))
+    arrays, header = _saved_container(path, [toy_trajectory("poke_c0", 4, seed=0)])
     for key, value in (("magic", "other"), ("version", "99")):
         save_checkpoint(path, arrays, {**header, key: value})
         with pytest.raises(EpisodeIOError, match=value):
@@ -231,7 +221,7 @@ def test_episode_file_version_mismatch(tmp_path):
 
 def test_episode_file_truncated_payload(tmp_path):
     path = tmp_path / "trunc.episodes"
-    save_episodes(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=0)]))
+    save_episodes(path, [toy_trajectory("poke_c0", 4, seed=0)])
     blob = path.read_bytes()
     for cut in (0, 5, 12, 40, len(blob) // 2, len(blob) - 1):
         path.write_bytes(blob[:cut])
@@ -241,7 +231,7 @@ def test_episode_file_truncated_payload(tmp_path):
 
 def test_episode_file_shape_inconsistency(tmp_path):
     path = tmp_path / "shape.episodes"
-    arrays, header = _saved_container(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=0)]))
+    arrays, header = _saved_container(path, [toy_trajectory("poke_c0", 4, seed=0)])
     # proprio claims 3 steps while the other arrays have 4
     save_checkpoint(path, {**arrays, "0.proprio": np.zeros((3, 4), dtype=np.float32)}, header)
     with pytest.raises(EpisodeIOError, match="inconsistent arrays"):
@@ -250,7 +240,7 @@ def test_episode_file_shape_inconsistency(tmp_path):
 
 def test_episode_file_garbage_record(tmp_path):
     path = tmp_path / "garbage.episodes"
-    arrays, header = _saved_container(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=0)]))
+    arrays, header = _saved_container(path, [toy_trajectory("poke_c0", 4, seed=0)])
     without_proprio = {k: v for k, v in arrays.items() if k != "0.proprio"}
     without_label = {k: v for k, v in header.items() if k != "0.task_label"}
     cases = [
@@ -287,23 +277,28 @@ def test_trajectory_validation():
 
 def test_episode_file_of_an_earlier_version_says_to_rerun_gen_data(tmp_path):
     path = tmp_path / "poke_c0.episodes"
-    episodes = augment_dataset([toy_trajectory("poke_c0", 4, seed=0)])
+    episodes = [toy_trajectory("poke_c0", 4, seed=0)]
     write_version_2_episode_file(path, episodes)
     with pytest.raises(EpisodeIOError, match=f"^{re.escape(str(path))}: .*version 1.*; rerun gen-data$"):
         load_episodes(path)
     # version 3 stored a palette beside each episode
     write_version_3_episode_file(path, episodes)
     assert "0.palette" in load_checkpoint(path)[0]
-    with pytest.raises(EpisodeIOError, match=f"^{re.escape(str(path))}: episode file version '3', not 4; rerun gen-data$"):
+    with pytest.raises(EpisodeIOError, match=f"^{re.escape(str(path))}: episode file version '3', not 5; rerun gen-data$"):
+        load_episodes(path)
+    # version 4 stored each episode's traces
+    write_version_4_episode_file(path, episodes)
+    assert "0.traces" in load_checkpoint(path)[0]
+    with pytest.raises(EpisodeIOError, match=f"^{re.escape(str(path))}: episode file version '4', not 5; rerun gen-data$"):
         load_episodes(path)
 
 
 def _bad_arrays(arrays):
     """(what is wrong, the arrays of episode 1 that show it): views that are
-    not square uint8 indices, indices past sim.PALETTE, and proprio, actions
-    or traces of another shape or dtype."""
+    not square uint8 indices, indices past sim.PALETTE, and proprio or
+    actions of another shape or dtype."""
     third, wrist = arrays["1.third"], arrays["1.wrist"]
-    proprio, actions, traces = arrays["1.proprio"], arrays["1.actions"], arrays["1.traces"]
+    proprio, actions = arrays["1.proprio"], arrays["1.actions"]
     top = len(sim.PALETTE)
     return [
         ("third view is float32", {"1.third": sim.PALETTE[third]}),
@@ -316,8 +311,6 @@ def _bad_arrays(arrays):
         ("proprio is uint8 (4, 4)", {"1.proprio": proprio.astype(np.uint8)}),
         ("actions is float32 (16,)", {"1.actions": actions.ravel()}),
         ("actions is float32 (4, 4, 1)", {"1.actions": actions[..., None]}),
-        ("traces is float32 (4, 7)", {"1.traces": traces[:, :7]}),
-        ("traces is uint8 (4, 10)", {"1.traces": traces.astype(np.uint8)}),
     ]
 
 
@@ -325,7 +318,7 @@ def test_episode_file_rejects_bad_views_and_palettes(tmp_path):
     """Each fault is a named error that gives the file and the episode, not
     an IndexError or a ShapeError at the first training step."""
     path = tmp_path / "poke_c0.episodes"
-    arrays, header = _saved_container(path, augment_dataset([toy_trajectory("poke_c0", 4, seed=s) for s in (0, 1)]))
+    arrays, header = _saved_container(path, [toy_trajectory("poke_c0", 4, seed=s) for s in (0, 1)])
     for fault, changed in _bad_arrays(arrays):
         save_checkpoint(path, {**arrays, **changed}, header)
         with pytest.raises(EpisodeIOError, match=f"^{re.escape(str(path))}: episode 1: inconsistent arrays: .*{re.escape(fault)}"):

@@ -135,6 +135,9 @@ def test_config_cross_validation():
         with pytest.raises(HarnessError, match="difficulty_levels"):
             parse_config(f"data.difficulty_levels = {levels}\n")
     parse_config("data.difficulty_levels = 12\n")
+    # gen-data needs at least one task
+    with pytest.raises(HarnessError, match=r"^data\.n_poke_tasks = 0 and data\.n_pick_place_tasks = 0 leave no task to generate$"):
+        parse_config("data.n_poke_tasks = 0\ndata.n_pick_place_tasks = 0\n")
 
 
 # the world has no settings: a line of its deleted section stops a run too
@@ -216,7 +219,9 @@ def test_parse_rejects_deleted_keys(line, named):
         # a cross-field rule names both fields
         (["gen-data"], "model.third_resolution = 20", "model.third_resolution = 20 is not a multiple of model.patch_size = 8"),
     ]
-    + [(["gen-data"], line, named) for line, named in DELETED_KEY_PROBES],
+    + [(["gen-data"], line, named) for line, named in DELETED_KEY_PROBES]
+    # a config with no task
+    + [(["gen-data"], "data.n_poke_tasks = 0\ndata.n_pick_place_tasks = 0", "data.n_poke_tasks = 0 and data.n_pick_place_tasks = 0")],
 )
 def test_cli_rejects_bad_settings_before_any_output(tmp_path, capsys, args, config_line, named):
     config_path = tmp_path / "config.txt"
@@ -765,10 +770,10 @@ def test_train_refuses_episode_files_of_version_3(tiny_run, tmp_path, capsys):
     """A dataset written while each episode stored its own palette fails
     before any output, naming the file and its version."""
     episodes, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write_version_3_episode_file)
-    assert err == f"deskicl train: error: {episodes}: episode file version '3', not 4; rerun gen-data\n"
+    assert err == f"deskicl train: error: {episodes}: episode file version '3', not 5; rerun gen-data\n"
 
 
-@pytest.mark.parametrize("name, value", [("proprio", np.inf), ("actions", np.nan), ("traces", -np.inf)])
+@pytest.mark.parametrize("name, value", [("proprio", np.inf), ("actions", np.nan)])
 def test_train_refuses_an_episode_with_a_non_finite_value(tiny_run, tmp_path, capsys, name, value):
     """An episode holding NaN or infinity fails train before any output,
     naming the file, the episode, the field and the step, where it would
@@ -786,32 +791,19 @@ def test_train_refuses_an_episode_with_a_non_finite_value(tiny_run, tmp_path, ca
 
 
 def test_train_refuses_an_episode_with_traces_outside_the_unit_range(tiny_run, tmp_path, capsys):
-    """A stored trace value outside [0, 1] fails train before any output,
-    naming the file, the episode and the step, where the first step that
-    sampled it failed in the reasoning encoder without naming either."""
+    """Proprio outside [0, 1], which would give traces outside it, fails
+    train before any output, naming the file, the episode and the step,
+    where the first step that sampled it would train on those traces."""
 
     def write(path, _):
-        arrays, header = load_checkpoint(path)
-        arrays["1.traces"] = arrays["1.traces"].copy()
-        arrays["1.traces"][2, 1] = 1.5
+        arrays, header = load_checkpoint(path)  # a Trajectory would refuse the value
+        arrays["1.proprio"] = arrays["1.proprio"].copy()
+        arrays["1.proprio"][2, 1] = 1.5
         save_checkpoint(path, arrays, header)
 
     episodes, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write)
-    assert err.startswith(f"deskicl train: error: {episodes}: episode 1: inconsistent arrays: traces of step 2 are outside [0, 1]: [")
+    assert err.startswith(f"deskicl train: error: {episodes}: episode 1: inconsistent arrays: proprio of step 2 is outside [0, 1]: [")
     assert ", 1.5, " in err
-
-
-def test_train_refuses_an_episode_without_traces(tiny_run, tmp_path, capsys):
-    """An episode file missing an episode's traces fails train before any
-    output, naming the file, the episode and the array."""
-
-    def write(path, _):
-        arrays, header = load_checkpoint(path)
-        del arrays["1.traces"]
-        save_checkpoint(path, arrays, header)
-
-    episodes, err = _train_on_rewritten_episodes(tiny_run, tmp_path, capsys, write)
-    assert err == f"deskicl train: error: {episodes}: episode 1 lacks arrays ['traces']\n"
 
 
 def test_train_refuses_a_task_with_a_single_episode(tiny_run, tmp_path, capsys):
@@ -899,13 +891,15 @@ def test_eval_without_a_variant_does_no_work(tiny_run, tmp_path, capsys, monkeyp
         ("eval", lambda split: {**split, "test": split["test"] + ["nope"]}, "unknown task label 'nope'"),
         ("train", lambda split: {**split, "train": split["train"] + split["train"][:1]}, "the train side repeats ['{train}']"),
         ("eval", lambda split: {**split, "test": split["test"] + split["test"][:1]}, "the test side repeats ['{test}']"),
+        ("eval", lambda split: {**split, "test": []}, "the test side names no task"),
+        ("train", lambda split: {**split, "train": []}, "the train side names no task"),
     ],
-    ids=["overlapping-sides", "unknown-test-label", "repeated-label-train", "repeated-label-eval"],
+    ids=["overlapping-sides", "unknown-test-label", "repeated-label-train", "repeated-label-eval", "empty-test-side", "empty-train-side"],
 )
 def test_a_bad_split_file_is_named_in_the_error(tiny_run, tmp_path, capsys, command, edit, message):
     """A split whose sides overlap, whose test side names a task the config
-    does not have, or a side that repeats a label, fails with the split
-    file's path and no traceback."""
+    does not have, or a side that repeats a label or names none, fails with
+    the split file's path and no traceback, and writes no metrics."""
     _, out = tiny_run
     run = tmp_path / "run"
     _copy_for_eval(out, run)
@@ -1291,6 +1285,27 @@ def test_cli_train_refuses_an_episode_file_of_another_task(tiny_run, tmp_path, c
     path = harness.episode_path(run, train_label)
     assert f"{path}: episode 0 is a demo of {test_label}, not of {train_label}" in err and "Traceback" not in err
     assert not (run / "checkpoints").exists()
+
+
+def test_eval_refuses_a_checkpoint_of_another_train_seed(tiny_run, tmp_path, capsys):
+    """A seed-0 checkpoint copied under seed 3's name, or one whose header
+    has no train seed, fails eval before any rollout, naming the file, the
+    header's seed and the seed asked, where its records used to say seed 3."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    ckpt = harness.checkpoint_path(run, "icrt", 3)
+    shutil.copy(harness.checkpoint_path(out, "icrt", 0), ckpt)
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    args = ["eval", "--config", str(config_path), "--out", str(run), "--variant", "icrt", "--seed", "3"]
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err == f"deskicl eval: error: {ckpt}: not a checkpoint of train seed 3: its header has train_seed = 0\n"
+    arrays, header = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, arrays, {k: v for k, v in header.items() if k != "train_seed"})
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err == f"deskicl eval: error: {ckpt}: not a checkpoint of train seed 3: its header has train_seed = none\n"
+    assert not (run / "metrics").exists()
 
 
 def test_cli_seed_sets_train_seed(tiny_run, tmp_path):

@@ -4,7 +4,9 @@
 from `deskicl` modules; a refactor that renames or drops one of them would
 only show as a failed traced benchmark run. This walks the workloads file's
 syntax tree and resolves every such name, and every keyword it passes to
-them, against the package instead.
+them, against the package instead. The episode attributes that the
+workloads and the tracer read by name are resolved against a recorded
+episode the same way.
 """
 
 from __future__ import annotations
@@ -14,9 +16,14 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from deskicl import harness
+from deskicl.model import ModelConfig
+from deskicl.sim import TaskSpec
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+TRACER = WORKLOADS.with_name("tracer.py")
 MODULES = ("harness", "engine")
 
 
@@ -69,3 +76,25 @@ def test_eval_records_serialise_for_the_eval_digest():
     # eval_round digests `[r.to_dict() for r in records]`
     record = harness.EvalRecord("ours", 0, "poke_c0", "p0", 1, 0, 1.0, 3, 3, "none")
     assert record.to_dict()["variant"] == "ours"
+
+
+def _name_tuples(path: Path, function: str) -> list[tuple[str, ...]]:
+    """Every tuple of string literals in the body of `function` in `path`."""
+    (node,) = [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.FunctionDef) and n.name == function]
+    return [
+        tuple(e.value for e in t.elts)
+        for t in ast.walk(node)
+        if isinstance(t, ast.Tuple) and t.elts and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in t.elts)
+    ]
+
+
+def test_every_episode_attribute_perfbench_reads_is_an_array_of_a_recorded_episode():
+    """The round-trip check would crash a gen_data run on a lost name, and
+    the tracer's `getattr(demo, name, None)` would skip it without a word."""
+    episode = harness.record_episode(ModelConfig(), TaskSpec("poke", 0), 1, 0, seed=0)
+    read = {(WORKLOADS, "_round_trip_failures"), (WORKLOADS, "_episodes_digest"), (TRACER, "_before_begin")}
+    for path, function in sorted(read):
+        (names,) = _name_tuples(path, function)
+        assert "traces" in names, (path.name, function)
+        for name in names:
+            assert isinstance(getattr(episode, name, None), np.ndarray), (path.name, function, name)

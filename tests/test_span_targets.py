@@ -36,7 +36,6 @@ from deskicl import engine, harness, sim
 from deskicl import tensor as tn
 from deskicl.data import build_sequence
 from deskicl.model import ModelConfig, PolicyModel, sequence_loss
-from deskicl.traces import augment_dataset
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -147,7 +146,7 @@ def test_record_episode_renders_both_views_in_one_call_and_keeps_the_read_only_p
 def test_the_tracer_times_every_backward_rule_the_sweep_pops():
     config = ModelConfig(d_model=32, n_layers=2, n_heads=2, third_resolution=16, wrist_resolution=8, max_context=256, chunk_h=4)
     model = PolicyModel.init(config, seed=0)
-    trajectories = augment_dataset([toy_trajectory(length=n, seed=n) for n in (3, 4)])
+    trajectories = [toy_trajectory(length=n, seed=n) for n in (3, 4)]
     seq = build_sequence(trajectories, 1, np.random.default_rng(0), chunk_h=4)
     traced = _tracer()
     tracer, patches = traced.Tracer(), traced.Patches()

@@ -15,7 +15,7 @@ from conftest import line_trajectory, toy_trajectory
 from deskicl.harness import record_episode
 from deskicl.model import ModelConfig
 from deskicl.sim import TaskSpec, third_view_uv
-from deskicl.traces import TRACE_DIM, TRACE_POINTS, augment_dataset, sample_mask, trace_matrix
+from deskicl.traces import TRACE_DIM, TRACE_POINTS, sample_mask, trace_matrix
 
 
 def trace_indices(length: int, t: int) -> tuple[int, ...]:
@@ -95,17 +95,12 @@ def test_straight_line_trace_collinear():
         assert abs(cross) < 1e-6
 
 
-def test_augment_counts_and_recomputation():
-    trajs = [toy_trajectory(length=9, seed=1), toy_trajectory(length=4, seed=2)]
-    augmented = augment_dataset(trajs)
-    assert trajs[0].traces is None  # inputs untouched
-    for orig, aug in zip(trajs, augmented):
-        assert aug.traces.shape == (len(orig), 10)
-        assert np.array_equal(aug.traces, trace_matrix(orig))
-        assert np.array_equal(aug.proprio, orig.proprio)
-    # last trace of an episode is degenerate
-    last = augmented[0].traces[-1].reshape(5, 2)
-    assert np.all(last == last[0])
+def test_traces_are_the_trace_matrix_of_the_proprio():
+    """A Trajectory's traces are computed from its proprio, once."""
+    for traj in (toy_trajectory(length=9, seed=1), toy_trajectory(length=4, seed=2)):
+        assert traj.traces.dtype == np.float32 and traj.traces.shape == (len(traj), TRACE_DIM)
+        assert np.array_equal(traj.traces, trace_matrix(traj))
+        assert traj.traces is traj.traces
 
 
 @pytest.mark.parametrize("kind", ["expert", "length_1"])
@@ -119,13 +114,6 @@ def test_trace_matrix_rows_equal_generate_trace_bitwise(kind):
     assert matrix.dtype == np.float32 and matrix.shape == (len(traj.proprio), 10)
     for t, row in enumerate(matrix):
         assert row.tobytes() == generate_trace(traj, t).tobytes()
-
-
-def test_augment_idempotent():
-    trajs = [toy_trajectory(length=6, seed=7)]
-    once = augment_dataset(trajs)
-    twice = augment_dataset(once)
-    assert np.array_equal(once[0].traces, twice[0].traces)
 
 
 def _replica_mask(n: int, seed: int) -> np.ndarray:
