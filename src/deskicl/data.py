@@ -135,6 +135,11 @@ class TrainingSequence:
     def n_steps(self) -> int:
         return len(self.proprio)
 
+    @property
+    def n_target(self) -> int:
+        """The target episode's steps, which `build_sequence` lays out last."""
+        return len(self.episodes[-1])
+
 
 def stack_steps(episodes: list[Trajectory]) -> dict[str, np.ndarray]:
     """Every ARRAY_FIELDS array of `episodes` and their traces, their steps

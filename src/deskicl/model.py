@@ -14,7 +14,8 @@ norm and its gain are one `tensor.rms_norm`, the gated product one
 `tensor.swiglu` and the attention one `tensor.causal_attention`, so a block
 is 13 tensor ops; its FFN width (SwiGLU's 8/3 rule) and RoPE base are fixed,
 not settings. `transformer_hidden` is the only trunk:
-training runs it over whole sequences, and closed-loop decoding runs it
+training runs it over whole sequences, with its last block only on the
+target steps' rows that the loss reads, and closed-loop decoding runs it
 over a few new tokens at a time against a `KVCache`. `trace_head` reads
 hidden states at state positions (the next token is the step's trace);
 `chunk_head` reads them at reasoning positions and emits the next
@@ -398,8 +399,9 @@ class KVCache:
         return self.config.max_context - self.length
 
 
-def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None = None) -> Tensor:
-    """Causal trunk over (T, d) tokens; returns the final-norm hidden states (T, d).
+def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None = None, rows: int | None = None) -> Tensor:
+    """Causal trunk over (T, d) tokens; returns the final-norm hidden states
+    (T, d), or with `rows` those of the last `rows` positions only.
 
     (B, T, d) tokens are B independent lanes at the same positions and give
     (B, T, d); every product keeps the lane axis as a leading batch axis, so
@@ -411,7 +413,10 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
 
     Each block is `x + attn(rms_norm(x, g_attn))`, then `x + swiglu(h @
     w_gate, h @ w_up) @ w_down` with `h = rms_norm(x, g_ffn)`, and a final
-    `rms_norm` with its gain closes the stack.
+    `rms_norm` with its gain closes the stack. With `rows`, the last
+    block projects keys and values from every position, which its rows
+    attend to, and runs the rest of the block and the final norm on its
+    rows only: no later layer reads the others.
     """
     cfg = model.config
     p = model.params
@@ -429,7 +434,10 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
     x = tokens
     for i in range(cfg.n_layers):
         h = tn.rms_norm(x, p[f"blocks.{i}.attn_norm.g"])
-        q, k, v = (tn.matmul(h, p[f"blocks.{i}.attn.{w}.w"]) for w in ("wq", "wk", "wv"))
+        k, v = (tn.matmul(h, p[f"blocks.{i}.attn.{w}.w"]) for w in ("wk", "wv"))
+        if rows is not None and i == cfg.n_layers - 1:
+            x, h = (tn.narrow(a, -2, t - rows, rows) for a in (x, h))
+        q = tn.matmul(h, p[f"blocks.{i}.attn.wq.w"])
         kv_cache = None
         if cache is not None:
             k_buf, v_buf = cache.layer(i, tokens.dtype)
@@ -497,13 +505,16 @@ def step_tokens(model: PolicyModel, third, wrist, proprio, traces, actions, step
 
 
 def forward_sequence(model: PolicyModel, seq: TrainingSequence) -> tuple[Tensor, Tensor]:
-    """Teacher-forced forward: embed ground-truth tokens, run the trunk,
-    return (trace predictions (S, 10), chunk predictions (S, H, 4))."""
+    """Teacher-forced forward: embed every step's ground-truth tokens, run
+    the trunk, and return the predictions of the N target steps only,
+    which the sequence lays out last: (trace predictions (N, 10), chunk
+    predictions (N, H, 4)). The trunk's last block runs for the target
+    steps' rows alone."""
     tokens = step_tokens(
         model, seq.third, seq.wrist, seq.proprio, seq.traces, seq.actions, seq.step_is_target, seq.reasoning_input_mask
     )
-    hidden = transformer_hidden(model, tokens)
-    return prediction_heads(model, hidden, seq.n_steps)
+    hidden = transformer_hidden(model, tokens, rows=TOKENS_PER_STEP * seq.n_target)
+    return prediction_heads(model, hidden, seq.n_target)
 
 
 def _masked_l1(pred: Tensor, labels: np.ndarray, mask: np.ndarray) -> tuple[Tensor, int]:
@@ -523,38 +534,38 @@ def combined_loss(
     trace_labels: np.ndarray,
     chunk_labels: np.ndarray,
     chunk_valid: np.ndarray,
-    loss_mask: np.ndarray,
     lambda_r: float,
-    reasoning_loss_mask: np.ndarray,
+    target_reasoning: bool,
 ) -> tuple[Tensor, float, float]:
-    """Mean L1 over unmasked valid chunk elements plus lambda_r times the
-    mean L1 over unmasked trace elements.
+    """Mean L1 over the valid chunk elements plus, if `target_reasoning`,
+    lambda_r times the mean L1 over the trace elements, of steps that all
+    carry loss.
 
     Returns (loss, action term, reasoning term). The reasoning term is 0
-    when no trace positions carry loss (the no-reasoning baseline); having
-    no action positions at all is an error.
+    without `target_reasoning` (the no-reasoning baseline); having no valid
+    action element at all is an error.
     """
-    l_action, action_count = _masked_l1(chunk_pred, chunk_labels, (loss_mask[:, None] & chunk_valid)[:, :, None])
+    l_action, action_count = _masked_l1(chunk_pred, chunk_labels, chunk_valid[:, :, None])
     if action_count == 0:
-        raise ValueError("loss: no unmasked action elements")
-    if not reasoning_loss_mask.any():
+        raise ValueError("loss: no valid action elements")
+    if not target_reasoning:
         return l_action, float(l_action.data), 0.0
-    l_reason, _ = _masked_l1(trace_pred, trace_labels, reasoning_loss_mask[:, None])
+    l_reason, _ = _masked_l1(trace_pred, trace_labels, np.True_)
     loss = tn.add(l_action, tn.scale(l_reason, lambda_r))
     return loss, float(l_action.data), float(l_reason.data)
 
 
 def sequence_loss(model: PolicyModel, seq: TrainingSequence) -> tuple[Tensor, float, float]:
-    """Full teacher-forced loss for one training sequence."""
+    """Teacher-forced loss of one training sequence, scored on its target
+    steps only: prompt steps carry no loss."""
     trace_pred, chunk_pred = forward_sequence(model, seq)
-    reasoning_loss_mask = seq.step_is_target if model.config.target_reasoning else np.zeros_like(seq.step_is_target)
+    n = seq.n_target
     return combined_loss(
         trace_pred,
         chunk_pred,
-        seq.traces,
-        seq.chunk_actions,
-        seq.chunk_valid,
-        seq.step_is_target,
+        seq.traces[-n:],
+        seq.chunk_actions[-n:],
+        seq.chunk_valid[-n:],
         model.config.lambda_r,
-        reasoning_loss_mask,
+        model.config.target_reasoning,
     )

@@ -9,23 +9,26 @@ reshape/transpose/concat/narrow, row gather for embedding lookup, and
 reductions). A fused op computes the products of its unfused composition
 (normalize, then multiply by the gain; SiLU, then multiply) in the same
 order, so it gives the same bits in one op instead of two. Ops record
-backward rules only while a `Tape` context is open, so inference runs
-tape-free at plain numpy speed. `backward` frees each node of the graph
-as soon as its rule has run, so a training step peaks at about the memory
-its forward holds; only leaves (parameters, and tensors made with
-`requires_grad=True`) keep a `.grad`.
+backward rules only while a `Tape` context is open: an untaped call
+(inference) records no backward rule and appends nothing to a tape, though
+each op still pays for its `Tensor` wrapping and checks. `backward` frees
+each node of the graph as soon as its rule has run, so a training step
+peaks at about the memory its forward holds; only leaves (parameters, and
+tensors made with `requires_grad=True`) keep a `.grad`.
 
-Causal attention runs over tiles of `_QUERY_TILE` query rows. A tile
-scores only the keys its rows can see, so the blocks above the diagonal
-are never computed, and the tape keeps the tiles' probabilities: about
-half of the (H, T, T) matrix at long T. While a `Tape` records, the full
-probability tiles are recycled across taped calls: each is a view of a
-buffer taken from a module-wide pool of spares, and the backward rule gives
-the buffer back after the tile's last use, so the next step's forward
-finds the memory already mapped instead of faulting it in afresh. The pool
-keeps every buffer given back; since a training step gives back all it took
-before the next one starts, its spares are one step's tiles at the longest
-sequence seen. Untaped calls (inference) allocate their tiles as plain
+Causal attention runs over tiles of `_QUERY_TILE` query rows, and may be
+given queries for only the last M of its T positions (a model's last
+layer, whose other rows nothing reads). A tile scores only the keys its
+rows can see, so the blocks above the diagonal are never computed, and the
+tape keeps the tiles' probabilities: about half of the (H, T, T) matrix at
+long T with every query. While a `Tape` records, the full probability
+tiles are recycled across taped calls: each is a view of a buffer taken
+from a module-wide pool of spares, and the backward rule gives the buffer
+back after the tile's last use, so the next step's forward finds the memory
+already mapped instead of faulting it in afresh. The pool keeps every
+buffer given back; since a training step gives back all it took before the
+next one starts, its spares are the most full tiles of each width that any
+one step took. Untaped calls (inference) allocate their tiles as plain
 temporaries.
 
 Broadcasting is restricted to leading batch dimensions: the smaller
@@ -384,11 +387,12 @@ class _TilePool:
     share one. `take` hands out a spare or a new buffer, and `give` keeps
     every buffer given back.
 
-    The bound is how a training step uses the pool: each layer's call takes
-    one full tile of each width 64, 128, ... up to the step's length, and
-    the backward gives all of them back before the next step's forward. So
-    the spares hold `n_layers` buffers of each width up to the longest step
-    seen: one step's tiles at the longest sequence.
+    The bound is how a training step uses the pool: a call with every
+    query takes one full tile of each width 64, 128, ... up to the step's
+    length, a call with the queries of the last M positions only the
+    widths of those rows' full tiles, and the backward gives all of them
+    back before the next step's forward. So the spares hold, for each
+    width, the most buffers of that width that any one step took.
     """
 
     def __init__(self):
@@ -412,23 +416,27 @@ def causal_attention(
     q: Tensor, k: Tensor, v: Tensor, n_heads: int, cos: np.ndarray, sin: np.ndarray,
     kv_cache: tuple[np.ndarray, np.ndarray] | None = None, start: int = 0,
 ) -> Tensor:
-    """Multi-head causal self-attention of T new positions as one op.
+    """Multi-head causal self-attention of T new positions as one op, for
+    the queries of the last M of them.
 
-    `q`, `k`, `v` are (T, d) projections, or (B, T, d) for B independent
-    lanes that share positions. Each splits into `n_heads` heads of width
-    dh; q and k are rotated by the position tables `cos`/`sin` (T, dh),
-    which hold [cos, cos] and [-sin, sin] of the angles (T, dh/2), q is
-    scaled by dh**-0.5, and every position attends to itself and all
-    earlier ones of its lane. The heads' outputs merge back to q's shape.
+    `k` and `v` are (T, d) projections, or (B, T, d) for B independent
+    lanes that share positions, and `q` is (M, d) or (B, M, d) with M <= T:
+    the queries of the last M new positions. Each splits into `n_heads`
+    heads of width dh; k is rotated by the position tables `cos`/`sin`
+    (T, dh), which hold [cos, cos] and [-sin, sin] of the angles (T, dh/2),
+    q by their last M rows, q is scaled by dh**-0.5, and every position
+    attends to itself and all earlier ones of its lane. The heads' outputs
+    merge back to q's shape. With M == T every position has its query.
 
     `kv_cache` is a pair of (n_heads, L, dh) buffers, or (B, n_heads, L, dh)
     with lanes, whose rows before `start` hold the rotated keys and values
     of earlier positions. The new keys and values are written at rows
-    start..start+T-1 and the queries attend over all start+T rows. Cached
-    rows are constants: gradients reach only `q`, `k` and `v`.
+    start..start+T-1 and the queries attend over all rows up to their own.
+    Cached rows are constants: gradients reach only `q`, `k` and `v`.
 
-    The queries are processed in tiles of `_QUERY_TILE` rows. Tile [i0, i1)
-    scores keys 0..start+i1-1 only; of those, only the (i1-i0)-square on the
+    The queries are processed in tiles of `_QUERY_TILE` rows. With `off =
+    start + T - M` the position of the first query, tile [i0, i1) scores
+    keys 0..off+i1-1 only; of those, only the (i1-i0)-square on the
     diagonal has masked entries. Each row sees all its keys, so the tile's
     softmax is exact, with no running max or sum across tiles. The tape
     keeps every tile's probabilities, and the backward applies the softmax
@@ -440,22 +448,25 @@ def causal_attention(
     (`_TilePool`), and the backward gives the buffer back right after the
     tile's last use, so consecutive training steps reuse the same memory.
     A training step gives back every tile before the next forward, so the
-    pool holds one step's tiles at the longest sequence seen. A short last
-    tile, and every tile of an untaped call, is allocated afresh.
+    pool holds, of each width, the most full tiles that one step took. A
+    short last tile, and every tile of an untaped call, is allocated afresh.
     """
-    *lead, t, d = q.shape
-    if len(lead) > 1 or k.shape != q.shape or v.shape != q.shape or d % n_heads:
+    *lead, m, d = q.shape
+    t = k.shape[-2]
+    if len(lead) > 1 or k.shape != (*lead, t, d) or v.shape != k.shape or m > t or d % n_heads:
         raise ShapeError(f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape} with {n_heads} heads")
     dh = d // n_heads
     s = float(dh) ** -0.5
+    off = start + t - m  # the position of the first query row
 
     def heads(x: np.ndarray) -> np.ndarray:
-        return x.reshape(*lead, t, n_heads, dh).swapaxes(-2, -3)
+        return x.reshape(*x.shape[:-1], n_heads, dh).swapaxes(-2, -3)
 
     def merge(x: np.ndarray) -> np.ndarray:
-        return x.swapaxes(-2, -3).reshape(*lead, t, d)
+        return x.swapaxes(-2, -3).reshape(*lead, x.shape[-2], d)
 
-    qh = _rotate(heads(q.data), cos, sin) * s
+    q_cos, q_sin = cos[t - m:], sin[t - m:]
+    qh = _rotate(heads(q.data), q_cos, q_sin) * s
     kh = _rotate(heads(k.data), cos, sin)
     vh = heads(v.data)
     if kv_cache is None:
@@ -466,26 +477,27 @@ def causal_attention(
         v_buf[..., start:start + t, :] = vh
         keys, values = k_buf[..., :start + t, :], v_buf[..., :start + t, :]
     taped = _active_tape is not None and (q.requires_grad or k.requires_grad or v.requires_grad)
-    probs = []  # each tile's (..., H, i1-i0, start+i1) probabilities, kept for the backward
-    ctx = np.empty((*lead, n_heads, t, dh), dtype=np.result_type(qh, keys, values))
-    for i0 in range(0, t, _QUERY_TILE):
-        i1 = min(i0 + _QUERY_TILE, t)
+    probs = []  # each tile's (..., H, i1-i0, off+i1) probabilities, kept for the backward
+    ctx = np.empty((*lead, n_heads, m, dh), dtype=np.result_type(qh, keys, values))
+    for i0 in range(0, m, _QUERY_TILE):
+        i1 = min(i0 + _QUERY_TILE, m)
         n = i1 - i0
-        keys_t = keys[..., :start + i1, :].swapaxes(-1, -2)
+        keys_t = keys[..., :off + i1, :].swapaxes(-1, -2)
         if not taped or n < _QUERY_TILE:
             # a short last tile is not recycled: padded to full rows, its
             # buffer would keep up to _QUERY_TILE - 1 unused rows resident
             att = np.matmul(qh[..., i0:i1, :], keys_t)
         else:
-            tile = _tiles.take((*lead, n_heads), start + i1, np.result_type(qh, keys))
+            tile = _tiles.take((*lead, n_heads), off + i1, np.result_type(qh, keys))
             att = np.matmul(qh[..., i0:i1, :], keys_t, out=tile)
         if n > 1:  # hide the diagonal square's future keys (a single row has none), then softmax in place
-            np.copyto(att[..., start + i0:], -np.inf, where=_FUTURE[:n, :n])
-        att -= att.max(axis=-1, keepdims=True)
+            np.copyto(att[..., off + i0:], -np.inf, where=_FUTURE[:n, :n])
+        # the ufunc reductions give the .max()/.sum() bits without their Python-level wrappers
+        att -= np.maximum.reduce(att, axis=-1, keepdims=True)
         np.exp(att, out=att)
-        att /= att.sum(axis=-1, keepdims=True)
+        att /= np.add.reduce(att, axis=-1, keepdims=True)
         probs.append(att)
-        np.matmul(att, values[..., :start + i1, :], out=ctx[..., i0:i1, :])
+        np.matmul(att, values[..., :off + i1, :], out=ctx[..., i0:i1, :])
     out = Tensor(merge(ctx), dtype=q.dtype)
 
     def bwd(g):
@@ -493,21 +505,22 @@ def causal_attention(
         gq = np.empty_like(qh)
         gk = np.zeros_like(kh)
         gv = np.zeros_like(vh)
-        for i0, att in zip(range(0, t, _QUERY_TILE), probs):
+        for i0, att in zip(range(0, m, _QUERY_TILE), probs):
             i1 = i0 + att.shape[-2]
             g_tile = gh[..., i0:i1, :]
-            g_scores = np.matmul(g_tile, values[..., :start + i1, :].swapaxes(-1, -2))
+            g_scores = np.matmul(g_tile, values[..., :off + i1, :].swapaxes(-1, -2))
             # row sums of g_scores * att, as (1, k) @ (k, 1) products
             g_scores -= np.matmul(g_scores[..., None, :], att[..., :, None])[..., 0]
             g_scores *= att
-            np.matmul(g_scores, keys[..., :start + i1, :], out=gq[..., i0:i1, :])
-            gk[..., :i1, :] += np.matmul(g_scores[..., start:].swapaxes(-1, -2), qh[..., i0:i1, :])
-            gv[..., :i1, :] += np.matmul(att[..., start:].swapaxes(-1, -2), g_tile)
+            np.matmul(g_scores, keys[..., :off + i1, :], out=gq[..., i0:i1, :])
+            # the new keys and values seen by the tile: rows 0..off-start+i1-1
+            gk[..., :off - start + i1, :] += np.matmul(g_scores[..., start:].swapaxes(-1, -2), qh[..., i0:i1, :])
+            gv[..., :off - start + i1, :] += np.matmul(att[..., start:].swapaxes(-1, -2), g_tile)
             if att.base is not None:  # a recycled tile
                 _tiles.give(att.base)
         if q.requires_grad:
             gq *= s
-            q.accumulate_grad(merge(_rotate_back(gq, cos, sin)))
+            q.accumulate_grad(merge(_rotate_back(gq, q_cos, q_sin)))
         if k.requires_grad:
             k.accumulate_grad(merge(_rotate_back(gk, cos, sin)))
         if v.requires_grad:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -120,8 +121,8 @@ def test_decode_matches_teacher_forced_heads():
     prompt, target = seq.episodes
     states = _expert_states(task, 40 + next(i for i, e in enumerate(episodes) if e is target), n_obj=1, n_rec=1)
     model = small_model(13)
-    trace_pred, chunk_pred = forward_sequence(model, seq)
-    target_chunks = chunk_pred.data[seq.step_is_target]
+    trace_pred, chunk_pred = forward_sequence(model, seq)  # the target steps' predictions
+    target_chunks = chunk_pred.data
 
     policy = TransformerPolicy(model, 0)
     policy.begin([prompt], 1)
@@ -137,7 +138,7 @@ def test_decode_matches_teacher_forced_heads():
     policy = TransformerPolicy(model, 1)
     policy.begin([prompt], 1)
     traces, _ = policy.propose(0, states[:1])
-    expected = np.clip(trace_pred.data[seq.step_is_target][0], 0.0, 1.0)
+    expected = np.clip(trace_pred.data[0], 0.0, 1.0)
     assert np.abs(traces[0] - expected).max() <= 1e-5
 
 
@@ -503,24 +504,34 @@ def test_train_checks_the_context_budget_before_step_0():
 
 def test_train_leaves_one_step_of_attention_tiles_at_the_longest_length(monkeypatch):
     """Each training step gives back every attention tile it took, so after
-    steps of different lengths the pool's spares are n_layers buffers of
-    each full-tile width up to the longest sequence."""
+    steps of different lengths the pool holds, of each full-tile width, the
+    most buffers that one step took. A step of L tokens whose last R are
+    the target's takes, in each layer but the last, one tile of each width
+    64, 128, ... up to L; the last layer runs only the R target rows, whose
+    full tiles [i0, i0 + 64) take the width of their keys, L - R + i0 + 64
+    rounded up to a multiple of 64."""
     pool = tensor._TilePool()
     monkeypatch.setattr(tensor, "_tiles", pool)
-    lengths = []
+    steps = []
 
     def recording_build_sequence(*args, **kwargs):
         seq = build_sequence(*args, **kwargs)
-        lengths.append(TOKENS_PER_STEP * seq.n_steps)
+        steps.append((TOKENS_PER_STEP * seq.n_steps, TOKENS_PER_STEP * seq.n_target))
         return seq
 
     monkeypatch.setattr(engine, "build_sequence", recording_build_sequence)
     train(small_model(14), _toy_dataset(4), TrainConfig(steps=6, seed=0))
     tile = tensor._QUERY_TILE
+    lengths = [length for length, _ in steps]
     assert min(lengths) // tile < max(lengths) // tile
-    widths = range(tile, max(lengths) + 1, tile)
+    expected = Counter()
+    for length, target in steps:
+        taken = Counter({w: SMALL_CFG.n_layers - 1 for w in range(tile, length + 1, tile)})
+        taken.update(-(-(length - target + i1) // tile) * tile for i1 in range(tile, target + 1, tile))
+        expected |= taken
+    assert sum(expected.values()) < SMALL_CFG.n_layers * (max(lengths) // tile)  # the last layer took fewer
     assert {key: len(bufs) for key, bufs in pool.spares.items()} == {
-        ((SMALL_CFG.n_heads,), w, np.dtype(np.float32)): SMALL_CFG.n_layers for w in widths
+        ((SMALL_CFG.n_heads,), w, np.dtype(np.float32)): n for w, n in expected.items()
     }
 
 

@@ -16,6 +16,7 @@ from deskicl import sim
 from deskicl import tensor as tn
 from deskicl.checkpoint import CheckpointError, save_checkpoint
 from deskicl.data import build_sequence, save_episodes
+from deskicl.harness import VARIANTS
 from deskicl.model import (
     KVCache,
     ModelConfig,
@@ -526,8 +527,8 @@ def test_forward_sequence_output_counts():
     model = tiny_model()
     seq = tiny_sequence(lengths=(3, 5))
     trace_pred, chunk_pred = forward_sequence(model, seq)
-    assert trace_pred.shape == (8, 10)
-    assert chunk_pred.shape == (8, TINY.chunk_h, 4)
+    assert trace_pred.shape == (5, 10)
+    assert chunk_pred.shape == (5, TINY.chunk_h, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +543,7 @@ def _unit_loss_fixture(lambda_r):
     trace_labels = np.ones((s, 10), dtype=np.float32)
     chunk_labels = np.ones((s, h, 4), dtype=np.float32)
     chunk_valid = np.ones((s, h), dtype=bool)
-    loss_mask = np.ones(s, dtype=bool)
-    return combined_loss(trace_pred, chunk_pred, trace_labels, chunk_labels, chunk_valid, loss_mask, lambda_r, loss_mask)
+    return combined_loss(trace_pred, chunk_pred, trace_labels, chunk_labels, chunk_valid, lambda_r, True)
 
 
 def test_loss_unit_terms_weighting():
@@ -562,9 +562,8 @@ def test_loss_zero_when_predictions_match():
         traces,
         labels,
         np.ones((s, h), dtype=bool),
-        np.ones(s, dtype=bool),
         0.3,
-        np.ones(s, dtype=bool),
+        True,
     )
     assert float(loss.data) == 0.0 and la == 0.0 and lr == 0.0
 
@@ -577,16 +576,14 @@ def test_loss_hand_computed_two_step():
     trace_labels = rng.uniform(size=(s, 10)).astype(np.float32)
     chunk_labels = rng.normal(size=(s, h, 4)).astype(np.float32)
     chunk_valid = np.array([[True, True], [True, False]])
-    loss_mask = np.array([False, True])
 
-    mask3 = loss_mask[:, None, None] & chunk_valid[:, :, None]
-    expect_action = np.abs(chunk_pred - chunk_labels)[mask3.repeat(4, axis=2) if False else np.broadcast_to(mask3, chunk_pred.shape)].mean()
-    expect_reason = np.abs(trace_pred - trace_labels)[1].mean()
+    # the valid chunk elements: both of step 0's actions and the first of step 1's
+    action_errors = np.abs(chunk_pred - chunk_labels)
+    expect_action = np.concatenate([action_errors[0].ravel(), action_errors[1, 0]]).mean()
+    expect_reason = np.abs(trace_pred - trace_labels).mean()
     expected = expect_action + 0.3 * expect_reason
 
-    loss, la, lr = combined_loss(
-        Tensor(trace_pred), Tensor(chunk_pred), trace_labels, chunk_labels, chunk_valid, loss_mask, 0.3, loss_mask
-    )
+    loss, la, lr = combined_loss(Tensor(trace_pred), Tensor(chunk_pred), trace_labels, chunk_labels, chunk_valid, 0.3, True)
     assert abs(float(loss.data) - expected) < 1e-6
     assert abs(la - expect_action) < 1e-6 and abs(lr - expect_reason) < 1e-6
 
@@ -598,10 +595,9 @@ def test_loss_requires_action_positions():
             Tensor(np.zeros((2, 2, 4), np.float32)),
             np.zeros((2, 10), np.float32),
             np.zeros((2, 2, 4), np.float32),
-            np.ones((2, 2), dtype=bool),
-            np.zeros(2, dtype=bool),
+            np.zeros((2, 2), dtype=bool),
             0.3,
-            np.zeros(2, dtype=bool),
+            True,
         )
 
 
@@ -677,6 +673,48 @@ def test_prompt_isolation_labels_do_not_leak():
     assert mutated_loss == base_loss
     for k in base_grads:
         assert np.array_equal(base_grads[k], mutated_grads[k])
+
+
+@pytest.mark.parametrize("n_prompt", [1, 3])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_sequence_loss_drops_nothing_the_loss_reads(variant, n_prompt):
+    """The loss, run on the target steps only, equals at float64 a reference
+    that runs the trunk and the heads over every step and masks the loss to
+    the target steps, and so do the gradients of every parameter."""
+    model = tiny_model(seed=43, **VARIANTS[variant]).astype(np.float64)
+    seq = tiny_sequence(seed=5, lengths=(9, 12, 7, 10)[: n_prompt + 1], n_prompt=n_prompt, mask_ratio=0.5)
+    assert seq.n_target < seq.n_steps
+
+    def masked_mean_l1(pred, labels, mask):
+        weights = np.broadcast_to(mask, pred.shape).astype(np.float64)
+        diff = tn.absolute(tn.sub(pred, Tensor(labels, dtype=np.float64)))
+        return tn.scale(tn.sum_all(tn.mul(diff, Tensor(weights, dtype=np.float64))), 1.0 / weights.sum())
+
+    def reference(m):
+        tokens = mdl.step_tokens(
+            m, seq.third, seq.wrist, seq.proprio, seq.traces, seq.actions, seq.step_is_target, seq.reasoning_input_mask
+        )
+        trace_pred, chunk_pred = mdl.prediction_heads(m, transformer_hidden(m, tokens), seq.n_steps)
+        target = seq.step_is_target
+        loss = masked_mean_l1(chunk_pred, seq.chunk_actions, (target[:, None] & seq.chunk_valid)[:, :, None])
+        if m.config.target_reasoning:
+            loss = tn.add(loss, tn.scale(masked_mean_l1(trace_pred, seq.traces, target[:, None]), m.config.lambda_r))
+        return loss
+
+    results = []
+    for loss_of in (reference, lambda m: sequence_loss(m, seq)[0]):
+        m = model.astype(np.float64)
+        with Tape():
+            loss = loss_of(m)
+            backward(loss)
+        results.append((float(loss.data), {k: p.grad for k, p in m.params.items()}))
+    (ref_loss, ref_grads), (loss, grads) = results
+    assert abs(loss - ref_loss) <= 1e-12
+    for k, ref in ref_grads.items():
+        if ref is None:  # the trace head of a variant without target reasoning
+            assert grads[k] is None, k
+        else:
+            assert np.abs(grads[k] - ref).max() <= 1e-12, k
 
 
 def test_backward_frees_the_graph_without_cyclic_gc():

@@ -25,10 +25,21 @@ from deskicl.tensor import GradError, ShapeError, Tape, Tensor, backward
 FD_STEP = 1e-3
 GRAD_TOL = 1e-3
 TILE = tn._QUERY_TILE
-# (T, start) cases of part of a tile, exactly one full tile, and two and three tiles, the last one partial
+# (T, start, M) cases, with queries for the last M of T positions. With
+# M = T: part of a tile, exactly one full tile, and two and three tiles, the
+# last one partial. With M < T: one row, part of a tile, one full tile, and a
+# full tile plus part of one, under keys of up to three tiles
 ATTENTION_CASES = [
-    (1, 0), (6, 0), (1, 5), (3, 5), (TILE, 0), (TILE, 5), (TILE + 3, 0), (TILE + 3, 5), (2 * TILE + 3, 0), (2 * TILE + 3, 5)
-]
+    (t, start, t)
+    for t, start in [
+        (1, 0), (6, 0), (1, 5), (3, 5), (TILE, 0), (TILE, 5), (TILE + 3, 0), (TILE + 3, 5), (2 * TILE + 3, 0), (2 * TILE + 3, 5)
+    ]
+] + [(t, start, m) for m, t in [(1, 2 * TILE + 3), (5, TILE + 3), (TILE, 2 * TILE + 3), (TILE + 3, 2 * TILE + 3)] for start in (0, 5)]
+
+
+def _case_ids(cases):
+    """`T-start`, and `T-start-M` where the queries are fewer than the keys."""
+    return ["-".join(map(str, case if case[2] < case[0] else case[:2])) for case in cases]
 
 
 def fd_gradients(build, arrays, step=FD_STEP):
@@ -170,14 +181,14 @@ def _attention_case(t, start, n_heads=2, d=8, seed=0):
     return q, k, v, np.cos(angles), np.sin(angles), cache
 
 
-@pytest.mark.parametrize("t, start", ATTENTION_CASES)
-def test_causal_attention_against_loops(t, start):
+@pytest.mark.parametrize("t, start, m", ATTENTION_CASES, ids=_case_ids(ATTENTION_CASES))
+def test_causal_attention_against_loops(t, start, m):
     q, k, v, cos, sin, cache = _attention_case(t, start)
     empty = np.zeros((2, 0, 4))
     past_k, past_v = (empty, empty) if cache is None else (cache[0][:, :start].copy(), cache[1][:, :start].copy())
-    out = tn.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2, *_full_width(cos, sin), kv_cache=cache, start=start)
-    assert out.shape == (t, 8)
-    assert np.abs(out.data - _attention_oracle(q, k, v, 2, cos, sin, past_k, past_v)).max() < 1e-5
+    out = tn.causal_attention(Tensor(q[t - m:]), Tensor(k), Tensor(v), 2, *_full_width(cos, sin), kv_cache=cache, start=start)
+    assert out.shape == (m, 8)
+    assert np.abs(out.data - _attention_oracle(q, k, v, 2, cos, sin, past_k, past_v)[t - m:]).max() < 1e-5
     if cache is not None:
         # the new rows now hold the rotated keys and the values
         rotated = [_rotate_oracle(k[:, 4 * h:4 * h + 4].astype(np.float64), cos, sin) for h in range(2)]
@@ -185,18 +196,24 @@ def test_causal_attention_against_loops(t, start):
         assert np.array_equal(cache[1][:, start:], v.reshape(t, 2, 4).transpose(1, 0, 2))
 
 
-@pytest.mark.parametrize("t, start", [(1, 0), (6, 0), (1, 5), (3, 5), (TILE, 0), (TILE, 5), (2 * TILE + 3, 5)])
-def test_causal_attention_lanes_match_single_lanes(t, start):
-    """A (B, T, d) call over a (B, H, L, dh) cache is B independent
-    (T, d) calls, bit for bit, outputs and written cache rows alike."""
+LANE_CASES = [(t, start, t) for t, start in [(1, 0), (6, 0), (1, 5), (3, 5), (TILE, 0), (TILE, 5), (2 * TILE + 3, 5)]] + [
+    (2 * TILE + 3, 0, 1), (TILE + 3, 5, 5), (2 * TILE + 3, 0, TILE), (2 * TILE + 3, 5, TILE + 3)
+]
+
+
+@pytest.mark.parametrize("t, start, m", LANE_CASES, ids=_case_ids(LANE_CASES))
+def test_causal_attention_lanes_match_single_lanes(t, start, m):
+    """A call of B lanes over a (B, H, L, dh) cache is B independent
+    one-lane calls, bit for bit, outputs and written cache rows alike."""
     lanes = [_attention_case(t, start, seed=s) for s in range(3)]
     cos, sin = _full_width(lanes[0][3], lanes[0][4])
     stacked = [np.stack([lane[i] for lane in lanes]) for i in range(3)]
+    stacked[0] = stacked[0][:, t - m:]
     cache = None if start == 0 else tuple(np.stack([lane[5][i] for lane in lanes]) for i in range(2))
     out = tn.causal_attention(*(Tensor(x) for x in stacked), 2, cos, sin, kv_cache=cache, start=start)
-    assert out.shape == (3, t, 8)
+    assert out.shape == (3, m, 8)
     for b, (q, k, v, _, _, own_cache) in enumerate(lanes):
-        alone = tn.causal_attention(Tensor(q), Tensor(k), Tensor(v), 2, cos, sin, kv_cache=own_cache, start=start)
+        alone = tn.causal_attention(Tensor(q[t - m:]), Tensor(k), Tensor(v), 2, cos, sin, kv_cache=own_cache, start=start)
         assert np.array_equal(out.data[b], alone.data)
         if cache is not None:
             assert np.array_equal(cache[0][b], own_cache[0]) and np.array_equal(cache[1][b], own_cache[1])
@@ -380,6 +397,12 @@ def test_fused_ops_reject_mismatched_shapes():
         tn.rms_norm(x, Tensor(np.ones((4, 8))))
     with pytest.raises(ShapeError, match="swiglu"):
         tn.swiglu(x, Tensor(np.ones(8)))
+    q, k, v, cos, sin, _ = _attention_case(3, 0)
+    cos, sin = _full_width(cos, sin)
+    # more queries than keys; values unlike the keys; queries of another width; of another lane count
+    for args in [(q, k[:2], v[:2]), (q, k, v[:2]), (q[:, :4], k, v), (q[None], k, v)]:
+        with pytest.raises(ShapeError, match="causal_attention"):
+            tn.causal_attention(*(Tensor(x) for x in args), 2, cos, sin)
 
 
 def test_determinism_same_seed_bitwise():
@@ -515,17 +538,17 @@ def test_grad_gather_rows_accumulates_duplicates():
     check_grads(lambda t: tn.sum_all(tn.mul(tn.gather_rows(t[0], idx), tn.gather_rows(t[0], idx))), [table])
 
 
-@pytest.mark.parametrize("t, start", ATTENTION_CASES)
-def test_grad_causal_attention(t, start):
+@pytest.mark.parametrize("t, start, m", ATTENTION_CASES, ids=_case_ids(ATTENTION_CASES))
+def test_grad_causal_attention(t, start, m):
     q, k, v, cos, sin, cache = _attention_case(t, start, seed=1)
     cos, sin = _full_width(cos, sin)
-    w = np.random.default_rng(2).normal(size=(t, 8)).astype(np.float32)
+    w = np.random.default_rng(2).normal(size=(m, 8)).astype(np.float32)
 
     def build(ts):
         out = tn.causal_attention(ts[0], ts[1], ts[2], 2, cos, sin, kv_cache=cache, start=start)
         return tn.sum_all(tn.mul(out, Tensor(w, dtype=ts[0].dtype)))
 
-    check_grads(build, [q, k, v])
+    check_grads(build, [q[t - m:], k, v])
 
 
 # ---------------------------------------------------------------------------
