@@ -18,7 +18,8 @@ Layout (all integers little-endian):
 
 Sorting makes writes byte-stable, so identical contents always produce
 identical files. An array of another dtype is refused, not converted, and a
-file of another version, or with an unknown dtype code, does not load.
+file of another version, with an unknown dtype code, or that repeats a header
+key or an array name, does not load.
 Header keys may hold neither '=' nor a newline, values no newline. A write
 goes to a sibling temp file that replaces the target only once complete, so
 a failed write leaves the previous file as it was.
@@ -97,12 +98,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, 
         for line in text(header_len).split("\n"):
             if line:
                 key, _, value = line.partition("=")
+                if key in header:
+                    raise CheckpointError(f"{path}: header key {key!r} repeats")
                 header[key] = value
         (n_params,) = struct.unpack("<I", take(4))
         params: dict[str, np.ndarray] = {}
         for _ in range(n_params):
             (name_len,) = struct.unpack("<H", take(2))
             name = text(name_len)
+            if name in params:
+                raise CheckpointError(f"{path}: array name {name!r} repeats")
             code, ndim = struct.unpack("<cB", take(2))
             dtype = _CODE_DTYPES.get(code)
             if dtype is None:

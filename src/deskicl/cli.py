@@ -10,6 +10,7 @@ from pathlib import Path
 from . import harness
 from .checkpoint import CheckpointError
 from .data import EpisodeIOError
+from .engine import TrainingDivergedError
 from .harness import HarnessConfig, HarnessError, load_config
 from .settings import parse
 from .sim import SimError
@@ -93,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "report":
             harness.cmd_report(args.out)
         return 0
-    except (HarnessError, EpisodeIOError, CheckpointError, SimError, OSError, ValueError) as exc:
+    except (HarnessError, EpisodeIOError, CheckpointError, SimError, TrainingDivergedError, OSError, ValueError) as exc:
         print(f"deskicl {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

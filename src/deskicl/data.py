@@ -112,12 +112,15 @@ class SplitSpec:
 
 @dataclass
 class TrainingSequence:
-    """Prompt episodes followed by one target episode, with label tensors.
+    """Prompt episodes followed by one target episode: the inputs of all S
+    steps and the labels of the target's N steps.
 
-    Steps are laid out by `stack_steps`, in episode order; each step later
-    embeds to the token triple [state, reasoning, action]. Only target steps
-    carry loss; `reasoning_input_mask` marks target steps whose trace input
-    is replaced by the zero vector (the prediction target remains).
+    Steps are laid out by `stack_steps`, in episode order, so the target's
+    steps are the last N; each step later embeds to the token triple
+    [state, reasoning, action]. Only target steps carry loss, so only they
+    have labels: their chunks of next actions and, read from `traces[-N:]`,
+    their traces. `reasoning_input_mask` marks the target steps whose trace
+    input is replaced by the zero vector (the prediction target remains).
     """
 
     episodes: list[Trajectory]
@@ -126,10 +129,9 @@ class TrainingSequence:
     proprio: np.ndarray  # (S, 4)
     actions: np.ndarray  # (S, 4)
     traces: np.ndarray  # (S, 10)
-    step_is_target: np.ndarray  # (S,) bool, false on prompt steps
-    reasoning_input_mask: np.ndarray  # (S,) bool, subset of target steps
-    chunk_actions: np.ndarray  # (S, H, 4)
-    chunk_valid: np.ndarray  # (S, H) bool
+    reasoning_input_mask: np.ndarray  # (N,) bool
+    chunk_actions: np.ndarray  # (N, H, 4)
+    chunk_valid: np.ndarray  # (N, H) bool
 
     @property
     def n_steps(self) -> int:
@@ -157,8 +159,8 @@ def build_sequence(
     """Assemble one training sequence from a single-task episode subset.
 
     Picks n_prompt + 1 distinct episodes at random: the first n_prompt as
-    prompt demos, the last as the target. Prompt steps never contribute to
-    the loss and their reasoning inputs are never masked.
+    prompt demos, the last as the target, whose steps alone get labels and
+    a drawn reasoning input mask.
     """
     if n_prompt < 1:
         raise ValueError("need at least one prompt episode")
@@ -170,31 +172,18 @@ def build_sequence(
 
     chosen = rng.choice(len(subset_trajectories), size=n_prompt + 1, replace=False)
     episodes = [subset_trajectories[int(i)] for i in chosen]
-    steps = stack_steps(episodes)
-    lengths = [len(e) for e in episodes]
-    total = sum(lengths)
-
-    step_is_target = np.zeros(total, dtype=bool)
-    step_is_target[total - lengths[-1]:] = True
-
-    reasoning_input_mask = np.zeros(total, dtype=bool)
-    reasoning_input_mask[total - lengths[-1]:] = traces_mod.sample_mask(lengths[-1], rng)
-
-    # the next `chunk_h` actions of every step at once: step s reads the
-    # actions from s on, clamped to the last step of its own episode, and
-    # the slots clamped are invalid, so the loss skips them
-    ends = np.repeat(np.cumsum(lengths), lengths)[:, None]
-    ahead = np.arange(total)[:, None] + np.arange(chunk_h)
-    chunk_actions = steps["actions"][np.minimum(ahead, ends - 1)].astype(np.float32, copy=False)
-    chunk_valid = ahead < ends
-
+    target = episodes[-1]
+    n = len(target)
+    # the next `chunk_h` actions of every target step at once: step t reads
+    # the actions from t on, clamped to the last step, and the slots clamped
+    # are invalid, so the loss skips them
+    ahead = np.arange(n)[:, None] + np.arange(chunk_h)
     return TrainingSequence(
         episodes=episodes,
-        **steps,
-        step_is_target=step_is_target,
-        reasoning_input_mask=reasoning_input_mask,
-        chunk_actions=chunk_actions,
-        chunk_valid=chunk_valid,
+        **stack_steps(episodes),
+        reasoning_input_mask=traces_mod.sample_mask(n, rng),
+        chunk_actions=target.actions[np.minimum(ahead, n - 1)],
+        chunk_valid=ahead < n,
     )
 
 

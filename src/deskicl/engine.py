@@ -82,6 +82,10 @@ class TrainConfig:
             raise ValueError(f"n_prompt_choices = {self.n_prompt_choices} needs at least one count, each at least 1")
 
 
+class TrainingDivergedError(RuntimeError):
+    """A training step whose loss or gradient norm is not finite."""
+
+
 @dataclass
 class LossRecord:
     step: int
@@ -103,9 +107,9 @@ def train(
     ValueError before step 0, touching no parameter or gradient, if a task
     has a single episode or its longest possible sequence exceeds the
     model's max_context. A head outside the variant's loss (the trace head
-    of `icrt`) keeps the zero gradient `AdamW` gives it. Aborts with a
-    diagnostic if the loss or the gradient norm goes non-finite, before that
-    step's update touches the parameters.
+    of `icrt`) keeps the zero gradient `AdamW` gives it. Raises
+    TrainingDivergedError if the loss or the gradient norm goes non-finite,
+    before that step's update touches the parameters.
     """
     if not dataset:
         raise ValueError("training dataset is empty")
@@ -139,14 +143,14 @@ def train(
         with Tape():
             loss, l_action, l_reason = sequence_loss(model, seq)
             if not np.isfinite(loss.data):
-                raise RuntimeError(
+                raise TrainingDivergedError(
                     f"non-finite loss at step {step_idx} (task {label}, "
                     f"action {l_action}, reasoning {l_reason}); aborting"
                 )
             backward(loss)
         grad_norm = clip_grad_norm(model.params, cfg.grad_clip)
         if not np.isfinite(grad_norm):
-            raise RuntimeError(f"non-finite gradient norm {grad_norm} at step {step_idx} (task {label}); aborting before the update")
+            raise TrainingDivergedError(f"non-finite gradient norm {grad_norm} at step {step_idx} (task {label}); aborting before the update")
         opt.step()
         opt.zero_grad()
         history.append(LossRecord(step_idx, float(loss.data), l_action, l_reason, grad_norm))
@@ -267,8 +271,7 @@ class TransformerPolicy:
             raise ValueError("need at least one prompt demo")
         model = self.model
         steps = stack_steps(prompt_demos)
-        no_target = np.zeros(len(steps["proprio"]), dtype=bool)
-        tokens = step_tokens(model, **steps, step_is_target=no_target, reasoning_input_mask=no_target)
+        tokens = step_tokens(model, **steps, target_mask=np.zeros(0, dtype=bool))
         self.cache = KVCache(model.config)
         kv_decode(self.cache, model, tokens.data)
         self.cache.select_lanes(np.zeros(lanes, dtype=np.intp))

@@ -308,10 +308,11 @@ def encode_action_batch(model: PolicyModel, actions: np.ndarray) -> Tensor:
 
 
 def interleave_tokens(f_s: Tensor, f_r: Tensor, f_a: Tensor) -> Tensor:
-    """Stack per-step [state, reasoning, action] tokens into (3S, d)."""
+    """Stack per-step [state, reasoning, action] tokens into (3S, d): row s
+    of the (S, 3d) concat holds step s's three tokens, which its (3S, d)
+    view puts at rows 3s, 3s+1 and 3s+2."""
     s, d = f_s.shape
-    stacked = tn.concat([tn.reshape(f, (s, 1, d)) for f in (f_s, f_r, f_a)], axis=1)
-    return tn.reshape(stacked, (TOKENS_PER_STEP * s, d))
+    return tn.reshape(tn.concat([f_s, f_r, f_a], axis=-1), (TOKENS_PER_STEP * s, d))
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +483,22 @@ def prediction_heads(model: PolicyModel, hidden: Tensor, n_steps: int) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-def effective_trace_mask(config: ModelConfig, step_is_target: np.ndarray, reasoning_input_mask: np.ndarray) -> np.ndarray:
-    """Which steps feed the zero-vector trace token, given the variant flags."""
-    masked = reasoning_input_mask & step_is_target
-    if not config.prompt_reasoning:
-        masked = masked | ~step_is_target
-    if not config.target_reasoning:
-        masked = masked | step_is_target
+def effective_trace_mask(config: ModelConfig, n_steps: int, target_mask: np.ndarray) -> np.ndarray:
+    """Which of `n_steps` steps feed the zero-vector trace token, given the
+    variant flags: the steps before the last len(target_mask), a prompt's,
+    unless `prompt_reasoning`; the target steps that `target_mask` marks,
+    or all of them unless `target_reasoning`."""
+    masked = np.full(n_steps, not config.prompt_reasoning)
+    masked[n_steps - len(target_mask):] = target_mask | (not config.target_reasoning)
     return masked
 
 
-def step_tokens(model: PolicyModel, third, wrist, proprio, traces, actions, step_is_target, reasoning_input_mask) -> Tensor:
-    """The (3S, d) token sequence of S recorded steps. The steps that feed
-    the zero-vector trace follow `effective_trace_mask`; a closed-loop
-    prompt has no target steps and no input mask."""
-    masked = effective_trace_mask(model.config, step_is_target, reasoning_input_mask)
+def step_tokens(model: PolicyModel, third, wrist, proprio, traces, actions, target_mask) -> Tensor:
+    """The (3S, d) token sequence of S recorded steps, the last
+    len(target_mask) of them a target's. The steps that feed the
+    zero-vector trace follow `effective_trace_mask`; a closed-loop prompt
+    has no target steps, so an empty mask."""
+    masked = effective_trace_mask(model.config, len(proprio), target_mask)
     return interleave_tokens(
         encode_state_batch(model, third, wrist, proprio),
         encode_reasoning_batch(model, traces, masked),
@@ -510,9 +512,7 @@ def forward_sequence(model: PolicyModel, seq: TrainingSequence) -> tuple[Tensor,
     which the sequence lays out last: (trace predictions (N, 10), chunk
     predictions (N, H, 4)). The trunk's last block runs for the target
     steps' rows alone."""
-    tokens = step_tokens(
-        model, seq.third, seq.wrist, seq.proprio, seq.traces, seq.actions, seq.step_is_target, seq.reasoning_input_mask
-    )
+    tokens = step_tokens(model, seq.third, seq.wrist, seq.proprio, seq.traces, seq.actions, seq.reasoning_input_mask)
     hidden = transformer_hidden(model, tokens, rows=TOKENS_PER_STEP * seq.n_target)
     return prediction_heads(model, hidden, seq.n_target)
 
@@ -557,15 +557,16 @@ def combined_loss(
 
 def sequence_loss(model: PolicyModel, seq: TrainingSequence) -> tuple[Tensor, float, float]:
     """Teacher-forced loss of one training sequence, scored on its target
-    steps only: prompt steps carry no loss."""
+    steps only, whose labels the sequence holds: prompt steps carry no loss.
+    The trace labels are the target's trace inputs, the last N rows of
+    `seq.traces`."""
     trace_pred, chunk_pred = forward_sequence(model, seq)
-    n = seq.n_target
     return combined_loss(
         trace_pred,
         chunk_pred,
-        seq.traces[-n:],
-        seq.chunk_actions[-n:],
-        seq.chunk_valid[-n:],
+        seq.traces[-seq.n_target:],
+        seq.chunk_actions,
+        seq.chunk_valid,
         model.config.lambda_r,
         model.config.target_reasoning,
     )

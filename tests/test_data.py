@@ -98,10 +98,11 @@ def test_build_sequence_counts_and_masks():
     assert seq.n_steps == 12
     target_len = len(seq.episodes[-1])
     assert {5, 7} == {len(e) for e in seq.episodes}
-    # one reasoning plus one action prediction per target step
-    assert int(seq.step_is_target.sum()) * 2 == 2 * target_len
-    assert not seq.step_is_target[: seq.n_steps - target_len].any()
-    assert not seq.reasoning_input_mask[: seq.n_steps - target_len].any()
+    assert seq.n_target == target_len
+    # inputs for every step, labels and the input mask for the target's only
+    assert seq.traces.shape == (12, 10) and seq.actions.shape == (12, 4)
+    assert seq.reasoning_input_mask.shape == (target_len,)
+    assert seq.chunk_actions.shape == (target_len, 4, 4) and seq.chunk_valid.shape == (target_len, 4)
 
 
 def test_build_sequence_needs_target():
@@ -125,9 +126,9 @@ def test_build_sequence_masks_a_drawn_share_of_the_target():
         replica = np.random.default_rng(seed)
         replica.choice(2, size=2, replace=False)  # the prompt and the target
         target_len = len(seq.episodes[-1])
+        assert seq.reasoning_input_mask.shape == (target_len,)
         counts.append(int(seq.reasoning_input_mask.sum()))
         assert counts[-1] == np.floor(replica.uniform() * target_len)
-        assert not seq.reasoning_input_mask[~seq.step_is_target].any()
     assert 0 < max(counts)
 
 
@@ -135,14 +136,13 @@ def test_build_sequence_chunk_rows_match_episodes():
     for chunk_h in (3, 10):  # 10 is longer than every episode
         rng = np.random.default_rng(4)
         seq = build_sequence(_subset([6, 5, 8]), 2, rng, chunk_h=chunk_h)
+        target = seq.episodes[-1]
         assert seq.chunk_actions.dtype == np.float32
-        offset = 0
-        for episode in seq.episodes:
-            for t in range(len(episode)):
-                labels, valid = chunk_labels(episode.actions, t, chunk_h)
-                assert np.array_equal(seq.chunk_actions[offset + t], labels)
-                assert np.array_equal(seq.chunk_valid[offset + t], valid)
-            offset += len(episode)
+        assert seq.chunk_actions.shape == (len(target), chunk_h, 4) and seq.chunk_valid.shape == (len(target), chunk_h)
+        for t in range(len(target)):
+            labels, valid = chunk_labels(target.actions, t, chunk_h)
+            assert np.array_equal(seq.chunk_actions[t], labels)
+            assert np.array_equal(seq.chunk_valid[t], valid)
 
 
 def test_build_sequence_deterministic_given_rng_state():
@@ -356,7 +356,7 @@ def test_sequences_from_loaded_episodes_equal_in_memory_ones(tmp_path):
     loaded = load_episodes(path)
     model = PolicyModel.init(config, seed=3)
     a, b = (build_sequence(eps, 2, np.random.default_rng(11), chunk_h=4) for eps in (episodes, loaded))
-    for name in ("third", "wrist", "proprio", "actions", "traces", "step_is_target", "reasoning_input_mask", "chunk_actions", "chunk_valid"):
+    for name in ("third", "wrist", "proprio", "actions", "traces", "reasoning_input_mask", "chunk_actions", "chunk_valid"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
     assert a.third.dtype == np.uint8 and a.third.shape == (a.n_steps, 16, 16)

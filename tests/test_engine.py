@@ -117,7 +117,7 @@ def test_decode_matches_teacher_forced_heads():
     task = TaskSpec("pick_place", 1, 0)
     episodes = [_demo(task, 40 + i, n_obj=1, n_rec=1) for i in range(2)]
     seq = build_sequence(episodes, 1, np.random.default_rng(0), chunk_h=SMALL_CFG.chunk_h)
-    seq.reasoning_input_mask[:] = seq.step_is_target
+    seq.reasoning_input_mask[:] = True
     prompt, target = seq.episodes
     states = _expert_states(task, 40 + next(i for i, e in enumerate(episodes) if e is target), n_obj=1, n_rec=1)
     model = small_model(13)

@@ -1287,6 +1287,22 @@ def test_cli_train_refuses_an_episode_file_of_another_task(tiny_run, tmp_path, c
     assert not (run / "checkpoints").exists()
 
 
+def test_cli_train_reports_a_diverging_run(tiny_run, tmp_path, capsys):
+    """A step size that sends the loss to nan stops training with the
+    step's diagnostic as a CLI error, writing no checkpoint and no loss log."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(out / "episodes", run / "episodes")
+    shutil.copy(out / "split.json", run)
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT + "train.lr = 1e9\n")
+    with np.errstate(all="ignore"):  # the overflows on the way to nan are the point here
+        assert cli_main(["train", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"deskicl train: error: non-finite loss at step 1 \(task \w+, action nan, reasoning nan\); aborting\n", err), err
+    assert not (run / "checkpoints").exists() and not list(run.glob("loss_*.csv"))
+
+
 def test_eval_refuses_a_checkpoint_of_another_train_seed(tiny_run, tmp_path, capsys):
     """A seed-0 checkpoint copied under seed 3's name, or one whose header
     has no train seed, fails eval before any rollout, naming the file, the

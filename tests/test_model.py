@@ -57,9 +57,8 @@ def tiny_sequence(seed=0, lengths=(3, 4), n_prompt=1, label="poke_c0", mask_rati
     and no others, have their trace inputs masked."""
     trajs = [toy_trajectory(label, length=n, g=16, c=8, seed=seed + i) for i, n in enumerate(lengths)]
     seq = build_sequence(trajs, n_prompt, np.random.default_rng(seed), chunk_h=chunk_h)
-    target = np.flatnonzero(seq.step_is_target)
     seq.reasoning_input_mask[:] = False
-    seq.reasoning_input_mask[target[: int(mask_ratio * len(target))]] = True
+    seq.reasoning_input_mask[: int(mask_ratio * seq.n_target)] = True
     return seq
 
 
@@ -616,24 +615,23 @@ def test_loss_reasoning_term_absent_for_no_reasoning_variant():
 
 
 def test_effective_trace_mask_variants():
-    target = np.array([False, False, True, True])
-    input_mask = np.array([False, False, True, False])
+    target_mask = np.array([True, False])  # of the last 2 of 4 steps
     full = ModelConfig(**{**TINY.__dict__})
     to = ModelConfig(**{**TINY.__dict__, "prompt_reasoning": False})
     icrt = ModelConfig(**{**TINY.__dict__, "prompt_reasoning": False, "target_reasoning": False})
-    assert effective_trace_mask(full, target, input_mask).tolist() == [False, False, True, False]
-    assert effective_trace_mask(to, target, input_mask).tolist() == [True, True, True, False]
-    assert effective_trace_mask(icrt, target, input_mask).tolist() == [True, True, True, True]
+    assert effective_trace_mask(full, 4, target_mask).tolist() == [False, False, True, False]
+    assert effective_trace_mask(to, 4, target_mask).tolist() == [True, True, True, False]
+    assert effective_trace_mask(icrt, 4, target_mask).tolist() == [True, True, True, True]
 
 
 def test_mask_equivalence_zero_vector_substitution():
     model = tiny_model(seed=11)
     seq = tiny_sequence(lengths=(3, 4), mask_ratio=1.0)  # every target trace input masked
     masked_tokens = mdl.encode_reasoning_batch(
-        model, seq.traces, effective_trace_mask(model.config, seq.step_is_target, seq.reasoning_input_mask)
+        model, seq.traces, effective_trace_mask(model.config, seq.n_steps, seq.reasoning_input_mask)
     )
     zeroed = seq.traces.copy()
-    zeroed[seq.step_is_target] = 0.0
+    zeroed[-seq.n_target:] = 0.0
     explicit_tokens = mdl.encode_reasoning_batch(model, zeroed, np.zeros(seq.n_steps, dtype=bool))
     assert np.array_equal(masked_tokens.data, explicit_tokens.data)
 
@@ -654,25 +652,27 @@ def test_gradient_flow_reaches_every_parameter():
         assert float(np.abs(p.grad).max()) > 0.0, f"zero grad for {name}"
 
 
-def test_prompt_isolation_labels_do_not_leak():
-    model = tiny_model(seed=17)
-    seq = tiny_sequence(lengths=(3, 4), mask_ratio=0.0)
+def test_masked_prompt_traces_do_not_leak():
+    """Variants without prompt reasoning feed the zero-vector trace on every
+    prompt step, so the prompt's traces reach neither the loss nor any
+    gradient."""
+    for variant in ("to", "icrt"):
+        model = tiny_model(seed=17, **VARIANTS[variant])
+        seq = tiny_sequence(lengths=(3, 4), mask_ratio=0.0)
 
-    def loss_and_grads(sequence):
-        m = model.astype(model.dtype)
-        with Tape():
-            loss, *_ = sequence_loss(m, sequence)
-            backward(loss)
-        return float(loss.data), {k: p.grad.copy() for k, p in m.params.items()}
+        def loss_and_grads(sequence):
+            m = model.astype(model.dtype)
+            with Tape():
+                loss, *_ = sequence_loss(m, sequence)
+                backward(loss)
+            return float(loss.data), {k: p.grad.copy() for k, p in m.params.items() if p.grad is not None}
 
-    base_loss, base_grads = loss_and_grads(seq)
-    # scramble label-side data on prompt rows only
-    prompt_rows = ~seq.step_is_target
-    seq.chunk_actions[prompt_rows] = 123.0
-    mutated_loss, mutated_grads = loss_and_grads(seq)
-    assert mutated_loss == base_loss
-    for k in base_grads:
-        assert np.array_equal(base_grads[k], mutated_grads[k])
+        base_loss, base_grads = loss_and_grads(seq)
+        seq.traces[: -seq.n_target] = np.random.default_rng(3).uniform(size=(seq.n_steps - seq.n_target, 10))
+        mutated_loss, mutated_grads = loss_and_grads(seq)
+        assert mutated_loss == base_loss and mutated_grads.keys() == base_grads.keys(), variant
+        for k in base_grads:
+            assert np.array_equal(base_grads[k], mutated_grads[k]), (variant, k)
 
 
 @pytest.mark.parametrize("n_prompt", [1, 3])
@@ -690,13 +690,16 @@ def test_sequence_loss_drops_nothing_the_loss_reads(variant, n_prompt):
         diff = tn.absolute(tn.sub(pred, Tensor(labels, dtype=np.float64)))
         return tn.scale(tn.sum_all(tn.mul(diff, Tensor(weights, dtype=np.float64))), 1.0 / weights.sum())
 
+    # labels for every step: the prompt rows, padded in, are excluded by `target`
+    n_prompt_steps = seq.n_steps - seq.n_target
+    target = np.arange(seq.n_steps) >= n_prompt_steps
+    chunk_actions = np.concatenate([np.full((n_prompt_steps, *seq.chunk_actions.shape[1:]), 123.0), seq.chunk_actions])
+    chunk_valid = np.concatenate([np.ones((n_prompt_steps, seq.chunk_valid.shape[1]), dtype=bool), seq.chunk_valid])
+
     def reference(m):
-        tokens = mdl.step_tokens(
-            m, seq.third, seq.wrist, seq.proprio, seq.traces, seq.actions, seq.step_is_target, seq.reasoning_input_mask
-        )
+        tokens = mdl.step_tokens(m, seq.third, seq.wrist, seq.proprio, seq.traces, seq.actions, seq.reasoning_input_mask)
         trace_pred, chunk_pred = mdl.prediction_heads(m, transformer_hidden(m, tokens), seq.n_steps)
-        target = seq.step_is_target
-        loss = masked_mean_l1(chunk_pred, seq.chunk_actions, (target[:, None] & seq.chunk_valid)[:, :, None])
+        loss = masked_mean_l1(chunk_pred, chunk_actions, (target[:, None] & chunk_valid)[:, :, None])
         if m.config.target_reasoning:
             loss = tn.add(loss, tn.scale(masked_mean_l1(trace_pred, seq.traces, target[:, None]), m.config.lambda_r))
         return loss

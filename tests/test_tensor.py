@@ -17,8 +17,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import toy_trajectory
 from deskicl import tensor as tn
 from deskicl.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from deskicl.data import EpisodeIOError, load_episodes, save_episodes
 from deskicl.optim import AdamW, clip_grad_norm
 from deskicl.tensor import GradError, ShapeError, Tape, Tensor, backward
 
@@ -740,6 +742,52 @@ def test_checkpoint_refuses_version_1_and_unknown_dtype_codes(tmp_path):
         path.write_bytes(blob[:code_at] + code + blob[code_at + 1:])
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: array 'w' has unknown dtype code {re.escape(repr(code))}$"):
             load_checkpoint(path)
+
+
+def _container(header_lines: list[str], arrays: list[tuple[str, np.ndarray]]) -> bytes:
+    """A version 2 container written by hand, so it may repeat a header key
+    or an array name, which `save_checkpoint` never does."""
+    text = "".join(f"{line}\n" for line in header_lines).encode()
+    blob = [b"DESKCKPT", struct.pack("<II", 2, len(text)), text, struct.pack("<I", len(arrays))]
+    for name, arr in arrays:
+        code = {np.dtype(np.float32): b"f", np.dtype(np.uint8): b"u"}[arr.dtype]
+        blob += [struct.pack(f"<H{len(name)}scB{arr.ndim}I", len(name), name.encode(), code, arr.ndim, *arr.shape), arr.tobytes()]
+    return b"".join(blob)
+
+
+def _episode_file_parts(path) -> tuple[list[str], list[tuple[str, np.ndarray]]]:
+    """The header lines and arrays of a saved one-episode file, in file
+    order; written back by `_container`, they load as that episode."""
+    save_episodes(path, [toy_trajectory("poke_c0", 4, seed=0)])
+    arrays, header = load_checkpoint(path)
+    lines, arrays = [f"{k}={v}" for k, v in sorted(header.items())], sorted(arrays.items())
+    path.write_bytes(_container(lines, arrays))
+    assert len(load_episodes(path)) == 1
+    return lines, arrays
+
+
+def test_checkpoint_refuses_a_repeated_header_key(tmp_path):
+    """The last of two values would win silently, so the file is corrupt."""
+    path = tmp_path / "x.ckpt"
+    path.write_bytes(_container(["d_model=64", "d_model=32"], [("w", np.zeros(3, np.float32))]))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: header key 'd_model' repeats$"):
+        load_checkpoint(path)
+    lines, arrays = _episode_file_parts(path)
+    path.write_bytes(_container([*lines, "count=1"], arrays))
+    with pytest.raises(EpisodeIOError, match="header key 'count' repeats; rerun gen-data$"):
+        load_episodes(path)
+
+
+def test_checkpoint_refuses_a_repeated_array_name(tmp_path):
+    """The last of two arrays would win silently, so the file is corrupt."""
+    path = tmp_path / "x.ckpt"
+    path.write_bytes(_container(["d_model=64"], [("w", np.ones(3, np.float32)), ("w", np.zeros(3, np.float32))]))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: array name 'w' repeats$"):
+        load_checkpoint(path)
+    lines, arrays = _episode_file_parts(path)
+    path.write_bytes(_container(lines, [*arrays, ("0.proprio", dict(arrays)["0.proprio"])]))
+    with pytest.raises(EpisodeIOError, match="array name '0.proprio' repeats; rerun gen-data$"):
+        load_episodes(path)
 
 
 def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
