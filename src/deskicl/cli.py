@@ -7,6 +7,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import harness
 from .checkpoint import CheckpointError
 from .data import EpisodeIOError
@@ -76,7 +78,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen-data":
             harness.cmd_gen_data(config, args.out)
         elif args.command == "train":
-            harness.cmd_train(config, args.variant, args.out)
+            # a diverging run's overflows are named by train's finite checks
+            with np.errstate(over="ignore", invalid="ignore"):
+                harness.cmd_train(config, args.variant, args.out)
         elif args.command == "eval":
             variants = [v.strip() for v in args.variant.split(",") if v.strip()]
             if not variants:

@@ -104,10 +104,12 @@ def train(
     """Optimize `model` in place for cfg.steps sequences; returns the loss history.
 
     Fully determined by (model parameters, dataset order, cfg.seed). Raises
-    ValueError before step 0, touching no parameter or gradient, if a task
-    has a single episode or its longest possible sequence exceeds the
-    model's max_context. A head outside the variant's loss (the trace head
-    of `icrt`) keeps the zero gradient `AdamW` gives it. Raises
+    ValueError before step 0, touching no parameter or gradient and calling
+    no hook, if a task has a single episode, an episode whose cameras are
+    not the model's `third_resolution` / `wrist_resolution`, or a longest
+    possible sequence over the model's max_context. A head outside the
+    variant's loss (the trace head of `icrt`) keeps the zero gradient
+    `AdamW` gives it. Raises
     TrainingDivergedError if the loss or the gradient norm goes non-finite,
     before that step's update touches the parameters.
     """
@@ -118,9 +120,14 @@ def train(
         subsets.setdefault(traj.task_label, []).append(traj)
     labels = sorted(subsets)
     most_prompts = max(cfg.n_prompt_choices)
+    cameras = (model.config.third_resolution, model.config.wrist_resolution)
     for label in labels:
         if len(subsets[label]) < 2:
             raise ValueError(f"task {label}: it has one episode, but a sequence needs a prompt demo and a target")
+        for traj in subsets[label]:
+            seen = (traj.third.shape[1], traj.wrist.shape[1])
+            if seen != cameras:
+                raise ValueError(f"task {label}: an episode sees {seen[0]}/{seen[1]}-pixel cameras, the model {cameras[0]}/{cameras[1]}")
         # the longest sequence build_sequence can sample: the most prompt
         # demos plus the target
         n_episodes = min(most_prompts, len(subsets[label]) - 1) + 1

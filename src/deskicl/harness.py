@@ -374,22 +374,10 @@ def variant_model_config(config: HarnessConfig, variant: str) -> ModelConfig:
     return dataclasses.replace(config.model, **VARIANTS[variant])
 
 
-def _check_cameras(source: str, third: int, wrist: int, model: ModelConfig) -> None:
-    """Raise a HarnessError naming `source` and both camera keys if it sees
-    other camera resolutions than `model`'s."""
-    if (third, wrist) != (model.third_resolution, model.wrist_resolution):
-        raise HarnessError(
-            f"{source} sees {third}/{wrist}-pixel cameras, but the config has model.third_resolution = "
-            f"{model.third_resolution}, model.wrist_resolution = {model.wrist_resolution}"
-        )
-
-
 def cmd_train(config: HarnessConfig, variant: str, out_dir) -> Path:
     out_dir = Path(out_dir)
     seed = config.train.seed
     episodes = load_train_episodes(out_dir)
-    for ep in episodes:
-        _check_cameras(f"episode file {episode_path(out_dir, ep.task_label)}", ep.third.shape[1], ep.wrist.shape[1], config.model)
     model = PolicyModel.init(variant_model_config(config, variant), seed=derive_seed(seed, "init", variant))
     ckpt = checkpoint_path(out_dir, variant, seed)
 
@@ -506,10 +494,11 @@ def _evaluate(
     """
     models = {}
     for variant in dict.fromkeys(v for v, _ in runs if v != "expert"):
+        model_config = variant_model_config(config, variant)
         ckpt = checkpoint_path(out_dir, variant, train_seed)
         if not ckpt.exists():
             raise HarnessError(f"missing checkpoint for variant '{variant}': {ckpt}")
-        models[variant], header = PolicyModel.load(ckpt, variant_model_config(config, variant))
+        models[variant], header = PolicyModel.load(ckpt, model_config)
         header_seed = header.get("train_seed", "none")
         if header_seed != str(train_seed):
             raise HarnessError(f"{ckpt}: not a checkpoint of train seed {train_seed}: its header has train_seed = {header_seed}")

@@ -217,9 +217,9 @@ class PolicyModel:
 def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     """(S, R, R) uint8 PALETTE indices -> (S, (R/p)^2, p*p*3) float32
     colours, row-major over the patch grid. The index grid is put in patch
-    order first, so the one colour lookup writes the patches in place."""
-    if images.ndim != 3 or images.dtype != np.uint8 or images.shape[1] != images.shape[2] or images.shape[1] % patch:
-        raise ShapeError(f"patchify: image batch {images.dtype} {images.shape} is not (S, R, R) uint8 for patch {patch}")
+    order first, so the one colour lookup writes the patches in place.
+    Unchecked: `encode_state_batch`, its caller, checks the views, and
+    `ModelConfig` makes every resolution a multiple of the patch size."""
     s, r, _ = images.shape
     n = r // patch
     grid = images.reshape(s, n, patch, n, patch).transpose(0, 1, 3, 2, 4)
@@ -259,18 +259,18 @@ def _with_role(model: PolicyModel, tokens: Tensor, role: int) -> Tensor:
 def encode_state_batch(model: PolicyModel, third: np.ndarray, wrist: np.ndarray, proprio: np.ndarray) -> Tensor:
     """Role-embedded state tokens for S steps: (S, d_model).
 
-    Views are (S, R, R) uint8 `sim.PALETTE` indices. Views (B, S, R, R) and
-    proprio (B, S, 4) give (B, S, d_model) for B lanes. Each lane's products
-    are computed as for its own (S, ...) batch, so a lane's tokens do not
-    depend on the other lanes.
+    Views are (S, R, R) uint8 `sim.PALETTE` indices, R the view's configured
+    resolution; any other view raises a ShapeError naming it. Views
+    (B, S, R, R) and proprio (B, S, 4) give (B, S, d_model) for B lanes.
+    Each lane's products are computed as for its own (S, ...) batch, so a
+    lane's tokens do not depend on the other lanes.
     """
     cfg = model.config
     p = model.params
     dtype = model.dtype
-    if third.shape[-2:] != (cfg.third_resolution, cfg.third_resolution):
-        raise ShapeError(f"encode_state: third view {third.shape[-2:]} vs configured {cfg.third_resolution}")
-    if wrist.shape[-2:] != (cfg.wrist_resolution, cfg.wrist_resolution):
-        raise ShapeError(f"encode_state: wrist view {wrist.shape[-2:]} vs configured {cfg.wrist_resolution}")
+    for name, images, r in (("third", third, cfg.third_resolution), ("wrist", wrist, cfg.wrist_resolution)):
+        if images.ndim < 3 or images.dtype != np.uint8 or images.shape[-2:] != (r, r):
+            raise ShapeError(f"encode_state: {name} view is {images.dtype} {images.shape}, not (..., {r}, {r}) uint8")
     *lead, s = third.shape[:-2]
 
     def view_items(images: np.ndarray, prefix: str, pos_name: str, n_patches: int) -> Tensor:

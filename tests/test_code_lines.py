@@ -57,3 +57,26 @@ def test_code_lines_rev_prints_both_counts_and_the_change(tmp_path, capsys):
         ["total", "3", "4", "+1"],
     ]
     assert code_lines.main([str(package), "--rev", "no-such-rev"]) == 1
+
+
+def test_code_lines_pads_names_to_the_longest_and_no_fewer_than_16(tmp_path, capsys):
+    """Every count ends in one column however long a module's name, with or
+    without --rev; a package whose names are all short keeps 16-character
+    names."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text("x = 1\n")
+    assert code_lines.main([str(package)]) == 0
+    assert capsys.readouterr().out == f"{'a.py':16}     1\n{'total':16}     1\n"
+
+    long_name = "a_module_named_past_sixteen.py"
+    (package / long_name).write_text("x = 1\ny = 2\n")
+    assert code_lines.main([str(package)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"{long_name}     2" and {len(line) for line in lines} == {len(long_name) + 6}
+
+    for args in (["init", "-q"], ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "--allow-empty", "-m", "empty"]):
+        subprocess.run(["git", "-C", str(tmp_path), *args], check=True, capture_output=True)
+    assert code_lines.main([str(package), "--rev", "HEAD"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == f"{long_name}          0      2     +2" and {len(line) for line in lines} == {len(long_name) + 25}

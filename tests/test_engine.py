@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import toy_trajectory
 from deskicl import engine, sim, tensor
 from deskicl.data import build_sequence
 from deskicl.engine import (
@@ -113,7 +114,8 @@ def test_decode_matches_teacher_forced_heads():
     """The closed-loop path (prompt prefill, per-step encoders, cached trunk,
     heads) reproduces the teacher-forced forward of a [prompt, target]
     sequence whose target traces are all masked, as a k=0 decode feeds
-    them."""
+    them; at k=1, at every step, that of the sequence whose target trace
+    inputs are the traces the policy decoded."""
     task = TaskSpec("pick_place", 1, 0)
     episodes = [_demo(task, 40 + i, n_obj=1, n_rec=1) for i in range(2)]
     seq = build_sequence(episodes, 1, np.random.default_rng(0), chunk_h=SMALL_CFG.chunk_h)
@@ -135,11 +137,22 @@ def test_decode_matches_teacher_forced_heads():
     assert len(errors) == len(target) > 30
     assert max(errors) <= 1e-5
 
+    # k = 1 feeds each step's decoded trace back before its chunk is read:
+    # the teacher-forced forward of the same sequence with those traces as
+    # unmasked inputs predicts the same traces and chunks at every step
     policy = TransformerPolicy(model, 1)
     policy.begin([prompt], 1)
-    traces, _ = policy.propose(0, states[:1])
-    expected = np.clip(trace_pred.data[0], 0.0, 1.0)
-    assert np.abs(traces[0] - expected).max() <= 1e-5
+    decoded = []
+    for t in range(len(target)):
+        traces, chunks = policy.propose(t, states[t:t + 1])
+        decoded.append((traces[0], chunks[0]))
+        policy.commit(target.actions[t:t + 1])
+    seq.traces[-len(target):] = [traces for traces, _ in decoded]
+    seq.reasoning_input_mask[:] = False
+    trace_pred, chunk_pred = forward_sequence(model, seq)
+    for t, (traces, chunks) in enumerate(decoded):
+        assert np.abs(traces - np.clip(trace_pred.data[t], 0.0, 1.0)).max() <= 1e-5
+        assert np.abs(chunks - chunk_pred.data[t]).max() <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +497,10 @@ def test_train_steps_a_head_outside_the_loss_on_its_zero_gradient():
 
 
 def test_train_checks_the_context_budget_before_step_0():
+    """A task whose longest sequence is over max_context, or one with an
+    episode at other cameras than the model's, is refused before step 0:
+    a ValueError naming the task, no parameter or gradient touched and no
+    checkpoint hook called."""
     dataset = _toy_dataset(4)
     lengths = {}
     for traj in dataset:
@@ -491,13 +508,21 @@ def test_train_checks_the_context_budget_before_step_0():
     # the 3 prompt demos plus the target of poke_c1 at their longest
     worst = 3 * sum(sorted(lengths["poke_c1"], reverse=True)[:4])
     assert worst > 3 * sum(sorted(lengths["poke_c0"], reverse=True)[:4])
-    cfg = ModelConfig(**{**SMALL_CFG.__dict__, "max_context": worst - 1})
-    model = PolicyModel.init(cfg, seed=0)
-    before = {k: p.data.copy() for k, p in model.params.items()}
-    with pytest.raises(ValueError, match=rf"task poke_c1: .*{worst} tokens"):
-        train(model, dataset, TrainConfig(steps=2, seed=0))
-    for k, p in model.params.items():
-        assert np.array_equal(p.data, before[k]) and p.grad is None
+    cfg = {**SMALL_CFG.__dict__, "max_context": worst - 1}
+    odd = toy_trajectory("poke_c1", g=24, c=8)  # one episode of 24-pixel third-view cameras
+    refusals = [
+        (cfg, dataset, rf"task poke_c1: .*{worst} tokens"),
+        ({**cfg, "max_context": worst}, dataset + [odd], r"task poke_c1: an episode sees 24/8-pixel cameras, the model 16/8"),
+    ]
+    for fields, episodes, message in refusals:
+        model = PolicyModel.init(ModelConfig(**fields), seed=0)
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        saves = []
+        with pytest.raises(ValueError, match=message):
+            train(model, episodes, TrainConfig(steps=2, seed=0, checkpoint_interval=1), checkpoint_hook=lambda step, m: saves.append(step))
+        for k, p in model.params.items():
+            assert np.array_equal(p.data, before[k]) and p.grad is None
+        assert saves == []
     model = PolicyModel.init(ModelConfig(**{**SMALL_CFG.__dict__, "max_context": worst}), seed=0)
     train(model, dataset, TrainConfig(steps=1, seed=0))
 

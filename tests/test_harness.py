@@ -638,6 +638,22 @@ def test_eval_refuses_a_checkpoint_of_another_variant(tiny_run, tmp_path, capsys
     assert not (run / "metrics").exists()
 
 
+def test_eval_and_sweep_name_a_mistyped_variant(tiny_run, tmp_path, capsys):
+    """A variant that does not exist, with no checkpoint of its name, is
+    named as unknown, not as a missing checkpoint, by eval and sweep-interval."""
+    _, out = tiny_run
+    run = tmp_path / "run"
+    _copy_for_eval(out, run)
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(TINY_CONFIG_TEXT)
+    for command in ("eval", "sweep-interval"):
+        assert cli_main([command, "--config", str(config_path), "--out", str(run), "--variant", "foo"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"deskicl {command}: error: unknown variant 'foo' (expected one of ['icrt', 'ours', 'to'])\n"
+        assert "missing checkpoint" not in err
+    assert not (run / "metrics").exists()
+
+
 def test_eval_refuses_a_checkpoint_of_other_cameras(tiny_run, tmp_path, capsys):
     """A checkpoint trained at 32 pixels, evaluated under a 24-pixel config,
     fails before any rollout, naming the checkpoint and both resolutions; so
@@ -722,7 +738,7 @@ def test_eval_refuses_a_version_1_checkpoint_of_another_rope_base(tiny_run, tmp_
 
 def test_train_refuses_episodes_of_other_cameras(tiny_run, tmp_path, capsys):
     """Episodes recorded at 32 pixels, trained on under a 24-pixel config,
-    fail before any output, naming the episode file and both resolutions."""
+    fail before any output, naming the task and both pixel sizes."""
     _, out = tiny_run
     run = tmp_path / "run"
     shutil.copytree(out / "episodes", run / "episodes")
@@ -733,9 +749,8 @@ def test_train_refuses_episodes_of_other_cameras(tiny_run, tmp_path, capsys):
     config_path.write_text(TINY_CONFIG_TEXT + "model.third_resolution = 24\n")
     assert cli_main(["train", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
     err = capsys.readouterr().err
-    episodes = harness.episode_path(run, harness.load_split(run).train_tasks[0])
-    assert f"episode file {episodes} sees 32/16-pixel cameras" in err
-    assert "model.third_resolution = 24, model.wrist_resolution = 16" in err and "Traceback" not in err
+    task = sorted(harness.load_split(run).train_tasks)[0]
+    assert err == f"deskicl train: error: task {task}: an episode sees 32/16-pixel cameras, the model 24/16\n"
     assert (run / "config.resolved.txt").read_bytes() == before
     assert sorted(p.name for p in run.iterdir()) == ["config.resolved.txt", "episodes", "split.json"]
 
@@ -1296,9 +1311,8 @@ def test_cli_train_reports_a_diverging_run(tiny_run, tmp_path, capsys):
     shutil.copy(out / "split.json", run)
     config_path = tmp_path / "config.txt"
     config_path.write_text(TINY_CONFIG_TEXT + "train.lr = 1e9\n")
-    with np.errstate(all="ignore"):  # the overflows on the way to nan are the point here
-        assert cli_main(["train", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
-    err = capsys.readouterr().err
+    assert cli_main(["train", "--config", str(config_path), "--out", str(run), "--variant", "ours"]) == 1
+    err = capsys.readouterr().err  # the one error line, with no numpy warning on the way to nan
     assert re.fullmatch(r"deskicl train: error: non-finite loss at step 1 \(task \w+, action nan, reasoning nan\); aborting\n", err), err
     assert not (run / "checkpoints").exists() and not list(run.glob("loss_*.csv"))
 

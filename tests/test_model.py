@@ -219,9 +219,6 @@ def test_patchify_reassembles():
     assert np.array_equal(patches[0, 0], colours[0, :8, :8, :].reshape(-1))
     assert np.array_equal(patches[0, 1], colours[0, :8, 8:, :].reshape(-1))
     assert np.array_equal(patches[0, 2], colours[0, 8:, :8, :].reshape(-1))
-    for bad in (img.astype(np.int64), img[..., None], img[:, :, :8], img[:, :12, :12]):
-        with pytest.raises(ShapeError, match="patchify"):
-            patchify(bad, 8)
 
 
 @pytest.mark.parametrize("resolution", [32, 16])
@@ -238,15 +235,34 @@ def test_patchify_equals_the_lookup_then_the_patch_gather(resolution, patch):
 
 
 def test_encode_state_shape_and_resolution_check():
+    """Each view that is not (..., R, R) uint8 indices at its configured R
+    raises a ShapeError naming it: another size, float colours, an index
+    dtype other than uint8, an extra axis, a non-square or a 2-D view."""
     model = tiny_model()
     rng = np.random.default_rng(1)
     proprio = rng.uniform(size=(1, 4)).astype(np.float32)
-    out = encode_state_batch(model, _views(rng, 1, 16, 16), _views(rng, 1, 8, 8), proprio)
+    third, wrist = _views(rng, 1, 16, 16), _views(rng, 1, 8, 8)
+    out = encode_state_batch(model, third, wrist, proprio)
     assert out.shape == (1, 32)
-    with pytest.raises(ShapeError, match="third"):
-        encode_state_batch(model, _views(rng, 1, 32, 32), _views(rng, 1, 8, 8), proprio)
-    with pytest.raises(ShapeError, match="wrist"):
-        encode_state_batch(model, _views(rng, 1, 16, 16), sim.PALETTE[_views(rng, 1, 8, 8)], proprio)
+
+    def bad_views(view):
+        r = view.shape[-1]
+        return [
+            _views(rng, 1, 2 * r, 2 * r),
+            sim.PALETTE[view],
+            view.astype(np.int64),
+            view[..., None],
+            view[:, :, : r // 2],
+            view[:, : r - 4, : r - 4],
+            view[0],
+        ]
+
+    for bad in bad_views(third):
+        with pytest.raises(ShapeError, match="encode_state: third view"):
+            encode_state_batch(model, bad, wrist, proprio)
+    for bad in bad_views(wrist):
+        with pytest.raises(ShapeError, match="encode_state: wrist view"):
+            encode_state_batch(model, third, bad, proprio)
 
 
 def test_attention_pool_identical_items_passthrough():

@@ -9,6 +9,8 @@ expression, counts on every line it covers.
     python3 tools/code_lines.py              # src/deskicl of this checkout
     python3 tools/code_lines.py path/to/pkg  # another package directory
     python3 tools/code_lines.py --rev HEAD~1 # beside each count, the count at a git revision and the difference
+
+Module names are padded to the longest, and to no fewer than 16 characters.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     counts = {path.name: code_lines(path.read_text()) for path in sorted(args.package.glob("*.py"))}
     if args.rev is None:
+        width = max([16, *map(len, counts)])
         for name, count in counts.items():
-            print(f"{name:16} {count:5d}")
-        print(f"{'total':16} {sum(counts.values()):5d}")
+            print(f"{name:{width}} {count:5d}")
+        print(f"{'total':{width}} {sum(counts.values()):5d}")
         return 0
     try:
         before = {name: code_lines(source) for name, source in sources_at(args.package, args.rev).items()}
@@ -65,11 +68,13 @@ def main(argv: list[str]) -> int:
         print(f"code_lines: git failed: {exc.stderr.strip()}", file=sys.stderr)
         return 1
     rev = args.rev[:10]
-    print(f"{'':16} {rev:>10} {'now':>6} {'change':>6}")
-    rows = [(name, before.get(name, 0), counts.get(name, 0)) for name in sorted(counts.keys() | before.keys())]
+    names = sorted(counts.keys() | before.keys())
+    width = max([16, *map(len, names)])
+    print(f"{'':{width}} {rev:>10} {'now':>6} {'change':>6}")
+    rows = [(name, before.get(name, 0), counts.get(name, 0)) for name in names]
     rows.append(("total", sum(before.values()), sum(counts.values())))
     for name, old, new in rows:
-        print(f"{name:16} {old:10d} {new:6d} {new - old:+6d}")
+        print(f"{name:{width}} {old:10d} {new:6d} {new - old:+6d}")
     return 0
 
 
