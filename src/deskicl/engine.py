@@ -207,12 +207,18 @@ def temporal_ensemble(chunks: np.ndarray, t: int, decay: float) -> np.ndarray:
 
 @dataclass
 class RolloutResult:
-    score: float
-    steps_used: int
-    overflow: bool
+    """One lane's record, filled in by `rollout` as the lane steps: `score`
+    is always the score of `states[-1]`."""
+
     states: list[WorldState]  # states[0] is the initial state; last is terminal
-    executed_actions: np.ndarray  # (steps_used, 4)
-    predicted_traces: list[tuple[int, np.ndarray]]  # (step, flat trace in [0,1])
+    score: float
+    executed_actions: list[np.ndarray] = field(default_factory=list)  # each step's (4,) float64 deltas
+    predicted_traces: list[tuple[int, np.ndarray]] = field(default_factory=list)  # (step, flat trace in [0,1])
+    overflow: bool = False
+
+    @property
+    def steps_used(self) -> int:
+        return len(self.executed_actions)
 
 
 class ChunkPolicy(Protocol):
@@ -319,16 +325,13 @@ class TransformerPolicy:
         self._pending = self._pending[lanes]
 
 
-class ExpertReplayPolicy:
+class ExpertReplayPolicy(ChunkPolicy):
     """Harness-sanity stub: plans chunks by simulating the scripted expert
     on the lanes' world states; it observes no image."""
 
     def __init__(self, task: TaskSpec, horizon: int):
         self.task = task
         self.horizon = horizon
-
-    def begin(self, prompt_demos, lanes: int) -> None:
-        pass
 
     def propose(self, t, states):
         chunks = np.zeros((len(states), self.horizon, ACTION_DIM), dtype=np.float32)
@@ -338,32 +341,6 @@ class ExpertReplayPolicy:
                 chunks[lane, j] = action.deltas
                 sim_state = sim_step(sim_state, action)
         return None, chunks
-
-    def commit(self, executed_actions) -> None:
-        pass
-
-    def keep_lanes(self, lanes) -> None:
-        pass
-
-
-@dataclass
-class _Lane:
-    """One rollout's own state inside a lockstep `rollout` call."""
-
-    states: list[WorldState]
-    actions: list[np.ndarray] = field(default_factory=list)
-    traces: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    overflow: bool = False
-
-    def result(self, task: TaskSpec) -> RolloutResult:
-        return RolloutResult(
-            score=success(self.states[-1], task),
-            steps_used=len(self.actions),
-            overflow=self.overflow,
-            states=self.states,
-            executed_actions=np.array(self.actions, dtype=np.float64).reshape(len(self.actions), ACTION_DIM),
-            predicted_traces=self.traces,
-        )
 
 
 def rollout(
@@ -383,12 +360,13 @@ def rollout(
     on context overflow, which every lane reaches at the same step because
     they all hold the same number of tokens, all the remaining lanes stop (a
     prompt that overflows the context alone stops them before their first
-    step). Each lane keeps its own row of the chunk ring, states and
-    records, and its result equals a run of that lane alone.
+    step). Each lane keeps its own row of the chunk ring and its own
+    `RolloutResult`, filled in as it steps, and its result equals a run of
+    that lane alone.
     """
     if not initial_states:
         raise ValueError("rollout needs at least one initial state")
-    lanes = [_Lane([s]) for s in initial_states]
+    lanes = [RolloutResult([s], success(s, task)) for s in initial_states]
     active = list(lanes)
     try:
         policy.begin(prompt_demos, len(lanes))
@@ -398,14 +376,15 @@ def rollout(
             traces, chunks = policy.propose(t, [lane.states[-1] for lane in active])
             if traces is not None:
                 for lane, trace in zip(active, traces):
-                    lane.traces.append((t, trace))
+                    lane.predicted_traces.append((t, trace))
             ring[:, t % h] = chunks
             actions = [Action(a) for a in temporal_ensemble(ring, t, ensemble_decay)]
             policy.commit(np.stack([a.deltas for a in actions]).astype(np.float32))
             for lane, action in zip(active, actions):
                 lane.states.append(sim_step(lane.states[-1], action))
-                lane.actions.append(action.deltas.copy())
-            going = np.flatnonzero([success(lane.states[-1], task) != 1.0 for lane in active])
+                lane.executed_actions.append(action.deltas)
+                lane.score = success(lane.states[-1], task)
+            going = np.flatnonzero([lane.score != 1.0 for lane in active])
             if len(going) < len(active):
                 active = [active[j] for j in going]
                 if not active:
@@ -415,4 +394,4 @@ def rollout(
     except ContextOverflowError:
         for lane in active:
             lane.overflow = True
-    return [lane.result(task) for lane in lanes]
+    return lanes

@@ -74,7 +74,11 @@ class HarnessError(RuntimeError):
 
 
 def derive_seed(*parts) -> int:
-    """Stable 63-bit seed from a mixed tuple of ints and strings."""
+    """Stable 63-bit seed from a mixed tuple of ints and strings.
+
+    An int part enters mod 2**32, so parts 2**32 apart give the same seed:
+    derive_seed(0, "init", "ours") == derive_seed(2**32, "init", "ours").
+    """
     entropy = []
     for part in parts:
         if isinstance(part, str):
@@ -440,10 +444,13 @@ def classify_failure(result: RolloutResult, task: TaskSpec) -> str:
     """Deterministic failure taxonomy for a finished rollout.
 
     Overflowed rollouts are their own class. Otherwise the last predicted
-    trace decides: if its endpoint lies nearer to a wrong candidate entity
-    than to the correct one (normalized image coordinates, candidates taken
-    at the decode step), the failure is a trace error; remaining failures
-    are classified by how far execution got.
+    trace decides. A trace ends where its episode ends: at the target object
+    for a poke, over the target receptacle for a pick-and-place, picked or
+    not. So the candidates are a poke's objects and receptacles, and a
+    pick-and-place's receptacles, taken at the decode step; if the trace's
+    endpoint lies nearer to a wrong candidate than to the correct one
+    (normalized image coordinates), the failure is a trace error. Remaining
+    failures are classified by how far execution got.
     """
     if result.score == 1.0:
         return "none"
@@ -453,8 +460,8 @@ def classify_failure(result: RolloutResult, task: TaskSpec) -> str:
     if result.predicted_traces:
         step, trace = result.predicted_traces[-1]
         endpoint = np.array([trace[-2], trace[-1]])
-        state = result.states[min(step, len(result.states) - 1)]
-        if picked:
+        state = result.states[step]
+        if task.kind == "pick_place":
             correct = [r.position for r in state.receptacles if r.class_id == task.target_receptacle_class]
             wrong = [r.position for r in state.receptacles if r.class_id != task.target_receptacle_class]
         else:

@@ -61,7 +61,7 @@ def test_digests_prints_each_workloads_run_and_digests(tmp_path, capsys):
     assert "beta  correct True  failed 1" in capsys.readouterr().out
 
 
-def test_digests_rev_marks_each_digest_and_removes_its_worktree(tmp_path, capsys):
+def test_digests_rev_marks_each_digest_and_adds_no_worktree(tmp_path, capsys):
     root = _repo(tmp_path)
     assert digests.main([str(root), "--rev", "HEAD"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -72,6 +72,7 @@ def test_digests_rev_marks_each_digest_and_removes_its_worktree(tmp_path, capsys
     assert out[2] == "  output a1  same" and out[5] == "  output b2  DIFFERS from HEAD's b1"
     worktrees = subprocess.run(["git", "-C", str(root), "worktree", "list"], check=True, capture_output=True, text=True).stdout
     assert len(worktrees.splitlines()) == 1
+    assert not (root / ".git" / "worktrees").exists()
     assert digests.main([str(root), "--rev", "no-such-rev"]) == 1
     assert "git failed" in capsys.readouterr().err
 

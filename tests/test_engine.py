@@ -304,6 +304,7 @@ def test_rollout_overflow_flagged():
     assert result.overflow
     assert result.steps_used == 12
     assert result.score < 1.0
+    _assert_lane_record(result, task)
 
 
 def test_rollout_prompt_over_the_context_stops_every_lane_before_its_first_step():
@@ -314,9 +315,10 @@ def test_rollout_prompt_over_the_context_stops_every_lane_before_its_first_step(
     demo = _demo(task, 33)  # 9 steps -> 27 prompt tokens, more than the 24 the context holds
     results = rollout(TransformerPolicy(model, 1), states, task, [demo], 50, 0.1)
     for state, result in zip(states, results, strict=True):
-        assert result.overflow and result.steps_used == 0 and result.executed_actions.shape == (0, 4)
+        assert result.overflow and result.steps_used == 0 and result.executed_actions == []
         assert len(result.states) == 1 and result.states[0] is state
         assert result.predicted_traces == []
+        _assert_lane_record(result, task)
 
 
 class _ExpertInSomeLanes:
@@ -351,9 +353,21 @@ def _state_key(s):
     return tuple(a.tobytes() for a in arrays) + (tuple(s.objects), tuple(s.receptacles), s.held_object)
 
 
-def _assert_same_rollout(a, b):
+def _assert_lane_record(result, task):
+    """A lane's record: the score of its last state, reached by a lane that
+    left on its first success, one executed action per step and traces only
+    at steps that executed."""
+    assert result.score == sim.success(result.states[-1], task)
+    assert all(sim.success(s, task) != 1.0 for s in result.states[:-1])
+    assert result.steps_used == len(result.executed_actions) == len(result.states) - 1
+    assert all(t < result.steps_used for t, _ in result.predicted_traces)
+
+
+def _assert_same_rollout(a, b, task):
+    _assert_lane_record(a, task)
+    _assert_lane_record(b, task)
     assert (a.score, a.steps_used, a.overflow) == (b.score, b.steps_used, b.overflow)
-    assert a.executed_actions.tobytes() == b.executed_actions.tobytes()
+    assert np.array(a.executed_actions).tobytes() == np.array(b.executed_actions).tobytes()
     assert [t for t, _ in a.predicted_traces] == [t for t, _ in b.predicted_traces]
     assert all(x.tobytes() == y.tobytes() for (_, x), (_, y) in zip(a.predicted_traces, b.predicted_traces))
     assert [_state_key(s) for s in a.states] == [_state_key(s) for s in b.states]
@@ -377,7 +391,7 @@ def test_rollout_lanes_match_single_lane_runs(k):
     assert [r.steps_used for r in together[1:]] == [40, 40, 40]
     for state, flag, lockstep in zip(states, flags, together):
         [alone] = rollout(_ExpertInSomeLanes(model, k, task, [flag]), [state], task, [demo], 40, 0.1)
-        _assert_same_rollout(lockstep, alone)
+        _assert_same_rollout(lockstep, alone, task)
 
 
 def test_rollout_lanes_overflow_together():
@@ -390,7 +404,7 @@ def test_rollout_lanes_overflow_together():
     assert all(r.overflow and r.steps_used == 12 for r in together)
     for state, lockstep in zip(states, together):
         [alone] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 50, 0.1)
-        _assert_same_rollout(lockstep, alone)
+        _assert_same_rollout(lockstep, alone, task)
 
 
 def test_rollout_renders_only_what_the_policy_observes(monkeypatch):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import write_version_1_container, write_version_2_episode_file, write_version_3_episode_file
-from deskicl import harness
+from deskicl import harness, sim
 from deskicl.checkpoint import load_checkpoint, save_checkpoint
 from deskicl.cli import build_parser, main as cli_main
 from deskicl.data import load_episodes, save_episodes
@@ -35,6 +35,7 @@ from deskicl.harness import (
     load_metrics,
     parse_config,
     prompt_configs,
+    record_episode,
     stratified_split,
     task_list,
     write_report,
@@ -954,14 +955,7 @@ def test_report_keeps_sweep_records_apart_from_eval(tiny_run, tmp_path):
 
 
 def _result(score, states, traces, overflow=False):
-    return RolloutResult(
-        score=score,
-        steps_used=3,
-        overflow=overflow,
-        states=states,
-        executed_actions=np.zeros((3, 4)),
-        predicted_traces=traces,
-    )
+    return RolloutResult(states, score, [np.zeros(4)] * 3, traces, overflow)
 
 
 def _scene(objects, receptacles):
@@ -973,9 +967,9 @@ def test_classify_failure_cases():
     pp = TaskSpec("pick_place", 0, 0)
     state = _scene([(0, (0.2, 0.2)), (1, (0.8, 0.8))], [(0, (0.5, 0.8)), (1, (0.8, 0.2))])
 
-    def trace_to(xy):
+    def trace_to(xy, step=0):
         uv = np.array([xy[0], 1.0 - xy[1]], dtype=np.float32)
-        return [(0, np.concatenate([np.tile(uv, 4), uv]))]
+        return [(step, np.concatenate([np.tile(uv, 4), uv]))]
 
     assert classify_failure(_result(1.0, [state], []), poke) == "none"
     assert classify_failure(_result(0.0, [state], [], overflow=True), poke) == "overflow"
@@ -983,13 +977,41 @@ def test_classify_failure_cases():
     assert classify_failure(_result(0.0, [state], trace_to((0.8, 0.8))), poke) == "trace_error"
     # trace pointing at the target: execution failure classes by kind/phase
     assert classify_failure(_result(0.0, [state], trace_to((0.2, 0.2))), poke) == "poke_failure"
-    assert classify_failure(_result(0.0, [state], trace_to((0.2, 0.2))), pp) == "grasp_failure"
+    # not picked yet: a pick-and-place trace ends over the target receptacle
+    assert classify_failure(_result(0.0, [state], trace_to((0.5, 0.8))), pp) == "grasp_failure"
+    assert classify_failure(_result(0.0, [state], trace_to((0.8, 0.2))), pp) == "trace_error"
     # picked already: endpoint near wrong receptacle vs correct one
     assert classify_failure(_result(0.5, [state], trace_to((0.8, 0.2))), pp) == "trace_error"
     assert classify_failure(_result(0.5, [state], trace_to((0.5, 0.8))), pp) == "placement_failure"
     # no traces decoded (dropout rollout): phase classes only
     assert classify_failure(_result(0.5, [state], []), pp) == "placement_failure"
     assert classify_failure(_result(0.0, [state], []), poke) == "poke_failure"
+    # decoded at step 1: the entities are read from states[1], where the
+    # last state has the two objects swapped
+    swapped = _scene([(0, (0.8, 0.8)), (1, (0.2, 0.2))], [(0, (0.5, 0.8)), (1, (0.8, 0.2))])
+    assert classify_failure(_result(0.0, [swapped, state, swapped], trace_to((0.2, 0.2), step=1)), poke) == "poke_failure"
+    assert classify_failure(_result(0.0, [state, swapped, state], trace_to((0.2, 0.2), step=1)), poke) == "trace_error"
+
+
+@pytest.mark.parametrize("kind", ["poke", "pick_place"])
+def test_expert_traces_are_never_trace_errors(kind):
+    """The expert's own trace at a step of its episode points where the
+    episode ends, so a rollout that decoded it there and then failed is
+    classed by how far it got: poke_failure, or grasp_failure before the
+    pick and placement_failure after it."""
+    config = parse_config(TINY_CONFIG_TEXT).model
+    expected = {0.0: "poke_failure"} if kind == "poke" else {0.0: "grasp_failure", 0.5: "placement_failure"}
+    for seed in range(6):
+        task = TaskSpec(kind, seed % 3, (seed + 1) % 3 if kind == "pick_place" else None)
+        n_obj = 1 + seed % 2  # and one distractor receptacle
+        states = sim.expert_rollout(reset(task, n_obj, 1, seed), task)[0]
+        traces = record_episode(config, task, n_obj, 1, seed).traces
+        for score, failure in expected.items():
+            steps = [t for t, s in enumerate(states) if sim.success(s, task) == score][:2]
+            assert len(steps) == 2
+            for t in steps:
+                result = RolloutResult(states[: t + 1], score, [np.zeros(4)] * t, [(t, traces[t])])
+                assert classify_failure(result, task) == failure, (seed, score, t)
 
 
 def test_failure_none_iff_success():

@@ -11,8 +11,8 @@ the same work to the same bytes.
 
     python3 tools/digests.py               # this checkout
     python3 tools/digests.py path/to/repo  # another checkout
-    python3 tools/digests.py --rev HEAD~1  # also at a git revision, checked out in a
-                                           # temporary worktree: each digest is `same` or `DIFFERS`
+    python3 tools/digests.py --rev HEAD~1  # also at a git revision, extracted by `git archive`
+                                           # into a temporary directory: each digest is `same` or `DIFFERS`
 
 Exits 1 if a run is not correct, fails an operation or does not finish, or
 a digest differs from the revision's.
@@ -24,6 +24,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -49,18 +50,14 @@ def run_workload(root: Path, workload: str) -> dict:
 
 def runs_at(root: Path, rev: str, workloads: list[str]) -> dict[str, dict]:
     """Each workload's `run_workload` at git revision `rev` of the repo at
-    `root`, in a temporary worktree that is removed afterwards."""
-
-    def git(*args: str) -> None:
-        subprocess.run(["git", "-C", str(root), *args], check=True, capture_output=True, text=True)
-
+    `root`, in a temporary directory that `git archive` fills; nothing is
+    written into the repo."""
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "tree"
-        git("worktree", "add", "--detach", str(tree), rev)
-        try:
-            return {workload: run_workload(tree, workload) for workload in workloads}
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+        archive, tree = Path(tmp) / "tree.tar", Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(root), "archive", "-o", str(archive), rev], check=True, capture_output=True, text=True)
+        with tarfile.open(archive) as tar:
+            tar.extractall(tree, filter="data")
+        return {workload: run_workload(tree, workload) for workload in workloads}
 
 
 def main(argv: list[str]) -> int:
