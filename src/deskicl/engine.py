@@ -7,32 +7,37 @@ combined loss. Inference runs the same embeddings, trunk and heads from
 names no parameter and keeps only the decode policy: clipping the predicted
 trace, the every-k trace schedule, and the cache.
 
-`rollout` is the one closed loop. It steps B rollouts that share a task and
-a prompt in lockstep, one lane each, and hands the policy only the lanes'
-world states. `TransformerPolicy` observes them (`sim.observe`: both camera
-views of all lanes in one `render` call) at its model's resolutions, and owns
-its trace schedule: k is fixed when it is built. It prefills the prompt
-once and copies its keys and values into every lane of a (B, ...) cache,
-and each token slot is one trunk call over all lanes. At each environment
-step it decodes the previous step's executed action together with the new
-state token in one call; every k-th step it then decodes a trace from the
-state position, feeds it back in a second call and reads the action chunk
-there. On the other steps the zero-vector trace token, matching the masking
-distribution seen in training, is decoded in the first call with the
-action and the state, and the chunk is read at its position.
+`rollout` is the one closed loop. It steps all the rollouts of one task in
+lockstep, one lane each, in lane groups: a group's lanes share a prompt and
+a step budget, as the rollouts of one eval cell do. It hands the policy
+only the lanes' world states. `TransformerPolicy` observes them
+(`sim.observe`: both camera views of all lanes in one `render` call) at its
+model's resolutions, and owns its trace schedule: k is fixed when it is
+built. It prefills each group's prompt once and copies its keys and values
+into every lane of that group's (B_g, ...) cache, and each token slot is
+one trunk call over all lanes of all groups, in which only attention runs
+per group, at that group's positions. At each environment step it decodes
+the previous step's executed action together with the new state token in
+one call; every k-th step it then decodes a trace from the state position,
+feeds it back in a second call and reads the action chunk there. On the
+other steps the zero-vector trace token, matching the masking distribution
+seen in training, is decoded in the first call with the action and the
+state, and the chunk is read at its position.
 
 Each lane executes the temporal ensemble of its own chunks covering the
 current step. The policy issues one chunk of h actions per lane at every
 step, so only the last h chunks can cover a step: `rollout` keeps them in
 one (B, h, h, 4) float32 ring, writing step t's chunks into slot t % h, and
 `temporal_ensemble` reads every lane's covering chunks from it at once.
-When lanes finish, their rows leave the ring and the cache together.
-Lanes never mix: every product keeps the lane axis as a leading batch
-axis, so a lane's result is bit-identical to running it alone.
+When lanes finish, their rows leave the ring and their group's cache
+together, and a group with no lane left is dropped. Lanes never mix: every
+product keeps the lane axis as a leading batch axis, so a lane's result is
+bit-identical to running it alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -171,10 +176,13 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def kv_decode(cache: KVCache, model: PolicyModel, new_tokens: np.ndarray) -> tuple[np.ndarray, KVCache]:
+def kv_decode(
+    cache: KVCache | list[KVCache], model: PolicyModel, new_tokens: np.ndarray
+) -> tuple[np.ndarray, KVCache | list[KVCache]]:
     """Extend the cache by `new_tokens` and return their hidden states, at
     the model's dtype: (n, d) against a 1-lane cache, (B, n, d) against a
-    B-lane one."""
+    B-lane one or against a list of caches, one per lane group, whose lanes
+    add up to B in order."""
     hidden = transformer_hidden(model, Tensor(new_tokens, dtype=model.dtype), cache)
     return hidden.data, cache
 
@@ -224,7 +232,10 @@ class RolloutResult:
 class ChunkPolicy(Protocol):
     """Plans action chunks for B lanes stepped in lockstep.
 
-    Every per-lane argument and result has the lane axis first, and lane j
+    `begin` adds a group of lanes that share a prompt; a rollout begins all
+    its groups before step 0 and leaves the policy with no lanes, so the
+    next rollout begins afresh. Every per-lane argument and result has the
+    lane axis first, the groups' lanes in the order they began, and lane j
     of a call is lane j of the previous call until `keep_lanes` drops lanes
     and renumbers the rest. A lane's proposals must not depend on the other
     lanes. The policy sees the lanes' world states and observes what it
@@ -245,25 +256,32 @@ class ChunkPolicy(Protocol):
         ...
 
     def keep_lanes(self, lanes: np.ndarray) -> None:
-        """Continue with the lanes at these indices only, in this order."""
+        """Continue with the lanes at these indices only, in this order,
+        which keeps each group's lanes together and the groups in order."""
         ...
+
+    def full_lanes(self) -> np.ndarray:
+        """Indices of the lanes that have no room left for the next step."""
+        return np.zeros(0, dtype=np.intp)
 
 
 class TransformerPolicy:
-    """Closed-loop wrapper around a PolicyModel with a lane-batched KV cache.
+    """Closed-loop wrapper around a PolicyModel with one KV cache per lane
+    group.
 
     It decodes a trace every `reasoning_interval` (k) steps, never at k = 0;
     a model that was not trained to predict traces is refused any k > 0.
-    `begin` starts a fresh cache, so one policy serves any number of
-    rollouts: it prefills the prompt once and copies its keys and values
-    into every lane (prefix caching). `propose` observes the lanes' states
-    at the model's camera resolutions. `commit` only holds the action
-    tokens; `propose` decodes them with the next state tokens. On a step that
-    decodes a trace (every k-th) the trace token needs the state's hidden
-    state, so the step takes two trunk calls for all lanes together; on any
-    other step the zero-trace token joins the same call, so it takes one.
-    Every product keeps the lane axis as a leading batch axis, so each
-    lane's numbers equal a 1-lane run's bit for bit.
+    `begin` prefills a group's prompt once into a fresh cache and copies its
+    keys and values into every lane of the group (prefix caching); a
+    group's lanes share one length, so its cache holds only the rows they
+    use. `propose` observes all lanes' states at the model's camera
+    resolutions, and each of its trunk calls serves every lane of every
+    group. `commit` only holds the action tokens; `propose` decodes them
+    with the next state tokens. On a step that decodes a trace (every k-th)
+    the trace token needs the state's hidden state, so the step takes two
+    trunk calls; on any other step the zero-trace token joins the same
+    call, so it takes one. Every product keeps the lane axis as a leading
+    batch axis, so each lane's numbers equal a 1-lane run's bit for bit.
     """
 
     def __init__(self, model: PolicyModel, reasoning_interval: int):
@@ -275,8 +293,8 @@ class TransformerPolicy:
         self.model = model
         self.k = reasoning_interval
         self.horizon = model.config.chunk_h
-        self.cache: KVCache | None = None  # made by `begin`
-        self._pending: np.ndarray | None = None  # (B, 0 or 1, d) committed action tokens not yet decoded
+        self.caches: list[KVCache] = []  # one per lane group, in lane order
+        self._pending = np.zeros((0, 0, model.config.d_model), dtype=model.dtype)  # (B, 0 or 1, d) committed action tokens not yet decoded
         self._zero_trace_token = encode_reasoning_batch(model, np.zeros((1, TRACE_DIM)), np.array([True])).data[0]
 
     def begin(self, prompt_demos: list[Trajectory], lanes: int) -> None:
@@ -285,31 +303,29 @@ class TransformerPolicy:
         model = self.model
         steps = stack_steps(prompt_demos)
         tokens = step_tokens(model, **steps, target_mask=np.zeros(0, dtype=bool))
-        self.cache = KVCache(model.config)
-        kv_decode(self.cache, model, tokens.data)
-        self.cache.select_lanes(np.zeros(lanes, dtype=np.intp))
-        self._pending = np.zeros((lanes, 0, model.config.d_model), dtype=model.dtype)
+        cache = KVCache(model.config)
+        kv_decode(cache, model, tokens.data)
+        cache.select_lanes(np.zeros(lanes, dtype=np.intp))
+        self.caches.append(cache)
+        self._pending = np.zeros((sum(c.lanes for c in self.caches), 0, model.config.d_model), dtype=model.dtype)
 
     def propose(self, t, states):
         model = self.model
         pending = self._pending
-        # room for the pending action plus this step's tokens
-        if self.cache.remaining < TOKENS_PER_STEP + pending.shape[1]:
-            raise ContextOverflowError("prompt plus rollout exceeded the model context")
         third, wrist, proprio = observe(states, model.config.third_resolution, model.config.wrist_resolution)
         f_s = encode_state_batch(model, third[:, None], wrist[:, None], proprio[:, None]).data
         self._pending = pending[:, :0]
         if self.k == 0 or t % self.k:
             # no trace to decode: the zero-trace token joins the same call
             zero = np.broadcast_to(self._zero_trace_token, (len(states), 1, model.config.d_model))
-            hidden, _ = kv_decode(self.cache, model, np.concatenate([pending, f_s, zero], axis=1))
+            hidden, _ = kv_decode(self.caches, model, np.concatenate([pending, f_s, zero], axis=1))
             return None, self._chunks(hidden[:, -1:])
-        hidden, _ = kv_decode(self.cache, model, np.concatenate([pending, f_s], axis=1))
+        hidden, _ = kv_decode(self.caches, model, np.concatenate([pending, f_s], axis=1))
         # (B, 1, d) hidden states: B one-row products, as a 1-lane run computes them
         raw = trace_head(model, Tensor(hidden[:, -1:], dtype=model.dtype)).data
         traces = np.clip(raw, 0.0, 1.0).astype(np.float32)
         token_r = encode_reasoning_batch(model, traces, np.zeros(traces.shape[:-1], dtype=bool)).data
-        hidden_r, _ = kv_decode(self.cache, model, token_r)
+        hidden_r, _ = kv_decode(self.caches, model, token_r)
         return traces[:, 0], self._chunks(hidden_r)
 
     def _chunks(self, hidden: np.ndarray) -> np.ndarray:
@@ -321,8 +337,25 @@ class TransformerPolicy:
         self._pending = encode_action_batch(self.model, executed_actions[:, None]).data
 
     def keep_lanes(self, lanes: np.ndarray) -> None:
-        self.cache.select_lanes(lanes)
+        """Each group keeps its lanes among `lanes`; a group left with none
+        is dropped."""
+        lanes = np.asarray(lanes, dtype=np.intp)
+        sizes = np.array([c.lanes for c in self.caches], dtype=np.intp)
+        ends = np.cumsum(sizes)
+        group = np.searchsorted(ends, lanes, side="right")
+        if np.any(np.diff(group) < 0):
+            raise ValueError("keep_lanes: a selection keeps each group's lanes together and the groups in order")
+        for g, cache in enumerate(self.caches):
+            cache.select_lanes(lanes[group == g] - (ends[g] - sizes[g]))
+        self.caches = [c for c in self.caches if c.lanes]
         self._pending = self._pending[lanes]
+
+    def full_lanes(self) -> np.ndarray:
+        """The lanes of the groups whose cache has no room for the pending
+        action plus a step's tokens."""
+        need = TOKENS_PER_STEP + self._pending.shape[1]
+        full = np.repeat([c.remaining < need for c in self.caches], [c.lanes for c in self.caches])
+        return np.flatnonzero(full)
 
 
 class ExpertReplayPolicy(ChunkPolicy):
@@ -343,36 +376,61 @@ class ExpertReplayPolicy(ChunkPolicy):
         return None, chunks
 
 
+LaneGroup = tuple[list[Trajectory], list[WorldState], int]  # (prompt demos, initial states, max_steps)
+
+
 def rollout(
     policy: ChunkPolicy,
-    initial_states: list[WorldState],
     task: TaskSpec,
-    prompt_demos: list[Trajectory],
-    max_steps: int,
+    groups: list[LaneGroup],
     ensemble_decay: float,
-) -> list[RolloutResult]:
-    """Run one closed loop per initial state, all in lockstep, and return
-    their results in the same order.
+) -> list[list[RolloutResult]]:
+    """Run one closed loop per initial state of every group, all in
+    lockstep, and return each group's results in the order of its states.
 
-    The lanes share the task and the prompt, so the policy makes one call
-    for all of them at each step, given their world states; what it renders
-    of them is its own business. A lane leaves on success; at max_steps or
-    on context overflow, which every lane reaches at the same step because
-    they all hold the same number of tokens, all the remaining lanes stop (a
-    prompt that overflows the context alone stops them before their first
-    step). Each lane keeps its own row of the chunk ring and its own
-    `RolloutResult`, filled in as it steps, and its result equals a run of
-    that lane alone.
+    A group's lanes share a prompt and a step budget, and every lane shares
+    the task, so the policy makes one call for all lanes at each step, given
+    their world states; what it renders of them is its own business. A lane
+    leaves on success (one that starts in success takes no step), at its
+    group's max_steps, or when its group's context has no room for the
+    next step, which marks it as overflowed; the other lanes go on at the
+    same step. A group whose prompt alone overflows the context is marked
+    so before step 0. Each lane keeps its own row of the chunk ring and its
+    own `RolloutResult`, filled in as it steps, and its result equals a run
+    of that lane alone. The policy is left with no lanes, even when a call
+    raises.
     """
-    if not initial_states:
-        raise ValueError("rollout needs at least one initial state")
-    lanes = [RolloutResult([s], success(s, task)) for s in initial_states]
-    active = list(lanes)
+    if not groups or not all(states for _, states, _ in groups):
+        raise ValueError("rollout needs at least one initial state in every group")
+    results = [[RolloutResult([s], success(s, task)) for s in states] for _, states, _ in groups]
+    active: list[RolloutResult] = []
+    ends: list[int] = []  # each active lane's max_steps
     try:
-        policy.begin(prompt_demos, len(lanes))
+        for (prompt_demos, _, max_steps), lanes in zip(groups, results):
+            try:
+                policy.begin(prompt_demos, len(lanes))
+            except ContextOverflowError:
+                for lane in lanes:
+                    lane.overflow = True
+                continue
+            active += lanes
+            ends += [max_steps] * len(lanes)
         h = policy.horizon
-        ring = np.zeros((len(lanes), h, h, ACTION_DIM), dtype=np.float32)  # lane, issue step % h, offset, action
-        for t in range(max_steps):
+        ring = np.zeros((len(active), h, h, ACTION_DIM), dtype=np.float32)  # lane, issue step % h, offset, action
+        for t in itertools.count():
+            full = set(policy.full_lanes().tolist())
+            going = []
+            for j, lane in enumerate(active):
+                if lane.score != 1.0 and t < ends[j]:
+                    if j in full:
+                        lane.overflow = True
+                    else:
+                        going.append(j)
+            if len(going) < len(active):
+                active, ends, ring = [active[j] for j in going], [ends[j] for j in going], ring[going]
+                policy.keep_lanes(np.array(going, dtype=np.intp))
+            if not active:
+                break
             traces, chunks = policy.propose(t, [lane.states[-1] for lane in active])
             if traces is not None:
                 for lane, trace in zip(active, traces):
@@ -384,14 +442,7 @@ def rollout(
                 lane.states.append(sim_step(lane.states[-1], action))
                 lane.executed_actions.append(action.deltas)
                 lane.score = success(lane.states[-1], task)
-            going = np.flatnonzero([lane.score != 1.0 for lane in active])
-            if len(going) < len(active):
-                active = [active[j] for j in going]
-                if not active:
-                    break
-                ring = ring[going]
-                policy.keep_lanes(going)
-    except ContextOverflowError:
-        for lane in active:
-            lane.overflow = True
-    return lanes
+    finally:
+        if active:
+            policy.keep_lanes(np.zeros(0, dtype=np.intp))
+    return results

@@ -451,6 +451,12 @@ def classify_failure(result: RolloutResult, task: TaskSpec) -> str:
     endpoint lies nearer to a wrong candidate than to the correct one
     (normalized image coordinates), the failure is a trace error. Remaining
     failures are classified by how far execution got.
+
+    A scene with no wrong candidate has no trace error. Eval scenes take
+    their distractors from `difficulty_counts`, which adds a receptacle to
+    a pick-and-place scene only at level 2 and above, so a pick-and-place
+    rollout at level 0 or 1 is never a `trace_error`: a trace that ends on
+    a distractor object there counts as a grasp or placement failure.
     """
     if result.score == 1.0:
         return "none"
@@ -497,7 +503,11 @@ def _evaluate(
     first rollout, so a missing checkpoint, one of another model or train
     seed, or a k its model cannot serve fails before any work; the expert
     stub is built per task.
-    Records come in cell order, then run order, then rollout order.
+
+    Each run makes one `rollout` call per task, in which every cell of the
+    task is one lane group, so each trunk call serves all of the task's
+    rollouts; a lane's record equals a rollout of its scene alone. Records
+    come in cell order, then run order, then rollout order.
     """
     models = {}
     for variant in dict.fromkeys(v for v, _ in runs if v != "expert"):
@@ -518,9 +528,9 @@ def _evaluate(
                 raise HarnessError(f"variant '{variant}' at k = {k}: {exc}") from exc
     records: list[EvalRecord] = []
     for task in tasks:
-        for pconf in prompt_configs(task):
-            if prompt_ids is not None and pconf.config_id not in prompt_ids:
-                continue
+        cells = [p for p in prompt_configs(task) if prompt_ids is None or p.config_id in prompt_ids]
+        groups = []  # each cell's (prompt demos, scenes, max_steps)
+        for pconf in cells:
             demo = record_episode(
                 config.model,
                 task,
@@ -534,10 +544,14 @@ def _evaluate(
                 n_obj, n_rec = difficulty_counts(task, r % config.data.difficulty_levels)
                 scene_seed = derive_seed(config.eval.seed, "scene", task.label, pconf.config_id, r)
                 states.append(reset(task, n_obj, n_rec, scene_seed))
-            for variant, k in runs:
-                policy = policies.get((variant, k)) or ExpertReplayPolicy(task, config.model.chunk_h)
-                results = rollout(policy, states, task, [demo], max_steps, config.eval.ensemble_decay)
-                for r, result in enumerate(results):
+            groups.append(([demo], states, max_steps))
+        run_results = []  # per run, each cell's results
+        for variant, k in runs:
+            policy = policies.get((variant, k)) or ExpertReplayPolicy(task, config.model.chunk_h)
+            run_results.append(rollout(policy, task, groups, config.eval.ensemble_decay))
+        for c, pconf in enumerate(cells):
+            for (variant, k), results in zip(runs, run_results):
+                for r, result in enumerate(results[c]):
                     records.append(
                         EvalRecord(
                             variant=variant,

@@ -16,7 +16,8 @@ is 13 tensor ops; its FFN width (SwiGLU's 8/3 rule) and RoPE base are fixed,
 not settings. `transformer_hidden` is the only trunk:
 training runs it over whole sequences, with its last block only on the
 target steps' rows that the loss reads, and closed-loop decoding runs it
-over a few new tokens at a time against a `KVCache`. `trace_head` reads
+over a few new tokens at a time against a `KVCache`, or against one per
+group of lanes that share a length. `trace_head` reads
 hidden states at state positions (the next token is the step's trace);
 `chunk_head` reads them at reasoning positions and emits the next
 `chunk_h` actions at once.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import mmap
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,13 +385,15 @@ class KVCache:
     def select_lanes(self, lanes: np.ndarray) -> None:
         """Keep the lanes at the indices `lanes`, in that order; an index may
         repeat, so one lane's prefix can be copied into several. The identity
-        selection (every lane, in order) keeps the buffers as they are."""
+        selection (every lane, in order) keeps the buffers as they are, and
+        the empty one frees them."""
         lanes = np.asarray(lanes, dtype=np.intp)
         if np.array_equal(lanes, np.arange(self.lanes)):
             return
         old_k, old_v, n = self.k, self.v, self.length
         self.lanes = len(lanes)
-        if old_k is None:
+        if old_k is None or not self.lanes:  # nothing to copy; no mapping can hold 0 bytes
+            self.k = self.v = None
             return
         self.k, self.v = self._alloc(old_k.dtype)
         self.k[:, :n] = old_k[:, :n, lanes]
@@ -400,17 +404,24 @@ class KVCache:
         return self.config.max_context - self.length
 
 
-def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None = None, rows: int | None = None) -> Tensor:
+def transformer_hidden(
+    model: PolicyModel, tokens: Tensor, cache: KVCache | Sequence[KVCache] | None = None, rows: int | None = None
+) -> Tensor:
     """Causal trunk over (T, d) tokens; returns the final-norm hidden states
     (T, d), or with `rows` those of the last `rows` positions only.
 
-    (B, T, d) tokens are B independent lanes at the same positions and give
-    (B, T, d); every product keeps the lane axis as a leading batch axis, so
-    a lane's outputs are bit-identical to running it alone. Without a cache
-    the tokens sit at positions 0..T-1. With one they follow the cache's
-    `length` positions: their rotated keys and values are appended to it
-    and they attend over everything it holds. (T, d) tokens need a 1-lane
-    cache and (B, T, d) tokens a B-lane one.
+    (B, T, d) tokens are B independent lanes and give (B, T, d); every
+    product keeps the lane axis as a leading batch axis, so a lane's outputs
+    are bit-identical to running it alone. Without a cache the tokens sit at
+    positions 0..T-1. With one they follow the cache's `length` positions:
+    their rotated keys and values are appended to it and they attend over
+    everything it holds. (T, d) tokens need a 1-lane cache and (B, T, d)
+    tokens a B-lane one, or a sequence of caches, one per lane group, whose
+    lanes add up to B in order. Each group sits at its own cache's length:
+    it gets rotation tables at its own positions and its own
+    `causal_attention` call, while every other product runs once over all
+    lanes. A group's lanes are constant parts of the attention inputs, so
+    a decode over several groups is untaped.
 
     Each block is `x + attn(rms_norm(x, g_attn))`, then `x + swiglu(h @
     w_gate, h @ w_up) @ w_down` with `h = rms_norm(x, g_ffn)`, and a final
@@ -424,13 +435,18 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
     if tokens.ndim not in (2, 3) or tokens.shape[-1] != cfg.d_model:
         raise ShapeError(f"transformer_hidden: tokens {tokens.shape}, expected (T, {cfg.d_model}) or (B, T, {cfg.d_model})")
     lanes = tokens.shape[0] if tokens.ndim == 3 else 1
-    if cache is not None and cache.lanes != lanes:
-        raise ShapeError(f"transformer_hidden: {lanes} token lanes against a {cache.lanes}-lane cache")
+    caches = [cache] if cache is None or isinstance(cache, KVCache) else list(cache)
+    if cache is not None and sum(c.lanes for c in caches) != lanes:
+        raise ShapeError(f"transformer_hidden: {lanes} token lanes against caches of {[c.lanes for c in caches]} lanes")
     t = tokens.shape[-2]
-    start = 0 if cache is None else cache.length
-    if start + t > cfg.max_context:
-        raise ContextOverflowError(f"{start} cached plus {t} new tokens exceed max context {cfg.max_context}")
-    cos, sin = rope_tables(cfg, start, t, tokens.dtype)
+    groups = []  # (first lane, end lane, cache, start, cos, sin) of each lane group
+    first = 0
+    for c in caches:
+        end, start = (lanes, 0) if c is None else (first + c.lanes, c.length)
+        if start + t > cfg.max_context:
+            raise ContextOverflowError(f"{start} cached plus {t} new tokens exceed max context {cfg.max_context}")
+        groups.append((first, end, c, start, *rope_tables(cfg, start, t, tokens.dtype)))
+        first = end
 
     x = tokens
     for i in range(cfg.n_layers):
@@ -439,11 +455,17 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
         if rows is not None and i == cfg.n_layers - 1:
             x, h = (tn.narrow(a, -2, t - rows, rows) for a in (x, h))
         q = tn.matmul(h, p[f"blocks.{i}.attn.wq.w"])
-        kv_cache = None
-        if cache is not None:
-            k_buf, v_buf = cache.layer(i, tokens.dtype)
-            kv_cache = (k_buf, v_buf) if tokens.ndim == 3 else (k_buf[0], v_buf[0])
-        ctx = tn.causal_attention(q, k, v, cfg.n_heads, cos, sin, kv_cache, start)
+        if len(groups) > 1 and q.requires_grad:
+            raise tn.GradError("transformer_hidden: lane groups are decoded untaped")
+        parts = []
+        for first, end, c, start, cos, sin in groups:
+            qkv = (q, k, v) if len(groups) == 1 else [Tensor(a.data[first:end], dtype=a.dtype) for a in (q, k, v)]
+            kv_cache = None
+            if c is not None:
+                k_buf, v_buf = c.layer(i, tokens.dtype)
+                kv_cache = (k_buf, v_buf) if tokens.ndim == 3 else (k_buf[0], v_buf[0])
+            parts.append(tn.causal_attention(*qkv, cfg.n_heads, cos, sin, kv_cache, start))
+        ctx = parts[0] if len(parts) == 1 else Tensor(np.concatenate([a.data for a in parts]), dtype=q.dtype)
         x = tn.add(x, tn.matmul(ctx, p[f"blocks.{i}.attn.wo.w"]))
 
         h2 = tn.rms_norm(x, p[f"blocks.{i}.ffn_norm.g"])
@@ -451,8 +473,9 @@ def transformer_hidden(model: PolicyModel, tokens: Tensor, cache: KVCache | None
         up = tn.matmul(h2, p[f"blocks.{i}.ffn.w_up.w"])
         x = tn.add(x, tn.matmul(tn.swiglu(gate, up), p[f"blocks.{i}.ffn.w_down.w"]))
 
-    if cache is not None:
-        cache.length = start + t
+    for c in caches:
+        if c is not None:
+            c.length += t
     return tn.rms_norm(x, p["final_norm.g"])
 
 

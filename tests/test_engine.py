@@ -239,7 +239,7 @@ def test_rollout_expert_stub_scores_one():
             task = TaskSpec("pick_place", kind_seed % 3, kind_seed % 2)
         state = sim.reset(task, kind_seed % 3, 1 if task.kind == "pick_place" else 0, seed=50 + kind_seed)
         policy = ExpertReplayPolicy(task, horizon=4)
-        [result] = rollout(policy, [state], task, [_demo(task, 99)], 200, 0.1)
+        [[result]] = rollout(policy, task, [([_demo(task, 99)], [state], 200)], 0.1)
         assert result.score == 1.0
         assert not result.overflow
         assert result.predicted_traces == []
@@ -252,7 +252,7 @@ def test_rollout_reasoning_interval_counts():
     demo = _demo(task, 31)
     model = small_model(5)  # untrained: will not succeed, runs to max_steps
     for k, expected in ((1, 12), (4, 3), (5, 3), (0, 0)):
-        [result] = rollout(TransformerPolicy(model, k), [state], task, [demo], 12, 0.1)
+        [[result]] = rollout(TransformerPolicy(model, k), task, [([demo], [state], 12)], 0.1)
         n = result.steps_used
         assert n == 12
         assert len(result.predicted_traces) == (math.ceil(n / k) if k else 0) == expected
@@ -275,7 +275,7 @@ def test_rollout_trunk_calls_per_step(k, monkeypatch):
     task = TaskSpec("poke", 0)
     state = sim.reset(task, 1, 0, seed=7)
     n = 13
-    [result] = rollout(TransformerPolicy(small_model(5), k), [state], task, [_demo(task, 31)], n, 0.1)
+    [[result]] = rollout(TransformerPolicy(small_model(5), k), task, [([_demo(task, 31)], [state], n)], 0.1)
     assert result.steps_used == n
     assert len(calls) == 1 + n + (math.ceil(n / k) if k else 0)
     assert sum(calls[1:]) == 3 * n - 1  # every step's three tokens, the last action never decoded
@@ -286,8 +286,8 @@ def test_rollout_deterministic():
     state = sim.reset(task, 1, 0, seed=11)
     demo = _demo(task, 32)
     model = small_model(6)
-    [a] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 15, 0.1)
-    [b] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 15, 0.1)
+    [[a]] = rollout(TransformerPolicy(model, 1), task, [([demo], [state], 15)], 0.1)
+    [[b]] = rollout(TransformerPolicy(model, 1), task, [([demo], [state], 15)], 0.1)
     assert a.score == b.score and a.steps_used == b.steps_used
     assert np.array_equal(a.executed_actions, b.executed_actions)
     for (ta, tra), (tb, trb) in zip(a.predicted_traces, b.predicted_traces):
@@ -300,7 +300,7 @@ def test_rollout_overflow_flagged():
     task = TaskSpec("poke", 0)
     state = sim.reset(task, 0, 0, seed=3)
     demo = _demo(task, 33)  # 9 steps -> 27 prompt tokens, leaving room for 12 rollout steps
-    [result] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 50, 0.1)
+    [[result]] = rollout(TransformerPolicy(model, 1), task, [([demo], [state], 50)], 0.1)
     assert result.overflow
     assert result.steps_used == 12
     assert result.score < 1.0
@@ -313,7 +313,7 @@ def test_rollout_prompt_over_the_context_stops_every_lane_before_its_first_step(
     task = TaskSpec("poke", 0)
     states = [sim.reset(task, 0, 0, seed=3 + i) for i in range(3)]
     demo = _demo(task, 33)  # 9 steps -> 27 prompt tokens, more than the 24 the context holds
-    results = rollout(TransformerPolicy(model, 1), states, task, [demo], 50, 0.1)
+    [results] = rollout(TransformerPolicy(model, 1), task, [([demo], states, 50)], 0.1)
     for state, result in zip(states, results, strict=True):
         assert result.overflow and result.steps_used == 0 and result.executed_actions == []
         assert len(result.states) == 1 and result.states[0] is state
@@ -346,6 +346,9 @@ class _ExpertInSomeLanes:
     def keep_lanes(self, lanes):
         self.inner.keep_lanes(lanes)
         self.flags = self.flags[lanes]
+
+    def full_lanes(self):
+        return self.inner.full_lanes()
 
 
 def _state_key(s):
@@ -386,11 +389,11 @@ def test_rollout_lanes_match_single_lane_runs(k):
     demo = _demo(task, 31)
     model = PolicyModel.init(ModelConfig(**{**SMALL_CFG.__dict__, "d_model": 64}), seed=7)
     flags = [True, False, False, False]
-    together = rollout(_ExpertInSomeLanes(model, k, task, flags), states, task, [demo], 40, 0.1)
+    [together] = rollout(_ExpertInSomeLanes(model, k, task, flags), task, [([demo], states, 40)], 0.1)
     assert together[0].score == 1.0 and together[0].steps_used < 40
     assert [r.steps_used for r in together[1:]] == [40, 40, 40]
     for state, flag, lockstep in zip(states, flags, together):
-        [alone] = rollout(_ExpertInSomeLanes(model, k, task, [flag]), [state], task, [demo], 40, 0.1)
+        [[alone]] = rollout(_ExpertInSomeLanes(model, k, task, [flag]), task, [([demo], [state], 40)], 0.1)
         _assert_same_rollout(lockstep, alone, task)
 
 
@@ -400,11 +403,104 @@ def test_rollout_lanes_overflow_together():
     task = TaskSpec("poke", 0)
     states = [sim.reset(task, 0, 0, seed=3 + i) for i in range(4)]
     demo = _demo(task, 33)
-    together = rollout(TransformerPolicy(model, 1), states, task, [demo], 50, 0.1)
+    [together] = rollout(TransformerPolicy(model, 1), task, [([demo], states, 50)], 0.1)
     assert all(r.overflow and r.steps_used == 12 for r in together)
     for state, lockstep in zip(states, together):
-        [alone] = rollout(TransformerPolicy(model, 1), [state], task, [demo], 50, 0.1)
+        [[alone]] = rollout(TransformerPolicy(model, 1), task, [([demo], [state], 50)], 0.1)
         _assert_same_rollout(lockstep, alone, task)
+
+
+def _assert_groups_match_their_solo_rollouts(make_policy, task, groups, together):
+    """Each group's lanes in `together` equal a rollout of that group alone,
+    and its lanes' flags."""
+    first = 0
+    for group, results in zip(groups, together, strict=True):
+        lanes = len(group[1])
+        [alone] = rollout(make_policy(first, lanes), task, [group], 0.1)
+        for lockstep, solo in zip(results, alone, strict=True):
+            _assert_same_rollout(lockstep, solo, task)
+        first += lanes
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_rollout_groups_in_lockstep_match_their_solo_rollouts(k):
+    """Three lane groups with prompts of different lengths run in one
+    lockstep: lanes leave on success, one group ends at its own max_steps
+    while the others go on, and every lane has the bits of its group's
+    solo rollout. The policy is left with no lanes."""
+    task = TaskSpec("poke", 0)
+    states = [sim.reset(task, i % 3, 0, seed=80 + i) for i in range(5)]
+    demos = [_demo(task, 31), _demo(task, 35), _demo(task, 29, n_obj=2)]
+    assert len({len(d) for d in demos}) == 3
+    groups = [([demos[0]], states[:2], 30), ([demos[1]], states[2:3], 7), ([demos[2]], states[3:], 30)]
+    flags = [True, False, False, False, True]
+    model = PolicyModel.init(ModelConfig(**{**SMALL_CFG.__dict__, "d_model": 64}), seed=7)
+    policy = _ExpertInSomeLanes(model, k, task, flags)
+    together = rollout(policy, task, groups, 0.1)
+    assert policy.inner.caches == [] and policy.inner._pending.shape[0] == 0
+    assert [[r.score == 1.0 for r in g] for g in together] == [[True, False], [False], [False, True]]
+    assert together[0][0].steps_used < 30 and together[2][1].steps_used < 30
+    assert [together[0][1].steps_used, together[1][0].steps_used, together[2][0].steps_used] == [30, 7, 30]
+    assert not any(r.overflow for g in together for r in g)
+    _assert_groups_match_their_solo_rollouts(
+        lambda first, lanes: _ExpertInSomeLanes(model, k, task, flags[first:first + lanes]), task, groups, together
+    )
+
+
+def test_rollout_one_group_overflows_while_the_others_go_on():
+    """Each group overflows at its own step, given its prompt's length: a
+    prompt over the context stops its group before step 0, and a group
+    that ends at its max_steps first never overflows."""
+    cfg = ModelConfig(**{**SMALL_CFG.__dict__, "max_context": 64})
+    model = PolicyModel.init(cfg, seed=0)
+    task = TaskSpec("poke", 0)
+    states = [sim.reset(task, 0, 0, seed=3 + i) for i in range(5)]
+    nine, eleven = _demo(task, 33), _demo(task, 35)  # 27 and 33 prompt tokens
+    long = [_demo(task, 34), _demo(task, 28)]  # 96 prompt tokens, over the 64 the context holds
+    assert (len(nine), len(eleven), sum(map(len, long))) == (9, 11, 32)
+    groups = [([nine], states[:2], 50), ([eleven], states[2:3], 50), (long, states[3:4], 50), ([nine], states[4:], 5)]
+    policy = TransformerPolicy(model, 1)
+    together = rollout(policy, task, groups, 0.1)
+    assert policy.caches == []
+    assert [[(r.overflow, r.steps_used) for r in g] for g in together] == [
+        [(True, 12), (True, 12)], [(True, 10)], [(True, 0)], [(False, 5)]
+    ]
+    _assert_groups_match_their_solo_rollouts(lambda first, lanes: TransformerPolicy(model, 1), task, groups, together)
+
+
+def test_rollout_leaves_the_policy_with_no_lanes_when_a_step_raises():
+    task = TaskSpec("poke", 0)
+    states = [sim.reset(task, 1, 0, seed=70 + i) for i in range(3)]
+    groups = [([_demo(task, 31)], states[:2], 9), ([_demo(task, 35)], states[2:], 9)]
+    policy = TransformerPolicy(small_model(5), 1)
+
+    def failing(t, lane_states):
+        if t == 2:
+            raise RuntimeError("renderer gone")
+        return TransformerPolicy.propose(policy, t, lane_states)
+
+    policy.propose = failing
+    with pytest.raises(RuntimeError, match="renderer gone"):
+        rollout(policy, task, groups, 0.1)
+    assert policy.caches == [] and policy._pending.shape[0] == 0
+    del policy.propose
+    again, fresh = rollout(policy, task, groups, 0.1), rollout(TransformerPolicy(small_model(5), 1), task, groups, 0.1)
+    for a, b in zip(sum(again, []), sum(fresh, []), strict=True):
+        _assert_same_rollout(a, b, task)
+
+
+def test_keep_lanes_keeps_the_groups_in_order_and_drops_an_emptied_group():
+    task = TaskSpec("poke", 0)
+    policy = TransformerPolicy(small_model(5), 1)
+    for seed, lanes in ((31, 2), (35, 1), (29, 3)):
+        policy.begin([_demo(task, seed)], lanes)
+    assert [c.lanes for c in policy.caches] == [2, 1, 3] and policy._pending.shape[0] == 6
+    with pytest.raises(ValueError, match="groups in order"):
+        policy.keep_lanes(np.array([3, 0]))
+    middle = policy.caches[1]
+    policy.keep_lanes(np.array([1, 0, 5]))
+    assert [c.lanes for c in policy.caches] == [2, 1] and middle not in policy.caches
+    assert policy._pending.shape[0] == 3 and middle.k is None
 
 
 def test_rollout_renders_only_what_the_policy_observes(monkeypatch):
@@ -422,10 +518,10 @@ def test_rollout_renders_only_what_the_policy_observes(monkeypatch):
         return render(states, third_resolution, wrist_resolution)
 
     monkeypatch.setattr(sim, "render", counting_render)
-    [result] = rollout(ExpertReplayPolicy(task, SMALL_CFG.chunk_h), states[:1], task, [demo], 200, 0.1)
+    [[result]] = rollout(ExpertReplayPolicy(task, SMALL_CFG.chunk_h), task, [([demo], states[:1], 200)], 0.1)
     assert result.score == 1.0 and result.steps_used > 0
     assert cameras == []
-    results = rollout(TransformerPolicy(small_model(5), 1), states, task, [demo], 9, 0.1)
+    [results] = rollout(TransformerPolicy(small_model(5), 1), task, [([demo], states, 9)], 0.1)
     assert [r.steps_used for r in results] == [9, 9, 9]
     assert cameras == [(3, 16, 8)] * 9
 

@@ -477,7 +477,7 @@ def test_eval_records_match_single_lane_rollouts(tiny_run):
             else:
                 policy = TransformerPolicy(model, rec.reasoning_interval)
             max_steps = math.ceil(len(demo) * config.eval.max_steps_factor)
-            [alone] = rollout(policy, [state], task, [demo], max_steps, config.eval.ensemble_decay)
+            [[alone]] = rollout(policy, task, [([demo], [state], max_steps)], config.eval.ensemble_decay)
             assert (rec.score, rec.steps_used, rec.n_trace_decodes, rec.failure) == (
                 alone.score, alone.steps_used, len(alone.predicted_traces), classify_failure(alone, task)
             )

@@ -515,6 +515,64 @@ def test_identity_lane_selection_keeps_the_cache():
     assert selected.k is not k and selected.lanes == 3
 
 
+def test_cached_trunk_lane_groups_match_their_own_caches():
+    """Lane groups of different lengths, each with its own cache, decoded
+    in one call give each lane the bits of its group decoded alone; the
+    groups' caches stay apart and each grows by the new tokens."""
+    model = tiny_model(seed=3)
+    rng = np.random.default_rng(5)
+    prefixes = [rng.normal(size=(n, 32)).astype(np.float32) for n in (9, 4, 13)]
+    sizes = (2, 1, 3)
+    steps = [rng.normal(size=(sum(sizes), n, 32)).astype(np.float32) for n in (2, 1, 3)]
+
+    def prefilled(prefix, lanes):
+        cache = KVCache(TINY)
+        transformer_hidden(model, Tensor(prefix), cache)
+        cache.select_lanes(np.zeros(lanes, dtype=np.intp))
+        return cache
+
+    alone = [prefilled(prefix, n) for prefix, n in zip(prefixes, sizes)]
+    grouped = [prefilled(prefix, n) for prefix, n in zip(prefixes, sizes)]
+    bounds = np.cumsum((0,) + sizes)
+    for x in steps:
+        out = transformer_hidden(model, Tensor(x), grouped).data
+        for g, cache in enumerate(alone):
+            lo, hi = bounds[g], bounds[g + 1]
+            assert np.array_equal(out[lo:hi], transformer_hidden(model, Tensor(x[lo:hi]), cache).data)
+    for cache, other, prefix in zip(grouped, alone, prefixes):
+        assert cache.length == other.length == len(prefix) + 6
+        for i in range(TINY.n_layers):
+            (k, v), (k_alone, v_alone) = cache.layer(i, np.float32), other.layer(i, np.float32)
+            assert np.array_equal(k[:, :, :cache.length], k_alone[:, :, :cache.length])
+            assert np.array_equal(v[:, :, :cache.length], v_alone[:, :, :cache.length])
+    with pytest.raises(ShapeError, match="lane"):
+        transformer_hidden(model, Tensor(steps[0][:5]), grouped)
+    full = prefilled(rng.normal(size=(TINY.max_context - 1, 32)).astype(np.float32), 1)
+    lengths = [c.length for c in grouped]
+    with pytest.raises(mdl.ContextOverflowError):  # one group without room stops the call before any write
+        transformer_hidden(model, Tensor(np.concatenate([steps[0], steps[0][:1]])), [*grouped, full])
+    assert [c.length for c in grouped] == lengths
+
+
+def test_lane_groups_are_decoded_untaped():
+    model = tiny_model(seed=3)
+    caches = [KVCache(TINY), KVCache(TINY)]
+    tokens = np.random.default_rng(2).normal(size=(2, 3, 32)).astype(np.float32)
+    with tn.Tape(), pytest.raises(tn.GradError, match="untaped"):
+        transformer_hidden(model, Tensor(tokens), caches)
+
+
+def test_an_empty_lane_selection_frees_the_buffers():
+    model = tiny_model(seed=3)
+    cache = KVCache(TINY)
+    transformer_hidden(model, Tensor(np.ones((5, 32), dtype=np.float32)), cache)
+    cache.select_lanes(np.zeros(0, dtype=np.intp))
+    assert cache.lanes == 0 and cache.k is None and cache.v is None and cache.length == 5
+    fresh = KVCache(TINY)
+    fresh.select_lanes(np.zeros(0, dtype=np.intp))
+    assert fresh.lanes == 0 and fresh.k is None
+
+
 def test_encoders_lanes_match_single_lanes():
     model = tiny_model(seed=5)
     rng = np.random.default_rng(6)

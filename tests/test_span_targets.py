@@ -16,7 +16,9 @@ and looks no colour up.
 
 The tracer times each backward rule by wrapping the tape's entries when
 `tensor.backward` is called, before the sweep pops them; a sweep that
-read its rules from anywhere else would leave them untimed.
+read its rules from anywhere else would leave them untimed. It counts a
+prompt's tokens, and whether it was prefilled before, from the demos that
+`TransformerPolicy.begin` is given as its second positional argument.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import contextlib
 import functools
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -34,7 +37,8 @@ import pytest
 from conftest import toy_trajectory
 from deskicl import engine, harness, sim
 from deskicl import tensor as tn
-from deskicl.data import build_sequence
+from deskicl.data import Trajectory, build_sequence
+from deskicl.harness import DataSection, EvalSection, HarnessConfig
 from deskicl.model import ModelConfig, PolicyModel, sequence_loss
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -62,9 +66,10 @@ def test_every_perfbench_span_target_is_a_callable_of_the_package():
 
 
 @contextlib.contextmanager
-def _counting(*targets: str):
+def _counting(*targets: str, seen: dict[str, list] | None = None):
     """Count calls to each `module.attr` of the package, patched through the
-    tracer's `Patches` as `clock.marking` patches them."""
+    tracer's `Patches` as `clock.marking` patches them; `seen` collects
+    each call's positional arguments under its target."""
     calls = {target: 0 for target in targets}
 
     def make(target):
@@ -72,6 +77,8 @@ def _counting(*targets: str):
             @functools.wraps(fn)
             def wrapper(*args, **kwargs):
                 calls[target] += 1
+                if seen is not None:
+                    seen.setdefault(target, []).append(args)
                 return fn(*args, **kwargs)
 
             return wrapper
@@ -81,7 +88,7 @@ def _counting(*targets: str):
     patches = _tracer().Patches()
     try:
         for target in targets:
-            assert patches.replace(target, *target.split("."), make(target))
+            assert patches.replace(target, *target.split(".", 1), make(target))
         yield calls
     finally:
         patches.restore()
@@ -104,6 +111,9 @@ class _StandStill:
     def keep_lanes(self, lanes):
         pass
 
+    def full_lanes(self):
+        return np.zeros(0, dtype=np.intp)
+
 
 def test_the_expert_and_the_closed_loop_step_the_world_through_sim_step():
     task = sim.TaskSpec("pick_place", 2, 1)
@@ -113,9 +123,39 @@ def test_the_expert_and_the_closed_loop_step_the_world_through_sim_step():
     poke = sim.TaskSpec("poke", 0)
     starts = [sim.reset(poke, 1, 0, seed=s) for s in range(3)]
     with _counting("sim.step") as calls:
-        results = engine.rollout(_StandStill(), starts, poke, [], 7, 0.1)
+        [results] = engine.rollout(_StandStill(), poke, [([], starts, 7)], 0.1)
     assert [r.steps_used for r in results] == [7, 7, 7]
     assert calls["sim.step"] == 21
+
+
+def test_eval_begins_each_cell_once_per_run_and_rolls_out_each_task_once(tmp_path):
+    """The tracer's begin hook reads the prompt demos as `begin`'s 2nd
+    positional argument; each (task, prompt config) cell begins once per
+    run, with its demos and its lane count, in one rollout per task."""
+    config = HarnessConfig(
+        model=ModelConfig(d_model=32, n_layers=1, n_heads=2, third_resolution=16, wrist_resolution=8, chunk_h=4),
+        data=DataSection(n_poke_tasks=2, n_pick_place_tasks=2, test_fraction=0.5),
+        eval=EvalSection(rollouts_per_config=2, max_steps_factor=0.2),
+    )
+    split = harness.stratified_split(config)
+    (tmp_path / "split.json").write_text(json.dumps({"train": list(split.train_tasks), "test": list(split.test_tasks), "seed": split.seed}))
+    variants = ("ours", "icrt")
+    (tmp_path / "checkpoints").mkdir()
+    for variant in variants:
+        model = PolicyModel.init(harness.variant_model_config(config, variant), seed=0)
+        model.save(harness.checkpoint_path(tmp_path, variant, 0), extra_header={"train_seed": "0"})
+    seen = {}
+    with _counting("engine.TransformerPolicy.begin", "engine.rollout", seen=seen) as calls:
+        records = harness.cmd_eval(config, tmp_path, list(variants))
+    n_tasks = len(split.test_tasks)
+    assert n_tasks == 2 and len(records) == len(variants) * n_tasks * 3 * 2
+    assert calls == {"engine.TransformerPolicy.begin": len(variants) * n_tasks * 3, "engine.rollout": len(variants) * n_tasks}
+    for args in seen["engine.TransformerPolicy.begin"]:
+        policy, demos, lanes = args
+        assert isinstance(demos, list) and len(demos) == 1 and isinstance(demos[0], Trajectory)
+        assert lanes == config.eval.rollouts_per_config
+    prompts = {demos[0].third.tobytes() for _, demos, _ in seen["engine.TransformerPolicy.begin"]}
+    assert len(prompts) == n_tasks * 3  # each run begins every cell's own prompt
 
 
 def test_observe_renders_both_views_in_one_call():
